@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 when analysis succeeds with verdict yes (or a generator ran),
-1 when analysis says no (a witness is printed), 2 for usage and I/O errors.
+1 when analysis says no (a witness is printed), 2 for usage, I/O and guard
+errors and for formulas nested too deeply.
 Reports go to stdout as `key=value` lines followed by a blank line and a
 human-readable section; stdout is byte-stable for fixed inputs and seeds,
 timing goes to stderr.
@@ -102,8 +103,8 @@ def _witness_lines(ctx: Context, loaded: LoadedContext | None,
     b1 = {tr[:window] for tr in witness.bundle}
     b2 = {tr[:window] for tr in witness.other_bundle}
     lines.append(f"  future bundles differ on the first {window} time point(s):")
-    for tag, only in (("1", sorted(b1 - b2)), ("2", sorted(b2 - b1))):
-        for trace in only[:3]:
+    for tag, only in (("1", b1 - b2), ("2", b2 - b1)):
+        for trace in sorted(only, key=_trace_text)[:3]:
             lines.append(f"  only from occurrence {tag}: {_trace_text(trace)}")
     return lines
 
@@ -430,6 +431,9 @@ def cli_dispatch(argv: list[str]) -> int:
         code = args.func(args)
     except (ModelFileError, SizeGuardError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     finally:
         elapsed = (time.perf_counter() - started) * 1000.0

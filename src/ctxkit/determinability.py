@@ -16,6 +16,11 @@ therefore offered:
 
 ``literal`` yes implies ``windowed`` yes; the converse fails exactly on the
 truncation artifacts.
+
+Both modes compare interned ids of prefix-tree bundles, so a check costs one
+id per prefix node and window width, never one bundle pair per occurrence
+pair. A "no" names the first failing pair in canonical scan order: snapshots
+by first occurrence, their occurrences by instance, then by time.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ class _Engine:
     """Shared per-context scaffolding for the whole-context analyses.
 
     Instances agreeing on their prefix up to a time share their consistency
-    context, so bundles and next sets are computed once per (prefix, time)
+    context, so bundle ids and next sets are computed once per (prefix, time)
     group instead of once per occurrence.
     """
 
@@ -126,8 +131,9 @@ class _Engine:
             for inst in ctx.instances
         }
         self._groups: list[dict[tuple, list[Instance]] | None] = [None] * self.n_times
-        self._bundles: dict[tuple, frozenset[Trace]] = {}
         self._next: dict[tuple, frozenset[Snapshot]] = {}
+        self._ids: dict[tuple, int] = {}
+        self._interned: dict[tuple, int] = {}
 
     def prefix_key(self, inst: Instance, ti: int) -> tuple:
         n = self.n_times
@@ -145,13 +151,35 @@ class _Engine:
         return self._groups[ti]
 
     def bundle(self, inst: Instance, ti: int) -> frozenset[Trace]:
-        key = (self.prefix_key(inst, ti), ti)
-        cached = self._bundles.get(key)
-        if cached is None:
-            members = self.groups_at(ti)[key[0]]
-            cached = frozenset(self.rows[w][ti:] for w in members)
-            self._bundles[key] = cached
-        return cached
+        members = self.groups_at(ti)[self.prefix_key(inst, ti)]
+        return frozenset(self.rows[w][ti:] for w in members)
+
+    def bundle_id(self, inst: Instance, ti: int, width: int) -> int:
+        """Interned id of bundle(inst, ti) cut to its first `width` time points.
+
+        A cut bundle is the node's snapshot followed by the cut bundles of its
+        children, one per distinct next snapshot, so interning (snapshot, child
+        ids) gives equal ids exactly to equal cut bundles (Daciuk et al. 2000).
+        Nodes, keyed by their first member's identity, are filled from a stack
+        so that long time chains stay within the recursion limit.
+        """
+        end, ids = ti + width - 1, self._ids
+        root = self.groups_at(ti)[self.prefix_key(inst, ti)]
+        todo = [(root, ti)] if (id(root[0]), ti, end) not in ids else []
+        while todo:
+            members, t = todo[-1]
+            split: dict[tuple[str, ...], list[Instance]] = {}
+            for m in members if t < end else ():
+                split.setdefault(self.rows[m][t + 1].states, []).append(m)
+            pending = [(c, t + 1) for c in split.values() if (id(c[0]), t + 1, end) not in ids]
+            if pending:
+                todo.extend(pending)
+                continue
+            node = (self.rows[members[0]][t].states,
+                    frozenset(ids[id(c[0]), t + 1, end] for c in split.values()))
+            ids[id(members[0]), t, end] = self._interned.setdefault(node, len(self._interned))
+            todo.pop()
+        return ids[id(root[0]), ti, end]
 
     def next_set(self, inst: Instance, ti: int) -> frozenset[Snapshot]:
         key = (self.prefix_key(inst, ti), ti)
@@ -162,60 +190,44 @@ class _Engine:
             self._next[key] = cached
         return cached
 
-    def occurrences_by_snapshot(self) -> dict[Snapshot, list[tuple[Instance, int]]]:
-        groups: dict[Snapshot, list[tuple[Instance, int]]] = {}
-        for inst in self.ctx.instances:
-            row = self.rows[inst]
-            for ti in range(self.n_times):
-                groups.setdefault(row[ti], []).append((inst, ti))
-        return groups
-
 
 def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityReport:
     """Check determinability in the requested mode.
 
-    Occurrence pairs are visited in canonical order, so the reported witness
-    is deterministic for a given context.
+    Checking each snapshot's occurrences against its earliest one covers
+    every pair: bundles equal over a window stay equal when cut shorter.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     engine = _Engine(ctx)
-    n = engine.n_times
-    for group in engine.occurrences_by_snapshot().values():
-        for a in range(len(group)):
-            inst_a, ti_a = group[a]
-            for b in range(a + 1, len(group)):
-                inst_b, ti_b = group[b]
-                b_a, b_b = engine.bundle(inst_a, ti_a), engine.bundle(inst_b, ti_b)
-                if mode == "literal":
-                    # unequal suffix lengths: no monotone bijection exists
-                    agree = ti_a == ti_b and b_a == b_b
-                else:
-                    w = min(n - ti_a, n - ti_b)
-                    agree = {tr[:w] for tr in b_a} == {tr[:w] for tr in b_b}
-                if not agree:
-                    witness = DeterminabilityWitness(
-                        inst_a,
-                        inst_b,
-                        engine.times[ti_a],
-                        engine.times[ti_b],
-                        b_a,
-                        b_b,
-                    )
-                    return DeterminabilityReport(False, mode, witness)
+
+    def agree(a: tuple[Instance, int], b: tuple[Instance, int]) -> bool:
+        if mode == "literal" and a[1] != b[1]:
+            return False  # unequal suffix lengths: no monotone bijection exists
+        w = engine.n_times - max(a[1], b[1])
+        return engine.bundle_id(*a, w) == engine.bundle_id(*b, w)
+
+    groups: dict[Snapshot, list[tuple[Instance, int]]] = {}
+    for inst in ctx.instances:
+        for ti, snap in enumerate(engine.rows[inst]):
+            groups.setdefault(snap, []).append((inst, ti))
+    for group in groups.values():
+        pivot = min(group, key=lambda occ: occ[1])
+        if all(agree(pivot, occ) for occ in group if occ is not pivot):
+            continue
+        a, b = next((a, b) for i, a in enumerate(group) for b in group[i + 1 :] if not agree(a, b))
+        witness = DeterminabilityWitness(
+            a[0], b[0], engine.times[a[1]], engine.times[b[1]], engine.bundle(*a), engine.bundle(*b)
+        )
+        return DeterminabilityReport(False, mode, witness)
     return DeterminabilityReport(True, mode, None)
 
 
 def next_snapshot_set(ctx: Context, inst: Instance, t: str) -> frozenset[Snapshot]:
     """Snapshots one step after t across the consistency context of inst."""
-    if inst not in ctx:
-        raise ValueError("instance is not a member of the context")
-    sig = ctx.signature
-    ti = sig.time_index(t)
-    if ti + 1 >= len(sig.times):
+    if ctx.signature.time_index(t) + 1 == len(ctx.signature.times):
         raise ValueError(f"time {t!r} has no successor in the chain")
-    members = consistency_context(ctx, inst, t)
-    return frozenset(w.snapshot_at(ti + 1) for w in members)
+    return frozenset(trace[1] for trace in future_bundle(ctx, inst, t))
 
 
 def is_deterministic(ctx: Context) -> bool:

@@ -71,6 +71,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     sig: Signature | None = None
     names: dict[str, Instance] = {}
     instances: list[Instance] = []
+    seen: set[Instance] = set()
 
     current_name: str | None = None
     current_line: int | None = None
@@ -93,12 +94,13 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                 f"instance {current_name!r} is missing cell {missing[0]}",
             )
         inst = Instance.from_table(current_cells, sig.entities, sig.times)
-        if inst in instances:
+        if inst in seen:
             warnings.warn(
                 f"{source}: duplicate instance {current_name!r} collapsed (set semantics)",
                 stacklevel=3,
             )
         else:
+            seen.add(inst)
             instances.append(inst)
             names[current_name] = inst
         current_name, current_line, current_cells = None, None, {}

@@ -7,6 +7,7 @@ to check. Deliberately naive: enumerate, filter, compare.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 Table = dict  # {(entity, time): state}
@@ -48,6 +49,18 @@ def future_bundle(tables, ref, entities, times, t_index):
     }
 
 
+def _bundle_table(tables, entities, times):
+    """(table position, time position) -> future bundle, each built once."""
+    return functools.cache(lambda a, i: future_bundle(tables, tables[a], entities, times, i))
+
+
+def _bundles_agree(b1, b2, i, j, n, mode):
+    if mode == "literal":
+        return n - i == n - j and b1 == b2
+    k = min(n - i, n - j)
+    return {tr[:k] for tr in b1} == {tr[:k] for tr in b2}
+
+
 def determinable(tables, entities, times, mode):
     """Definition-level determinability check: compare future bundles for
     every pair of occurrences of equal snapshots.
@@ -55,26 +68,42 @@ def determinable(tables, entities, times, mode):
     literal: suffixes must have equal length (the unique monotone bijection
     on a finite chain) and the untruncated bundles must agree.
     windowed: bundles are compared after truncation to the shorter suffix.
+    Each occurrence's bundle is built once and reused for all its pairs.
     """
     n = len(times)
-    for w1 in tables:
-        for w2 in tables:
+    bundle = _bundle_table(tables, entities, times)
+    for a, w1 in enumerate(tables):
+        for b, w2 in enumerate(tables):
             for i in range(n):
                 for j in range(n):
                     if snap(w1, entities, times[i]) != snap(w2, entities, times[j]):
                         continue
-                    b1 = future_bundle(tables, w1, entities, times, i)
-                    b2 = future_bundle(tables, w2, entities, times, j)
-                    if mode == "literal":
-                        if n - i != n - j:
-                            return False
-                        if b1 != b2:
-                            return False
-                    else:
-                        k = min(n - i, n - j)
-                        if {tr[:k] for tr in b1} != {tr[:k] for tr in b2}:
-                            return False
+                    if not _bundles_agree(bundle(a, i), bundle(b, j), i, j, n, mode):
+                        return False
     return True
+
+
+def first_failing_pair(tables, entities, times, mode):
+    """The first equal-snapshot occurrence pair whose bundles disagree.
+
+    Canonical scan order: snapshots by first occurrence (tables in order,
+    then times); within one snapshot, the pairs (x, y) of its occurrences
+    with x before y, in that same order. Returns (a, i, b, j, bundle_a,
+    bundle_b) with table positions a, b and time positions i, j, or None
+    when every pair agrees.
+    """
+    n = len(times)
+    bundle = _bundle_table(tables, entities, times)
+    occurrences = {}
+    for a, w in enumerate(tables):
+        for i in range(n):
+            occurrences.setdefault(snap(w, entities, times[i]), []).append((a, i))
+    for occs in occurrences.values():
+        for x, (a, i) in enumerate(occs):
+            for b, j in occs[x + 1 :]:
+                if not _bundles_agree(bundle(a, i), bundle(b, j), i, j, n, mode):
+                    return a, i, b, j, bundle(a, i), bundle(b, j)
+    return None
 
 
 def has_iterator(tables, entities, times):

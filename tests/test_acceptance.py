@@ -17,6 +17,7 @@ from ctxkit.core import Context, Snapshot
 from ctxkit.determinability import (
     IteratorMap,
     extract_iterator,
+    future_bundle,
     generate_from_iterator,
     has_iterator,
     is_determinable,
@@ -368,6 +369,24 @@ def test_criterion_9_minigame():
         "base game indeterminable with a turn-ambiguity witness; "
         "turn-tracked variant determinable",
     )
+
+
+@pytest.mark.parametrize("odd", (False, True), ids=("alice_bob", "alice_bob_odd"))
+@pytest.mark.parametrize("horizon", (5, 6))
+def test_windowed_determinability_at_larger_horizons(odd, horizon):
+    ctx = (gen_alice_bob_odd if odd else gen_alice_bob)(horizon)
+    started = time.perf_counter()
+    report = is_determinable(ctx, "windowed")
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"windowed check took {elapsed:.2f}s"
+    assert report.determinable is not odd
+    if odd:
+        w = report.witness
+        assert w.instance.snapshot(w.time) == w.other_instance.snapshot(w.other_time)
+        assert future_bundle(ctx, w.instance, w.time) == w.bundle
+        assert future_bundle(ctx, w.other_instance, w.other_time) == w.other_bundle
+        k = horizon - max(map(ctx.signature.time_index, (w.time, w.other_time)))
+        assert {tr[:k] for tr in w.bundle} != {tr[:k] for tr in w.other_bundle}
 
 
 def test_criterion_10_cli_reproducibility(tmp_path, capsys):

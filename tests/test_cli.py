@@ -134,6 +134,24 @@ def test_deterministic_verdicts(alice_path, tmp_path, capsys):
     assert code == 0
 
 
+def test_windowed_witness_lists_several_differing_traces(tmp_path, capsys):
+    # this context's first failing pair has bundles that differ by more than
+    # one trace, so the witness has to sort traces to print them
+    path = str(tmp_path / "r7.ctx")
+    code, _ = run_cli(
+        capsys, "gen", "random-ctx", "--seed", "7", "--states", "3",
+        "--entities", "2", "--times", "4", "--count", "200", "-o", path,
+    )
+    assert code == 0
+    argv = ("ctx", "check-determinable", path, "--mode", "windowed")
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert machine_fields(out)["verdict"] == "no"
+    assert "witness:" in out
+    assert out.count("only from occurrence") >= 2
+    assert run_cli(capsys, *argv) == (code, out)
+
+
 # ---------------------------------------------------------------------------
 # modal commands
 # ---------------------------------------------------------------------------
@@ -223,6 +241,14 @@ def test_unknown_instance_exits_2(alice_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def test_deeply_nested_formula_exits_2(kripke_path, capsys):
+    code = cli_dispatch(
+        ["modal", "eval", kripke_path, "--world", "w1", "--formula", "~" * 3000 + "p"]
+    )
+    assert code == 2
+    assert "error: formula nested too deeply" in capsys.readouterr().err
 
 
 def test_guard_env_var_is_honored(monkeypatch, capsys):

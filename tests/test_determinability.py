@@ -19,6 +19,7 @@ from ctxkit.determinability import (
     render_iterator_map,
     suffix_iso,
 )
+from ctxkit.generators import gen_alice_bob, gen_alice_bob_odd, gen_minigame
 
 
 def row_context(states, *rows):
@@ -164,16 +165,50 @@ def test_is_determinable_rejects_unknown_mode():
         is_determinable(ctx, "both")
 
 
+def plain_bundle(bundle):
+    """Traces as tuples of state tuples, the oracles' representation."""
+    return {tuple(s.states for s in trace) for trace in bundle}
+
+
+def assert_matches_oracles(ctx, mode):
+    sig = ctx.signature
+    tables = corpus.as_tables(ctx)
+    report = is_determinable(ctx, mode)
+    assert report.determinable == oracles.determinable(tables, sig.entities, sig.times, mode)
+    expected = oracles.first_failing_pair(tables, sig.entities, sig.times, mode)
+    if expected is None:
+        assert report.witness is None
+        return
+    a, i, b, j, bundle_a, bundle_b = expected
+    w = report.witness
+    assert ctx.instances.index(w.instance) == a and sig.time_index(w.time) == i
+    assert ctx.instances.index(w.other_instance) == b and sig.time_index(w.other_time) == j
+    assert plain_bundle(w.bundle) == bundle_a
+    assert plain_bundle(w.other_bundle) == bundle_b
+
+
 def test_determinability_agrees_with_oracle_on_corpus():
-    rng = random.Random(515)
-    for _ in range(120):
-        ctx = corpus.random_context(rng, max_instances=6)
-        tables = corpus.as_tables(ctx)
-        for mode in ("literal", "windowed"):
-            expected = oracles.determinable(
-                tables, ctx.signature.entities, ctx.signature.times, mode
-            )
-            assert is_determinable(ctx, mode).determinable == expected
+    # verdicts and witnesses (first failing pair, same bundles), on the
+    # corpora that the other determinability tests draw
+    for seed, max_instances in ((515, 6), (616, 8), (717, 8)):
+        rng = random.Random(seed)
+        for _ in range(150):
+            ctx = corpus.random_context(rng, max_instances=max_instances)
+            for mode in ("literal", "windowed"):
+                assert_matches_oracles(ctx, mode)
+
+
+@pytest.mark.parametrize("odd", (False, True), ids=("alice_bob", "alice_bob_odd"))
+@pytest.mark.parametrize("horizon", (2, 3, 4))
+@pytest.mark.parametrize("mode", ("literal", "windowed"))
+def test_witness_is_first_failing_pair_on_alice_bob(odd, horizon, mode):
+    assert_matches_oracles((gen_alice_bob_odd if odd else gen_alice_bob)(horizon), mode)
+
+
+@pytest.mark.parametrize("variant", (0, 1), ids=("base", "turn"))
+@pytest.mark.parametrize("mode", ("literal", "windowed"))
+def test_witness_is_first_failing_pair_on_minigame(variant, mode):
+    assert_matches_oracles(gen_minigame()[variant], mode)
 
 
 def test_literal_yes_implies_windowed_yes_on_corpus():
