@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from ctxkit.core import Context, SizeGuardError, consistency_context
@@ -325,7 +326,13 @@ def cmd_gen_random_kripke(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call.
+
+    argparse fills a fresh namespace on each parse and never changes the
+    parser, so one instance serves the whole process.
+    """
     parser = argparse.ArgumentParser(
         prog="ctxkit",
         description="Finite contexts, determinability, and modal-context checking.",

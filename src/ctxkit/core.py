@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 DEFAULT_SPACE_GUARD = 2 ** 20
@@ -275,8 +276,12 @@ class Context:
     def __len__(self) -> int:
         return len(self.instances)
 
+    @cached_property
+    def _instance_set(self) -> frozenset[Instance]:
+        return frozenset(self.instances)
+
     def __contains__(self, inst: object) -> bool:
-        return inst in self.instances
+        return inst in self._instance_set
 
 
 # ---------------------------------------------------------------------------

@@ -328,16 +328,19 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
         elif directive == "has":
             if current is None:
                 raise ModelFileError(source, line_no, "`has` before any cworld")
-            try:
-                formula = parse_formula(content[len("has") :])
-            except ValueError as exc:
-                raise ModelFileError(source, line_no, str(exc)) from None
-            if formula not in universe:
-                raise ModelFileError(
-                    source,
-                    line_no,
-                    f"formula {print_formula(formula)} is outside the declared universe",
-                )
+            written = content[len("has") :]
+            formula = universe.member_printed_as(written.strip())
+            if formula is None:  # not canonical text: parse it
+                try:
+                    formula = parse_formula(written)
+                except ValueError as exc:
+                    raise ModelFileError(source, line_no, str(exc)) from None
+                if formula not in universe:
+                    raise ModelFileError(
+                        source,
+                        line_no,
+                        f"formula {print_formula(formula)} is outside the declared universe",
+                    )
             sets[current].add(formula)
         elif directive == "cedge":
             if len(parts) != 3:

@@ -307,6 +307,6 @@ def prove_in_context(
             f"formula {print_formula(formula)} is outside the universe; "
             "membership is undecidable within this truncation"
         )
-    if world not in mc.world_names:
+    if world not in mc.assignments:  # keyed by exactly the world names
         raise ValueError(f"unknown context world {world!r}")
     return formula in mc.theory_at(world, entity, time)

@@ -337,8 +337,20 @@ class FormulaUniverse:
     def _member_set(self) -> frozenset[Formula]:
         return frozenset(self.members)
 
+    @cached_property
+    def _by_text(self) -> dict[str, Formula]:
+        return {print_formula(f): f for f in self.members}
+
     def __contains__(self, formula: object) -> bool:
         return formula in self._member_set
+
+    def member_printed_as(self, text: str) -> Formula | None:
+        """The member whose `print_formula` text is exactly text, else None.
+
+        The printer round-trips, so this is the member parse_formula(text)
+        would equal, found without parsing.
+        """
+        return self._by_text.get(text)
 
     def __len__(self) -> int:
         return len(self.members)

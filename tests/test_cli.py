@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ctxkit.cli import cli_dispatch
+from ctxkit.cli import _build_parser, cli_dispatch
 from ctxkit.formats import parse_context, parse_kripke, parse_modal_context
 
 TWO_WORLD = "world w1\nworld w2\nedge w1 w2\nval w2 p\n"
@@ -252,8 +252,11 @@ def test_deeply_nested_formula_exits_2(kripke_path, capsys):
 
 
 def test_guard_env_var_is_honored(monkeypatch, capsys):
+    # the parser already exists; the guard is read when the command runs
+    assert cli_dispatch(["gen", "alice-bob", "--horizon", "3"]) == 0
     monkeypatch.setenv("CTXKIT_GUARD", "10")
     assert cli_dispatch(["gen", "alice-bob", "--horizon", "3"]) == 2
+    assert "current guard is 10" in capsys.readouterr().err
     monkeypatch.delenv("CTXKIT_GUARD")
     assert cli_dispatch(["gen", "alice-bob", "--horizon", "3"]) == 0
     capsys.readouterr()
@@ -283,6 +286,39 @@ def test_outputs_are_byte_identical_across_runs(alice_path, kripke_path, capsys)
         second_code, second_out = run_cli(capsys, *argv)
         assert first_code == second_code
         assert first_out == second_out, argv
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from ctxkit.cli import _build_parser; print(_build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "0\n"
+
+
+def test_parser_is_built_once_per_process(alice_path, capsys):
+    _build_parser.cache_clear()
+    for _ in range(20):
+        assert cli_dispatch(["ctx", "deterministic", alice_path]) == 1
+        assert cli_dispatch(["gen", "minigame"]) == 0
+    capsys.readouterr()
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 39)
+
+
+@pytest.mark.parametrize("interloper, code", [
+    (("ctx", "frobnicate"), 2),
+    (("--help",), 0),
+    (("modal", "to-context", "x.kr"), 2),
+])
+def test_usage_errors_and_help_leave_the_parser_unchanged(alice_path, capsys, interloper, code):
+    argv = ("ctx", "check-determinable", alice_path, "--mode", "windowed")
+    first = run_cli(capsys, *argv)
+    assert cli_dispatch(list(interloper)) == code
+    capsys.readouterr()
+    assert run_cli(capsys, *argv) == first
 
 
 def test_console_entry_point_runs():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import corpus
 import oracles
 from ctxkit.core import (
     Context,
@@ -273,3 +274,22 @@ def test_restrict_alice_bob_rule_matches_oracle(alice_bob_sig):
         for inst in got
     }
     assert got_keys == expected
+
+
+def test_membership_agrees_with_the_instance_tuple():
+    rng = random.Random(5)
+    for _ in range(50):
+        ctx = corpus.random_context(rng)
+        sig = ctx.signature
+        fill = sig.states[0]
+        foreign = [  # one entity or one time more than the context's signature
+            Instance(sig.entities + ("x",), sig.times,
+                     (fill,) * (sig.cell_count() + len(sig.times))),
+            Instance(sig.entities, sig.times + ("late",),
+                     (fill,) * (sig.cell_count() + len(sig.entities))),
+        ]
+        probes = list(ctx.instances) + foreign
+        probes += [corpus.random_instance(rng, sig) for _ in range(5)]
+        for probe in probes:
+            assert (probe in ctx) == (probe in ctx.instances)
+        assert all(inst in ctx for inst in ctx.instances)

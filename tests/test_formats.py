@@ -6,7 +6,15 @@ import pytest
 
 import corpus
 from ctxkit.generators import gen_alice_bob, gen_minigame, gen_random_kripke
-from ctxkit.modal_logic import formula_universe
+from ctxkit.modal_logic import (
+    And,
+    Atom,
+    Box,
+    Not,
+    formula_universe,
+    parse_formula,
+    print_formula,
+)
 from ctxkit.modal_context import to_modal_context
 from ctxkit.formats import (
     LoadedContext,
@@ -207,6 +215,95 @@ def test_modal_context_file_errors():
         )
     with pytest.raises(ModelFileError, match="empty"):
         parse_modal_context("# nothing here\n")
+
+
+def parse_every_has_line(text, parsed):
+    """Reference loader: each `has` line through parse_formula, no lookup.
+
+    parsed memoizes parse_formula by line text across calls.
+    """
+    theories, relation, current = {}, set(), None
+    for line in text.splitlines():
+        parts = line.split()
+        if parts[0] == "cworld":
+            current = parts[1]
+            theories[current] = set()
+        elif parts[0] == "has":
+            rest = line.split("has", 1)[1]
+            if rest not in parsed:
+                parsed[rest] = parse_formula(rest)
+            theories[current].add(parsed[rest])
+        elif parts[0] == "cedge":
+            relation.add((parts[1], parts[2]))
+    return {w: frozenset(fs) for w, fs in theories.items()}, relation
+
+
+def modal_context_cases():
+    """Every shape of the 200-model acceptance corpus (1-5 worlds, four
+    densities, p,q at depths 0-2: seeds 0-59 meet each combination once),
+    plus cap 0 and a three-atom universe."""
+    universes = [formula_universe(("p", "q"), depth=d) for d in (0, 1, 2)]
+    for seed in range(60):
+        model = gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
+        yield model, universes[seed % 3]
+    rng = random.Random(23)
+    for universe in (formula_universe(("p", "q"), depth=2, cap=0),
+                     formula_universe(("p", "q", "r"), depth=1)):
+        for _ in range(10):
+            yield corpus.random_kripke(rng, max_worlds=6, atoms=universe.atoms), universe
+
+
+def test_modal_context_load_matches_parsing_every_line():
+    parsed = {}
+    for model, universe in modal_context_cases():
+        mc = to_modal_context(model, universe)
+        text = render_modal_context(mc)
+        loaded = parse_modal_context(text)
+        assert loaded == mc
+        theories, relation = parse_every_has_line(text, parsed)
+        assert {w: loaded.theory_at(w) for w in loaded.world_names} == theories
+        assert loaded.relation == relation
+        member_ids = {id(f) for f in loaded.universe.members}
+        for w in loaded.world_names:
+            assert all(id(f) in member_ids for f in loaded.theory_at(w))
+
+
+def test_non_canonical_has_lines_load_to_equal_members():
+    header = "universe atoms=p,q depth=1 cap=1\ncworld c0\n"
+    canonical = parse_modal_context(header + "  has p\n  has ~[]p\n  has p & q\n")
+    spelled = parse_modal_context(header + "  has (p)\n  has  ~ []p\n  has p&q\n")
+    assert spelled == canonical
+    p, q = Atom("p"), Atom("q")
+    assert spelled.theory_at("c0") == {p, Not(Box(p)), And(p, q)}
+    assert print_formula(And(p, q)) == "p & q"
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("universe atoms=p depth=0 cap=1\ncworld c0\n  has [][]p\n", 3,
+     "formula [][]p is outside the declared universe"),
+    ("universe atoms=p,q depth=1 cap=1\ncworld c0\n  has p\n  has (q) -> <>[]p\n", 4,
+     "formula q -> <>[]p is outside the declared universe"),
+    ("universe atoms=p depth=0 cap=1\ncworld c0\n  has p &\n", 3,
+     "syntax error at position 4: unexpected 'end of input'; "
+     "expected one of: '(', '<>', '[]', 'false', 'true', '~', atom"),
+    ("universe atoms=p,q depth=1 cap=1\ncworld c0\n  has p\n\n  has   q  &  (p\n", 5,
+     "syntax error at position 11: unexpected 'end of input'; expected one of: ')'"),
+])
+def test_bad_has_lines_report_line_and_message(text, line_no, message):
+    with pytest.raises(ModelFileError) as info:
+        parse_modal_context(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"<string>:{line_no}: {message}"
+
+
+@pytest.mark.parametrize("depth", (0, 1, 2))
+@pytest.mark.parametrize("cap", (0, 1))
+def test_printed_form_lookup_has_one_entry_per_member(depth, cap):
+    universe = formula_universe(("p", "q"), depth=depth, cap=cap)
+    assert len(universe._by_text) == len(universe)
+    for f in universe.members:
+        assert universe.member_printed_as(print_formula(f)) is f
+    assert universe.member_printed_as("(p)") is None
 
 
 def test_closure_universe_contexts_do_not_serialize():

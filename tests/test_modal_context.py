@@ -242,7 +242,7 @@ def test_prove_in_context_membership_and_bounds():
     assert too_deep not in universe
     with pytest.raises(ValueError, match="outside the universe"):
         prove_in_context(mc, "c0", too_deep)
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(ValueError, match="^unknown context world 'c9'$"):
         prove_in_context(mc, "c9", P)
 
 
