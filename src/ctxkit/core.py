@@ -182,26 +182,6 @@ class Instance:
                 f"got {len(self.cells)}"
             )
 
-    @classmethod
-    def from_table(
-        cls,
-        table: Mapping[tuple[str, str], str],
-        entities: Iterable[str],
-        times: Iterable[str],
-    ) -> "Instance":
-        entities = tuple(entities)
-        times = tuple(times)
-        cells = []
-        for e in entities:
-            for t in times:
-                if (e, t) not in table:
-                    raise ValueError(f"table is missing cell {e}@{t}")
-                cells.append(table[(e, t)])
-        if len(table) != len(cells):
-            extra = sorted(set(table) - {(e, t) for e in entities for t in times})
-            raise ValueError(f"table has cells outside the signature: {extra}")
-        return cls(entities, times, tuple(cells))
-
     def value_at(self, entity_index: int, time_index: int) -> str:
         return self.cells[entity_index * len(self.times) + time_index]
 

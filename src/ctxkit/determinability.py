@@ -17,10 +17,14 @@ therefore offered:
 ``literal`` yes implies ``windowed`` yes; the converse fails exactly on the
 truncation artifacts.
 
-Both modes compare interned ids of prefix-tree bundles, so a check costs one
-id per prefix node and window width, never one bundle pair per occurrence
-pair. A "no" names the first failing pair in canonical scan order: snapshots
-by first occurrence, their occurrences by instance, then by time.
+Every analysis walks one prefix trie, built in O(N*T) for N instances over
+T times: snapshots are interned to ints, and instances agreeing up to a time
+share one node there. Determinability compares hash-consed ids of bundles
+cut to a window, at most one id per (node, end), and compares each node with
+the next node of its snapshot in time order only; the iterator takes each
+node's child ids as its next set, and determinism is out-degree one. A "no"
+names the first failing pair in canonical scan order: snapshots by first
+occurrence, their occurrences by instance, then by time.
 """
 
 from __future__ import annotations
@@ -113,111 +117,120 @@ class DeterminabilityReport:
             raise ValueError("witness must be present exactly when the verdict is no")
 
 
-class _Engine:
-    """Shared per-context scaffolding for the whole-context analyses.
+class _Trie:
+    """Every instance's snapshot row as a path in one prefix trie.
 
-    Instances agreeing on their prefix up to a time share their consistency
-    context, so bundle ids and next sets are computed once per (prefix, time)
-    group instead of once per occurrence.
+    Distinct snapshots get ints in first-occurrence order, with one `Snapshot`
+    each. A node is keyed by its parent and its snapshot id, so instances
+    agreeing up to a time share one node there, and with it their consistency
+    context. Nodes are numbered in creation order, which is the canonical
+    scan order (instances, then times) of their first occurrences.
     """
 
     def __init__(self, ctx: Context):
-        self.ctx = ctx
-        self.times = ctx.signature.times
-        self.n_times = len(self.times)
-        self.n_entities = len(ctx.signature.entities)
-        self.rows = {
-            inst: tuple(inst.snapshot_at(k) for k in range(self.n_times))
-            for inst in ctx.instances
-        }
-        self._groups: list[dict[tuple, list[Instance]] | None] = [None] * self.n_times
-        self._next: dict[tuple, frozenset[Snapshot]] = {}
-        self._ids: dict[tuple, int] = {}
-        self._interned: dict[tuple, int] = {}
+        sig = ctx.signature
+        n = len(sig.times)
+        self.instances, self.times = ctx.instances, sig.times
+        self.snaps: list[Snapshot] = []
+        self.snap_of: list[int] = []
+        self.time_of: list[int] = []
+        self.kids: list[list[int]] = []
+        self.first: list[int] = []  # position of the first instance through the node
+        self.paths: list[list[int]] = []  # the node of each instance at each time
+        snap_ids: dict[tuple[str, ...], int] = {}
+        nodes: dict[tuple[int, int], int] = {}
+        for pos, inst in enumerate(ctx.instances):
+            parent, path = -1, []
+            for k in range(n):
+                states = inst.cells[k::n]
+                sid = snap_ids.setdefault(states, len(snap_ids))
+                if sid == len(self.snaps):
+                    self.snaps.append(Snapshot(sig.entities, states))
+                node = nodes.setdefault((parent, sid), len(nodes))
+                if node == len(self.snap_of):
+                    self.snap_of.append(sid)
+                    self.time_of.append(k)
+                    self.kids.append([])
+                    self.first.append(pos)
+                    if parent >= 0:
+                        self.kids[parent].append(node)
+                path.append(node)
+                parent = node
+            self.paths.append(path)
+        self._ids: dict[tuple[int, int], int] = {}
+        self._interned: dict[tuple[int, frozenset[int]], int] = {}
 
-    def prefix_key(self, inst: Instance, ti: int) -> tuple:
-        n = self.n_times
-        upto = ti + 1
-        return tuple(
-            inst.cells[e * n : e * n + upto] for e in range(self.n_entities)
+    def occurrence(self, node: int) -> tuple[Instance, str]:
+        return self.instances[self.first[node]], self.times[self.time_of[node]]
+
+    def as_snapshots(self, sids: Iterable[int]) -> frozenset[Snapshot]:
+        return frozenset(self.snaps[s] for s in sids)
+
+    def bundle(self, node: int) -> frozenset[Trace]:
+        """The future bundle at a node, from the rows of the instances through it."""
+        t, snaps, snap_of = self.time_of[node], self.snaps, self.snap_of
+        return frozenset(
+            tuple(snaps[snap_of[v]] for v in path[t:]) for path in self.paths if path[t] == node
         )
 
-    def groups_at(self, ti: int) -> dict[tuple, list[Instance]]:
-        if self._groups[ti] is None:
-            groups: dict[tuple, list[Instance]] = {}
-            for inst in self.ctx.instances:
-                groups.setdefault(self.prefix_key(inst, ti), []).append(inst)
-            self._groups[ti] = groups
-        return self._groups[ti]
-
-    def bundle(self, inst: Instance, ti: int) -> frozenset[Trace]:
-        members = self.groups_at(ti)[self.prefix_key(inst, ti)]
-        return frozenset(self.rows[w][ti:] for w in members)
-
-    def bundle_id(self, inst: Instance, ti: int, width: int) -> int:
-        """Interned id of bundle(inst, ti) cut to its first `width` time points.
+    def bundle_id(self, node: int, end: int) -> int:
+        """Interned id of the node's bundle cut after time index `end`.
 
         A cut bundle is the node's snapshot followed by the cut bundles of its
-        children, one per distinct next snapshot, so interning (snapshot, child
-        ids) gives equal ids exactly to equal cut bundles (Daciuk et al. 2000).
-        Nodes, keyed by their first member's identity, are filled from a stack
-        so that long time chains stay within the recursion limit.
+        children, so interning (snapshot id, child ids) gives equal ids
+        exactly to equal cut bundles (Daciuk et al. 2000). Nodes are filled
+        from a stack so that long time chains stay within the recursion limit.
         """
-        end, ids = ti + width - 1, self._ids
-        root = self.groups_at(ti)[self.prefix_key(inst, ti)]
-        todo = [(root, ti)] if (id(root[0]), ti, end) not in ids else []
+        ids = self._ids
+        todo = [node] if (node, end) not in ids else []
         while todo:
-            members, t = todo[-1]
-            split: dict[tuple[str, ...], list[Instance]] = {}
-            for m in members if t < end else ():
-                split.setdefault(self.rows[m][t + 1].states, []).append(m)
-            pending = [(c, t + 1) for c in split.values() if (id(c[0]), t + 1, end) not in ids]
+            v = todo[-1]
+            kids = self.kids[v] if self.time_of[v] < end else ()
+            pending = [c for c in kids if (c, end) not in ids]
             if pending:
                 todo.extend(pending)
                 continue
-            node = (self.rows[members[0]][t].states,
-                    frozenset(ids[id(c[0]), t + 1, end] for c in split.values()))
-            ids[id(members[0]), t, end] = self._interned.setdefault(node, len(self._interned))
+            key = (self.snap_of[v], frozenset(ids[c, end] for c in kids))
+            ids[v, end] = self._interned.setdefault(key, len(self._interned))
             todo.pop()
-        return ids[id(root[0]), ti, end]
-
-    def next_set(self, inst: Instance, ti: int) -> frozenset[Snapshot]:
-        key = (self.prefix_key(inst, ti), ti)
-        cached = self._next.get(key)
-        if cached is None:
-            members = self.groups_at(ti)[key[0]]
-            cached = frozenset(self.rows[w][ti + 1] for w in members)
-            self._next[key] = cached
-        return cached
+        return ids[node, end]
 
 
 def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityReport:
     """Check determinability in the requested mode.
 
-    Checking each snapshot's occurrences against its earliest one covers
-    every pair: bundles equal over a window stay equal when cut shorter.
+    Each snapshot's trie nodes are sorted by time and each is compared with
+    the next one only. That covers every pair: if the bundle at a_k, cut to
+    the suffix length of a_(k+1), equals the bundle at a_(k+1) for every k, then
+    cutting both sides of each equation shorter carries it along the chain,
+    so every a_i agrees with every later a_j. Only a failing snapshot's
+    occurrences are scanned pair by pair, for the witness.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    engine = _Engine(ctx)
+    trie = _Trie(ctx)
+    time_of, last = trie.time_of, len(trie.times) - 1
 
-    def agree(a: tuple[Instance, int], b: tuple[Instance, int]) -> bool:
-        if mode == "literal" and a[1] != b[1]:
+    def agree(a: int, b: int) -> bool:
+        if mode == "literal" and time_of[a] != time_of[b]:
             return False  # unequal suffix lengths: no monotone bijection exists
-        w = engine.n_times - max(a[1], b[1])
-        return engine.bundle_id(*a, w) == engine.bundle_id(*b, w)
+        cut = last - max(time_of[a], time_of[b])
+        return trie.bundle_id(a, time_of[a] + cut) == trie.bundle_id(b, time_of[b] + cut)
 
-    groups: dict[Snapshot, list[tuple[Instance, int]]] = {}
-    for inst in ctx.instances:
-        for ti, snap in enumerate(engine.rows[inst]):
-            groups.setdefault(snap, []).append((inst, ti))
-    for group in groups.values():
-        pivot = min(group, key=lambda occ: occ[1])
-        if all(agree(pivot, occ) for occ in group if occ is not pivot):
+    groups: dict[int, list[int]] = {}
+    for node, sid in enumerate(trie.snap_of):
+        groups.setdefault(sid, []).append(node)
+    for sid, nodes in groups.items():
+        chain = sorted(nodes, key=time_of.__getitem__)
+        if all(agree(a, b) for a, b in zip(chain, chain[1:])):
             continue
-        a, b = next((a, b) for i, a in enumerate(group) for b in group[i + 1 :] if not agree(a, b))
+        occs = [(k, v) for k, path in enumerate(trie.paths) for v in path if trie.snap_of[v] == sid]
+        (p, a), (q, b) = next(
+            (x, y) for i, x in enumerate(occs) for y in occs[i + 1 :] if not agree(x[1], y[1])
+        )
         witness = DeterminabilityWitness(
-            a[0], b[0], engine.times[a[1]], engine.times[b[1]], engine.bundle(*a), engine.bundle(*b)
+            ctx.instances[p], ctx.instances[q], trie.times[time_of[a]], trie.times[time_of[b]],
+            trie.bundle(a), trie.bundle(b),
         )
         return DeterminabilityReport(False, mode, witness)
     return DeterminabilityReport(True, mode, None)
@@ -235,12 +248,9 @@ def is_deterministic(ctx: Context) -> bool:
 
     Multiple initial snapshots are allowed; only the step structure counts.
     """
-    engine = _Engine(ctx)
-    for ti in range(engine.n_times - 1):
-        for members in engine.groups_at(ti).values():
-            if len({engine.rows[w][ti + 1] for w in members}) != 1:
-                return False
-    return True
+    trie = _Trie(ctx)
+    last = len(trie.times) - 1
+    return all(len(kids) == 1 for kids, t in zip(trie.kids, trie.time_of) if t < last)
 
 
 @dataclass(frozen=True)
@@ -315,30 +325,29 @@ def extract_iterator(ctx: Context) -> IteratorExtraction:
     Every occurrence of a snapshot at a time with a successor pins the
     snapshot's image to its next-snapshot set; two occurrences pinning
     different images are a conflict. Snapshots seen only at the final time
-    get the empty image.
+    get the empty image. Occurrences sharing a trie node share its next set,
+    and a node's first occurrence comes first in the scan, so walking nodes
+    in creation order meets the same first conflict as walking occurrences.
     """
-    engine = _Engine(ctx)
-    times = engine.times
-    images: dict[Snapshot, frozenset[Snapshot]] = {}
-    first_at: dict[Snapshot, tuple[Instance, str]] = {}
-    for inst in ctx.instances:
-        row = engine.rows[inst]
-        for ti in range(len(times) - 1):
-            snap = row[ti]
-            nxt = engine.next_set(inst, ti)
-            if snap in images:
-                if images[snap] != nxt:
-                    conflict = IteratorConflict(
-                        snap, images[snap], nxt, first_at[snap], (inst, times[ti])
-                    )
-                    return IteratorExtraction(None, conflict)
-            else:
-                images[snap] = nxt
-                first_at[snap] = (inst, times[ti])
-    for inst in ctx.instances:
-        images.setdefault(engine.rows[inst][-1], frozenset())
-    iterator = IteratorMap(ctx.signature.entities, tuple(images.items()))
-    return IteratorExtraction(iterator, None)
+    trie = _Trie(ctx)
+    last = len(trie.times) - 1
+    images: dict[int, frozenset[int]] = {}
+    first: dict[int, int] = {}
+    for node, sid in enumerate(trie.snap_of):
+        if trie.time_of[node] == last:
+            continue
+        nxt = frozenset(trie.snap_of[c] for c in trie.kids[node])
+        if images.setdefault(sid, nxt) != nxt:
+            conflict = IteratorConflict(
+                trie.snaps[sid], trie.as_snapshots(images[sid]), trie.as_snapshots(nxt),
+                trie.occurrence(first[sid]), trie.occurrence(node),
+            )
+            return IteratorExtraction(None, conflict)
+        first.setdefault(sid, node)
+    entries = tuple(
+        (snap, trie.as_snapshots(images.get(sid, ()))) for sid, snap in enumerate(trie.snaps)
+    )
+    return IteratorExtraction(IteratorMap(ctx.signature.entities, entries), None)
 
 
 def has_iterator(ctx: Context) -> bool:

@@ -75,25 +75,20 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
 
     current_name: str | None = None
     current_line: int | None = None
-    current_cells: dict[tuple[str, str], str] = {}
+    cells: list[str | None] = []
 
     def close_instance():
-        nonlocal current_name, current_line, current_cells
+        nonlocal current_name, current_line
         if current_name is None:
             return
-        missing = [
-            f"{e}@{t}"
-            for e in sig.entities
-            for t in sig.times
-            if (e, t) not in current_cells
-        ]
-        if missing:
+        if None in cells:
+            e, t = divmod(cells.index(None), len(sig.times))
             raise ModelFileError(
                 source,
                 current_line,
-                f"instance {current_name!r} is missing cell {missing[0]}",
+                f"instance {current_name!r} is missing cell {sig.entities[e]}@{sig.times[t]}",
             )
-        inst = Instance.from_table(current_cells, sig.entities, sig.times)
+        inst = Instance(sig.entities, sig.times, tuple(cells))
         if inst in seen:
             warnings.warn(
                 f"{source}: duplicate instance {current_name!r} collapsed (set semantics)",
@@ -103,7 +98,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
             seen.add(inst)
             instances.append(inst)
             names[current_name] = inst
-        current_name, current_line, current_cells = None, None, {}
+        current_name, current_line = None, None
 
     for line_no, content in _meaningful_lines(text):
         first = content.split()[0]
@@ -123,6 +118,9 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                 sig = Signature(headers["states"], headers["entities"], headers["time"])
             except ValueError as exc:
                 raise ModelFileError(source, line_no, str(exc)) from None
+            cell_keys = [(e, t) for e in sig.entities for t in sig.times]  # entity-major
+            position = {key: k for k, key in enumerate(cell_keys)}
+            states = frozenset(sig.states)
         if first == "instance":
             close_instance()
             rest = content[len("instance") :].strip()
@@ -132,6 +130,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
             current_line = line_no
             if current_name in names:
                 raise ModelFileError(source, line_no, f"instance name {current_name!r} reused")
+            cells = [None] * len(position)
             continue
         if current_name is None:
             raise ModelFileError(source, line_no, f"unexpected line {content!r}")
@@ -142,15 +141,16 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                 raise ModelFileError(
                     source, line_no, f"malformed cell {token!r}, expected entity@time=state"
                 )
-            if entity not in sig.entities:
-                raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
-            if time not in sig.times:
+            k = position.get((entity, time))
+            if k is None:
+                if entity not in sig.entities:
+                    raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
                 raise ModelFileError(source, line_no, f"unknown time {time!r}")
-            if state not in sig.states:
+            if state not in states:
                 raise ModelFileError(source, line_no, f"unknown state {state!r}")
-            if (entity, time) in current_cells:
+            if cells[k] is not None:
                 raise ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
-            current_cells[(entity, time)] = state
+            cells[k] = state
 
     if sig is None:
         raise ModelFileError(source, None, "empty context file")

@@ -106,18 +106,47 @@ def first_failing_pair(tables, entities, times, mode):
     return None
 
 
+def next_set(tables, w, entities, times, t_index):
+    """Snapshots one step after t_index across the consistency set of w."""
+    members = consistency(tables, w, entities, times, t_index)
+    return frozenset(snap(v, entities, times[t_index + 1]) for v in members)
+
+
+def extract_iterator(tables, entities, times):
+    """The snapshot -> next-snapshot-set map, or the first conflict.
+
+    Scan order: tables in order, then times. Returns (images, None), where
+    a snapshot seen only at the final time gets the empty image, or (None,
+    (snapshot, first image, second image, (a, i), (b, j))) for the first
+    occurrence (b, j) demanding another image than the snapshot's first
+    occurrence (a, i) did; a, b are table positions, i, j time positions.
+    """
+    images, first = {}, {}
+    for b, w in enumerate(tables):
+        for j in range(len(times) - 1):
+            s = snap(w, entities, times[j])
+            nxt = next_set(tables, w, entities, times, j)
+            if s not in images:
+                images[s], first[s] = nxt, (b, j)
+            elif images[s] != nxt:
+                return None, (s, images[s], nxt, first[s], (b, j))
+    for w in tables:
+        images.setdefault(snap(w, entities, times[-1]), frozenset())
+    return images, None
+
+
 def has_iterator(tables, entities, times):
     """Does one snapshot -> next-snapshot-set map fit every occurrence?"""
-    images = {}
-    for w in tables:
-        for i in range(len(times) - 1):
-            a = snap(w, entities, times[i])
-            members = consistency(tables, w, entities, times, i)
-            nxt = frozenset(snap(v, entities, times[i + 1]) for v in members)
-            if a in images and images[a] != nxt:
-                return False
-            images.setdefault(a, nxt)
-    return True
+    return extract_iterator(tables, entities, times)[0] is not None
+
+
+def deterministic(tables, entities, times):
+    """Exactly one next snapshot for every occurrence at a non-final time."""
+    return all(
+        len(next_set(tables, w, entities, times, i)) == 1
+        for w in tables
+        for i in range(len(times) - 1)
+    )
 
 
 # ---------------------------------------------------------------------------

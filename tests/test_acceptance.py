@@ -13,7 +13,7 @@ import pytest
 import corpus
 import oracles
 from ctxkit.cli import cli_dispatch
-from ctxkit.core import Context, Snapshot
+from ctxkit.core import Context, Instance, Signature, Snapshot
 from ctxkit.determinability import (
     IteratorMap,
     extract_iterator,
@@ -387,6 +387,22 @@ def test_windowed_determinability_at_larger_horizons(odd, horizon):
         assert future_bundle(ctx, w.other_instance, w.other_time) == w.other_bundle
         k = horizon - max(map(ctx.signature.time_index, (w.time, w.other_time)))
         assert {tr[:k] for tr in w.bundle} != {tr[:k] for tr in w.other_bundle}
+
+
+def test_windowed_determinability_is_linear_on_a_long_constant_chain():
+    # one snapshot at all 5,000 times: comparing each occurrence with the next
+    # needs two window ends in all, not one per distinct width
+    times = tuple(str(k) for k in range(5000))
+    sig = Signature(("a",), ("e",), times)
+    ctx = Context(sig, (Instance(("e",), times, ("a",) * len(times)),))
+    started = time.perf_counter()
+    report = is_determinable(ctx, "windowed")
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"windowed check took {elapsed:.2f}s"
+    assert report.determinable
+    literal = is_determinable(ctx, "literal")
+    assert not literal.determinable
+    assert (literal.witness.time, literal.witness.other_time) == ("0", "1")
 
 
 def test_criterion_10_cli_reproducibility(tmp_path, capsys):

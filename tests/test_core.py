@@ -79,18 +79,12 @@ def test_instance_requires_total_table():
     with pytest.raises(ValueError):
         Instance(("e0", "e1"), ("0", "1"), ("a", "b", "c"))
     with pytest.raises(ValueError):
-        Instance.from_table({("e0", "0"): "a"}, ("e0",), ("0", "1"))
-    with pytest.raises(ValueError):
-        Instance.from_table(
-            {("e0", "0"): "a", ("e0", "1"): "b", ("e1", "0"): "c"},
-            ("e0",),
-            ("0", "1"),
-        )
+        Instance(("e0",), ("0", "1"), ("a", "b", "c"))
 
 
 def test_instance_equality_is_pointwise():
     a = Instance(("e0",), ("0", "1"), ("x", "y"))
-    b = Instance.from_table({("e0", "0"): "x", ("e0", "1"): "y"}, ("e0",), ("0", "1"))
+    b = Instance(("e0",), ("0", "1"), tuple("xy"))
     assert a == b
     assert hash(a) == hash(b)
 
@@ -125,13 +119,9 @@ def test_curry_time_constant_instance():
 
 
 def test_curry_time_alice_bob(alice_bob_sig):
-    inst = Instance.from_table(
-        {
-            ("Alice", "0"): "Home", ("Alice", "1"): "Out", ("Alice", "2"): "Out",
-            ("Bob", "0"): "Out", ("Bob", "1"): "Out", ("Bob", "2"): "Home",
-        },
-        alice_bob_sig.entities,
-        alice_bob_sig.times,
+    # entity-major cells: Alice at times 0-2, then Bob at times 0-2
+    inst = Instance(
+        alice_bob_sig.entities, alice_bob_sig.times, ("Home", "Out", "Out", "Out", "Out", "Home")
     )
     assert curry_time(inst)["0"] == Snapshot(("Alice", "Bob"), ("Home", "Out"))
 

@@ -391,6 +391,52 @@ def test_extraction_is_deterministic_and_serializes_stably():
             )
 
 
+def plain_snaps(snaps):
+    return frozenset(s.states for s in snaps)
+
+
+def assert_iterator_and_determinism_match_oracles(ctx):
+    sig = ctx.signature
+    tables = corpus.as_tables(ctx)
+    assert is_deterministic(ctx) == oracles.deterministic(tables, sig.entities, sig.times)
+    images, expected = oracles.extract_iterator(tables, sig.entities, sig.times)
+    result = extract_iterator(ctx)
+    if expected is None:
+        assert result.conflict is None
+        assert {s.states: plain_snaps(img) for s, img in result.iterator.entries} == images
+        return
+    snapshot, first_image, second_image, (a, i), (b, j) = expected
+    c = result.conflict
+    assert result.iterator is None
+    assert c.snapshot.states == snapshot
+    assert plain_snaps(c.first_image) == first_image
+    assert plain_snaps(c.second_image) == second_image
+    assert c.first_occurrence == (ctx.instances[a], sig.times[i])
+    assert c.second_occurrence == (ctx.instances[b], sig.times[j])
+
+
+def test_iterator_and_determinism_agree_with_oracles_on_corpus():
+    for seed, max_instances in ((515, 6), (616, 8), (717, 8)):
+        rng = random.Random(seed)
+        for _ in range(150):
+            assert_iterator_and_determinism_match_oracles(
+                corpus.random_context(rng, max_instances=max_instances)
+            )
+
+
+@pytest.mark.parametrize("odd", (False, True), ids=("alice_bob", "alice_bob_odd"))
+@pytest.mark.parametrize("horizon", (2, 3, 4, 5))
+def test_iterator_and_determinism_agree_with_oracles_on_alice_bob(odd, horizon):
+    assert_iterator_and_determinism_match_oracles(
+        (gen_alice_bob_odd if odd else gen_alice_bob)(horizon)
+    )
+
+
+@pytest.mark.parametrize("variant", (0, 1), ids=("base", "turn"))
+def test_iterator_and_determinism_agree_with_oracles_on_minigame(variant):
+    assert_iterator_and_determinism_match_oracles(gen_minigame()[variant])
+
+
 # ---------------------------------------------------------------------------
 # trajectory unrolling
 # ---------------------------------------------------------------------------

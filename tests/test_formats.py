@@ -122,6 +122,46 @@ def test_context_parse_errors_carry_line_numbers():
         parse_context("# nothing\n")
 
 
+HEAD = "states: a b\nentities: e f\ntime: 0 1\n"
+FULL = "  e@0=a e@1=a f@0=a f@1=a\n"
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message",
+    [
+        ("instance x:\n  e@0=a e0=a\n", 5, "malformed cell 'e0=a', expected entity@time=state"),
+        ("instance x:\n  g@0=a\n", 5, "unknown entity 'g'"),
+        ("instance x:\n  e@9=a\n", 5, "unknown time '9'"),
+        ("instance x:\n  e@0=zz\n", 5, "unknown state 'zz'"),
+        ("instance x:\n  e@0=a\n  e@1=b e@0=a\n", 6, "cell e@0 given twice"),
+        # entity-major order: e@1 is named before f@0
+        ("instance x:\n  e@0=a f@1=a\n", 4, "instance 'x' is missing cell e@1"),
+        ("instance x:\n  e@0=a\ninstance y:\n" + FULL, 4, "instance 'x' is missing cell e@1"),
+        ("instance x:\n" + FULL + "instance x:\n" + FULL, 6, "instance name 'x' reused"),
+        # a token wrong in several ways reports the first check it fails
+        ("instance x:\n  g@0=zz\n", 5, "unknown entity 'g'"),
+        ("instance x:\n  g@9=a\n", 5, "unknown entity 'g'"),
+        ("instance x:\n  e@9=zz\n", 5, "unknown time '9'"),
+        ("instance x:\n  e@0@1=a\n", 5, "unknown time '0@1'"),
+        ("instance x:\n  e@0=zz e@0=zz\n", 5, "unknown state 'zz'"),
+    ],
+)
+def test_context_parse_errors_are_pinned(body, line_no, message):
+    with pytest.raises(ModelFileError) as info:
+        parse_context(HEAD + body)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"<string>:{line_no}: {message}"
+
+
+def test_duplicate_instance_warning_is_pinned():
+    with pytest.warns(UserWarning) as record:
+        loaded = parse_context(HEAD + "instance x:\n" + FULL + "instance y:\n" + FULL, "dup.ctx")
+    assert [str(w.message) for w in record] == [
+        "dup.ctx: duplicate instance 'y' collapsed (set semantics)"
+    ]
+    assert list(loaded.names) == ["x"]
+
+
 # ---------------------------------------------------------------------------
 # Kripke files
 # ---------------------------------------------------------------------------
