@@ -29,9 +29,10 @@ class SizeGuardError(ValueError):
     def __init__(self, needed: int, guard: int, what: str, exact: bool = True):
         self.needed = needed
         self.guard = guard
-        bound = str(needed) if exact else f"more than {needed}"
+        bound = f"of at least {needed}" if exact else f"of an estimated {needed} or more"
         super().__init__(
-            f"{what} needs a guard of at least {bound}; current guard is {guard}"
+            f"{what} needs a guard {bound}; current guard is {guard}; "
+            f"set {GUARD_ENV_VAR} to raise it"
         )
 
 
@@ -234,20 +235,17 @@ class Context:
     def __post_init__(self):
         sig = self.signature
         state_index = {s: i for i, s in enumerate(sig.states)}
-        seen = set()
-        unique = []
+        states = frozenset(sig.states)
         for inst in self.instances:
             if inst.entities != sig.entities or inst.times != sig.times:
                 raise ValueError(
                     "instance entities/times do not match the context signature"
                 )
-            for cell in inst.cells:
-                if cell not in state_index:
-                    raise ValueError(f"instance uses state {cell!r} outside the signature")
-            if inst not in seen:
-                seen.add(inst)
-                unique.append(inst)
-        unique.sort(key=lambda inst: tuple(state_index[c] for c in inst.cells))
+            if not states.issuperset(inst.cells):
+                bad = next(c for c in inst.cells if c not in states)
+                raise ValueError(f"instance uses state {bad!r} outside the signature")
+        unique = list(dict.fromkeys(self.instances))
+        unique.sort(key=lambda inst: tuple(map(state_index.__getitem__, inst.cells)))
         object.__setattr__(self, "instances", tuple(unique))
 
     def __iter__(self) -> Iterator[Instance]:
@@ -340,11 +338,11 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     return Context(sig, tuple(kept))
 
 
-def build_full_space(sig: Signature, guard: int | None = None) -> Context:
-    """The ambient context of all total (entity, time) -> state functions.
+def check_full_space_guard(sig: Signature, guard: int | None = None) -> None:
+    """Raise SizeGuardError if the full space over sig exceeds the guard.
 
-    Refuses to enumerate more than the guard allows (default 2**20 instances,
-    overridable per call or via CTXKIT_GUARD).
+    Generators that build a subspace directly call this first, so their
+    guard is the same as if they filtered the full space.
     """
     limit = effective_guard(guard, DEFAULT_SPACE_GUARD)
     total = len(sig.states) ** sig.cell_count()
@@ -354,6 +352,15 @@ def build_full_space(sig: Signature, guard: int | None = None) -> Context:
             limit,
             f"full space over {len(sig.states)} states and {sig.cell_count()} cells",
         )
+
+
+def build_full_space(sig: Signature, guard: int | None = None) -> Context:
+    """The ambient context of all total (entity, time) -> state functions.
+
+    Refuses to enumerate more than the guard allows (default 2**20 instances,
+    overridable per call or via CTXKIT_GUARD).
+    """
+    check_full_space_guard(sig, guard)
     instances = tuple(
         Instance(sig.entities, sig.times, cells)
         for cells in itertools.product(sig.states, repeat=sig.cell_count())

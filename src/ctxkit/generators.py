@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ctxkit.core import Context, Instance, Signature, build_full_space, restrict
+from ctxkit.core import Context, Instance, Signature, check_full_space_guard
 from ctxkit.modal_logic import KripkeModel
 
 
@@ -17,8 +17,20 @@ def gen_alice_bob(horizon: int, guard: int | None = None) -> Context:
     """Two flatmates over `horizon` hours, states Home/Out, one house rule:
     whenever Bob is at home, Alice is at home an hour later.
 
-    The context is the full function space filtered by that rule.
+    The context is generated by the step rule: each hour extends every legal
+    timeline so far by the choices the rule allows, so the cost is in the
+    legal timelines, not in the 4^horizon full space. The guard still
+    applies to the full space, exactly as if it were filtered.
     """
+    return _alice_bob(horizon, guard, odd=False)
+
+
+def gen_alice_bob_odd(horizon: int, guard: int | None = None) -> Context:
+    """gen_alice_bob additionally requiring Bob to be home at every odd hour."""
+    return _alice_bob(horizon, guard, odd=True)
+
+
+def _alice_bob(horizon: int, guard: int | None, odd: bool) -> Context:
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     sig = Signature(
@@ -26,29 +38,20 @@ def gen_alice_bob(horizon: int, guard: int | None = None) -> Context:
         ("Alice", "Bob"),
         tuple(str(t) for t in range(horizon)),
     )
-    full = build_full_space(sig, guard)
-    alice, bob = 0, 1
-
-    def rule(inst: Instance) -> bool:
-        return all(
-            inst.value_at(bob, t) != "Home" or inst.value_at(alice, t + 1) == "Home"
-            for t in range(horizon - 1)
-        )
-
-    return restrict(full, rule)
-
-
-def gen_alice_bob_odd(horizon: int, guard: int | None = None) -> Context:
-    """gen_alice_bob additionally requiring Bob to be home at every odd hour."""
-    base = gen_alice_bob(horizon, guard)
-    bob = 1
-
-    def odd_rule(inst: Instance) -> bool:
-        return all(
-            inst.value_at(bob, t) == "Home" for t in range(1, horizon, 2)
-        )
-
-    return restrict(base, odd_rule)
+    check_full_space_guard(sig, guard)
+    both, home = sig.states, ("Home",)
+    rows = [((), ())]  # (Alice's states so far, Bob's states so far)
+    for t in range(horizon):
+        bob_choices = home if odd and t % 2 else both
+        rows = [
+            (alice + (a,), bob + (b,))
+            for alice, bob in rows
+            for a in (home if t and bob[-1] == "Home" else both)
+            for b in bob_choices
+        ]
+    return Context(
+        sig, tuple(Instance(sig.entities, sig.times, alice + bob) for alice, bob in rows)
+    )
 
 
 # ---------------------------------------------------------------------------

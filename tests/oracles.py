@@ -177,6 +177,111 @@ def table_key(table):
 
 
 # ---------------------------------------------------------------------------
+# context files, read token by token with no line memo
+# ---------------------------------------------------------------------------
+
+def parse_context_tokenwise(text, source="<string>"):
+    """Reference reader for context files: every cell token of every line is
+    checked afresh, in file order.
+
+    Returns (signature, kept cell tuples in file order, {name: cells},
+    duplicate-instance warning texts). Only the header check (`Signature`)
+    and the error type (`ModelFileError`, so that messages and line numbers
+    compare directly) come from the library.
+    """
+    from ctxkit.core import Signature
+    from ctxkit.formats import ModelFileError
+
+    headers = {}
+    sig = None
+    names = {}
+    kept = []
+    warned = []
+
+    current_name = None
+    current_line = None
+    cells = []
+
+    def close_instance():
+        nonlocal current_name, current_line
+        if current_name is None:
+            return
+        if None in cells:
+            e, t = divmod(cells.index(None), len(sig.times))
+            raise ModelFileError(
+                source,
+                current_line,
+                f"instance {current_name!r} is missing cell {sig.entities[e]}@{sig.times[t]}",
+            )
+        row = tuple(cells)
+        if row in kept:
+            warned.append(f"{source}: duplicate instance {current_name!r} collapsed (set semantics)")
+        else:
+            kept.append(row)
+            names[current_name] = row
+        current_name, current_line = None, None
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if not content:
+            continue
+        first = content.split()[0]
+        if first in ("states:", "entities:", "time:"):
+            key = first[:-1]
+            if sig is not None or key in headers:
+                raise ModelFileError(source, line_no, f"{first} after instances or repeated")
+            headers[key] = tuple(content.split()[1:])
+            continue
+        if sig is None:
+            missing = [k for k in ("states", "entities", "time") if k not in headers]
+            if missing:
+                raise ModelFileError(
+                    source, line_no, f"missing header line(s): {', '.join(missing)}"
+                )
+            try:
+                sig = Signature(headers["states"], headers["entities"], headers["time"])
+            except ValueError as exc:
+                raise ModelFileError(source, line_no, str(exc)) from None
+            position = {(e, t): k for k, (e, t) in
+                        enumerate((e, t) for e in sig.entities for t in sig.times)}
+        if first == "instance":
+            close_instance()
+            rest = content[len("instance"):].strip()
+            if not rest.endswith(":") or not rest[:-1].strip():
+                raise ModelFileError(source, line_no, "expected `instance <name>:`")
+            current_name = rest[:-1].strip()
+            current_line = line_no
+            if current_name in names:
+                raise ModelFileError(source, line_no, f"instance name {current_name!r} reused")
+            cells = [None] * len(position)
+            continue
+        if current_name is None:
+            raise ModelFileError(source, line_no, f"unexpected line {content!r}")
+        for token in content.split():
+            entity, at, rest = token.partition("@")
+            time, eq, state = rest.partition("=")
+            if not at or not eq or not entity or not time or not state:
+                raise ModelFileError(
+                    source, line_no, f"malformed cell {token!r}, expected entity@time=state"
+                )
+            k = position.get((entity, time))
+            if k is None:
+                if entity not in sig.entities:
+                    raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
+                raise ModelFileError(source, line_no, f"unknown time {time!r}")
+            if state not in sig.states:
+                raise ModelFileError(source, line_no, f"unknown state {state!r}")
+            if cells[k] is not None:
+                raise ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
+            cells[k] = state
+
+    if sig is None:
+        raise ModelFileError(source, None, "empty context file")
+    close_instance()
+    return sig, kept, names, warned
+
+
+# ---------------------------------------------------------------------------
 # Kripke satisfaction, plain recursion, no sharing or caching
 # ---------------------------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Round trips and error reporting for the three file formats."""
 
 import random
+import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import corpus
+import oracles
+from ctxkit.core import Context, Instance, Signature
 from ctxkit.generators import gen_alice_bob, gen_minigame, gen_random_kripke
 from ctxkit.modal_logic import (
     And,
@@ -144,6 +148,13 @@ FULL = "  e@0=a e@1=a f@0=a f@1=a\n"
         ("instance x:\n  e@9=zz\n", 5, "unknown time '9'"),
         ("instance x:\n  e@0@1=a\n", 5, "unknown time '0@1'"),
         ("instance x:\n  e@0=zz e@0=zz\n", 5, "unknown state 'zz'"),
+        # a line already read once: its cells are applied in token order
+        ("instance x:\n  e@0=a e@1=a\n  e@0=a e@1=a\n", 6, "cell e@0 given twice"),
+        (
+            "instance x:\n  e@0=a e@1=a\n  f@0=a f@1=a\ninstance y:\n  e@1=b\n  e@0=a e@1=a\n",
+            9,
+            "cell e@1 given twice",
+        ),
     ],
 )
 def test_context_parse_errors_are_pinned(body, line_no, message):
@@ -160,6 +171,114 @@ def test_duplicate_instance_warning_is_pinned():
         "dup.ctx: duplicate instance 'y' collapsed (set semantics)"
     ]
     assert list(loaded.names) == ["x"]
+
+
+MUTATIONS = (
+    "repeat", "move", "drop", "split", "swap", "drop token", "garble", "retarget",
+    "duplicate instance",
+)
+
+
+@st.composite
+def context_texts(draw):
+    """A rendered random context, then a few line mutations of the kinds a
+    hand-edited file has: repeated, moved, dropped, split or swapped lines, tokens
+    dropped, garbled or pointed at another (possibly unknown) entity, time or
+    state, duplicated instances."""
+    sig = Signature(
+        tuple(f"s{i}" for i in range(draw(st.integers(1, 3)))),
+        tuple(f"e{i}" for i in range(draw(st.integers(1, 3)))),
+        tuple(str(i) for i in range(draw(st.integers(1, 3)))),
+    )
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from(sig.states), min_size=sig.cell_count(),
+                     max_size=sig.cell_count()),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    ctx = Context(sig, tuple(Instance(sig.entities, sig.times, tuple(r)) for r in rows))
+    lines = render_context(ctx).splitlines()
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        cell_lines = [i for i, line in enumerate(lines) if line.startswith("  ") and line.strip()]
+        starts = [i for i, line in enumerate(lines) if line.startswith("instance ")]
+        if kind == "swap":
+            i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "duplicate instance" and starts:
+            i = draw(st.sampled_from(starts))
+            end = next((j for j in starts if j > i), len(lines))
+            name = draw(st.sampled_from(["i0", "copy"]))
+            block = [f"instance {name}:"] + lines[i + 1 : end]
+            at = draw(st.sampled_from(starts + [len(lines)]))
+            lines[at:at] = block
+        elif cell_lines:
+            i = draw(st.sampled_from(cell_lines))
+            if kind == "repeat":
+                end = next((j for j in starts if j > i), len(lines))
+                at = draw(st.integers(i + 1, end))
+                lines.insert(at, lines[i])
+            elif kind == "move" and starts:
+                line = lines.pop(i)
+                at = draw(st.sampled_from(starts)) + 1
+                lines.insert(min(at, len(lines)), line)
+            elif kind == "drop":
+                del lines[i]
+            elif kind == "split":
+                tokens = lines[i].split()
+                k = draw(st.integers(0, len(tokens)))
+                lines[i : i + 1] = ["  " + " ".join(tokens[:k]), "  " + " ".join(tokens[k:])]
+            else:
+                tokens = lines[i].split()
+                k = draw(st.integers(0, len(tokens) - 1))
+                if kind == "drop token":
+                    del tokens[k]
+                elif kind == "retarget":
+                    entity = draw(st.sampled_from(sig.entities + ("zz",)))
+                    time = draw(st.sampled_from(sig.times + ("9",)))
+                    state = draw(st.sampled_from(sig.states + ("zz",)))
+                    tokens[k] = f"{entity}@{time}={state}"
+                else:
+                    tokens[k] = draw(st.text(alphabet="e0s1@= ", max_size=7))
+                lines[i] = "  " + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def read_both(text):
+    """(outcome of parse_context, outcome of the token-by-token reference):
+    either ("ok", signature, canonical rows, names, warnings) or
+    ("error", message, line number). Any other exception escapes."""
+    try:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            loaded = parse_context(text, "f.ctx")
+        got = (
+            "ok",
+            loaded.context.signature,
+            [inst.cells for inst in loaded.context],
+            {name: inst.cells for name, inst in loaded.names.items()},
+            [str(w.message) for w in record],
+        )
+    except ModelFileError as exc:
+        got = ("error", str(exc), exc.line_no)
+    try:
+        sig, kept, names, warned = oracles.parse_context_tokenwise(text, "f.ctx")
+        rank = {s: i for i, s in enumerate(sig.states)}
+        rows = sorted(kept, key=lambda row: [rank[c] for c in row])
+        want = ("ok", sig, rows, names, warned)
+    except ModelFileError as exc:
+        want = ("error", str(exc), exc.line_no)
+    return got, want
+
+
+@settings(max_examples=500)
+@given(context_texts())
+# a line read once in x, read again in y after one of its cells was given
+@example(HEAD + "instance x:\n" + FULL + "instance y:\n  f@0=b\n" + FULL)
+def test_parse_context_agrees_with_tokenwise_reference(text):
+    got, want = read_both(text)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

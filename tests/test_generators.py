@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from ctxkit.core import SizeGuardError
+from ctxkit.core import Signature, SizeGuardError, build_full_space, restrict
 from ctxkit.determinability import is_determinable
 from ctxkit.generators import (
     gen_alice_bob,
@@ -12,6 +12,7 @@ from ctxkit.generators import (
     gen_random_context,
     gen_random_kripke,
 )
+from ctxkit.formats import render_context
 
 
 def as_int_time_keys(ctx):
@@ -58,6 +59,38 @@ def test_alice_bob_members_satisfy_the_rule():
 
 def test_alice_bob_odd_is_subset():
     assert set(gen_alice_bob_odd(3)) <= set(gen_alice_bob(3))
+
+
+@pytest.mark.parametrize("horizon", range(2, 7))
+@pytest.mark.parametrize("odd", [False, True])
+def test_alice_bob_step_rule_matches_filtered_full_space(horizon, odd):
+    sig = Signature(("Home", "Out"), ("Alice", "Bob"), tuple(str(t) for t in range(horizon)))
+
+    def rule(inst):  # entity 0 is Alice, 1 is Bob
+        house = all(
+            inst.value_at(1, t) != "Home" or inst.value_at(0, t + 1) == "Home"
+            for t in range(horizon - 1)
+        )
+        bob_home_at_odd_hours = all(inst.value_at(1, t) == "Home" for t in range(1, horizon, 2))
+        return house and (bob_home_at_odd_hours or not odd)
+
+    want = restrict(build_full_space(sig), rule)
+    got = (gen_alice_bob_odd if odd else gen_alice_bob)(horizon)
+    assert got.signature == want.signature
+    assert got.instances == want.instances
+    assert render_context(got) == render_context(want)
+
+
+def test_alice_bob_guard_is_checked_on_the_full_space():
+    # 2^(2*3) = 64 instances in the full space, 36 kept by the rule
+    sig = Signature(("Home", "Out"), ("Alice", "Bob"), ("0", "1", "2"))
+    with pytest.raises(SizeGuardError) as full:
+        build_full_space(sig, guard=63)
+    for gen in (gen_alice_bob, gen_alice_bob_odd):
+        with pytest.raises(SizeGuardError) as err:
+            gen(3, guard=63)
+        assert str(err.value) == str(full.value)
+        assert len(gen(3, guard=64)) == len(gen(3))
 
 
 def test_alice_bob_horizon_and_guard():

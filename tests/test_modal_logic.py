@@ -249,8 +249,14 @@ def test_universe_contains_expected_shapes():
 
 
 def test_universe_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError) as err:
         formula_universe(("p", "q"), depth=2, guard=100)
+    assert str(err.value) == (
+        "formula universe needs a guard of an estimated 3612 or more; "
+        "current guard is 100; set CTXKIT_GUARD to raise it"
+    )
+    # the estimate is the universe's size here, and that guard suffices
+    assert len(formula_universe(("p", "q"), depth=2, guard=3612)) == 3612
 
 
 def test_universe_canonical_order_is_stable():
