@@ -25,16 +25,12 @@ from ctxkit.determinability import (
     IteratorConflict,
     IteratorExtraction,
     IteratorMap,
-    SuffixIso,
     extract_iterator,
-    future_bundle,
     generate_from_iterator,
     has_iterator,
     is_determinable,
     is_deterministic,
-    next_snapshot_set,
     render_iterator_map,
-    suffix_iso,
 )
 from ctxkit.modal_logic import (
     BOTTOM,

@@ -14,7 +14,7 @@ import itertools
 import os
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 DEFAULT_SPACE_GUARD = 2 ** 20
 GUARD_ENV_VAR = "CTXKIT_GUARD"
@@ -141,20 +141,6 @@ class Snapshot:
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.entities) != len(self.states):
             raise ValueError("snapshot needs exactly one state per entity")
-
-    @classmethod
-    def from_mapping(cls, assignment: Mapping[str, str], entities: Iterable[str]) -> "Snapshot":
-        entities = tuple(entities)
-        missing = [e for e in entities if e not in assignment]
-        if missing or len(assignment) != len(entities):
-            raise ValueError("snapshot assignment must cover exactly the given entities")
-        return cls(entities, tuple(assignment[e] for e in entities))
-
-    def state_of(self, entity: str) -> str:
-        try:
-            return self.states[self.entities.index(entity)]
-        except ValueError:
-            raise ValueError(f"unknown entity {entity!r}") from None
 
     def render(self) -> str:
         return ";".join(f"{e}={s}" for e, s in zip(self.entities, self.states))

@@ -31,64 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ctxkit.core import Context, Instance, Signature, Snapshot, consistency_context
+from ctxkit.core import Context, Instance, Signature, Snapshot
 
 MODES = ("literal", "windowed")
 
-
-@dataclass(frozen=True)
-class SuffixIso:
-    """The unique order isomorphism between two equally long time suffixes."""
-
-    source_start: str
-    target_start: str
-    alignment: tuple[tuple[str, str], ...]
-
-    def apply(self, t: str) -> str:
-        for a, b in self.alignment:
-            if a == t:
-                return b
-        raise ValueError(f"time {t!r} is not in the source suffix")
-
-
-def suffix_iso(times: Sequence[str], t: str, t_other: str) -> SuffixIso | None:
-    """Strictly monotone bijection between the suffixes from t and t_other.
-
-    On a finite chain it exists iff the suffixes have equal length (hence
-    iff t == t_other) and is then the positionwise pairing; returns None
-    otherwise.
-    """
-    times = tuple(times)
-    try:
-        i = times.index(t)
-        j = times.index(t_other)
-    except ValueError as exc:
-        raise ValueError(f"time label not in the chain: {exc}") from None
-    if len(times) - i != len(times) - j:
-        return None
-    return SuffixIso(t, t_other, tuple(zip(times[i:], times[j:])))
-
-
 Trace = tuple[Snapshot, ...]
-
-
-def future_bundle(ctx: Context, inst: Instance, t: str) -> frozenset[Trace]:
-    """Suffix traces from t of everything consistent with inst up to t.
-
-    Each trace is the snapshot sequence of one member of the consistency
-    context, restricted to the times >= t; duplicates collapse.
-    """
-    if inst not in ctx:
-        raise ValueError("instance is not a member of the context")
-    sig = ctx.signature
-    ti = sig.time_index(t)
-    members = consistency_context(ctx, inst, t)
-    n = len(sig.times)
-    return frozenset(
-        tuple(w.snapshot_at(k) for k in range(ti, n)) for w in members
-    )
 
 
 @dataclass(frozen=True)
@@ -234,13 +183,6 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
         )
         return DeterminabilityReport(False, mode, witness)
     return DeterminabilityReport(True, mode, None)
-
-
-def next_snapshot_set(ctx: Context, inst: Instance, t: str) -> frozenset[Snapshot]:
-    """Snapshots one step after t across the consistency context of inst."""
-    if ctx.signature.time_index(t) + 1 == len(ctx.signature.times):
-        raise ValueError(f"time {t!r} has no successor in the chain")
-    return frozenset(trace[1] for trace in future_bundle(ctx, inst, t))
 
 
 def is_deterministic(ctx: Context) -> bool:

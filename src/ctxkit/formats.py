@@ -67,7 +67,10 @@ class LoadedContext:
 
 
 def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
-    """Read a context file; every error names its line.
+    """Read a context file; an error names its line unless it is about the whole file.
+
+    Headers with no instance read as the empty context, which is what
+    `render_context` writes for it; a file with no header line is an error.
 
     Each distinct cell line is tokenised and validated once: a repeat of a
     line already read costs one dict lookup plus the given-twice check of
@@ -112,6 +115,15 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     # token order; only lines that passed the token loop are stored
     memo: dict[str, list[tuple[int, str]]] = {}
 
+    def signature(line_no):
+        missing = [k for k in ("states", "entities", "time") if k not in headers]
+        if missing:
+            raise ModelFileError(source, line_no, f"missing header line(s): {', '.join(missing)}")
+        try:
+            return Signature(headers["states"], headers["entities"], headers["time"])
+        except ValueError as exc:
+            raise ModelFileError(source, line_no, str(exc)) from None
+
     def given_twice(k, line_no):
         entity, time = cell_keys[k]
         return ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
@@ -135,15 +147,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
             headers[key] = tuple(tokens[1:])
             continue
         if sig is None:
-            missing = [k for k in ("states", "entities", "time") if k not in headers]
-            if missing:
-                raise ModelFileError(
-                    source, line_no, f"missing header line(s): {', '.join(missing)}"
-                )
-            try:
-                sig = Signature(headers["states"], headers["entities"], headers["time"])
-            except ValueError as exc:
-                raise ModelFileError(source, line_no, str(exc)) from None
+            sig = signature(line_no)
             cell_keys = [(e, t) for e in sig.entities for t in sig.times]  # entity-major
             position = {key: k for k, key in enumerate(cell_keys)}
             states = frozenset(sig.states)
@@ -182,7 +186,9 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
         memo[content] = pairs
 
     if sig is None:
-        raise ModelFileError(source, None, "empty context file")
+        if not headers:
+            raise ModelFileError(source, None, "empty context file")
+        sig = signature(None)
     close_instance()
     return LoadedContext(Context(sig, tuple(instances)), names)
 

@@ -15,9 +15,9 @@ grid a context declares, so hand-built power contexts check the same way.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from ctxkit.modal_logic import (
     Atom,

@@ -1,20 +1,24 @@
 """Modal formulas, their parser and printer, bounded universes, and Kripke models.
 
-Formulas are plain syntax trees; equality is structural and nothing is ever
-normalized, so `[]p` and `~<>~p` are different set members even though they
-are semantically equivalent. That distinction is load-bearing: world theories
-must witness syntax, and the box/diamond constructors double as the loop-free
-injective state tagging the framework asks of a modal operator.
+Formula nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): building a node whose kind and fields
+already exist returns the existing node, so equality and hashing are object
+identity. Syntax is still never normalized, so `[]p` and `~<>~p` are
+different set members even though they are semantically equivalent. That
+distinction is load-bearing: world theories must witness syntax, and the
+box/diamond constructors double as the loop-free injective state tagging the
+framework asks of a modal operator.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from ctxkit.core import SizeGuardError, cached_structural_identity, effective_guard
+from ctxkit.core import SizeGuardError, effective_guard
 
 DEFAULT_UNIVERSE_GUARD = 50_000
 DEFAULT_CONNECTIVES = ("~", "&", "->", "[]", "<>")
@@ -22,114 +26,132 @@ _ALL_CONNECTIVES = ("~", "&", "|", "->", "<->", "[]", "<>", "true", "false")
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
+# printing precedences: a child binding looser than its floor gets parentheses
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5, 6
+
+# (kind, *fields) -> the one live node with them, held weakly
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_set = object.__setattr__  # nodes refuse setattr once built
+
 
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes: immutable, hash-consed, compared by identity.
+
+    Each kind declares its `fields` (children, except an atom's name), its
+    `symbol`, its printing precedence `prec`, whether it associates to the
+    right, and whether it is modal. Size and modal depth are stored at
+    construction, printed text on first print.
+    """
+
+    __slots__ = ("size", "depth", "_text", "__weakref__")
+    fields: tuple[str, ...] = ()
+    symbol = ""
+    prec = _PREC_ATOM
+    right_assoc = False
+    modal = False
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            if len(args) != len(cls.fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls.fields}, got {args!r}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.fields, args):
+                _set(node, name, value)
+            size, depth = 1, 0
+            for kid in node.children:
+                size, depth = size + kid.size, max(depth, kid.depth)
+            _set(node, "size", size)
+            _set(node, "depth", depth + cls.modal)
+            _NODES[key] = node
+        return node
+
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return tuple([getattr(self, name) for name in self.fields])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"formula nodes are immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(repr(getattr(self, name)) for name in self.fields)
+        return f"{type(self).__name__}({args})"
 
 
-# Formula trees live in sets and dict keys throughout the package; without
-# the cached identity, every lookup would rehash whole subtrees.
-_tree_identity = cached_structural_identity
-
-
-@_tree_identity
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = fields = ("name",)
+    children = ()
+    symbol = property(lambda self: self.name)  # an atom prints as its name
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
+    symbol = "true"
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
+    symbol = "false"
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = fields = ("operand",)
+    symbol, prec = "~", _PREC_UNARY
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = fields = ("left", "right")
+    symbol, prec = "&", _PREC_AND
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = fields = ("left", "right")
+    symbol, prec = "|", _PREC_OR
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = fields = ("left", "right")
+    symbol, prec, right_assoc = "->", _PREC_IMP, True
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = fields = ("left", "right")
+    symbol, prec = "<->", _PREC_IFF
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Box(Formula):
-    operand: Formula
+    __slots__ = fields = ("operand",)
+    symbol, prec, modal = "[]", _PREC_UNARY, True
 
 
-@_tree_identity
-@dataclass(frozen=True)
 class Diamond(Formula):
-    operand: Formula
+    __slots__ = fields = ("operand",)
+    symbol, prec, modal = "<>", _PREC_UNARY, True
 
 
 TOP = Top()
 BOTTOM = Bottom()
 
-_BINARY = (And, Or, Implies, Iff)
-_UNARY = (Not, Box, Diamond)
-
 
 def modal_depth(formula: Formula) -> int:
     """Maximum box/diamond nesting; atoms and constants have depth 0."""
-    if isinstance(formula, (Atom, Top, Bottom)):
-        return 0
-    if isinstance(formula, Not):
-        return modal_depth(formula.operand)
-    if isinstance(formula, (Box, Diamond)):
-        return 1 + modal_depth(formula.operand)
-    return max(modal_depth(formula.left), modal_depth(formula.right))
-
-
-def node_count(formula: Formula) -> int:
-    if isinstance(formula, (Atom, Top, Bottom)):
-        return 1
-    if isinstance(formula, _UNARY):
-        return 1 + node_count(formula.operand)
-    return 1 + node_count(formula.left) + node_count(formula.right)
+    return formula.depth
 
 
 def subformulas(formula: Formula) -> set[Formula]:
     """The formula and all of its descendants."""
-    out = {formula}
-    if isinstance(formula, _UNARY):
-        out |= subformulas(formula.operand)
-    elif isinstance(formula, _BINARY):
-        out |= subformulas(formula.left)
-        out |= subformulas(formula.right)
+    out, todo = {formula}, [formula]
+    while todo:
+        for kid in todo.pop().children:
+            if kid not in out:
+                out.add(kid)
+                todo.append(kid)
     return out
 
 
@@ -141,43 +163,21 @@ def atom_names(formula: Formula) -> set[str]:
 # printing: minimal parentheses, canonical whitespace
 # ---------------------------------------------------------------------------
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5, 6
-
-
-def _print(formula: Formula, floor: int) -> str:
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, Top):
-        return "true"
-    if isinstance(formula, Bottom):
-        return "false"
-    if isinstance(formula, Not):
-        return "~" + _print(formula.operand, _PREC_UNARY)
-    if isinstance(formula, Box):
-        return "[]" + _print(formula.operand, _PREC_UNARY)
-    if isinstance(formula, Diamond):
-        return "<>" + _print(formula.operand, _PREC_UNARY)
-    if isinstance(formula, And):
-        text = f"{_print(formula.left, _PREC_AND)} & {_print(formula.right, _PREC_AND + 1)}"
-        own = _PREC_AND
-    elif isinstance(formula, Or):
-        text = f"{_print(formula.left, _PREC_OR)} | {_print(formula.right, _PREC_OR + 1)}"
-        own = _PREC_OR
-    elif isinstance(formula, Implies):
-        # right-associative
-        text = f"{_print(formula.left, _PREC_IMP + 1)} -> {_print(formula.right, _PREC_IMP)}"
-        own = _PREC_IMP
-    elif isinstance(formula, Iff):
-        text = f"{_print(formula.left, _PREC_IFF)} <-> {_print(formula.right, _PREC_IFF + 1)}"
-        own = _PREC_IFF
-    else:
-        raise TypeError(f"unknown formula node {formula!r}")
-    return f"({text})" if own < floor else text
-
-
 def print_formula(formula: Formula) -> str:
-    """Render a formula so that parse_formula reads it back unchanged."""
-    return _print(formula, 0)
+    """Render a formula so that parse_formula reads it back unchanged.
+
+    The text is memoised on every node printed, so printing a whole universe
+    builds each member's text once, from its children's.
+    """
+    text = getattr(formula, "_text", None)  # the slot is empty until first printed
+    if text is None:
+        kids, prec, symbol = formula.children, formula.prec, formula.symbol
+        floors = (prec + 1, prec) if formula.right_assoc else (prec, prec + 1)
+        parts = [print_formula(k) for k in kids]
+        parts = [f"({p})" if k.prec < floor else p for k, p, floor in zip(kids, parts, floors)]
+        text = f" {symbol} ".join(parts) if len(kids) == 2 else symbol + "".join(parts)
+        _set(formula, "_text", text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ class FormulaUniverse:
 
 
 def _canonical_members(members: Iterable[Formula]) -> tuple[Formula, ...]:
-    return tuple(sorted(members, key=lambda f: (node_count(f), print_formula(f))))
+    return tuple(sorted(members, key=lambda f: (f.size, print_formula(f))))
 
 
 def _boolean_layers(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from ctxkit.core import Context, Instance, Signature
+import oracles
+from ctxkit.core import Context, Instance, Signature, Snapshot
 
 
 def random_signature(rng: random.Random, max_states=3, max_entities=2, max_times=3) -> Signature:
@@ -32,6 +33,26 @@ def random_context(rng: random.Random, max_instances=20, **kwargs) -> Context:
 def as_tables(ctx: Context):
     """Plain-dict view for feeding the brute-force oracles."""
     return [inst.table() for inst in ctx.instances]
+
+
+def oracle_bundle(ctx: Context, inst: Instance, t: str) -> frozenset:
+    """The future bundle of a member at time label t, recomputed by
+    `oracles.future_bundle` on plain tables, as traces of library snapshots."""
+    sig, tables = ctx.signature, as_tables(ctx)
+    ref = tables[ctx.instances.index(inst)]  # ValueError unless inst is a member
+    traces = oracles.future_bundle(tables, ref, sig.entities, sig.times, sig.time_index(t))
+    return frozenset(tuple(Snapshot(sig.entities, s) for s in trace) for trace in traces)
+
+
+def oracle_next_set(ctx: Context, inst: Instance, t: str) -> frozenset:
+    """The snapshots one step after time label t across the consistency set of
+    a member, recomputed by `oracles.next_set` on plain tables."""
+    sig, tables = ctx.signature, as_tables(ctx)
+    ref = tables[ctx.instances.index(inst)]
+    if sig.time_index(t) + 1 == len(sig.times):
+        raise ValueError(f"time {t!r} has no successor in the chain")
+    states = oracles.next_set(tables, ref, sig.entities, sig.times, sig.time_index(t))
+    return frozenset(Snapshot(sig.entities, s) for s in states)
 
 
 def random_formula(rng: random.Random, atoms=("p", "q"), depth=4):

@@ -276,7 +276,15 @@ def parse_context_tokenwise(text, source="<string>"):
             cells[k] = state
 
     if sig is None:
-        raise ModelFileError(source, None, "empty context file")
+        if not headers:
+            raise ModelFileError(source, None, "empty context file")
+        missing = [k for k in ("states", "entities", "time") if k not in headers]
+        if missing:
+            raise ModelFileError(source, None, f"missing header line(s): {', '.join(missing)}")
+        try:
+            sig = Signature(headers["states"], headers["entities"], headers["time"])
+        except ValueError as exc:
+            raise ModelFileError(source, None, str(exc)) from None
     close_instance()
     return sig, kept, names, warned
 
@@ -319,3 +327,73 @@ def naive_satisfies(worlds, relation, valuation, world, formula):
         raise TypeError(f"unknown formula node {f!r}")
 
     return sat(world, formula)
+
+
+# ---------------------------------------------------------------------------
+# formula text, size and modal depth by plain recursion, nothing memoised
+# ---------------------------------------------------------------------------
+
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
+
+
+def naive_print(formula, floor=0):
+    """Minimal-parenthesis text, one isinstance clause per node kind."""
+    from ctxkit.modal_logic import (
+        And, Atom, Bottom, Box, Diamond, Iff, Implies, Not, Or, Top,
+    )
+
+    if isinstance(formula, Atom):
+        return formula.name
+    if isinstance(formula, Top):
+        return "true"
+    if isinstance(formula, Bottom):
+        return "false"
+    if isinstance(formula, Not):
+        return "~" + naive_print(formula.operand, _PREC_UNARY)
+    if isinstance(formula, Box):
+        return "[]" + naive_print(formula.operand, _PREC_UNARY)
+    if isinstance(formula, Diamond):
+        return "<>" + naive_print(formula.operand, _PREC_UNARY)
+    if isinstance(formula, And):
+        text = (f"{naive_print(formula.left, _PREC_AND)} & "
+                f"{naive_print(formula.right, _PREC_AND + 1)}")
+        own = _PREC_AND
+    elif isinstance(formula, Or):
+        text = (f"{naive_print(formula.left, _PREC_OR)} | "
+                f"{naive_print(formula.right, _PREC_OR + 1)}")
+        own = _PREC_OR
+    elif isinstance(formula, Implies):
+        # right-associative
+        text = (f"{naive_print(formula.left, _PREC_IMP + 1)} -> "
+                f"{naive_print(formula.right, _PREC_IMP)}")
+        own = _PREC_IMP
+    elif isinstance(formula, Iff):
+        text = (f"{naive_print(formula.left, _PREC_IFF)} <-> "
+                f"{naive_print(formula.right, _PREC_IFF + 1)}")
+        own = _PREC_IFF
+    else:
+        raise TypeError(f"unknown formula node {formula!r}")
+    return f"({text})" if own < floor else text
+
+
+def _formula_children(formula):
+    from ctxkit.modal_logic import And, Box, Diamond, Iff, Implies, Not, Or
+
+    if isinstance(formula, (Not, Box, Diamond)):
+        return (formula.operand,)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        return (formula.left, formula.right)
+    return ()
+
+
+def naive_size(formula):
+    """Node count of the tree, shared subtrees counted at every occurrence."""
+    return 1 + sum(naive_size(kid) for kid in _formula_children(formula))
+
+
+def naive_depth(formula):
+    """Maximum box/diamond nesting."""
+    from ctxkit.modal_logic import Box, Diamond
+
+    inner = max((naive_depth(kid) for kid in _formula_children(formula)), default=0)
+    return inner + isinstance(formula, (Box, Diamond))

@@ -17,7 +17,6 @@ from ctxkit.core import Context, Instance, Signature, Snapshot
 from ctxkit.determinability import (
     IteratorMap,
     extract_iterator,
-    future_bundle,
     generate_from_iterator,
     has_iterator,
     is_determinable,
@@ -383,8 +382,8 @@ def test_windowed_determinability_at_larger_horizons(odd, horizon):
     if odd:
         w = report.witness
         assert w.instance.snapshot(w.time) == w.other_instance.snapshot(w.other_time)
-        assert future_bundle(ctx, w.instance, w.time) == w.bundle
-        assert future_bundle(ctx, w.other_instance, w.other_time) == w.other_bundle
+        assert corpus.oracle_bundle(ctx, w.instance, w.time) == w.bundle
+        assert corpus.oracle_bundle(ctx, w.other_instance, w.other_time) == w.other_bundle
         k = horizon - max(map(ctx.signature.time_index, (w.time, w.other_time)))
         assert {tr[:k] for tr in w.bundle} != {tr[:k] for tr in w.other_bundle}
 

@@ -9,15 +9,13 @@ import oracles
 from ctxkit.core import Context, Instance, Signature, Snapshot
 from ctxkit.determinability import (
     IteratorMap,
+    _Trie,
     extract_iterator,
-    future_bundle,
     generate_from_iterator,
     has_iterator,
     is_determinable,
     is_deterministic,
-    next_snapshot_set,
     render_iterator_map,
-    suffix_iso,
 )
 from ctxkit.generators import gen_alice_bob, gen_alice_bob_odd, gen_minigame
 
@@ -33,67 +31,42 @@ def snap1(state):
     return Snapshot(("e0",), (state,))
 
 
-# ---------------------------------------------------------------------------
-# suffix alignment
-# ---------------------------------------------------------------------------
-
-def test_suffix_iso_identity():
-    iso = suffix_iso(("0", "1", "2"), "1", "1")
-    assert iso is not None
-    assert iso.alignment == (("1", "1"), ("2", "2"))
-    assert iso.apply("2") == "2"
+def trie_node(ctx, inst, t):
+    """The trie built for `ctx` and the node of member `inst` at time label t."""
+    trie = _Trie(ctx)
+    return trie, trie.paths[ctx.instances.index(inst)][ctx.signature.time_index(t)]
 
 
-def test_suffix_iso_absent_for_unequal_lengths():
-    assert suffix_iso(("0", "1", "2"), "0", "1") is None
-    assert suffix_iso(("0", "1", "2"), "2", "0") is None
+def trie_bundle(ctx, inst, t):
+    """The future bundle the trie gives witnesses, at `inst`'s node at t."""
+    trie, node = trie_node(ctx, inst, t)
+    return trie.bundle(node)
 
 
-def test_suffix_iso_four_chain():
-    iso = suffix_iso(("0", "1", "2", "3"), "1", "1")
-    assert iso.alignment == (("1", "1"), ("2", "2"), ("3", "3"))
-
-
-def test_suffix_iso_unknown_time():
-    with pytest.raises(ValueError):
-        suffix_iso(("0", "1"), "0", "7")
-
-
-def test_suffix_iso_exhaustive_on_small_chains():
-    # exists iff the suffixes have equal length, and is then the strictly
-    # increasing positionwise pairing
-    for n in range(1, 6):
-        times = tuple(str(i) for i in range(n))
-        for i, t in enumerate(times):
-            for j, t_other in enumerate(times):
-                iso = suffix_iso(times, t, t_other)
-                if i != j:
-                    assert iso is None
-                    continue
-                sources = [a for a, _ in iso.alignment]
-                targets = [b for _, b in iso.alignment]
-                assert sources == list(times[i:])
-                assert targets == list(times[j:])
-                assert len(set(targets)) == len(targets)
+def trie_next_set(ctx, inst, t):
+    """The next-snapshot set the trie gives iterator images, at `inst`'s node at t."""
+    trie, node = trie_node(ctx, inst, t)
+    return trie.as_snapshots(trie.snap_of[c] for c in trie.kids[node])
 
 
 # ---------------------------------------------------------------------------
-# future bundles
+# future bundles: the trie's witness bundles and the oracle the acceptance
+# tests recompute them with, both against hand-frozen values
 # ---------------------------------------------------------------------------
 
 def test_future_bundle_singleton_context():
     ctx = row_context("abc", "abc")
     [inst] = ctx.instances
-    assert future_bundle(ctx, inst, "0") == frozenset(
-        {(snap1("a"), snap1("b"), snap1("c"))}
-    )
+    expected = frozenset({(snap1("a"), snap1("b"), snap1("c"))})
+    assert trie_bundle(ctx, inst, "0") == expected
+    assert corpus.oracle_bundle(ctx, inst, "0") == expected
 
 
 def test_future_bundle_prefix_filter_matches_oracle():
     # frozen by hand: only (a,b,c) agrees with itself up to t=1, suffix (b,c)
     ctx = row_context("abcd", "abc", "dbd")
     w1 = Instance(("e0",), ("0", "1", "2"), ("a", "b", "c"))
-    got = future_bundle(ctx, w1, "1")
+    got = trie_bundle(ctx, w1, "1")
     assert got == frozenset({(snap1("b"), snap1("c"))})
 
     oracle = oracles.future_bundle(
@@ -102,20 +75,55 @@ def test_future_bundle_prefix_filter_matches_oracle():
     assert {tuple(tr) for tr in oracle} == {
         tuple(s.states for s in trace) for trace in got
     }
+    assert corpus.oracle_bundle(ctx, w1, "1") == got
 
 
 def test_future_bundle_at_final_time():
     ctx = row_context("ab", "aa", "ab", "ba")
     w = Instance(("e0",), ("0", "1"), ("a", "a"))
-    got = future_bundle(ctx, w, "1")
-    assert got == frozenset({(snap1("a"),)})
-    assert all(len(tr) == 1 for tr in got)
+    for got in (trie_bundle(ctx, w, "1"), corpus.oracle_bundle(ctx, w, "1")):
+        assert got == frozenset({(snap1("a"),)})
+        assert all(len(tr) == 1 for tr in got)
 
 
 def test_future_bundle_requires_membership():
     ctx = row_context("ab", "aa")
     with pytest.raises(ValueError):
-        future_bundle(ctx, Instance(("e0",), ("0", "1"), ("b", "b")), "0")
+        corpus.oracle_bundle(ctx, Instance(("e0",), ("0", "1"), ("b", "b")), "0")
+
+
+# ---------------------------------------------------------------------------
+# next snapshot sets: the trie's iterator images and the oracle
+# ---------------------------------------------------------------------------
+
+def test_next_snapshot_set_singleton():
+    ctx = row_context("abc", "abc")
+    [inst] = ctx.instances
+    assert trie_next_set(ctx, inst, "0") == frozenset({snap1("b")})
+    assert corpus.oracle_next_set(ctx, inst, "0") == frozenset({snap1("b")})
+
+
+def test_next_snapshot_set_branches_on_shared_prefix():
+    ctx = row_context("abc", "ab", "ac")
+    inst = Instance(("e0",), ("0", "1"), ("a", "b"))
+    expected = frozenset({snap1("b"), snap1("c")})
+    assert trie_next_set(ctx, inst, "0") == expected
+    assert corpus.oracle_next_set(ctx, inst, "0") == expected
+
+
+def test_next_snapshot_set_prefix_filter_excludes():
+    ctx = row_context("abcd", "ab", "dc")
+    inst = Instance(("e0",), ("0", "1"), ("a", "b"))
+    assert trie_next_set(ctx, inst, "0") == frozenset({snap1("b")})
+    assert corpus.oracle_next_set(ctx, inst, "0") == frozenset({snap1("b")})
+
+
+def test_next_snapshot_set_errors_at_final_time():
+    ctx = row_context("ab", "ab")
+    [inst] = ctx.instances
+    assert trie_next_set(ctx, inst, "1") == frozenset()
+    with pytest.raises(ValueError):
+        corpus.oracle_next_set(ctx, inst, "1")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +239,8 @@ def test_witnesses_are_genuine():
             w = report.witness
             checked += 1
             assert w.instance.snapshot(w.time) == w.other_instance.snapshot(w.other_time)
-            b1 = future_bundle(ctx, w.instance, w.time)
-            b2 = future_bundle(ctx, w.other_instance, w.other_time)
+            b1 = corpus.oracle_bundle(ctx, w.instance, w.time)
+            b2 = corpus.oracle_bundle(ctx, w.other_instance, w.other_time)
             assert b1 == w.bundle and b2 == w.other_bundle
             n = len(ctx.signature.times)
             i = ctx.signature.time_index(w.time)
@@ -269,35 +277,6 @@ def test_branching_iterator_output_is_not_deterministic():
 def test_differing_only_at_initial_time_is_deterministic():
     ctx = row_context("abcd", "acd", "bcd")
     assert is_deterministic(ctx)
-
-
-# ---------------------------------------------------------------------------
-# next snapshot sets
-# ---------------------------------------------------------------------------
-
-def test_next_snapshot_set_singleton():
-    ctx = row_context("abc", "abc")
-    [inst] = ctx.instances
-    assert next_snapshot_set(ctx, inst, "0") == frozenset({snap1("b")})
-
-
-def test_next_snapshot_set_branches_on_shared_prefix():
-    ctx = row_context("abc", "ab", "ac")
-    inst = Instance(("e0",), ("0", "1"), ("a", "b"))
-    assert next_snapshot_set(ctx, inst, "0") == frozenset({snap1("b"), snap1("c")})
-
-
-def test_next_snapshot_set_prefix_filter_excludes():
-    ctx = row_context("abcd", "ab", "dc")
-    inst = Instance(("e0",), ("0", "1"), ("a", "b"))
-    assert next_snapshot_set(ctx, inst, "0") == frozenset({snap1("b")})
-
-
-def test_next_snapshot_set_errors_at_final_time():
-    ctx = row_context("ab", "ab")
-    [inst] = ctx.instances
-    with pytest.raises(ValueError):
-        next_snapshot_set(ctx, inst, "1")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +353,7 @@ def test_literal_determinable_implies_iterator_satisfying_definition():
         i = result.iterator
         for inst in ctx.instances:
             for t in ctx.signature.times[:-1]:
-                assert next_snapshot_set(ctx, inst, t) == i.image(inst.snapshot(t))
+                assert corpus.oracle_next_set(ctx, inst, t) == i.image(inst.snapshot(t))
     assert hits > 20
 
 
@@ -496,6 +475,6 @@ def test_generated_contexts_round_trip_through_iterators():
         # re-satisfies the iterator property at every applicable occurrence
         for inst in ctx.instances:
             for t in ctx.signature.times[:-1]:
-                assert next_snapshot_set(ctx, inst, t) == extracted.image(
+                assert corpus.oracle_next_set(ctx, inst, t) == extracted.image(
                     inst.snapshot(t)
                 )

@@ -155,13 +155,27 @@ FULL = "  e@0=a e@1=a f@0=a f@1=a\n"
             9,
             "cell e@1 given twice",
         ),
+        # errors about the whole file name no line; their body is the whole file
+        ("# nothing\n", None, "empty context file"),
+        ("states: a b\nentities: e f\n", None, "missing header line(s): time"),
     ],
 )
 def test_context_parse_errors_are_pinned(body, line_no, message):
     with pytest.raises(ModelFileError) as info:
-        parse_context(HEAD + body)
+        parse_context(body if line_no is None else HEAD + body)
     assert info.value.line_no == line_no
-    assert str(info.value) == f"<string>:{line_no}: {message}"
+    where = "<string>" if line_no is None else f"<string>:{line_no}"
+    assert str(info.value) == f"{where}: {message}"
+
+
+def test_empty_context_round_trips(tmp_path):
+    ctx = Context(Signature(("a", "b"), ("e", "f"), ("0", "1")), ())
+    path = tmp_path / "empty.ctx"
+    save_context(ctx, path)
+    assert path.read_text() == HEAD
+    loaded = load_context(path)
+    assert loaded.context == ctx
+    assert dict(loaded.names) == {}
 
 
 def test_duplicate_instance_warning_is_pinned():
@@ -276,6 +290,9 @@ def read_both(text):
 @given(context_texts())
 # a line read once in x, read again in y after one of its cells was given
 @example(HEAD + "instance x:\n" + FULL + "instance y:\n  f@0=b\n" + FULL)
+# headers alone, and a header missing with no instance to follow
+@example(HEAD)
+@example("states: a b\ntime: 0 1\n")
 def test_parse_context_agrees_with_tokenwise_reference(text):
     got, want = read_both(text)
     assert got == want

@@ -1,8 +1,13 @@
 """Formula AST, parser/printer, bounded universes, and Kripke satisfaction."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import corpus
 import oracles
@@ -12,6 +17,7 @@ from ctxkit.modal_logic import (
     TOP,
     And,
     Atom,
+    Bottom,
     Box,
     Diamond,
     Evaluator,
@@ -22,6 +28,7 @@ from ctxkit.modal_logic import (
     KripkeModel,
     Not,
     Or,
+    Top,
     check_modal_operator,
     closure_universe,
     formula_universe,
@@ -114,13 +121,86 @@ def test_print_parse_is_canonical_on_strings():
 
 
 # ---------------------------------------------------------------------------
-# modal depth
+# hash-consed nodes: identity, memoised text, stored size and depth
 # ---------------------------------------------------------------------------
+
+# a formula as a nested (kind, *parts) spec, so that it can be built twice
+formula_specs = st.recursive(
+    st.one_of(
+        st.sampled_from(("p", "q", "r_1")).map(lambda name: (Atom, name)),
+        st.sampled_from(((Top,), (Bottom,))),
+    ),
+    lambda parts: st.one_of(
+        st.tuples(st.sampled_from((Not, Box, Diamond)), parts),
+        st.tuples(st.sampled_from((And, Or, Implies, Iff)), parts, parts),
+    ),
+    max_leaves=12,
+)
+
+
+def build(spec):
+    """The formula a spec describes, built bottom up from fresh constructor calls."""
+    kind, *parts = spec
+    if kind is Atom:
+        return Atom(*parts)
+    return kind(*(build(part) for part in parts))
+
+
+@settings(max_examples=400)
+@given(formula_specs)
+@example((Implies, (Box, (Atom, "p")), (Atom, "q")))
+def test_formula_nodes_are_hash_consed(spec):
+    formula = build(spec)
+    assert build(spec) is formula
+    text = print_formula(formula)
+    assert parse_formula(text) is formula
+    assert text == oracles.naive_print(formula)
+    assert formula.size == oracles.naive_size(formula)
+    assert modal_depth(formula) == oracles.naive_depth(formula)
+
+
+def test_parsed_formula_is_the_constructed_node():
+    assert parse_formula("[]p -> q") is Implies(Box(Atom("p")), Atom("q"))
+
 
 def test_modal_depth():
     assert modal_depth(P) == 0
     assert modal_depth(Box(P)) == 1
     assert modal_depth(And(Box(Diamond(P)), Q)) == 2
+
+
+def test_deep_box_chain_is_walked_without_recursion():
+    formula = P
+    for _ in range(10_000):
+        formula = Box(formula)
+    assert modal_depth(formula) == 10_000
+    assert len(subformulas(formula)) == 10_001
+
+
+def test_unreferenced_nodes_leave_the_table():
+    node = And(Atom("only_here"), Box(Atom("only_here")))
+    print_formula(node)
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+
+
+def test_formula_nodes_are_immutable():
+    node = Box(P)
+    with pytest.raises(AttributeError):
+        node.operand = Q
+    with pytest.raises(AttributeError):
+        del node.operand
+    assert not hasattr(node, "__dict__")
+    assert node.operand is P
+
+
+def test_copies_and_pickles_are_the_same_node():
+    node = parse_formula("[](p -> <>q) & ~true")
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
 
 
 # ---------------------------------------------------------------------------
