@@ -2,7 +2,8 @@
 
 Exit codes: 0 when analysis succeeds with verdict yes (or a generator ran),
 1 when analysis says no (a witness is printed), 2 for usage, I/O and guard
-errors and for formulas nested too deeply.
+errors, for formulas nested too deeply and for any unexpected exception, so
+that 1 only ever means a verdict.
 Reports go to stdout as `key=value` lines followed by a blank line and a
 human-readable section; stdout is byte-stable for fixed inputs and seeds,
 timing goes to stderr.
@@ -441,6 +442,9 @@ def cli_dispatch(argv: list[str]) -> int:
         return 2
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     finally:
         elapsed = (time.perf_counter() - started) * 1000.0

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 DEFAULT_SPACE_GUARD = 2 ** 20
 GUARD_ENV_VAR = "CTXKIT_GUARD"
@@ -49,35 +49,46 @@ def effective_guard(guard: int | None, default: int) -> int:
     return default
 
 
-def cached_structural_identity(cls):
-    """Cache each instance's hash and gate equality on it.
+_set = object.__setattr__
 
-    These values spend their lives in sets and dict keys; the generated
-    dataclass hash re-walks every field on every lookup, which dominates
-    profiles once contexts grow.
+
+class _Value:
+    """An immutable value whose hash is computed once, in its constructor.
+
+    These values spend their lives in sets and dict keys. A subclass names
+    its fields in `__slots__`, and its `__init__` sets them and then `_hash`
+    through `object.__setattr__`. Pickles and copies rebuild a value through
+    its constructor, so a stored hash never outlives the process whose string
+    hashes it was computed from.
     """
-    names = tuple(f.name for f in fields(cls))
 
-    def __hash__(self):
-        try:
-            return self._hash_cache
-        except AttributeError:
-            value = hash((cls.__qualname__,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_hash_cache", value)
-            return value
+    __slots__ = ("_hash",)
 
-    def __eq__(self, other):
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is not cls:
+        if type(other) is not type(self):
             return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        return all(getattr(self, n) == getattr(other, n) for n in names)
+        return self._hash == other._hash and self._fields() == other._fields()
 
-    cls.__hash__ = __hash__
-    cls.__eq__ = __eq__
-    return cls
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({args})"
 
 
 def _check_symbols(kind: str, symbols: tuple[str, ...]) -> None:
@@ -128,46 +139,42 @@ class Signature:
         return len(self.entities) * len(self.times)
 
 
-@cached_structural_identity
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(_Value):
     """One time slice of an instance: a total entity -> state assignment."""
 
-    entities: tuple[str, ...]
-    states: tuple[str, ...]
+    __slots__ = ("entities", "states")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.entities) != len(self.states):
+    def __init__(self, entities: Iterable[str], states: Iterable[str]):
+        entities, states = tuple(entities), tuple(states)
+        if len(entities) != len(states):
             raise ValueError("snapshot needs exactly one state per entity")
+        _set(self, "entities", entities)
+        _set(self, "states", states)
+        _set(self, "_hash", hash((entities, states)))
 
     def render(self) -> str:
         return ";".join(f"{e}={s}" for e, s in zip(self.entities, self.states))
 
 
-@cached_structural_identity
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Value):
     """A total (entity, time) -> state table; one possible timeline.
 
     Cells are stored entity-major: the states of entity i occupy positions
     i*len(times) .. i*len(times)+len(times)-1, in time order.
     """
 
-    entities: tuple[str, ...]
-    times: tuple[str, ...]
-    cells: tuple[str, ...]
+    __slots__ = ("entities", "times", "cells")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "times", tuple(self.times))
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if len(self.cells) != len(self.entities) * len(self.times):
+    def __init__(self, entities: Iterable[str], times: Iterable[str], cells: Iterable[str]):
+        entities, times, cells = tuple(entities), tuple(times), tuple(cells)
+        if len(cells) != len(entities) * len(times):
             raise ValueError(
-                f"instance needs {len(self.entities) * len(self.times)} cells, "
-                f"got {len(self.cells)}"
+                f"instance needs {len(entities) * len(times)} cells, got {len(cells)}"
             )
+        _set(self, "entities", entities)
+        _set(self, "times", times)
+        _set(self, "cells", cells)
+        _set(self, "_hash", hash((entities, times, cells)))
 
     def value_at(self, entity_index: int, time_index: int) -> str:
         return self.cells[entity_index * len(self.times) + time_index]

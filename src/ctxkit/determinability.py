@@ -78,7 +78,7 @@ class _Trie:
 
     def __init__(self, ctx: Context):
         sig = ctx.signature
-        n = len(sig.times)
+        entities, n = sig.entities, len(sig.times)
         self.instances, self.times = ctx.instances, sig.times
         self.snaps: list[Snapshot] = []
         self.snap_of: list[int] = []
@@ -86,23 +86,29 @@ class _Trie:
         self.kids: list[list[int]] = []
         self.first: list[int] = []  # position of the first instance through the node
         self.paths: list[list[int]] = []  # the node of each instance at each time
+        snaps, snap_of, time_of, kids, first = (
+            self.snaps, self.snap_of, self.time_of, self.kids, self.first
+        )
         snap_ids: dict[tuple[str, ...], int] = {}
         nodes: dict[tuple[int, int], int] = {}
         for pos, inst in enumerate(ctx.instances):
-            parent, path = -1, []
+            cells, parent, path = inst.cells, -1, []
             for k in range(n):
-                states = inst.cells[k::n]
-                sid = snap_ids.setdefault(states, len(snap_ids))
-                if sid == len(self.snaps):
-                    self.snaps.append(Snapshot(sig.entities, states))
-                node = nodes.setdefault((parent, sid), len(nodes))
-                if node == len(self.snap_of):
-                    self.snap_of.append(sid)
-                    self.time_of.append(k)
-                    self.kids.append([])
-                    self.first.append(pos)
+                states = cells[k::n]
+                sid = snap_ids.get(states)
+                if sid is None:
+                    sid = snap_ids[states] = len(snaps)
+                    snaps.append(Snapshot(entities, states))
+                key = (parent, sid)
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = len(snap_of)
+                    snap_of.append(sid)
+                    time_of.append(k)
+                    kids.append([])
+                    first.append(pos)
                     if parent >= 0:
-                        self.kids[parent].append(node)
+                        kids[parent].append(node)
                 path.append(node)
                 parent = node
             self.paths.append(path)

@@ -492,7 +492,9 @@ class KripkeModel:
     """<W, R, V>: worlds in a fixed order, accessibility pairs, atom valuation.
 
     Atoms missing from the valuation are false everywhere, so evaluation is
-    total over syntactically valid formulas.
+    total over syntactically valid formulas. An atom true nowhere is dropped
+    from the stored valuation, as it is from the file `render_kripke` writes,
+    so a model equals its reloaded copy.
     """
 
     worlds: tuple[str, ...]
@@ -501,13 +503,10 @@ class KripkeModel:
 
     def __post_init__(self):
         worlds = tuple(self.worlds)
+        valuation = {atom: frozenset(ws) for atom, ws in dict(self.valuation).items()}
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "relation", frozenset(tuple(p) for p in self.relation))
-        object.__setattr__(
-            self,
-            "valuation",
-            {atom: frozenset(ws) for atom, ws in dict(self.valuation).items()},
-        )
+        object.__setattr__(self, "valuation", {a: ws for a, ws in valuation.items() if ws})
         if len(set(worlds)) != len(worlds):
             raise ValueError("duplicate world names")
         known = set(worlds)
@@ -517,7 +516,7 @@ class KripkeModel:
         for a, b in self.relation:
             if a not in known or b not in known:
                 raise ValueError(f"relation endpoint outside the model: ({a}, {b})")
-        for atom, ws in self.valuation.items():
+        for atom, ws in valuation.items():
             if not _ATOM_RE.fullmatch(atom):
                 raise ValueError(f"invalid atom name {atom!r}")
             stray = ws - known

@@ -251,6 +251,30 @@ def test_deeply_nested_formula_exits_2(kripke_path, capsys):
     assert "error: formula nested too deeply" in capsys.readouterr().err
 
 
+def test_unexpected_exception_exits_2_with_its_type(alice_path, monkeypatch, capsys):
+    def broken(ctx, mode):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("ctxkit.cli.is_determinable", broken)
+    code = cli_dispatch(["ctx", "check-determinable", alice_path, "--mode", "literal"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "error: internal error: KeyError: 'lost'"
+
+
+def test_recursion_error_message_is_unchanged(alice_path, monkeypatch, capsys):
+    def too_deep(ctx, mode):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("ctxkit.cli.is_determinable", too_deep)
+    code = cli_dispatch(["ctx", "check-determinable", alice_path, "--mode", "literal"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "error: formula nested too deeply"
+
+
 def test_guard_env_var_is_honored(monkeypatch, capsys):
     # the parser already exists; the guard is read when the command runs
     assert cli_dispatch(["gen", "alice-bob", "--horizon", "3"]) == 0

@@ -1,6 +1,12 @@
 """Core context machinery: signatures, currying, consistency, enumeration."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +110,96 @@ def test_context_rejects_foreign_instances():
         Context(sig, (Instance(("other",), ("0",), ("a",)),))
     with pytest.raises(ValueError):
         Context(sig, (Instance(("e0",), ("0",), ("zzz",)),))
+
+
+# ---------------------------------------------------------------------------
+# instances and snapshots as values
+# ---------------------------------------------------------------------------
+
+VALUES = {
+    "instance": (
+        Instance,
+        {"entities": ("e0", "e1"), "times": ("0", "1"), "cells": ("a", "b", "b", "a")},
+    ),
+    "snapshot": (Snapshot, {"entities": ("e0", "e1"), "states": ("a", "b")}),
+}
+value_kinds = pytest.mark.parametrize("cls, fields", VALUES.values(), ids=VALUES)
+
+
+@value_kinds
+def test_values_from_lists_and_tuples_are_equal(cls, fields):
+    from_tuples = cls(**fields)
+    from_lists = cls(**{name: list(value) for name, value in fields.items()})
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    for name, value in fields.items():
+        assert getattr(from_lists, name) == value
+        assert type(getattr(from_lists, name)) is tuple
+
+
+@value_kinds
+def test_changing_any_field_breaks_equality(cls, fields):
+    value = cls(**fields)
+    for name, field in fields.items():
+        other = cls(**{**fields, name: ("z",) + field[1:]})
+        assert other != value
+    assert value != tuple(fields.values())
+    assert value.__eq__(tuple(fields.values())) is NotImplemented
+
+
+@value_kinds
+def test_values_refuse_assignment_and_deletion(cls, fields):
+    value = cls(**fields)
+    for name in (*fields, "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    assert value == cls(**fields)
+
+
+@value_kinds
+def test_copies_and_pickles_are_equal_values(cls, fields):
+    value = cls(**fields)
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is cls
+        assert other == value
+        assert hash(other) == hash(value)
+
+
+def test_pickles_rehash_under_another_hash_seed():
+    # string hashes are salted per process, so a hash stored in a pickle
+    # would disagree with the values built where it is loaded
+    dumped = pickle.dumps([cls(**fields) for cls, fields in VALUES.values()])
+    check = (
+        "import pickle, sys\n"
+        "from ctxkit.core import Instance, Snapshot\n"
+        "got = pickle.loads(sys.stdin.buffer.read())\n"
+        f"want = [Instance(**{VALUES['instance'][1]!r}), Snapshot(**{VALUES['snapshot'][1]!r})]\n"
+        "assert got == want, got\n"
+        "assert [hash(v) for v in got] == [hash(v) for v in want]\n"
+        "assert {*got} == {*want}\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", check], input=dumped, env=env, capture_output=True
+    )
+    assert result.returncode == 0, result.stderr.decode()
+
+
+def test_repr_and_errors_read_as_before():
+    assert repr(Instance(("e0",), ("0", "1"), ("x", "y"))) == (
+        "Instance(entities=('e0',), times=('0', '1'), cells=('x', 'y'))"
+    )
+    assert repr(Snapshot(("e",), ("s",))) == "Snapshot(entities=('e',), states=('s',))"
+    with pytest.raises(ValueError) as info:
+        Instance(("e0", "e1"), ("0", "1"), ("a", "b", "c"))
+    assert str(info.value) == "instance needs 4 cells, got 3"
+    with pytest.raises(ValueError) as info:
+        Snapshot(("e",), ())
+    assert str(info.value) == "snapshot needs exactly one state per entity"
 
 
 # ---------------------------------------------------------------------------

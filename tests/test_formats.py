@@ -1,5 +1,6 @@
 """Round trips and error reporting for the three file formats."""
 
+import functools
 import random
 import warnings
 
@@ -14,6 +15,7 @@ from ctxkit.modal_logic import (
     And,
     Atom,
     Box,
+    KripkeModel,
     Not,
     formula_universe,
     parse_formula,
@@ -298,6 +300,33 @@ def test_parse_context_agrees_with_tokenwise_reference(text):
     assert got == want
 
 
+# symbols as the formats allow them: printable, no whitespace, none of the
+# reserved characters
+CONTEXT_SYMBOLS = st.text(
+    st.characters(exclude_categories=("C", "Z"), exclude_characters="@=;,#"),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def contexts(draw):
+    def symbols():
+        return draw(st.lists(CONTEXT_SYMBOLS, min_size=1, max_size=3, unique=True))
+
+    sig = Signature(symbols(), symbols(), symbols())
+    n = sig.cell_count()
+    rows = draw(st.lists(st.lists(st.sampled_from(sig.states), min_size=n, max_size=n),
+                         max_size=6))
+    return Context(sig, tuple(Instance(sig.entities, sig.times, row) for row in rows))
+
+
+# save and load are render and parse plus writing and reading the text
+@given(contexts())
+def test_context_save_load_round_trip(ctx):
+    assert parse_context(render_context(ctx)).context == ctx
+
+
 # ---------------------------------------------------------------------------
 # Kripke files
 # ---------------------------------------------------------------------------
@@ -331,6 +360,75 @@ def test_random_kripke_round_trip(tmp_path):
         path = tmp_path / f"r{seed}.kr"
         save_kripke(model, path)
         assert load_kripke(path) == model
+
+
+WORLD_NAMES = st.text(
+    st.characters(exclude_categories=("C", "Z"), exclude_characters="#"), min_size=1, max_size=3
+)
+ATOM_NAMES = st.from_regex(r"[a-z][A-Za-z0-9_]{0,2}", fullmatch=True)
+
+
+@st.composite
+def kripke_models(draw, worlds=st.lists(WORLD_NAMES, min_size=1, max_size=4, unique=True),
+                  atoms=st.lists(ATOM_NAMES, max_size=3, unique=True)):
+    names = draw(worlds)
+    relation = draw(st.sets(st.sampled_from([(a, b) for a in names for b in names])))
+    valuation = {atom: draw(st.frozensets(st.sampled_from(names))) for atom in draw(atoms)}
+    return KripkeModel(names, relation, valuation)
+
+
+@given(kripke_models())
+# an atom true nowhere writes no line
+@example(KripkeModel(("w",), frozenset(), {"p": frozenset()}))
+def test_kripke_save_load_round_trip(model):
+    assert parse_kripke(render_kripke(model)) == model
+
+
+@st.composite
+def mutated(draw, lines, words, garble):
+    """The lines after one to three edits of the kinds a hand-edited file has:
+    a line dropped, duplicated or swapped with another; a token dropped,
+    garbled, or replaced by one of the words."""
+    lines = list(lines)
+    edits = ("drop", "duplicate", "swap", "drop token", "garble", "replace")
+    for kind in draw(st.lists(st.sampled_from(edits), min_size=1, max_size=3)):
+        if not lines:
+            break
+        i = draw(st.sampled_from(range(len(lines))))
+        tokens = lines[i].split()
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "swap":
+            j = draw(st.sampled_from(range(len(lines))))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif tokens:
+            k = draw(st.integers(0, len(tokens) - 1))
+            if kind == "drop token":
+                del tokens[k]
+            elif kind == "replace":
+                tokens[k] = draw(st.sampled_from(words))
+            else:
+                tokens[k] = draw(st.text(alphabet=garble, max_size=6))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def kripke_texts(draw):
+    model = draw(kripke_models())
+    words = (*model.worlds, "w9", "world", "edge", "val", "p", "Paris", "#")
+    return draw(mutated(render_kripke(model).splitlines(), words, "w0p =#@x"))
+
+
+@settings(max_examples=300)
+@given(kripke_texts())
+def test_kripke_parser_raises_only_model_file_errors(text):
+    try:
+        parse_kripke(text)
+    except ModelFileError:
+        pass
 
 
 def test_kripke_errors_carry_line_numbers():
@@ -372,6 +470,68 @@ def test_modal_context_random_round_trips(tmp_path):
         path = tmp_path / f"{seed}.mctx"
         save_modal_context(mc, path)
         assert load_modal_context(path) == mc
+
+
+@functools.cache
+def pq_universe(depth, cap):
+    return formula_universe(("p", "q"), depth=depth, cap=cap)
+
+
+@st.composite
+def modal_contexts(draw):
+    """`to_modal_context` of a model over p,q with at most four worlds, at
+    depth and cap 0 or 1."""
+    worlds = st.integers(1, 4).map(lambda n: [f"w{i}" for i in range(n)])
+    model = draw(kripke_models(worlds=worlds, atoms=st.just(["p", "q"])))
+    return to_modal_context(model, pq_universe(draw(st.integers(0, 1)), draw(st.integers(0, 1))))
+
+
+@given(modal_contexts())
+def test_modal_context_save_load_save_is_stable(mc):
+    text = render_modal_context(mc)
+    loaded = parse_modal_context(text)
+    assert render_modal_context(loaded) == text
+    assert loaded == mc
+
+
+@st.composite
+def universe_headers(draw):
+    """A universe line from good and bad field values, in any order, maybe
+    with a field left out or one added.
+
+    Depth stays at most 3 and cap at most 1: the universe guard fires only
+    after the universe has been built, so a bad header asking for a larger
+    one costs seconds before it is refused.
+    """
+    fields = [
+        "atoms=" + draw(st.sampled_from(["p", "p,q", "q,p", "p,p", "", "P", "p,,q", "p,q,r"])),
+        "depth=" + draw(st.sampled_from(["0", "1", "2", "3", "-1", "x", ""])),
+        "cap=" + draw(st.sampled_from(["0", "1", "-1", "x", ""])),
+    ]
+    fields = draw(st.permutations(fields))
+    if draw(st.booleans()):
+        del fields[draw(st.integers(0, 2))]
+    extra = draw(st.sampled_from([[], ["extra=1"], ["bare"], ["depth=0"]]))
+    return " ".join(["universe", *fields, *extra])
+
+
+@st.composite
+def modal_context_texts(draw):
+    mc = draw(modal_contexts())
+    lines = render_modal_context(mc).splitlines()
+    if draw(st.booleans()):
+        lines[0] = draw(universe_headers())
+    words = (*mc.world_names, "c9", "cworld", "cedge", "has", "universe", "p", "[]p", "#")
+    return draw(mutated(lines, words, "pq~&|-><[]()=, c0"))
+
+
+@settings(max_examples=300)
+@given(modal_context_texts())
+def test_modal_context_parser_raises_only_model_file_errors(text):
+    try:
+        parse_modal_context(text)
+    except ModelFileError:
+        pass
 
 
 def test_modal_context_file_errors():
