@@ -47,7 +47,6 @@ from ctxkit.modal_logic import parse_formula, formula_universe, satisfies, Evalu
 from ctxkit.modal_context import (
     class_world_map,
     is_modal_context,
-    prove_in_context,
     requotient_is_identity,
     to_modal_context,
     verify_representation,
@@ -242,11 +241,15 @@ def cmd_modal_verify_theorem(args) -> int:
     mc = to_modal_context(model, universe)
     conditions = is_modal_context(mc).is_modal_context
     representation = verify_representation(model, mc)
-    names = class_world_map(model, mc)
+    # prover agreement: per member, the worlds whose context world stores it
+    # are exactly the worlds the independent evaluator puts in its extension
+    worlds_of: dict[str, list[str]] = {name: [] for name in mc.world_names}
+    for world, name in class_world_map(model, mc).items():
+        worlds_of[name].append(world)
+    stored = [(mc.theory_at(name), worlds_of[name]) for name in mc.world_names]
     evaluator = Evaluator(model)
     agreement = all(
-        prove_in_context(mc, names[w], f) == evaluator.satisfies(w, f)
-        for w in model.worlds
+        evaluator.extension(f) == {w for theory, ws in stored if f in theory for w in ws}
         for f in universe.members
     )
     verdict = conditions and representation and agreement

@@ -341,6 +341,13 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
                 raise ModelFileError(
                     source, line_no, "expected `universe atoms=<list> depth=<d> cap=<k>`"
                 )
+            for key in ("depth", "cap"):
+                if not (fields[key].isascii() and fields[key].isdigit()):
+                    raise ModelFileError(
+                        source,
+                        line_no,
+                        f"universe {key} must be a non-negative integer, got {fields[key]!r}",
+                    )
             try:
                 universe = formula_universe(
                     tuple(fields["atoms"].split(",")),

@@ -1,12 +1,18 @@
 """Compiling Kripke models into modal contexts and checking them.
 
-The pipeline quotients the worlds of a Kripke model by agreement on a finite
-formula universe, makes each class into a context world carrying the class
-theory at the single (entity, time) index, and relates two context worlds
-whenever some members of their classes were related. The resulting structure
-must satisfy the box/diamond membership biconditionals against its relation,
-and must represent every original world by theory; both facts are re-checked
-here rather than assumed.
+One extension table per (model, universe) drives the construction: every
+universe member's extension as an int bitmask over the model's worlds, filled
+in one forward pass over the canonically ordered members. Worlds are grouped
+by their bits on the modal-atom columns (atoms, constants, []/<> members)
+alone, which decides agreement on the whole universe; each class becomes a
+context world carrying its class theory, built once per class, at the single
+(entity, time) index; and each model edge, mapped through world -> class,
+relates two context worlds. That is the smallest filtration of the model
+through the subformula-closed universe (Blackburn, de Rijke & Venema, Modal
+Logic, CUP 2001, section 2.3). The resulting structure must satisfy the
+box/diamond membership biconditionals against its relation, and must
+represent every original world by theory; both facts are re-checked here
+rather than assumed.
 
 The construction itself never uses non-trivial entities or times (the index
 set is a single cell), but verification iterates over whatever (entity, time)
@@ -20,15 +26,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ctxkit.modal_logic import (
+    And,
     Atom,
+    Bottom,
     Box,
     Diamond,
-    Evaluator,
     Formula,
     FormulaUniverse,
+    Implies,
     KripkeModel,
+    Not,
+    Or,
+    Top,
     print_formula,
-    world_theory,
 )
 
 UNIT = ("0",)
@@ -126,19 +136,84 @@ class ModalContext:
             raise ValueError(f"unknown world or cell: {name!r} at ({e!r}, {t!r})") from None
 
 
-def _theories(model: KripkeModel, universe: FormulaUniverse) -> dict[str, frozenset[Formula]]:
-    evaluator = Evaluator(model)
-    return {w: world_theory(model, w, universe, evaluator) for w in model.worlds}
+def extension_table(model: KripkeModel, universe: FormulaUniverse) -> dict[Formula, int]:
+    """Each universe member's extension as an int bitmask over the model's
+    worlds: bit i is set when model.worlds[i] satisfies the member.
+
+    One forward pass fills it, because the canonical member order puts every
+    subformula before the formulas built on it; []/<> read per-world
+    successor masks.
+    """
+    bit = {w: 1 << i for i, w in enumerate(model.worlds)}
+    everywhere = (1 << len(bit)) - 1
+    successors = [(bit[w], sum(bit[v] for v in model.successors(w))) for w in model.worlds]
+    table: dict[Formula, int] = {}
+    for f in universe.members:
+        kind = type(f)
+        if kind is Atom:
+            mask = sum(bit[w] for w in model.valuation.get(f.name, ()))
+        elif kind is Top:
+            mask = everywhere
+        elif kind is Bottom:
+            mask = 0
+        elif kind is Box:
+            inner = table[f.operand]
+            mask = sum(b for b, succ in successors if succ & inner == succ)
+        elif kind is Diamond:
+            inner = table[f.operand]
+            mask = sum(b for b, succ in successors if succ & inner)
+        elif kind is Not:
+            mask = everywhere ^ table[f.operand]
+        else:
+            left, right = table[f.left], table[f.right]
+            if kind is And:
+                mask = left & right
+            elif kind is Or:
+                mask = left | right
+            elif kind is Implies:
+                mask = (everywhere ^ left) | right
+            else:  # Iff
+                mask = everywhere ^ (left ^ right)
+        table[f] = mask
+    return table
+
+
+# the members every other member is a Boolean combination of
+_MODAL_ATOMS = (Atom, Top, Bottom, Box, Diamond)
+
+
+def _classes(
+    model: KripkeModel, universe: FormulaUniverse
+) -> list[tuple[list[str], frozenset[Formula]]]:
+    """The theory classes of the model's worlds over the universe, ordered by
+    representative (smallest member name), each with its member worlds in
+    model order and its theory.
+
+    Worlds are grouped by their bits on the modal-atom columns alone. Every
+    member is a Boolean combination of the atoms, constants and []/<>
+    members among its subformulas, which the subformula-closed universe
+    holds, so agreeing on those is agreeing on the whole universe. By the
+    filtration lemma (Blackburn, de Rijke & Venema, section 2.3) the classes,
+    related through the model's edges, are the smallest filtration through
+    the universe and keep the truth of every member.
+    """
+    table = extension_table(model, universe)
+    columns = [mask for f, mask in table.items() if type(f) in _MODAL_ATOMS]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in range(len(model.worlds)):
+        groups.setdefault(tuple([mask >> i & 1 for mask in columns]), []).append(i)
+    classes = []
+    for indices in groups.values():
+        one = 1 << indices[0]
+        theory = frozenset([f for f, mask in table.items() if mask & one])
+        classes.append(([model.worlds[i] for i in indices], theory))
+    classes.sort(key=lambda c: min(c[0]))
+    return classes
 
 
 def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[WorldClass, ...]:
     """Partition the worlds by equality of their theories over the universe."""
-    groups: dict[frozenset[Formula], list[str]] = {}
-    for world, theory in _theories(model, universe).items():
-        groups.setdefault(theory, []).append(world)
-    classes = [WorldClass(min(ws), frozenset(ws)) for ws in groups.values()]
-    classes.sort(key=lambda c: c.representative)
-    return tuple(classes)
+    return tuple(WorldClass(min(ws), frozenset(ws)) for ws, _ in _classes(model, universe))
 
 
 def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalContext:
@@ -148,25 +223,13 @@ def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalCont
     representative), each carrying its class theory at the unique cell; two
     context worlds are related iff some members of their classes are.
     """
-    theories = _theories(model, universe)
-    groups: dict[frozenset[Formula], list[str]] = {}
-    for world, theory in theories.items():
-        groups.setdefault(theory, []).append(world)
-    classes = sorted(
-        ((min(ws), frozenset(ws), theory) for theory, ws in groups.items()),
-        key=lambda item: item[0],
-    )
+    classes = _classes(model, universe)
     names = tuple(f"c{k}" for k in range(len(classes)))
     cell = (UNIT[0], UNIT[0])
-    assignments = {
-        name: {cell: theory} for name, (_, _, theory) in zip(names, classes)
-    }
-    relation = set()
-    for i, (_, members_a, _) in enumerate(classes):
-        for j, (_, members_b, _) in enumerate(classes):
-            if any((a, b) in model.relation for a in members_a for b in members_b):
-                relation.add((names[i], names[j]))
-    return ModalContext(UNIT, UNIT, names, assignments, frozenset(relation), universe)
+    assignments = {name: {cell: theory} for name, (_, theory) in zip(names, classes)}
+    name_of = {w: name for name, (worlds, _) in zip(names, classes) for w in worlds}
+    relation = frozenset((name_of[a], name_of[b]) for a, b in model.relation)
+    return ModalContext(UNIT, UNIT, names, assignments, relation, universe)
 
 
 @dataclass(frozen=True)
@@ -242,19 +305,20 @@ def is_modal_context(mc: ModalContext) -> ModalContextReport:
 def verify_representation(model: KripkeModel, mc: ModalContext) -> bool:
     """Every Kripke world's theory appears verbatim as some context world's
     formula set at the first cell."""
-    stored = [mc.theory_at(name) for name in mc.world_names]
-    for theory in _theories(model, mc.universe).values():
-        if not any(theory == s for s in stored):
-            return False
-    return True
+    stored = {mc.theory_at(name) for name in mc.world_names}
+    return all(theory in stored for _, theory in _classes(model, mc.universe))
 
 
 def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
     """Kripke world -> name of the context world carrying its theory."""
     by_theory = {mc.theory_at(name): name for name in mc.world_names}
+    found = {}
+    for worlds, theory in _classes(model, mc.universe):
+        for world in worlds:
+            found[world] = by_theory.get(theory)
     out = {}
-    for world, theory in _theories(model, mc.universe).items():
-        name = by_theory.get(theory)
+    for world in model.worlds:
+        name = found[world]
         if name is None:
             raise ValueError(f"world {world!r} has no matching context world")
         out[world] = name

@@ -16,7 +16,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ctxkit.core import SizeGuardError, effective_guard
 
@@ -29,9 +29,23 @@ _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 # printing precedences: a child binding looser than its floor gets parentheses
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5, 6
 
-# (kind, *fields) -> the one live node with them, held weakly
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _set = object.__setattr__  # nodes refuse setattr once built
+
+
+class _Entry(weakref.ref):
+    """A weak reference to one live node that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    # a dead node's entry may already have been replaced by a newer node's
+    if _NODES.get(entry.key) is entry:
+        del _NODES[entry.key]
+
+
+# (kind, *fields) -> weak entry for the one live node with them
+_NODES: dict[tuple, _Entry] = {}
 
 
 class Formula:
@@ -39,11 +53,11 @@ class Formula:
 
     Each kind declares its `fields` (children, except an atom's name), its
     `symbol`, its printing precedence `prec`, whether it associates to the
-    right, and whether it is modal. Size and modal depth are stored at
-    construction, printed text on first print.
+    right, and whether it is modal. The children tuple, size and modal depth
+    are stored at construction, printed text on first print.
     """
 
-    __slots__ = ("size", "depth", "_text", "__weakref__")
+    __slots__ = ("children", "size", "depth", "_text", "__weakref__")
     fields: tuple[str, ...] = ()
     symbol = ""
     prec = _PREC_ATOM
@@ -52,24 +66,25 @@ class Formula:
 
     def __new__(cls, *args):
         key = (cls, *args)
-        node = _NODES.get(key)
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
         if node is None:
             if len(args) != len(cls.fields):
                 raise TypeError(f"{cls.__name__} takes fields {cls.fields}, got {args!r}")
             node = object.__new__(cls)
             for name, value in zip(cls.fields, args):
                 _set(node, name, value)
+            kids = () if cls is Atom else args
             size, depth = 1, 0
-            for kid in node.children:
+            for kid in kids:
                 size, depth = size + kid.size, max(depth, kid.depth)
+            _set(node, "children", kids)
             _set(node, "size", size)
             _set(node, "depth", depth + cls.modal)
-            _NODES[key] = node
+            entry = _Entry(node, _drop)
+            entry.key = key
+            _NODES[key] = entry
         return node
-
-    @property
-    def children(self) -> tuple[Formula, ...]:
-        return tuple([getattr(self, name) for name in self.fields])
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"formula nodes are immutable: cannot change {name!r}")
@@ -86,7 +101,6 @@ class Formula:
 
 class Atom(Formula):
     __slots__ = fields = ("name",)
-    children = ()
     symbol = property(lambda self: self.name)  # an atom prints as its name
 
 
@@ -173,8 +187,10 @@ def print_formula(formula: Formula) -> str:
     if text is None:
         kids, prec, symbol = formula.children, formula.prec, formula.symbol
         floors = (prec + 1, prec) if formula.right_assoc else (prec, prec + 1)
-        parts = [print_formula(k) for k in kids]
-        parts = [f"({p})" if k.prec < floor else p for k, p, floor in zip(kids, parts, floors)]
+        parts = []
+        for kid, floor in zip(kids, floors):
+            part = getattr(kid, "_text", None) or print_formula(kid)
+            parts.append(f"({part})" if kid.prec < floor else part)
         text = f" {symbol} ".join(parts) if len(kids) == 2 else symbol + "".join(parts)
         _set(formula, "_text", text)
     return text
@@ -390,6 +406,26 @@ def _boolean_layers(
     return layer
 
 
+def _base_counts(
+    atom_count: int, depth: int, connectives: tuple[str, ...], cap: int
+) -> Iterator[int]:
+    """How many modal atoms (atoms, constants, []/<> members) formula_universe
+    holds after each modal level 1..depth, computed without building any.
+
+    Every []/<> image of a target is a new member, so the count is exact:
+    |M_d| = |M_0| + (modal operators) * (2 with ~ and cap >= 1, else 1) * |M_(d-1)|.
+    Lazy, so that a guard stops it before the counts grow huge.
+    """
+    first = atom_count + ("true" in connectives) + ("false" in connectives)
+    grows = (("[]" in connectives) + ("<>" in connectives)) * (
+        2 if "~" in connectives and cap >= 1 else 1
+    )
+    count = first
+    for _ in range(depth):
+        count = first + grows * count
+        yield count
+
+
 def formula_universe(
     atoms: Iterable[str],
     depth: int,
@@ -425,6 +461,9 @@ def formula_universe(
     if cap < 0:
         raise ValueError("cap must be non-negative")
     limit = effective_guard(guard, DEFAULT_UNIVERSE_GUARD)
+    for count in _base_counts(len(atoms), depth, connectives, cap):
+        if count > limit:
+            raise SizeGuardError(count, limit, "formula universe", exact=False)
 
     bases: set[Formula] = {Atom(a) for a in atoms}
     if "true" in connectives:
@@ -439,8 +478,6 @@ def formula_universe(
             bases |= {Box(f) for f in targets}
         if "<>" in connectives:
             bases |= {Diamond(f) for f in targets}
-        if len(bases) > limit:
-            raise SizeGuardError(len(bases), limit, "formula universe", exact=False)
 
     members = _boolean_layers(bases, cap, connectives, limit)
     return FormulaUniverse(atoms, depth, cap, connectives, _canonical_members(members))

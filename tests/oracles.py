@@ -397,3 +397,19 @@ def naive_depth(formula):
 
     inner = max((naive_depth(kid) for kid in _formula_children(formula)), default=0)
     return inner + isinstance(formula, (Box, Diamond))
+
+
+# ---------------------------------------------------------------------------
+# modal quotient: worlds grouped by their whole theory, every membership
+# decided by naive_satisfies
+# ---------------------------------------------------------------------------
+
+def full_theory_quotient(worlds, relation, valuation, members):
+    """[(sorted class worlds, class theory)] ordered by smallest world name."""
+    groups = {}
+    for w in worlds:
+        theory = frozenset(
+            f for f in members if naive_satisfies(worlds, relation, valuation, w, f)
+        )
+        groups.setdefault(theory, []).append(w)
+    return sorted((tuple(sorted(ws)), theory) for theory, ws in groups.items())

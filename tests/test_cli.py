@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -284,6 +285,21 @@ def test_guard_env_var_is_honored(monkeypatch, capsys):
     monkeypatch.delenv("CTXKIT_GUARD")
     assert cli_dispatch(["gen", "alice-bob", "--horizon", "3"]) == 0
     capsys.readouterr()
+
+
+def test_oversized_universe_is_refused_at_once(kripke_path, monkeypatch, capsys):
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    start = time.perf_counter()
+    code = cli_dispatch(["modal", "to-context", kripke_path, "--atoms", "p,q", "--depth", "40"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        "error: formula universe needs a guard of an estimated 174762 or more; "
+        "current guard is 50000; set CTXKIT_GUARD to raise it"
+    )
+    assert elapsed < 0.1
 
 
 def test_help_exits_zero(capsys):

@@ -499,13 +499,13 @@ def universe_headers(draw):
     """A universe line from good and bad field values, in any order, maybe
     with a field left out or one added.
 
-    Depth stays at most 3 and cap at most 1: the universe guard fires only
-    after the universe has been built, so a bad header asking for a larger
-    one costs seconds before it is refused.
+    Cap stays at most 1 and depth at most 3, or 30: a depth of 30 is refused
+    by the universe guard before any formula is built, but the depths in
+    between pass that guard and cost seconds in the Boolean layers first.
     """
     fields = [
         "atoms=" + draw(st.sampled_from(["p", "p,q", "q,p", "p,p", "", "P", "p,,q", "p,q,r"])),
-        "depth=" + draw(st.sampled_from(["0", "1", "2", "3", "-1", "x", ""])),
+        "depth=" + draw(st.sampled_from(["0", "1", "2", "3", "30", "-1", "x", ""])),
         "cap=" + draw(st.sampled_from(["0", "1", "-1", "x", ""])),
     ]
     fields = draw(st.permutations(fields))
@@ -630,6 +630,18 @@ def test_bad_has_lines_report_line_and_message(text, line_no, message):
         parse_modal_context(text)
     assert info.value.line_no == line_no
     assert str(info.value) == f"<string>:{line_no}: {message}"
+
+
+@pytest.mark.parametrize("header, message", [
+    ("universe atoms=p depth=x cap=1", "universe depth must be a non-negative integer, got 'x'"),
+    ("universe atoms=p depth=1 cap=x", "universe cap must be a non-negative integer, got 'x'"),
+    ("universe atoms=p depth= cap=1", "universe depth must be a non-negative integer, got ''"),
+    ("universe atoms=p depth=0 cap=-1", "universe cap must be a non-negative integer, got '-1'"),
+])
+def test_bad_universe_counts_name_their_field(header, message):
+    with pytest.raises(ModelFileError) as info:
+        parse_modal_context(header + "\ncworld c0\n")
+    assert str(info.value) == f"<string>:1: {message}"
 
 
 @pytest.mark.parametrize("depth", (0, 1, 2))

@@ -1,8 +1,10 @@
 """Quotient construction, modal-context checking, and membership proving."""
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracles
@@ -22,6 +24,7 @@ from ctxkit.modal_context import (
     ModalContext,
     WorldClass,
     class_world_map,
+    extension_table,
     is_modal_context,
     prove_in_context,
     quotient,
@@ -91,6 +94,77 @@ def test_quotient_soundness_via_naive_satisfaction():
                     ) == oracles.naive_satisfies(
                         model.worlds, model.relation, model.valuation, other, f
                     )
+
+
+# ---------------------------------------------------------------------------
+# the extension table and the modal-atom quotient, on random models
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kripke_models(draw):
+    """1 to 10 worlds, any relation, any valuation of p, q and r."""
+    n = draw(st.integers(1, 10))
+    worlds = tuple(f"w{i}" for i in range(n))  # w10 sorts before w2
+    relation = {(a, b) for a in worlds for b in worlds if draw(st.booleans())}
+    valuation = {
+        atom: {w for w in worlds if draw(st.booleans())} for atom in ("p", "q", "r")
+    }
+    return KripkeModel(worlds, relation, valuation)
+
+
+# (atoms, depth, connectives, cap) of the generated universes drawn below
+UNIVERSE_SETTINGS = (
+    (("p", "q"), 1, ("~", "&", "->", "[]", "<>"), 1),  # the default
+    (("p", "q"), 2, ("~", "&", "->", "[]", "<>"), 0),  # cap 0
+    (("p", "q"), 1, ("&", "|", "[]", "<>"), 1),  # negation-free
+    (("p", "q", "r"), 2, ("<>",), 0),  # <> only
+    (("p",), 2, ("~", "<>", "<->"), 1),  # <> only, with negation
+    (("p", "q"), 2, ("~", "[]", "<>", "true", "false"), 0),  # true/false
+    (("p",), 1, ("~", "->", "[]", "true", "false"), 1),
+)
+
+
+@cache
+def generated_universe(settings_index):
+    atoms, depth, connectives, cap = UNIVERSE_SETTINGS[settings_index]
+    return formula_universe(atoms, depth, connectives, cap=cap)
+
+
+def closure_of(seed):
+    rng = random.Random(seed)
+    return closure_universe(
+        [corpus.random_formula(rng, ("p", "q", "r"), depth=3) for _ in range(3)]
+    )
+
+
+universes = st.one_of(
+    st.integers(0, len(UNIVERSE_SETTINGS) - 1).map(generated_universe),
+    st.integers(0, 10**6).map(closure_of),
+)
+
+
+@settings(max_examples=150)
+@given(kripke_models(), universes)
+def test_table_masks_are_the_evaluator_extensions(model, universe):
+    table = extension_table(model, universe)
+    assert list(table) == list(universe.members)
+    evaluator = Evaluator(model)
+    for f, mask in table.items():
+        worlds = {w for i, w in enumerate(model.worlds) if mask >> i & 1}
+        assert worlds == evaluator.extension(f), f
+        assert mask >> len(model.worlds) == 0
+
+
+@settings(max_examples=80)
+@given(kripke_models(), universes)
+def test_modal_atom_quotient_is_the_full_theory_quotient(model, universe):
+    expected = oracles.full_theory_quotient(
+        model.worlds, model.relation, model.valuation, universe.members
+    )
+    classes = quotient(model, universe)
+    assert [tuple(sorted(c.members)) for c in classes] == [ws for ws, _ in expected]
+    mc = to_modal_context(model, universe)
+    assert [mc.theory_at(name) for name in mc.world_names] == [t for _, t in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import corpus
 import oracles
+from ctxkit import modal_logic
 from ctxkit.core import SizeGuardError
 from ctxkit.modal_logic import (
     BOTTOM,
+    DEFAULT_CONNECTIVES,
     TOP,
     And,
     Atom,
@@ -39,6 +41,7 @@ from ctxkit.modal_logic import (
     subformulas,
     world_theory,
 )
+from ctxkit.modal_logic import _base_counts
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -337,6 +340,33 @@ def test_universe_guard():
     )
     # the estimate is the universe's size here, and that guard suffices
     assert len(formula_universe(("p", "q"), depth=2, guard=3612)) == 3612
+
+
+def test_base_count_recurrence_matches_built_universes():
+    for atoms in (("p",), ("p", "q"), ("p", "q", "r")):
+        for connectives in (DEFAULT_CONNECTIVES, ("&", "|", "[]"), ("<>",),
+                            ("~", "<>", "true", "false"), ("->", "[]", "<>", "true")):
+            for cap in (0, 1):
+                counts = list(_base_counts(len(atoms), 2, connectives, cap))
+                for depth in (1, 2):
+                    universe = formula_universe(atoms, depth, connectives, cap=cap)
+                    built = sum(isinstance(f, (Atom, Top, Bottom, Box, Diamond))
+                                for f in universe.members)
+                    assert counts[depth - 1] == built, (atoms, connectives, cap, depth)
+
+
+def test_universe_guard_fires_before_any_node_is_built(monkeypatch):
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    nodes = len(modal_logic._NODES)
+    with pytest.raises(SizeGuardError) as err:
+        formula_universe(("p", "q"), depth=40)
+    assert str(err.value) == (
+        "formula universe needs a guard of an estimated 174762 or more; "
+        "current guard is 50000; set CTXKIT_GUARD to raise it"
+    )
+    with pytest.raises(SizeGuardError):  # the counts stop at the first one too large
+        formula_universe(("p", "q"), depth=10**6)
+    assert len(modal_logic._NODES) == nodes
 
 
 def test_universe_canonical_order_is_stable():
