@@ -328,8 +328,8 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
     current: str | None = None
 
     for line_no, content in _meaningful_lines(text):
-        parts = content.split()
-        directive = parts[0]
+        directive = content.split(None, 1)[0]
+        parts = () if directive == "has" else content.split()  # a formula is not split
         if directive == "universe":
             if universe is not None:
                 raise ModelFileError(source, line_no, "repeated universe header")

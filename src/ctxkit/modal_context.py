@@ -91,24 +91,30 @@ class ModalContext:
         names = self.world_names
         if len(set(names)) != len(names):
             raise ValueError("duplicate context-world names")
-        cells = {(e, t) for e in self.entities for t in self.times}
+        grid = [(e, t) for e in self.entities for t in self.times]
+        cells = set(grid)
         if set(self.assignments) != set(names):
             raise ValueError("assignments must cover exactly the named worlds")
-        for name in names:
+        members = self.universe._member_set
+        first_with: dict[tuple[frozenset[Formula], ...], int] = {}
+        equal = []  # (i, j): world j has the assignment world i was first to have
+        for j, name in enumerate(names):
             table = self.assignments[name]
-            if set(table) != cells:
+            if table.keys() != cells:
                 raise ValueError(f"world {name!r} is not total over the (entity, time) grid")
             for formula_set in table.values():
-                for f in formula_set:
-                    if f not in self.universe:
-                        raise ValueError(
-                            f"world {name!r} stores {print_formula(f)}, "
-                            "which is outside the universe"
-                        )
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                if self.assignments[a] == self.assignments[b]:
-                    raise ValueError(f"worlds {a!r} and {b!r} are equal as functions")
+                if not formula_set <= members:
+                    f = next(f for f in formula_set if f not in members)
+                    raise ValueError(
+                        f"world {name!r} stores {print_formula(f)}, "
+                        "which is outside the universe"
+                    )
+            i = first_with.setdefault(tuple([table[cell] for cell in grid]), j)
+            if i != j:
+                equal.append((i, j))
+        if equal:  # the pair a scan over all pairs in name order meets first
+            i, j = min(equal)
+            raise ValueError(f"worlds {names[i]!r} and {names[j]!r} are equal as functions")
         known = set(names)
         for a, b in self.relation:
             if a not in known or b not in known:
@@ -182,12 +188,26 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> dict[Formu
 _MODAL_ATOMS = (Atom, Top, Bottom, Box, Diamond)
 
 
-def _classes(
-    model: KripkeModel, universe: FormulaUniverse
-) -> list[tuple[list[str], frozenset[Formula]]]:
+_Classes = tuple[tuple[tuple[str, ...], frozenset[Formula]], ...]
+
+
+def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Classes:
     """The theory classes of the model's worlds over the universe, ordered by
     representative (smallest member name), each with its member worlds in
     model order and its theory.
+
+    Computed once per (model, universe) and kept on the model, so every
+    function below that quotients the same model reads the same classes.
+    """
+    memo = model._quotients
+    classes = memo.get(universe)
+    if classes is None:
+        classes = memo[universe] = _filtration(model, universe)
+    return classes
+
+
+def _filtration(model: KripkeModel, universe: FormulaUniverse) -> _Classes:
+    """The classes `_classes` returns, from one extension table.
 
     Worlds are grouped by their bits on the modal-atom columns alone. Every
     member is a Boolean combination of the atoms, constants and []/<>
@@ -206,9 +226,9 @@ def _classes(
     for indices in groups.values():
         one = 1 << indices[0]
         theory = frozenset([f for f, mask in table.items() if mask & one])
-        classes.append(([model.worlds[i] for i in indices], theory))
+        classes.append((tuple([model.worlds[i] for i in indices]), theory))
     classes.sort(key=lambda c: min(c[0]))
-    return classes
+    return tuple(classes)
 
 
 def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[WorldClass, ...]:

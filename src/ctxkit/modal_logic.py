@@ -54,7 +54,8 @@ class Formula:
     Each kind declares its `fields` (children, except an atom's name), its
     `symbol`, its printing precedence `prec`, whether it associates to the
     right, and whether it is modal. The children tuple, size and modal depth
-    are stored at construction, printed text on first print.
+    are stored at construction, printed text on first print. Each arity has
+    its own constructor, below.
     """
 
     __slots__ = ("children", "size", "depth", "_text", "__weakref__")
@@ -63,28 +64,6 @@ class Formula:
     prec = _PREC_ATOM
     right_assoc = False
     modal = False
-
-    def __new__(cls, *args):
-        key = (cls, *args)
-        entry = _NODES.get(key)
-        node = None if entry is None else entry()
-        if node is None:
-            if len(args) != len(cls.fields):
-                raise TypeError(f"{cls.__name__} takes fields {cls.fields}, got {args!r}")
-            node = object.__new__(cls)
-            for name, value in zip(cls.fields, args):
-                _set(node, name, value)
-            kids = () if cls is Atom else args
-            size, depth = 1, 0
-            for kid in kids:
-                size, depth = size + kid.size, max(depth, kid.depth)
-            _set(node, "children", kids)
-            _set(node, "size", size)
-            _set(node, "depth", depth + cls.modal)
-            entry = _Entry(node, _drop)
-            entry.key = key
-            _NODES[key] = entry
-        return node
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"formula nodes are immutable: cannot change {name!r}")
@@ -99,53 +78,119 @@ class Formula:
         return f"{type(self).__name__}({args})"
 
 
+def _live(key: tuple) -> Formula | None:
+    entry = _NODES.get(key)
+    return None if entry is None else entry()
+
+
+def _intern(node: Formula, key: tuple, children: tuple, size: int, depth: int) -> Formula:
+    _set(node, "children", children)
+    _set(node, "size", size)
+    _set(node, "depth", depth)
+    entry = _Entry(node, _drop)
+    entry.key = key
+    _NODES[key] = entry
+    return node
+
+
+def _new_constant(cls):
+    key = (cls,)
+    node = _live(key)
+    if node is None:
+        node = _intern(object.__new__(cls), key, (), 1, 0)
+    return node
+
+
+def _new_atom(cls, name):
+    key = (cls, name)
+    node = _live(key)
+    if node is None:
+        node = object.__new__(cls)
+        _set(node, "name", name)
+        _intern(node, key, (), 1, 0)
+    return node
+
+
+def _new_unary(cls, operand):
+    key = (cls, operand)
+    node = _live(key)
+    if node is None:
+        node = object.__new__(cls)
+        _set(node, "operand", operand)
+        _intern(node, key, (operand,), operand.size + 1, operand.depth + cls.modal)
+    return node
+
+
+def _new_binary(cls, left, right):
+    key = (cls, left, right)
+    node = _live(key)
+    if node is None:
+        node = object.__new__(cls)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        depth, other = left.depth, right.depth
+        _intern(node, key, (left, right), left.size + right.size + 1,
+                depth if depth >= other else other)
+    return node
+
+
 class Atom(Formula):
     __slots__ = fields = ("name",)
+    __new__ = _new_atom
     symbol = property(lambda self: self.name)  # an atom prints as its name
 
 
 class Top(Formula):
     __slots__ = ()
+    __new__ = _new_constant
     symbol = "true"
 
 
 class Bottom(Formula):
     __slots__ = ()
+    __new__ = _new_constant
     symbol = "false"
 
 
 class Not(Formula):
     __slots__ = fields = ("operand",)
+    __new__ = _new_unary
     symbol, prec = "~", _PREC_UNARY
 
 
 class And(Formula):
     __slots__ = fields = ("left", "right")
+    __new__ = _new_binary
     symbol, prec = "&", _PREC_AND
 
 
 class Or(Formula):
     __slots__ = fields = ("left", "right")
+    __new__ = _new_binary
     symbol, prec = "|", _PREC_OR
 
 
 class Implies(Formula):
     __slots__ = fields = ("left", "right")
+    __new__ = _new_binary
     symbol, prec, right_assoc = "->", _PREC_IMP, True
 
 
 class Iff(Formula):
     __slots__ = fields = ("left", "right")
+    __new__ = _new_binary
     symbol, prec = "<->", _PREC_IFF
 
 
 class Box(Formula):
     __slots__ = fields = ("operand",)
+    __new__ = _new_unary
     symbol, prec, modal = "[]", _PREC_UNARY, True
 
 
 class Diamond(Formula):
     __slots__ = fields = ("operand",)
+    __new__ = _new_unary
     symbol, prec, modal = "<>", _PREC_UNARY, True
 
 
@@ -184,15 +229,25 @@ def print_formula(formula: Formula) -> str:
     builds each member's text once, from its children's.
     """
     text = getattr(formula, "_text", None)  # the slot is empty until first printed
-    if text is None:
-        kids, prec, symbol = formula.children, formula.prec, formula.symbol
-        floors = (prec + 1, prec) if formula.right_assoc else (prec, prec + 1)
-        parts = []
-        for kid, floor in zip(kids, floors):
-            part = getattr(kid, "_text", None) or print_formula(kid)
-            parts.append(f"({part})" if kid.prec < floor else part)
-        text = f" {symbol} ".join(parts) if len(kids) == 2 else symbol + "".join(parts)
-        _set(formula, "_text", text)
+    if text is not None:
+        return text
+    kids, prec = formula.children, formula.prec
+    if not kids:
+        text = formula.symbol
+    elif len(kids) == 1:  # no unary node associates to the right
+        kid = kids[0]
+        part = getattr(kid, "_text", None) or print_formula(kid)
+        text = formula.symbol + (f"({part})" if kid.prec < prec else part)
+    else:  # the side a binary node associates to may hold its own precedence
+        left, right = kids
+        lpart = getattr(left, "_text", None) or print_formula(left)
+        rpart = getattr(right, "_text", None) or print_formula(right)
+        if left.prec < prec + formula.right_assoc:
+            lpart = f"({lpart})"
+        if right.prec <= prec - formula.right_assoc:
+            rpart = f"({rpart})"
+        text = f"{lpart} {formula.symbol} {rpart}"
+    _set(formula, "_text", text)
     return text
 
 
@@ -376,21 +431,29 @@ def _canonical_members(members: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(sorted(members, key=lambda f: (f.size, print_formula(f))))
 
 
+_BINARY = (("&", And), ("|", Or), ("->", Implies), ("<->", Iff))
+
+
+def _refuse_layer(grown: int, n: int, binary_ops: int, guard: int) -> None:
+    """Refuse a Boolean layer over n formulas whose next layer, with `grown`
+    formulas before the binary operators apply, could outgrow the guard."""
+    projected = grown + binary_ops * n * n
+    if projected > guard and n * n > guard:
+        raise SizeGuardError(projected, guard, "formula universe", exact=False)
+
+
 def _boolean_layers(
     base: set[Formula], cap: int, connectives: tuple[str, ...], guard: int
 ) -> set[Formula]:
     """Close base under the chosen Boolean connectives to nesting depth cap."""
-    binary_ops = [op for name, op in (("&", And), ("|", Or), ("->", Implies), ("<->", Iff))
-                  if name in connectives]
+    binary_ops = [op for name, op in _BINARY if name in connectives]
     layer = set(base)
     for _ in range(cap):
         grown = set(layer)
         if "~" in connectives:
             grown |= {Not(f) for f in layer}
         n = len(layer)
-        projected = len(grown) + len(binary_ops) * n * n
-        if projected > guard and n * n > guard:
-            raise SizeGuardError(projected, guard, "formula universe", exact=False)
+        _refuse_layer(len(grown), n, len(binary_ops), guard)
         ordered = list(layer)
         for op in binary_ops:
             for a in ordered:
@@ -461,9 +524,13 @@ def formula_universe(
     if cap < 0:
         raise ValueError("cap must be non-negative")
     limit = effective_guard(guard, DEFAULT_UNIVERSE_GUARD)
+    count = len(atoms) + ("true" in connectives) + ("false" in connectives)  # at depth 0
     for count in _base_counts(len(atoms), depth, connectives, cap):
         if count > limit:
             raise SizeGuardError(count, limit, "formula universe", exact=False)
+    if cap >= 1:  # the first Boolean layer's size is exact: no ~f is a modal atom
+        _refuse_layer(count * (1 + ("~" in connectives)), count,
+                      sum(name in connectives for name, _ in _BINARY), limit)
 
     bases: set[Formula] = {Atom(a) for a in atoms}
     if "true" in connectives:
@@ -566,6 +633,12 @@ class KripkeModel:
         for a, b in self.relation:
             out[a].add(b)
         return {w: frozenset(s) for w, s in out.items()}
+
+    @cached_property
+    def _quotients(self) -> dict:
+        """universe -> the model's theory classes over it, filled by
+        `modal_context` on first use; the memo dies with the model."""
+        return {}
 
     def successors(self, world: str) -> frozenset[str]:
         try:

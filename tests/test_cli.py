@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from ctxkit import modal_logic
 from ctxkit.cli import _build_parser, cli_dispatch
 from ctxkit.formats import parse_context, parse_kripke, parse_modal_context
 
@@ -300,6 +301,26 @@ def test_oversized_universe_is_refused_at_once(kripke_path, monkeypatch, capsys)
         "current guard is 50000; set CTXKIT_GUARD to raise it"
     )
     assert elapsed < 0.1
+
+
+def test_oversized_boolean_layer_is_refused_before_any_node(tmp_path, monkeypatch, capsys):
+    # the depth-7 modal atoms fit the guard; their first Boolean layer does not
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    path = tmp_path / "deep.mctx"
+    path.write_text("universe atoms=p,q depth=7 cap=1\ncworld c0\n")
+    nodes = dict(modal_logic._NODES)
+    start = time.perf_counter()
+    code = cli_dispatch(["modal", "check-context", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        f"error: {path}:1: formula universe needs a guard of an estimated 3817719580 "
+        "or more; current guard is 50000; set CTXKIT_GUARD to raise it"
+    )
+    assert elapsed < 0.1
+    assert modal_logic._NODES == nodes
 
 
 def test_help_exits_zero(capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracles
@@ -414,6 +415,28 @@ def test_iterator_and_determinism_agree_with_oracles_on_alice_bob(odd, horizon):
 @pytest.mark.parametrize("variant", (0, 1), ids=("base", "turn"))
 def test_iterator_and_determinism_agree_with_oracles_on_minigame(variant):
     assert_iterator_and_determinism_match_oracles(gen_minigame()[variant])
+
+
+@st.composite
+def small_contexts(draw):
+    """Up to 3 states, 2 entities, 4 times and 12 instance draws."""
+    sig = Signature(
+        tuple(f"s{i}" for i in range(draw(st.integers(1, 3)))),
+        tuple(f"e{i}" for i in range(draw(st.integers(1, 2)))),
+        tuple(str(i) for i in range(draw(st.integers(1, 4)))),
+    )
+    row = st.lists(st.sampled_from(sig.states), min_size=sig.cell_count(),
+                   max_size=sig.cell_count())
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return Context(sig, tuple(Instance(sig.entities, sig.times, r) for r in rows))
+
+
+@settings(max_examples=300)
+@given(small_contexts())
+def test_verdicts_and_witnesses_match_oracles_on_small_contexts(ctx):
+    for mode in ("literal", "windowed"):
+        assert_matches_oracles(ctx, mode)
+    assert_iterator_and_determinism_match_oracles(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracles
+from ctxkit import modal_context
+from ctxkit.cli import cli_dispatch
+from ctxkit.formats import save_kripke
 from ctxkit.modal_logic import (
     Atom,
     Box,
@@ -365,3 +368,62 @@ def test_modal_context_validation():
     with pytest.raises(ValueError, match="endpoint"):
         ModalContext(("0",), ("0",), ("n0",), {"n0": {cell: frozenset()}},
                      frozenset({("n0", "nx")}), universe)
+
+
+def test_equal_worlds_error_names_the_first_pair_in_name_order():
+    # w1 == w2 is met first walking the worlds, but the pair scan in name
+    # order meets w0 == w3 first, and that is the pair the error names
+    universe = formula_universe(("p", "q"), depth=0)
+    cell = ("0", "0")
+    stored = {"w0": {P}, "w1": {Q}, "w2": {Q}, "w3": {P}}
+    with pytest.raises(ValueError, match="^worlds 'w0' and 'w3' are equal as functions$"):
+        ModalContext(
+            ("0",), ("0",), tuple(stored),
+            {name: {cell: frozenset(fs)} for name, fs in stored.items()},
+            frozenset(), universe,
+        )
+
+
+def test_every_world_is_checked_before_equal_worlds_are_reported():
+    universe = formula_universe(("p",), depth=0)
+    cell = ("0", "0")
+    stored = {"w0": {P}, "w1": {P}, "w2": {Box(P)}}
+    with pytest.raises(ValueError, match="^world 'w2' stores \\[\\]p, which is outside"):
+        ModalContext(
+            ("0",), ("0",), tuple(stored),
+            {name: {cell: frozenset(fs)} for name, fs in stored.items()},
+            frozenset(), universe,
+        )
+
+
+# ---------------------------------------------------------------------------
+# one quotient per (model, universe)
+# ---------------------------------------------------------------------------
+
+def test_one_model_over_two_universes_quotients_like_fresh_models():
+    rng = random.Random(929)
+    small = formula_universe(("p",), depth=1)
+    large = formula_universe(("p", "q"), depth=2)
+    for _ in range(20):
+        model = corpus.random_kripke(rng, max_worlds=7)
+        for universe in (small, large, small):
+            fresh = KripkeModel(model.worlds, model.relation, model.valuation)
+            assert quotient(model, universe) == quotient(fresh, universe)
+            assert to_modal_context(model, universe) == to_modal_context(fresh, universe)
+
+
+def test_verify_theorem_builds_two_extension_tables(monkeypatch, tmp_path, capsys):
+    # one for the model, one for requotient_is_identity's induced model
+    calls = []
+
+    def counted(model, universe):
+        calls.append(model)
+        return extension_table(model, universe)
+
+    monkeypatch.setattr(modal_context, "extension_table", counted)
+    path = tmp_path / "m.kr"
+    save_kripke(corpus.random_kripke(random.Random(5), max_worlds=6), path)
+    code = cli_dispatch(["modal", "verify-theorem", str(path), "--atoms", "p,q", "--depth", "2"])
+    assert code == 0, capsys.readouterr()
+    assert len(calls) == 2
+    assert calls[0] is not calls[1]
