@@ -2,11 +2,13 @@
 
 Exit codes: 0 when analysis succeeds with verdict yes (or a generator ran),
 1 when analysis says no (a witness is printed), 2 for usage, I/O and guard
-errors, for formulas nested too deeply and for any unexpected exception, so
-that 1 only ever means a verdict.
+errors (a formula of more nodes than the guard among them) and for any
+unexpected exception, so that 1 only ever means a verdict; no formula is too
+deep, as the formula layer walks explicit stacks.
 Reports go to stdout as `key=value` lines followed by a blank line and a
 human-readable section; stdout is byte-stable for fixed inputs and seeds,
-timing goes to stderr.
+timing goes to stderr. A file is read or written once, and its digest is of
+those bytes.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from ctxkit.determinability import (
 from ctxkit.formats import (
     LoadedContext,
     ModelFileError,
-    file_digest,
-    load_context,
-    load_kripke,
-    load_modal_context,
+    digest,
+    parse_context,
+    parse_kripke,
+    parse_modal_context,
     render_context,
     render_kripke,
     render_modal_context,
@@ -62,12 +64,29 @@ def _emit(fields: list[tuple[str, str]], human: list[str] | None = None) -> None
             print(line)
 
 
-def _base_fields(args: argparse.Namespace, path: str | None) -> list[tuple[str, str]]:
-    fields = [("command", " ".join(args.raw_argv))]
-    if path is not None:
-        fields.append(("input", path))
-        fields.append(("input_sha256", file_digest(path)))
-    return fields
+def _base_fields(args: argparse.Namespace) -> list[tuple[str, str]]:
+    return [("command", " ".join(args.raw_argv))]
+
+
+def _load(args: argparse.Namespace, parse):
+    """Parse args.file from one read of its bytes; return the result and the
+    report's first fields, whose digest is of those same bytes."""
+    data = Path(args.file).read_bytes()
+    fields = _base_fields(args) + [("input", args.file), ("input_sha256", digest(data))]
+    return parse(data.decode(), args.file), fields
+
+
+def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:
+    """Write text to stdout, or to args.output with a report of its digest."""
+    if args.output is None:
+        sys.stdout.write(text)
+        return 0
+    data = text.encode()
+    Path(args.output).write_bytes(data)
+    fields.append(("output", args.output))
+    fields.append(("output_sha256", digest(data)))
+    _emit(fields)
+    return 0
 
 
 def _instance_label(loaded: LoadedContext | None, ctx: Context, inst) -> str:
@@ -115,9 +134,8 @@ def _witness_lines(ctx: Context, loaded: LoadedContext | None,
 # ---------------------------------------------------------------------------
 
 def cmd_ctx_check_determinable(args) -> int:
-    loaded = load_context(args.file)
+    loaded, fields = _load(args, parse_context)
     report = is_determinable(loaded.context, args.mode)
-    fields = _base_fields(args, args.file)
     fields.append(("mode", args.mode))
     fields.append(("verdict", "yes" if report.determinable else "no"))
     human: list[str] = []
@@ -131,9 +149,8 @@ def cmd_ctx_check_determinable(args) -> int:
 
 
 def cmd_ctx_iterator(args) -> int:
-    loaded = load_context(args.file)
+    loaded, fields = _load(args, parse_context)
     result = extract_iterator(loaded.context)
-    fields = _base_fields(args, args.file)
     if result.iterator is not None:
         fields.append(("verdict", "yes"))
         fields.append(("domain_size", str(len(result.iterator.entries))))
@@ -158,10 +175,9 @@ def cmd_ctx_iterator(args) -> int:
 
 
 def cmd_ctx_consistency(args) -> int:
-    loaded = load_context(args.file)
+    loaded, fields = _load(args, parse_context)
     ref = loaded.instance_named(args.instance)
     result = consistency_context(loaded.context, ref, args.time)
-    fields = _base_fields(args, args.file)
     fields.append(("instance", args.instance))
     fields.append(("time", args.time))
     fields.append(("instances", str(len(result))))
@@ -170,9 +186,8 @@ def cmd_ctx_consistency(args) -> int:
 
 
 def cmd_ctx_deterministic(args) -> int:
-    loaded = load_context(args.file)
+    loaded, fields = _load(args, parse_context)
     verdict = is_deterministic(loaded.context)
-    fields = _base_fields(args, args.file)
     fields.append(("verdict", "yes" if verdict else "no"))
     _emit(fields)
     return 0 if verdict else 1
@@ -183,10 +198,9 @@ def cmd_ctx_deterministic(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_modal_eval(args) -> int:
-    model = load_kripke(args.file)
+    model, fields = _load(args, parse_kripke)
     formula = parse_formula(args.formula)
     value = satisfies(model, args.world, formula)
-    fields = _base_fields(args, args.file)
     fields.append(("world", args.world))
     fields.append(("formula", args.formula))
     fields.append(("verdict", "true" if value else "false"))
@@ -199,28 +213,18 @@ def _universe_from_args(args):
 
 
 def cmd_modal_to_context(args) -> int:
-    model = load_kripke(args.file)
+    model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = to_modal_context(model, universe)
-    text = render_modal_context(mc)
-    if args.output is None:
-        sys.stdout.write(text)
-        return 0
-    Path(args.output).write_text(text)
-    fields = _base_fields(args, args.file)
     fields.append(("universe_size", str(len(universe))))
     fields.append(("worlds", str(len(mc.world_names))))
     fields.append(("edges", str(len(mc.relation))))
-    fields.append(("output", args.output))
-    fields.append(("output_sha256", file_digest(args.output)))
-    _emit(fields)
-    return 0
+    return _deliver(args, render_modal_context(mc), fields)
 
 
 def cmd_modal_check_context(args) -> int:
-    mc = load_modal_context(args.file)
+    mc, fields = _load(args, parse_modal_context)
     report = is_modal_context(mc)
-    fields = _base_fields(args, args.file)
     fields.append(("worlds", str(len(mc.world_names))))
     fields.append(("verdict", "yes" if report.is_modal_context else "no"))
     human = []
@@ -236,7 +240,7 @@ def cmd_modal_check_context(args) -> int:
 
 
 def cmd_modal_verify_theorem(args) -> int:
-    model = load_kripke(args.file)
+    model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = to_modal_context(model, universe)
     conditions = is_modal_context(mc).is_modal_context
@@ -253,7 +257,6 @@ def cmd_modal_verify_theorem(args) -> int:
         for f in universe.members
     )
     verdict = conditions and representation and agreement
-    fields = _base_fields(args, args.file)
     fields.append(("universe_size", str(len(universe))))
     fields.append(("context_worlds", str(len(mc.world_names))))
     fields.append(("modal_context", "yes" if conditions else "no"))
@@ -272,33 +275,22 @@ def cmd_modal_verify_theorem(args) -> int:
 # gen subcommands
 # ---------------------------------------------------------------------------
 
-def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:
-    if args.output is None:
-        sys.stdout.write(text)
-        return 0
-    Path(args.output).write_text(text)
-    fields.append(("output", args.output))
-    fields.append(("output_sha256", file_digest(args.output)))
-    _emit(fields)
-    return 0
-
-
 def cmd_gen_alice_bob(args) -> int:
     ctx = gen_alice_bob(args.horizon)
-    fields = _base_fields(args, None) + [("instances", str(len(ctx)))]
+    fields = _base_fields(args) + [("instances", str(len(ctx)))]
     return _deliver(args, render_context(ctx), fields)
 
 
 def cmd_gen_alice_bob_odd(args) -> int:
     ctx = gen_alice_bob_odd(args.horizon)
-    fields = _base_fields(args, None) + [("instances", str(len(ctx)))]
+    fields = _base_fields(args) + [("instances", str(len(ctx)))]
     return _deliver(args, render_context(ctx), fields)
 
 
 def cmd_gen_minigame(args) -> int:
     base, tracked = gen_minigame()
     ctx = base if args.variant == "base" else tracked
-    fields = _base_fields(args, None) + [
+    fields = _base_fields(args) + [
         ("variant", args.variant),
         ("instances", str(len(ctx))),
     ]
@@ -307,7 +299,7 @@ def cmd_gen_minigame(args) -> int:
 
 def cmd_gen_random_ctx(args) -> int:
     ctx = gen_random_context(args.seed, args.states, args.entities, args.times, args.count)
-    fields = _base_fields(args, None) + [
+    fields = _base_fields(args) + [
         ("seed", str(args.seed)),
         ("instances", str(len(ctx))),
     ]
@@ -318,7 +310,7 @@ def cmd_gen_random_kripke(args) -> int:
     model = gen_random_kripke(
         args.seed, args.worlds, tuple(args.atoms.split(",")), args.density
     )
-    fields = _base_fields(args, None) + [
+    fields = _base_fields(args) + [
         ("seed", str(args.seed)),
         ("worlds", str(len(model.worlds))),
         ("edges", str(len(model.relation))),
@@ -442,9 +434,6 @@ def cli_dispatch(argv: list[str]) -> int:
         code = args.func(args)
     except (ModelFileError, SizeGuardError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -43,9 +43,14 @@ def _meaningful_lines(text: str):
             yield line_no, content
 
 
+def digest(data: bytes) -> str:
+    """Short sha256 of bytes, for run reports."""
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
 def file_digest(path: str | Path) -> str:
     """Short sha256 of a file's bytes, for run reports."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
+    return digest(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +230,7 @@ def save_context(ctx: Context, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
-    worlds: list[str] = []
+    worlds: dict[str, None] = {}  # in declaration order
     relation: set[tuple[str, str]] = set()
     valuation: dict[str, set[str]] = {}
     for line_no, content in _meaningful_lines(text):
@@ -236,7 +241,7 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
                 raise ModelFileError(source, line_no, "expected `world <name>`")
             if args[0] in worlds:
                 raise ModelFileError(source, line_no, f"world {args[0]!r} declared twice")
-            worlds.append(args[0])
+            worlds[args[0]] = None
         elif directive == "edge":
             if len(args) != 2:
                 raise ModelFileError(source, line_no, "expected `edge <from> <to>`")
@@ -321,9 +326,7 @@ def render_modal_context(mc: ModalContext) -> str:
 
 def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalContext:
     universe: FormulaUniverse | None = None
-    names: list[str] = []
-    assignments: dict[str, dict[tuple[str, str], frozenset]] = {}
-    sets: dict[str, set] = {}
+    sets: dict[str, set] = {}  # cworld -> its formulas, in declaration order
     relation: set[tuple[str, str]] = set()
     current: str | None = None
 
@@ -363,9 +366,8 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
             if len(parts) != 2:
                 raise ModelFileError(source, line_no, "expected `cworld <name>`")
             current = parts[1]
-            if current in names:
+            if current in sets:
                 raise ModelFileError(source, line_no, f"cworld {current!r} declared twice")
-            names.append(current)
             sets[current] = set()
         elif directive == "has":
             if current is None:
@@ -388,7 +390,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
             if len(parts) != 3:
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
             for name in parts[1:]:
-                if name not in names:
+                if name not in sets:
                     raise ModelFileError(source, line_no, f"unknown cworld {name!r}")
             relation.add((parts[1], parts[2]))
         else:
@@ -396,10 +398,10 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
 
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")
-    assignments = {n: {("0", "0"): frozenset(sets[n])} for n in names}
+    assignments = {n: {("0", "0"): frozenset(fs)} for n, fs in sets.items()}
     try:
         return ModalContext(
-            ("0",), ("0",), tuple(names), assignments, frozenset(relation), universe
+            ("0",), ("0",), tuple(sets), assignments, frozenset(relation), universe
         )
     except ValueError as exc:
         raise ModelFileError(source, None, str(exc)) from None

@@ -122,10 +122,13 @@ class ModalContext:
 
     @cached_property
     def _successors(self) -> dict[str, tuple[str, ...]]:
-        return {
-            w: tuple(v for v in self.world_names if (w, v) in self.relation)
-            for w in self.world_names
-        }
+        """World -> its successors in world_names order, from one pass over
+        the relation."""
+        index = {w: i for i, w in enumerate(self.world_names)}
+        out: dict[str, list[str]] = {w: [] for w in self.world_names}
+        for a, b in self.relation:
+            out[a].append(b)
+        return {w: tuple(sorted(vs, key=index.__getitem__)) for w, vs in out.items()}
 
     def successors(self, name: str) -> tuple[str, ...]:
         try:

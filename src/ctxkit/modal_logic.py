@@ -8,6 +8,13 @@ different set members even though they are semantically equivalent. That
 distinction is load-bearing: world theories must witness syntax, and the
 box/diamond constructors double as the loop-free injective state tagging the
 framework asks of a modal operator.
+
+The parser, the printer and the evaluator walk explicit stacks, so a
+formula's depth costs memory, never interpreter frames. Precedence and
+associativity are declared once, on the node classes, and both the parser
+and the printer read them there. A formula of more nodes than the guard
+(`DEFAULT_FORMULA_GUARD`, or `CTXKIT_GUARD`) is refused before any of its
+nodes is built, because memoised text grows with the square of its depth.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Iterable, Iterator, Mapping
 from ctxkit.core import SizeGuardError, effective_guard
 
 DEFAULT_UNIVERSE_GUARD = 50_000
+DEFAULT_FORMULA_GUARD = 10_000  # nodes of one parsed formula
 DEFAULT_CONNECTIVES = ("~", "&", "->", "[]", "<>")
 _ALL_CONNECTIVES = ("~", "&", "|", "->", "<->", "[]", "<>", "true", "false")
 
@@ -226,29 +234,38 @@ def print_formula(formula: Formula) -> str:
     """Render a formula so that parse_formula reads it back unchanged.
 
     The text is memoised on every node printed, so printing a whole universe
-    builds each member's text once, from its children's.
+    builds each member's text once, from its children's. A node whose
+    children have no text yet waits on an explicit stack under them.
     """
     text = getattr(formula, "_text", None)  # the slot is empty until first printed
-    if text is not None:
-        return text
-    kids, prec = formula.children, formula.prec
-    if not kids:
-        text = formula.symbol
-    elif len(kids) == 1:  # no unary node associates to the right
-        kid = kids[0]
-        part = getattr(kid, "_text", None) or print_formula(kid)
-        text = formula.symbol + (f"({part})" if kid.prec < prec else part)
-    else:  # the side a binary node associates to may hold its own precedence
-        left, right = kids
-        lpart = getattr(left, "_text", None) or print_formula(left)
-        rpart = getattr(right, "_text", None) or print_formula(right)
-        if left.prec < prec + formula.right_assoc:
-            lpart = f"({lpart})"
-        if right.prec <= prec - formula.right_assoc:
-            rpart = f"({rpart})"
-        text = f"{lpart} {formula.symbol} {rpart}"
-    _set(formula, "_text", text)
-    return text
+    if text is None:
+        todo = [formula]
+        while todo:
+            node = todo[-1]
+            kids, prec = node.children, node.prec
+            if not kids:
+                text = node.symbol
+            elif len(kids) == 1:  # no unary node associates to the right
+                kid = kids[0]
+                part = getattr(kid, "_text", None)
+                if part is None:
+                    todo.append(kid)
+                    continue
+                text = node.symbol + (f"({part})" if kid.prec < prec else part)
+            else:  # the side a binary node associates to may hold its own precedence
+                left, right = kids
+                lpart, rpart = getattr(left, "_text", None), getattr(right, "_text", None)
+                if lpart is None or rpart is None:
+                    todo += [kid for kid in kids if getattr(kid, "_text", None) is None]
+                    continue
+                if left.prec < prec + node.right_assoc:
+                    lpart = f"({lpart})"
+                if right.prec <= prec - node.right_assoc:
+                    rpart = f"({rpart})"
+                text = f"{lpart} {node.symbol} {rpart}"
+            _set(node, "_text", text)
+            todo.pop()
+    return text  # the last node printed is the formula, at the stack's bottom
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +286,14 @@ class FormulaSyntaxError(ValueError):
         )
 
 
+# the operators, with their precedence and associativity, as the printer reads them
+_PREFIX = {cls.symbol: cls for cls in (Not, Box, Diamond)}
+_INFIX = {cls.symbol: cls for cls in (And, Or, Implies, Iff)}
+_CONSTANTS = {"true": TOP, "false": BOTTOM}
+
 _FIXED_TOKENS = ("<->", "<>", "->", "[]", "~", "&", "|", "(", ")")
-_UNARY_EXPECTED = ("atom", "'true'", "'false'", "'~'", "'[]'", "'<>'", "'('")
+_UNARY_EXPECTED = ("atom", "'true'", "'false'", *(f"'{symbol}'" for symbol in _PREFIX), "'('")
+_END_EXPECTED = (*(f"'{symbol}'" for symbol in _INFIX), "end of input")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -299,90 +322,63 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        formula = self.iff()
-        kind, found, position = self.peek()
-        if kind != "end":
-            raise FormulaSyntaxError(
-                position, repr(found), ("'&'", "'|'", "'->'", "'<->'", "end of input")
-            )
-        return formula
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        while self.peek()[0] == "<->":
-            self.advance()
-            left = Iff(left, self.imp())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.peek()[0] == "|":
-            self.advance()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        kind, found, position = self.peek()
-        if kind == "~":
-            self.advance()
-            return Not(self.unary())
-        if kind == "[]":
-            self.advance()
-            return Box(self.unary())
-        if kind == "<>":
-            self.advance()
-            return Diamond(self.unary())
-        if kind == "(":
-            self.advance()
-            inner = self.iff()
-            close_kind, close_found, close_pos = self.peek()
-            if close_kind != ")":
-                raise FormulaSyntaxError(close_pos, repr(close_found), ("')'",))
-            self.advance()
-            return inner
-        if kind == "true":
-            self.advance()
-            return TOP
-        if kind == "false":
-            self.advance()
-            return BOTTOM
-        if kind == "atom":
-            self.advance()
-            return Atom(found)
-        raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)
+def _reduce(operands: list[Formula], pending: list, floor: int) -> None:
+    """Apply the pending operators that bind at least as tightly as floor,
+    down to the innermost open parenthesis (a None on the stack)."""
+    while pending and pending[-1] is not None and pending[-1].prec >= floor:
+        op = pending.pop()
+        if len(op.fields) == 1:
+            operands[-1] = op(operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = op(operands[-1], right)
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the `~ [] <> & | -> <->` grammar; `->` associates to the right."""
-    return _Parser(text).parse()
+    """Parse the `~ [] <> & | -> <->` grammar; `->` associates to the right.
+
+    One operator-precedence loop over explicit stacks (Pratt, "Top down
+    operator precedence", POPL 1973) reads each operator's precedence and
+    associativity off its node class. The node-count guard is checked on the
+    tokens, before any node is built.
+    """
+    tokens = _tokenize(text)
+    nodes = len(tokens) - 1 - text.count("(") - text.count(")")  # every paren is a token
+    limit = effective_guard(None, DEFAULT_FORMULA_GUARD)
+    if nodes > limit:
+        raise SizeGuardError(nodes, limit, "formula")
+    operands: list[Formula] = []
+    pending: list = []  # operator classes, and None for each open parenthesis
+    open_parens = 0
+    want_operand = True
+    for kind, found, position in tokens:
+        if want_operand:
+            if kind in _PREFIX:
+                pending.append(_PREFIX[kind])
+            elif kind == "(":
+                pending.append(None)
+                open_parens += 1
+            elif kind == "atom" or kind in _CONSTANTS:
+                operands.append(Atom(found) if kind == "atom" else _CONSTANTS[kind])
+                want_operand = False
+            else:
+                raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)
+        elif kind in _INFIX:
+            op = _INFIX[kind]
+            _reduce(operands, pending, op.prec + op.right_assoc)
+            pending.append(op)
+            want_operand = True
+        elif kind == ")" and open_parens:
+            _reduce(operands, pending, 0)
+            pending.pop()
+            open_parens -= 1
+        elif kind == "end" and not open_parens:
+            _reduce(operands, pending, 0)
+            return operands[0]
+        else:
+            raise FormulaSyntaxError(
+                position, repr(found), ("')'",) if open_parens else _END_EXPECTED
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +427,6 @@ def _canonical_members(members: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(sorted(members, key=lambda f: (f.size, print_formula(f))))
 
 
-_BINARY = (("&", And), ("|", Or), ("->", Implies), ("<->", Iff))
-
-
 def _refuse_layer(grown: int, n: int, binary_ops: int, guard: int) -> None:
     """Refuse a Boolean layer over n formulas whose next layer, with `grown`
     formulas before the binary operators apply, could outgrow the guard."""
@@ -446,7 +439,7 @@ def _boolean_layers(
     base: set[Formula], cap: int, connectives: tuple[str, ...], guard: int
 ) -> set[Formula]:
     """Close base under the chosen Boolean connectives to nesting depth cap."""
-    binary_ops = [op for name, op in _BINARY if name in connectives]
+    binary_ops = [op for name, op in _INFIX.items() if name in connectives]
     layer = set(base)
     for _ in range(cap):
         grown = set(layer)
@@ -530,7 +523,7 @@ def formula_universe(
             raise SizeGuardError(count, limit, "formula universe", exact=False)
     if cap >= 1:  # the first Boolean layer's size is exact: no ~f is a modal atom
         _refuse_layer(count * (1 + ("~" in connectives)), count,
-                      sum(name in connectives for name, _ in _BINARY), limit)
+                      sum(name in connectives for name in _INFIX), limit)
 
     bases: set[Formula] = {Atom(a) for a in atoms}
     if "true" in connectives:
@@ -647,6 +640,25 @@ class KripkeModel:
             raise ValueError(f"unknown world {world!r}") from None
 
 
+_NOWHERE: frozenset[str] = frozenset()
+
+# node kind -> its extension, from the evaluator and its children's extensions
+_RULES = {
+    Atom: lambda ev, f: ev.model.valuation.get(f.name, _NOWHERE),
+    Top: lambda ev, f: ev._all,
+    Bottom: lambda ev, f: _NOWHERE,
+    Not: lambda ev, f, a: ev._all - a,
+    And: lambda ev, f, a, b: a & b,
+    Or: lambda ev, f, a, b: a | b,
+    Implies: lambda ev, f, a, b: (ev._all - a) | b,
+    Iff: lambda ev, f, a, b: ev._all - (a ^ b),
+    Box: lambda ev, f, a: frozenset([w for w, succ in ev._successors if succ <= a]),
+    Diamond: lambda ev, f, a: frozenset(
+        [w for w, succ in ev._successors if not succ.isdisjoint(a)]
+    ),
+}
+
+
 class Evaluator:
     """One satisfaction session over a fixed model.
 
@@ -659,40 +671,25 @@ class Evaluator:
         self.model = model
         self._extensions: dict[Formula, frozenset[str]] = {}
         self._all = frozenset(model.worlds)
+        self._successors = model._successors.items()  # in world order
 
     def extension(self, formula: Formula) -> frozenset[str]:
-        cached = self._extensions.get(formula)
-        if cached is not None:
-            return cached
-        model = self.model
-        if isinstance(formula, Atom):
-            ext = model.valuation.get(formula.name, frozenset())
-        elif isinstance(formula, Top):
-            ext = self._all
-        elif isinstance(formula, Bottom):
-            ext = frozenset()
-        elif isinstance(formula, Not):
-            ext = self._all - self.extension(formula.operand)
-        elif isinstance(formula, And):
-            ext = self.extension(formula.left) & self.extension(formula.right)
-        elif isinstance(formula, Or):
-            ext = self.extension(formula.left) | self.extension(formula.right)
-        elif isinstance(formula, Implies):
-            ext = (self._all - self.extension(formula.left)) | self.extension(formula.right)
-        elif isinstance(formula, Iff):
-            left = self.extension(formula.left)
-            right = self.extension(formula.right)
-            ext = (left & right) | ((self._all - left) & (self._all - right))
-        elif isinstance(formula, Box):
-            inner = self.extension(formula.operand)
-            ext = frozenset(w for w in model.worlds if model.successors(w) <= inner)
-        elif isinstance(formula, Diamond):
-            inner = self.extension(formula.operand)
-            ext = frozenset(w for w in model.worlds if model.successors(w) & inner)
-        else:
-            raise TypeError(f"unknown formula node {formula!r}")
-        self._extensions[formula] = ext
-        return ext
+        """The worlds satisfying formula, by a post-order walk on an explicit
+        stack, so nesting depth costs memory, not interpreter frames."""
+        known = self._extensions
+        ext = known.get(formula)
+        if ext is None:
+            todo = [formula]
+            while todo:
+                node = todo[-1]
+                kids = node.children
+                waiting = [kid for kid in kids if kid not in known]
+                if waiting:
+                    todo += waiting
+                else:
+                    ext = known[node] = _RULES[type(node)](self, node, *[known[k] for k in kids])
+                    todo.pop()
+        return ext  # the last node evaluated is the formula at the stack's bottom
 
     def satisfies(self, world: str, formula: Formula) -> bool:
         if world not in self.model._successors:

@@ -10,6 +10,12 @@ from __future__ import annotations
 import functools
 import itertools
 
+# the tokenizer and node constructors serve recursive_parse, the reference parser
+from ctxkit.modal_logic import (
+    BOTTOM, TOP, And, Atom, Box, Diamond, FormulaSyntaxError, Iff, Implies, Not, Or,
+    _UNARY_EXPECTED, _tokenize,
+)
+
 Table = dict  # {(entity, time): state}
 
 
@@ -397,6 +403,97 @@ def naive_depth(formula):
 
     inner = max((naive_depth(kid) for kid in _formula_children(formula)), default=0)
     return inner + isinstance(formula, (Box, Diamond))
+
+
+# ---------------------------------------------------------------------------
+# formula parsing by recursive descent, one method per precedence level; only
+# the tokenizer and the node constructors come from the library
+# ---------------------------------------------------------------------------
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Formula:
+        formula = self.iff()
+        kind, found, position = self.peek()
+        if kind != "end":
+            raise FormulaSyntaxError(
+                position, repr(found), ("'&'", "'|'", "'->'", "'<->'", "end of input")
+            )
+        return formula
+
+    def iff(self) -> Formula:
+        left = self.imp()
+        while self.peek()[0] == "<->":
+            self.advance()
+            left = Iff(left, self.imp())
+        return left
+
+    def imp(self) -> Formula:
+        left = self.disj()
+        if self.peek()[0] == "->":
+            self.advance()
+            return Implies(left, self.imp())
+        return left
+
+    def disj(self) -> Formula:
+        left = self.conj()
+        while self.peek()[0] == "|":
+            self.advance()
+            left = Or(left, self.conj())
+        return left
+
+    def conj(self) -> Formula:
+        left = self.unary()
+        while self.peek()[0] == "&":
+            self.advance()
+            left = And(left, self.unary())
+        return left
+
+    def unary(self) -> Formula:
+        kind, found, position = self.peek()
+        if kind == "~":
+            self.advance()
+            return Not(self.unary())
+        if kind == "[]":
+            self.advance()
+            return Box(self.unary())
+        if kind == "<>":
+            self.advance()
+            return Diamond(self.unary())
+        if kind == "(":
+            self.advance()
+            inner = self.iff()
+            close_kind, close_found, close_pos = self.peek()
+            if close_kind != ")":
+                raise FormulaSyntaxError(close_pos, repr(close_found), ("')'",))
+            self.advance()
+            return inner
+        if kind == "true":
+            self.advance()
+            return TOP
+        if kind == "false":
+            self.advance()
+            return BOTTOM
+        if kind == "atom":
+            self.advance()
+            return Atom(found)
+        raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)
+
+
+def recursive_parse(text):
+    """The formula the recursive-descent parser reads from text."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, report shape, and byte-stable output."""
 
+import hashlib
+import pathlib
 import subprocess
 import sys
 import time
@@ -8,7 +10,7 @@ import pytest
 
 from ctxkit import modal_logic
 from ctxkit.cli import _build_parser, cli_dispatch
-from ctxkit.formats import parse_context, parse_kripke, parse_modal_context
+from ctxkit.formats import ModelFileError, parse_context, parse_kripke, parse_modal_context
 
 TWO_WORLD = "world w1\nworld w2\nedge w1 w2\nval w2 p\n"
 
@@ -226,6 +228,35 @@ def test_modal_verify_theorem(kripke_path, capsys):
 # errors and reproducibility
 # ---------------------------------------------------------------------------
 
+def test_each_file_is_opened_once_and_hashed_from_the_same_bytes(
+        alice_path, kripke_path, tmp_path, monkeypatch, capsys):
+    opened = []
+    real_open = pathlib.Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        opened.append((str(self), mode))
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", counting_open)
+    mctx, ctx = str(tmp_path / "m.mctx"), str(tmp_path / "g.ctx")
+    for argv, opens in [
+        (["modal", "to-context", kripke_path, "--atoms", "p", "--depth", "1", "-o", mctx],
+         [(kripke_path, "rb"), (mctx, "wb")]),
+        (["modal", "check-context", mctx], [(mctx, "rb")]),
+        (["modal", "eval", kripke_path, "--world", "w2", "--formula", "p"], [(kripke_path, "rb")]),
+        (["ctx", "deterministic", alice_path], [(alice_path, "rb")]),
+        (["gen", "minigame", "-o", ctx], [(ctx, "wb")]),
+    ]:
+        opened.clear()
+        code, out = run_cli(capsys, *argv)
+        assert code in (0, 1) and opened == opens, argv
+        fields = machine_fields(out)
+        for key, path in (("input_sha256", argv[2]), ("output_sha256", argv[-1])):
+            if key in fields:
+                digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()[:12]
+                assert fields[key] == digest, (argv, key)
+
+
 def test_usage_and_io_errors_exit_2(capsys, tmp_path):
     assert cli_dispatch([]) == 2
     assert cli_dispatch(["ctx"]) == 2
@@ -245,12 +276,41 @@ def test_unknown_instance_exits_2(alice_path, capsys):
     capsys.readouterr()
 
 
-def test_deeply_nested_formula_exits_2(kripke_path, capsys):
+@pytest.mark.parametrize("depth", [3_000, 9_000, 9_001])
+@pytest.mark.parametrize("world", ["w1", "w2"])
+def test_deeply_nested_formulas_answer(kripke_path, capsys, depth, world):
+    # p holds at w2 only, so ~...~p holds where p does iff the ~ count is even
+    truth = (world == "w2") == (depth % 2 == 0)
     code = cli_dispatch(
-        ["modal", "eval", kripke_path, "--world", "w1", "--formula", "~" * 3000 + "p"]
+        ["modal", "eval", kripke_path, "--world", world, "--formula", "~" * depth + "p"]
     )
+    assert code == (0 if truth else 1)
+    assert machine_fields(capsys.readouterr().out)["verdict"] == str(truth).lower()
+
+
+def test_formula_over_the_guard_exits_2_and_builds_nothing(kripke_path, monkeypatch, capsys):
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    nodes = dict(modal_logic._NODES)
+    code = cli_dispatch(
+        ["modal", "eval", kripke_path, "--world", "w1", "--formula", "[]" * 10_000 + "p_over"]
+    )
+    captured = capsys.readouterr()
     assert code == 2
-    assert "error: formula nested too deeply" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        "error: formula needs a guard of at least 10001; "
+        "current guard is 10000; set CTXKIT_GUARD to raise it"
+    )
+    assert modal_logic._NODES == nodes
+
+
+def test_deep_has_line_is_a_model_file_error_naming_its_line(monkeypatch):
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    head = "universe atoms=p depth=1 cap=1\ncworld c0\n  has p\n"
+    with pytest.raises(ModelFileError, match=r"^<string>:4: formula ~~~.*~p is outside"):
+        parse_modal_context(head + "  has " + "~" * 3_000 + "p\n")
+    with pytest.raises(ModelFileError, match=r"^<string>:4: formula needs a guard .*CTXKIT_GUARD"):
+        parse_modal_context(head + "  has " + "~" * 10_000 + "p\n")
 
 
 def test_unexpected_exception_exits_2_with_its_type(alice_path, monkeypatch, capsys):
@@ -263,18 +323,6 @@ def test_unexpected_exception_exits_2_with_its_type(alice_path, monkeypatch, cap
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[0] == "error: internal error: KeyError: 'lost'"
-
-
-def test_recursion_error_message_is_unchanged(alice_path, monkeypatch, capsys):
-    def too_deep(ctx, mode):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr("ctxkit.cli.is_determinable", too_deep)
-    code = cli_dispatch(["ctx", "check-determinable", alice_path, "--mode", "literal"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.splitlines()[0] == "error: formula nested too deeply"
 
 
 def test_guard_env_var_is_honored(monkeypatch, capsys):

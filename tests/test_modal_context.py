@@ -272,6 +272,23 @@ def test_multi_cell_contexts_are_checked_per_cell():
     assert any(v.operator == "box" and v.side == "backward" for v in report.violations)
 
 
+def test_successors_follow_world_names_order():
+    universe = formula_universe(("p", "q"), depth=0, cap=0)
+    names = ("n2", "n0", "n1")  # not sorted, so order comes from world_names
+    theories = {"n2": {P}, "n0": {Q}, "n1": {P, Q}}
+    relation = {("n0", "n1"), ("n0", "n2"), ("n0", "n0"), ("n1", "n2")}
+    mc = ModalContext(("0",), ("0",), names,
+                      {n: {("0", "0"): fs} for n, fs in theories.items()}, relation, universe)
+    assert [mc.successors(n) for n in names] == [(), ("n2", "n0", "n1"), ("n2",)]
+    with pytest.raises(ValueError, match="unknown context world 'n9'"):
+        mc.successors("n9")
+    rng, depth_one = random.Random(4411), formula_universe(("p", "q"), depth=1)
+    for _ in range(40):
+        mc = to_modal_context(corpus.random_kripke(rng, max_worlds=8), depth_one)
+        for w in mc.world_names:
+            assert mc.successors(w) == tuple(v for v in mc.world_names if (w, v) in mc.relation)
+
+
 # ---------------------------------------------------------------------------
 # representation and proving
 # ---------------------------------------------------------------------------

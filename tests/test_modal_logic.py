@@ -123,6 +123,38 @@ def test_print_parse_is_canonical_on_strings():
         assert print_formula(parse_formula(canonical)) == canonical
 
 
+def test_deep_formulas_parse_and_evaluate_without_recursion(monkeypatch, two_world_model):
+    monkeypatch.setenv("CTXKIT_GUARD", "200000")
+    chain = parse_formula("~" * 50_000 + "p")
+    assert chain.size == 50_001
+    evaluator = Evaluator(two_world_model)
+    assert evaluator.extension(chain) == frozenset({"w2"})  # an even number of ~
+    monkeypatch.delenv("CTXKIT_GUARD")
+    right = parse_formula("p -> " * 4_000 + "q")
+    assert right.size == 8_001 and right.right.right.left is P
+    assert not satisfies(two_world_model, "w2", right)
+    nested = parse_formula("(" * 9_000 + "[]p" + ")" * 9_000)
+    assert nested is Box(P)
+    assert print_formula(parse_formula("[]" * 9_999 + "p")).endswith("[][]p")
+
+
+def test_formula_guard_counts_nodes_before_building_any(monkeypatch):
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    assert parse_formula("(" * 10 + "~" * 9_999 + "q_guard" + ")" * 10).size == 10_000
+    nodes = dict(modal_logic._NODES)
+    with pytest.raises(SizeGuardError) as err:
+        parse_formula("~" * 10_000 + "r_guard")
+    assert str(err.value) == (
+        "formula needs a guard of at least 10001; "
+        "current guard is 10000; set CTXKIT_GUARD to raise it"
+    )
+    assert modal_logic._NODES == nodes
+    monkeypatch.setenv("CTXKIT_GUARD", "2")
+    assert parse_formula("((~p))") is Not(P)
+    with pytest.raises(SizeGuardError):
+        parse_formula("p & q")
+
+
 # ---------------------------------------------------------------------------
 # hash-consed nodes: identity, memoised text, stored size and depth
 # ---------------------------------------------------------------------------
@@ -204,6 +236,52 @@ def test_copies_and_pickles_are_the_same_node():
     assert copy.copy(node) is node
     assert copy.deepcopy(node) is node
     assert pickle.loads(pickle.dumps(node)) is node
+
+
+# ---------------------------------------------------------------------------
+# the parser against the recursive-descent reference in oracles.py
+# ---------------------------------------------------------------------------
+
+# every token kind, a word that is one atom unspaced and two spaced, and a
+# character the tokenizer rejects
+TOKENS = ("~", "[]", "<>", "&", "|", "->", "<->", "(", ")", "p", "q", "true", "false", "?")
+
+
+@st.composite
+def token_strings(draw):
+    """Any tokens, or a printed formula's tokens with up to two of them
+    replaced by any token; the gaps between tokens vary."""
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=16))
+    else:
+        text = print_formula(build(draw(formula_specs)))
+        tokens = [found for _, found, _ in modal_logic._tokenize(text)[:-1]]
+        for _ in range(draw(st.integers(0, 2))):
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+    gaps = draw(st.lists(st.sampled_from(("", " ", "  ")), min_size=len(tokens),
+                         max_size=len(tokens)))
+    return "".join(gap + token for gap, token in zip(gaps, tokens))
+
+
+def parse_outcome(parse, text):
+    """The node parse reads from text, or where and how the syntax error says it failed."""
+    try:
+        return parse(text)
+    except FormulaSyntaxError as err:
+        return err.position, err.found, err.expected
+
+
+@settings(max_examples=1000)
+@given(token_strings())
+@example("(p -> q")
+@example("p -> q <-> ~r & (s | true) -> false")
+@example("((p)) ) q")
+def test_parser_agrees_with_recursive_descent_reference(text):
+    ours, reference = parse_outcome(parse_formula, text), parse_outcome(oracles.recursive_parse, text)
+    if isinstance(reference, Formula):
+        assert ours is reference
+    else:
+        assert ours == reference
 
 
 # ---------------------------------------------------------------------------
