@@ -3,7 +3,31 @@
 The library models sets of timelines (contexts), decides determinability,
 extracts iterators, and compiles Kripke models into modal contexts via a
 theory quotient.
+
+The modal modules are registered here but run on first use: `modal_logic`
+and `modal_context` sit in `sys.modules` as lazy modules whose code runs at
+the first attribute read, and the modal names below resolve through the
+module `__getattr__`. A context or generator command compiles neither.
 """
+
+import importlib.util
+import sys
+
+
+def _lazy_module(name: str):
+    """Register the module `name` in sys.modules, to run on first attribute read."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+modal_logic = _lazy_module("ctxkit.modal_logic")
+modal_context = _lazy_module("ctxkit.modal_context")
 
 from ctxkit.core import (
     Context,
@@ -32,45 +56,6 @@ from ctxkit.determinability import (
     is_deterministic,
     render_iterator_map,
 )
-from ctxkit.modal_logic import (
-    BOTTOM,
-    TOP,
-    And,
-    Atom,
-    Bottom,
-    Box,
-    Diamond,
-    Evaluator,
-    Formula,
-    FormulaSyntaxError,
-    FormulaUniverse,
-    Iff,
-    Implies,
-    KripkeModel,
-    Not,
-    Or,
-    Top,
-    check_modal_operator,
-    closure_universe,
-    formula_universe,
-    modal_depth,
-    parse_formula,
-    print_formula,
-    satisfies,
-    world_theory,
-)
-from ctxkit.modal_context import (
-    ModalContext,
-    ModalContextReport,
-    ModalViolation,
-    WorldClass,
-    class_world_map,
-    is_modal_context,
-    prove_in_context,
-    quotient,
-    to_modal_context,
-    verify_representation,
-)
 from ctxkit.generators import (
     gen_alice_bob,
     gen_alice_bob_odd,
@@ -93,3 +78,25 @@ from ctxkit.formats import (
 )
 
 __version__ = "0.1.0"
+
+_MODAL_NAMES = {
+    "modal_logic": (
+        "BOTTOM", "TOP", "And", "Atom", "Bottom", "Box", "Diamond", "Evaluator", "Formula",
+        "FormulaSyntaxError", "FormulaUniverse", "Iff", "Implies", "KripkeModel", "Not", "Or",
+        "Top", "check_modal_operator", "closure_universe", "formula_universe",
+        "modal_depth", "parse_formula", "print_formula", "satisfies", "world_theory",
+    ),
+    "modal_context": (
+        "ModalContext", "ModalContextReport", "ModalViolation", "WorldClass",
+        "class_world_map", "is_modal_context", "prove_in_context", "quotient",
+        "to_modal_context", "verify_representation",
+    ),
+}
+_MODAL_HOME = {name: module for module, names in _MODAL_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    home = _MODAL_HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module 'ctxkit' has no attribute {name!r}")
+    return getattr(globals()[home], name)

@@ -19,7 +19,7 @@ import time
 from functools import cache
 from pathlib import Path
 
-from ctxkit.core import Context, SizeGuardError, consistency_context
+from ctxkit.core import Instance, SizeGuardError, consistency_context
 from ctxkit.determinability import (
     DeterminabilityWitness,
     extract_iterator,
@@ -44,14 +44,6 @@ from ctxkit.generators import (
     gen_minigame,
     gen_random_context,
     gen_random_kripke,
-)
-from ctxkit.modal_logic import parse_formula, formula_universe, satisfies, Evaluator
-from ctxkit.modal_context import (
-    class_world_map,
-    is_modal_context,
-    requotient_is_identity,
-    to_modal_context,
-    verify_representation,
 )
 
 
@@ -89,29 +81,27 @@ def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:
     return 0
 
 
-def _instance_label(loaded: LoadedContext | None, ctx: Context, inst) -> str:
-    if loaded is not None:
-        for name, candidate in loaded.names.items():
-            if candidate == inst:
-                return name
-    return f"i{ctx.instances.index(inst)}"
+def _instance_label(loaded: LoadedContext, inst: Instance) -> str:
+    """The name the file gave a member of its context."""
+    return loaded.name_of[loaded.context.row_of(inst)]
 
 
 def _trace_text(trace) -> str:
     return " -> ".join(snap.render() for snap in trace)
 
 
-def _witness_lines(ctx: Context, loaded: LoadedContext | None,
-                   witness: DeterminabilityWitness, mode: str) -> list[str]:
+def _witness_lines(loaded: LoadedContext, witness: DeterminabilityWitness,
+                   mode: str) -> list[str]:
+    ctx = loaded.context
     n = len(ctx.signature.times)
     i = ctx.signature.time_index(witness.time)
     j = ctx.signature.time_index(witness.other_time)
     lines = [
         "witness:",
         f"  snapshot: {witness.snapshot().render()}",
-        f"  occurrence 1: instance {_instance_label(loaded, ctx, witness.instance)}"
+        f"  occurrence 1: instance {_instance_label(loaded, witness.instance)}"
         f" at t={witness.time}",
-        f"  occurrence 2: instance {_instance_label(loaded, ctx, witness.other_instance)}"
+        f"  occurrence 2: instance {_instance_label(loaded, witness.other_instance)}"
         f" at t={witness.other_time}",
     ]
     if mode == "literal" and i != j:
@@ -143,7 +133,7 @@ def cmd_ctx_check_determinable(args) -> int:
         fields.append(("witness_time", report.witness.time))
         fields.append(("witness_other_time", report.witness.other_time))
         fields.append(("witness_snapshot", report.witness.snapshot().render()))
-        human = _witness_lines(loaded.context, loaded, report.witness, args.mode)
+        human = _witness_lines(loaded, report.witness, args.mode)
     _emit(fields, human)
     return 0 if report.determinable else 1
 
@@ -159,14 +149,13 @@ def cmd_ctx_iterator(args) -> int:
     conflict = result.conflict
     fields.append(("verdict", "no"))
     fields.append(("conflict_snapshot", conflict.snapshot.render()))
-    ctx = loaded.context
     human = [
         "iterator conflict:",
         f"  snapshot: {conflict.snapshot.render()}",
-        f"  instance {_instance_label(loaded, ctx, conflict.first_occurrence[0])}"
+        f"  instance {_instance_label(loaded, conflict.first_occurrence[0])}"
         f" at t={conflict.first_occurrence[1]} demands"
         f" {{{', '.join(s.render() for s in sorted(conflict.first_image, key=lambda s: s.render()))}}}",
-        f"  instance {_instance_label(loaded, ctx, conflict.second_occurrence[0])}"
+        f"  instance {_instance_label(loaded, conflict.second_occurrence[0])}"
         f" at t={conflict.second_occurrence[1]} demands"
         f" {{{', '.join(s.render() for s in sorted(conflict.second_image, key=lambda s: s.render()))}}}",
     ]
@@ -194,10 +183,12 @@ def cmd_ctx_deterministic(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modal subcommands
+# modal subcommands: the modal modules load with the first of them
 # ---------------------------------------------------------------------------
 
 def cmd_modal_eval(args) -> int:
+    from ctxkit.modal_logic import parse_formula, satisfies
+
     model, fields = _load(args, parse_kripke)
     formula = parse_formula(args.formula)
     value = satisfies(model, args.world, formula)
@@ -209,10 +200,14 @@ def cmd_modal_eval(args) -> int:
 
 
 def _universe_from_args(args):
+    from ctxkit.modal_logic import formula_universe
+
     return formula_universe(tuple(args.atoms.split(",")), args.depth, cap=args.cap)
 
 
 def cmd_modal_to_context(args) -> int:
+    from ctxkit.modal_context import to_modal_context
+
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = to_modal_context(model, universe)
@@ -223,6 +218,8 @@ def cmd_modal_to_context(args) -> int:
 
 
 def cmd_modal_check_context(args) -> int:
+    from ctxkit.modal_context import is_modal_context
+
     mc, fields = _load(args, parse_modal_context)
     report = is_modal_context(mc)
     fields.append(("worlds", str(len(mc.world_names))))
@@ -240,6 +237,15 @@ def cmd_modal_check_context(args) -> int:
 
 
 def cmd_modal_verify_theorem(args) -> int:
+    from ctxkit.modal_context import (
+        class_world_map,
+        is_modal_context,
+        requotient_is_identity,
+        to_modal_context,
+        verify_representation,
+    )
+    from ctxkit.modal_logic import Evaluator
+
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = to_modal_context(model, universe)

@@ -212,47 +212,102 @@ class Instance(_Value):
         }
 
 
-@dataclass(frozen=True)
+Row = tuple[int, ...]
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Context:
     """A finite set of instances over one signature.
 
-    Set semantics: duplicates collapse on construction, and the kept
-    instances are stored in canonical order (lexicographic over the cell
-    table, states ordered as in the signature) so that derived output is
-    reproducible byte for byte.
+    Stored form: one row per instance, a tuple of state indices (positions
+    in `signature.states`) in the entity-major cell order of `Instance`.
+    A row is the instance as a function E x T -> S as it stands, and its
+    time slice `row[k::len(times)]` is the snapshot at time k, the
+    (S^E)^T currying view below. Set semantics: duplicate rows collapse on
+    construction, and the kept rows are sorted, which is the canonical
+    order (lexicographic over the cell table, states ordered as in the
+    signature) that makes derived output reproducible byte for byte.
+    `instances` views the rows as `Instance` values, built on first use.
     """
 
     signature: Signature
-    instances: tuple[Instance, ...]
+    rows: tuple[Row, ...]
 
-    def __post_init__(self):
+    def __init__(self, signature: Signature, instances: Iterable[Instance]):
+        """The context of the given instances; each must be over `signature`."""
+        _set(self, "signature", signature)
+        _set(self, "rows", _checked_rows(signature, map(self.row_of, instances)))
+
+    @classmethod
+    def from_rows(cls, signature: Signature, rows: Iterable[Row]) -> Context:
+        """The context of the given rows, checked, deduplicated and sorted."""
+        ctx = cls.__new__(cls)
+        _set(ctx, "signature", signature)
+        _set(ctx, "rows", _checked_rows(signature, rows))
+        return ctx
+
+    def row_of(self, inst: Instance) -> Row:
+        """The row of an instance over this context's signature, member or not."""
         sig = self.signature
-        state_index = {s: i for i, s in enumerate(sig.states)}
-        states = frozenset(sig.states)
-        for inst in self.instances:
-            if inst.entities != sig.entities or inst.times != sig.times:
-                raise ValueError(
-                    "instance entities/times do not match the context signature"
-                )
-            if not states.issuperset(inst.cells):
-                bad = next(c for c in inst.cells if c not in states)
-                raise ValueError(f"instance uses state {bad!r} outside the signature")
-        unique = list(dict.fromkeys(self.instances))
-        unique.sort(key=lambda inst: tuple(map(state_index.__getitem__, inst.cells)))
-        object.__setattr__(self, "instances", tuple(unique))
+        if inst.entities != sig.entities or inst.times != sig.times:
+            raise ValueError("instance entities/times do not match the context signature")
+        index = self._state_index
+        try:
+            return tuple(map(index.__getitem__, inst.cells))
+        except KeyError as exc:
+            raise ValueError(
+                f"instance uses state {exc.args[0]!r} outside the signature"
+            ) from None
+
+    def instance_of(self, row: Row) -> Instance:
+        """The instance a row of this context stands for."""
+        sig = self.signature
+        return Instance(sig.entities, sig.times, map(sig.states.__getitem__, row))
+
+    @cached_property
+    def _state_index(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.signature.states)}
+
+    @cached_property
+    def instances(self) -> tuple[Instance, ...]:
+        return tuple(map(self.instance_of, self.rows))
 
     def __iter__(self) -> Iterator[Instance]:
         return iter(self.instances)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.rows)
 
     @cached_property
-    def _instance_set(self) -> frozenset[Instance]:
-        return frozenset(self.instances)
+    def _row_set(self) -> frozenset[Row]:
+        return frozenset(self.rows)
 
     def __contains__(self, inst: object) -> bool:
-        return inst in self._instance_set
+        if not isinstance(inst, Instance):
+            return False
+        try:
+            return self.row_of(inst) in self._row_set
+        except ValueError:  # not an instance over this signature
+            return False
+
+    def __reduce__(self):
+        return type(self).from_rows, (self.signature, self.rows)
+
+    def __repr__(self) -> str:
+        return f"Context(signature={self.signature!r}, instances={self.instances!r})"
+
+
+def _checked_rows(sig: Signature, rows: Iterable[Row]) -> tuple[Row, ...]:
+    """The single check every context passes: each row has one state index
+    per cell, every index names a state, and the distinct rows come sorted."""
+    unique = list(dict.fromkeys(rows))
+    unique.sort()  # linear on rows that come sorted, as rendered files hold them
+    width, n_states = sig.cell_count(), len(sig.states)
+    used = set().union(*unique)
+    if set(map(len, unique)) - {width} or used and (min(used) < 0 or max(used) >= n_states):
+        bad = next(r for r in unique if len(r) != width or min(r) < 0 or max(r) >= n_states)
+        raise ValueError(f"row {bad!r} is not {width} state indices in 0..{n_states - 1}")
+    return tuple(unique)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +370,16 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     sig = ctx.signature
     if ref.entities != sig.entities or ref.times != sig.times:
         raise ValueError("reference instance does not match the context signature")
-    for cell in ref.cells:
-        if cell not in sig.states:
-            raise ValueError(f"reference instance uses state {cell!r} outside the signature")
-    ti = sig.time_index(t)
-    n = len(sig.times)
-    upto = ti + 1
-    kept = []
-    for inst in ctx.instances:
-        if all(
-            inst.cells[ei * n : ei * n + upto] == ref.cells[ei * n : ei * n + upto]
-            for ei in range(len(sig.entities))
-        ):
-            kept.append(inst)
-    return Context(sig, tuple(kept))
+    try:
+        ref_row = ctx.row_of(ref)
+    except ValueError as exc:
+        raise ValueError(f"reference {exc}") from None
+    n, upto = len(sig.times), sig.time_index(t) + 1
+    spans = [(start, start + upto) for start in range(0, sig.cell_count(), n)]
+    prefix = [ref_row[a:b] for a, b in spans]
+    return Context.from_rows(
+        sig, [row for row in ctx.rows if [row[a:b] for a, b in spans] == prefix]
+    )
 
 
 def check_full_space_guard(sig: Signature, guard: int | None = None) -> None:
@@ -354,13 +405,13 @@ def build_full_space(sig: Signature, guard: int | None = None) -> Context:
     overridable per call or via CTXKIT_GUARD).
     """
     check_full_space_guard(sig, guard)
-    instances = tuple(
-        Instance(sig.entities, sig.times, cells)
-        for cells in itertools.product(sig.states, repeat=sig.cell_count())
+    return Context.from_rows(
+        sig, itertools.product(range(len(sig.states)), repeat=sig.cell_count())
     )
-    return Context(sig, instances)
 
 
 def restrict(ctx: Context, pred: Callable[[Instance], bool]) -> Context:
     """The subcontext of instances satisfying pred."""
-    return Context(ctx.signature, tuple(inst for inst in ctx.instances if pred(inst)))
+    return Context.from_rows(
+        ctx.signature, [row for row, inst in zip(ctx.rows, ctx.instances) if pred(inst)]
+    )

@@ -67,19 +67,22 @@ class DeterminabilityReport:
 
 
 class _Trie:
-    """Every instance's snapshot row as a path in one prefix trie.
+    """Every context row as a path in one prefix trie.
 
-    Distinct snapshots get ints in first-occurrence order, with one `Snapshot`
-    each. A node is keyed by its parent and its snapshot id, so instances
-    agreeing up to a time share one node there, and with it their consistency
-    context. Nodes are numbered in creation order, which is the canonical
+    The trie reads `Context.rows`: the slice `row[k::len(times)]` is the
+    snapshot at time k as a tuple of state indices. A node is keyed by its
+    parent and that tuple, so instances agreeing up to a time share one node
+    there, and with it their consistency context, and an occurrence at a node
+    that already exists costs one dict probe. Distinct snapshots get ints in
+    first-occurrence order, with one `Snapshot` each, made when their first
+    node is. Nodes are numbered in creation order, which is the canonical
     scan order (instances, then times) of their first occurrences.
     """
 
     def __init__(self, ctx: Context):
         sig = ctx.signature
-        entities, n = sig.entities, len(sig.times)
-        self.instances, self.times = ctx.instances, sig.times
+        entities, states, n = sig.entities, sig.states, len(sig.times)
+        self.ctx, self.times = ctx, sig.times
         self.snaps: list[Snapshot] = []
         self.snap_of: list[int] = []
         self.time_of: list[int] = []
@@ -89,19 +92,19 @@ class _Trie:
         snaps, snap_of, time_of, kids, first = (
             self.snaps, self.snap_of, self.time_of, self.kids, self.first
         )
-        snap_ids: dict[tuple[str, ...], int] = {}
-        nodes: dict[tuple[int, int], int] = {}
-        for pos, inst in enumerate(ctx.instances):
-            cells, parent, path = inst.cells, -1, []
+        snap_ids: dict[tuple[int, ...], int] = {}
+        nodes: dict[tuple[int, tuple[int, ...]], int] = {}
+        for pos, row in enumerate(ctx.rows):
+            parent, path = -1, []
             for k in range(n):
-                states = cells[k::n]
-                sid = snap_ids.get(states)
-                if sid is None:
-                    sid = snap_ids[states] = len(snaps)
-                    snaps.append(Snapshot(entities, states))
-                key = (parent, sid)
+                key = (parent, row[k::n])
                 node = nodes.get(key)
                 if node is None:
+                    # a snapshot's first occurrence always opens a new node
+                    sid = snap_ids.get(key[1])
+                    if sid is None:
+                        sid = snap_ids[key[1]] = len(snaps)
+                        snaps.append(Snapshot(entities, map(states.__getitem__, key[1])))
                     node = nodes[key] = len(snap_of)
                     snap_of.append(sid)
                     time_of.append(k)
@@ -115,8 +118,11 @@ class _Trie:
         self._ids: dict[tuple[int, int], int] = {}
         self._interned: dict[tuple[int, frozenset[int]], int] = {}
 
+    def instance(self, pos: int) -> Instance:
+        return self.ctx.instance_of(self.ctx.rows[pos])
+
     def occurrence(self, node: int) -> tuple[Instance, str]:
-        return self.instances[self.first[node]], self.times[self.time_of[node]]
+        return self.instance(self.first[node]), self.times[self.time_of[node]]
 
     def as_snapshots(self, sids: Iterable[int]) -> frozenset[Snapshot]:
         return frozenset(self.snaps[s] for s in sids)
@@ -184,7 +190,7 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
             (x, y) for i, x in enumerate(occs) for y in occs[i + 1 :] if not agree(x[1], y[1])
         )
         witness = DeterminabilityWitness(
-            ctx.instances[p], ctx.instances[q], trie.times[time_of[a]], trie.times[time_of[b]],
+            trie.instance(p), trie.instance(q), trie.times[time_of[a]], trie.times[time_of[b]],
             trie.bundle(a), trie.bundle(b),
         )
         return DeterminabilityReport(False, mode, witness)
@@ -348,17 +354,12 @@ def generate_from_iterator(
         states.update(seed.states)
     times = tuple(str(k) for k in range(horizon))
     sig = Signature(tuple(sorted(states)), iterator.entities, times)
-    instances = tuple(
-        Instance(
-            sig.entities,
-            times,
-            tuple(path[ti].states[ei]
-                  for ei in range(len(sig.entities))
-                  for ti in range(horizon)),
-        )
+    index = {s: i for i, s in enumerate(sig.states)}
+    rows = [
+        tuple(index[snap.states[ei]] for ei in range(len(sig.entities)) for snap in path)
         for path in paths
-    )
-    return Context(sig, instances)
+    ]
+    return Context.from_rows(sig, rows)
 
 
 def render_iterator_map(iterator: IteratorMap) -> str:

@@ -10,19 +10,15 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from ctxkit.core import Context, Instance, Signature
-from ctxkit.modal_logic import (
-    DEFAULT_CONNECTIVES,
-    FormulaUniverse,
-    KripkeModel,
-    formula_universe,
-    parse_formula,
-    print_formula,
-)
-from ctxkit.modal_context import ModalContext
+from ctxkit.core import Context, Instance, Row, Signature
+
+if TYPE_CHECKING:  # the modal modules load with the first modal file
+    from ctxkit.modal_context import ModalContext
+    from ctxkit.modal_logic import FormulaUniverse, KripkeModel
 
 
 class ModelFileError(ValueError):
@@ -59,16 +55,31 @@ def file_digest(path: str | Path) -> str:
 
 @dataclass(frozen=True)
 class LoadedContext:
-    """A context plus the instance names the file used."""
+    """A context plus the instance names the file used.
+
+    `rows` maps the name of each kept instance to its row, in file order; a
+    duplicate collapsed into an earlier instance keeps no name. `names` is
+    the same map onto `Instance` values, built on first use.
+    """
 
     context: Context
-    names: Mapping[str, Instance]
+    rows: Mapping[str, Row]
+
+    @cached_property
+    def names(self) -> dict[str, Instance]:
+        return {name: self.context.instance_of(row) for name, row in self.rows.items()}
+
+    @cached_property
+    def name_of(self) -> dict[Row, str]:
+        """Row -> the name the file gave it."""
+        return {row: name for name, row in self.rows.items()}
 
     def instance_named(self, name: str) -> Instance:
         try:
-            return self.names[name]
+            row = self.rows[name]
         except KeyError:
             raise ValueError(f"no instance named {name!r} in the file") from None
+        return self.context.instance_of(row)
 
 
 def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
@@ -77,48 +88,48 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     Headers with no instance read as the empty context, which is what
     `render_context` writes for it; a file with no header line is an error.
 
-    Each distinct cell line is tokenised and validated once: a repeat of a
-    line already read costs one dict lookup plus the given-twice check of
-    its cells. Alice/Bob at horizon 6 has 1,944 cell lines but only 128
-    distinct ones.
+    Each instance fills one row of state indices, and an int bitmask of the
+    cells filled so far gives the given-twice and missing-cell checks. Each
+    distinct cell line is tokenised once and kept as (mask, positions, state
+    indices): a repeat costs one dict lookup, one mask test and, when its
+    positions are contiguous, one slice assignment. Alice/Bob at horizon 6
+    has 1,944 cell lines but only 128 distinct ones. Each distinct cell
+    token is validated once, too. No `Instance` is built.
     """
     headers: dict[str, tuple[str, ...]] = {}
     sig: Signature | None = None
-    names: dict[str, Instance] = {}
-    instances: list[Instance] = []
-    seen: set[tuple[str, ...]] = set()  # cell rows; one file has one signature
+    named: dict[str, Row] = {}  # kept instances, in file order
+    first_name: dict[Row, str] = {}  # one file has one signature
 
-    current_name: str | None = None
-    current_line: int | None = None
-    cells: list[str | None] = []
+    # the open instance: its name, header line, cells and mask of filled cells
+    name: str | None = None
+    name_line = 0
+    cells: list[int] = []
+    filled = full = 0
 
-    def close_instance():
-        nonlocal current_name, current_line
-        if current_name is None:
-            return
-        if None in cells:
-            e, t = divmod(cells.index(None), len(sig.times))
+    def close_instance(name, name_line, cells, filled):
+        if filled != full:
+            missing = full & ~filled
+            e, t = divmod((missing & -missing).bit_length() - 1, len(sig.times))
             raise ModelFileError(
                 source,
-                current_line,
-                f"instance {current_name!r} is missing cell {sig.entities[e]}@{sig.times[t]}",
+                name_line,
+                f"instance {name!r} is missing cell {sig.entities[e]}@{sig.times[t]}",
             )
         row = tuple(cells)
-        if row in seen:
+        if first_name.setdefault(row, name) != name:
             warnings.warn(
-                f"{source}: duplicate instance {current_name!r} collapsed (set semantics)",
+                f"{source}: duplicate instance {name!r} collapsed (set semantics)",
                 stacklevel=3,
             )
         else:
-            seen.add(row)
-            inst = Instance(sig.entities, sig.times, row)
-            instances.append(inst)
-            names[current_name] = inst
-        current_name, current_line = None, None
+            named[name] = row
 
-    # stripped cell line -> its validated (cell position, state) pairs, in
-    # token order; only lines that passed the token loop are stored
-    memo: dict[str, list[tuple[int, str]]] = {}
+    # raw cell line -> (mask, positions, state indices, slice of the positions
+    # or None when they are not contiguous); only lines that passed the token
+    # loop are stored
+    memo: dict[str, tuple[int, tuple[int, ...], tuple[int, ...], slice | None]] = {}
+    cell_of: dict[str, tuple[int, int]] = {}  # valid cell token -> (position, state index)
 
     def signature(line_no):
         missing = [k for k in ("states", "entities", "time") if k not in headers]
@@ -133,15 +144,23 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
         entity, time = cell_keys[k]
         return ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
 
-    for line_no, content in _meaningful_lines(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         # a stored line is a cell line read inside an instance, and every
         # later line is inside one too
-        pairs = memo.get(content)
-        if pairs is not None:
-            for k, state in pairs:
-                if cells[k] is not None:
-                    raise given_twice(k, line_no)
-                cells[k] = state
+        stored = memo.get(raw)
+        if stored is not None:
+            mask, positions, indices, span = stored
+            if filled & mask:
+                raise given_twice(next(k for k in positions if filled >> k & 1), line_no)
+            filled |= mask
+            if span is None:
+                for k, i in zip(positions, indices):
+                    cells[k] = i
+            else:
+                cells[span] = indices
+            continue
+        content = raw.split("#", 1)[0].strip()
+        if not content:
             continue
         tokens = content.split()
         first = tokens[0]
@@ -155,65 +174,85 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
             sig = signature(line_no)
             cell_keys = [(e, t) for e in sig.entities for t in sig.times]  # entity-major
             position = {key: k for k, key in enumerate(cell_keys)}
-            states = frozenset(sig.states)
+            state_index = {s: i for i, s in enumerate(sig.states)}
+            full = (1 << len(cell_keys)) - 1
         if first == "instance":
-            close_instance()
+            if name is not None:
+                close_instance(name, name_line, cells, filled)
             rest = content[len("instance") :].strip()
             if not rest.endswith(":") or not rest[:-1].strip():
                 raise ModelFileError(source, line_no, "expected `instance <name>:`")
-            current_name = rest[:-1].strip()
-            current_line = line_no
-            if current_name in names:
-                raise ModelFileError(source, line_no, f"instance name {current_name!r} reused")
-            cells = [None] * len(position)
+            name, name_line = rest[:-1].strip(), line_no
+            if name in named:
+                raise ModelFileError(source, line_no, f"instance name {name!r} reused")
+            cells, filled = [0] * len(cell_keys), 0
             continue
-        if current_name is None:
+        if name is None:
             raise ModelFileError(source, line_no, f"unexpected line {content!r}")
-        pairs = []
+        mask, positions, indices = 0, [], []
         for token in tokens:
-            entity, at, rest = token.partition("@")
-            time, eq, state = rest.partition("=")
-            if not at or not eq or not entity or not time or not state:
-                raise ModelFileError(
-                    source, line_no, f"malformed cell {token!r}, expected entity@time=state"
-                )
-            k = position.get((entity, time))
-            if k is None:
-                if entity not in sig.entities:
-                    raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
-                raise ModelFileError(source, line_no, f"unknown time {time!r}")
-            if state not in states:
-                raise ModelFileError(source, line_no, f"unknown state {state!r}")
-            if cells[k] is not None:
+            cell = cell_of.get(token)
+            if cell is None:
+                entity, at, rest = token.partition("@")
+                time, eq, state = rest.partition("=")
+                if not at or not eq or not entity or not time or not state:
+                    raise ModelFileError(
+                        source, line_no, f"malformed cell {token!r}, expected entity@time=state"
+                    )
+                k = position.get((entity, time))
+                if k is None:
+                    if entity not in sig.entities:
+                        raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
+                    raise ModelFileError(source, line_no, f"unknown time {time!r}")
+                i = state_index.get(state)
+                if i is None:
+                    raise ModelFileError(source, line_no, f"unknown state {state!r}")
+                cell = cell_of[token] = (k, i)
+            k, i = cell
+            bit = 1 << k
+            if filled & bit:
                 raise given_twice(k, line_no)
-            cells[k] = state
-            pairs.append((k, state))
-        memo[content] = pairs
+            filled |= bit
+            mask |= bit
+            cells[k] = i
+            positions.append(k)
+            indices.append(i)
+        lo, hi = positions[0], positions[-1] + 1
+        span = slice(lo, hi) if positions == list(range(lo, hi)) else None
+        memo[raw] = (mask, tuple(positions), tuple(indices), span)
 
     if sig is None:
         if not headers:
             raise ModelFileError(source, None, "empty context file")
         sig = signature(None)
-    close_instance()
-    return LoadedContext(Context(sig, tuple(instances)), names)
+    if name is not None:
+        close_instance(name, name_line, cells, filled)
+    return LoadedContext(Context.from_rows(sig, named.values()), named)
 
 
 def render_context(ctx: Context) -> str:
     """Canonical text: headers, then instances named i0, i1, ... in canonical
-    order, one cell line per entity."""
+    order, one cell line per entity; each distinct (entity, row slice) line
+    is rendered once."""
     sig = ctx.signature
     lines = [
         "states: " + " ".join(sig.states),
         "entities: " + " ".join(sig.entities),
         "time: " + " ".join(sig.times),
     ]
-    for k, inst in enumerate(ctx.instances):
+    n, states = len(sig.times), sig.states
+    heads = [[f"{e}@{t}=" for t in sig.times] for e in sig.entities]
+    rendered: dict[tuple[int, Row], str] = {}
+    for k, row in enumerate(ctx.rows):
         lines.append(f"instance i{k}:")
-        for ei, e in enumerate(sig.entities):
-            cells = " ".join(
-                f"{e}@{t}={inst.value_at(ei, ti)}" for ti, t in enumerate(sig.times)
-            )
-            lines.append(f"  {cells}")
+        for ei, start in enumerate(range(0, len(row), n)):
+            key = (ei, row[start : start + n])
+            line = rendered.get(key)
+            if line is None:
+                line = rendered[key] = "  " + " ".join(
+                    head + states[i] for head, i in zip(heads[ei], key[1])
+                )
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -230,6 +269,8 @@ def save_context(ctx: Context, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
+    from ctxkit.modal_logic import KripkeModel
+
     worlds: dict[str, None] = {}  # in declaration order
     relation: set[tuple[str, str]] = set()
     valuation: dict[str, set[str]] = {}
@@ -302,6 +343,8 @@ def render_modal_context(mc: ModalContext) -> str:
     and the single (0,0) cell serialize; closure-built universes carry no
     regenerable identity.
     """
+    from ctxkit.modal_logic import DEFAULT_CONNECTIVES, print_formula
+
     u = mc.universe
     if u.cap is None or tuple(u.connectives) != DEFAULT_CONNECTIVES:
         raise ValueError(
@@ -325,6 +368,9 @@ def render_modal_context(mc: ModalContext) -> str:
 
 
 def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalContext:
+    from ctxkit.modal_context import ModalContext
+    from ctxkit.modal_logic import formula_universe, parse_formula, print_formula
+
     universe: FormulaUniverse | None = None
     sets: dict[str, set] = {}  # cworld -> its formulas, in declaration order
     relation: set[tuple[str, str]] = set()

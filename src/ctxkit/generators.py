@@ -7,10 +7,12 @@ is taken): same inputs, byte-identical artifacts, on every platform.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ctxkit.core import Context, Instance, Signature, check_full_space_guard
-from ctxkit.modal_logic import KripkeModel
+from ctxkit.core import Context, Signature, check_full_space_guard
+
+if TYPE_CHECKING:  # the modal modules load with the first Kripke model
+    from ctxkit.modal_logic import KripkeModel
 
 
 def gen_alice_bob(horizon: int, guard: int | None = None) -> Context:
@@ -39,19 +41,18 @@ def _alice_bob(horizon: int, guard: int | None, odd: bool) -> Context:
         tuple(str(t) for t in range(horizon)),
     )
     check_full_space_guard(sig, guard)
-    both, home = sig.states, ("Home",)
+    home, out = 0, 1  # state indices
+    both = (home, out)
     rows = [((), ())]  # (Alice's states so far, Bob's states so far)
     for t in range(horizon):
-        bob_choices = home if odd and t % 2 else both
+        bob_choices = (home,) if odd and t % 2 else both
         rows = [
             (alice + (a,), bob + (b,))
             for alice, bob in rows
-            for a in (home if t and bob[-1] == "Home" else both)
+            for a in ((home,) if t and bob[-1] == home else both)
             for b in bob_choices
         ]
-    return Context(
-        sig, tuple(Instance(sig.entities, sig.times, alice + bob) for alice, bob in rows)
-    )
+    return Context.from_rows(sig, [alice + bob for alice, bob in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +111,26 @@ def gen_minigame() -> tuple[Context, Context]:
     """The alternating-move token game, encoded twice: (base, turn_tracked)."""
     times = tuple(str(t) for t in range(MINIGAME_HORIZON))
     entities = ("P1", "P2")
-    rows = _minigame_position_rows()
+    plays = _minigame_position_rows()
+    cell = {c: i for i, c in enumerate(_CELLS)}
 
-    base_sig = Signature(_CELLS, entities, times)
-    base = Context(
-        base_sig,
-        tuple(Instance(entities, times, p1 + p2) for p1, p2 in rows),
+    base = Context.from_rows(
+        Signature(_CELLS, entities, times),
+        [tuple(cell[c] for c in p1 + p2) for p1, p2 in plays],
     )
-
+    # state cell:bit has index 2 * (index of cell) + bit
     tracked_states = tuple(f"{c}:{b}" for c in _CELLS for b in (0, 1))
-    tracked_sig = Signature(tracked_states, entities, times)
-    tracked_instances = []
-    for p1, p2 in rows:
-        cells = tuple(
-            f"{pos}:{_turn_bit(player, t)}"
-            for player, positions in enumerate((p1, p2))
-            for t, pos in enumerate(positions)
-        )
-        tracked_instances.append(Instance(entities, times, cells))
-    turn_tracked = Context(tracked_sig, tuple(tracked_instances))
+    turn_tracked = Context.from_rows(
+        Signature(tracked_states, entities, times),
+        [
+            tuple(
+                2 * cell[c] + _turn_bit(player, t)
+                for player, cells in enumerate((p1, p2))
+                for t, c in enumerate(cells)
+            )
+            for p1, p2 in plays
+        ],
+    )
     return base, turn_tracked
 
 
@@ -150,15 +152,10 @@ def gen_random_context(
         tuple(f"e{i}" for i in range(n_entities)),
         tuple(str(i) for i in range(n_times)),
     )
-    instances = tuple(
-        Instance(
-            sig.entities,
-            sig.times,
-            tuple(sig.states[rng.randrange(n_states)] for _ in range(sig.cell_count())),
-        )
-        for _ in range(count)
+    width = sig.cell_count()
+    return Context.from_rows(
+        sig, [tuple(rng.randrange(n_states) for _ in range(width)) for _ in range(count)]
     )
-    return Context(sig, instances)
 
 
 def gen_random_kripke(
@@ -166,6 +163,8 @@ def gen_random_kripke(
 ) -> KripkeModel:
     """Each ordered world pair becomes an edge with probability edge_density;
     each (atom, world) pair is valuated true with probability one half."""
+    from ctxkit.modal_logic import KripkeModel
+
     if n_worlds < 1:
         raise ValueError("at least one world is required")
     if not 0.0 <= edge_density <= 1.0:

@@ -291,33 +291,27 @@ _PREFIX = {cls.symbol: cls for cls in (Not, Box, Diamond)}
 _INFIX = {cls.symbol: cls for cls in (And, Or, Implies, Iff)}
 _CONSTANTS = {"true": TOP, "false": BOTTOM}
 
-_FIXED_TOKENS = ("<->", "<>", "->", "[]", "~", "&", "|", "(", ")")
 _UNARY_EXPECTED = ("atom", "'true'", "'false'", *(f"'{symbol}'" for symbol in _PREFIX), "'('")
 _END_EXPECTED = (*(f"'{symbol}'" for symbol in _INFIX), "end of input")
+# one scan for an operator or parenthesis, an atom or constant word, or the
+# one character no token starts with; the scan steps over whitespace
+_TOKEN_RE = re.compile(
+    r"(?P<fixed><->|<>|->|\[\]|[~&|()])|(?P<word>" + _ATOM_RE.pattern + r")|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("end", "end of input", len(text))."""
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for tok in _FIXED_TOKENS:
-            if text.startswith(tok, i):
-                tokens.append((tok, tok, i))
-                i += len(tok)
-                break
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        found, position = match.group(group), match.start(group)
+        if group == "fixed":
+            tokens.append((found, found, position))
+        elif group == "word":
+            tokens.append((found if found in _CONSTANTS else "atom", found, position))
         else:
-            match = _ATOM_RE.match(text, i)
-            if match:
-                word = match.group(0)
-                kind = word if word in ("true", "false") else "atom"
-                tokens.append((kind, word, i))
-                i = match.end()
-            else:
-                raise FormulaSyntaxError(i, repr(c), _UNARY_EXPECTED)
+            raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)
     tokens.append(("end", "end of input", len(text)))
     return tokens
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 
-# the tokenizer and node constructors serve recursive_parse, the reference parser
+# the node constructors serve tokenize and recursive_parse, the reference parser
 from ctxkit.modal_logic import (
     BOTTOM, TOP, And, Atom, Box, Diamond, FormulaSyntaxError, Iff, Implies, Not, Or,
-    _UNARY_EXPECTED, _tokenize,
+    _UNARY_EXPECTED,
 )
 
 Table = dict  # {(entity, time): state}
@@ -406,13 +407,44 @@ def naive_depth(formula):
 
 
 # ---------------------------------------------------------------------------
-# formula parsing by recursive descent, one method per precedence level; only
-# the tokenizer and the node constructors come from the library
+# formula parsing by recursive descent, one method per precedence level, on
+# a tokenizer that tries each fixed token at each position; only the node
+# constructors come from the library
 # ---------------------------------------------------------------------------
+
+FIXED_TOKENS = ("<->", "<>", "->", "[]", "~", "&", "|", "(", ")")
+ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for tok in FIXED_TOKENS:
+            if text.startswith(tok, i):
+                tokens.append((tok, tok, i))
+                i += len(tok)
+                break
+        else:
+            match = ATOM_RE.match(text, i)
+            if match:
+                word = match.group(0)
+                kind = word if word in ("true", "false") else "atom"
+                tokens.append((kind, word, i))
+                i = match.end()
+            else:
+                raise FormulaSyntaxError(i, repr(c), _UNARY_EXPECTED)
+    tokens.append(("end", "end of input", len(text)))
+    return tokens
+
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self) -> tuple[str, str, int]:

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report shape, and byte-stable output."""
 
 import hashlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -154,6 +155,99 @@ def test_windowed_witness_lists_several_differing_traces(tmp_path, capsys):
     assert "witness:" in out
     assert out.count("only from occurrence") >= 2
     assert run_cli(capsys, *argv) == (code, out)
+
+
+LABELS_CTX = """\
+# names neither canonical nor in canonical order; `again` repeats `alpha`
+states: a b
+entities: x y
+time: 0 1 2
+instance zed:
+  x@0=b x@1=a x@2=a
+  y@0=a y@1=a y@2=b
+instance alpha:
+  x@0=a x@1=b x@2=b
+  y@0=a y@1=b y@2=a
+instance omega:
+  x@0=b x@1=b x@2=b
+  y@0=a y@1=a y@2=a
+instance again:
+  y@0=a y@1=b y@2=a
+  x@0=a x@1=b x@2=b
+instance last:
+  x@0=b x@1=a x@2=a
+  y@0=b y@1=b y@2=a
+"""
+LABELS_HEAD = "input=labels.ctx\ninput_sha256=c7313d133b47\n"
+LABELS_WITNESS = """\
+verdict=no
+witness_time=0
+witness_other_time=1
+witness_snapshot=x=a;y=a
+
+witness:
+  snapshot: x=a;y=a
+  occurrence 1: instance alpha at t=0
+  occurrence 2: instance zed at t=1
+"""
+LABELS_STDOUT = {
+    ("check-determinable",): "command=ctx check-determinable labels.ctx\n" + LABELS_HEAD
+    + "mode=literal\n" + LABELS_WITNESS
+    + "  suffixes have lengths 3 and 2: no monotone bijection exists\n",
+    ("check-determinable", "--mode", "windowed"):
+    "command=ctx check-determinable labels.ctx --mode windowed\n" + LABELS_HEAD
+    + "mode=windowed\n" + LABELS_WITNESS
+    + "  future bundles differ on the first 2 time point(s):\n"
+    "  only from occurrence 1: x=a;y=a -> x=b;y=b\n"
+    "  only from occurrence 2: x=a;y=a -> x=a;y=b\n",
+    ("iterator",): "command=ctx iterator labels.ctx\n" + LABELS_HEAD + """\
+verdict=no
+conflict_snapshot=x=a;y=a
+
+iterator conflict:
+  snapshot: x=a;y=a
+  instance alpha at t=0 demands {x=b;y=b}
+  instance zed at t=1 demands {x=a;y=b}
+""",
+    ("consistency", "--instance", "zed", "--time", "0"):
+    "command=ctx consistency labels.ctx --instance zed --time 0\n" + LABELS_HEAD + """\
+instance=zed
+time=0
+instances=2
+
+states: a b
+entities: x y
+time: 0 1 2
+instance i0:
+  x@0=b x@1=a x@2=a
+  y@0=a y@1=a y@2=b
+instance i1:
+  x@0=b x@1=b x@2=b
+  y@0=a y@1=a y@2=a
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(LABELS_STDOUT))
+def test_reports_name_instances_as_the_file_does(argv, tmp_path, monkeypatch, capsys):
+    # witnesses and conflicts use the file's own names, wherever canonical
+    # order puts their instances; the duplicate `again` collapses into `alpha`
+    (tmp_path / "labels.ctx").write_text(LABELS_CTX)
+    monkeypatch.chdir(tmp_path)
+    verb, *options = argv
+    with pytest.warns(UserWarning, match="duplicate instance 'again' collapsed"):
+        code, out = run_cli(capsys, "ctx", verb, "labels.ctx", *options)
+    assert (code, out) == (0 if verb == "consistency" else 1, LABELS_STDOUT[argv])
+
+
+def test_a_collapsed_duplicate_name_is_unknown(tmp_path, monkeypatch, capsys):
+    (tmp_path / "labels.ctx").write_text(LABELS_CTX)
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(UserWarning):
+        code = cli_dispatch(["ctx", "consistency", "labels.ctx", "--instance", "again",
+                             "--time", "0"])
+    assert code == 2
+    assert "error: no instance named 'again' in the file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +489,48 @@ def test_outputs_are_byte_identical_across_runs(alice_path, kripke_path, capsys)
         second_code, second_out = run_cli(capsys, *argv)
         assert first_code == second_code
         assert first_out == second_out, argv
+
+
+RUN_WITHOUT_MODAL = """\
+import sys
+from ctxkit.cli import main
+for argv in {commands!r}:
+    main(argv)
+for name, defined in (("modal_logic", "parse_formula"), ("modal_context", "quotient")):
+    # a lazy module's namespace is read without running it
+    namespace = object.__getattribute__(sys.modules["ctxkit." + name], "__dict__")
+    print(name, defined in namespace)
+"""
+
+
+def test_context_and_gen_commands_run_no_modal_module(tmp_path, kripke_path):
+    path = str(tmp_path / "a.ctx")
+    commands = [["gen", "alice-bob", "-o", path], ["gen", "random-ctx", "--seed", "1"],
+                ["ctx", "deterministic", path], ["ctx", "iterator", path]]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_MODAL.format(commands=commands)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["modal_logic False", "modal_context False"]
+    # a modal command runs them
+    commands.append(["modal", "eval", kripke_path, "--world", "w1", "--formula", "p"])
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_MODAL.format(commands=commands)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.splitlines()[-2:] == ["modal_logic True", "modal_context False"]
+
+
+def test_every_package_name_resolves():
+    import ctxkit
+
+    for name in ctxkit._MODAL_HOME:
+        home = sys.modules[f"ctxkit.{ctxkit._MODAL_HOME[name]}"]
+        assert getattr(ctxkit, name) is getattr(home, name)
+    with pytest.raises(AttributeError):
+        ctxkit.no_such_name
 
 
 def test_import_builds_no_parser():

@@ -112,6 +112,35 @@ def test_context_rejects_foreign_instances():
         Context(sig, (Instance(("e0",), ("0",), ("zzz",)),))
 
 
+def test_rows_are_state_indices_and_every_path_checks_them():
+    sig = Signature(("a", "b", "c"), ("e0", "e1"), ("0", "1"))
+    inst = Instance(sig.entities, sig.times, ("c", "a", "b", "b"))
+    ctx = Context(sig, (inst, inst))
+    assert ctx.rows == ((2, 0, 1, 1),)
+    same = Context.from_rows(sig, [(2, 0, 1, 1), (2, 0, 1, 1)])
+    assert same == ctx and hash(same) == hash(ctx)
+    assert same.instances == (inst,) and inst in same and len(same) == 1
+    assert ctx.row_of(inst) == (2, 0, 1, 1) and ctx.instance_of((2, 0, 1, 1)) == inst
+    assert Context.from_rows(sig, [(1, 0, 0, 0), (0, 2, 2, 2)]).rows == (
+        (0, 2, 2, 2), (1, 0, 0, 0))
+    for bad in ((0, 0, 0), (0, 0, 0, 3), (0, -1, 0, 0)):
+        with pytest.raises(ValueError) as info:
+            Context.from_rows(sig, [(0, 0, 0, 0), bad])
+        assert str(info.value) == f"row {bad!r} is not 4 state indices in 0..2"
+
+
+def test_contexts_pickle_copy_and_print_as_before():
+    sig = Signature(("a", "b"), ("e0",), ("0", "1"))
+    ctx = Context(sig, (row_instance(sig.times, "ba"), row_instance(sig.times, "ab")))
+    for other in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert other == ctx and other.instances == ctx.instances
+    assert repr(ctx) == (
+        "Context(signature=Signature(states=('a', 'b'), entities=('e0',), times=('0', '1')), "
+        "instances=(Instance(entities=('e0',), times=('0', '1'), cells=('a', 'b')), "
+        "Instance(entities=('e0',), times=('0', '1'), cells=('b', 'a'))))"
+    )
+
+
 # ---------------------------------------------------------------------------
 # instances and snapshots as values
 # ---------------------------------------------------------------------------

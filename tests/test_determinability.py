@@ -18,6 +18,7 @@ from ctxkit.determinability import (
     is_deterministic,
     render_iterator_map,
 )
+from ctxkit.formats import parse_context, render_context
 from ctxkit.generators import gen_alice_bob, gen_alice_bob_odd, gen_minigame
 
 
@@ -437,6 +438,25 @@ def test_verdicts_and_witnesses_match_oracles_on_small_contexts(ctx):
     for mode in ("literal", "windowed"):
         assert_matches_oracles(ctx, mode)
     assert_iterator_and_determinism_match_oracles(ctx)
+
+
+def test_a_300_state_signature_reads_writes_and_decides_like_the_oracles():
+    # state indices beyond one byte, and state names whose text order is not
+    # the signature's order (s10 sorts before s2)
+    sig = Signature(tuple(f"s{i}" for i in range(300)), ("e0", "e1"), ("0", "1", "2"))
+    used = ("s0", "s2", "s10", "s255", "s256", "s299")
+    rng = random.Random(300)
+    for _ in range(20):
+        drawn = [tuple(rng.choice(used) for _ in range(sig.cell_count()))
+                 for _ in range(rng.randint(1, 12))]
+        ctx = Context(sig, tuple(Instance(sig.entities, sig.times, r) for r in drawn))
+        index = {s: i for i, s in enumerate(sig.states)}
+        keys = [tuple(index[c] for c in inst.cells) for inst in ctx.instances]
+        assert keys == sorted({tuple(index[c] for c in r) for r in drawn})
+        assert parse_context(render_context(ctx)).context == ctx
+        for mode in ("literal", "windowed"):
+            assert_matches_oracles(ctx, mode)
+        assert_iterator_and_determinism_match_oracles(ctx)
 
 
 # ---------------------------------------------------------------------------

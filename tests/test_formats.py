@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import corpus
 import oracles
 from ctxkit.core import Context, Instance, Signature
+from ctxkit.determinability import extract_iterator, is_determinable, is_deterministic
 from ctxkit.generators import gen_alice_bob, gen_minigame, gen_random_kripke
 from ctxkit.modal_logic import (
     And,
@@ -69,6 +70,20 @@ def test_parse_context_basics():
     assert loaded.instance_named("out").value("Bob", "1") == "Home"
     with pytest.raises(ValueError):
         loaded.instance_named("nope")
+
+
+def test_loading_rendering_and_analysing_build_no_instance(monkeypatch):
+    text = render_context(gen_alice_bob(4))
+
+    def refuse(*args):
+        raise AssertionError("an Instance was built")
+
+    monkeypatch.setattr(Instance, "__init__", refuse)
+    ctx = parse_context(text).context
+    assert render_context(ctx) == text
+    assert is_deterministic(ctx) is False
+    assert extract_iterator(ctx).iterator is not None
+    assert is_determinable(ctx, "windowed").determinable
 
 
 def test_context_round_trip_via_files(tmp_path):

@@ -271,6 +271,26 @@ def parse_outcome(parse, text):
         return err.position, err.found, err.expected
 
 
+def tokenize_outcome(tokenize, text):
+    """The tokens tokenize reads from text, or where and how it failed."""
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as err:
+        return err.position, err.found, err.expected
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet="pqtrufalsexyzP0_~[]<>-&|() \t\n\u00a0\u2003?!=[<{", max_size=40)
+       | st.text(max_size=20))
+@example("<-> <> -> [] ->>")
+@example("trueish false_1 \u00a0p\u3000q")
+@example("p\u0085\x1c ?")
+def test_tokenizer_agrees_with_the_reference_tokenizer(text):
+    assert tokenize_outcome(modal_logic._tokenize, text) == tokenize_outcome(
+        oracles.tokenize, text
+    )
+
+
 @settings(max_examples=1000)
 @given(token_strings())
 @example("(p -> q")
