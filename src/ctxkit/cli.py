@@ -238,8 +238,8 @@ def cmd_modal_check_context(args) -> int:
 
 def cmd_modal_verify_theorem(args) -> int:
     from ctxkit.modal_context import (
-        class_world_map,
         is_modal_context,
+        lifted_columns,
         requotient_is_identity,
         to_modal_context,
         verify_representation,
@@ -253,14 +253,11 @@ def cmd_modal_verify_theorem(args) -> int:
     representation = verify_representation(model, mc)
     # prover agreement: per member, the worlds whose context world stores it
     # are exactly the worlds the independent evaluator puts in its extension
-    worlds_of: dict[str, list[str]] = {name: [] for name in mc.world_names}
-    for world, name in class_world_map(model, mc).items():
-        worlds_of[name].append(world)
-    stored = [(mc.theory_at(name), worlds_of[name]) for name in mc.world_names]
+    bit = {w: 1 << i for i, w in enumerate(model.worlds)}
     evaluator = Evaluator(model)
     agreement = all(
-        evaluator.extension(f) == {w for theory, ws in stored if f in theory for w in ws}
-        for f in universe.members
+        sum(map(bit.__getitem__, evaluator.extension(f))) == mask
+        for f, mask in zip(universe.members, lifted_columns(model, mc))
     )
     verdict = conditions and representation and agreement
     fields.append(("universe_size", str(len(universe))))

@@ -76,7 +76,10 @@ class _Trie:
     that already exists costs one dict probe. Distinct snapshots get ints in
     first-occurrence order, with one `Snapshot` each, made when their first
     node is. Nodes are numbered in creation order, which is the canonical
-    scan order (instances, then times) of their first occurrences.
+    scan order (instances, then times) of their first occurrences. No
+    per-row table is kept: only a determinability witness needs a row's
+    path, which `path` rebuilds from the node keys, or a bundle, which
+    `bundle` reads off the node's subtree.
     """
 
     def __init__(self, ctx: Context):
@@ -88,14 +91,14 @@ class _Trie:
         self.time_of: list[int] = []
         self.kids: list[list[int]] = []
         self.first: list[int] = []  # position of the first instance through the node
-        self.paths: list[list[int]] = []  # the node of each instance at each time
         snaps, snap_of, time_of, kids, first = (
             self.snaps, self.snap_of, self.time_of, self.kids, self.first
         )
         snap_ids: dict[tuple[int, ...], int] = {}
         nodes: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._nodes = nodes  # (parent, snapshot tuple) -> node, for `path`
         for pos, row in enumerate(ctx.rows):
-            parent, path = -1, []
+            parent = -1
             for k in range(n):
                 key = (parent, row[k::n])
                 node = nodes.get(key)
@@ -112,11 +115,19 @@ class _Trie:
                     first.append(pos)
                     if parent >= 0:
                         kids[parent].append(node)
-                path.append(node)
                 parent = node
-            self.paths.append(path)
         self._ids: dict[tuple[int, int], int] = {}
         self._interned: dict[tuple[int, frozenset[int]], int] = {}
+
+    def path(self, pos: int) -> list[int]:
+        """The node of the instance at position pos at each time, rebuilt
+        from its row; only a witness needs one."""
+        row, n, nodes = self.ctx.rows[pos], len(self.times), self._nodes
+        path, parent = [], -1
+        for k in range(n):
+            parent = nodes[parent, row[k::n]]
+            path.append(parent)
+        return path
 
     def instance(self, pos: int) -> Instance:
         return self.ctx.instance_of(self.ctx.rows[pos])
@@ -128,11 +139,17 @@ class _Trie:
         return frozenset(self.snaps[s] for s in sids)
 
     def bundle(self, node: int) -> frozenset[Trace]:
-        """The future bundle at a node, from the rows of the instances through it."""
-        t, snaps, snap_of = self.time_of[node], self.snaps, self.snap_of
-        return frozenset(
-            tuple(snaps[snap_of[v]] for v in path[t:]) for path in self.paths if path[t] == node
-        )
+        """The future bundle at a node: the snapshots along every path from
+        it down to a leaf, since every such path is the suffix of a row."""
+        snaps, snap_of, kids = self.snaps, self.snap_of, self.kids
+        traces, todo = [], [(node, (snaps[snap_of[node]],))]
+        while todo:
+            v, trace = todo.pop()
+            if kids[v]:
+                todo += [(c, trace + (snaps[snap_of[c]],)) for c in kids[v]]
+            else:
+                traces.append(trace)
+        return frozenset(traces)
 
     def bundle_id(self, node: int, end: int) -> int:
         """Interned id of the node's bundle cut after time index `end`.
@@ -185,7 +202,8 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
         chain = sorted(nodes, key=time_of.__getitem__)
         if all(agree(a, b) for a, b in zip(chain, chain[1:])):
             continue
-        occs = [(k, v) for k, path in enumerate(trie.paths) for v in path if trie.snap_of[v] == sid]
+        occs = [(k, v) for k in range(len(ctx.rows)) for v in trie.path(k)
+                if trie.snap_of[v] == sid]
         (p, a), (q, b) = next(
             (x, y) for i, x in enumerate(occs) for y in occs[i + 1 :] if not agree(x[1], y[1])
         )

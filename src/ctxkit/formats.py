@@ -341,9 +341,12 @@ def render_modal_context(mc: ModalContext) -> str:
 
     Only contexts over generated universes (default connectives, known cap)
     and the single (0,0) cell serialize; closure-built universes carry no
-    regenerable identity.
+    regenerable identity. Each world lists the members its row stores, in
+    member order, by their texts.
     """
-    from ctxkit.modal_logic import DEFAULT_CONNECTIVES, print_formula
+    from itertools import compress
+
+    from ctxkit.modal_logic import DEFAULT_CONNECTIVES
 
     u = mc.universe
     if u.cap is None or tuple(u.connectives) != DEFAULT_CONNECTIVES:
@@ -353,12 +356,10 @@ def render_modal_context(mc: ModalContext) -> str:
     if mc.entities != ("0",) or mc.times != ("0",):
         raise ValueError("only single-cell modal contexts serialize")
     lines = [f"universe atoms={','.join(u.atoms)} depth={u.depth} cap={u.cap}"]
-    for name in mc.world_names:
+    has = [f"  has {text}" for text in u.texts]
+    for name, row in zip(mc.world_names, mc.rows_at()):
         lines.append(f"cworld {name}")
-        stored = mc.assignments[name][("0", "0")]
-        for f in u.members:
-            if f in stored:
-                lines.append(f"  has {print_formula(f)}")
+        lines += compress(has, row)
     index = {n: i for i, n in enumerate(mc.world_names)}
     lines += [
         f"cedge {a} {b}"
@@ -368,17 +369,43 @@ def render_modal_context(mc: ModalContext) -> str:
 
 
 def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalContext:
+    """A modal context from its file. Each `has` line's text is looked up
+    among the member texts and sets that member's bit for the current
+    cworld; only text that is not canonical is parsed. No formula node is
+    built for a canonical file."""
     from ctxkit.modal_context import ModalContext
     from ctxkit.modal_logic import formula_universe, parse_formula, print_formula
 
     universe: FormulaUniverse | None = None
-    sets: dict[str, set] = {}  # cworld -> its formulas, in declaration order
+    columns: list[int] = []  # member -> mask over the cworlds
+    names: dict[str, None] = {}  # the cworlds, in declaration order
     relation: set[tuple[str, str]] = set()
-    current: str | None = None
+    bit = 0
 
     for line_no, content in _meaningful_lines(text):
         directive = content.split(None, 1)[0]
-        parts = () if directive == "has" else content.split()  # a formula is not split
+        if directive == "has":  # the most common line: a text lookup and a bit
+            if not bit:  # no cworld yet, and perhaps no universe either
+                raise ModelFileError(source, line_no, "`has` before any cworld"
+                                     if universe is not None
+                                     else "universe header must come first")
+            written = content[len("has") :]
+            i = universe.index_printed_as(written.strip())
+            if i is None:  # not canonical text: parse it
+                try:
+                    formula = parse_formula(written)
+                except ValueError as exc:
+                    raise ModelFileError(source, line_no, str(exc)) from None
+                i = universe.index_of(formula)
+                if i is None:
+                    raise ModelFileError(
+                        source,
+                        line_no,
+                        f"formula {print_formula(formula)} is outside the declared universe",
+                    )
+            columns[i] |= bit
+            continue
+        parts = content.split()  # a formula is not split
         if directive == "universe":
             if universe is not None:
                 raise ModelFileError(source, line_no, "repeated universe header")
@@ -405,38 +432,22 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
                 )
             except ValueError as exc:
                 raise ModelFileError(source, line_no, str(exc)) from None
+            columns = [0] * len(universe)
             continue
         if universe is None:
             raise ModelFileError(source, line_no, "universe header must come first")
         if directive == "cworld":
             if len(parts) != 2:
                 raise ModelFileError(source, line_no, "expected `cworld <name>`")
-            current = parts[1]
-            if current in sets:
-                raise ModelFileError(source, line_no, f"cworld {current!r} declared twice")
-            sets[current] = set()
-        elif directive == "has":
-            if current is None:
-                raise ModelFileError(source, line_no, "`has` before any cworld")
-            written = content[len("has") :]
-            formula = universe.member_printed_as(written.strip())
-            if formula is None:  # not canonical text: parse it
-                try:
-                    formula = parse_formula(written)
-                except ValueError as exc:
-                    raise ModelFileError(source, line_no, str(exc)) from None
-                if formula not in universe:
-                    raise ModelFileError(
-                        source,
-                        line_no,
-                        f"formula {print_formula(formula)} is outside the declared universe",
-                    )
-            sets[current].add(formula)
+            if parts[1] in names:
+                raise ModelFileError(source, line_no, f"cworld {parts[1]!r} declared twice")
+            bit = 1 << len(names)
+            names[parts[1]] = None
         elif directive == "cedge":
             if len(parts) != 3:
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
             for name in parts[1:]:
-                if name not in sets:
+                if name not in names:
                     raise ModelFileError(source, line_no, f"unknown cworld {name!r}")
             relation.add((parts[1], parts[2]))
         else:
@@ -444,10 +455,9 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
 
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")
-    assignments = {n: {("0", "0"): frozenset(fs)} for n, fs in sets.items()}
     try:
-        return ModalContext(
-            ("0",), ("0",), tuple(sets), assignments, frozenset(relation), universe
+        return ModalContext.from_columns(
+            ("0",), ("0",), tuple(names), {("0", "0"): columns}, frozenset(relation), universe
         )
     except ValueError as exc:
         raise ModelFileError(source, None, str(exc)) from None

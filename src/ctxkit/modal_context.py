@@ -1,18 +1,23 @@
 """Compiling Kripke models into modal contexts and checking them.
 
-One extension table per (model, universe) drives the construction: every
-universe member's extension as an int bitmask over the model's worlds, filled
-in one forward pass over the canonically ordered members. Worlds are grouped
-by their bits on the modal-atom columns (atoms, constants, []/<> members)
-alone, which decides agreement on the whole universe; each class becomes a
-context world carrying its class theory, built once per class, at the single
-(entity, time) index; and each model edge, mapped through world -> class,
-relates two context worlds. That is the smallest filtration of the model
-through the subformula-closed universe (Blackburn, de Rijke & Venema, Modal
-Logic, CUP 2001, section 2.3). The resulting structure must satisfy the
-box/diamond membership biconditionals against its relation, and must
-represent every original world by theory; both facts are re-checked here
-rather than assumed.
+One table shape runs the whole pipeline: a column per universe member, in
+the universe's canonical member order, each an int mask over some worlds.
+`extension_table` fills it over the model's worlds in one forward pass over
+the member rows, reading kinds and child rows, never formula nodes. Worlds
+with equal rows across the table have equal theories, and each such class
+becomes a context world; its bit in every column is the bit of any of its
+worlds, and each model edge, mapped through world -> class, relates two
+context worlds. That is the smallest filtration of the model through the
+subformula-closed universe (Blackburn, de Rijke & Venema, Modal Logic, CUP
+2001, section 2.3). A `ModalContext` stores those class columns for its
+cell. The resulting structure must satisfy the box/diamond membership
+biconditionals against its relation, and must represent every original
+world by theory; both facts are re-checked here, on the columns, rather
+than assumed.
+
+Rows and columns convert into each other by byte-wise transposition
+(`_rows`, `_columns`): a world's row is a bytes object with one 0/1 byte per
+member, so equal theories are equal rows.
 
 The construction itself never uses non-trivial entities or times (the index
 set is a single cell), but verification iterates over whatever (entity, time)
@@ -21,10 +26,13 @@ grid a context declares, so hand-built power contexts check the same way.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from typing import NamedTuple
 
+from ctxkit.core import SizeGuardError, effective_guard
 from ctxkit.modal_logic import (
     And,
     Atom,
@@ -42,6 +50,8 @@ from ctxkit.modal_logic import (
 )
 
 UNIT = ("0",)
+CELL = (UNIT[0], UNIT[0])
+DEFAULT_TABLE_GUARD = 1 << 24  # universe members x model worlds of one extension table
 
 
 @dataclass(frozen=True)
@@ -59,57 +69,126 @@ class WorldClass:
             raise ValueError("representative must be the smallest member name")
 
 
-Assignment = Mapping[tuple[str, str], frozenset[Formula]]
+Cell = tuple[str, str]
+Assignment = Mapping[Cell, frozenset[Formula]]
 
 
-@dataclass(frozen=True)
+# byte value -> its bit b, as a byte 0 or 1: one translation table per bit
+_BIT = [bytes([value >> b & 1 for value in range(256)]) for b in range(8)]
+
+
+def _rows(column: Sequence[int], count: int) -> list[bytes]:
+    """Each of count worlds' rows under a column table: byte i is 1 when
+    member i's mask has the world's bit, else 0. Every mask is written as
+    little-endian bytes, one after another; a strided slice takes one byte
+    plane (eight worlds) of every member, and each plane is translated once
+    per world."""
+    width = (count + 7) // 8
+    data = b"".join([mask.to_bytes(width, "little") for mask in column])
+    rows: list[bytes] = []
+    for k in range(width):
+        plane = data[k::width]
+        rows += [plane.translate(_BIT[b]) for b in range(min(8, count - 8 * k))]
+    return rows
+
+
+def _columns(rows: Sequence[bytes], count: int) -> tuple[int, ...]:
+    """The column table of rows over count members: `_rows` inverted. Read
+    as base-256 numbers, eight rows shifted by their bit and added carry
+    into no byte, so one sum holds eight worlds' bits of every member."""
+    columns = [0] * count
+    for low in range(0, len(rows), 8):
+        plane = 0
+        for b, row in enumerate(rows[low : low + 8]):
+            plane += int.from_bytes(row, "little") << b
+        columns = [c | bits << low for c, bits in zip(columns, plane.to_bytes(count, "little"))]
+    return tuple(columns)
+
+
+@dataclass(frozen=True, init=False)
 class ModalContext:
     """A finite power context: named worlds mapping (entity, time) cells to
-    formula sets, plus a relation between the worlds."""
+    formula sets, plus a relation between the worlds.
+
+    Stored column-wise, in the shape of `extension_table`: each cell holds
+    one int mask per universe member, in member order, with bit j set when
+    world_names[j] stores the member there. The public constructor takes
+    formula sets (for hand-built and multi-cell contexts) and turns them into
+    columns; `from_columns` takes columns. Both run the same checks.
+    `assignments` and `theory_at` are views built from the columns on first
+    read.
+    """
 
     entities: tuple[str, ...]
     times: tuple[str, ...]
     world_names: tuple[str, ...]
-    assignments: Mapping[str, Assignment]
+    columns: Mapping[Cell, tuple[int, ...]]
     relation: frozenset[tuple[str, str]]
     universe: FormulaUniverse
 
-    def __post_init__(self):
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "times", tuple(self.times))
-        object.__setattr__(self, "world_names", tuple(self.world_names))
-        object.__setattr__(
-            self,
-            "assignments",
-            {
-                name: {cell: frozenset(fs) for cell, fs in table.items()}
-                for name, table in dict(self.assignments).items()
-            },
-        )
-        object.__setattr__(self, "relation", frozenset(tuple(p) for p in self.relation))
-
-        names = self.world_names
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate context-world names")
-        grid = [(e, t) for e in self.entities for t in self.times]
-        cells = set(grid)
-        if set(self.assignments) != set(names):
+    def __init__(self, entities, times, world_names, assignments: Mapping[str, Assignment],
+                 relation, universe: FormulaUniverse):
+        names = _distinct(world_names)
+        assignments = dict(assignments)
+        if set(assignments) != set(names):
             raise ValueError("assignments must cover exactly the named worlds")
-        members = self.universe._member_set
-        first_with: dict[tuple[frozenset[Formula], ...], int] = {}
-        equal = []  # (i, j): world j has the assignment world i was first to have
+        grid = [(e, t) for e in entities for t in times]
+        cells = set(grid)
+        columns = {cell: [0] * len(universe) for cell in grid}
         for j, name in enumerate(names):
-            table = self.assignments[name]
+            table = assignments[name]
             if table.keys() != cells:
                 raise ValueError(f"world {name!r} is not total over the (entity, time) grid")
-            for formula_set in table.values():
-                if not formula_set <= members:
-                    f = next(f for f in formula_set if f not in members)
-                    raise ValueError(
-                        f"world {name!r} stores {print_formula(f)}, "
-                        "which is outside the universe"
-                    )
-            i = first_with.setdefault(tuple([table[cell] for cell in grid]), j)
+            for cell, formulas in table.items():
+                column = columns[cell]
+                for f in formulas:
+                    i = universe.index_of(f)
+                    if i is None:
+                        raise ValueError(
+                            f"world {name!r} stores {print_formula(f)}, "
+                            "which is outside the universe"
+                        )
+                    column[i] |= 1 << j
+        self._settle(entities, times, names, columns, relation, universe)
+
+    @classmethod
+    def from_columns(cls, entities, times, world_names, columns: Mapping[Cell, Sequence[int]],
+                     relation, universe: FormulaUniverse) -> ModalContext:
+        """A context from its column tables, one per cell of the grid, each
+        one mask per universe member over the named worlds."""
+        names = _distinct(world_names)
+        if set(columns) != {(e, t) for e in entities for t in times}:
+            raise ValueError("columns must cover exactly the (entity, time) grid")
+        everywhere = (1 << len(names)) - 1
+        for cell, column in columns.items():
+            if len(column) != len(universe):
+                raise ValueError(
+                    f"cell {cell} has {len(column)} columns for {len(universe)} members"
+                )
+            if min(column) < 0 or max(column) > everywhere:
+                raise ValueError(f"a column of cell {cell} has bits outside the named worlds")
+        mc = object.__new__(cls)
+        mc._settle(entities, times, names, columns, relation, universe)
+        return mc
+
+    def _settle(self, entities, times, names, columns, relation, universe) -> None:
+        """Store the fields and check what both constructors share: no two
+        worlds equal as functions, no relation endpoint outside."""
+        entities, times = tuple(entities), tuple(times)
+        grid = [(e, t) for e in entities for t in times]
+        _set = object.__setattr__
+        _set(self, "entities", entities)
+        _set(self, "times", times)
+        _set(self, "world_names", names)
+        _set(self, "columns", {cell: tuple(columns[cell]) for cell in grid})
+        _set(self, "relation", frozenset(tuple(p) for p in relation))
+        _set(self, "universe", universe)
+
+        rows = [self._cell_rows[cell] for cell in grid]
+        first_with: dict[tuple[bytes, ...], int] = {}
+        equal = []  # (i, j): world j has the assignment world i was first to have
+        for j in range(len(names)):
+            i = first_with.setdefault(tuple([cell_rows[j] for cell_rows in rows]), j)
             if i != j:
                 equal.append((i, j))
         if equal:  # the pair a scan over all pairs in name order meets first
@@ -121,20 +200,50 @@ class ModalContext:
                 raise ValueError(f"relation endpoint outside the context: ({a}, {b})")
 
     @cached_property
-    def _successors(self) -> dict[str, tuple[str, ...]]:
-        """World -> its successors in world_names order, from one pass over
-        the relation."""
-        index = {w: i for i, w in enumerate(self.world_names)}
-        out: dict[str, list[str]] = {w: [] for w in self.world_names}
+    def _cell_rows(self) -> dict[Cell, list[bytes]]:
+        """Cell -> each world's row there, in world order."""
+        count = len(self.world_names)
+        return {cell: _rows(column, count) for cell, column in self.columns.items()}
+
+    def rows_at(self, entity: str | None = None, time: str | None = None) -> list[bytes]:
+        """Each world's row at a cell (the first by default), in world order:
+        byte i is 1 when the world stores member i there, else 0."""
+        e = self.entities[0] if entity is None else entity
+        t = self.times[0] if time is None else time
+        return self._cell_rows[(e, t)]
+
+    @cached_property
+    def assignments(self) -> dict[str, dict[Cell, frozenset[Formula]]]:
+        """World -> cell -> the formulas stored there, built from the columns."""
+        members = self.universe.members
+        out: dict[str, dict[Cell, frozenset[Formula]]] = {n: {} for n in self.world_names}
+        for cell, rows in self._cell_rows.items():
+            for name, row in zip(self.world_names, rows):
+                out[name][cell] = frozenset(compress(members, row))
+        return out
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        """World name -> its bit position."""
+        return {w: j for j, w in enumerate(self.world_names)}
+
+    @cached_property
+    def _successor_masks(self) -> list[tuple[int, int]]:
+        """(world bit, successor mask) per world, in world order, from one
+        pass over the relation."""
+        index = self._position
+        masks = [0] * len(index)
         for a, b in self.relation:
-            out[a].append(b)
-        return {w: tuple(sorted(vs, key=index.__getitem__)) for w, vs in out.items()}
+            masks[index[a]] |= 1 << index[b]
+        return [(1 << j, mask) for j, mask in enumerate(masks)]
 
     def successors(self, name: str) -> tuple[str, ...]:
-        try:
-            return self._successors[name]
-        except KeyError:
-            raise ValueError(f"unknown context world {name!r}") from None
+        """The world's successors, in world_names order."""
+        j = self._position.get(name)
+        if j is None:
+            raise ValueError(f"unknown context world {name!r}")
+        mask = self._successor_masks[j][1]
+        return tuple([w for k, w in enumerate(self.world_names) if mask >> k & 1])
 
     def theory_at(self, name: str, entity: str | None = None, time: str | None = None):
         e = self.entities[0] if entity is None else entity
@@ -145,36 +254,60 @@ class ModalContext:
             raise ValueError(f"unknown world or cell: {name!r} at ({e!r}, {t!r})") from None
 
 
-def extension_table(model: KripkeModel, universe: FormulaUniverse) -> dict[Formula, int]:
-    """Each universe member's extension as an int bitmask over the model's
-    worlds: bit i is set when model.worlds[i] satisfies the member.
+def _distinct(world_names) -> tuple[str, ...]:
+    names = tuple(world_names)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate context-world names")
+    return names
 
-    One forward pass fills it, because the canonical member order puts every
-    subformula before the formulas built on it; []/<> read per-world
-    successor masks.
+
+def _box(successors: list[tuple[int, int]], inner: int) -> int:
+    """The worlds all of whose successors are in inner."""
+    return sum([bit for bit, succ in successors if succ & inner == succ])
+
+
+def _diamond(successors: list[tuple[int, int]], inner: int) -> int:
+    """The worlds some of whose successors are in inner."""
+    return sum([bit for bit, succ in successors if succ & inner])
+
+
+def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
+    """Each universe member's extension as an int bitmask over the model's
+    worlds, in member order: bit i is set when model.worlds[i] satisfies the
+    member.
+
+    One forward pass over the member rows fills it, because the canonical
+    order puts every child row before its parent; []/<> read per-world
+    successor masks. A table of more members x worlds than the guard
+    (`DEFAULT_TABLE_GUARD`, or `CTXKIT_GUARD`) is refused before it is built.
     """
+    needed = len(universe) * len(model.worlds)
+    limit = effective_guard(None, DEFAULT_TABLE_GUARD)
+    if needed > limit:
+        raise SizeGuardError(
+            needed, limit,
+            f"extension table of {len(universe)} members over {len(model.worlds)} worlds",
+        )
     bit = {w: 1 << i for i, w in enumerate(model.worlds)}
     everywhere = (1 << len(bit)) - 1
     successors = [(bit[w], sum(bit[v] for v in model.successors(w))) for w in model.worlds]
-    table: dict[Formula, int] = {}
-    for f in universe.members:
-        kind = type(f)
+    valuation = model.valuation
+    table: list[int] = []
+    for kind, arg in zip(universe.kinds, universe.args):
         if kind is Atom:
-            mask = sum(bit[w] for w in model.valuation.get(f.name, ()))
+            mask = sum([bit[w] for w in valuation.get(arg, ())])
         elif kind is Top:
             mask = everywhere
         elif kind is Bottom:
             mask = 0
         elif kind is Box:
-            inner = table[f.operand]
-            mask = sum(b for b, succ in successors if succ & inner == succ)
+            mask = _box(successors, table[arg[0]])
         elif kind is Diamond:
-            inner = table[f.operand]
-            mask = sum(b for b, succ in successors if succ & inner)
+            mask = _diamond(successors, table[arg[0]])
         elif kind is Not:
-            mask = everywhere ^ table[f.operand]
+            mask = everywhere ^ table[arg[0]]
         else:
-            left, right = table[f.left], table[f.right]
+            left, right = table[arg[0]], table[arg[1]]
             if kind is And:
                 mask = left & right
             elif kind is Or:
@@ -183,21 +316,20 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> dict[Formu
                 mask = (everywhere ^ left) | right
             else:  # Iff
                 mask = everywhere ^ (left ^ right)
-        table[f] = mask
+        table.append(mask)
     return table
 
 
-# the members every other member is a Boolean combination of
-_MODAL_ATOMS = (Atom, Top, Bottom, Box, Diamond)
+class _Quotient(NamedTuple):
+    """A model's theory classes over a universe, ordered by representative."""
+
+    worlds: tuple[tuple[str, ...], ...]  # each class's worlds, in model order
+    rows: tuple[bytes, ...]  # each class's theory row
+    columns: tuple[int, ...]  # each member's mask over the classes
 
 
-_Classes = tuple[tuple[tuple[str, ...], frozenset[Formula]], ...]
-
-
-def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Classes:
-    """The theory classes of the model's worlds over the universe, ordered by
-    representative (smallest member name), each with its member worlds in
-    model order and its theory.
+def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
+    """The theory classes of the model's worlds over the universe.
 
     Computed once per (model, universe) and kept on the model, so every
     function below that quotients the same model reads the same classes.
@@ -209,50 +341,44 @@ def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Classes:
     return classes
 
 
-def _filtration(model: KripkeModel, universe: FormulaUniverse) -> _Classes:
+def _filtration(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
     """The classes `_classes` returns, from one extension table.
 
-    Worlds are grouped by their bits on the modal-atom columns alone. Every
-    member is a Boolean combination of the atoms, constants and []/<>
-    members among its subformulas, which the subformula-closed universe
-    holds, so agreeing on those is agreeing on the whole universe. By the
-    filtration lemma (Blackburn, de Rijke & Venema, section 2.3) the classes,
-    related through the model's edges, are the smallest filtration through
-    the universe and keep the truth of every member.
+    Worlds are grouped by their rows of the table, which are their theories
+    over the universe. By the filtration lemma (Blackburn, de Rijke & Venema,
+    section 2.3) the classes, related through the model's edges, are the
+    smallest filtration through the subformula-closed universe and keep the
+    truth of every member. A class's row is the row of any of its worlds, and
+    transposing the class rows gives the class columns.
     """
-    table = extension_table(model, universe)
-    columns = [mask for f, mask in table.items() if type(f) in _MODAL_ATOMS]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(len(model.worlds)):
-        groups.setdefault(tuple([mask >> i & 1 for mask in columns]), []).append(i)
-    classes = []
-    for indices in groups.values():
-        one = 1 << indices[0]
-        theory = frozenset([f for f, mask in table.items() if mask & one])
-        classes.append((tuple([model.worlds[i] for i in indices]), theory))
-    classes.sort(key=lambda c: min(c[0]))
-    return tuple(classes)
+    worlds = model.worlds
+    groups: dict[bytes, list[str]] = {}
+    for world, row in zip(worlds, _rows(extension_table(model, universe), len(worlds))):
+        groups.setdefault(row, []).append(world)
+    classes = sorted((min(ws), tuple(ws), row) for row, ws in groups.items())
+    rows = tuple([row for _, _, row in classes])
+    return _Quotient(tuple([ws for _, ws, _ in classes]), rows, _columns(rows, len(universe)))
 
 
 def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[WorldClass, ...]:
     """Partition the worlds by equality of their theories over the universe."""
-    return tuple(WorldClass(min(ws), frozenset(ws)) for ws, _ in _classes(model, universe))
+    return tuple(WorldClass(min(ws), frozenset(ws)) for ws in _classes(model, universe).worlds)
 
 
 def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalContext:
     """Build the quotient modal context of a Kripke model.
 
     Context worlds are named c0, c1, ... in class order (classes ordered by
-    representative), each carrying its class theory at the unique cell; two
-    context worlds are related iff some members of their classes are.
+    representative), each carrying its class theory at the unique cell: the
+    class columns are the context's columns. Two context worlds are related
+    iff some members of their classes are.
     """
     classes = _classes(model, universe)
-    names = tuple(f"c{k}" for k in range(len(classes)))
-    cell = (UNIT[0], UNIT[0])
-    assignments = {name: {cell: theory} for name, (_, theory) in zip(names, classes)}
-    name_of = {w: name for name, (worlds, _) in zip(names, classes) for w in worlds}
+    names = tuple(f"c{k}" for k in range(len(classes.worlds)))
+    name_of = {w: name for name, worlds in zip(names, classes.worlds) for w in worlds}
     relation = frozenset((name_of[a], name_of[b]) for a, b in model.relation)
-    return ModalContext(UNIT, UNIT, names, assignments, relation, universe)
+    return ModalContext.from_columns(UNIT, UNIT, names, {CELL: classes.columns}, relation,
+                                     universe)
 
 
 @dataclass(frozen=True)
@@ -295,50 +421,57 @@ def is_modal_context(mc: ModalContext) -> ModalContextReport:
     For each s with []s in the universe: []s is in a world's cell iff every
     relation successor has s there; dually, <>s iff some successor has s.
     Only operator formulas inside the universe are checkable under the
-    truncation, and those are checked exactly.
+    truncation, and those are checked exactly: per cell, the `extension_table`
+    rule for []/<> is applied to the context's own relation and to s's
+    column, and the result is compared with the stored column of []s or <>s.
+    Violations are read off the differing bits, world by world, then cell by
+    cell, boxes before diamonds, each in member order.
     """
-    boxed = [(f.operand, f) for f in mc.universe.members if isinstance(f, Box)]
-    diamonded = [(f.operand, f) for f in mc.universe.members if isinstance(f, Diamond)]
+    kinds, args = mc.universe.kinds, mc.universe.args
+    pairs = [(i, args[i][0], _box, "box") for i, kind in enumerate(kinds) if kind is Box]
+    pairs += [(i, args[i][0], _diamond, "diamond") for i, kind in enumerate(kinds)
+              if kind is Diamond]
+    successors = mc._successor_masks
+    wrong = []  # (cell, [(s, operator, forward bits, backward bits)]) where a column differs
+    for cell, column in mc.columns.items():
+        differ = []
+        for i, s, rule, operator in pairs:
+            held, stored = rule(successors, column[s]), column[i]
+            if held != stored:
+                differ.append((s, operator, stored & ~held, held & ~stored))
+        if differ:
+            wrong.append((cell, differ))
     violations = []
-    for name in mc.world_names:
-        successors = mc.successors(name)
-        for e in mc.entities:
-            for t in mc.times:
-                own = mc.assignments[name][(e, t)]
-                successor_sets = [mc.assignments[s][(e, t)] for s in successors]
-                for s, box_s in boxed:
-                    everywhere = all(s in succ for succ in successor_sets)
-                    if box_s in own and not everywhere:
-                        violations.append(ModalViolation(name, e, t, s, "box", "forward"))
-                    elif everywhere and box_s not in own:
-                        violations.append(ModalViolation(name, e, t, s, "box", "backward"))
-                for s, dia_s in diamonded:
-                    somewhere = any(s in succ for succ in successor_sets)
-                    if dia_s in own and not somewhere:
+    if wrong:
+        members = mc.universe.members
+        for j, name in enumerate(mc.world_names):
+            bit = 1 << j
+            for (e, t), differ in wrong:
+                for s, operator, forward, backward in differ:
+                    if forward & bit:
                         violations.append(
-                            ModalViolation(name, e, t, s, "diamond", "forward")
-                        )
-                    elif somewhere and dia_s not in own:
+                            ModalViolation(name, e, t, members[s], operator, "forward"))
+                    elif backward & bit:
                         violations.append(
-                            ModalViolation(name, e, t, s, "diamond", "backward")
-                        )
+                            ModalViolation(name, e, t, members[s], operator, "backward"))
     return ModalContextReport(not violations, tuple(violations))
 
 
 def verify_representation(model: KripkeModel, mc: ModalContext) -> bool:
     """Every Kripke world's theory appears verbatim as some context world's
     formula set at the first cell."""
-    stored = {mc.theory_at(name) for name in mc.world_names}
-    return all(theory in stored for _, theory in _classes(model, mc.universe))
+    stored = set(mc.rows_at())
+    return all(row in stored for row in _classes(model, mc.universe).rows)
 
 
 def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
     """Kripke world -> name of the context world carrying its theory."""
-    by_theory = {mc.theory_at(name): name for name in mc.world_names}
+    by_row = dict(zip(mc.rows_at(), mc.world_names))
+    classes = _classes(model, mc.universe)
     found = {}
-    for worlds, theory in _classes(model, mc.universe):
+    for worlds, row in zip(classes.worlds, classes.rows):
         for world in worlds:
-            found[world] = by_theory.get(theory)
+            found[world] = by_row.get(row)
     out = {}
     for world in model.worlds:
         name = found[world]
@@ -348,12 +481,25 @@ def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
     return out
 
 
+def lifted_columns(model: KripkeModel, mc: ModalContext) -> tuple[int, ...]:
+    """Each member's column at the first cell, lifted from the context's
+    worlds to the model's through `class_world_map`: bit i is set when the
+    context world of model.worlds[i] stores the member. Each model world
+    takes its context world's row, and transposing those rows gives the
+    columns."""
+    rows = dict(zip(mc.world_names, mc.rows_at()))
+    return _columns([rows[name] for name in class_world_map(model, mc).values()],
+                    len(mc.universe))
+
+
 def induced_kripke(mc: ModalContext) -> KripkeModel:
     """Read a single-cell modal context back as a Kripke model: its worlds,
     its relation, and atoms valuated by stored membership."""
+    u, rows = mc.universe, mc.rows_at()
+    atom_row = {arg: i for i, (kind, arg) in enumerate(zip(u.kinds, u.args)) if kind is Atom}
     valuation = {
-        atom: frozenset(w for w in mc.world_names if Atom(atom) in mc.theory_at(w))
-        for atom in mc.universe.atoms
+        atom: frozenset([w for w, row in zip(mc.world_names, rows) if row[atom_row[atom]]])
+        for atom in u.atoms
     }
     return KripkeModel(mc.world_names, mc.relation, valuation)
 
@@ -368,9 +514,12 @@ def requotient_is_identity(mc: ModalContext) -> bool:
     redone = to_modal_context(induced_kripke(mc), mc.universe)
     if len(redone.world_names) != len(mc.world_names):
         return False
+    named: dict[str, list[str]] = {}
+    for v, row in zip(redone.world_names, redone.rows_at()):
+        named.setdefault(row, []).append(v)
     rename = {}
-    for w in mc.world_names:
-        matches = [v for v in redone.world_names if redone.theory_at(v) == mc.theory_at(w)]
+    for w, row in zip(mc.world_names, mc.rows_at()):
+        matches = named.get(row, ())
         if len(matches) != 1:
             return False
         rename[w] = matches[0]
@@ -389,11 +538,18 @@ def prove_in_context(
     Formulas outside the universe are not decidable within the truncation
     and are rejected rather than silently reported false.
     """
-    if formula not in mc.universe:
+    i = mc.universe.index_of(formula)
+    if i is None:
         raise ValueError(
             f"formula {print_formula(formula)} is outside the universe; "
             "membership is undecidable within this truncation"
         )
-    if world not in mc.assignments:  # keyed by exactly the world names
+    j = mc._position.get(world)
+    if j is None:
         raise ValueError(f"unknown context world {world!r}")
-    return formula in mc.theory_at(world, entity, time)
+    e = mc.entities[0] if entity is None else entity
+    t = mc.times[0] if time is None else time
+    column = mc.columns.get((e, t))
+    if column is None:
+        raise ValueError(f"unknown world or cell: {world!r} at ({e!r}, {t!r})")
+    return column[i] >> j & 1 == 1

@@ -230,6 +230,16 @@ def atom_names(formula: Formula) -> set[str]:
 # printing: minimal parentheses, canonical whitespace
 # ---------------------------------------------------------------------------
 
+def _part(text: str, kid: type[Formula], op: type[Formula], right: bool = False) -> str:
+    """A child's text as it prints under op: in parentheses when the child's
+    kind binds looser than op admits on that side. The side a binary node
+    associates to may hold a child of its own precedence; a unary node's
+    operand is its left side.
+    """
+    floor = op.prec - op.right_assoc + 1 if right else op.prec + op.right_assoc
+    return f"({text})" if kid.prec < floor else text
+
+
 def print_formula(formula: Formula) -> str:
     """Render a formula so that parse_formula reads it back unchanged.
 
@@ -242,27 +252,19 @@ def print_formula(formula: Formula) -> str:
         todo = [formula]
         while todo:
             node = todo[-1]
-            kids, prec = node.children, node.prec
+            kids, op = node.children, type(node)
+            parts = [getattr(kid, "_text", None) for kid in kids]
+            if None in parts:
+                todo += [kid for kid, part in zip(kids, parts) if part is None]
+                continue
             if not kids:
                 text = node.symbol
-            elif len(kids) == 1:  # no unary node associates to the right
-                kid = kids[0]
-                part = getattr(kid, "_text", None)
-                if part is None:
-                    todo.append(kid)
-                    continue
-                text = node.symbol + (f"({part})" if kid.prec < prec else part)
-            else:  # the side a binary node associates to may hold its own precedence
+            elif len(kids) == 1:
+                text = op.symbol + _part(parts[0], type(kids[0]), op)
+            else:
                 left, right = kids
-                lpart, rpart = getattr(left, "_text", None), getattr(right, "_text", None)
-                if lpart is None or rpart is None:
-                    todo += [kid for kid in kids if getattr(kid, "_text", None) is None]
-                    continue
-                if left.prec < prec + node.right_assoc:
-                    lpart = f"({lpart})"
-                if right.prec <= prec - node.right_assoc:
-                    rpart = f"({rpart})"
-                text = f"{lpart} {node.symbol} {rpart}"
+                text = (f"{_part(parts[0], type(left), op)} {op.symbol} "
+                        f"{_part(parts[1], type(right), op, right=True)}")
             _set(node, "_text", text)
             todo.pop()
     return text  # the last node printed is the formula, at the stack's bottom
@@ -379,9 +381,17 @@ def parse_formula(text: str) -> Formula:
 # bounded formula universes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FormulaUniverse:
     """A finite, subformula-closed set of formulas standing in for all of them.
+
+    The members are the rows of one table, in canonical order (size, then
+    printed text): row i holds member i's kind (its node class), its args
+    (the rows of its children, or an atom's name), its size and its printed
+    text. A child's row comes before its parent's, so one forward pass over
+    the rows computes anything bottom-up. Formula nodes are built only when
+    `members` is first read; equality and hashing read the identity fields
+    and the texts, never a node.
 
     Generated universes are identified by (atoms, depth, cap, connectives);
     cap is None for universes built by subformula closure of explicit
@@ -392,33 +402,64 @@ class FormulaUniverse:
     depth: int
     cap: int | None
     connectives: tuple[str, ...]
-    members: tuple[Formula, ...]
+    kinds: tuple[type[Formula], ...]
+    args: tuple[tuple[int, ...] | str, ...]
+    sizes: tuple[int, ...]
+    texts: tuple[str, ...]
 
     @cached_property
-    def _member_set(self) -> frozenset[Formula]:
-        return frozenset(self.members)
+    def _key(self) -> tuple:
+        return self.atoms, self.depth, self.cap, self.connectives, self.texts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FormulaUniverse):
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return (
+            f"FormulaUniverse(atoms={self.atoms!r}, depth={self.depth!r}, cap={self.cap!r}, "
+            f"connectives={self.connectives!r}, members={len(self.texts)})"
+        )
 
     @cached_property
-    def _by_text(self) -> dict[str, Formula]:
-        return {print_formula(f): f for f in self.members}
+    def members(self) -> tuple[Formula, ...]:
+        """The member nodes in canonical order, built from the rows on first read."""
+        nodes: list[Formula] = []
+        for kind, arg in zip(self.kinds, self.args):
+            nodes.append(Atom(arg) if kind is Atom else kind(*[nodes[i] for i in arg]))
+        return tuple(nodes)
 
-    def __contains__(self, formula: object) -> bool:
-        return formula in self._member_set
+    @cached_property
+    def _by_text(self) -> dict[str, int]:
+        return {text: i for i, text in enumerate(self.texts)}
 
-    def member_printed_as(self, text: str) -> Formula | None:
-        """The member whose `print_formula` text is exactly text, else None.
+    def index_printed_as(self, text: str) -> int | None:
+        """The row of the member whose `print_formula` text is exactly text, else None.
 
-        The printer round-trips, so this is the member parse_formula(text)
-        would equal, found without parsing.
+        The printer round-trips, so this is the row of the member
+        parse_formula(text) would equal, found without parsing.
         """
         return self._by_text.get(text)
 
+    def index_of(self, formula: Formula) -> int | None:
+        """The row of formula, else None: found by its printed text, which
+        names exactly one formula, so no member node is built."""
+        return self._by_text.get(print_formula(formula))
+
+    def __contains__(self, formula: object) -> bool:
+        return isinstance(formula, Formula) and self.index_of(formula) is not None
+
+    def member_printed_as(self, text: str) -> Formula | None:
+        """The member whose `print_formula` text is exactly text, else None."""
+        i = self._by_text.get(text)
+        return None if i is None else self.members[i]
+
     def __len__(self) -> int:
-        return len(self.members)
-
-
-def _canonical_members(members: Iterable[Formula]) -> tuple[Formula, ...]:
-    return tuple(sorted(members, key=lambda f: (f.size, print_formula(f))))
+        return len(self.texts)
 
 
 def _refuse_layer(grown: int, n: int, binary_ops: int, guard: int) -> None:
@@ -427,33 +468,6 @@ def _refuse_layer(grown: int, n: int, binary_ops: int, guard: int) -> None:
     projected = grown + binary_ops * n * n
     if projected > guard and n * n > guard:
         raise SizeGuardError(projected, guard, "formula universe", exact=False)
-
-
-def _boolean_layers(
-    base: set[Formula], cap: int, connectives: tuple[str, ...], guard: int
-) -> set[Formula]:
-    """Close base under the chosen Boolean connectives to nesting depth cap."""
-    binary_ops = [op for name, op in _INFIX.items() if name in connectives]
-    layer = set(base)
-    for _ in range(cap):
-        grown = set(layer)
-        if "~" in connectives:
-            grown |= {Not(f) for f in layer}
-        n = len(layer)
-        _refuse_layer(len(grown), n, len(binary_ops), guard)
-        ordered = list(layer)
-        for op in binary_ops:
-            for a in ordered:
-                for b in ordered:
-                    grown.add(op(a, b))
-            if len(grown) > guard:
-                raise SizeGuardError(len(grown), guard, "formula universe", exact=False)
-        if grown == layer:
-            break
-        layer = grown
-        if len(layer) > guard:
-            raise SizeGuardError(len(layer), guard, "formula universe", exact=False)
-    return layer
 
 
 def _base_counts(
@@ -491,6 +505,11 @@ def formula_universe(
     what keeps depth-2 universes at desk scale. Within each modal level,
     Boolean connectives combine to nesting depth <= cap. The result is
     subformula-closed, canonically ordered, and monotone in depth.
+
+    The member table is filled layer by layer, one row per distinct
+    (kind, child rows), each text composed from its children's by the
+    printer's own parenthesis rule; then the rows are sorted. No formula
+    node is built.
     """
     atoms = tuple(atoms)
     if not atoms:
@@ -515,30 +534,93 @@ def formula_universe(
     for count in _base_counts(len(atoms), depth, connectives, cap):
         if count > limit:
             raise SizeGuardError(count, limit, "formula universe", exact=False)
+    binary_ops = [op for name, op in _INFIX.items() if name in connectives]
     if cap >= 1:  # the first Boolean layer's size is exact: no ~f is a modal atom
-        _refuse_layer(count * (1 + ("~" in connectives)), count,
-                      sum(name in connectives for name in _INFIX), limit)
+        _refuse_layer(count * (1 + ("~" in connectives)), count, len(binary_ops), limit)
 
-    bases: set[Formula] = {Atom(a) for a in atoms}
-    if "true" in connectives:
-        bases.add(TOP)
-    if "false" in connectives:
-        bases.add(BOTTOM)
+    kinds: list[type[Formula]] = []
+    args: list = []
+    sizes: list[int] = []
+    texts: list[str] = []
+    row_of: dict[tuple, int] = {}  # (kind, args) -> row of an atom, constant or unary member
+
+    def row(kind, arg, size: int, text: str) -> int:
+        key = (kind, arg)
+        found = row_of.get(key)
+        if found is None:
+            found = row_of[key] = len(kinds)
+            kinds.append(kind)
+            args.append(arg)
+            sizes.append(size)
+            texts.append(text)
+        return found
+
+    def wrap(op, f: int) -> int:
+        return row(op, (f,), sizes[f] + 1, op.symbol + _part(texts[f], kinds[f], op))
+
+    bases = [row(Atom, a, 1, a) for a in atoms]
+    bases += [row(c, (), 1, c.symbol) for c in (Top, Bottom) if c.symbol in connectives]
+    modal_ops = [op for op in (Box, Diamond) if op.symbol in connectives]
+    negate_targets = "~" in connectives and cap >= 1
     for _ in range(depth):
-        targets = set(bases)
-        if "~" in connectives and cap >= 1:
-            targets |= {Not(f) for f in bases}
-        if "[]" in connectives:
-            bases |= {Box(f) for f in targets}
-        if "<>" in connectives:
-            bases |= {Diamond(f) for f in targets}
+        targets = bases + [wrap(Not, f) for f in bases] if negate_targets else bases
+        start = len(kinds)  # a []/<> row made before this level is already a base
+        for op in modal_ops:
+            for f in targets:
+                wrap(op, f)
+        bases = bases + list(range(start, len(kinds)))
 
-    members = _boolean_layers(bases, cap, connectives, limit)
-    return FormulaUniverse(atoms, depth, cap, connectives, _canonical_members(members))
+    # Semi-naive layers: a layer is the previous one, then the rows new to
+    # it, and the previous round already combined every pair of the previous
+    # layer, so a round combines only the pairs with a new side.
+    layer, known = bases, 0  # known: the layer's leading rows seen last round
+    for _ in range(cap):
+        grown = list(layer)
+        if "~" in connectives:
+            in_layer = set(layer)
+            grown += [g for g in (wrap(Not, f) for f in layer) if g not in in_layer]
+        n = len(layer)
+        _refuse_layer(len(grown), n, len(binary_ops), limit)
+        for op in binary_ops:
+            start, infix = len(kinds), f" {op.symbol} "
+            rights = [_part(texts[b], kinds[b], op, right=True) for b in layer]
+            right_sizes = [sizes[b] + 1 for b in layer]
+            sides = (layer, right_sizes, rights)
+            new_sides = (layer[known:], right_sizes[known:], rights[known:])
+            for i, a in enumerate(layer):
+                bs, bsizes, btexts = new_sides if i < known else sides
+                left, size = _part(texts[a], kinds[a], op) + infix, sizes[a]
+                kinds += [op] * len(bs)
+                args += [(a, b) for b in bs]
+                sizes += [size + z for z in bsizes]
+                texts += [left + t for t in btexts]
+            grown += range(start, len(kinds))
+            if len(grown) > limit:
+                raise SizeGuardError(len(grown), limit, "formula universe", exact=False)
+        if len(grown) == n:
+            break
+        layer, known = grown, n
+        if len(layer) > limit:
+            raise SizeGuardError(len(layer), limit, "formula universe", exact=False)
+
+    order = sorted(layer, key=texts.__getitem__)
+    order.sort(key=sizes.__getitem__)  # stable: by size, then by text
+    place = [0] * len(kinds)  # row -> canonical position; children are renumbered
+    for i, r in enumerate(order):  # through it, and an atom keeps its name
+        place[r] = i
+    return FormulaUniverse(
+        atoms, depth, cap, connectives,
+        tuple(map(kinds.__getitem__, order)),
+        tuple([arg if type(arg) is str else (place[arg[0]], place[arg[1]]) if len(arg) == 2
+               else (place[arg[0]],) if arg else () for arg in map(args.__getitem__, order)]),
+        tuple(map(sizes.__getitem__, order)),
+        tuple(map(texts.__getitem__, order)),
+    )
 
 
 def closure_universe(formulas: Iterable[Formula]) -> FormulaUniverse:
-    """The subformula closure of explicit formulas, as a universe."""
+    """The subformula closure of explicit formulas, as a universe whose
+    table is filled from the nodes given."""
     members: set[Formula] = set()
     for f in formulas:
         members |= subformulas(f)
@@ -546,7 +628,16 @@ def closure_universe(formulas: Iterable[Formula]) -> FormulaUniverse:
         raise ValueError("a universe needs at least one formula")
     atoms = tuple(sorted({a for f in members for a in atom_names(f)}))
     depth = max(modal_depth(f) for f in members)
-    return FormulaUniverse(atoms, depth, None, (), _canonical_members(members))
+    order = sorted(members, key=lambda f: (f.size, print_formula(f)))
+    position = {f: i for i, f in enumerate(order)}
+    return FormulaUniverse(
+        atoms, depth, None, (),
+        tuple([type(f) for f in order]),
+        tuple([f.name if type(f) is Atom else tuple([position[k] for k in f.children])
+               for f in order]),
+        tuple([f.size for f in order]),
+        tuple([print_formula(f) for f in order]),
+    )
 
 
 def check_modal_operator(universe: FormulaUniverse) -> bool:

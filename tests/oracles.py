@@ -542,3 +542,126 @@ def full_theory_quotient(worlds, relation, valuation, members):
         )
         groups.setdefault(theory, []).append(w)
     return sorted((tuple(sorted(ws)), theory) for theory, ws in groups.items())
+
+
+# ---------------------------------------------------------------------------
+# bounded formula universes by building every member node in sets and
+# sorting the nodes on (size, printed text): the construction the member
+# table replaced, guards and messages included
+# ---------------------------------------------------------------------------
+
+def _reference_refuse_layer(grown, n, binary_ops, guard):
+    from ctxkit.core import SizeGuardError
+
+    projected = grown + binary_ops * n * n
+    if projected > guard and n * n > guard:
+        raise SizeGuardError(projected, guard, "formula universe", exact=False)
+
+
+def _reference_boolean_layers(base, cap, connectives, guard):
+    from ctxkit.core import SizeGuardError
+
+    infix = {"&": And, "|": Or, "->": Implies, "<->": Iff}
+    binary_ops = [op for name, op in infix.items() if name in connectives]
+    layer = set(base)
+    for _ in range(cap):
+        grown = set(layer)
+        if "~" in connectives:
+            grown |= {Not(f) for f in layer}
+        n = len(layer)
+        _reference_refuse_layer(len(grown), n, len(binary_ops), guard)
+        ordered = list(layer)
+        for op in binary_ops:
+            for a in ordered:
+                for b in ordered:
+                    grown.add(op(a, b))
+            if len(grown) > guard:
+                raise SizeGuardError(len(grown), guard, "formula universe", exact=False)
+        if grown == layer:
+            break
+        layer = grown
+        if len(layer) > guard:
+            raise SizeGuardError(len(layer), guard, "formula universe", exact=False)
+    return layer
+
+
+def reference_universe(atoms, depth, connectives, cap, guard):
+    """The member nodes of formula_universe(atoms, depth, connectives, cap,
+    guard) in canonical order, or the ValueError it raises."""
+    from ctxkit.core import SizeGuardError, effective_guard
+    from ctxkit.modal_logic import (
+        _ALL_CONNECTIVES, _ATOM_RE, DEFAULT_UNIVERSE_GUARD, _base_counts, print_formula,
+    )
+
+    atoms = tuple(atoms)
+    if not atoms:
+        raise ValueError("a universe needs at least one atom")
+    seen = set()
+    for a in atoms:
+        if not _ATOM_RE.fullmatch(a):
+            raise ValueError(f"invalid atom name {a!r}")
+        if a in seen:
+            raise ValueError(f"duplicate atom {a!r}")
+        seen.add(a)
+    connectives = tuple(connectives)
+    for c in connectives:
+        if c not in _ALL_CONNECTIVES:
+            raise ValueError(f"unknown connective {c!r}")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if cap < 0:
+        raise ValueError("cap must be non-negative")
+    limit = effective_guard(guard, DEFAULT_UNIVERSE_GUARD)
+    count = len(atoms) + ("true" in connectives) + ("false" in connectives)
+    for count in _base_counts(len(atoms), depth, connectives, cap):
+        if count > limit:
+            raise SizeGuardError(count, limit, "formula universe", exact=False)
+    if cap >= 1:
+        _reference_refuse_layer(count * (1 + ("~" in connectives)), count,
+                                sum(name in connectives for name in ("&", "|", "->", "<->")),
+                                limit)
+
+    bases = {Atom(a) for a in atoms}
+    if "true" in connectives:
+        bases.add(TOP)
+    if "false" in connectives:
+        bases.add(BOTTOM)
+    for _ in range(depth):
+        targets = set(bases)
+        if "~" in connectives and cap >= 1:
+            targets |= {Not(f) for f in bases}
+        if "[]" in connectives:
+            bases |= {Box(f) for f in targets}
+        if "<>" in connectives:
+            bases |= {Diamond(f) for f in targets}
+    members = _reference_boolean_layers(bases, cap, connectives, limit)
+    return sorted(members, key=lambda f: (f.size, print_formula(f)))
+
+
+# ---------------------------------------------------------------------------
+# modal contexts as dicts of formula frozensets: the box/diamond check the
+# column form replaced, on plain data
+# ---------------------------------------------------------------------------
+
+def frozenset_violations(entities, times, names, assignments, relation, members):
+    """[(world, entity, time, formula under the operator, operator, side)] of
+    a context given as {world: {(entity, time): frozenset of formulas}}, in
+    the order of a scan over worlds, cells, then the universe's boxes and
+    then its diamonds, each in member order."""
+    boxed = [(f.operand, f) for f in members if isinstance(f, Box)]
+    diamonded = [(f.operand, f) for f in members if isinstance(f, Diamond)]
+    out = []
+    for w in names:
+        successors = [v for v in names if (w, v) in relation]
+        for e in entities:
+            for t in times:
+                own = assignments[w][(e, t)]
+                theirs = [assignments[v][(e, t)] for v in successors]
+                for operator, pairs, holds in (("box", boxed, all), ("diamond", diamonded, any)):
+                    for s, op_s in pairs:
+                        condition = holds(s in theory for theory in theirs)
+                        if op_s in own and not condition:
+                            out.append((w, e, t, s, operator, "forward"))
+                        elif condition and op_s not in own:
+                            out.append((w, e, t, s, operator, "backward"))
+    return out

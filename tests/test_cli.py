@@ -575,3 +575,384 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     assert "states: Home Out" in proc.stdout
     assert "elapsed_ms=" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# help and usage-error bytes, pinned at an 80-column terminal
+# ---------------------------------------------------------------------------
+
+# argv -> (exit code, stdout, stderr): --help at the top, at each group and at
+# each command, then usage errors at the top and one per group
+HELP_PINS = {
+    ('--help',): (
+        0,
+        """\
+usage: ctxkit [-h] {ctx,modal,gen} ...
+
+Finite contexts, determinability, and modal-context checking.
+
+positional arguments:
+  {ctx,modal,gen}
+    ctx            context analysis
+    modal          Kripke models and modal contexts
+    gen            generate example artifacts
+
+options:
+  -h, --help       show this help message and exit
+""",
+        "",
+    ),
+    ('ctx', '--help'): (
+        0,
+        """\
+usage: ctxkit ctx [-h]
+                  {check-determinable,iterator,consistency,deterministic} ...
+
+positional arguments:
+  {check-determinable,iterator,consistency,deterministic}
+    check-determinable  decide determinability
+    iterator            extract the step function if one exists
+    consistency         filter by prefix agreement
+    deterministic       single successor at every step?
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    ('modal', '--help'): (
+        0,
+        """\
+usage: ctxkit modal [-h] {eval,to-context,check-context,verify-theorem} ...
+
+positional arguments:
+  {eval,to-context,check-context,verify-theorem}
+    eval                evaluate a formula at a world
+    to-context          compile a model into a modal context
+    check-context       check the box/diamond conditions
+    verify-theorem      compile, check conditions, and verify world
+                        representation
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    ('gen', '--help'): (
+        0,
+        """\
+usage: ctxkit gen [-h]
+                  {alice-bob,alice-bob-odd,minigame,random-ctx,random-kripke}
+                  ...
+
+positional arguments:
+  {alice-bob,alice-bob-odd,minigame,random-ctx,random-kripke}
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    ('ctx', 'check-determinable', '--help'): (
+        0,
+        """\
+usage: ctxkit ctx check-determinable [-h] [--mode {literal,windowed}] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --mode {literal,windowed}
+                        literal: the definition verbatim; windowed: compare
+                        over the common suffix window (default: literal)
+""",
+        "",
+    ),
+    ('ctx', 'iterator', '--help'): (
+        0,
+        """\
+usage: ctxkit ctx iterator [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+""",
+        "",
+    ),
+    ('ctx', 'consistency', '--help'): (
+        0,
+        """\
+usage: ctxkit ctx consistency [-h] --instance INSTANCE --time TIME file
+
+positional arguments:
+  file
+
+options:
+  -h, --help           show this help message and exit
+  --instance INSTANCE
+  --time TIME
+""",
+        "",
+    ),
+    ('ctx', 'deterministic', '--help'): (
+        0,
+        """\
+usage: ctxkit ctx deterministic [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+""",
+        "",
+    ),
+    ('modal', 'eval', '--help'): (
+        0,
+        """\
+usage: ctxkit modal eval [-h] --world WORLD --formula FORMULA file
+
+positional arguments:
+  file
+
+options:
+  -h, --help         show this help message and exit
+  --world WORLD
+  --formula FORMULA
+""",
+        "",
+    ),
+    ('modal', 'to-context', '--help'): (
+        0,
+        """\
+usage: ctxkit modal to-context [-h] --atoms ATOMS --depth DEPTH [--cap CAP]
+                               [-o OUTPUT]
+                               file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --atoms ATOMS         comma-separated atom list
+  --depth DEPTH
+  --cap CAP
+  -o OUTPUT, --output OUTPUT
+""",
+        "",
+    ),
+    ('modal', 'check-context', '--help'): (
+        0,
+        """\
+usage: ctxkit modal check-context [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+""",
+        "",
+    ),
+    ('modal', 'verify-theorem', '--help'): (
+        0,
+        """\
+usage: ctxkit modal verify-theorem [-h] --atoms ATOMS --depth DEPTH
+                                   [--cap CAP]
+                                   file
+
+positional arguments:
+  file
+
+options:
+  -h, --help     show this help message and exit
+  --atoms ATOMS
+  --depth DEPTH
+  --cap CAP
+""",
+        "",
+    ),
+    ('gen', 'alice-bob', '--help'): (
+        0,
+        """\
+usage: ctxkit gen alice-bob [-h] [--horizon HORIZON] [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --horizon HORIZON
+  -o OUTPUT, --output OUTPUT
+""",
+        "",
+    ),
+    ('gen', 'alice-bob-odd', '--help'): (
+        0,
+        """\
+usage: ctxkit gen alice-bob-odd [-h] [--horizon HORIZON] [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --horizon HORIZON
+  -o OUTPUT, --output OUTPUT
+""",
+        "",
+    ),
+    ('gen', 'minigame', '--help'): (
+        0,
+        """\
+usage: ctxkit gen minigame [-h] [--variant {base,turn}] [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --variant {base,turn}
+  -o OUTPUT, --output OUTPUT
+""",
+        "",
+    ),
+    ('gen', 'random-ctx', '--help'): (
+        0,
+        """\
+usage: ctxkit gen random-ctx [-h] --seed SEED [--states STATES]
+                             [--entities ENTITIES] [--times TIMES]
+                             [--count COUNT] [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --states STATES
+  --entities ENTITIES
+  --times TIMES
+  --count COUNT
+  -o OUTPUT, --output OUTPUT
+""",
+        "",
+    ),
+    ('gen', 'random-kripke', '--help'): (
+        0,
+        """\
+usage: ctxkit gen random-kripke [-h] --seed SEED [--worlds WORLDS]
+                                [--atoms ATOMS] [--density DENSITY]
+                                [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --worlds WORLDS
+  --atoms ATOMS
+  --density DENSITY
+  -o OUTPUT, --output OUTPUT
+""",
+        "",
+    ),
+    (): (
+        2,
+        "",
+        """\
+usage: ctxkit [-h] {ctx,modal,gen} ...
+ctxkit: error: the following arguments are required: group
+""",
+    ),
+    ('frobnicate',): (
+        2,
+        "",
+        """\
+usage: ctxkit [-h] {ctx,modal,gen} ...
+ctxkit: error: argument group: invalid choice: 'frobnicate' (choose from 'ctx', 'modal', 'gen')
+""",
+    ),
+    ('ctx', 'frobnicate'): (
+        2,
+        "",
+        """\
+usage: ctxkit ctx [-h]
+                  {check-determinable,iterator,consistency,deterministic} ...
+ctxkit ctx: error: argument command: invalid choice: 'frobnicate' (choose from 'check-determinable', 'iterator', 'consistency', 'deterministic')
+""",
+    ),
+    ('modal', 'to-context', 'm.kr'): (
+        2,
+        "",
+        """\
+usage: ctxkit modal to-context [-h] --atoms ATOMS --depth DEPTH [--cap CAP]
+                               [-o OUTPUT]
+                               file
+ctxkit modal to-context: error: the following arguments are required: --atoms, --depth
+""",
+    ),
+    ('gen', 'minigame', '--variant', 'both'): (
+        2,
+        "",
+        """\
+usage: ctxkit gen minigame [-h] [--variant {base,turn}] [-o OUTPUT]
+ctxkit gen minigame: error: argument --variant: invalid choice: 'both' (choose from 'base', 'turn')
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_PINS), ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_errors_are_byte_stable(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    code = cli_dispatch(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == HELP_PINS[argv]
+
+
+# ---------------------------------------------------------------------------
+# the modal pipeline on member rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ("to-context", "verify-theorem"))
+def test_extension_table_over_the_guard_exits_2(command, kripke_path, tmp_path, monkeypatch,
+                                                capsys):
+    # the 220-member p,q depth-1 universe fits a guard of 400; its table over
+    # the model's two worlds (440 members x worlds) does not
+    monkeypatch.setenv("CTXKIT_GUARD", "400")
+    out = tmp_path / "out.mctx"
+    extra = ["-o", str(out)] if command == "to-context" else []
+    code = cli_dispatch(
+        ["modal", command, kripke_path, "--atoms", "p,q", "--depth", "1"] + extra
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        "error: extension table of 220 members over 2 worlds needs a guard of at least 440; "
+        "current guard is 400; set CTXKIT_GUARD to raise it"
+    )
+    assert not out.exists()
+    monkeypatch.setenv("CTXKIT_GUARD", "440")
+    assert cli_dispatch(
+        ["modal", command, kripke_path, "--atoms", "p,q", "--depth", "1"] + extra
+    ) == 0
+    capsys.readouterr()
+
+
+def test_modal_commands_build_member_nodes_only_for_the_evaluator(tmp_path, monkeypatch,
+                                                                 capsys):
+    # atoms that no other test names, so no node over them is alive before
+    model = tmp_path / "m.kr"
+    model.write_text(
+        "world w0\nworld w1\nworld w2\nedge w0 w1\nedge w1 w2\nedge w2 w2\n"
+        "val w0 nodecount_a\nval w1 nodecount_b\nval w2 nodecount_a\n"
+    )
+    mctx = tmp_path / "m.mctx"
+    universe = ["--atoms", "nodecount_a,nodecount_b", "--depth", "1"]
+    built = []
+    intern = modal_logic._intern
+
+    def counted(node, key, *rest):
+        built.append(key)
+        return intern(node, key, *rest)
+
+    monkeypatch.setattr(modal_logic, "_intern", counted)
+    assert cli_dispatch(["modal", "to-context", str(model), *universe, "-o", str(mctx)]) == 0
+    assert built == []
+    assert cli_dispatch(["modal", "check-context", str(mctx)]) == 0
+    assert built == []
+    assert cli_dispatch(["modal", "verify-theorem", str(model), *universe]) == 0
+    fields = machine_fields(capsys.readouterr().out)
+    assert fields["verdict"] == "yes"
+    assert len(built) == len(set(built)) == int(fields["universe_size"]) == 220

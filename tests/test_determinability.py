@@ -36,7 +36,7 @@ def snap1(state):
 def trie_node(ctx, inst, t):
     """The trie built for `ctx` and the node of member `inst` at time label t."""
     trie = _Trie(ctx)
-    return trie, trie.paths[ctx.instances.index(inst)][ctx.signature.time_index(t)]
+    return trie, trie.path(ctx.instances.index(inst))[ctx.signature.time_index(t)]
 
 
 def trie_bundle(ctx, inst, t):
@@ -49,6 +49,27 @@ def trie_next_set(ctx, inst, t):
     """The next-snapshot set the trie gives iterator images, at `inst`'s node at t."""
     trie, node = trie_node(ctx, inst, t)
     return trie.as_snapshots(trie.snap_of[c] for c in trie.kids[node])
+
+
+def test_trie_paths_and_bundles_are_rebuilt_from_rows():
+    # the trie keeps no per-row path table: each path is rebuilt from its
+    # row, and each bundle walks the node's subtree; both must match the
+    # oracle's consistency sets at every node
+    rng = random.Random(3131)
+    for _ in range(60):
+        ctx = corpus.random_context(rng)
+        trie, times = _Trie(ctx), ctx.signature.times
+        paths = [trie.path(k) for k in range(len(ctx.rows))]
+        for path, inst in zip(paths, ctx.instances):
+            assert [trie.snaps[trie.snap_of[v]] for v in path] == [
+                inst.snapshot(t) for t in times
+            ]
+        for node, t in enumerate(trie.time_of):
+            through = [k for k, path in enumerate(paths) if path[t] == node]
+            assert through and through[0] == trie.first[node]
+            assert trie.bundle(node) == corpus.oracle_bundle(
+                ctx, ctx.instances[through[0]], times[t]
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ import oracles
 from ctxkit import modal_context
 from ctxkit.cli import cli_dispatch
 from ctxkit.formats import save_kripke
+from ctxkit.generators import gen_random_kripke
 from ctxkit.modal_logic import (
     Atom,
+    print_formula,
     Box,
     Diamond,
     Evaluator,
@@ -149,10 +151,10 @@ universes = st.one_of(
 @settings(max_examples=150)
 @given(kripke_models(), universes)
 def test_table_masks_are_the_evaluator_extensions(model, universe):
-    table = extension_table(model, universe)
-    assert list(table) == list(universe.members)
+    table = extension_table(model, universe)  # masks in member order
+    assert len(table) == len(universe)
     evaluator = Evaluator(model)
-    for f, mask in table.items():
+    for f, mask in zip(universe.members, table):
         worlds = {w for i, w in enumerate(model.worlds) if mask >> i & 1}
         assert worlds == evaluator.extension(f), f
         assert mask >> len(model.worlds) == 0
@@ -444,3 +446,139 @@ def test_verify_theorem_builds_two_extension_tables(monkeypatch, tmp_path, capsy
     assert code == 0, capsys.readouterr()
     assert len(calls) == 2
     assert calls[0] is not calls[1]
+
+
+# ---------------------------------------------------------------------------
+# column contexts against the frozenset form
+# ---------------------------------------------------------------------------
+
+def frozenset_form(model, universe):
+    """(names, {name: {cell: theory}}, relation) of the quotient context,
+    with classes grouped on the evaluator's world theories."""
+    evaluator = Evaluator(model)
+    groups = {}
+    for w in model.worlds:
+        groups.setdefault(world_theory(model, w, universe, evaluator), []).append(w)
+    classes = sorted((min(ws), ws, theory) for theory, ws in groups.items())
+    names = tuple(f"c{k}" for k in range(len(classes)))
+    name_of = {w: name for name, (_, ws, _) in zip(names, classes) for w in ws}
+    assignments = {name: {("0", "0"): theory} for name, (_, _, theory) in zip(names, classes)}
+    relation = frozenset((name_of[a], name_of[b]) for a, b in model.relation)
+    return names, assignments, relation
+
+
+def described(violations):
+    return [(v.world, v.entity, v.time, v.formula, v.operator, v.side) for v in violations]
+
+
+def checked_like_the_frozenset_form(mc):
+    """is_modal_context on the columns gives the frozenset check's list."""
+    expected = oracles.frozenset_violations(
+        mc.entities, mc.times, mc.world_names, mc.assignments, mc.relation,
+        mc.universe.members,
+    )
+    report = is_modal_context(mc)
+    assert described(report.violations) == expected
+    return report
+
+
+def test_columns_match_the_frozenset_form_on_the_acceptance_corpus():
+    universes = [formula_universe(("p", "q"), depth=d) for d in (0, 1, 2)]
+    for seed in range(200):
+        model = gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
+        universe = universes[seed % 3]
+        mc = to_modal_context(model, universe)
+        names, assignments, relation = frozenset_form(model, universe)
+        built = ModalContext(("0",), ("0",), names, assignments, relation, universe)
+        assert mc == built
+        assert mc.assignments == assignments
+        assert ModalContext.from_columns(
+            mc.entities, mc.times, mc.world_names, mc.columns, mc.relation, universe
+        ) == mc
+        assert checked_like_the_frozenset_form(mc).is_modal_context
+
+
+def test_mutated_contexts_report_the_frozenset_violations():
+    rng = random.Random(4242)
+    universes = [formula_universe(("p", "q"), depth=d) for d in (1, 2)]
+    mutated = 0
+    for seed in range(120):
+        model = gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
+        universe = universes[seed % 2]
+        mc = to_modal_context(model, universe)
+        column = list(mc.columns[("0", "0")])
+        for _ in range(rng.randint(1, 6)):  # flip memberships, operator formulas among them
+            i = rng.randrange(len(column))
+            if rng.random() < 0.7:
+                i = rng.choice([k for k, kind in enumerate(universe.kinds)
+                                if kind in (Box, Diamond)])
+            column[i] ^= 1 << rng.randrange(len(mc.world_names))
+        try:
+            broken = ModalContext.from_columns(
+                mc.entities, mc.times, mc.world_names, {("0", "0"): column}, mc.relation,
+                universe,
+            )
+        except ValueError as exc:
+            assert "equal as functions" in str(exc)
+            continue
+        rebuilt = ModalContext(broken.entities, broken.times, broken.world_names,
+                               broken.assignments, broken.relation, universe)
+        assert rebuilt == broken
+        mutated += not checked_like_the_frozenset_form(broken).is_modal_context
+    assert mutated >= 80
+
+
+def test_hand_built_multi_cell_contexts_check_like_the_frozenset_form():
+    rng = random.Random(777)
+    universe = formula_universe(("p",), depth=1)
+    members = universe.members
+    boxes = [f for f in members if isinstance(f, (Box, Diamond))]
+    checked = 0
+    for _ in range(150):
+        entities = ("e0", "e1")[: rng.randint(1, 2)]
+        times = ("0", "1")[: rng.randint(1, 2)]
+        names = tuple(f"n{k}" for k in range(rng.randint(1, 4)))
+        assignments = {
+            name: {(e, t): frozenset(rng.sample(boxes, rng.randint(0, len(boxes)))
+                                     + rng.sample(members, rng.randint(0, 3)))
+                   for e in entities for t in times}
+            for name in names
+        }
+        relation = {(a, b) for a in names for b in names if rng.random() < 0.4}
+        try:
+            mc = ModalContext(entities, times, names, assignments, relation, universe)
+        except ValueError as exc:
+            assert "equal as functions" in str(exc)
+            continue
+        checked += 1
+        assert mc.assignments == assignments
+        assert all(mc.theory_at(n, e, t) == assignments[n][(e, t)]
+                   for n in names for e in entities for t in times)
+        assert ModalContext.from_columns(entities, times, names, mc.columns, relation,
+                                         universe) == mc
+        for name in names:
+            for (e, t), stored in assignments[name].items():
+                f = rng.choice(members)
+                assert prove_in_context(mc, name, f, e, t) == (f in stored)
+        checked_like_the_frozenset_form(mc)
+    assert checked >= 120
+
+
+def test_from_columns_checks_its_tables():
+    universe = formula_universe(("p",), depth=0, cap=0)  # the one member p
+    cell = ("0", "0")
+    with pytest.raises(ValueError, match="^columns must cover exactly the"):
+        ModalContext.from_columns(("0",), ("0", "1"), ("n0",), {cell: (1,)}, (), universe)
+    with pytest.raises(ValueError, match="has 2 columns for 1 members"):
+        ModalContext.from_columns(("0",), ("0",), ("n0",), {cell: (1, 0)}, (), universe)
+    with pytest.raises(ValueError, match="bits outside the named worlds"):
+        ModalContext.from_columns(("0",), ("0",), ("n0",), {cell: (2,)}, (), universe)
+    with pytest.raises(ValueError, match="^worlds 'n0' and 'n2' are equal as functions$"):
+        ModalContext.from_columns(("0",), ("0",), ("n0", "n1", "n2"), {cell: (0b010,)}, (),
+                                  universe)
+    with pytest.raises(ValueError, match="endpoint"):
+        ModalContext.from_columns(("0",), ("0",), ("n0",), {cell: (1,)}, {("n0", "n9")},
+                                  universe)
+    mc = ModalContext.from_columns(("0",), ("0",), ("n0", "n1"), {cell: (0b10,)}, (), universe)
+    assert mc.theory_at("n1") == {P} and mc.theory_at("n0") == frozenset()
+    assert print_formula(universe.members[0]) == "p"

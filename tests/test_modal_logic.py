@@ -25,6 +25,7 @@ from ctxkit.modal_logic import (
     Evaluator,
     Formula,
     FormulaSyntaxError,
+    FormulaUniverse,
     Iff,
     Implies,
     KripkeModel,
@@ -465,6 +466,74 @@ def test_universe_guard_fires_before_any_node_is_built(monkeypatch):
     with pytest.raises(SizeGuardError):  # the counts stop at the first one too large
         formula_universe(("p", "q"), depth=10**6)
     assert len(modal_logic._NODES) == nodes
+
+
+CONNECTIVES = ("~", "&", "|", "->", "<->", "[]", "<>", "true", "false")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    atoms=st.lists(st.sampled_from(("p", "q", "r", "s_1", "zz")), min_size=1, max_size=3,
+                   unique=True),
+    depth=st.integers(0, 2),
+    cap=st.integers(0, 2),
+    connectives=st.lists(st.sampled_from(CONNECTIVES), unique=True),
+    guard=st.sampled_from((40, 400, 4000)),
+)
+@example(atoms=["p", "q"], depth=1, cap=1, connectives=list(DEFAULT_CONNECTIVES), guard=4000)
+@example(atoms=["p"], depth=2, cap=2, connectives=list(CONNECTIVES), guard=4000)
+def test_member_table_matches_the_node_and_sort_reference(atoms, depth, cap, connectives,
+                                                          guard):
+    def outcome(build):
+        # plain data only: a kept exception would keep its frames' nodes alive
+        try:
+            return build()
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+
+    expected = outcome(lambda: tuple(
+        oracles.reference_universe(atoms, depth, connectives, cap, guard)))
+    universe = outcome(lambda: formula_universe(atoms, depth, connectives, cap=cap, guard=guard))
+    if not isinstance(universe, FormulaUniverse):
+        assert universe == expected
+        return
+    assert universe.texts == tuple(print_formula(f) for f in expected)
+    assert universe.members == expected
+    for i, f in enumerate(expected):
+        assert universe.kinds[i] is type(f)
+        assert universe.sizes[i] == f.size
+        if type(f) is Atom:
+            assert universe.args[i] == f.name
+        else:
+            assert tuple(expected[k] for k in universe.args[i]) == f.children
+
+
+def test_universes_compare_and_hash_without_building_nodes(monkeypatch):
+    built = []
+    intern = modal_logic._intern
+    monkeypatch.setattr(modal_logic, "_intern",
+                        lambda node, key, *rest: built.append(key) or intern(node, key, *rest))
+    a = formula_universe(("nodeless_p", "nodeless_q"), depth=1)
+    b = formula_universe(("nodeless_p", "nodeless_q"), depth=1)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != formula_universe(("nodeless_p", "nodeless_q"), depth=1, cap=0)
+    assert a != formula_universe(("nodeless_q", "nodeless_p"), depth=1)
+    assert a.index_printed_as("nodeless_p -> []nodeless_q") is not None
+    assert built == []
+    assert len(a.members) == len(a) == 220 and len(built) == 220
+
+
+def test_closure_universe_table_holds_the_given_nodes():
+    rng = random.Random(5150)
+    for _ in range(40):
+        formulas = [corpus.random_formula(rng, ("p", "q", "r"), depth=3) for _ in range(3)]
+        universe = closure_universe(formulas)
+        members = sorted(set().union(*map(subformulas, formulas)),
+                         key=lambda f: (f.size, print_formula(f)))
+        assert universe.members == tuple(members)
+        assert universe.texts == tuple(map(print_formula, members))
+        assert all(f in universe for f in formulas)
+        assert universe.index_of(Box(Box(Box(Box(P))))) is None
 
 
 def test_universe_canonical_order_is_stable():
