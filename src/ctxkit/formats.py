@@ -340,9 +340,8 @@ def render_modal_context(mc: ModalContext) -> str:
     """Header with the universe identity, then worlds and edges.
 
     Only contexts over generated universes (default connectives, known cap)
-    and the single (0,0) cell serialize; closure-built universes carry no
-    regenerable identity. Each world lists the members its row stores, in
-    member order, by their texts.
+    serialize; closure-built universes carry no regenerable identity. Each
+    world lists the members its row stores, in member order, by their texts.
     """
     from itertools import compress
 
@@ -353,11 +352,9 @@ def render_modal_context(mc: ModalContext) -> str:
         raise ValueError(
             "only contexts over default-connective generated universes serialize"
         )
-    if mc.entities != ("0",) or mc.times != ("0",):
-        raise ValueError("only single-cell modal contexts serialize")
     lines = [f"universe atoms={','.join(u.atoms)} depth={u.depth} cap={u.cap}"]
     has = [f"  has {text}" for text in u.texts]
-    for name, row in zip(mc.world_names, mc.rows_at()):
+    for name, row in zip(mc.world_names, mc.rows):
         lines.append(f"cworld {name}")
         lines += compress(has, row)
     index = {n: i for i, n in enumerate(mc.world_names)}
@@ -456,9 +453,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")
     try:
-        return ModalContext.from_columns(
-            ("0",), ("0",), tuple(names), {("0", "0"): columns}, frozenset(relation), universe
-        )
+        return ModalContext(tuple(names), columns, frozenset(relation), universe)
     except ValueError as exc:
         raise ModelFileError(source, None, str(exc)) from None
 

@@ -9,24 +9,24 @@ becomes a context world; its bit in every column is the bit of any of its
 worlds, and each model edge, mapped through world -> class, relates two
 context worlds. That is the smallest filtration of the model through the
 subformula-closed universe (Blackburn, de Rijke & Venema, Modal Logic, CUP
-2001, section 2.3). A `ModalContext` stores those class columns for its
-cell. The resulting structure must satisfy the box/diamond membership
+2001, section 2.3). A `ModalContext` is those class columns, the class
+names and the lifted relation. It must satisfy the box/diamond membership
 biconditionals against its relation, and must represent every original
 world by theory; both facts are re-checked here, on the columns, rather
 than assumed.
 
+The paper's power context indexes formula sets by (entity, time) cells; the
+construction uses a single cell, so a context stores one formula set per
+world, and reports name that cell as (0,0).
+
 Rows and columns convert into each other by byte-wise transposition
 (`_rows`, `_columns`): a world's row is a bytes object with one 0/1 byte per
 member, so equal theories are equal rows.
-
-The construction itself never uses non-trivial entities or times (the index
-set is a single cell), but verification iterates over whatever (entity, time)
-grid a context declares, so hand-built power contexts check the same way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -49,8 +49,6 @@ from ctxkit.modal_logic import (
     print_formula,
 )
 
-UNIT = ("0",)
-CELL = (UNIT[0], UNIT[0])
 DEFAULT_TABLE_GUARD = 1 << 24  # universe members x model worlds of one extension table
 
 
@@ -67,10 +65,6 @@ class WorldClass:
             raise ValueError("a world class cannot be empty")
         if self.representative != min(self.members):
             raise ValueError("representative must be the smallest member name")
-
-
-Cell = tuple[str, str]
-Assignment = Mapping[Cell, frozenset[Formula]]
 
 
 # byte value -> its bit b, as a byte 0 or 1: one translation table per bit
@@ -105,90 +99,37 @@ def _columns(rows: Sequence[bytes], count: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ModalContext:
-    """A finite power context: named worlds mapping (entity, time) cells to
-    formula sets, plus a relation between the worlds.
+    """A finite modal context: named worlds, the formulas each stores, and a
+    relation between the worlds.
 
-    Stored column-wise, in the shape of `extension_table`: each cell holds
-    one int mask per universe member, in member order, with bit j set when
-    world_names[j] stores the member there. The public constructor takes
-    formula sets (for hand-built and multi-cell contexts) and turns them into
-    columns; `from_columns` takes columns. Both run the same checks.
-    `assignments` and `theory_at` are views built from the columns on first
-    read.
+    Stored column-wise, in the shape of `extension_table`: one int mask per
+    universe member, in member order, with bit j set when world_names[j]
+    stores the member. `rows` and `theory_at` are views of the columns.
     """
 
-    entities: tuple[str, ...]
-    times: tuple[str, ...]
     world_names: tuple[str, ...]
-    columns: Mapping[Cell, tuple[int, ...]]
+    columns: tuple[int, ...]
     relation: frozenset[tuple[str, str]]
     universe: FormulaUniverse
 
-    def __init__(self, entities, times, world_names, assignments: Mapping[str, Assignment],
-                 relation, universe: FormulaUniverse):
-        names = _distinct(world_names)
-        assignments = dict(assignments)
-        if set(assignments) != set(names):
-            raise ValueError("assignments must cover exactly the named worlds")
-        grid = [(e, t) for e in entities for t in times]
-        cells = set(grid)
-        columns = {cell: [0] * len(universe) for cell in grid}
-        for j, name in enumerate(names):
-            table = assignments[name]
-            if table.keys() != cells:
-                raise ValueError(f"world {name!r} is not total over the (entity, time) grid")
-            for cell, formulas in table.items():
-                column = columns[cell]
-                for f in formulas:
-                    i = universe.index_of(f)
-                    if i is None:
-                        raise ValueError(
-                            f"world {name!r} stores {print_formula(f)}, "
-                            "which is outside the universe"
-                        )
-                    column[i] |= 1 << j
-        self._settle(entities, times, names, columns, relation, universe)
-
-    @classmethod
-    def from_columns(cls, entities, times, world_names, columns: Mapping[Cell, Sequence[int]],
-                     relation, universe: FormulaUniverse) -> ModalContext:
-        """A context from its column tables, one per cell of the grid, each
-        one mask per universe member over the named worlds."""
-        names = _distinct(world_names)
-        if set(columns) != {(e, t) for e in entities for t in times}:
-            raise ValueError("columns must cover exactly the (entity, time) grid")
-        everywhere = (1 << len(names)) - 1
-        for cell, column in columns.items():
-            if len(column) != len(universe):
-                raise ValueError(
-                    f"cell {cell} has {len(column)} columns for {len(universe)} members"
-                )
-            if min(column) < 0 or max(column) > everywhere:
-                raise ValueError(f"a column of cell {cell} has bits outside the named worlds")
-        mc = object.__new__(cls)
-        mc._settle(entities, times, names, columns, relation, universe)
-        return mc
-
-    def _settle(self, entities, times, names, columns, relation, universe) -> None:
-        """Store the fields and check what both constructors share: no two
-        worlds equal as functions, no relation endpoint outside."""
-        entities, times = tuple(entities), tuple(times)
-        grid = [(e, t) for e in entities for t in times]
+    def __post_init__(self):
+        names, columns = tuple(self.world_names), tuple(self.columns)
         _set = object.__setattr__
-        _set(self, "entities", entities)
-        _set(self, "times", times)
         _set(self, "world_names", names)
-        _set(self, "columns", {cell: tuple(columns[cell]) for cell in grid})
-        _set(self, "relation", frozenset(tuple(p) for p in relation))
-        _set(self, "universe", universe)
-
-        rows = [self._cell_rows[cell] for cell in grid]
-        first_with: dict[tuple[bytes, ...], int] = {}
-        equal = []  # (i, j): world j has the assignment world i was first to have
-        for j in range(len(names)):
-            i = first_with.setdefault(tuple([cell_rows[j] for cell_rows in rows]), j)
+        _set(self, "columns", columns)
+        _set(self, "relation", frozenset(tuple(p) for p in self.relation))
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate context-world names")
+        if len(columns) != len(self.universe):
+            raise ValueError(f"{len(columns)} columns for {len(self.universe)} members")
+        if columns and (min(columns) < 0 or max(columns) >> len(names)):
+            raise ValueError("a column has bits outside the named worlds")
+        first_with: dict[bytes, int] = {}
+        equal = []  # (i, j): world j has the row world i was first to have
+        for j, row in enumerate(self.rows):
+            i = first_with.setdefault(row, j)
             if i != j:
                 equal.append((i, j))
         if equal:  # the pair a scan over all pairs in name order meets first
@@ -200,27 +141,10 @@ class ModalContext:
                 raise ValueError(f"relation endpoint outside the context: ({a}, {b})")
 
     @cached_property
-    def _cell_rows(self) -> dict[Cell, list[bytes]]:
-        """Cell -> each world's row there, in world order."""
-        count = len(self.world_names)
-        return {cell: _rows(column, count) for cell, column in self.columns.items()}
-
-    def rows_at(self, entity: str | None = None, time: str | None = None) -> list[bytes]:
-        """Each world's row at a cell (the first by default), in world order:
-        byte i is 1 when the world stores member i there, else 0."""
-        e = self.entities[0] if entity is None else entity
-        t = self.times[0] if time is None else time
-        return self._cell_rows[(e, t)]
-
-    @cached_property
-    def assignments(self) -> dict[str, dict[Cell, frozenset[Formula]]]:
-        """World -> cell -> the formulas stored there, built from the columns."""
-        members = self.universe.members
-        out: dict[str, dict[Cell, frozenset[Formula]]] = {n: {} for n in self.world_names}
-        for cell, rows in self._cell_rows.items():
-            for name, row in zip(self.world_names, rows):
-                out[name][cell] = frozenset(compress(members, row))
-        return out
+    def rows(self) -> list[bytes]:
+        """Each world's row, in world order: byte i is 1 when the world
+        stores member i, else 0."""
+        return _rows(self.columns, len(self.world_names))
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -237,28 +161,21 @@ class ModalContext:
             masks[index[a]] |= 1 << index[b]
         return [(1 << j, mask) for j, mask in enumerate(masks)]
 
-    def successors(self, name: str) -> tuple[str, ...]:
-        """The world's successors, in world_names order."""
+    def _world_index(self, name: str) -> int:
+        """The world's bit position; a name outside the context is refused."""
         j = self._position.get(name)
         if j is None:
             raise ValueError(f"unknown context world {name!r}")
-        mask = self._successor_masks[j][1]
+        return j
+
+    def successors(self, name: str) -> tuple[str, ...]:
+        """The world's successors, in world_names order."""
+        mask = self._successor_masks[self._world_index(name)][1]
         return tuple([w for k, w in enumerate(self.world_names) if mask >> k & 1])
 
-    def theory_at(self, name: str, entity: str | None = None, time: str | None = None):
-        e = self.entities[0] if entity is None else entity
-        t = self.times[0] if time is None else time
-        try:
-            return self.assignments[name][(e, t)]
-        except KeyError:
-            raise ValueError(f"unknown world or cell: {name!r} at ({e!r}, {t!r})") from None
-
-
-def _distinct(world_names) -> tuple[str, ...]:
-    names = tuple(world_names)
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate context-world names")
-    return names
+    def theory_at(self, name: str) -> frozenset[Formula]:
+        """The formulas the world stores."""
+        return frozenset(compress(self.universe.members, self.rows[self._world_index(name)]))
 
 
 def _box(successors: list[tuple[int, int]], inner: int) -> int:
@@ -369,16 +286,15 @@ def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalCont
     """Build the quotient modal context of a Kripke model.
 
     Context worlds are named c0, c1, ... in class order (classes ordered by
-    representative), each carrying its class theory at the unique cell: the
-    class columns are the context's columns. Two context worlds are related
-    iff some members of their classes are.
+    representative), each storing its class theory: the class columns are
+    the context's columns. Two context worlds are related iff some members
+    of their classes are.
     """
     classes = _classes(model, universe)
     names = tuple(f"c{k}" for k in range(len(classes.worlds)))
     name_of = {w: name for name, worlds in zip(names, classes.worlds) for w in worlds}
     relation = frozenset((name_of[a], name_of[b]) for a, b in model.relation)
-    return ModalContext.from_columns(UNIT, UNIT, names, {CELL: classes.columns}, relation,
-                                     universe)
+    return ModalContext(names, classes.columns, relation, universe)
 
 
 @dataclass(frozen=True)
@@ -386,8 +302,6 @@ class ModalViolation:
     """One failed instance of the box/diamond membership biconditional."""
 
     world: str
-    entity: str
-    time: str
     formula: Formula  # the state s under the operator
     operator: str  # "box" | "diamond"
     side: str  # "forward": operator formula present, condition fails
@@ -399,10 +313,7 @@ class ModalViolation:
             reason = "present but the successor condition fails"
         else:
             reason = "absent although the successor condition holds"
-        return (
-            f"{self.world} at ({self.entity},{self.time}): "
-            f"{op}{print_formula(self.formula)} {reason}"
-        )
+        return f"{self.world} at (0,0): {op}{print_formula(self.formula)} {reason}"
 
 
 @dataclass(frozen=True)
@@ -416,57 +327,50 @@ class ModalContextReport:
 
 
 def is_modal_context(mc: ModalContext) -> ModalContextReport:
-    """Check the box/diamond biconditionals at every world and cell.
+    """Check the box/diamond biconditionals at every world.
 
-    For each s with []s in the universe: []s is in a world's cell iff every
-    relation successor has s there; dually, <>s iff some successor has s.
-    Only operator formulas inside the universe are checkable under the
-    truncation, and those are checked exactly: per cell, the `extension_table`
-    rule for []/<> is applied to the context's own relation and to s's
-    column, and the result is compared with the stored column of []s or <>s.
-    Violations are read off the differing bits, world by world, then cell by
-    cell, boxes before diamonds, each in member order.
+    For each s with []s in the universe: []s is in a world iff every relation
+    successor has s; dually, <>s iff some successor has s. Only operator
+    formulas inside the universe are checkable under the truncation, and
+    those are checked exactly: the `extension_table` rule for []/<> is
+    applied to the context's own relation and to s's column, and the result
+    is compared with the stored column of []s or <>s. Violations are read
+    off the differing bits, world by world, boxes before diamonds, each in
+    member order.
     """
-    kinds, args = mc.universe.kinds, mc.universe.args
+    kinds, args, columns = mc.universe.kinds, mc.universe.args, mc.columns
     pairs = [(i, args[i][0], _box, "box") for i, kind in enumerate(kinds) if kind is Box]
     pairs += [(i, args[i][0], _diamond, "diamond") for i, kind in enumerate(kinds)
               if kind is Diamond]
     successors = mc._successor_masks
-    wrong = []  # (cell, [(s, operator, forward bits, backward bits)]) where a column differs
-    for cell, column in mc.columns.items():
-        differ = []
-        for i, s, rule, operator in pairs:
-            held, stored = rule(successors, column[s]), column[i]
-            if held != stored:
-                differ.append((s, operator, stored & ~held, held & ~stored))
-        if differ:
-            wrong.append((cell, differ))
+    differ = []  # (s, operator, forward bits, backward bits) where a column differs
+    for i, s, rule, operator in pairs:
+        held, stored = rule(successors, columns[s]), columns[i]
+        if held != stored:
+            differ.append((s, operator, stored & ~held, held & ~stored))
     violations = []
-    if wrong:
+    if differ:
         members = mc.universe.members
         for j, name in enumerate(mc.world_names):
             bit = 1 << j
-            for (e, t), differ in wrong:
-                for s, operator, forward, backward in differ:
-                    if forward & bit:
-                        violations.append(
-                            ModalViolation(name, e, t, members[s], operator, "forward"))
-                    elif backward & bit:
-                        violations.append(
-                            ModalViolation(name, e, t, members[s], operator, "backward"))
+            for s, operator, forward, backward in differ:
+                if forward & bit:
+                    violations.append(ModalViolation(name, members[s], operator, "forward"))
+                elif backward & bit:
+                    violations.append(ModalViolation(name, members[s], operator, "backward"))
     return ModalContextReport(not violations, tuple(violations))
 
 
 def verify_representation(model: KripkeModel, mc: ModalContext) -> bool:
     """Every Kripke world's theory appears verbatim as some context world's
-    formula set at the first cell."""
-    stored = set(mc.rows_at())
+    stored formula set."""
+    stored = set(mc.rows)
     return all(row in stored for row in _classes(model, mc.universe).rows)
 
 
 def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
     """Kripke world -> name of the context world carrying its theory."""
-    by_row = dict(zip(mc.rows_at(), mc.world_names))
+    by_row = dict(zip(mc.rows, mc.world_names))
     classes = _classes(model, mc.universe)
     found = {}
     for worlds, row in zip(classes.worlds, classes.rows):
@@ -482,20 +386,19 @@ def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
 
 
 def lifted_columns(model: KripkeModel, mc: ModalContext) -> tuple[int, ...]:
-    """Each member's column at the first cell, lifted from the context's
-    worlds to the model's through `class_world_map`: bit i is set when the
-    context world of model.worlds[i] stores the member. Each model world
-    takes its context world's row, and transposing those rows gives the
-    columns."""
-    rows = dict(zip(mc.world_names, mc.rows_at()))
+    """Each member's column, lifted from the context's worlds to the model's
+    through `class_world_map`: bit i is set when the context world of
+    model.worlds[i] stores the member. Each model world takes its context
+    world's row, and transposing those rows gives the columns."""
+    rows = dict(zip(mc.world_names, mc.rows))
     return _columns([rows[name] for name in class_world_map(model, mc).values()],
                     len(mc.universe))
 
 
 def induced_kripke(mc: ModalContext) -> KripkeModel:
-    """Read a single-cell modal context back as a Kripke model: its worlds,
-    its relation, and atoms valuated by stored membership."""
-    u, rows = mc.universe, mc.rows_at()
+    """Read a modal context back as a Kripke model: its worlds, its relation,
+    and atoms valuated by stored membership."""
+    u, rows = mc.universe, mc.rows
     atom_row = {arg: i for i, (kind, arg) in enumerate(zip(u.kinds, u.args)) if kind is Atom}
     valuation = {
         atom: frozenset([w for w, row in zip(mc.world_names, rows) if row[atom_row[atom]]])
@@ -515,10 +418,10 @@ def requotient_is_identity(mc: ModalContext) -> bool:
     if len(redone.world_names) != len(mc.world_names):
         return False
     named: dict[str, list[str]] = {}
-    for v, row in zip(redone.world_names, redone.rows_at()):
+    for v, row in zip(redone.world_names, redone.rows):
         named.setdefault(row, []).append(v)
     rename = {}
-    for w, row in zip(mc.world_names, mc.rows_at()):
+    for w, row in zip(mc.world_names, mc.rows):
         matches = named.get(row, ())
         if len(matches) != 1:
             return False
@@ -526,13 +429,7 @@ def requotient_is_identity(mc: ModalContext) -> bool:
     return {(rename[a], rename[b]) for a, b in mc.relation} == set(redone.relation)
 
 
-def prove_in_context(
-    mc: ModalContext,
-    world: str,
-    formula: Formula,
-    entity: str | None = None,
-    time: str | None = None,
-) -> bool:
+def prove_in_context(mc: ModalContext, world: str, formula: Formula) -> bool:
     """Proving by membership: is the formula in the world's stored set?
 
     Formulas outside the universe are not decidable within the truncation
@@ -544,12 +441,4 @@ def prove_in_context(
             f"formula {print_formula(formula)} is outside the universe; "
             "membership is undecidable within this truncation"
         )
-    j = mc._position.get(world)
-    if j is None:
-        raise ValueError(f"unknown context world {world!r}")
-    e = mc.entities[0] if entity is None else entity
-    t = mc.times[0] if time is None else time
-    column = mc.columns.get((e, t))
-    if column is None:
-        raise ValueError(f"unknown world or cell: {world!r} at ({e!r}, {t!r})")
-    return column[i] >> j & 1 == 1
+    return mc.columns[i] >> mc._world_index(world) & 1 == 1

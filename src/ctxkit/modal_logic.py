@@ -32,7 +32,7 @@ DEFAULT_FORMULA_GUARD = 10_000  # nodes of one parsed formula
 DEFAULT_CONNECTIVES = ("~", "&", "->", "[]", "<>")
 _ALL_CONNECTIVES = ("~", "&", "|", "->", "<->", "[]", "<>", "true", "false")
 
-_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")  # an atom, or a word in _CONSTANTS
 
 # printing precedences: a child binding looser than its floor gets parentheses
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5, 6
@@ -453,11 +453,6 @@ class FormulaUniverse:
     def __contains__(self, formula: object) -> bool:
         return isinstance(formula, Formula) and self.index_of(formula) is not None
 
-    def member_printed_as(self, text: str) -> Formula | None:
-        """The member whose `print_formula` text is exactly text, else None."""
-        i = self._by_text.get(text)
-        return None if i is None else self.members[i]
-
     def __len__(self) -> int:
         return len(self.texts)
 
@@ -516,7 +511,7 @@ def formula_universe(
         raise ValueError("a universe needs at least one atom")
     seen = set()
     for a in atoms:
-        if not _ATOM_RE.fullmatch(a):
+        if not _ATOM_RE.fullmatch(a) or a in _CONSTANTS:  # it would print as the constant
             raise ValueError(f"invalid atom name {a!r}")
         if a in seen:
             raise ValueError(f"duplicate atom {a!r}")
@@ -699,7 +694,7 @@ class KripkeModel:
             if a not in known or b not in known:
                 raise ValueError(f"relation endpoint outside the model: ({a}, {b})")
         for atom, ws in valuation.items():
-            if not _ATOM_RE.fullmatch(atom):
+            if not _ATOM_RE.fullmatch(atom) or atom in _CONSTANTS:
                 raise ValueError(f"invalid atom name {atom!r}")
             stray = ws - known
             if stray:

@@ -598,7 +598,7 @@ def reference_universe(atoms, depth, connectives, cap, guard):
         raise ValueError("a universe needs at least one atom")
     seen = set()
     for a in atoms:
-        if not _ATOM_RE.fullmatch(a):
+        if not _ATOM_RE.fullmatch(a) or a in ("true", "false"):
             raise ValueError(f"invalid atom name {a!r}")
         if a in seen:
             raise ValueError(f"duplicate atom {a!r}")
@@ -640,28 +640,37 @@ def reference_universe(atoms, depth, connectives, cap, guard):
 
 # ---------------------------------------------------------------------------
 # modal contexts as dicts of formula frozensets: the box/diamond check the
-# column form replaced, on plain data
+# column form replaced, on plain data, and the column table they stand for
 # ---------------------------------------------------------------------------
 
-def frozenset_violations(entities, times, names, assignments, relation, members):
-    """[(world, entity, time, formula under the operator, operator, side)] of
-    a context given as {world: {(entity, time): frozenset of formulas}}, in
-    the order of a scan over worlds, cells, then the universe's boxes and
-    then its diamonds, each in member order."""
+def frozenset_violations(names, theories, relation, members):
+    """[(world, formula under the operator, operator, side)] of a context
+    given as {world: frozenset of formulas}, in the order of a scan over
+    worlds, then the universe's boxes and then its diamonds, each in member
+    order."""
     boxed = [(f.operand, f) for f in members if isinstance(f, Box)]
     diamonded = [(f.operand, f) for f in members if isinstance(f, Diamond)]
     out = []
     for w in names:
-        successors = [v for v in names if (w, v) in relation]
-        for e in entities:
-            for t in times:
-                own = assignments[w][(e, t)]
-                theirs = [assignments[v][(e, t)] for v in successors]
-                for operator, pairs, holds in (("box", boxed, all), ("diamond", diamonded, any)):
-                    for s, op_s in pairs:
-                        condition = holds(s in theory for theory in theirs)
-                        if op_s in own and not condition:
-                            out.append((w, e, t, s, operator, "forward"))
-                        elif condition and op_s not in own:
-                            out.append((w, e, t, s, operator, "backward"))
+        own = theories[w]
+        theirs = [theories[v] for v in names if (w, v) in relation]
+        for operator, pairs, holds in (("box", boxed, all), ("diamond", diamonded, any)):
+            for s, op_s in pairs:
+                condition = holds(s in theory for theory in theirs)
+                if op_s in own and not condition:
+                    out.append((w, s, operator, "forward"))
+                elif condition and op_s not in own:
+                    out.append((w, s, operator, "backward"))
     return out
+
+
+def modal_context_of(names, theories, relation, universe):
+    """The ModalContext in which world names[j] stores the formulas
+    theories[names[j]]: its column table, built one formula at a time."""
+    from ctxkit.modal_context import ModalContext
+
+    columns = [0] * len(universe)
+    for j, name in enumerate(names):
+        for f in theories[name]:
+            columns[universe.index_of(f)] |= 1 << j
+    return ModalContext(names, columns, relation, universe)

@@ -307,6 +307,89 @@ def test_modal_check_context_catches_violation(tmp_path, capsys):
     assert "violations:" in out
 
 
+VIOLATING_MCTX = """\
+universe atoms=p depth=1 cap=1
+cworld n0
+  has []p
+  has p
+cworld n1
+  has <>p
+cworld n2
+cworld n3
+  has p
+cworld n4
+  has ~p
+cworld n5
+  has p & p
+cworld n6
+  has p
+  has ~p
+cedge n0 n1
+cedge n1 n2
+cedge n2 n3
+"""
+
+VIOLATING_REPORT = """\
+command=modal check-context {path}
+input={path}
+input_sha256=4295596e2297
+worlds=7
+verdict=no
+violations=12
+
+violations:
+  n0 at (0,0): []p present but the successor condition fails
+  n1 at (0,0): <>p present but the successor condition fails
+  n2 at (0,0): []p absent although the successor condition holds
+  n2 at (0,0): <>p absent although the successor condition holds
+  n3 at (0,0): []p absent although the successor condition holds
+  n3 at (0,0): []~p absent although the successor condition holds
+  n4 at (0,0): []p absent although the successor condition holds
+  n4 at (0,0): []~p absent although the successor condition holds
+  n5 at (0,0): []p absent although the successor condition holds
+  n5 at (0,0): []~p absent although the successor condition holds
+  ... and 2 more
+"""
+
+
+def test_modal_check_context_prints_the_pinned_violation_report(tmp_path, capsys):
+    # forward and backward sides, boxes and diamonds, and the tail past ten
+    path = tmp_path / "bad.mctx"
+    path.write_text(VIOLATING_MCTX)
+    code, out = run_cli(capsys, "modal", "check-context", str(path))
+    assert code == 1
+    assert out == VIOLATING_REPORT.format(path=path)
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["modal", "to-context", "{kr}", "--atoms", "true,p", "--depth", "1"], "true"),
+    (["modal", "verify-theorem", "{kr}", "--atoms", "p,false", "--depth", "0"], "false"),
+    (["gen", "random-kripke", "--atoms", "true", "--seed", "1", "--worlds", "2"], "true"),
+])
+def test_constant_words_are_refused_by_the_atoms_option(argv, word, kripke_path, capsys):
+    # an atom named true would print as the constant: `has true` twice
+    code = cli_dispatch([arg.format(kr=kripke_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: invalid atom name '{word}'\n" in captured.err
+
+
+@pytest.mark.parametrize("word", ["true", "false"])
+def test_constant_words_are_refused_in_a_mctx_header(word, tmp_path, capsys):
+    path = tmp_path / "c.mctx"
+    path.write_text(f"universe atoms=p,{word} depth=0 cap=1\ncworld c0\n")
+    assert cli_dispatch(["modal", "check-context", str(path)]) == 2
+    assert f"error: {path}:1: invalid atom name '{word}'\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word", ["true", "false"])
+def test_constant_words_are_refused_in_a_kr_val_line(word, tmp_path, capsys):
+    path = tmp_path / "m.kr"
+    path.write_text(f"world w0\nval w0 {word}\n")
+    assert cli_dispatch(["modal", "eval", str(path), "--world", "w0", "--formula", "p"]) == 2
+    assert f"error: {path}: invalid atom name '{word}'\n" in capsys.readouterr().err
+
+
 def test_modal_verify_theorem(kripke_path, capsys):
     code, out = run_cli(
         capsys, "modal", "verify-theorem", kripke_path, "--atoms", "p,q", "--depth", "2"

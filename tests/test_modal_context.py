@@ -230,14 +230,9 @@ def test_constructed_contexts_satisfy_the_conditions():
 
 def test_hand_built_violation_is_caught():
     universe = formula_universe(("p",), depth=1)
-    cell = ("0", "0")
-    mc = ModalContext(
-        ("0",),
-        ("0",),
-        ("n0", "n1"),
-        {"n0": {cell: frozenset({Box(P)})}, "n1": {cell: frozenset()}},
-        frozenset({("n0", "n1")}),
-        universe,
+    # n1 has no successors: every box formula must be present, no diamond may be
+    mc = oracles.modal_context_of(
+        ("n0", "n1"), {"n0": {Box(P)}, "n1": {Diamond(P)}}, {("n0", "n1")}, universe
     )
     report = is_modal_context(mc)
     assert not report.is_modal_context
@@ -245,33 +240,16 @@ def test_hand_built_violation_is_caught():
         v.world == "n0" and v.operator == "box" and v.side == "forward" and v.formula == P
         for v in report.violations
     )
+    assert any(v.world == "n1" and v.operator == "diamond" and v.side == "forward"
+               for v in report.violations)
+    assert any(v.world == "n1" and v.operator == "box" and v.side == "backward"
+               for v in report.violations)
 
 
 def test_empty_context_is_vacuously_modal():
     universe = formula_universe(("p",), depth=1)
-    mc = ModalContext(("0",), ("0",), (), {}, frozenset(), universe)
+    mc = ModalContext((), (0,) * len(universe), frozenset(), universe)
     assert is_modal_context(mc).is_modal_context
-
-
-def test_multi_cell_contexts_are_checked_per_cell():
-    universe = formula_universe(("p",), depth=1)
-    cells = {("e1", "0"), ("e1", "1")}
-    ok_table = {c: frozenset({Box(P), Diamond(P)}) for c in cells}
-    # no successors: every box formula must be present, no diamond may be;
-    # the table has a diamond and is missing the box of ~p
-    mc = ModalContext(
-        ("e1",),
-        ("0", "1"),
-        ("n0",),
-        {"n0": ok_table},
-        frozenset(),
-        universe,
-    )
-    report = is_modal_context(mc)
-    assert not report.is_modal_context
-    assert {(v.entity, v.time) for v in report.violations} <= {("e1", "0"), ("e1", "1")}
-    assert any(v.operator == "diamond" and v.side == "forward" for v in report.violations)
-    assert any(v.operator == "box" and v.side == "backward" for v in report.violations)
 
 
 def test_successors_follow_world_names_order():
@@ -279,8 +257,7 @@ def test_successors_follow_world_names_order():
     names = ("n2", "n0", "n1")  # not sorted, so order comes from world_names
     theories = {"n2": {P}, "n0": {Q}, "n1": {P, Q}}
     relation = {("n0", "n1"), ("n0", "n2"), ("n0", "n0"), ("n1", "n2")}
-    mc = ModalContext(("0",), ("0",), names,
-                      {n: {("0", "0"): fs} for n, fs in theories.items()}, relation, universe)
+    mc = oracles.modal_context_of(names, theories, relation, universe)
     assert [mc.successors(n) for n in names] == [(), ("n2", "n0", "n1"), ("n2",)]
     with pytest.raises(ValueError, match="unknown context world 'n9'"):
         mc.successors("n9")
@@ -310,13 +287,8 @@ def test_representation_fails_after_perturbation():
     mc = to_modal_context(model, universe)
     theory = mc.theory_at("c0")
     poke = next(iter(theory))
-    perturbed = ModalContext(
-        mc.entities,
-        mc.times,
-        mc.world_names,
-        {"c0": {("0", "0"): theory - {poke}}},
-        mc.relation,
-        universe,
+    perturbed = oracles.modal_context_of(
+        mc.world_names, {"c0": theory - {poke}}, mc.relation, universe
     )
     assert not verify_representation(model, perturbed)
 
@@ -368,51 +340,41 @@ def test_construction_is_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_modal_context_validation():
-    universe = formula_universe(("p",), depth=0)
-    cell = ("0", "0")
-    with pytest.raises(ValueError, match="outside the universe"):
-        ModalContext(
-            ("0",), ("0",), ("n0",), {"n0": {cell: frozenset({Box(P)})}},
-            frozenset(), universe,
-        )
-    with pytest.raises(ValueError, match="equal as functions"):
-        ModalContext(
-            ("0",), ("0",), ("n0", "n1"),
-            {"n0": {cell: frozenset({P})}, "n1": {cell: frozenset({P})}},
-            frozenset(), universe,
-        )
-    with pytest.raises(ValueError, match="total"):
-        ModalContext(("0",), ("0", "1"), ("n0",), {"n0": {cell: frozenset()}},
-                     frozenset(), universe)
+    universe = formula_universe(("p",), depth=0, cap=0)  # the one member p
+    with pytest.raises(ValueError, match="^duplicate context-world names$"):
+        ModalContext(("n0", "n0"), (0b01,), (), universe)
+    with pytest.raises(ValueError, match="^2 columns for 1 members$"):
+        ModalContext(("n0",), (1, 0), (), universe)
+    with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
+        ModalContext(("n0",), (2,), (), universe)
+    with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
+        ModalContext(("n0",), (-1,), (), universe)
+    with pytest.raises(ValueError, match="^worlds 'n0' and 'n2' are equal as functions$"):
+        ModalContext(("n0", "n1", "n2"), (0b010,), (), universe)
     with pytest.raises(ValueError, match="endpoint"):
-        ModalContext(("0",), ("0",), ("n0",), {"n0": {cell: frozenset()}},
-                     frozenset({("n0", "nx")}), universe)
+        ModalContext(("n0",), (1,), {("n0", "n9")}, universe)
+    mc = ModalContext(("n0", "n1"), [0b10], [("n1", "n0")], universe)
+    assert mc.columns == (0b10,) and mc.relation == frozenset({("n1", "n0")})
+    assert mc.theory_at("n1") == {P} and mc.theory_at("n0") == frozenset()
+    with pytest.raises(ValueError, match="^unknown context world 'n9'$"):
+        mc.theory_at("n9")
+    assert print_formula(universe.members[0]) == "p"
 
 
 def test_equal_worlds_error_names_the_first_pair_in_name_order():
     # w1 == w2 is met first walking the worlds, but the pair scan in name
     # order meets w0 == w3 first, and that is the pair the error names
     universe = formula_universe(("p", "q"), depth=0)
-    cell = ("0", "0")
     stored = {"w0": {P}, "w1": {Q}, "w2": {Q}, "w3": {P}}
     with pytest.raises(ValueError, match="^worlds 'w0' and 'w3' are equal as functions$"):
-        ModalContext(
-            ("0",), ("0",), tuple(stored),
-            {name: {cell: frozenset(fs)} for name, fs in stored.items()},
-            frozenset(), universe,
-        )
+        oracles.modal_context_of(tuple(stored), stored, frozenset(), universe)
 
 
 def test_every_world_is_checked_before_equal_worlds_are_reported():
-    universe = formula_universe(("p",), depth=0)
-    cell = ("0", "0")
-    stored = {"w0": {P}, "w1": {P}, "w2": {Box(P)}}
-    with pytest.raises(ValueError, match="^world 'w2' stores \\[\\]p, which is outside"):
-        ModalContext(
-            ("0",), ("0",), tuple(stored),
-            {name: {cell: frozenset(fs)} for name, fs in stored.items()},
-            frozenset(), universe,
-        )
+    universe = formula_universe(("p",), depth=0, cap=0)
+    # w0 and w1 store the same, and a column has a bit past w1
+    with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
+        ModalContext(("w0", "w1"), (0b111,), frozenset(), universe)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +415,8 @@ def test_verify_theorem_builds_two_extension_tables(monkeypatch, tmp_path, capsy
 # ---------------------------------------------------------------------------
 
 def frozenset_form(model, universe):
-    """(names, {name: {cell: theory}}, relation) of the quotient context,
-    with classes grouped on the evaluator's world theories."""
+    """(names, {name: theory}, relation) of the quotient context, with
+    classes grouped on the evaluator's world theories."""
     evaluator = Evaluator(model)
     groups = {}
     for w in model.worlds:
@@ -462,20 +424,23 @@ def frozenset_form(model, universe):
     classes = sorted((min(ws), ws, theory) for theory, ws in groups.items())
     names = tuple(f"c{k}" for k in range(len(classes)))
     name_of = {w: name for name, (_, ws, _) in zip(names, classes) for w in ws}
-    assignments = {name: {("0", "0"): theory} for name, (_, _, theory) in zip(names, classes)}
+    theories = {name: theory for name, (_, _, theory) in zip(names, classes)}
     relation = frozenset((name_of[a], name_of[b]) for a, b in model.relation)
-    return names, assignments, relation
+    return names, theories, relation
+
+
+def theories_of(mc):
+    return {name: mc.theory_at(name) for name in mc.world_names}
 
 
 def described(violations):
-    return [(v.world, v.entity, v.time, v.formula, v.operator, v.side) for v in violations]
+    return [(v.world, v.formula, v.operator, v.side) for v in violations]
 
 
 def checked_like_the_frozenset_form(mc):
     """is_modal_context on the columns gives the frozenset check's list."""
     expected = oracles.frozenset_violations(
-        mc.entities, mc.times, mc.world_names, mc.assignments, mc.relation,
-        mc.universe.members,
+        mc.world_names, theories_of(mc), mc.relation, mc.universe.members
     )
     report = is_modal_context(mc)
     assert described(report.violations) == expected
@@ -488,13 +453,9 @@ def test_columns_match_the_frozenset_form_on_the_acceptance_corpus():
         model = gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
         universe = universes[seed % 3]
         mc = to_modal_context(model, universe)
-        names, assignments, relation = frozenset_form(model, universe)
-        built = ModalContext(("0",), ("0",), names, assignments, relation, universe)
-        assert mc == built
-        assert mc.assignments == assignments
-        assert ModalContext.from_columns(
-            mc.entities, mc.times, mc.world_names, mc.columns, mc.relation, universe
-        ) == mc
+        names, theories, relation = frozenset_form(model, universe)
+        assert mc == oracles.modal_context_of(names, theories, relation, universe)
+        assert theories_of(mc) == theories
         assert checked_like_the_frozenset_form(mc).is_modal_context
 
 
@@ -506,7 +467,7 @@ def test_mutated_contexts_report_the_frozenset_violations():
         model = gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
         universe = universes[seed % 2]
         mc = to_modal_context(model, universe)
-        column = list(mc.columns[("0", "0")])
+        column = list(mc.columns)
         for _ in range(rng.randint(1, 6)):  # flip memberships, operator formulas among them
             i = rng.randrange(len(column))
             if rng.random() < 0.7:
@@ -514,71 +475,40 @@ def test_mutated_contexts_report_the_frozenset_violations():
                                 if kind in (Box, Diamond)])
             column[i] ^= 1 << rng.randrange(len(mc.world_names))
         try:
-            broken = ModalContext.from_columns(
-                mc.entities, mc.times, mc.world_names, {("0", "0"): column}, mc.relation,
-                universe,
-            )
+            broken = ModalContext(mc.world_names, column, mc.relation, universe)
         except ValueError as exc:
             assert "equal as functions" in str(exc)
             continue
-        rebuilt = ModalContext(broken.entities, broken.times, broken.world_names,
-                               broken.assignments, broken.relation, universe)
+        rebuilt = oracles.modal_context_of(broken.world_names, theories_of(broken),
+                                           broken.relation, universe)
         assert rebuilt == broken
         mutated += not checked_like_the_frozenset_form(broken).is_modal_context
     assert mutated >= 80
 
 
-def test_hand_built_multi_cell_contexts_check_like_the_frozenset_form():
+def test_hand_built_contexts_check_like_the_frozenset_form():
     rng = random.Random(777)
     universe = formula_universe(("p",), depth=1)
     members = universe.members
     boxes = [f for f in members if isinstance(f, (Box, Diamond))]
     checked = 0
     for _ in range(150):
-        entities = ("e0", "e1")[: rng.randint(1, 2)]
-        times = ("0", "1")[: rng.randint(1, 2)]
         names = tuple(f"n{k}" for k in range(rng.randint(1, 4)))
-        assignments = {
-            name: {(e, t): frozenset(rng.sample(boxes, rng.randint(0, len(boxes)))
-                                     + rng.sample(members, rng.randint(0, 3)))
-                   for e in entities for t in times}
+        theories = {
+            name: frozenset(rng.sample(boxes, rng.randint(0, len(boxes)))
+                            + rng.sample(members, rng.randint(0, 3)))
             for name in names
         }
         relation = {(a, b) for a in names for b in names if rng.random() < 0.4}
         try:
-            mc = ModalContext(entities, times, names, assignments, relation, universe)
+            mc = oracles.modal_context_of(names, theories, relation, universe)
         except ValueError as exc:
             assert "equal as functions" in str(exc)
             continue
         checked += 1
-        assert mc.assignments == assignments
-        assert all(mc.theory_at(n, e, t) == assignments[n][(e, t)]
-                   for n in names for e in entities for t in times)
-        assert ModalContext.from_columns(entities, times, names, mc.columns, relation,
-                                         universe) == mc
+        assert theories_of(mc) == theories
         for name in names:
-            for (e, t), stored in assignments[name].items():
-                f = rng.choice(members)
-                assert prove_in_context(mc, name, f, e, t) == (f in stored)
+            f = rng.choice(members)
+            assert prove_in_context(mc, name, f) == (f in theories[name])
         checked_like_the_frozenset_form(mc)
     assert checked >= 120
-
-
-def test_from_columns_checks_its_tables():
-    universe = formula_universe(("p",), depth=0, cap=0)  # the one member p
-    cell = ("0", "0")
-    with pytest.raises(ValueError, match="^columns must cover exactly the"):
-        ModalContext.from_columns(("0",), ("0", "1"), ("n0",), {cell: (1,)}, (), universe)
-    with pytest.raises(ValueError, match="has 2 columns for 1 members"):
-        ModalContext.from_columns(("0",), ("0",), ("n0",), {cell: (1, 0)}, (), universe)
-    with pytest.raises(ValueError, match="bits outside the named worlds"):
-        ModalContext.from_columns(("0",), ("0",), ("n0",), {cell: (2,)}, (), universe)
-    with pytest.raises(ValueError, match="^worlds 'n0' and 'n2' are equal as functions$"):
-        ModalContext.from_columns(("0",), ("0",), ("n0", "n1", "n2"), {cell: (0b010,)}, (),
-                                  universe)
-    with pytest.raises(ValueError, match="endpoint"):
-        ModalContext.from_columns(("0",), ("0",), ("n0",), {cell: (1,)}, {("n0", "n9")},
-                                  universe)
-    mc = ModalContext.from_columns(("0",), ("0",), ("n0", "n1"), {cell: (0b10,)}, (), universe)
-    assert mc.theory_at("n1") == {P} and mc.theory_at("n0") == frozenset()
-    assert print_formula(universe.members[0]) == "p"

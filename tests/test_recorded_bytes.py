@@ -8,6 +8,7 @@ context command of the `timelines` and `corpus` populations. The
 benchmark's files are read, never written.
 """
 
+import gc
 import importlib
 import json
 from pathlib import Path
@@ -70,6 +71,7 @@ def replay(commands, pool, monkeypatch, capsys, pinned=None):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     run = importlib.import_module("run")
     answers = json.loads(run.ANSWERS.read_text())["answers"]
+    gc.collect()  # nodes an earlier test left in reference cycles are not counted
     nodes = len(modal_logic._NODES)
     verbs = set()
     for cmd in commands:
