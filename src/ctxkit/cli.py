@@ -239,26 +239,18 @@ def cmd_modal_check_context(args) -> int:
 def cmd_modal_verify_theorem(args) -> int:
     from ctxkit.modal_context import (
         is_modal_context,
-        lifted_columns,
+        prover_agreement,
         requotient_is_identity,
         to_modal_context,
         verify_representation,
     )
-    from ctxkit.modal_logic import Evaluator
 
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = to_modal_context(model, universe)
     conditions = is_modal_context(mc).is_modal_context
     representation = verify_representation(model, mc)
-    # prover agreement: per member, the worlds whose context world stores it
-    # are exactly the worlds the independent evaluator puts in its extension
-    bit = {w: 1 << i for i, w in enumerate(model.worlds)}
-    evaluator = Evaluator(model)
-    agreement = all(
-        sum(map(bit.__getitem__, evaluator.extension(f))) == mask
-        for f, mask in zip(universe.members, lifted_columns(model, mc))
-    )
+    agreement = prover_agreement(model, mc)
     verdict = conditions and representation and agreement
     fields.append(("universe_size", str(len(universe))))
     fields.append(("context_worlds", str(len(mc.world_names))))
@@ -266,9 +258,7 @@ def cmd_modal_verify_theorem(args) -> int:
     fields.append(("representation", "yes" if representation else "no"))
     fields.append(("prover_agreement", "yes" if agreement else "no"))
     # informational only: the fixed-point property is not part of the verdict
-    fields.append(
-        ("requotient_fixed_point", "yes" if requotient_is_identity(mc) else "no")
-    )
+    fields.append(("requotient_fixed_point", "yes" if requotient_is_identity(mc) else "no"))
     fields.append(("verdict", "yes" if verdict else "no"))
     _emit(fields)
     return 0 if verdict else 1
@@ -278,34 +268,11 @@ def cmd_modal_verify_theorem(args) -> int:
 # gen subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_alice_bob(args) -> int:
-    ctx = gen_alice_bob(args.horizon)
-    fields = _base_fields(args) + [("instances", str(len(ctx)))]
-    return _deliver(args, render_context(ctx), fields)
-
-
-def cmd_gen_alice_bob_odd(args) -> int:
-    ctx = gen_alice_bob_odd(args.horizon)
-    fields = _base_fields(args) + [("instances", str(len(ctx)))]
-    return _deliver(args, render_context(ctx), fields)
-
-
-def cmd_gen_minigame(args) -> int:
-    base, tracked = gen_minigame()
-    ctx = base if args.variant == "base" else tracked
-    fields = _base_fields(args) + [
-        ("variant", args.variant),
-        ("instances", str(len(ctx))),
-    ]
-    return _deliver(args, render_context(ctx), fields)
-
-
-def cmd_gen_random_ctx(args) -> int:
-    ctx = gen_random_context(args.seed, args.states, args.entities, args.times, args.count)
-    fields = _base_fields(args) + [
-        ("seed", str(args.seed)),
-        ("instances", str(len(ctx))),
-    ]
+def cmd_gen_context(args) -> int:
+    """Generate args.make's context; report the arguments args.shown names."""
+    ctx = args.make(args)
+    fields = _base_fields(args) + [(name, str(getattr(args, name))) for name in args.shown]
+    fields.append(("instances", str(len(ctx))))
     return _deliver(args, render_context(ctx), fields)
 
 
@@ -397,15 +364,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gen.add_parser("alice-bob")
     p.add_argument("--horizon", type=int, default=3)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen_alice_bob)
+    p.set_defaults(func=cmd_gen_context, make=lambda a: gen_alice_bob(a.horizon), shown=())
     p = gen.add_parser("alice-bob-odd")
     p.add_argument("--horizon", type=int, default=3)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen_alice_bob_odd)
+    p.set_defaults(func=cmd_gen_context, make=lambda a: gen_alice_bob_odd(a.horizon), shown=())
     p = gen.add_parser("minigame")
     p.add_argument("--variant", choices=("base", "turn"), default="base")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen_minigame)
+    p.set_defaults(func=cmd_gen_context, make=lambda a: gen_minigame()[a.variant != "base"],
+                   shown=("variant",))
     p = gen.add_parser("random-ctx")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--states", type=int, default=3)
@@ -413,7 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=int, default=3)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen_random_ctx)
+    p.set_defaults(
+        func=cmd_gen_context,
+        make=lambda a: gen_random_context(a.seed, a.states, a.entities, a.times, a.count),
+        shown=("seed",),
+    )
     p = gen.add_parser("random-kripke")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--worlds", type=int, default=4)

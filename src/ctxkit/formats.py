@@ -269,7 +269,7 @@ def save_context(ctx: Context, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
-    from ctxkit.modal_logic import KripkeModel
+    from ctxkit.modal_logic import KripkeModel, check_atom
 
     worlds: dict[str, None] = {}  # in declaration order
     relation: set[tuple[str, str]] = set()
@@ -296,6 +296,11 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
             world, atom = args
             if world not in worlds:
                 raise ModelFileError(source, line_no, f"unknown world {world!r}")
+            if atom not in valuation:
+                try:
+                    check_atom(atom)
+                except ValueError as exc:
+                    raise ModelFileError(source, line_no, str(exc)) from None
             valuation.setdefault(atom, set()).add(world)
         else:
             raise ModelFileError(source, line_no, f"unknown directive {directive!r}")

@@ -39,6 +39,7 @@ from ctxkit.modal_logic import (
     Bottom,
     Box,
     Diamond,
+    Evaluator,
     Formula,
     FormulaUniverse,
     Implies,
@@ -46,6 +47,7 @@ from ctxkit.modal_logic import (
     Not,
     Or,
     Top,
+    check_relation,
     print_formula,
 )
 
@@ -135,10 +137,7 @@ class ModalContext:
         if equal:  # the pair a scan over all pairs in name order meets first
             i, j = min(equal)
             raise ValueError(f"worlds {names[i]!r} and {names[j]!r} are equal as functions")
-        known = set(names)
-        for a, b in self.relation:
-            if a not in known or b not in known:
-                raise ValueError(f"relation endpoint outside the context: ({a}, {b})")
+        check_relation(set(names), self.relation, "context")
 
     @cached_property
     def rows(self) -> list[bytes]:
@@ -385,16 +384,6 @@ def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
     return out
 
 
-def lifted_columns(model: KripkeModel, mc: ModalContext) -> tuple[int, ...]:
-    """Each member's column, lifted from the context's worlds to the model's
-    through `class_world_map`: bit i is set when the context world of
-    model.worlds[i] stores the member. Each model world takes its context
-    world's row, and transposing those rows gives the columns."""
-    rows = dict(zip(mc.world_names, mc.rows))
-    return _columns([rows[name] for name in class_world_map(model, mc).values()],
-                    len(mc.universe))
-
-
 def induced_kripke(mc: ModalContext) -> KripkeModel:
     """Read a modal context back as a Kripke model: its worlds, its relation,
     and atoms valuated by stored membership."""
@@ -409,24 +398,32 @@ def induced_kripke(mc: ModalContext) -> KripkeModel:
 
 def requotient_is_identity(mc: ModalContext) -> bool:
     """Exploratory check, reported but never asserted: does quotienting the
-    induced Kripke model reproduce the context (up to renaming)?
+    induced Kripke model reproduce the context up to renaming?
+
+    It does iff the induced model's extension table is the context's columns.
+    A renaming s that fits keeps atoms (the induced valuation is read off the
+    atom columns) and the relation, so it is an automorphism of the induced
+    model, and those keep every theory (Blackburn, de Rijke & Venema, chapter
+    2): world w's stored row is the induced row of s(w), hence of w.
+    Conversely, equal tables make s the identity, as no two rows are equal.
 
     The construction does not claim this fixed-point property; the answer is
     surfaced so corpora can be inspected for it.
     """
-    redone = to_modal_context(induced_kripke(mc), mc.universe)
-    if len(redone.world_names) != len(mc.world_names):
-        return False
-    named: dict[str, list[str]] = {}
-    for v, row in zip(redone.world_names, redone.rows):
-        named.setdefault(row, []).append(v)
-    rename = {}
-    for w, row in zip(mc.world_names, mc.rows):
-        matches = named.get(row, ())
-        if len(matches) != 1:
-            return False
-        rename[w] = matches[0]
-    return {(rename[a], rename[b]) for a, b in mc.relation} == set(redone.relation)
+    return extension_table(induced_kripke(mc), mc.universe) == list(mc.columns)
+
+
+def prover_agreement(model: KripkeModel, mc: ModalContext) -> bool:
+    """Does proving by membership agree with the independent frozenset
+    `Evaluator`? Per member, the model worlds whose context world (through
+    `class_world_map`) stores it must be exactly the member's extension."""
+    rows = dict(zip(mc.world_names, mc.rows))
+    lifted = _columns([rows[name] for name in class_world_map(model, mc).values()],
+                      len(mc.universe))
+    bit = {w: 1 << i for i, w in enumerate(model.worlds)}
+    extension = Evaluator(model).extension
+    return all(sum(map(bit.__getitem__, extension(f))) == mask
+               for f, mask in zip(mc.universe.members, lifted))
 
 
 def prove_in_context(mc: ModalContext, world: str, formula: Formula) -> bool:

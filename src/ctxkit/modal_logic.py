@@ -457,6 +457,12 @@ class FormulaUniverse:
         return len(self.texts)
 
 
+def check_atom(name: str) -> None:
+    """Refuse a non-atom name; a constant word would print as the constant."""
+    if not _ATOM_RE.fullmatch(name) or name in _CONSTANTS:
+        raise ValueError(f"invalid atom name {name!r}")
+
+
 def _refuse_layer(grown: int, n: int, binary_ops: int, guard: int) -> None:
     """Refuse a Boolean layer over n formulas whose next layer, with `grown`
     formulas before the binary operators apply, could outgrow the guard."""
@@ -511,8 +517,7 @@ def formula_universe(
         raise ValueError("a universe needs at least one atom")
     seen = set()
     for a in atoms:
-        if not _ATOM_RE.fullmatch(a) or a in _CONSTANTS:  # it would print as the constant
-            raise ValueError(f"invalid atom name {a!r}")
+        check_atom(a)
         if a in seen:
             raise ValueError(f"duplicate atom {a!r}")
         seen.add(a)
@@ -664,6 +669,15 @@ def check_modal_operator(universe: FormulaUniverse) -> bool:
 # Kripke models and satisfaction
 # ---------------------------------------------------------------------------
 
+def check_relation(known: set[str], relation: Iterable[tuple[str, str]], owner: str) -> None:
+    """Refuse a non-pair, or a pair with an endpoint outside known; of the
+    latter, the smallest is named, whatever the set's order."""
+    outside = [(a, b) for a, b in relation if a not in known or b not in known]
+    if outside:
+        a, b = min(outside)
+        raise ValueError(f"relation endpoint outside the {owner}: ({a}, {b})")
+
+
 @dataclass(frozen=True)
 class KripkeModel:
     """<W, R, V>: worlds in a fixed order, accessibility pairs, atom valuation.
@@ -690,12 +704,9 @@ class KripkeModel:
         for name in worlds:
             if not name or any(c.isspace() or c == "#" for c in name):
                 raise ValueError(f"invalid world name {name!r}")
-        for a, b in self.relation:
-            if a not in known or b not in known:
-                raise ValueError(f"relation endpoint outside the model: ({a}, {b})")
+        check_relation(known, self.relation, "model")
         for atom, ws in valuation.items():
-            if not _ATOM_RE.fullmatch(atom) or atom in _CONSTANTS:
-                raise ValueError(f"invalid atom name {atom!r}")
+            check_atom(atom)
             stray = ws - known
             if stray:
                 raise ValueError(f"valuation of {atom!r} names unknown worlds {sorted(stray)}")

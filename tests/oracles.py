@@ -674,3 +674,29 @@ def modal_context_of(names, theories, relation, universe):
         for f in theories[name]:
             columns[universe.index_of(f)] |= 1 << j
     return ModalContext(names, columns, relation, universe)
+
+
+# ---------------------------------------------------------------------------
+# the requotient check as a second quotient: the induced model quotiented
+# into a second context, whose worlds are then matched to the first's by
+# their rows and its relation compared through that renaming
+# ---------------------------------------------------------------------------
+
+def reference_requotient(mc):
+    """Does quotienting the induced Kripke model of mc reproduce mc up to
+    renaming?"""
+    from ctxkit.modal_context import induced_kripke, to_modal_context
+
+    redone = to_modal_context(induced_kripke(mc), mc.universe)
+    if len(redone.world_names) != len(mc.world_names):
+        return False
+    named: dict[str, list[str]] = {}
+    for v, row in zip(redone.world_names, redone.rows):
+        named.setdefault(row, []).append(v)
+    rename = {}
+    for w, row in zip(mc.world_names, mc.rows):
+        matches = named.get(row, ())
+        if len(matches) != 1:
+            return False
+        rename[w] = matches[0]
+    return {(rename[a], rename[b]) for a, b in mc.relation} == set(redone.relation)

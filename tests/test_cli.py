@@ -382,12 +382,13 @@ def test_constant_words_are_refused_in_a_mctx_header(word, tmp_path, capsys):
     assert f"error: {path}:1: invalid atom name '{word}'\n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("word", ["true", "false"])
+@pytest.mark.parametrize("word", ["true", "false", "Paris"])
 def test_constant_words_are_refused_in_a_kr_val_line(word, tmp_path, capsys):
+    # a bad atom is reported at its first val line, like every other .kr error
     path = tmp_path / "m.kr"
     path.write_text(f"world w0\nval w0 {word}\n")
     assert cli_dispatch(["modal", "eval", str(path), "--world", "w0", "--formula", "p"]) == 2
-    assert f"error: {path}: invalid atom name '{word}'\n" in capsys.readouterr().err
+    assert f"error: {path}:2: invalid atom name '{word}'\n" in capsys.readouterr().err
 
 
 def test_modal_verify_theorem(kripke_path, capsys):

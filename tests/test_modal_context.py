@@ -1,14 +1,19 @@
 """Quotient construction, modal-context checking, and membership proving."""
 
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import corpus
 import oracles
-from ctxkit import modal_context
+from ctxkit import modal_context, modal_logic
 from ctxkit.cli import cli_dispatch
 from ctxkit.formats import save_kripke
 from ctxkit.generators import gen_random_kripke
@@ -32,7 +37,9 @@ from ctxkit.modal_context import (
     extension_table,
     is_modal_context,
     prove_in_context,
+    prover_agreement,
     quotient,
+    requotient_is_identity,
     to_modal_context,
     verify_representation,
 )
@@ -512,3 +519,134 @@ def test_hand_built_contexts_check_like_the_frozenset_form():
             assert prove_in_context(mc, name, f) == (f in theories[name])
         checked_like_the_frozenset_form(mc)
     assert checked >= 120
+
+
+# ---------------------------------------------------------------------------
+# the requotient check and prover agreement
+# ---------------------------------------------------------------------------
+
+@cache
+def acceptance_contexts():
+    """(model, quotient context) for each acceptance model and each p,q
+    universe of depth 0-2."""
+    universes = [formula_universe(("p", "q"), depth=d) for d in (0, 1, 2)]
+    models = [gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
+              for seed in range(200)]
+    return [(model, to_modal_context(model, u)) for model in models for u in universes]
+
+
+def test_requotient_check_is_the_second_quotient_on_the_acceptance_corpus():
+    for _, mc in acceptance_contexts():
+        assert requotient_is_identity(mc) == oracles.reference_requotient(mc)
+
+
+def test_quotient_contexts_are_requotient_fixed_points():
+    for _, mc in acceptance_contexts():
+        assert requotient_is_identity(mc)
+        assert is_modal_context(mc).is_modal_context
+
+
+@st.composite
+def hand_built_contexts(draw):
+    """A model's quotient context, built by hand from per-world formula
+    sets, with a random relation in place of its own or with some stored
+    memberships flipped; a draw with two equal worlds is skipped."""
+    model, universe = draw(kripke_models()), draw(universes)
+    names, theories, relation = frozenset_form(model, universe)
+    if draw(st.booleans()):
+        relation = {(a, b) for a in names for b in names if draw(st.booleans())}
+    else:
+        members = universe.members
+        for _ in range(draw(st.integers(0, 3))):
+            name = draw(st.sampled_from(names))
+            theories[name] ^= {members[draw(st.integers(0, len(members) - 1))]}
+    try:
+        return oracles.modal_context_of(names, theories, relation, universe)
+    except ValueError as exc:
+        assert "equal as functions" in str(exc)
+        assume(False)
+
+
+@settings(max_examples=200)
+@given(hand_built_contexts())
+def test_requotient_check_is_the_second_quotient_on_hand_built_contexts(mc):
+    assert requotient_is_identity(mc) == oracles.reference_requotient(mc)
+
+
+def by_hand_agreement(model, mc):
+    """Every model world proves, in its context world, exactly the members
+    the evaluator says it satisfies."""
+    names = class_world_map(model, mc)
+    evaluator = Evaluator(model)
+    return all(prove_in_context(mc, names[w], f) == evaluator.satisfies(w, f)
+               for w in model.worlds for f in mc.universe.members)
+
+
+def test_prover_agreement_is_the_by_hand_loop():
+    rng = random.Random(13013)
+    universes = [formula_universe(("p", "q"), depth=d) for d in (0, 1, 2)]
+    agreed = refused = 0
+    for k in range(90):
+        model = corpus.random_kripke(rng)
+        # its own context, or another model's, which may lack one of its theories
+        other = model if k % 2 else corpus.random_kripke(rng)
+        mc = to_modal_context(other, universes[k % 3])
+        try:
+            expected = by_hand_agreement(model, mc)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                prover_agreement(model, mc)
+            refused += 1
+            continue
+        assert prover_agreement(model, mc) == expected
+        agreed += expected
+    assert refused >= 20 and agreed >= 45
+
+
+def test_prover_agreement_sees_a_wrong_evaluator(monkeypatch):
+    # the evaluator's [] read as <>: both checks must see the disagreement
+    monkeypatch.setitem(modal_logic._RULES, Box, modal_logic._RULES[Diamond])
+    rng = random.Random(14014)
+    universe = formula_universe(("p", "q"), depth=1)
+    answers = []
+    for _ in range(30):
+        model = corpus.random_kripke(rng)
+        mc = to_modal_context(model, universe)
+        answers.append(prover_agreement(model, mc))
+        assert answers[-1] == by_hand_agreement(model, mc)
+    assert answers.count(False) >= 10
+
+
+RELATION_ENDPOINTS = """
+from ctxkit.modal_context import ModalContext
+from ctxkit.modal_logic import KripkeModel, formula_universe
+
+relation = {('a', 'x'), ('y', 'a'), ('a', 'z')}
+for build in (lambda: ModalContext(('a',), (1,), relation, formula_universe(('p',), 0, cap=0)),
+              lambda: KripkeModel(('a',), relation, {})):
+    try:
+        build()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_the_smallest_bad_relation_endpoint_is_named_under_every_hash_seed():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    for seed in range(1, 7):
+        proc = subprocess.run(
+            [sys.executable, "-c", RELATION_ENDPOINTS], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.stdout.splitlines() == [
+            "relation endpoint outside the context: (a, x)",
+            "relation endpoint outside the model: (a, x)",
+        ], (seed, proc.stderr)
+
+
+def test_a_relation_element_that_is_no_pair_is_refused():
+    universe = formula_universe(("p",), depth=0, cap=0)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        ModalContext(("a",), (1,), {("a", "a", "a")}, universe)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        KripkeModel(("a",), {("a", "a", "a")}, {})
