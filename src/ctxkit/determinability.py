@@ -77,9 +77,8 @@ class _Trie:
     first-occurrence order, with one `Snapshot` each, made when their first
     node is. Nodes are numbered in creation order, which is the canonical
     scan order (instances, then times) of their first occurrences. No
-    per-row table is kept: only a determinability witness needs a row's
-    path, which `path` rebuilds from the node keys, or a bundle, which
-    `bundle` reads off the node's subtree.
+    per-row table is kept: a node's first occurrence stands for all of its
+    occurrences, and a witness's bundle is read off the node's subtree.
     """
 
     def __init__(self, ctx: Context):
@@ -95,8 +94,7 @@ class _Trie:
             self.snaps, self.snap_of, self.time_of, self.kids, self.first
         )
         snap_ids: dict[tuple[int, ...], int] = {}
-        nodes: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._nodes = nodes  # (parent, snapshot tuple) -> node, for `path`
+        nodes: dict[tuple[int, tuple[int, ...]], int] = {}  # (parent, snapshot tuple) -> node
         for pos, row in enumerate(ctx.rows):
             parent = -1
             for k in range(n):
@@ -118,16 +116,6 @@ class _Trie:
                 parent = node
         self._ids: dict[tuple[int, int], int] = {}
         self._interned: dict[tuple[int, frozenset[int]], int] = {}
-
-    def path(self, pos: int) -> list[int]:
-        """The node of the instance at position pos at each time, rebuilt
-        from its row; only a witness needs one."""
-        row, n, nodes = self.ctx.rows[pos], len(self.times), self._nodes
-        path, parent = [], -1
-        for k in range(n):
-            parent = nodes[parent, row[k::n]]
-            path.append(parent)
-        return path
 
     def instance(self, pos: int) -> Instance:
         return self.ctx.instance_of(self.ctx.rows[pos])
@@ -181,8 +169,14 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
     the next one only. That covers every pair: if the bundle at a_k, cut to
     the suffix length of a_(k+1), equals the bundle at a_(k+1) for every k, then
     cutting both sides of each equation shorter carries it along the chain,
-    so every a_i agrees with every later a_j. Only a failing snapshot's
-    occurrences are scanned pair by pair, for the witness.
+    so every a_i agrees with every later a_j.
+
+    The witness is the failing snapshot's first node x (in order of first
+    occurrence) with a disagreeing partner, and x's first such partner y. In
+    literal mode x is the first node, as agreement is an equivalence. In
+    windowed mode a node at time u has a partner iff the nodes at times <= u
+    show two cuts at u, or the nodes at some later time s show a cut at s
+    other than its own: O(nodes * times) bundle ids, once per time.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -195,22 +189,27 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
         cut = last - max(time_of[a], time_of[b])
         return trie.bundle_id(a, time_of[a] + cut) == trie.bundle_id(b, time_of[b] + cut)
 
+    def cut_to(v: int, s: int) -> int:  # v's bundle cut to the window of a node at time s
+        return trie.bundle_id(v, time_of[v] + last - s)
+
     groups: dict[int, list[int]] = {}
     for node, sid in enumerate(trie.snap_of):
         groups.setdefault(sid, []).append(node)
-    for sid, nodes in groups.items():
+    for nodes in groups.values():
         chain = sorted(nodes, key=time_of.__getitem__)
         if all(agree(a, b) for a, b in zip(chain, chain[1:])):
             continue
-        occs = [(k, v) for k in range(len(ctx.rows)) for v in trie.path(k)
-                if trie.snap_of[v] == sid]
-        (p, a), (q, b) = next(
-            (x, y) for i, x in enumerate(occs) for y in occs[i + 1 :] if not agree(x[1], y[1])
-        )
-        witness = DeterminabilityWitness(
-            trie.instance(p), trie.instance(q), trie.times[time_of[a]], trie.times[time_of[b]],
-            trie.bundle(a), trie.bundle(b),
-        )
+        if mode == "literal":
+            x = nodes[0]
+        else:
+            times = sorted({time_of[v] for v in nodes})
+            upto = {s: {cut_to(v, s) for v in nodes if time_of[v] <= s} for s in times}
+            at = {s: {cut_to(v, s) for v in nodes if time_of[v] == s} for s in times}
+            x = next(u for u in nodes if len(upto[time_of[u]]) > 1 or any(
+                at[s] != {cut_to(u, s)} for s in times if s > time_of[u]))
+        y = next(v for v in nodes if not agree(x, v))
+        (p, i), (q, j) = trie.occurrence(x), trie.occurrence(y)
+        witness = DeterminabilityWitness(p, q, i, j, trie.bundle(x), trie.bundle(y))
         return DeterminabilityReport(False, mode, witness)
     return DeterminabilityReport(True, mode, None)
 

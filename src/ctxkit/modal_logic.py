@@ -222,10 +222,6 @@ def subformulas(formula: Formula) -> set[Formula]:
     return out
 
 
-def atom_names(formula: Formula) -> set[str]:
-    return {f.name for f in subformulas(formula) if isinstance(f, Atom)}
-
-
 # ---------------------------------------------------------------------------
 # printing: minimal parentheses, canonical whitespace
 # ---------------------------------------------------------------------------
@@ -626,7 +622,7 @@ def closure_universe(formulas: Iterable[Formula]) -> FormulaUniverse:
         members |= subformulas(f)
     if not members:
         raise ValueError("a universe needs at least one formula")
-    atoms = tuple(sorted({a for f in members for a in atom_names(f)}))
+    atoms = tuple(sorted({f.name for f in members if type(f) is Atom}))
     depth = max(modal_depth(f) for f in members)
     order = sorted(members, key=lambda f: (f.size, print_formula(f)))
     position = {f: i for i, f in enumerate(order)}

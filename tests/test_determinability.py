@@ -1,5 +1,6 @@
 """Determinability, determinism, iterator extraction, and trajectory unrolling."""
 
+import itertools
 import random
 
 import pytest
@@ -33,10 +34,34 @@ def snap1(state):
     return Snapshot(("e0",), (state,))
 
 
+def wide_context(h):
+    """One entity over times 0..h-1: an `a` row through each choice of x, y or
+    z at every middle time, ending in `s`, plus `b, s, p2, ...` and
+    `c, s, q2, ...`. The `a` rows end `s` at 3^(h-2) distinct nodes, each of
+    which agrees with every other `s` node under a window of length 1; in
+    windowed mode only the time-1 nodes under `b` and `c` disagree, so the
+    first failing node is far from the snapshot's first node."""
+    rows = [("a", *(f"{c}{t}" for t, c in enumerate(mid, 1)), "s")
+            for mid in itertools.product("xyz", repeat=h - 2)]
+    rows += [(x, "s", *(f"{y}{t}" for t in range(2, h))) for x, y in (("b", "p"), ("c", "q"))]
+    return row_context(sorted({c for row in rows for c in row}), *rows)
+
+
+def trie_path(trie, inst):
+    """The node of member `inst` at each time, found by walking `trie.kids`
+    from the time-0 node of its first snapshot."""
+    snaps = [inst.snapshot(t) for t in trie.times]
+    path = [next(v for v, t in enumerate(trie.time_of)
+                 if t == 0 and trie.snaps[trie.snap_of[v]] == snaps[0])]
+    for snap in snaps[1:]:
+        path.append(next(c for c in trie.kids[path[-1]] if trie.snaps[trie.snap_of[c]] == snap))
+    return path
+
+
 def trie_node(ctx, inst, t):
     """The trie built for `ctx` and the node of member `inst` at time label t."""
     trie = _Trie(ctx)
-    return trie, trie.path(ctx.instances.index(inst))[ctx.signature.time_index(t)]
+    return trie, trie_path(trie, inst)[ctx.signature.time_index(t)]
 
 
 def trie_bundle(ctx, inst, t):
@@ -52,14 +77,15 @@ def trie_next_set(ctx, inst, t):
 
 
 def test_trie_paths_and_bundles_are_rebuilt_from_rows():
-    # the trie keeps no per-row path table: each path is rebuilt from its
-    # row, and each bundle walks the node's subtree; both must match the
-    # oracle's consistency sets at every node
+    # the trie keeps no per-row path table: each path is rebuilt here by
+    # walking the children from its time-0 node, and each bundle walks the
+    # node's subtree; nodes must be numbered by first occurrence, which the
+    # witness rule relies on, and bundles must match the oracle's
     rng = random.Random(3131)
     for _ in range(60):
         ctx = corpus.random_context(rng)
         trie, times = _Trie(ctx), ctx.signature.times
-        paths = [trie.path(k) for k in range(len(ctx.rows))]
+        paths = [trie_path(trie, inst) for inst in ctx.instances]
         for path, inst in zip(paths, ctx.instances):
             assert [trie.snaps[trie.snap_of[v]] for v in path] == [
                 inst.snapshot(t) for t in times
@@ -227,6 +253,34 @@ def test_determinability_agrees_with_oracle_on_corpus():
             ctx = corpus.random_context(rng, max_instances=max_instances)
             for mode in ("literal", "windowed"):
                 assert_matches_oracles(ctx, mode)
+    # contexts whose first failing node is not their snapshot's first node
+    for h in (4, 5, 6):
+        for mode in ("literal", "windowed"):
+            assert_matches_oracles(wide_context(h), mode)
+
+
+def test_windowed_witness_reads_a_bounded_number_of_bundle_ids(monkeypatch):
+    # the witness is read off the failing snapshot's nodes with O(nodes *
+    # times) bundle ids; a scan over pairs of its 731 occurrences needs
+    # hundreds of thousands
+    ctx = wide_context(8)
+    trie = _Trie(ctx)
+    nodes, times = len(trie.snap_of), len(trie.times)
+    assert (len(ctx.rows), nodes, times) == (731, 1838, 8)
+    calls = 0
+    bundle_id = _Trie.bundle_id
+
+    def counted(self, node, end):
+        nonlocal calls
+        calls += 1
+        return bundle_id(self, node, end)
+
+    monkeypatch.setattr(_Trie, "bundle_id", counted)
+    w = is_determinable(ctx, "windowed").witness
+    assert calls <= 2 * nodes * times
+    assert (w.instance.cells[0], w.time, w.other_instance.cells[0], w.other_time) == (
+        "b", "1", "c", "1"
+    )
 
 
 @pytest.mark.parametrize("odd", (False, True), ids=("alice_bob", "alice_bob_odd"))

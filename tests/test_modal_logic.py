@@ -536,6 +536,21 @@ def test_closure_universe_table_holds_the_given_nodes():
         assert universe.index_of(Box(Box(Box(Box(P))))) is None
 
 
+def test_closure_universe_walks_each_given_formula_once(monkeypatch):
+    # atom names are read off the members already collected; walking each
+    # member's subformulas again made a chain of n negations cost O(n^2)
+    walked = []
+    walk = modal_logic.subformulas
+    monkeypatch.setattr(modal_logic, "subformulas", lambda f: walked.append(f) or walk(f))
+    chain = P
+    for _ in range(200):
+        chain = Not(chain)
+    formulas = [chain, Box(Q)]
+    universe = closure_universe(formulas)
+    assert len(walked) == len(formulas)
+    assert universe.atoms == ("p", "q") and len(universe) == 203
+
+
 def test_universe_canonical_order_is_stable():
     a = formula_universe(("p", "q"), depth=1)
     b = formula_universe(("p", "q"), depth=1)
