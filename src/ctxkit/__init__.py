@@ -72,9 +72,6 @@ from ctxkit.formats import (
     render_context,
     render_kripke,
     render_modal_context,
-    save_context,
-    save_kripke,
-    save_modal_context,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +81,7 @@ _MODAL_NAMES = {
         "BOTTOM", "TOP", "And", "Atom", "Bottom", "Box", "Diamond", "Evaluator", "Formula",
         "FormulaSyntaxError", "FormulaUniverse", "Iff", "Implies", "KripkeModel", "Not", "Or",
         "Top", "check_modal_operator", "closure_universe", "formula_universe",
-        "modal_depth", "parse_formula", "print_formula", "satisfies", "world_theory",
+        "parse_formula", "print_formula", "satisfies", "world_theory",
     ),
     "modal_context": (
         "ModalContext", "ModalContextReport", "ModalViolation", "WorldClass",

@@ -36,10 +36,8 @@ class SizeGuardError(ValueError):
         )
 
 
-def effective_guard(guard: int | None, default: int) -> int:
-    """Resolve a guard value: explicit argument, then CTXKIT_GUARD, then default."""
-    if guard is not None:
-        return guard
+def effective_guard(default: int) -> int:
+    """The guard: CTXKIT_GUARD when it is set, else default."""
     env = os.environ.get(GUARD_ENV_VAR)
     if env is not None:
         try:
@@ -47,6 +45,13 @@ def effective_guard(guard: int | None, default: int) -> int:
         except ValueError:
             raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from None
     return default
+
+
+def check_guard(needed: int, default: int, what: str) -> None:
+    """Raise SizeGuardError if needed exceeds the guard: CTXKIT_GUARD, else default."""
+    limit = effective_guard(default)
+    if needed > limit:
+        raise SizeGuardError(needed, limit, what)
 
 
 _set = object.__setattr__
@@ -382,29 +387,25 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     )
 
 
-def check_full_space_guard(sig: Signature, guard: int | None = None) -> None:
+def check_full_space_guard(sig: Signature) -> None:
     """Raise SizeGuardError if the full space over sig exceeds the guard.
 
     Generators that build a subspace directly call this first, so their
     guard is the same as if they filtered the full space.
     """
-    limit = effective_guard(guard, DEFAULT_SPACE_GUARD)
-    total = len(sig.states) ** sig.cell_count()
-    if total > limit:
-        raise SizeGuardError(
-            total,
-            limit,
-            f"full space over {len(sig.states)} states and {sig.cell_count()} cells",
-        )
+    check_guard(
+        len(sig.states) ** sig.cell_count(), DEFAULT_SPACE_GUARD,
+        f"full space over {len(sig.states)} states and {sig.cell_count()} cells",
+    )
 
 
-def build_full_space(sig: Signature, guard: int | None = None) -> Context:
+def build_full_space(sig: Signature) -> Context:
     """The ambient context of all total (entity, time) -> state functions.
 
     Refuses to enumerate more than the guard allows (default 2**20 instances,
-    overridable per call or via CTXKIT_GUARD).
+    overridable via CTXKIT_GUARD).
     """
-    check_full_space_guard(sig, guard)
+    check_full_space_guard(sig)
     return Context.from_rows(
         sig, itertools.product(range(len(sig.states)), repeat=sig.cell_count())
     )

@@ -256,9 +256,6 @@ class IteratorMap:
     def _table(self) -> dict[Snapshot, frozenset[Snapshot]]:
         return dict(self.entries)
 
-    def domain(self) -> tuple[Snapshot, ...]:
-        return tuple(snap for snap, _ in self.entries)
-
     def image(self, snap: Snapshot) -> frozenset[Snapshot]:
         try:
             return self._table[snap]

@@ -1,8 +1,8 @@
 """Line-oriented file formats: contexts, Kripke models, modal contexts.
 
 All formats are plain text, `#` starts a comment, blank lines are ignored.
-Saving always produces the canonical rendering, so save(load(f)) == f for
-canonical files and load(save(x)) == x for every value.
+Rendering always produces the canonical text, so render(load(f)) == f for
+canonical files and parse(render(x)) == x for every value.
 """
 
 from __future__ import annotations
@@ -58,16 +58,11 @@ class LoadedContext:
     """A context plus the instance names the file used.
 
     `rows` maps the name of each kept instance to its row, in file order; a
-    duplicate collapsed into an earlier instance keeps no name. `names` is
-    the same map onto `Instance` values, built on first use.
+    duplicate collapsed into an earlier instance keeps no name.
     """
 
     context: Context
     rows: Mapping[str, Row]
-
-    @cached_property
-    def names(self) -> dict[str, Instance]:
-        return {name: self.context.instance_of(row) for name, row in self.rows.items()}
 
     @cached_property
     def name_of(self) -> dict[Row, str]:
@@ -260,10 +255,6 @@ def load_context(path: str | Path) -> LoadedContext:
     return parse_context(Path(path).read_text(), path)
 
 
-def save_context(ctx: Context, path: str | Path) -> None:
-    Path(path).write_text(render_context(ctx))
-
-
 # ---------------------------------------------------------------------------
 # Kripke model files
 # ---------------------------------------------------------------------------
@@ -333,10 +324,6 @@ def load_kripke(path: str | Path) -> KripkeModel:
     return parse_kripke(Path(path).read_text(), path)
 
 
-def save_kripke(model: KripkeModel, path: str | Path) -> None:
-    Path(path).write_text(render_kripke(model))
-
-
 # ---------------------------------------------------------------------------
 # modal context files
 # ---------------------------------------------------------------------------
@@ -344,19 +331,15 @@ def save_kripke(model: KripkeModel, path: str | Path) -> None:
 def render_modal_context(mc: ModalContext) -> str:
     """Header with the universe identity, then worlds and edges.
 
-    Only contexts over generated universes (default connectives, known cap)
-    serialize; closure-built universes carry no regenerable identity. Each
-    world lists the members its row stores, in member order, by their texts.
+    Only contexts over generated universes serialize; closure-built
+    universes (cap None) carry no regenerable identity. Each world lists
+    the members its row stores, in member order, by their texts.
     """
     from itertools import compress
 
-    from ctxkit.modal_logic import DEFAULT_CONNECTIVES
-
     u = mc.universe
-    if u.cap is None or tuple(u.connectives) != DEFAULT_CONNECTIVES:
-        raise ValueError(
-            "only contexts over default-connective generated universes serialize"
-        )
+    if u.cap is None:
+        raise ValueError("only contexts over generated universes serialize")
     lines = [f"universe atoms={','.join(u.atoms)} depth={u.depth} cap={u.cap}"]
     has = [f"  has {text}" for text in u.texts]
     for name, row in zip(mc.world_names, mc.rows):
@@ -465,7 +448,3 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
 
 def load_modal_context(path: str | Path) -> ModalContext:
     return parse_modal_context(Path(path).read_text(), path)
-
-
-def save_modal_context(mc: ModalContext, path: str | Path) -> None:
-    Path(path).write_text(render_modal_context(mc))

@@ -9,13 +9,13 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Sequence
 
-from ctxkit.core import Context, Signature, check_full_space_guard
+from ctxkit.core import DEFAULT_SPACE_GUARD, Context, Signature, check_full_space_guard, check_guard
 
 if TYPE_CHECKING:  # the modal modules load with the first Kripke model
     from ctxkit.modal_logic import KripkeModel
 
 
-def gen_alice_bob(horizon: int, guard: int | None = None) -> Context:
+def gen_alice_bob(horizon: int) -> Context:
     """Two flatmates over `horizon` hours, states Home/Out, one house rule:
     whenever Bob is at home, Alice is at home an hour later.
 
@@ -24,15 +24,15 @@ def gen_alice_bob(horizon: int, guard: int | None = None) -> Context:
     legal timelines, not in the 4^horizon full space. The guard still
     applies to the full space, exactly as if it were filtered.
     """
-    return _alice_bob(horizon, guard, odd=False)
+    return _alice_bob(horizon, odd=False)
 
 
-def gen_alice_bob_odd(horizon: int, guard: int | None = None) -> Context:
+def gen_alice_bob_odd(horizon: int) -> Context:
     """gen_alice_bob additionally requiring Bob to be home at every odd hour."""
-    return _alice_bob(horizon, guard, odd=True)
+    return _alice_bob(horizon, odd=True)
 
 
-def _alice_bob(horizon: int, guard: int | None, odd: bool) -> Context:
+def _alice_bob(horizon: int, odd: bool) -> Context:
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     sig = Signature(
@@ -40,7 +40,7 @@ def _alice_bob(horizon: int, guard: int | None, odd: bool) -> Context:
         ("Alice", "Bob"),
         tuple(str(t) for t in range(horizon)),
     )
-    check_full_space_guard(sig, guard)
+    check_full_space_guard(sig)
     home, out = 0, 1  # state indices
     both = (home, out)
     rows = [((), ())]  # (Alice's states so far, Bob's states so far)
@@ -141,11 +141,15 @@ def gen_minigame() -> tuple[Context, Context]:
 def gen_random_context(
     seed: int, n_states: int, n_entities: int, n_times: int, count: int
 ) -> Context:
-    """Uniform cellwise sampling of `count` instances; duplicates collapse."""
+    """Uniform cellwise sampling of `count` instances; duplicates collapse.
+
+    The count x cells draws are checked against the full-space guard first."""
     if min(n_states, n_entities, n_times) < 1:
         raise ValueError("state, entity, and time counts must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
+    check_guard(count * n_entities * n_times, DEFAULT_SPACE_GUARD,
+                f"random context of {count} instances over {n_entities * n_times} cells")
     rng = random.Random(seed)
     sig = Signature(
         tuple(f"s{i}" for i in range(n_states)),
@@ -162,13 +166,18 @@ def gen_random_kripke(
     seed: int, n_worlds: int, atoms: Sequence[str], edge_density: float
 ) -> KripkeModel:
     """Each ordered world pair becomes an edge with probability edge_density;
-    each (atom, world) pair is valuated true with probability one half."""
+    each (atom, world) pair is valuated true with probability one half.
+
+    The worlds x worlds edge draws are checked against the full-space guard
+    first."""
     from ctxkit.modal_logic import KripkeModel
 
     if n_worlds < 1:
         raise ValueError("at least one world is required")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must lie in [0, 1]")
+    check_guard(n_worlds * n_worlds, DEFAULT_SPACE_GUARD,
+                f"random Kripke model of {n_worlds} worlds")
     rng = random.Random(seed)
     worlds = tuple(f"w{i}" for i in range(n_worlds))
     relation = frozenset(

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from ctxkit.core import SizeGuardError, effective_guard
+from ctxkit.core import check_guard
 from ctxkit.modal_logic import (
     And,
     Atom,
@@ -167,11 +167,6 @@ class ModalContext:
             raise ValueError(f"unknown context world {name!r}")
         return j
 
-    def successors(self, name: str) -> tuple[str, ...]:
-        """The world's successors, in world_names order."""
-        mask = self._successor_masks[self._world_index(name)][1]
-        return tuple([w for k, w in enumerate(self.world_names) if mask >> k & 1])
-
     def theory_at(self, name: str) -> frozenset[Formula]:
         """The formulas the world stores."""
         return frozenset(compress(self.universe.members, self.rows[self._world_index(name)]))
@@ -197,13 +192,10 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
     successor masks. A table of more members x worlds than the guard
     (`DEFAULT_TABLE_GUARD`, or `CTXKIT_GUARD`) is refused before it is built.
     """
-    needed = len(universe) * len(model.worlds)
-    limit = effective_guard(None, DEFAULT_TABLE_GUARD)
-    if needed > limit:
-        raise SizeGuardError(
-            needed, limit,
-            f"extension table of {len(universe)} members over {len(model.worlds)} worlds",
-        )
+    check_guard(
+        len(universe) * len(model.worlds), DEFAULT_TABLE_GUARD,
+        f"extension table of {len(universe)} members over {len(model.worlds)} worlds",
+    )
     bit = {w: 1 << i for i, w in enumerate(model.worlds)}
     everywhere = (1 << len(bit)) - 1
     successors = [(bit[w], sum(bit[v] for v in model.successors(w))) for w in model.worlds]

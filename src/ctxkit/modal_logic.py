@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from ctxkit.core import SizeGuardError, effective_guard
+from ctxkit.core import SizeGuardError, check_guard, effective_guard
 
 DEFAULT_UNIVERSE_GUARD = 50_000
 DEFAULT_FORMULA_GUARD = 10_000  # nodes of one parsed formula
-DEFAULT_CONNECTIVES = ("~", "&", "->", "[]", "<>")
-_ALL_CONNECTIVES = ("~", "&", "|", "->", "<->", "[]", "<>", "true", "false")
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")  # an atom, or a word in _CONSTANTS
 
@@ -82,8 +80,23 @@ class Formula:
         return type(self), tuple(getattr(self, name) for name in self.fields)
 
     def __repr__(self) -> str:
-        args = ", ".join(repr(getattr(self, name)) for name in self.fields)
-        return f"{type(self).__name__}({args})"
+        """Constructor syntax, such as `Not(Atom('p'))`, written from an
+        explicit stack, so that nesting depth costs no interpreter frames."""
+        out: list[str] = []
+        todo: list = [self]  # nodes still to write, and text to copy out
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"{type(item).__name__}(")
+            todo.append(")")
+            for k, name in enumerate(reversed(item.fields)):
+                value = getattr(item, name)
+                if k:
+                    todo.append(", ")
+                todo.append(value if isinstance(value, Formula) else repr(value))
+        return "".join(out)
 
 
 def _live(key: tuple) -> Formula | None:
@@ -204,11 +217,6 @@ class Diamond(Formula):
 
 TOP = Top()
 BOTTOM = Bottom()
-
-
-def modal_depth(formula: Formula) -> int:
-    """Maximum box/diamond nesting; atoms and constants have depth 0."""
-    return formula.depth
 
 
 def subformulas(formula: Formula) -> set[Formula]:
@@ -336,9 +344,7 @@ def parse_formula(text: str) -> Formula:
     """
     tokens = _tokenize(text)
     nodes = len(tokens) - 1 - text.count("(") - text.count(")")  # every paren is a token
-    limit = effective_guard(None, DEFAULT_FORMULA_GUARD)
-    if nodes > limit:
-        raise SizeGuardError(nodes, limit, "formula")
+    check_guard(nodes, DEFAULT_FORMULA_GUARD, "formula")
     operands: list[Formula] = []
     pending: list = []  # operator classes, and None for each open parenthesis
     open_parens = 0
@@ -383,29 +389,27 @@ class FormulaUniverse:
 
     The members are the rows of one table, in canonical order (size, then
     printed text): row i holds member i's kind (its node class), its args
-    (the rows of its children, or an atom's name), its size and its printed
-    text. A child's row comes before its parent's, so one forward pass over
-    the rows computes anything bottom-up. Formula nodes are built only when
+    (the rows of its children, or an atom's name) and its printed text. A
+    child's row comes before its parent's, so one forward pass over the
+    rows computes anything bottom-up. Formula nodes are built only when
     `members` is first read; equality and hashing read the identity fields
     and the texts, never a node.
 
-    Generated universes are identified by (atoms, depth, cap, connectives);
-    cap is None for universes built by subformula closure of explicit
-    formulas, which cannot be regenerated from a header line.
+    Generated universes are identified by (atoms, depth, cap); cap is None
+    for universes built by subformula closure of explicit formulas, which
+    cannot be regenerated from a header line.
     """
 
     atoms: tuple[str, ...]
     depth: int
     cap: int | None
-    connectives: tuple[str, ...]
     kinds: tuple[type[Formula], ...]
     args: tuple[tuple[int, ...] | str, ...]
-    sizes: tuple[int, ...]
     texts: tuple[str, ...]
 
     @cached_property
     def _key(self) -> tuple:
-        return self.atoms, self.depth, self.cap, self.connectives, self.texts
+        return self.atoms, self.depth, self.cap, self.texts
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormulaUniverse):
@@ -418,7 +422,7 @@ class FormulaUniverse:
     def __repr__(self) -> str:
         return (
             f"FormulaUniverse(atoms={self.atoms!r}, depth={self.depth!r}, cap={self.cap!r}, "
-            f"connectives={self.connectives!r}, members={len(self.texts)})"
+            f"members={len(self.texts)})"
         )
 
     @cached_property
@@ -459,49 +463,42 @@ def check_atom(name: str) -> None:
         raise ValueError(f"invalid atom name {name!r}")
 
 
-def _refuse_layer(grown: int, n: int, binary_ops: int, guard: int) -> None:
+_BINARY = (And, Implies)  # the universe language is `~ & -> [] <>`
+
+
+def _refuse_layer(grown: int, n: int, guard: int) -> None:
     """Refuse a Boolean layer over n formulas whose next layer, with `grown`
     formulas before the binary operators apply, could outgrow the guard."""
-    projected = grown + binary_ops * n * n
+    projected = grown + len(_BINARY) * n * n
     if projected > guard and n * n > guard:
         raise SizeGuardError(projected, guard, "formula universe", exact=False)
 
 
-def _base_counts(
-    atom_count: int, depth: int, connectives: tuple[str, ...], cap: int
-) -> Iterator[int]:
-    """How many modal atoms (atoms, constants, []/<> members) formula_universe
-    holds after each modal level 1..depth, computed without building any.
+def _base_counts(atom_count: int, depth: int, cap: int) -> Iterator[int]:
+    """How many modal atoms (atoms and []/<> members) formula_universe holds
+    after each modal level 1..depth, computed without building any.
 
     Every []/<> image of a target is a new member, so the count is exact:
-    |M_d| = |M_0| + (modal operators) * (2 with ~ and cap >= 1, else 1) * |M_(d-1)|.
+    |M_d| = |M_0| + 2 * (2 with cap >= 1, else 1) * |M_(d-1)|.
     Lazy, so that a guard stops it before the counts grow huge.
     """
-    first = atom_count + ("true" in connectives) + ("false" in connectives)
-    grows = (("[]" in connectives) + ("<>" in connectives)) * (
-        2 if "~" in connectives and cap >= 1 else 1
-    )
-    count = first
+    grows = 4 if cap >= 1 else 2
+    count = atom_count
     for _ in range(depth):
-        count = first + grows * count
+        count = atom_count + grows * count
         yield count
 
 
-def formula_universe(
-    atoms: Iterable[str],
-    depth: int,
-    connectives: Iterable[str] = DEFAULT_CONNECTIVES,
-    cap: int = 1,
-    guard: int | None = None,
-) -> FormulaUniverse:
-    """All formulas of modal depth <= depth over the atoms, within the caps.
+def formula_universe(atoms: Iterable[str], depth: int, cap: int = 1) -> FormulaUniverse:
+    """All formulas over `~ & -> [] <>` of modal depth <= depth over the
+    atoms, within the cap.
 
-    Modalities apply to modal atoms (atoms, constants, nested modal
-    formulas) and, when negation is available and cap >= 1, to their single
-    negations; full Boolean structure never nests under a modality, which is
-    what keeps depth-2 universes at desk scale. Within each modal level,
-    Boolean connectives combine to nesting depth <= cap. The result is
-    subformula-closed, canonically ordered, and monotone in depth.
+    Modalities apply to modal atoms (atoms and nested modal formulas) and,
+    when cap >= 1, to their single negations; full Boolean structure never
+    nests under a modality, which is what keeps depth-2 universes at desk
+    scale. Within each modal level, the Boolean connectives combine to
+    nesting depth <= cap. The result is subformula-closed, canonically
+    ordered, and monotone in depth.
 
     The member table is filled layer by layer, one row per distinct
     (kind, child rows), each text composed from its children's by the
@@ -517,28 +514,23 @@ def formula_universe(
         if a in seen:
             raise ValueError(f"duplicate atom {a!r}")
         seen.add(a)
-    connectives = tuple(connectives)
-    for c in connectives:
-        if c not in _ALL_CONNECTIVES:
-            raise ValueError(f"unknown connective {c!r}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    limit = effective_guard(guard, DEFAULT_UNIVERSE_GUARD)
-    count = len(atoms) + ("true" in connectives) + ("false" in connectives)  # at depth 0
-    for count in _base_counts(len(atoms), depth, connectives, cap):
+    limit = effective_guard(DEFAULT_UNIVERSE_GUARD)
+    count = len(atoms)  # at depth 0
+    for count in _base_counts(len(atoms), depth, cap):
         if count > limit:
             raise SizeGuardError(count, limit, "formula universe", exact=False)
-    binary_ops = [op for name, op in _INFIX.items() if name in connectives]
     if cap >= 1:  # the first Boolean layer's size is exact: no ~f is a modal atom
-        _refuse_layer(count * (1 + ("~" in connectives)), count, len(binary_ops), limit)
+        _refuse_layer(2 * count, count, limit)
 
     kinds: list[type[Formula]] = []
     args: list = []
-    sizes: list[int] = []
+    sizes: list[int] = []  # the sort key, with the texts
     texts: list[str] = []
-    row_of: dict[tuple, int] = {}  # (kind, args) -> row of an atom, constant or unary member
+    row_of: dict[tuple, int] = {}  # (kind, args) -> row of an atom or unary member
 
     def row(kind, arg, size: int, text: str) -> int:
         key = (kind, arg)
@@ -555,13 +547,10 @@ def formula_universe(
         return row(op, (f,), sizes[f] + 1, op.symbol + _part(texts[f], kinds[f], op))
 
     bases = [row(Atom, a, 1, a) for a in atoms]
-    bases += [row(c, (), 1, c.symbol) for c in (Top, Bottom) if c.symbol in connectives]
-    modal_ops = [op for op in (Box, Diamond) if op.symbol in connectives]
-    negate_targets = "~" in connectives and cap >= 1
     for _ in range(depth):
-        targets = bases + [wrap(Not, f) for f in bases] if negate_targets else bases
+        targets = bases + [wrap(Not, f) for f in bases] if cap >= 1 else bases
         start = len(kinds)  # a []/<> row made before this level is already a base
-        for op in modal_ops:
+        for op in (Box, Diamond):
             for f in targets:
                 wrap(op, f)
         bases = bases + list(range(start, len(kinds)))
@@ -571,13 +560,11 @@ def formula_universe(
     # layer, so a round combines only the pairs with a new side.
     layer, known = bases, 0  # known: the layer's leading rows seen last round
     for _ in range(cap):
-        grown = list(layer)
-        if "~" in connectives:
-            in_layer = set(layer)
-            grown += [g for g in (wrap(Not, f) for f in layer) if g not in in_layer]
+        in_layer = set(layer)
+        grown = layer + [g for g in (wrap(Not, f) for f in layer) if g not in in_layer]
         n = len(layer)
-        _refuse_layer(len(grown), n, len(binary_ops), limit)
-        for op in binary_ops:
+        _refuse_layer(len(grown), n, limit)
+        for op in _BINARY:
             start, infix = len(kinds), f" {op.symbol} "
             rights = [_part(texts[b], kinds[b], op, right=True) for b in layer]
             right_sizes = [sizes[b] + 1 for b in layer]
@@ -605,11 +592,10 @@ def formula_universe(
     for i, r in enumerate(order):  # through it, and an atom keeps its name
         place[r] = i
     return FormulaUniverse(
-        atoms, depth, cap, connectives,
+        atoms, depth, cap,
         tuple(map(kinds.__getitem__, order)),
         tuple([arg if type(arg) is str else (place[arg[0]], place[arg[1]]) if len(arg) == 2
-               else (place[arg[0]],) if arg else () for arg in map(args.__getitem__, order)]),
-        tuple(map(sizes.__getitem__, order)),
+               else (place[arg[0]],) for arg in map(args.__getitem__, order)]),
         tuple(map(texts.__getitem__, order)),
     )
 
@@ -623,15 +609,14 @@ def closure_universe(formulas: Iterable[Formula]) -> FormulaUniverse:
     if not members:
         raise ValueError("a universe needs at least one formula")
     atoms = tuple(sorted({f.name for f in members if type(f) is Atom}))
-    depth = max(modal_depth(f) for f in members)
+    depth = max(f.depth for f in members)
     order = sorted(members, key=lambda f: (f.size, print_formula(f)))
     position = {f: i for i, f in enumerate(order)}
     return FormulaUniverse(
-        atoms, depth, None, (),
+        atoms, depth, None,
         tuple([type(f) for f in order]),
         tuple([f.name if type(f) is Atom else tuple([position[k] for k in f.children])
                for f in order]),
-        tuple([f.size for f in order]),
         tuple([print_formula(f) for f in order]),
     )
 
@@ -653,7 +638,7 @@ def check_modal_operator(universe: FormulaUniverse) -> bool:
                 return False
             iterate = wrap(once)
             steps = 2
-            while modal_depth(f) + steps <= budget:
+            while f.depth + steps <= budget:
                 if iterate == once:
                     return False
                 iterate = wrap(iterate)

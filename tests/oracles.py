@@ -550,28 +550,24 @@ def full_theory_quotient(worlds, relation, valuation, members):
 # table replaced, guards and messages included
 # ---------------------------------------------------------------------------
 
-def _reference_refuse_layer(grown, n, binary_ops, guard):
+def _reference_refuse_layer(grown, n, guard):
     from ctxkit.core import SizeGuardError
 
-    projected = grown + binary_ops * n * n
+    projected = grown + 2 * n * n  # two binary operators, & and ->
     if projected > guard and n * n > guard:
         raise SizeGuardError(projected, guard, "formula universe", exact=False)
 
 
-def _reference_boolean_layers(base, cap, connectives, guard):
+def _reference_boolean_layers(base, cap, guard):
     from ctxkit.core import SizeGuardError
 
-    infix = {"&": And, "|": Or, "->": Implies, "<->": Iff}
-    binary_ops = [op for name, op in infix.items() if name in connectives]
     layer = set(base)
     for _ in range(cap):
-        grown = set(layer)
-        if "~" in connectives:
-            grown |= {Not(f) for f in layer}
+        grown = layer | {Not(f) for f in layer}
         n = len(layer)
-        _reference_refuse_layer(len(grown), n, len(binary_ops), guard)
+        _reference_refuse_layer(len(grown), n, guard)
         ordered = list(layer)
-        for op in binary_ops:
+        for op in (And, Implies):
             for a in ordered:
                 for b in ordered:
                     grown.add(op(a, b))
@@ -585,13 +581,11 @@ def _reference_boolean_layers(base, cap, connectives, guard):
     return layer
 
 
-def reference_universe(atoms, depth, connectives, cap, guard):
-    """The member nodes of formula_universe(atoms, depth, connectives, cap,
-    guard) in canonical order, or the ValueError it raises."""
+def reference_universe(atoms, depth, cap):
+    """The member nodes of formula_universe(atoms, depth, cap) in canonical
+    order, or the ValueError it raises, under the CTXKIT_GUARD in force."""
     from ctxkit.core import SizeGuardError, effective_guard
-    from ctxkit.modal_logic import (
-        _ALL_CONNECTIVES, _ATOM_RE, DEFAULT_UNIVERSE_GUARD, _base_counts, print_formula,
-    )
+    from ctxkit.modal_logic import _ATOM_RE, DEFAULT_UNIVERSE_GUARD, _base_counts, print_formula
 
     atoms = tuple(atoms)
     if not atoms:
@@ -603,38 +597,23 @@ def reference_universe(atoms, depth, connectives, cap, guard):
         if a in seen:
             raise ValueError(f"duplicate atom {a!r}")
         seen.add(a)
-    connectives = tuple(connectives)
-    for c in connectives:
-        if c not in _ALL_CONNECTIVES:
-            raise ValueError(f"unknown connective {c!r}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    limit = effective_guard(guard, DEFAULT_UNIVERSE_GUARD)
-    count = len(atoms) + ("true" in connectives) + ("false" in connectives)
-    for count in _base_counts(len(atoms), depth, connectives, cap):
+    limit = effective_guard(DEFAULT_UNIVERSE_GUARD)
+    count = len(atoms)
+    for count in _base_counts(len(atoms), depth, cap):
         if count > limit:
             raise SizeGuardError(count, limit, "formula universe", exact=False)
     if cap >= 1:
-        _reference_refuse_layer(count * (1 + ("~" in connectives)), count,
-                                sum(name in connectives for name in ("&", "|", "->", "<->")),
-                                limit)
+        _reference_refuse_layer(2 * count, count, limit)
 
     bases = {Atom(a) for a in atoms}
-    if "true" in connectives:
-        bases.add(TOP)
-    if "false" in connectives:
-        bases.add(BOTTOM)
     for _ in range(depth):
-        targets = set(bases)
-        if "~" in connectives and cap >= 1:
-            targets |= {Not(f) for f in bases}
-        if "[]" in connectives:
-            bases |= {Box(f) for f in targets}
-        if "<>" in connectives:
-            bases |= {Diamond(f) for f in targets}
-    members = _reference_boolean_layers(bases, cap, connectives, limit)
+        targets = bases | {Not(f) for f in bases} if cap >= 1 else set(bases)
+        bases |= {Box(f) for f in targets} | {Diamond(f) for f in targets}
+    members = _reference_boolean_layers(bases, cap, limit)
     return sorted(members, key=lambda f: (f.size, print_formula(f)))
 
 

@@ -21,7 +21,7 @@ from ctxkit.determinability import (
     has_iterator,
     is_determinable,
 )
-from ctxkit.formats import save_context
+from ctxkit.formats import render_context
 from ctxkit.generators import (
     gen_alice_bob,
     gen_alice_bob_odd,
@@ -30,6 +30,7 @@ from ctxkit.generators import (
     gen_random_kripke,
 )
 from ctxkit.modal_logic import (
+    Atom,
     Box,
     Diamond,
     Evaluator,
@@ -37,6 +38,7 @@ from ctxkit.modal_logic import (
     Implies,
     Not,
     check_modal_operator,
+    closure_universe,
     formula_universe,
     parse_formula,
     print_formula,
@@ -248,7 +250,7 @@ def test_criterion_4_iterator_round_trip_and_differential(contexts, tmp_path):
             (_shrink_disagreement(c) for c in disagreements), key=len
         )
         path = tmp_path / "windowed_vs_iterator_counterexample.ctx"
-        save_context(minimal, path)
+        path.write_text(render_context(minimal))
         detail = (
             f"differential harness found a counterexample, minimized to "
             f"{len(minimal)} instance(s), written to {path} ({elapsed:.1f}s)"
@@ -308,7 +310,7 @@ def test_criterion_6_theorem_end_to_end(models, universes):
 
 def test_criterion_7_modal_operator_laws(universes):
     extra = [
-        formula_universe(("p",), depth=0, connectives=("~",), cap=1),
+        closure_universe([Not(Atom("p"))]),  # {p, ~p}
         formula_universe(("p",), depth=1),
         formula_universe(("p", "q", "r"), depth=1, cap=0),
     ]

@@ -514,6 +514,40 @@ def test_guard_env_var_is_honored(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_guard_env_var_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("CTXKIT_GUARD", "abc")
+    code = cli_dispatch(["gen", "alice-bob"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == "error: CTXKIT_GUARD must be an integer, got 'abc'"
+
+
+@pytest.mark.parametrize("command, size, over, message", [
+    (("random-kripke", "--seed", "1"), "--worlds", ("4", "5"),
+     "random Kripke model of 5 worlds needs a guard of at least 25"),
+    (("random-ctx", "--seed", "1", "--entities", "2", "--times", "2"), "--count", ("4", "5"),
+     "random context of 5 instances over 4 cells needs a guard of at least 20"),
+], ids=["random-kripke", "random-ctx"])
+def test_random_generators_check_their_draws_before_drawing(
+    command, size, over, message, tmp_path, monkeypatch, capsys
+):
+    # worlds x worlds edge draws, or count x cells state draws, against the guard
+    monkeypatch.setenv("CTXKIT_GUARD", "16")
+    fits, too_many = over
+    assert cli_dispatch(["gen", *command, size, fits]) == 0
+    capsys.readouterr()
+    path = tmp_path / "out"
+    code = cli_dispatch(["gen", *command, size, too_many, "-o", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        f"error: {message}; current guard is 16; set CTXKIT_GUARD to raise it"
+    )
+    assert not path.exists()
+
+
 def test_oversized_universe_is_refused_at_once(kripke_path, monkeypatch, capsys):
     monkeypatch.delenv("CTXKIT_GUARD", raising=False)
     start = time.perf_counter()

@@ -352,15 +352,13 @@ def test_full_space_counts():
 
 def test_full_space_guard(monkeypatch):
     sig = Signature(("a", "b"), ("e0", "e1"), ("0", "1", "2"))
+    monkeypatch.setenv("CTXKIT_GUARD", "63")
     with pytest.raises(SizeGuardError) as err:
-        build_full_space(sig, guard=63)
+        build_full_space(sig)
     assert str(err.value) == (
         "full space over 2 states and 6 cells needs a guard of at least 64; "
         "current guard is 63; set CTXKIT_GUARD to raise it"
     )
-    monkeypatch.setenv("CTXKIT_GUARD", "63")
-    with pytest.raises(SizeGuardError):
-        build_full_space(sig)
     monkeypatch.setenv("CTXKIT_GUARD", "64")
     assert len(build_full_space(sig)) == 64
 

@@ -374,7 +374,7 @@ def test_extract_iterator_branching_and_final_images():
     assert i.image(snap1("a")) == frozenset({snap1("b"), snap1("c")})
     assert i.image(snap1("b")) == frozenset()
     assert i.image(snap1("c")) == frozenset()
-    assert set(i.domain()) == {snap1("a"), snap1("b"), snap1("c")}
+    assert {snap for snap, _ in i.entries} == {snap1("a"), snap1("b"), snap1("c")}
 
 
 def test_extract_iterator_reports_conflict():
@@ -414,7 +414,7 @@ def test_extracted_domain_is_exactly_the_occurring_snapshots():
             for inst in ctx
             for ti in range(len(ctx.signature.times))
         }
-        assert set(extraction.iterator.domain()) == occurring
+        assert {snap for snap, _ in extraction.iterator.entries} == occurring
 
 
 def test_literal_determinable_implies_iterator_satisfying_definition():

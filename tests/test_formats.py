@@ -39,9 +39,6 @@ from ctxkit.formats import (
     render_context,
     render_kripke,
     render_modal_context,
-    save_context,
-    save_kripke,
-    save_modal_context,
 )
 
 ALICE_FILE = """\
@@ -89,14 +86,14 @@ def test_loading_rendering_and_analysing_build_no_instance(monkeypatch):
 def test_context_round_trip_via_files(tmp_path):
     ctx = gen_alice_bob(3)
     path = tmp_path / "alice.ctx"
-    save_context(ctx, path)
+    path.write_text(render_context(ctx))
     loaded = load_context(path)
     assert loaded.context == ctx
-    # canonical files survive save(load(.)) byte for byte
+    # canonical files survive render(load(.)) byte for byte
     again = tmp_path / "again.ctx"
-    save_context(loaded.context, again)
+    again.write_text(render_context(loaded.context))
     assert path.read_text() == again.read_text()
-    # load . save . load == load
+    # load . render . load == load
     assert load_context(again).context == loaded.context
 
 
@@ -104,13 +101,13 @@ def test_minigame_and_random_contexts_round_trip(tmp_path):
     base, tracked = gen_minigame()
     for k, ctx in enumerate((base, tracked)):
         path = tmp_path / f"game{k}.ctx"
-        save_context(ctx, path)
+        path.write_text(render_context(ctx))
         assert load_context(path).context == ctx
     rng = random.Random(321)
     for k in range(10):
         ctx = corpus.random_context(rng)
         path = tmp_path / f"rand{k}.ctx"
-        save_context(ctx, path)
+        path.write_text(render_context(ctx))
         assert load_context(path).context == ctx
 
 
@@ -191,11 +188,11 @@ def test_context_parse_errors_are_pinned(body, line_no, message):
 def test_empty_context_round_trips(tmp_path):
     ctx = Context(Signature(("a", "b"), ("e", "f"), ("0", "1")), ())
     path = tmp_path / "empty.ctx"
-    save_context(ctx, path)
+    path.write_text(render_context(ctx))
     assert path.read_text() == HEAD
     loaded = load_context(path)
     assert loaded.context == ctx
-    assert dict(loaded.names) == {}
+    assert dict(loaded.rows) == {}
 
 
 def test_duplicate_instance_warning_is_pinned():
@@ -204,7 +201,7 @@ def test_duplicate_instance_warning_is_pinned():
     assert [str(w.message) for w in record] == [
         "dup.ctx: duplicate instance 'y' collapsed (set semantics)"
     ]
-    assert list(loaded.names) == ["x"]
+    assert list(loaded.rows) == ["x"]
 
 
 MUTATIONS = (
@@ -291,7 +288,7 @@ def read_both(text):
             "ok",
             loaded.context.signature,
             [inst.cells for inst in loaded.context],
-            {name: inst.cells for name, inst in loaded.names.items()},
+            {name: loaded.instance_named(name).cells for name in loaded.rows},
             [str(w.message) for w in record],
         )
     except ModelFileError as exc:
@@ -365,10 +362,10 @@ def test_parse_kripke_and_round_trip(tmp_path):
     assert model.valuation["p"] == frozenset({"w2"})
 
     path = tmp_path / "m.kr"
-    save_kripke(model, path)
+    path.write_text(render_kripke(model))
     assert load_kripke(path) == model
     again = tmp_path / "m2.kr"
-    save_kripke(load_kripke(path), again)
+    again.write_text(render_kripke(load_kripke(path)))
     assert path.read_text() == again.read_text()
 
 
@@ -376,7 +373,7 @@ def test_random_kripke_round_trip(tmp_path):
     for seed in range(8):
         model = gen_random_kripke(seed, 5, ("p", "q"), 0.4)
         path = tmp_path / f"r{seed}.kr"
-        save_kripke(model, path)
+        path.write_text(render_kripke(model))
         assert load_kripke(path) == model
 
 
@@ -533,11 +530,11 @@ def test_modal_context_round_trip(tmp_path):
     model = parse_kripke(KRIPKE_FILE)
     mc = to_modal_context(model, formula_universe(("p",), depth=1))
     path = tmp_path / "m.mctx"
-    save_modal_context(mc, path)
+    path.write_text(render_modal_context(mc))
     loaded = load_modal_context(path)
     assert loaded == mc
     again = tmp_path / "m2.mctx"
-    save_modal_context(loaded, again)
+    again.write_text(render_modal_context(loaded))
     assert path.read_text() == again.read_text()
 
 
@@ -547,7 +544,7 @@ def test_modal_context_random_round_trips(tmp_path):
         model = gen_random_kripke(seed, 4, ("p", "q"), 0.5)
         mc = to_modal_context(model, universe)
         path = tmp_path / f"{seed}.mctx"
-        save_modal_context(mc, path)
+        path.write_text(render_modal_context(mc))
         assert load_modal_context(path) == mc
 
 

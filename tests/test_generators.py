@@ -81,23 +81,29 @@ def test_alice_bob_step_rule_matches_filtered_full_space(horizon, odd):
     assert render_context(got) == render_context(want)
 
 
-def test_alice_bob_guard_is_checked_on_the_full_space():
+def test_alice_bob_guard_is_checked_on_the_full_space(monkeypatch):
     # 2^(2*3) = 64 instances in the full space, 36 kept by the rule
     sig = Signature(("Home", "Out"), ("Alice", "Bob"), ("0", "1", "2"))
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    unguarded = {gen: len(gen(3)) for gen in (gen_alice_bob, gen_alice_bob_odd)}
+    monkeypatch.setenv("CTXKIT_GUARD", "63")
     with pytest.raises(SizeGuardError) as full:
-        build_full_space(sig, guard=63)
+        build_full_space(sig)
     for gen in (gen_alice_bob, gen_alice_bob_odd):
         with pytest.raises(SizeGuardError) as err:
-            gen(3, guard=63)
+            gen(3)
         assert str(err.value) == str(full.value)
-        assert len(gen(3, guard=64)) == len(gen(3))
+    monkeypatch.setenv("CTXKIT_GUARD", "64")
+    for gen in (gen_alice_bob, gen_alice_bob_odd):
+        assert len(gen(3)) == unguarded[gen]
 
 
-def test_alice_bob_horizon_and_guard():
+def test_alice_bob_horizon_and_guard(monkeypatch):
     with pytest.raises(ValueError):
         gen_alice_bob(1)
+    monkeypatch.setenv("CTXKIT_GUARD", "10")
     with pytest.raises(SizeGuardError):
-        gen_alice_bob(3, guard=10)
+        gen_alice_bob(3)
 
 
 # ---------------------------------------------------------------------------
