@@ -8,12 +8,18 @@ deep, as the formula layer walks explicit stacks.
 Reports go to stdout as `key=value` lines followed by a blank line and a
 human-readable section; stdout is byte-stable for fixed inputs and seeds,
 timing goes to stderr. A file is read or written once, and its digest is of
-those bytes.
+those bytes. `-o` overwrites its file in place: the file keeps its inode,
+mode and links and ends up holding exactly the new bytes, without first being
+truncated to zero (the write is not atomic). A well-formed `<group> <command>`
+argv is parsed by that command's parser alone; anything else, help and usage
+errors among it, goes through the whole parser tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 import time
 from functools import cache
@@ -74,7 +80,13 @@ def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:
         sys.stdout.write(text)
         return 0
     data = text.encode()
-    Path(args.output).write_bytes(data)
+    # no O_TRUNC: cutting a file to zero costs several times the write on
+    # some filesystems; the old tail is cut after the write instead, and only
+    # on a regular file, as a device or FIFO has none
+    with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        out.write(data)
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()
     fields.append(("output", args.output))
     fields.append(("output_sha256", digest(data)))
     _emit(fields)
@@ -293,8 +305,11 @@ def cmd_gen_random_kripke(args) -> int:
 # ---------------------------------------------------------------------------
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by every later call.
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[tuple[str, str], argparse.ArgumentParser]
+]:
+    """The CLI parser and its leaf parsers by (group, command), built on
+    first use and shared by every later call.
 
     argparse fills a fresh namespace on each parse and never changes the
     parser, so one instance serves the whole process.
@@ -394,13 +409,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_random_kripke)
 
-    return parser
+    leaves = {(group, command): leaf
+              for group, commands in (("ctx", ctx), ("modal", modal), ("gen", gen))
+              for command, leaf in commands.choices.items()}
+    return parser, leaves
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The namespace the parser tree gives argv. A known `<group> <command>`
+    goes straight to that command's parser, which the tree would hand the
+    same words, so its help and errors print the same bytes. Anything else,
+    or words that parser leaves over, goes through the tree."""
+    parser, leaves = _build_parser()
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(
+            argv[2:], argparse.Namespace(group=argv[0], command=argv[1])
+        )
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     args.raw_argv = list(argv)

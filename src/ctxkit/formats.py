@@ -354,10 +354,13 @@ def render_modal_context(mc: ModalContext) -> str:
 
 
 def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalContext:
-    """A modal context from its file. Each `has` line's text is looked up
-    among the member texts and sets that member's bit for the current
-    cworld; only text that is not canonical is parsed. No formula node is
-    built for a canonical file."""
+    """A modal context from its file. Once the header is read, each exact
+    canonical line, `  has <text>` as the renderer writes it, maps to its
+    member: inside a cworld such a line costs one probe and sets that
+    member's bit for the cworld. Every other line is read on its own: a
+    `has` line's text is looked up among the member texts, and only text
+    that is not canonical is parsed. No formula node is built for a
+    canonical file."""
     from ctxkit.modal_context import ModalContext
     from ctxkit.modal_logic import formula_universe, parse_formula, print_formula
 
@@ -366,10 +369,18 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
     names: dict[str, None] = {}  # the cworlds, in declaration order
     relation: set[tuple[str, str]] = set()
     bit = 0
+    canonical: dict[str, int] = {}  # `  has <text>` -> its member, once the header is read
 
-    for line_no, content in _meaningful_lines(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        i = canonical.get(raw)
+        if i is not None and bit:
+            columns[i] |= bit
+            continue
+        content = raw.split("#", 1)[0].strip()
+        if not content:
+            continue
         directive = content.split(None, 1)[0]
-        if directive == "has":  # the most common line: a text lookup and a bit
+        if directive == "has":  # not canonical, or not inside a cworld
             if not bit:  # no cworld yet, and perhaps no universe either
                 raise ModelFileError(source, line_no, "`has` before any cworld"
                                      if universe is not None
@@ -418,6 +429,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
             except ValueError as exc:
                 raise ModelFileError(source, line_no, str(exc)) from None
             columns = [0] * len(universe)
+            canonical = {f"  has {t}": k for k, t in enumerate(universe.texts)}
             continue
         if universe is None:
             raise ModelFileError(source, line_no, "universe header must come first")

@@ -679,3 +679,100 @@ def reference_requotient(mc):
             return False
         rename[w] = matches[0]
     return {(rename[a], rename[b]) for a, b in mc.relation} == set(redone.relation)
+
+
+# ---------------------------------------------------------------------------
+# the .mctx loader without the whole-line lookup of canonical `has` lines
+# ---------------------------------------------------------------------------
+
+def reference_parse_modal_context(text, source="<string>"):
+    """`parse_modal_context` line by line, with no whole-line lookup: each
+    meaningful line is split into its directive, and each `has` line's text
+    is looked up among the member texts or else parsed."""
+    from ctxkit.formats import ModelFileError, _meaningful_lines
+    from ctxkit.modal_context import ModalContext
+    from ctxkit.modal_logic import formula_universe, parse_formula, print_formula
+
+    universe = None
+    columns = []  # member -> mask over the cworlds
+    names = {}  # the cworlds, in declaration order
+    relation = set()
+    bit = 0
+
+    for line_no, content in _meaningful_lines(text):
+        directive = content.split(None, 1)[0]
+        if directive == "has":  # the most common line: a text lookup and a bit
+            if not bit:  # no cworld yet, and perhaps no universe either
+                raise ModelFileError(source, line_no, "`has` before any cworld"
+                                     if universe is not None
+                                     else "universe header must come first")
+            written = content[len("has") :]
+            i = universe.index_printed_as(written.strip())
+            if i is None:  # not canonical text: parse it
+                try:
+                    formula = parse_formula(written)
+                except ValueError as exc:
+                    raise ModelFileError(source, line_no, str(exc)) from None
+                i = universe.index_of(formula)
+                if i is None:
+                    raise ModelFileError(
+                        source,
+                        line_no,
+                        f"formula {print_formula(formula)} is outside the declared universe",
+                    )
+            columns[i] |= bit
+            continue
+        parts = content.split()  # a formula is not split
+        if directive == "universe":
+            if universe is not None:
+                raise ModelFileError(source, line_no, "repeated universe header")
+            fields = dict(
+                part.split("=", 1) for part in parts[1:] if "=" in part
+            )
+            missing = {"atoms", "depth", "cap"} - set(fields)
+            if missing or len(fields) != len(parts) - 1:
+                raise ModelFileError(
+                    source, line_no, "expected `universe atoms=<list> depth=<d> cap=<k>`"
+                )
+            for key in ("depth", "cap"):
+                if not (fields[key].isascii() and fields[key].isdigit()):
+                    raise ModelFileError(
+                        source,
+                        line_no,
+                        f"universe {key} must be a non-negative integer, got {fields[key]!r}",
+                    )
+            try:
+                universe = formula_universe(
+                    tuple(fields["atoms"].split(",")),
+                    int(fields["depth"]),
+                    cap=int(fields["cap"]),
+                )
+            except ValueError as exc:
+                raise ModelFileError(source, line_no, str(exc)) from None
+            columns = [0] * len(universe)
+            continue
+        if universe is None:
+            raise ModelFileError(source, line_no, "universe header must come first")
+        if directive == "cworld":
+            if len(parts) != 2:
+                raise ModelFileError(source, line_no, "expected `cworld <name>`")
+            if parts[1] in names:
+                raise ModelFileError(source, line_no, f"cworld {parts[1]!r} declared twice")
+            bit = 1 << len(names)
+            names[parts[1]] = None
+        elif directive == "cedge":
+            if len(parts) != 3:
+                raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
+            for name in parts[1:]:
+                if name not in names:
+                    raise ModelFileError(source, line_no, f"unknown cworld {name!r}")
+            relation.add((parts[1], parts[2]))
+        else:
+            raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
+
+    if universe is None:
+        raise ModelFileError(source, None, "empty modal context file")
+    try:
+        return ModalContext(tuple(names), columns, frozenset(relation), universe)
+    except ValueError as exc:
+        raise ModelFileError(source, None, str(exc)) from None

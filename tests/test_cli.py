@@ -1,16 +1,20 @@
 """CLI surface: exit codes, report shape, and byte-stable output."""
 
+import contextlib
 import hashlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ctxkit import modal_logic
-from ctxkit.cli import _build_parser, cli_dispatch
+from ctxkit.cli import _build_parser, _parse_argv, cli_dispatch
 from ctxkit.formats import ModelFileError, parse_context, parse_kripke, parse_modal_context
 
 TWO_WORLD = "world w1\nworld w2\nedge w1 w2\nval w2 p\n"
@@ -409,21 +413,27 @@ def test_modal_verify_theorem(kripke_path, capsys):
 def test_each_file_is_opened_once_and_hashed_from_the_same_bytes(
         alice_path, kripke_path, tmp_path, monkeypatch, capsys):
     opened = []
-    real_open = pathlib.Path.open
+    real_open, real_os_open = pathlib.Path.open, os.open
 
     def counting_open(self, mode="r", *args, **kwargs):
         opened.append((str(self), mode))
         return real_open(self, mode, *args, **kwargs)
 
+    def counting_os_open(path, flags, *args, **kwargs):  # the -o writer's open
+        opened.append((str(path), flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
     monkeypatch.setattr(pathlib.Path, "open", counting_open)
+    monkeypatch.setattr(os, "open", counting_os_open)
+    in_place = os.O_WRONLY | os.O_CREAT  # never O_TRUNC
     mctx, ctx = str(tmp_path / "m.mctx"), str(tmp_path / "g.ctx")
     for argv, opens in [
         (["modal", "to-context", kripke_path, "--atoms", "p", "--depth", "1", "-o", mctx],
-         [(kripke_path, "rb"), (mctx, "wb")]),
+         [(kripke_path, "rb"), (mctx, in_place)]),
         (["modal", "check-context", mctx], [(mctx, "rb")]),
         (["modal", "eval", kripke_path, "--world", "w2", "--formula", "p"], [(kripke_path, "rb")]),
         (["ctx", "deterministic", alice_path], [(alice_path, "rb")]),
-        (["gen", "minigame", "-o", ctx], [(ctx, "wb")]),
+        (["gen", "minigame", "-o", ctx], [(ctx, in_place)]),
     ]:
         opened.clear()
         code, out = run_cli(capsys, *argv)
@@ -433,6 +443,58 @@ def test_each_file_is_opened_once_and_hashed_from_the_same_bytes(
             if key in fields:
                 digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()[:12]
                 assert fields[key] == digest, (argv, key)
+
+
+def test_output_is_overwritten_in_place_with_exactly_the_new_bytes(tmp_path, capsys):
+    path = tmp_path / "out.ctx"
+    path.write_bytes(b"x" * 100_000)
+    path.chmod(0o640)
+    before = path.stat()
+    # far shorter than the old bytes, then longer than the last write
+    for horizon in ("2", "4", "3"):
+        code, stdout_text = run_cli(capsys, "gen", "alice-bob", "--horizon", horizon)
+        assert code == 0
+        code, out = run_cli(capsys, "gen", "alice-bob", "--horizon", horizon, "-o", str(path))
+        assert code == 0
+        assert path.read_bytes() == stdout_text.encode()
+        assert machine_fields(out)["output_sha256"] == hashlib.sha256(
+            stdout_text.encode()).hexdigest()[:12]
+        after = path.stat()
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, before.st_nlink)
+
+
+def test_a_new_output_file_gets_the_default_mode_under_the_umask(tmp_path, capsys):
+    path = tmp_path / "new.ctx"
+    old = os.umask(0o027)
+    try:
+        assert cli_dispatch(["gen", "minigame", "-o", str(path)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_output_to_a_device_or_a_directory(tmp_path, capsys):
+    assert cli_dispatch(["gen", "minigame", "-o", os.devnull]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["gen", "minigame", "-o", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if not line.startswith("elapsed_ms=")]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_output_to_dev_stdout_through_a_pipe(capsys):
+    code, expected = run_cli(capsys, "gen", "minigame")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctxkit.cli", "gen", "minigame", "-o", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(expected)
+    assert "output=/dev/stdout" in proc.stdout
 
 
 def test_usage_and_io_errors_exit_2(capsys, tmp_path):
@@ -1016,6 +1078,80 @@ def test_help_and_usage_errors_are_byte_stable(argv, monkeypatch, capsys):
     code = cli_dispatch(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == HELP_PINS[argv]
+
+
+COMMANDS = {
+    "ctx": ("check-determinable", "iterator", "consistency", "deterministic"),
+    "modal": ("eval", "to-context", "check-context", "verify-theorem"),
+    "gen": ("alice-bob", "alice-bob-odd", "minigame", "random-ctx", "random-kripke"),
+}
+# every option of every command, abbreviations, values good and bad, help,
+# `--` and words no parser knows
+ARG_WORDS = (
+    "f.ctx", "x.kr", "", "-h", "--help", "--h", "--", "-x", "--bogus", "frob",
+    "--mode", "--mo", "--mode=windowed", "windowed", "literal", "--instance", "--inst", "i0",
+    "--time", "0", "--world", "w1", "--formula", "p", "~p", "--atoms", "--at", "p,q",
+    "--depth", "--dep", "--d", "1", "-1", "x", "--cap", "-o", "--output", "--out", "-oout.ctx",
+    "out.ctx", "--horizon", "--hor", "3", "--variant", "--var", "base", "turn", "--seed",
+    "--s", "7", "--states", "--entities", "--times", "--t", "--count", "--worlds", "--density",
+    "0.3", "nan",
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """Mostly a known group and one of its commands, sometimes a wrong, missing
+    or unknown word in their place, then up to six more words, which may be
+    group or command names too."""
+    commands = tuple(c for cs in COMMANDS.values() for c in cs)
+    head = []
+    if draw(st.integers(0, 9)):
+        group = draw(st.sampled_from((*COMMANDS, "frob", *ARG_WORDS[:7])))
+        head.append(group)
+        if draw(st.integers(0, 9)):
+            mine = COMMANDS.get(group)
+            head.append(draw(st.sampled_from(mine) if mine and draw(st.integers(0, 4))
+                             else st.sampled_from((*commands, *COMMANDS, "frobnicate",
+                                                   *ARG_WORDS[:7]))))
+    tail = (*ARG_WORDS, *COMMANDS, *commands)
+    return head + draw(st.lists(st.sampled_from(tail), max_size=6))
+
+
+def parsed_by(parse, argv):
+    """(exit code or namespace, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, deadline=None)
+@given(cli_argvs())
+@example(["ctx", "check-determinable", "f.ctx", "--mo", "windowed"])
+@example(["ctx", "deterministic", "--", "f.ctx"])
+@example(["ctx", "deterministic", "f.ctx", "--", "-x"])
+@example(["modal", "to-context", "x.kr", "--atoms", "p"])
+@example(["gen", "minigame", "extra"])
+@example(["gen", "alice-bob", "--help"])
+@example(["-h", "gen", "minigame"])
+def test_leaf_route_parses_as_the_parser_tree_does(argv):
+    tree = _build_parser()[0]
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps to the terminal width
+        assert parsed_by(_parse_argv, argv) == parsed_by(tree.parse_args, argv)
+
+
+def test_a_well_formed_command_skips_the_parser_tree(alice_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser tree ran")
+
+    monkeypatch.setattr(_build_parser()[0], "parse_args", refuse)
+    code, out = run_cli(capsys, "ctx", "check-determinable", alice_path, "--mo", "windowed")
+    assert code == 0 and machine_fields(out)["mode"] == "windowed"
+    assert cli_dispatch(["gen", "minigame", "-o", os.devnull]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

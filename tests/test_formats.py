@@ -610,6 +610,31 @@ def test_modal_context_parser_raises_only_model_file_errors(text):
         pass
 
 
+def loaded_by(parse, text):
+    """The context parse loads from text, or the message and line of its error."""
+    try:
+        return parse(text)
+    except ModelFileError as exc:
+        return str(exc), exc.line_no
+
+
+@settings(max_examples=300)
+@given(modal_context_texts())
+def test_modal_context_loader_agrees_with_the_line_by_line_reference(text):
+    assert loaded_by(parse_modal_context, text) == loaded_by(
+        oracles.reference_parse_modal_context, text)
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("universe atoms=p depth=0 cap=1\n  has p\ncworld c0\n", 2, "`has` before any cworld"),
+    ("  has p\nuniverse atoms=p depth=0 cap=1\ncworld c0\n", 1,
+     "universe header must come first"),
+])
+def test_a_canonical_has_line_outside_a_cworld_is_an_error(text, line_no, message):
+    for parse in (parse_modal_context, oracles.reference_parse_modal_context):
+        assert loaded_by(parse, text) == (f"<string>:{line_no}: {message}", line_no)
+
+
 def test_modal_context_file_errors():
     with pytest.raises(ModelFileError, match="universe header"):
         parse_modal_context("cworld c0\n")
