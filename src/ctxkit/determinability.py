@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from ctxkit.core import Context, Instance, Signature, Snapshot
+from ctxkit.core import DEFAULT_SPACE_GUARD, Context, Instance, Signature, Snapshot, check_guard
 
 MODES = ("literal", "windowed")
 
@@ -329,7 +329,9 @@ def generate_from_iterator(
 
     All branching is kept; the result is the context of all iterator paths.
     Every snapshot reached before the final time must be in the domain with
-    a non-empty image.
+    a non-empty image. The paths are counted per last snapshot first, one
+    pass per step, and more of them than the guard (`DEFAULT_SPACE_GUARD`,
+    or `CTXKIT_GUARD`) are refused before any is unrolled.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -339,6 +341,18 @@ def generate_from_iterator(
     for seed in seed_list:
         if seed.entities != iterator.entities:
             raise ValueError("seed snapshot entities do not match the iterator")
+
+    counts = dict.fromkeys(seed_list, 1)  # last snapshot -> paths ending there
+    for _ in range(1, horizon):
+        if not all(snap in iterator and iterator.image(snap) for snap in counts):
+            break  # the unrolling stops here, naming the first path that cannot step
+        grown: dict[Snapshot, int] = {}
+        for snap, count in counts.items():
+            for nxt in iterator.image(snap):
+                grown[nxt] = grown.get(nxt, 0) + count
+        counts = grown  # no fewer paths than before, as every image is non-empty
+    check_guard(sum(counts.values()), DEFAULT_SPACE_GUARD,
+                f"iterator unrolling to horizon {horizon}")
 
     paths: list[tuple[Snapshot, ...]] = [(s,) for s in seed_list]
     for step in range(1, horizon):

@@ -15,6 +15,10 @@ biconditionals against its relation, and must represent every original
 world by theory; both facts are re-checked here, on the columns, rather
 than assumed.
 
+Each kind's mask rule is written once, in `_rule`. The table applies it to
+its own growing columns, the modal check to a context's stored []/<>
+members, and the requotient check to every stored member.
+
 The paper's power context indexes formula sets by (entity, time) cells; the
 construction uses a single cell, so a context stores one formula set per
 world, and reports name that cell as (0,0).
@@ -48,6 +52,7 @@ from ctxkit.modal_logic import (
     Or,
     Top,
     check_relation,
+    check_world_name,
     print_formula,
 )
 
@@ -124,6 +129,8 @@ class ModalContext:
         _set(self, "relation", frozenset(tuple(p) for p in self.relation))
         if len(set(names)) != len(names):
             raise ValueError("duplicate context-world names")
+        for name in names:
+            check_world_name(name)
         if len(columns) != len(self.universe):
             raise ValueError(f"{len(columns)} columns for {len(self.universe)} members")
         if columns and (min(columns) < 0 or max(columns) >> len(names)):
@@ -152,13 +159,8 @@ class ModalContext:
 
     @cached_property
     def _successor_masks(self) -> list[tuple[int, int]]:
-        """(world bit, successor mask) per world, in world order, from one
-        pass over the relation."""
-        index = self._position
-        masks = [0] * len(index)
-        for a, b in self.relation:
-            masks[index[a]] |= 1 << index[b]
-        return [(1 << j, mask) for j, mask in enumerate(masks)]
+        """(world bit, successor mask) per world, in world order."""
+        return _successor_pairs(self.world_names, self.relation)
 
     def _world_index(self, name: str) -> int:
         """The world's bit position; a name outside the context is refused."""
@@ -172,14 +174,42 @@ class ModalContext:
         return frozenset(compress(self.universe.members, self.rows[self._world_index(name)]))
 
 
-def _box(successors: list[tuple[int, int]], inner: int) -> int:
-    """The worlds all of whose successors are in inner."""
-    return sum([bit for bit, succ in successors if succ & inner == succ])
+def _successor_pairs(names: Sequence[str], relation: frozenset) -> list[tuple[int, int]]:
+    """(world bit, successor mask) per world, in the order of names, from one
+    pass over the relation: the same pairs for a model and a context."""
+    index = {w: j for j, w in enumerate(names)}
+    masks = [0] * len(index)
+    for a, b in relation:
+        masks[index[a]] |= 1 << index[b]
+    return [(1 << j, mask) for j, mask in enumerate(masks)]
 
 
-def _diamond(successors: list[tuple[int, int]], inner: int) -> int:
-    """The worlds some of whose successors are in inner."""
-    return sum([bit for bit, succ in successors if succ & inner])
+def _rule(kind, arg, masks: Sequence[int], everywhere: int,
+          successors: list[tuple[int, int]], atoms: dict[str, int]) -> int:
+    """A member's mask from its children's masks (masks[c] for each child
+    row c in arg), or an atom's from atoms; []/<> read per-world successor
+    masks, and everywhere is the mask of all worlds."""
+    if kind is And:  # the two kinds most members have come first
+        return masks[arg[0]] & masks[arg[1]]
+    if kind is Implies:
+        return (everywhere ^ masks[arg[0]]) | masks[arg[1]]
+    if kind is Box:  # the worlds all of whose successors are in the operand
+        inner = masks[arg[0]]
+        return sum([bit for bit, succ in successors if succ & inner == succ])
+    if kind is Diamond:  # the worlds some of whose successors are in the operand
+        inner = masks[arg[0]]
+        return sum([bit for bit, succ in successors if succ & inner])
+    if kind is Not:
+        return everywhere ^ masks[arg[0]]
+    if kind is Atom:
+        return atoms.get(arg, 0)
+    if kind is Top:
+        return everywhere
+    if kind is Bottom:
+        return 0
+    if kind is Or:
+        return masks[arg[0]] | masks[arg[1]]
+    return everywhere ^ masks[arg[0]] ^ masks[arg[1]]  # Iff
 
 
 def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
@@ -187,10 +217,10 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
     worlds, in member order: bit i is set when model.worlds[i] satisfies the
     member.
 
-    One forward pass over the member rows fills it, because the canonical
-    order puts every child row before its parent; []/<> read per-world
-    successor masks. A table of more members x worlds than the guard
-    (`DEFAULT_TABLE_GUARD`, or `CTXKIT_GUARD`) is refused before it is built.
+    One forward pass of `_rule` over the member rows fills it, because the
+    canonical order puts every child row before its parent. A table of more
+    members x worlds than the guard (`DEFAULT_TABLE_GUARD`, or
+    `CTXKIT_GUARD`) is refused before it is built.
     """
     check_guard(
         len(universe) * len(model.worlds), DEFAULT_TABLE_GUARD,
@@ -198,33 +228,11 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
     )
     bit = {w: 1 << i for i, w in enumerate(model.worlds)}
     everywhere = (1 << len(bit)) - 1
-    successors = [(bit[w], sum(bit[v] for v in model.successors(w))) for w in model.worlds]
-    valuation = model.valuation
+    successors = _successor_pairs(model.worlds, model.relation)
+    atoms = {a: sum([bit[w] for w in ws]) for a, ws in model.valuation.items()}
     table: list[int] = []
     for kind, arg in zip(universe.kinds, universe.args):
-        if kind is Atom:
-            mask = sum([bit[w] for w in valuation.get(arg, ())])
-        elif kind is Top:
-            mask = everywhere
-        elif kind is Bottom:
-            mask = 0
-        elif kind is Box:
-            mask = _box(successors, table[arg[0]])
-        elif kind is Diamond:
-            mask = _diamond(successors, table[arg[0]])
-        elif kind is Not:
-            mask = everywhere ^ table[arg[0]]
-        else:
-            left, right = table[arg[0]], table[arg[1]]
-            if kind is And:
-                mask = left & right
-            elif kind is Or:
-                mask = left | right
-            elif kind is Implies:
-                mask = (everywhere ^ left) | right
-            else:  # Iff
-                mask = everywhere ^ (left ^ right)
-        table.append(mask)
+        table.append(_rule(kind, arg, table, everywhere, successors, atoms))
     return table
 
 
@@ -323,22 +331,23 @@ def is_modal_context(mc: ModalContext) -> ModalContextReport:
     For each s with []s in the universe: []s is in a world iff every relation
     successor has s; dually, <>s iff some successor has s. Only operator
     formulas inside the universe are checkable under the truncation, and
-    those are checked exactly: the `extension_table` rule for []/<> is
-    applied to the context's own relation and to s's column, and the result
-    is compared with the stored column of []s or <>s. Violations are read
-    off the differing bits, world by world, boxes before diamonds, each in
-    member order.
+    those are checked exactly: `_rule` is applied to each []/<> member over
+    the context's own relation and stored columns, and the result is
+    compared with the member's stored column. Violations are read off the
+    differing bits, world by world, boxes before diamonds, each in member
+    order.
     """
     kinds, args, columns = mc.universe.kinds, mc.universe.args, mc.columns
-    pairs = [(i, args[i][0], _box, "box") for i, kind in enumerate(kinds) if kind is Box]
-    pairs += [(i, args[i][0], _diamond, "diamond") for i, kind in enumerate(kinds)
-              if kind is Diamond]
+    everywhere = (1 << len(mc.world_names)) - 1
     successors = mc._successor_masks
     differ = []  # (s, operator, forward bits, backward bits) where a column differs
-    for i, s, rule, operator in pairs:
-        held, stored = rule(successors, columns[s]), columns[i]
-        if held != stored:
-            differ.append((s, operator, stored & ~held, held & ~stored))
+    for operator, modal in (("box", Box), ("diamond", Diamond)):
+        for i, kind in enumerate(kinds):
+            if kind is modal:
+                held = _rule(kind, args[i], columns, everywhere, successors, {})
+                stored = columns[i]
+                if held != stored:
+                    differ.append((args[i][0], operator, stored & ~held, held & ~stored))
     violations = []
     if differ:
         members = mc.universe.members
@@ -376,33 +385,32 @@ def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
     return out
 
 
-def induced_kripke(mc: ModalContext) -> KripkeModel:
-    """Read a modal context back as a Kripke model: its worlds, its relation,
-    and atoms valuated by stored membership."""
-    u, rows = mc.universe, mc.rows
-    atom_row = {arg: i for i, (kind, arg) in enumerate(zip(u.kinds, u.args)) if kind is Atom}
-    valuation = {
-        atom: frozenset([w for w, row in zip(mc.world_names, rows) if row[atom_row[atom]]])
-        for atom in u.atoms
-    }
-    return KripkeModel(mc.world_names, mc.relation, valuation)
-
-
 def requotient_is_identity(mc: ModalContext) -> bool:
     """Exploratory check, reported but never asserted: does quotienting the
-    induced Kripke model reproduce the context up to renaming?
+    induced Kripke model (the context's worlds and relation, atoms valuated
+    by their columns) reproduce the context up to renaming?
 
     It does iff the induced model's extension table is the context's columns.
-    A renaming s that fits keeps atoms (the induced valuation is read off the
-    atom columns) and the relation, so it is an automorphism of the induced
-    model, and those keep every theory (Blackburn, de Rijke & Venema, chapter
-    2): world w's stored row is the induced row of s(w), hence of w.
-    Conversely, equal tables make s the identity, as no two rows are equal.
+    A renaming s that fits keeps atoms and the relation, so it is an
+    automorphism of the induced model, and those keep every theory
+    (Blackburn, de Rijke & Venema, chapter 2): world w's stored row is the
+    induced row of s(w), hence of w. Conversely, equal tables make s the
+    identity, as no two rows are equal. And the table is the columns iff
+    every member's column is `_rule` of its children's columns (an atom's
+    of its own), by induction over the member order, where children come
+    first. So no model and no table is built.
 
     The construction does not claim this fixed-point property; the answer is
     surfaced so corpora can be inspected for it.
     """
-    return extension_table(induced_kripke(mc), mc.universe) == list(mc.columns)
+    u, columns = mc.universe, mc.columns
+    everywhere = (1 << len(mc.world_names)) - 1
+    successors = mc._successor_masks
+    atoms = {arg: column for kind, arg, column in zip(u.kinds, u.args, columns) if kind is Atom}
+    for kind, arg, column in zip(u.kinds, u.args, columns):
+        if _rule(kind, arg, columns, everywhere, successors, atoms) != column:
+            return False
+    return True
 
 
 def prover_agreement(model: KripkeModel, mc: ModalContext) -> bool:

@@ -31,6 +31,7 @@ DEFAULT_UNIVERSE_GUARD = 50_000
 DEFAULT_FORMULA_GUARD = 10_000  # nodes of one parsed formula
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")  # an atom, or a word in _CONSTANTS
+_WORLD_RE = re.compile(r"[^\s#]+")  # a world name: one token that no comment cuts
 
 # printing precedences: a child binding looser than its floor gets parentheses
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5, 6
@@ -650,6 +651,14 @@ def check_modal_operator(universe: FormulaUniverse) -> bool:
 # Kripke models and satisfaction
 # ---------------------------------------------------------------------------
 
+def check_world_name(name: str) -> None:
+    """Refuse a world name that the file formats cannot write back: an
+    empty one, or one with whitespace (which splits a line) or `#` (which
+    starts a comment)."""
+    if not _WORLD_RE.fullmatch(name):
+        raise ValueError(f"invalid world name {name!r}")
+
+
 def check_relation(known: set[str], relation: Iterable[tuple[str, str]], owner: str) -> None:
     """Refuse a non-pair, or a pair with an endpoint outside known; of the
     latter, the smallest is named, whatever the set's order."""
@@ -683,8 +692,7 @@ class KripkeModel:
             raise ValueError("duplicate world names")
         known = set(worlds)
         for name in worlds:
-            if not name or any(c.isspace() or c == "#" for c in name):
-                raise ValueError(f"invalid world name {name!r}")
+            check_world_name(name)
         check_relation(known, self.relation, "model")
         for atom, ws in valuation.items():
             check_atom(atom)
@@ -693,23 +701,10 @@ class KripkeModel:
                 raise ValueError(f"valuation of {atom!r} names unknown worlds {sorted(stray)}")
 
     @cached_property
-    def _successors(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {w: set() for w in self.worlds}
-        for a, b in self.relation:
-            out[a].add(b)
-        return {w: frozenset(s) for w, s in out.items()}
-
-    @cached_property
     def _quotients(self) -> dict:
         """universe -> the model's theory classes over it, filled by
         `modal_context` on first use; the memo dies with the model."""
         return {}
-
-    def successors(self, world: str) -> frozenset[str]:
-        try:
-            return self._successors[world]
-        except KeyError:
-            raise ValueError(f"unknown world {world!r}") from None
 
 
 _NOWHERE: frozenset[str] = frozenset()
@@ -743,7 +738,10 @@ class Evaluator:
         self.model = model
         self._extensions: dict[Formula, frozenset[str]] = {}
         self._all = frozenset(model.worlds)
-        self._successors = model._successors.items()  # in world order
+        successors: dict[str, set[str]] = {w: set() for w in model.worlds}
+        for a, b in model.relation:
+            successors[a].add(b)
+        self._successors = [(w, frozenset(s)) for w, s in successors.items()]  # in world order
 
     def extension(self, formula: Formula) -> frozenset[str]:
         """The worlds satisfying formula, by a post-order walk on an explicit
@@ -764,7 +762,7 @@ class Evaluator:
         return ext  # the last node evaluated is the formula at the stack's bottom
 
     def satisfies(self, world: str, formula: Formula) -> bool:
-        if world not in self.model._successors:
+        if world not in self._all:
             raise ValueError(f"unknown world {world!r}")
         return world in self.extension(formula)
 
@@ -784,6 +782,6 @@ def world_theory(
     ev = evaluator if evaluator is not None else Evaluator(model)
     if ev.model is not model:
         raise ValueError("evaluator belongs to a different model")
-    if world not in model._successors:
+    if world not in ev._all:
         raise ValueError(f"unknown world {world!r}")
     return frozenset(f for f in universe.members if world in ev.extension(f))

@@ -657,28 +657,39 @@ def modal_context_of(names, theories, relation, universe):
 
 # ---------------------------------------------------------------------------
 # the requotient check as a second quotient: the induced model quotiented
-# into a second context, whose worlds are then matched to the first's by
-# their rows and its relation compared through that renaming
+# by the frozenset evaluator's theories, which share no code with the mask
+# rule, and its classes matched to the context's worlds by their stored
+# theories, with the relation compared through that renaming
 # ---------------------------------------------------------------------------
 
 def reference_requotient(mc):
-    """Does quotienting the induced Kripke model of mc reproduce mc up to
+    """Does quotienting the induced Kripke model of mc (its worlds, its
+    relation, and atoms valuated by stored membership) reproduce mc up to
     renaming?"""
-    from ctxkit.modal_context import induced_kripke, to_modal_context
+    from ctxkit.modal_logic import Atom, Evaluator, KripkeModel
 
-    redone = to_modal_context(induced_kripke(mc), mc.universe)
-    if len(redone.world_names) != len(mc.world_names):
+    u, names = mc.universe, mc.world_names
+    valuation = {arg: frozenset([w for w, row in zip(names, mc.rows) if row[i]])
+                 for i, (kind, arg) in enumerate(zip(u.kinds, u.args)) if kind is Atom}
+    extension = Evaluator(KripkeModel(names, mc.relation, valuation)).extension
+    theories = {w: [] for w in names}  # world -> the members it satisfies, in order
+    for i, f in enumerate(u.members):
+        for w in extension(f):
+            theories[w].append(i)
+    classes: dict[tuple[int, ...], list[str]] = {}
+    for w in names:
+        classes.setdefault(tuple(theories[w]), []).append(w)
+    if len(classes) != len(names):
         return False
-    named: dict[str, list[str]] = {}
-    for v, row in zip(redone.world_names, redone.rows):
-        named.setdefault(row, []).append(v)
+    class_of = {w: theory for theory, ws in classes.items() for w in ws}
     rename = {}
-    for w, row in zip(mc.world_names, mc.rows):
-        matches = named.get(row, ())
-        if len(matches) != 1:
+    for w, row in zip(names, mc.rows):
+        stored = tuple(i for i, bit in enumerate(row) if bit)
+        if stored not in classes:
             return False
-        rename[w] = matches[0]
-    return {(rename[a], rename[b]) for a, b in mc.relation} == set(redone.relation)
+        rename[w] = stored
+    lifted = {(class_of[a], class_of[b]) for a, b in mc.relation}
+    return {(rename[a], rename[b]) for a, b in mc.relation} == lifted
 
 
 # ---------------------------------------------------------------------------

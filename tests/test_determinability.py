@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracles
-from ctxkit.core import Context, Instance, Signature, Snapshot
+from ctxkit.core import Context, Instance, Signature, SizeGuardError, Snapshot
 from ctxkit.determinability import (
     IteratorMap,
     _Trie,
@@ -573,6 +574,29 @@ def test_generate_rejects_gaps():
         generate_from_iterator(missing, {snap1("a")}, 3)
     # the final step needs no successor
     assert len(generate_from_iterator(dead_end, {snap1("a")}, 2)) == 1
+
+
+def both_to_both():
+    """Two snapshots that each step to both: 2^(h-1) paths from one seed."""
+    both = frozenset({snap1("a"), snap1("b")})
+    return IteratorMap(("e0",), ((snap1("a"), both), (snap1("b"), both)))
+
+
+def test_unrolling_is_guarded_before_any_path_is_built(monkeypatch):
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="CTXKIT_GUARD") as info:
+        generate_from_iterator(both_to_both(), {snap1("a"), snap1("b")}, 40)
+    assert time.perf_counter() - started < 0.1
+    assert info.value.needed == 2 ** 40
+
+
+def test_unrolling_guard_counts_the_paths_exactly(monkeypatch):
+    monkeypatch.setenv("CTXKIT_GUARD", str(2 ** 9))
+    assert len(generate_from_iterator(both_to_both(), {snap1("a")}, 10)) == 2 ** 9
+    monkeypatch.setenv("CTXKIT_GUARD", str(2 ** 9 - 1))
+    with pytest.raises(SizeGuardError):
+        generate_from_iterator(both_to_both(), {snap1("a")}, 10)
 
 
 def test_generated_contexts_round_trip_through_iterators():

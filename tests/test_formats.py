@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 import statistics
 import time
 import warnings
@@ -25,7 +26,7 @@ from ctxkit.modal_logic import (
     parse_formula,
     print_formula,
 )
-from ctxkit.modal_context import to_modal_context
+from ctxkit.modal_context import ModalContext, to_modal_context
 from ctxkit.formats import (
     LoadedContext,
     ModelFileError,
@@ -478,6 +479,38 @@ def test_world_name_errors_are_pinned(parse, text, line_no, message):
         parse(text)
     assert info.value.line_no == line_no
     assert str(info.value) == f"<string>:{line_no}: {message}"
+
+
+@pytest.mark.parametrize("name", ["a b", "a\tb", "", "x#y"])
+def test_both_constructors_refuse_a_world_name_no_file_can_hold(name):
+    message = f"^invalid world name {re.escape(repr(name))}$"
+    with pytest.raises(ValueError, match=message):
+        KripkeModel((name,), frozenset(), {})
+    with pytest.raises(ValueError, match=message):
+        ModalContext((name,), (1,), set(), formula_universe(("p",), 0, cap=0))
+
+
+@given(st.text(max_size=3))
+@example("a b")
+@example("x#y")
+@example("\x1c")
+@example("\u2028")
+@example("\xa0")
+@example("\x00")
+def test_every_world_name_the_constructors_accept_round_trips(name):
+    def build(make):
+        try:
+            return make(), None
+        except ValueError as exc:
+            return None, str(exc)
+
+    model, refused = build(lambda: KripkeModel((name,), {(name, name)}, {"p": {name}}))
+    universe = pq_universe(0, 0)
+    mc, also_refused = build(lambda: ModalContext((name,), (1, 0), {(name, name)}, universe))
+    assert refused == also_refused
+    if refused is None:
+        assert parse_kripke(render_kripke(model)) == model
+        assert parse_modal_context(render_modal_context(mc)) == mc
 
 
 # both loaders' scaling files hold this many lines at any world count

@@ -401,21 +401,27 @@ def test_one_model_over_two_universes_quotients_like_fresh_models():
             assert to_modal_context(model, universe) == to_modal_context(fresh, universe)
 
 
-def test_verify_theorem_builds_two_extension_tables(monkeypatch, tmp_path, capsys):
-    # one for the model, one for requotient_is_identity's induced model
-    calls = []
+def test_verify_theorem_builds_one_extension_table_and_one_model(monkeypatch, tmp_path, capsys):
+    # the table is the loaded model's; the requotient check reads the stored
+    # columns, so no model is built after the .kr load
+    calls, models = [], []
 
     def counted(model, universe):
         calls.append(model)
         return extension_table(model, universe)
 
-    monkeypatch.setattr(modal_context, "extension_table", counted)
+    def built(self, post_init=KripkeModel.__post_init__):
+        models.append(self)
+        post_init(self)
+
     path = tmp_path / "m.kr"
     path.write_text(render_kripke(corpus.random_kripke(random.Random(5), max_worlds=6)))
+    monkeypatch.setattr(modal_context, "extension_table", counted)
+    monkeypatch.setattr(KripkeModel, "__post_init__", built)
     code = cli_dispatch(["modal", "verify-theorem", str(path), "--atoms", "p,q", "--depth", "2"])
     assert code == 0, capsys.readouterr()
-    assert len(calls) == 2
-    assert calls[0] is not calls[1]
+    assert len(models) == 1
+    assert calls == models
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +578,15 @@ def hand_built_contexts(draw):
 @given(hand_built_contexts())
 def test_requotient_check_is_the_second_quotient_on_hand_built_contexts(mc):
     assert requotient_is_identity(mc) == oracles.reference_requotient(mc)
+
+
+@settings(max_examples=200)
+@given(hand_built_contexts())
+def test_a_requotient_fixed_point_is_a_modal_context(mc):
+    # the requotient check holds `_rule` for every member, the modal check
+    # for the []/<> members only
+    if requotient_is_identity(mc):
+        assert is_modal_context(mc).is_modal_context
 
 
 def by_hand_agreement(model, mc):
