@@ -80,7 +80,7 @@ _MODAL_NAMES = {
     "modal_logic": (
         "BOTTOM", "TOP", "And", "Atom", "Bottom", "Box", "Diamond", "Evaluator", "Formula",
         "FormulaSyntaxError", "FormulaUniverse", "Iff", "Implies", "KripkeModel", "Not", "Or",
-        "Top", "check_modal_operator", "closure_universe", "formula_universe",
+        "Top", "check_modal_operator", "formula_universe",
         "parse_formula", "print_formula", "satisfies", "world_theory",
     ),
     "modal_context": (

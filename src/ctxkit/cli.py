@@ -68,10 +68,15 @@ def _base_fields(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 def _load(args: argparse.Namespace, parse):
     """Parse args.file from one read of its bytes; return the result and the
-    report's first fields, whose digest is of those same bytes."""
+    report's first fields, whose digest is of those same bytes. Bytes that
+    are not UTF-8 are a file error, named by the path."""
     data = Path(args.file).read_bytes()
     fields = _base_fields(args) + [("input", args.file), ("input_sha256", digest(data))]
-    return parse(data.decode(), args.file), fields
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(args.file, None, str(exc)) from None
+    return parse(text, args.file), fields
 
 
 def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:

@@ -329,17 +329,13 @@ def load_kripke(path: str | Path) -> KripkeModel:
 # ---------------------------------------------------------------------------
 
 def render_modal_context(mc: ModalContext) -> str:
-    """Header with the universe identity, then worlds and edges.
-
-    Only contexts over generated universes serialize; closure-built
-    universes (cap None) carry no regenerable identity. Each world lists
-    the members its row stores, in member order, by their texts.
+    """Header with the universe identity, (atoms, depth, cap), from which
+    the loader regenerates the universe; then worlds and edges. Each world
+    lists the members its row stores, in member order, by their texts.
     """
     from itertools import compress
 
     u = mc.universe
-    if u.cap is None:
-        raise ValueError("only contexts over generated universes serialize")
     lines = [f"universe atoms={','.join(u.atoms)} depth={u.depth} cap={u.cap}"]
     has = [f"  has {text}" for text in u.texts]
     for name, row in zip(mc.world_names, mc.rows):

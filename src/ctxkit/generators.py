@@ -168,14 +168,16 @@ def gen_random_kripke(
     """Each ordered world pair becomes an edge with probability edge_density;
     each (atom, world) pair is valuated true with probability one half.
 
-    The worlds x worlds edge draws are checked against the full-space guard
-    first."""
-    from ctxkit.modal_logic import KripkeModel
+    The atoms are checked as a universe checks them, so no atom is drawn
+    twice, and the worlds x worlds edge draws are checked against the
+    full-space guard first."""
+    from ctxkit.modal_logic import KripkeModel, check_atoms
 
     if n_worlds < 1:
         raise ValueError("at least one world is required")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must lie in [0, 1]")
+    atoms = check_atoms(atoms)
     check_guard(n_worlds * n_worlds, DEFAULT_SPACE_GUARD,
                 f"random Kripke model of {n_worlds} worlds")
     rng = random.Random(seed)
@@ -185,6 +187,6 @@ def gen_random_kripke(
     )
     valuation = {
         atom: frozenset(w for w in worlds if rng.random() < 0.5)
-        for atom in tuple(atoms)
+        for atom in atoms
     }
     return KripkeModel(worlds, relation, valuation)

@@ -40,7 +40,6 @@ from ctxkit.core import check_guard
 from ctxkit.modal_logic import (
     And,
     Atom,
-    Bottom,
     Box,
     Diamond,
     Evaluator,
@@ -49,8 +48,6 @@ from ctxkit.modal_logic import (
     Implies,
     KripkeModel,
     Not,
-    Or,
-    Top,
     check_relation,
     check_world_name,
     print_formula,
@@ -188,7 +185,9 @@ def _rule(kind, arg, masks: Sequence[int], everywhere: int,
           successors: list[tuple[int, int]], atoms: dict[str, int]) -> int:
     """A member's mask from its children's masks (masks[c] for each child
     row c in arg), or an atom's from atoms; []/<> read per-world successor
-    masks, and everywhere is the mask of all worlds."""
+    masks, and everywhere is the mask of all worlds. Only the six kinds a
+    universe holds, atoms and `~ & -> [] <>`, have a rule; a member of any
+    other kind is refused."""
     if kind is And:  # the two kinds most members have come first
         return masks[arg[0]] & masks[arg[1]]
     if kind is Implies:
@@ -203,13 +202,7 @@ def _rule(kind, arg, masks: Sequence[int], everywhere: int,
         return everywhere ^ masks[arg[0]]
     if kind is Atom:
         return atoms.get(arg, 0)
-    if kind is Top:
-        return everywhere
-    if kind is Bottom:
-        return 0
-    if kind is Or:
-        return masks[arg[0]] | masks[arg[1]]
-    return everywhere ^ masks[arg[0]] ^ masks[arg[1]]  # Iff
+    raise ValueError(f"no mask rule for {kind.__name__} members")
 
 
 def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:

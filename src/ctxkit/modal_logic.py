@@ -220,17 +220,6 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-def subformulas(formula: Formula) -> set[Formula]:
-    """The formula and all of its descendants."""
-    out, todo = {formula}, [formula]
-    while todo:
-        for kid in todo.pop().children:
-            if kid not in out:
-                out.add(kid)
-                todo.append(kid)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # printing: minimal parentheses, canonical whitespace
 # ---------------------------------------------------------------------------
@@ -396,14 +385,13 @@ class FormulaUniverse:
     `members` is first read; equality and hashing read the identity fields
     and the texts, never a node.
 
-    Generated universes are identified by (atoms, depth, cap); cap is None
-    for universes built by subformula closure of explicit formulas, which
-    cannot be regenerated from a header line.
+    `formula_universe` is the one builder, so (atoms, depth, cap) identify
+    a universe and regenerate it from a header line.
     """
 
     atoms: tuple[str, ...]
     depth: int
-    cap: int | None
+    cap: int
     kinds: tuple[type[Formula], ...]
     args: tuple[tuple[int, ...] | str, ...]
     texts: tuple[str, ...]
@@ -464,6 +452,18 @@ def check_atom(name: str) -> None:
         raise ValueError(f"invalid atom name {name!r}")
 
 
+def check_atoms(atoms: Iterable[str]) -> tuple[str, ...]:
+    """The atoms as a tuple; refuse a non-atom name, or a name given twice."""
+    atoms = tuple(atoms)
+    seen = set()
+    for a in atoms:
+        check_atom(a)
+        if a in seen:
+            raise ValueError(f"duplicate atom {a!r}")
+        seen.add(a)
+    return atoms
+
+
 _BINARY = (And, Implies)  # the universe language is `~ & -> [] <>`
 
 
@@ -506,15 +506,9 @@ def formula_universe(atoms: Iterable[str], depth: int, cap: int = 1) -> FormulaU
     printer's own parenthesis rule; then the rows are sorted. No formula
     node is built.
     """
-    atoms = tuple(atoms)
+    atoms = check_atoms(atoms)
     if not atoms:
         raise ValueError("a universe needs at least one atom")
-    seen = set()
-    for a in atoms:
-        check_atom(a)
-        if a in seen:
-            raise ValueError(f"duplicate atom {a!r}")
-        seen.add(a)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if cap < 0:
@@ -598,27 +592,6 @@ def formula_universe(atoms: Iterable[str], depth: int, cap: int = 1) -> FormulaU
         tuple([arg if type(arg) is str else (place[arg[0]], place[arg[1]]) if len(arg) == 2
                else (place[arg[0]],) for arg in map(args.__getitem__, order)]),
         tuple(map(texts.__getitem__, order)),
-    )
-
-
-def closure_universe(formulas: Iterable[Formula]) -> FormulaUniverse:
-    """The subformula closure of explicit formulas, as a universe whose
-    table is filled from the nodes given."""
-    members: set[Formula] = set()
-    for f in formulas:
-        members |= subformulas(f)
-    if not members:
-        raise ValueError("a universe needs at least one formula")
-    atoms = tuple(sorted({f.name for f in members if type(f) is Atom}))
-    depth = max(f.depth for f in members)
-    order = sorted(members, key=lambda f: (f.size, print_formula(f)))
-    position = {f: i for i, f in enumerate(order)}
-    return FormulaUniverse(
-        atoms, depth, None,
-        tuple([type(f) for f in order]),
-        tuple([f.name if type(f) is Atom else tuple([position[k] for k in f.children])
-               for f in order]),
-        tuple([print_formula(f) for f in order]),
     )
 
 

@@ -393,6 +393,17 @@ def _formula_children(formula):
     return ()
 
 
+def subformulas(formula):
+    """The formula and all of its descendants, read off the node fields."""
+    out, todo = {formula}, [formula]
+    while todo:
+        for kid in _formula_children(todo.pop()):
+            if kid not in out:
+                out.add(kid)
+                todo.append(kid)
+    return out
+
+
 def naive_size(formula):
     """Node count of the tree, shared subtrees counted at every occurrence."""
     return 1 + sum(naive_size(kid) for kid in _formula_children(formula))

@@ -30,7 +30,6 @@ from ctxkit.generators import (
     gen_random_kripke,
 )
 from ctxkit.modal_logic import (
-    Atom,
     Box,
     Diamond,
     Evaluator,
@@ -38,7 +37,6 @@ from ctxkit.modal_logic import (
     Implies,
     Not,
     check_modal_operator,
-    closure_universe,
     formula_universe,
     parse_formula,
     print_formula,
@@ -310,7 +308,7 @@ def test_criterion_6_theorem_end_to_end(models, universes):
 
 def test_criterion_7_modal_operator_laws(universes):
     extra = [
-        closure_universe([Not(Atom("p"))]),  # {p, ~p}
+        formula_universe(("p",), 0, cap=1),  # p, ~p, p & p, p -> p
         formula_universe(("p",), depth=1),
         formula_universe(("p", "q", "r"), depth=1, cap=0),
     ]

@@ -395,6 +395,36 @@ def test_constant_words_are_refused_in_a_kr_val_line(word, tmp_path, capsys):
     assert f"error: {path}:2: invalid atom name '{word}'\n" in capsys.readouterr().err
 
 
+def test_gen_random_kripke_refuses_a_duplicate_atom(tmp_path, capsys):
+    # the second draw of p's valuation would overwrite the first
+    path = tmp_path / "F"
+    code = cli_dispatch(["gen", "random-kripke", "--seed", "1", "--atoms", "p,p",
+                         "-o", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: duplicate atom 'p'"
+    ]
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctx", "deterministic", "{f}"],
+    ["modal", "eval", "{f}", "--world", "w0", "--formula", "p"],
+    ["modal", "check-context", "{f}"],
+], ids=["ctx", "eval", "check-context"])
+def test_a_file_that_is_not_utf8_is_a_file_error_naming_the_path(argv, tmp_path, capsys):
+    path = tmp_path / "F"
+    path.write_bytes(b"\xffworld w0\n")
+    code = cli_dispatch([arg.format(f=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line != "" and
+              not line.startswith("elapsed_ms=")]
+    assert errors == [f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte"]
+
+
 def test_modal_verify_theorem(kripke_path, capsys):
     code, out = run_cli(
         capsys, "modal", "verify-theorem", kripke_path, "--atoms", "p,q", "--depth", "2"

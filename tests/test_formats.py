@@ -788,16 +788,6 @@ def test_printed_form_lookup_has_one_entry_per_member(depth, cap):
     assert universe.index_printed_as("(p)") is None
 
 
-def test_closure_universe_contexts_do_not_serialize():
-    from ctxkit.modal_logic import Atom, closure_universe
-    from ctxkit.modal_context import ModalContext
-
-    universe = closure_universe([Atom("p")])
-    mc = ModalContext(("n0",), (0,) * len(universe), frozenset(), universe)
-    with pytest.raises(ValueError, match="generated universes"):
-        render_modal_context(mc)
-
-
 # ---------------------------------------------------------------------------
 # digests
 # ---------------------------------------------------------------------------

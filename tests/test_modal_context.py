@@ -25,7 +25,6 @@ from ctxkit.modal_logic import (
     Evaluator,
     KripkeModel,
     Not,
-    closure_universe,
     formula_universe,
     satisfies,
     world_theory,
@@ -124,31 +123,27 @@ def kripke_models(draw):
     return KripkeModel(worlds, relation, valuation)
 
 
-# (atoms, depth, cap) of the generated universes drawn below; the closure
-# universes drawn beside them hold every kind, true, false, | and <-> too
+# (atoms, depth, cap) of the universes drawn below: formula_universe is the
+# one builder, so the settings vary the shapes, every one of the six member
+# kinds among them, and each table stays under the guard at 10 worlds
 UNIVERSE_SETTINGS = (
     (("p", "q"), 1, 1),  # the default
-    (("p", "q"), 2, 0),  # cap 0
+    (("p", "q"), 2, 0),  # cap 0: no ~, & or -> member
+    (("p",), 0, 1),  # no []/<> member
+    (("p", "q", "r"), 1, 0),  # every atom the models valuate, one modal level
+    (("p",), 2, 1),  # ~ under [] and <>, two modal levels
 )
 
 
 @cache
 def generated_universe(settings_index):
     atoms, depth, cap = UNIVERSE_SETTINGS[settings_index]
-    return formula_universe(atoms, depth, cap=cap)
+    universe = formula_universe(atoms, depth, cap=cap)
+    assert len(universe) * 10 <= modal_context.DEFAULT_TABLE_GUARD
+    return universe
 
 
-def closure_of(seed):
-    rng = random.Random(seed)
-    return closure_universe(
-        [corpus.random_formula(rng, ("p", "q", "r"), depth=3) for _ in range(3)]
-    )
-
-
-universes = st.one_of(
-    st.integers(0, len(UNIVERSE_SETTINGS) - 1).map(generated_universe),
-    st.integers(0, 10**6).map(closure_of),
-)
+universes = st.integers(0, len(UNIVERSE_SETTINGS) - 1).map(generated_universe)
 
 
 @settings(max_examples=150)
@@ -161,6 +156,14 @@ def test_table_masks_are_the_evaluator_extensions(model, universe):
         worlds = {w for i, w in enumerate(model.worlds) if mask >> i & 1}
         assert worlds == evaluator.extension(f), f
         assert mask >> len(model.worlds) == 0
+
+
+def test_a_member_kind_outside_the_universe_language_is_refused():
+    # formula_universe never makes an | member; a hand-built table may
+    universe = modal_logic.FormulaUniverse(("p",), 0, 0, (Atom, modal_logic.Or),
+                                           ("p", (0, 0)), ("p", "p | p"))
+    with pytest.raises(ValueError, match="^no mask rule for Or members$"):
+        extension_table(single_world_model(), universe)
 
 
 @settings(max_examples=80)

@@ -34,12 +34,10 @@ from ctxkit.modal_logic import (
     Or,
     Top,
     check_modal_operator,
-    closure_universe,
     formula_universe,
     parse_formula,
     print_formula,
     satisfies,
-    subformulas,
     world_theory,
 )
 from ctxkit.modal_logic import _base_counts
@@ -210,7 +208,7 @@ def test_deep_box_chain_is_walked_without_recursion():
     for _ in range(10_000):
         formula = Box(formula)
     assert formula.depth == 10_000
-    assert len(subformulas(formula)) == 10_001
+    assert len(oracles.subformulas(formula)) == 10_001
 
 
 def test_repr_is_constructor_syntax_at_any_depth(monkeypatch):
@@ -372,14 +370,14 @@ def test_dual_law_and_k_axiom_on_corpus():
 # ---------------------------------------------------------------------------
 
 def test_theory_excluded_middle(two_world_model):
-    universe = closure_universe([P, Not(P)])
+    universe = formula_universe(("p",), 0, cap=1)  # p, ~p, p & p, p -> p
     for world in two_world_model.worlds:
         theory = world_theory(two_world_model, world, universe)
         assert len(theory & {P, Not(P)}) == 1
 
 
 def test_theory_of_terminal_world(two_world_model):
-    universe = closure_universe([P, Box(P)])
+    universe = formula_universe(("p",), 1, cap=0)  # p, []p, <>p
     theory = world_theory(two_world_model, "w2", universe)
     assert P in theory and Box(P) in theory
 
@@ -416,7 +414,7 @@ def test_universe_is_subformula_closed():
         universe = formula_universe(("p", "q"), depth=depth)
         members = set(universe.members)
         for f in members:
-            assert subformulas(f) <= members
+            assert oracles.subformulas(f) <= members
 
 
 def test_universe_counts_grow_with_depth():
@@ -522,34 +520,6 @@ def test_universes_compare_and_hash_without_building_nodes(monkeypatch):
     assert len(a.members) == len(a) == 220 and len(built) == 220
 
 
-def test_closure_universe_table_holds_the_given_nodes():
-    rng = random.Random(5150)
-    for _ in range(40):
-        formulas = [corpus.random_formula(rng, ("p", "q", "r"), depth=3) for _ in range(3)]
-        universe = closure_universe(formulas)
-        members = sorted(set().union(*map(subformulas, formulas)),
-                         key=lambda f: (f.size, print_formula(f)))
-        assert universe.members == tuple(members)
-        assert universe.texts == tuple(map(print_formula, members))
-        assert all(f in universe for f in formulas)
-        assert universe.index_of(Box(Box(Box(Box(P))))) is None
-
-
-def test_closure_universe_walks_each_given_formula_once(monkeypatch):
-    # atom names are read off the members already collected; walking each
-    # member's subformulas again made a chain of n negations cost O(n^2)
-    walked = []
-    walk = modal_logic.subformulas
-    monkeypatch.setattr(modal_logic, "subformulas", lambda f: walked.append(f) or walk(f))
-    chain = P
-    for _ in range(200):
-        chain = Not(chain)
-    formulas = [chain, Box(Q)]
-    universe = closure_universe(formulas)
-    assert len(walked) == len(formulas)
-    assert universe.atoms == ("p", "q") and len(universe) == 203
-
-
 def test_universe_canonical_order_is_stable():
     a = formula_universe(("p", "q"), depth=1)
     b = formula_universe(("p", "q"), depth=1)
@@ -583,7 +553,7 @@ def test_box_never_collapses():
 def test_check_modal_operator_on_generated_universes():
     assert check_modal_operator(formula_universe(("p",), depth=0))
     assert check_modal_operator(formula_universe(("p", "q"), depth=2))
-    assert check_modal_operator(closure_universe([Box(Box(P)), Diamond(Q)]))
+    assert check_modal_operator(formula_universe(("p", "q"), depth=2, cap=0))  # [][]p, <>q
 
 
 def test_box_images_pairwise_distinct():
