@@ -36,6 +36,7 @@ from ctxkit.determinability import (
 from ctxkit.formats import (
     LoadedContext,
     ModelFileError,
+    decode,
     digest,
     parse_context,
     parse_kripke,
@@ -68,15 +69,10 @@ def _base_fields(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 def _load(args: argparse.Namespace, parse):
     """Parse args.file from one read of its bytes; return the result and the
-    report's first fields, whose digest is of those same bytes. Bytes that
-    are not UTF-8 are a file error, named by the path."""
+    report's first fields, whose digest is of those same bytes."""
     data = Path(args.file).read_bytes()
     fields = _base_fields(args) + [("input", args.file), ("input_sha256", digest(data))]
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        raise ModelFileError(args.file, None, str(exc)) from None
-    return parse(text, args.file), fields
+    return parse(decode(data, args.file), args.file), fields
 
 
 def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:

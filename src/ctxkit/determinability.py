@@ -57,13 +57,14 @@ class DeterminabilityWitness:
 
 @dataclass(frozen=True)
 class DeterminabilityReport:
-    determinable: bool
+    """A determinability verdict in one mode; a witness means the verdict is no."""
+
     mode: str
     witness: DeterminabilityWitness | None
 
-    def __post_init__(self):
-        if self.determinable == (self.witness is not None):
-            raise ValueError("witness must be present exactly when the verdict is no")
+    @property
+    def determinable(self) -> bool:
+        return self.witness is None
 
 
 class _Trie:
@@ -210,8 +211,8 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
         y = next(v for v in nodes if not agree(x, v))
         (p, i), (q, j) = trie.occurrence(x), trie.occurrence(y)
         witness = DeterminabilityWitness(p, q, i, j, trie.bundle(x), trie.bundle(y))
-        return DeterminabilityReport(False, mode, witness)
-    return DeterminabilityReport(True, mode, None)
+        return DeterminabilityReport(mode, witness)
+    return DeterminabilityReport(mode, None)
 
 
 def is_deterministic(ctx: Context) -> bool:

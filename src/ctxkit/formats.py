@@ -39,6 +39,14 @@ def _meaningful_lines(text: str):
             yield line_no, content
 
 
+def decode(data: bytes, path: str | Path) -> str:
+    """A file's bytes as UTF-8 text; other bytes are a file error naming the path."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(path, None, str(exc)) from None
+
+
 def digest(data: bytes) -> str:
     """Short sha256 of bytes, for run reports."""
     return hashlib.sha256(data).hexdigest()[:12]
@@ -252,7 +260,7 @@ def render_context(ctx: Context) -> str:
 
 
 def load_context(path: str | Path) -> LoadedContext:
-    return parse_context(Path(path).read_text(), path)
+    return parse_context(decode(Path(path).read_bytes(), path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +329,7 @@ def render_kripke(model: KripkeModel) -> str:
 
 
 def load_kripke(path: str | Path) -> KripkeModel:
-    return parse_kripke(Path(path).read_text(), path)
+    return parse_kripke(decode(Path(path).read_bytes(), path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -455,4 +463,4 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
 
 
 def load_modal_context(path: str | Path) -> ModalContext:
-    return parse_modal_context(Path(path).read_text(), path)
+    return parse_modal_context(decode(Path(path).read_bytes(), path), path)

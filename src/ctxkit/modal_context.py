@@ -58,17 +58,18 @@ DEFAULT_TABLE_GUARD = 1 << 24  # universe members x model worlds of one extensio
 
 @dataclass(frozen=True)
 class WorldClass:
-    """One theory-equivalence class of Kripke worlds."""
+    """One theory-equivalence class of Kripke worlds, represented by its smallest name."""
 
-    representative: str
     members: frozenset[str]
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
             raise ValueError("a world class cannot be empty")
-        if self.representative != min(self.members):
-            raise ValueError("representative must be the smallest member name")
+
+    @property
+    def representative(self) -> str:
+        return min(self.members)
 
 
 # byte value -> its bit b, as a byte 0 or 1: one translation table per bit
@@ -185,9 +186,9 @@ def _rule(kind, arg, masks: Sequence[int], everywhere: int,
           successors: list[tuple[int, int]], atoms: dict[str, int]) -> int:
     """A member's mask from its children's masks (masks[c] for each child
     row c in arg), or an atom's from atoms; []/<> read per-world successor
-    masks, and everywhere is the mask of all worlds. Only the six kinds a
-    universe holds, atoms and `~ & -> [] <>`, have a rule; a member of any
-    other kind is refused."""
+    masks, and everywhere is the mask of all worlds. A universe holds six
+    kinds, atoms and `~ & -> [] <>`, so a member that is none of the first
+    five is an atom."""
     if kind is And:  # the two kinds most members have come first
         return masks[arg[0]] & masks[arg[1]]
     if kind is Implies:
@@ -200,9 +201,7 @@ def _rule(kind, arg, masks: Sequence[int], everywhere: int,
         return sum([bit for bit, succ in successors if succ & inner])
     if kind is Not:
         return everywhere ^ masks[arg[0]]
-    if kind is Atom:
-        return atoms.get(arg, 0)
-    raise ValueError(f"no mask rule for {kind.__name__} members")
+    return atoms.get(arg, 0)
 
 
 def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
@@ -271,7 +270,7 @@ def _filtration(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
 
 def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[WorldClass, ...]:
     """Partition the worlds by equality of their theories over the universe."""
-    return tuple(WorldClass(min(ws), frozenset(ws)) for ws in _classes(model, universe).worlds)
+    return tuple(WorldClass(frozenset(ws)) for ws in _classes(model, universe).worlds)
 
 
 def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalContext:
@@ -310,12 +309,13 @@ class ModalViolation:
 
 @dataclass(frozen=True)
 class ModalContextReport:
-    is_modal_context: bool
+    """The violations of a modal-context check; none means the verdict is yes."""
+
     violations: tuple[ModalViolation, ...]
 
-    def __post_init__(self):
-        if self.is_modal_context != (not self.violations):
-            raise ValueError("verdict must match the violation list")
+    @property
+    def is_modal_context(self) -> bool:
+        return not self.violations
 
 
 def is_modal_context(mc: ModalContext) -> ModalContextReport:
@@ -351,7 +351,7 @@ def is_modal_context(mc: ModalContext) -> ModalContextReport:
                     violations.append(ModalViolation(name, members[s], operator, "forward"))
                 elif backward & bit:
                     violations.append(ModalViolation(name, members[s], operator, "backward"))
-    return ModalContextReport(not violations, tuple(violations))
+    return ModalContextReport(tuple(violations))
 
 
 def verify_representation(model: KripkeModel, mc: ModalContext) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -373,46 +373,33 @@ def parse_formula(text: str) -> Formula:
 # bounded formula universes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class FormulaUniverse:
     """A finite, subformula-closed set of formulas standing in for all of them.
 
-    The members are the rows of one table, in canonical order (size, then
-    printed text): row i holds member i's kind (its node class), its args
-    (the rows of its children, or an atom's name) and its printed text. A
-    child's row comes before its parent's, so one forward pass over the
-    rows computes anything bottom-up. Formula nodes are built only when
-    `members` is first read; equality and hashing read the identity fields
-    and the texts, never a node.
-
-    `formula_universe` is the one builder, so (atoms, depth, cap) identify
-    a universe and regenerate it from a header line.
+    The header (atoms, depth, cap) defines the universe: it is the whole
+    identity, so equality, hashing and repr read only the header, and it
+    regenerates the universe from a `.mctx` header line. The members are
+    the rows of one table, filled from the header on construction, in
+    canonical order (size, then printed text): row i holds member i's kind
+    (its node class), its args (the rows of its children, or an atom's
+    name) and its printed text. A child's row comes before its parent's, so
+    one forward pass over the rows computes anything bottom-up. Formula
+    nodes are built only when `members` is first read.
     """
 
     atoms: tuple[str, ...]
     depth: int
-    cap: int
-    kinds: tuple[type[Formula], ...]
-    args: tuple[tuple[int, ...] | str, ...]
-    texts: tuple[str, ...]
+    cap: int = 1
+    kinds: tuple[type[Formula], ...] = field(init=False, compare=False, repr=False)
+    args: tuple[tuple[int, ...] | str, ...] = field(init=False, compare=False, repr=False)
+    texts: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def _key(self) -> tuple:
-        return self.atoms, self.depth, self.cap, self.texts
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormulaUniverse):
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return (
-            f"FormulaUniverse(atoms={self.atoms!r}, depth={self.depth!r}, cap={self.cap!r}, "
-            f"members={len(self.texts)})"
-        )
+    def __post_init__(self):
+        kinds, args, texts = _member_table(self.atoms, self.depth, self.cap)
+        _set(self, "kinds", kinds)
+        _set(self, "args", args)
+        _set(self, "texts", texts)
 
     @cached_property
     def members(self) -> tuple[Formula, ...]:
@@ -500,12 +487,15 @@ def formula_universe(atoms: Iterable[str], depth: int, cap: int = 1) -> FormulaU
     scale. Within each modal level, the Boolean connectives combine to
     nesting depth <= cap. The result is subformula-closed, canonically
     ordered, and monotone in depth.
-
-    The member table is filled layer by layer, one row per distinct
-    (kind, child rows), each text composed from its children's by the
-    printer's own parenthesis rule; then the rows are sorted. No formula
-    node is built.
     """
+    return FormulaUniverse(tuple(atoms), depth, cap)
+
+
+def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, tuple, tuple]:
+    """The (kinds, args, texts) rows of `formula_universe(atoms, depth, cap)`,
+    filled layer by layer, one row per distinct (kind, child rows), each text
+    composed from its children's by the printer's own parenthesis rule, then
+    sorted. No formula node is built."""
     atoms = check_atoms(atoms)
     if not atoms:
         raise ValueError("a universe needs at least one atom")
@@ -578,16 +568,13 @@ def formula_universe(atoms: Iterable[str], depth: int, cap: int = 1) -> FormulaU
         if len(grown) == n:
             break
         layer, known = grown, n
-        if len(layer) > limit:
-            raise SizeGuardError(len(layer), limit, "formula universe", exact=False)
 
     order = sorted(layer, key=texts.__getitem__)
     order.sort(key=sizes.__getitem__)  # stable: by size, then by text
     place = [0] * len(kinds)  # row -> canonical position; children are renumbered
     for i, r in enumerate(order):  # through it, and an atom keeps its name
         place[r] = i
-    return FormulaUniverse(
-        atoms, depth, cap,
+    return (
         tuple(map(kinds.__getitem__, order)),
         tuple([arg if type(arg) is str else (place[arg[0]], place[arg[1]]) if len(arg) == 2
                else (place[arg[0]],) for arg in map(args.__getitem__, order)]),
@@ -745,16 +732,9 @@ def satisfies(model: KripkeModel, world: str, formula: Formula) -> bool:
     return Evaluator(model).satisfies(world, formula)
 
 
-def world_theory(
-    model: KripkeModel,
-    world: str,
-    universe: FormulaUniverse,
-    evaluator: Evaluator | None = None,
-) -> frozenset[Formula]:
+def world_theory(model: KripkeModel, world: str, universe: FormulaUniverse) -> frozenset[Formula]:
     """The universe members true at the world."""
-    ev = evaluator if evaluator is not None else Evaluator(model)
-    if ev.model is not model:
-        raise ValueError("evaluator belongs to a different model")
+    ev = Evaluator(model)
     if world not in ev._all:
         raise ValueError(f"unknown world {world!r}")
     return frozenset(f for f in universe.members if world in ev.extension(f))

@@ -20,6 +20,7 @@ from ctxkit.modal_logic import (
     And,
     Atom,
     Box,
+    FormulaUniverse,
     KripkeModel,
     Not,
     formula_universe,
@@ -603,6 +604,20 @@ def test_modal_context_save_load_save_is_stable(mc):
     assert loaded == mc
 
 
+@settings(max_examples=40)
+@given(atoms=st.lists(st.sampled_from(("p", "q", "r")), min_size=1, max_size=3, unique=True),
+       depth=st.integers(0, 2), cap=st.integers(0, 1))
+def test_a_universe_is_its_header(atoms, depth, cap):
+    header = (tuple(atoms), depth, cap)
+    universe, built = FormulaUniverse(*header), formula_universe(*header)
+    assert universe == built and hash(universe) == hash(built)
+    assert universe.texts == built.texts
+    model = KripkeModel(("w0", "w1"), {("w0", "w1")}, {atoms[0]: {"w1"}})
+    mc = to_modal_context(model, universe)
+    reloaded = parse_modal_context(render_modal_context(mc))
+    assert reloaded.universe == universe and reloaded == mc
+
+
 @st.composite
 def universe_headers(draw):
     """A universe line from good and bad field values, in any order, maybe
@@ -786,6 +801,17 @@ def test_printed_form_lookup_has_one_entry_per_member(depth, cap):
     for f in universe.members:
         assert universe.members[universe.index_printed_as(print_formula(f))] is f
     assert universe.index_printed_as("(p)") is None
+
+
+@pytest.mark.parametrize("load", (load_context, load_kripke, load_modal_context))
+def test_a_file_that_is_not_utf8_is_a_file_error_naming_the_path(load, tmp_path):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xffworld w0\n")
+    with pytest.raises(ModelFileError) as err:
+        load(path)
+    assert (err.value.path, err.value.line_no) == (str(path), None)
+    assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                              "invalid start byte")
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,20 @@ def test_quotient_distinct_theories_gives_singletons():
     model = KripkeModel(("a", "b"), frozenset(), {"p": frozenset({"a"})})
     classes = quotient(model, formula_universe(("p",), depth=0))
     assert classes == (
-        WorldClass("a", frozenset({"a"})),
-        WorldClass("b", frozenset({"b"})),
+        WorldClass(frozenset({"a"})),
+        WorldClass(frozenset({"b"})),
     )
+
+
+def test_a_world_class_is_represented_by_its_smallest_world():
+    assert WorldClass(frozenset({"b", "a"})).representative == "a"
+    with pytest.raises(ValueError, match="^a world class cannot be empty$"):
+        WorldClass(frozenset())
 
 
 def test_quotient_merges_indistinguishable_worlds():
     classes = quotient(twin_model(), formula_universe(("p",), depth=2))
-    assert classes == (WorldClass("a", frozenset({"a", "b"})),)
+    assert classes == (WorldClass(frozenset({"a", "b"})),)
 
 
 def test_quotient_single_world():
@@ -156,14 +162,6 @@ def test_table_masks_are_the_evaluator_extensions(model, universe):
         worlds = {w for i, w in enumerate(model.worlds) if mask >> i & 1}
         assert worlds == evaluator.extension(f), f
         assert mask >> len(model.worlds) == 0
-
-
-def test_a_member_kind_outside_the_universe_language_is_refused():
-    # formula_universe never makes an | member; a hand-built table may
-    universe = modal_logic.FormulaUniverse(("p",), 0, 0, (Atom, modal_logic.Or),
-                                           ("p", (0, 0)), ("p", "p | p"))
-    with pytest.raises(ValueError, match="^no mask rule for Or members$"):
-        extension_table(single_world_model(), universe)
 
 
 @settings(max_examples=80)
@@ -434,10 +432,9 @@ def test_verify_theorem_builds_one_extension_table_and_one_model(monkeypatch, tm
 def frozenset_form(model, universe):
     """(names, {name: theory}, relation) of the quotient context, with
     classes grouped on the evaluator's world theories."""
-    evaluator = Evaluator(model)
     groups = {}
     for w in model.worlds:
-        groups.setdefault(world_theory(model, w, universe, evaluator), []).append(w)
+        groups.setdefault(world_theory(model, w, universe), []).append(w)
     classes = sorted((min(ws), ws, theory) for theory, ws in groups.items())
     names = tuple(f"c{k}" for k in range(len(classes)))
     name_of = {w: name for name, (_, ws, _) in zip(names, classes) for w in ws}

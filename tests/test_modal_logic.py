@@ -398,10 +398,9 @@ def test_theory_monotone_in_universe():
     assert set(small.members) <= set(large.members)
     for _ in range(25):
         model = corpus.random_kripke(rng)
-        ev = Evaluator(model)
         for world in model.worlds:
-            t_small = world_theory(model, world, small, ev)
-            t_large = world_theory(model, world, large, ev)
+            t_small = world_theory(model, world, small)
+            t_large = world_theory(model, world, large)
             assert t_small == {f for f in t_large if f in small}
 
 
@@ -518,6 +517,12 @@ def test_universes_compare_and_hash_without_building_nodes(monkeypatch):
     assert a.index_printed_as("nodeless_p -> []nodeless_q") is not None
     assert built == []
     assert len(a.members) == len(a) == 220 and len(built) == 220
+
+
+def test_a_universe_takes_no_member_table():
+    # a table the header does not define would render a file that does not load
+    with pytest.raises(TypeError):
+        FormulaUniverse(("p",), 0, 0, (Atom, Or), ("p", (0, 0)), ("p", "p | p"))
 
 
 def test_universe_canonical_order_is_stable():
