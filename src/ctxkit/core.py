@@ -57,45 +57,6 @@ def check_guard(needed: int, default: int, what: str) -> None:
 _set = object.__setattr__
 
 
-class _Value:
-    """An immutable value whose hash is computed once, in its constructor.
-
-    These values spend their lives in sets and dict keys. A subclass names
-    its fields in `__slots__`, and its `__init__` sets them and then `_hash`
-    through `object.__setattr__`. Pickles and copies rebuild a value through
-    its constructor, so a stored hash never outlives the process whose string
-    hashes it was computed from.
-    """
-
-    __slots__ = ("_hash",)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__qualname__}({args})"
-
-
 def _check_symbols(kind: str, symbols: tuple[str, ...]) -> None:
     seen = set()
     for sym in symbols:
@@ -144,24 +105,30 @@ class Signature:
         return len(self.entities) * len(self.times)
 
 
-class Snapshot(_Value):
+@dataclass(frozen=True)
+class Snapshot:
     """One time slice of an instance: a total entity -> state assignment."""
 
     __slots__ = ("entities", "states")
 
-    def __init__(self, entities: Iterable[str], states: Iterable[str]):
-        entities, states = tuple(entities), tuple(states)
-        if len(entities) != len(states):
+    entities: tuple[str, ...]
+    states: tuple[str, ...]
+
+    def __post_init__(self):
+        _set(self, "entities", tuple(self.entities))
+        _set(self, "states", tuple(self.states))
+        if len(self.entities) != len(self.states):
             raise ValueError("snapshot needs exactly one state per entity")
-        _set(self, "entities", entities)
-        _set(self, "states", states)
-        _set(self, "_hash", hash((entities, states)))
+
+    def __reduce__(self):
+        return type(self), (self.entities, self.states)
 
     def render(self) -> str:
         return ";".join(f"{e}={s}" for e, s in zip(self.entities, self.states))
 
 
-class Instance(_Value):
+@dataclass(frozen=True)
+class Instance:
     """A total (entity, time) -> state table; one possible timeline.
 
     Cells are stored entity-major: the states of entity i occupy positions
@@ -170,16 +137,20 @@ class Instance(_Value):
 
     __slots__ = ("entities", "times", "cells")
 
-    def __init__(self, entities: Iterable[str], times: Iterable[str], cells: Iterable[str]):
-        entities, times, cells = tuple(entities), tuple(times), tuple(cells)
-        if len(cells) != len(entities) * len(times):
-            raise ValueError(
-                f"instance needs {len(entities) * len(times)} cells, got {len(cells)}"
-            )
-        _set(self, "entities", entities)
-        _set(self, "times", times)
-        _set(self, "cells", cells)
-        _set(self, "_hash", hash((entities, times, cells)))
+    entities: tuple[str, ...]
+    times: tuple[str, ...]
+    cells: tuple[str, ...]
+
+    def __post_init__(self):
+        _set(self, "entities", tuple(self.entities))
+        _set(self, "times", tuple(self.times))
+        _set(self, "cells", tuple(self.cells))
+        width = len(self.entities) * len(self.times)
+        if len(self.cells) != width:
+            raise ValueError(f"instance needs {width} cells, got {len(self.cells)}")
+
+    def __reduce__(self):
+        return type(self), (self.entities, self.times, self.cells)
 
     def value_at(self, entity_index: int, time_index: int) -> str:
         return self.cells[entity_index * len(self.times) + time_index]

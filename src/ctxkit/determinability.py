@@ -403,5 +403,5 @@ def render_iterator_map(iterator: IteratorMap) -> str:
             rhs = ",".join(s.render() for s in sorted(image, key=lambda s: s.render()))
         else:
             rhs = "-"
-        lines.append(f"iter {snap.render()} -> {rhs}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"iter {snap.render()} -> {rhs}\n")
+    return "".join(lines)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -65,17 +64,14 @@ def file_digest(path: str | Path) -> str:
 class LoadedContext:
     """A context plus the instance names the file used.
 
-    `rows` maps the name of each kept instance to its row, in file order; a
-    duplicate collapsed into an earlier instance keeps no name.
+    `rows` maps every instance name to its row, in file order, so a duplicate's
+    name maps to the row it collapsed into. `name_of` maps each row to the
+    first name the file gave it.
     """
 
     context: Context
     rows: Mapping[str, Row]
-
-    @cached_property
-    def name_of(self) -> dict[Row, str]:
-        """Row -> the name the file gave it."""
-        return {row: name for name, row in self.rows.items()}
+    name_of: Mapping[Row, str]
 
     def instance_named(self, name: str) -> Instance:
         try:
@@ -101,7 +97,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     """
     headers: dict[str, tuple[str, ...]] = {}
     sig: Signature | None = None
-    named: dict[str, Row] = {}  # kept instances, in file order
+    named: dict[str, Row] = {}  # every closed instance, in file order
     first_name: dict[Row, str] = {}  # one file has one signature
 
     # the open instance: its name, header line, cells and mask of filled cells
@@ -119,14 +115,12 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                 name_line,
                 f"instance {name!r} is missing cell {sig.entities[e]}@{sig.times[t]}",
             )
-        row = tuple(cells)
+        row = named[name] = tuple(cells)
         if first_name.setdefault(row, name) != name:
             warnings.warn(
                 f"{source}: duplicate instance {name!r} collapsed (set semantics)",
                 stacklevel=3,
             )
-        else:
-            named[name] = row
 
     # raw cell line -> (mask, positions, state indices, slice of the positions
     # or None when they are not contiguous); only lines that passed the token
@@ -230,7 +224,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
         sig = signature(None)
     if name is not None:
         close_instance(name, name_line, cells, filled)
-    return LoadedContext(Context.from_rows(sig, named.values()), named)
+    return LoadedContext(Context.from_rows(sig, first_name), named, first_name)
 
 
 def render_context(ctx: Context) -> str:

@@ -1,0 +1,209 @@
+"""Committed mutants: each is a small fault that its selected tests must catch.
+
+Run from anywhere with `python tests/mutants.py`. For each mutant in
+`MUTANTS` it copies `src/` into a temporary directory, replaces the mutant's
+old text (which must occur exactly once in its file) with the new text, and
+runs the mutant's pytest node ids against the copy with `-x -q`. A mutant
+survives when those tests pass. All the selected tests must first pass on an
+unmutated copy. The run exits 1 naming every survivor, and
+stops at once when an old text is missing or ambiguous, since the table has
+then fallen behind the code. A fast path with an oracle adds its mutants
+here. Not part of tier-1: one mutant costs one pytest process.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/ctxkit
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MODAL = "tests/test_modal_context.py::"
+# the quotient's columns against the frozenset evaluator, on the acceptance corpus
+FROZENSET_FORM = MODAL + "test_columns_match_the_frozenset_form_on_the_acceptance_corpus"
+# determinability verdicts and witnesses against the oracles
+WITNESS_TESTS = (
+    "tests/test_determinability.py::test_determinability_agrees_with_oracle_on_corpus",
+    "tests/test_determinability.py::test_verdicts_and_witnesses_match_oracles_on_small_contexts",
+)
+
+MUTANTS = (
+    Mutant(
+        "_rule reads [] as <>",
+        "modal_context.py",
+        "return sum([bit for bit, succ in successors if succ & inner == succ])",
+        "return sum([bit for bit, succ in successors if succ & inner])",
+        (MODAL + "test_table_masks_are_the_evaluator_extensions",),
+    ),
+    Mutant(
+        "windowed partner test without its first half",
+        "determinability.py",
+        "if len(upto[time_of[u]]) > 1 or any(",
+        "if any(",
+        WITNESS_TESTS,
+    ),
+    Mutant(
+        "windowed partner test without its second half",
+        "determinability.py",
+        "at[s] != {cut_to(u, s)} for s in times if s > time_of[u]))",
+        "False for s in times if s > time_of[u]))",
+        WITNESS_TESTS,
+    ),
+    Mutant(
+        "windowed partner test reads <= s as < s",
+        "determinability.py",
+        "for v in nodes if time_of[v] <= s}",
+        "for v in nodes if time_of[v] < s}",
+        WITNESS_TESTS,
+    ),
+    Mutant(
+        "literal mode takes the last node",
+        "determinability.py",
+        "x = nodes[0]",
+        "x = nodes[-1]",
+        WITNESS_TESTS,
+    ),
+    Mutant(
+        "the leaf route ignores leftover words",
+        "cli.py",
+        "        if not rest:\n            return args\n",
+        "        return args\n",
+        ("tests/test_cli.py::test_leaf_route_parses_as_the_parser_tree_does",),
+    ),
+    Mutant(
+        "requotient_is_identity always answers yes",
+        "modal_context.py",
+        "!= column:\n            return False",
+        "!= column:\n            return True",
+        (MODAL + "test_requotient_check_is_the_second_quotient_on_hand_built_contexts",
+         MODAL + "test_a_requotient_fixed_point_is_a_modal_context"),
+    ),
+    Mutant(
+        "the parse_context memo drops its given-twice test",
+        "formats.py",
+        "            if filled & mask:\n                raise given_twice(",
+        "            if False:\n                raise given_twice(",
+        ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",),
+    ),
+    Mutant(
+        "load_kripke back on read_text()",
+        "formats.py",
+        "return parse_kripke(decode(Path(path).read_bytes(), path), path)",
+        "return parse_kripke(Path(path).read_text(), path)",
+        ("tests/test_formats.py::test_a_file_that_is_not_utf8_is_a_file_error_naming_the_path"
+         "[load_kripke]",),
+    ),
+    Mutant(
+        "_filtration groups worlds by their first member only",
+        "modal_context.py",
+        "groups.setdefault(row, []).append(world)",
+        "groups.setdefault(row[:1], []).append(world)",
+        (MODAL + "test_quotient_soundness_via_naive_satisfaction", FROZENSET_FORM),
+    ),
+    Mutant(
+        "_rows reads a byte's bits in reverse",
+        "modal_context.py",
+        "rows += [plane.translate(_BIT[b]) for b in",
+        "rows += [plane.translate(_BIT[7 - b]) for b in",
+        (MODAL + "test_quotient_distinct_theories_gives_singletons", FROZENSET_FORM),
+    ),
+    Mutant(
+        "_columns reads rows big-endian",
+        "modal_context.py",
+        'plane += int.from_bytes(row, "little") << b',
+        'plane += int.from_bytes(row, "big") << b',
+        (MODAL + "test_representation_single_world", FROZENSET_FORM),
+    ),
+    Mutant(
+        "the universe renumbering swaps binary children",
+        "modal_logic.py",
+        "(place[arg[0]], place[arg[1]])",
+        "(place[arg[1]], place[arg[0]])",
+        ("tests/test_modal_logic.py::test_member_table_matches_the_node_and_sort_reference",
+         FROZENSET_FORM),
+    ),
+    Mutant(
+        "a collapsed duplicate keeps no name",
+        "formats.py",
+        "        row = named[name] = tuple(cells)\n",
+        "        row = tuple(cells)\n"
+        "        if row not in first_name:\n"
+        "            named[name] = row\n",
+        ("tests/test_cli.py::test_consistency_reads_a_duplicate_by_its_own_name",
+         "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
+    ),
+)
+
+
+def apply(src: Path, mutant: Mutant) -> None:
+    """Write the mutant into the copy at src; refuse an old text that does
+    not occur exactly once."""
+    path = src / "ctxkit" / mutant.file
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(
+            f"mutant {mutant.name!r}: its old text occurs {count} times in {mutant.file}, "
+            "not once; update the table"
+        )
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def passes(src: Path, tests: Sequence[str]) -> bool:
+    """Do the tests pass against the sources at src?"""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    if result.returncode not in (0, 1):  # 1: tests failed; anything else: no run
+        raise SystemExit(f"pytest exited {result.returncode} on {' '.join(tests)}\n"
+                         + result.stdout + result.stderr)
+    return result.returncode == 0
+
+
+def copy_src(workdir: Path) -> Path:
+    src = workdir / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="ctxkit-mutants-") as tmp:
+        # a killed mutant means something only if its tests pass without it
+        every_test = list(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
+        if not passes(copy_src(Path(tmp)), every_test):
+            raise SystemExit("the selected tests fail on the unmutated sources")
+        for mutant in MUTANTS:
+            src = copy_src(Path(tmp))
+            apply(src, mutant)
+            alive = passes(src, mutant.tests)
+            print(f"{'SURVIVED' if alive else 'killed  '}  {mutant.name}", flush=True)
+            if alive:
+                survivors.append(mutant.name)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived: " + "; ".join(survivors))
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

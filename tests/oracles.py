@@ -191,10 +191,11 @@ def parse_context_tokenwise(text, source="<string>"):
     """Reference reader for context files: every cell token of every line is
     checked afresh, in file order.
 
-    Returns (signature, kept cell tuples in file order, {name: cells},
-    duplicate-instance warning texts). Only the header check (`Signature`)
-    and the error type (`ModelFileError`, so that messages and line numbers
-    compare directly) come from the library.
+    Returns (signature, kept cell tuples in file order, {name: cells} for
+    every instance, a duplicate's name included, duplicate-instance warning
+    texts). Only the header check (`Signature`) and the error type
+    (`ModelFileError`, so that messages and line numbers compare directly)
+    come from the library.
     """
     from ctxkit.core import Signature
     from ctxkit.formats import ModelFileError
@@ -225,7 +226,7 @@ def parse_context_tokenwise(text, source="<string>"):
             warned.append(f"{source}: duplicate instance {current_name!r} collapsed (set semantics)")
         else:
             kept.append(row)
-            names[current_name] = row
+        names[current_name] = row
         current_name, current_line = None, None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -244,14 +244,60 @@ def test_reports_name_instances_as_the_file_does(argv, tmp_path, monkeypatch, ca
     assert (code, out) == (0 if verb == "consistency" else 1, LABELS_STDOUT[argv])
 
 
-def test_a_collapsed_duplicate_name_is_unknown(tmp_path, monkeypatch, capsys):
+def consistency_reports(capsys, path, *names):
+    """(exit code, stdout without the lines that echo the name) per name."""
+    reports = []
+    for name in names:
+        with pytest.warns(UserWarning, match="duplicate instance"):
+            code, out = run_cli(capsys, "ctx", "consistency", path, "--instance", name,
+                                "--time", "0")
+        kept = [line for line in out.splitlines(keepends=True)
+                if not line.startswith(("command=", "instance="))]
+        reports.append((code, "".join(kept)))
+    return reports
+
+
+def test_a_collapsed_duplicate_name_reads_as_the_instance_it_repeats(
+        tmp_path, monkeypatch, capsys):
     (tmp_path / "labels.ctx").write_text(LABELS_CTX)
     monkeypatch.chdir(tmp_path)
-    with pytest.warns(UserWarning):
-        code = cli_dispatch(["ctx", "consistency", "labels.ctx", "--instance", "again",
+    again, alpha = consistency_reports(capsys, "labels.ctx", "again", "alpha")
+    assert again == alpha
+    assert again[0] == 0
+
+
+DUPLICATE_Y = "states: a b\nentities: e\ntime: 0 1\ninstance x:\n  e@0=a e@1=b\n" \
+    "instance y:\n  e@0=a e@1=b\n"
+
+
+def test_consistency_reads_a_duplicate_by_its_own_name(tmp_path, capsys):
+    path = tmp_path / "dup.ctx"
+    path.write_text(DUPLICATE_Y)
+    y, x = consistency_reports(capsys, str(path), "y", "x")
+    assert y == x
+    assert y[0] == 0 and "instances=1\n" in y[1]
+
+
+def test_a_name_reused_after_a_collapsed_duplicate_is_an_error(tmp_path, capsys):
+    path = tmp_path / "dup.ctx"
+    path.write_text(DUPLICATE_Y + "instance y:\n  e@0=b e@1=a\n")
+    with pytest.warns(UserWarning, match="duplicate instance 'y' collapsed"):
+        code = cli_dispatch(["ctx", "consistency", str(path), "--instance", "y",
                              "--time", "0"])
-    assert code == 2
-    assert "error: no instance named 'again' in the file" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"error: {path}:8: instance name 'y' reused" in captured.err
+
+
+def test_an_iterator_with_an_empty_domain_prints_only_its_fields(tmp_path, monkeypatch,
+                                                                  capsys):
+    data = b"states: a\nentities: e\ntime: 0\n"
+    (tmp_path / "empty.ctx").write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "ctx", "iterator", "empty.ctx") == (0, (
+        "command=ctx iterator empty.ctx\ninput=empty.ctx\n"
+        f"input_sha256={hashlib.sha256(data).hexdigest()[:12]}\nverdict=yes\ndomain_size=0\n"
+    ))
 
 
 # ---------------------------------------------------------------------------

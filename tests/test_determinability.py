@@ -368,6 +368,13 @@ def test_extract_iterator_constant_singleton():
     assert result.iterator.image(snap1("s")) == frozenset({snap1("s")})
 
 
+def test_an_empty_iterator_map_renders_no_line():
+    empty = Context(Signature(("s",), ("e0",), ("0",)), ())
+    assert render_iterator_map(extract_iterator(empty).iterator) == ""
+    one = Context(empty.signature, (Instance(("e0",), ("0",), ("s",)),))
+    assert render_iterator_map(extract_iterator(one).iterator) == "iter e0=s -> -\n"
+
+
 def test_extract_iterator_branching_and_final_images():
     ctx = row_context("abc", "ab", "ac")
     result = extract_iterator(ctx)

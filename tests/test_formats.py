@@ -203,7 +203,9 @@ def test_duplicate_instance_warning_is_pinned():
     assert [str(w.message) for w in record] == [
         "dup.ctx: duplicate instance 'y' collapsed (set semantics)"
     ]
-    assert list(loaded.rows) == ["x"]
+    assert list(loaded.rows) == ["x", "y"]
+    assert loaded.rows["y"] == loaded.rows["x"]
+    assert loaded.name_of == {loaded.rows["x"]: "x"}
 
 
 MUTATIONS = (
