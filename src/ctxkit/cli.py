@@ -22,6 +22,7 @@ import os
 import stat
 import sys
 import time
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -454,7 +455,10 @@ def cli_dispatch(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return cli_dispatch(sys.argv[1:] if argv is None else argv)
+    """`cli_dispatch` for a process: a warning is one `warning: <message>` line."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return cli_dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -329,57 +329,50 @@ def generate_from_iterator(
     """Unroll every trajectory of the given length from the seeds.
 
     All branching is kept; the result is the context of all iterator paths.
-    Every snapshot reached before the final time must be in the domain with
-    a non-empty image. The paths are counted per last snapshot first, one
-    pass per step, and more of them than the guard (`DEFAULT_SPACE_GUARD`,
-    or `CTXKIT_GUARD`) are refused before any is unrolled.
+    Paths are counted per last snapshot first, one pass per step, which
+    names the first snapshot in rendered order that is not in the domain or
+    has an empty image. More paths than the guard (`DEFAULT_SPACE_GUARD`, or
+    `CTXKIT_GUARD`) are refused before any is unrolled.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    seed_list = sorted(set(seeds), key=lambda s: s.render())
-    if not seed_list:
+    seed_set = set(seeds)
+    if not seed_set:
         raise ValueError("at least one seed snapshot is required")
-    for seed in seed_list:
+    for seed in seed_set:
         if seed.entities != iterator.entities:
             raise ValueError("seed snapshot entities do not match the iterator")
 
-    counts = dict.fromkeys(seed_list, 1)  # last snapshot -> paths ending there
-    for _ in range(1, horizon):
-        if not all(snap in iterator and iterator.image(snap) for snap in counts):
-            break  # the unrolling stops here, naming the first path that cannot step
+    counts = dict.fromkeys(seed_set, 1)  # last snapshot -> paths ending there
+    for step in range(1, horizon):
         grown: dict[Snapshot, int] = {}
-        for snap, count in counts.items():
-            for nxt in iterator.image(snap):
-                grown[nxt] = grown.get(nxt, 0) + count
-        counts = grown  # no fewer paths than before, as every image is non-empty
+        for snap in sorted(counts, key=Snapshot.render):
+            if snap not in iterator:
+                raise ValueError(
+                    f"snapshot {snap.render()} reached at time {step - 1} "
+                    "is not in the iterator domain"
+                )
+            image = iterator.image(snap)
+            if not image:
+                raise ValueError(
+                    f"iterator image of {snap.render()} is empty before the final time"
+                )
+            for nxt in image:
+                grown[nxt] = grown.get(nxt, 0) + counts[snap]
+        counts = grown
     check_guard(sum(counts.values()), DEFAULT_SPACE_GUARD,
                 f"iterator unrolling to horizon {horizon}")
 
-    paths: list[tuple[Snapshot, ...]] = [(s,) for s in seed_list]
-    for step in range(1, horizon):
-        extended: list[tuple[Snapshot, ...]] = []
-        for path in paths:
-            last = path[-1]
-            if last not in iterator:
-                raise ValueError(
-                    f"snapshot {last.render()} reached at time {step - 1} "
-                    "is not in the iterator domain"
-                )
-            image = iterator.image(last)
-            if not image:
-                raise ValueError(
-                    f"iterator image of {last.render()} is empty before the final time"
-                )
-            for nxt in sorted(image, key=lambda s: s.render()):
-                extended.append(path + (nxt,))
-        paths = extended
+    paths = [(seed,) for seed in seed_set]  # Context.from_rows sorts the rows
+    for _ in range(1, horizon):
+        paths = [path + (nxt,) for path in paths for nxt in iterator.image(path[-1])]
 
     states = set()
     for snap, image in iterator.entries:
         states.update(snap.states)
         for out in image:
             states.update(out.states)
-    for seed in seed_list:
+    for seed in seed_set:
         states.update(seed.states)
     times = tuple(str(k) for k in range(horizon))
     sig = Signature(tuple(sorted(states)), iterator.entities, times)

@@ -15,9 +15,10 @@ biconditionals against its relation, and must represent every original
 world by theory; both facts are re-checked here, on the columns, rather
 than assumed.
 
-Each kind's mask rule is written once, in `_rule`. The table applies it to
-its own growing columns, the modal check to a context's stored []/<>
-members, and the requotient check to every stored member.
+Each kind's mask rule is written once, in `_rule`, which fills a table in
+one pass over the member rows: the extension table from its own growing
+columns, and a context's cached check table from its stored columns. The
+modal check and the requotient check both compare the stored columns with it.
 
 The paper's power context indexes formula sets by (entity, time) cells; the
 construction uses a single cell, so a context stores one formula set per
@@ -156,9 +157,13 @@ class ModalContext:
         return {w: j for j, w in enumerate(self.world_names)}
 
     @cached_property
-    def _successor_masks(self) -> list[tuple[int, int]]:
-        """(world bit, successor mask) per world, in world order."""
-        return _successor_pairs(self.world_names, self.relation)
+    def _held(self) -> list[int]:
+        """The check table: `_rule` over the context's own relation, from
+        the stored columns, each atom reading its own."""
+        u = self.universe
+        atoms = {arg: column for kind, arg, column in zip(u.kinds, u.args, self.columns)
+                 if kind is Atom}
+        return _rule(u, self.columns, self.world_names, self.relation, atoms)
 
     def _world_index(self, name: str) -> int:
         """The world's bit position; a name outside the context is refused."""
@@ -172,36 +177,39 @@ class ModalContext:
         return frozenset(compress(self.universe.members, self.rows[self._world_index(name)]))
 
 
-def _successor_pairs(names: Sequence[str], relation: frozenset) -> list[tuple[int, int]]:
-    """(world bit, successor mask) per world, in the order of names, from one
-    pass over the relation: the same pairs for a model and a context."""
+def _rule(universe: FormulaUniverse, stored: Sequence[int] | None, names: Sequence[str],
+          relation: frozenset, atoms: dict[str, int]) -> list[int]:
+    """Every member's mask over the named worlds, in member order, from one
+    loop over the member rows. Children's masks are read from stored when it
+    is given, else from the masks filled so far, as children come first; an
+    atom's mask is atoms[name], or none. []/<> test each world's successor
+    mask under relation. A universe holds six kinds, atoms and
+    `~ & -> [] <>`, so a member that is none of the first five is an atom."""
     index = {w: j for j, w in enumerate(names)}
-    masks = [0] * len(index)
+    succ_of = [0] * len(index)
     for a, b in relation:
-        masks[index[a]] |= 1 << index[b]
-    return [(1 << j, mask) for j, mask in enumerate(masks)]
-
-
-def _rule(kind, arg, masks: Sequence[int], everywhere: int,
-          successors: list[tuple[int, int]], atoms: dict[str, int]) -> int:
-    """A member's mask from its children's masks (masks[c] for each child
-    row c in arg), or an atom's from atoms; []/<> read per-world successor
-    masks, and everywhere is the mask of all worlds. A universe holds six
-    kinds, atoms and `~ & -> [] <>`, so a member that is none of the first
-    five is an atom."""
-    if kind is And:  # the two kinds most members have come first
-        return masks[arg[0]] & masks[arg[1]]
-    if kind is Implies:
-        return (everywhere ^ masks[arg[0]]) | masks[arg[1]]
-    if kind is Box:  # the worlds all of whose successors are in the operand
-        inner = masks[arg[0]]
-        return sum([bit for bit, succ in successors if succ & inner == succ])
-    if kind is Diamond:  # the worlds some of whose successors are in the operand
-        inner = masks[arg[0]]
-        return sum([bit for bit, succ in successors if succ & inner])
-    if kind is Not:
-        return everywhere ^ masks[arg[0]]
-    return atoms.get(arg, 0)
+        succ_of[index[a]] |= 1 << index[b]
+    successors = [(1 << j, succ) for j, succ in enumerate(succ_of)]
+    everywhere = (1 << len(index)) - 1
+    out: list[int] = []
+    masks = out if stored is None else stored
+    for kind, arg in zip(universe.kinds, universe.args):
+        if kind is And:  # the two kinds most members have come first
+            mask = masks[arg[0]] & masks[arg[1]]
+        elif kind is Implies:
+            mask = (everywhere ^ masks[arg[0]]) | masks[arg[1]]
+        elif kind is Box:  # the worlds all of whose successors are in the operand
+            inner = masks[arg[0]]
+            mask = sum([bit for bit, succ in successors if succ & inner == succ])
+        elif kind is Diamond:  # the worlds some of whose successors are in the operand
+            inner = masks[arg[0]]
+            mask = sum([bit for bit, succ in successors if succ & inner])
+        elif kind is Not:
+            mask = everywhere ^ masks[arg[0]]
+        else:
+            mask = atoms.get(arg, 0)
+        out.append(mask)
+    return out
 
 
 def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
@@ -209,8 +217,8 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
     worlds, in member order: bit i is set when model.worlds[i] satisfies the
     member.
 
-    One forward pass of `_rule` over the member rows fills it, because the
-    canonical order puts every child row before its parent. A table of more
+    `_rule` fills it in one forward pass over the member rows, each member
+    reading its children's rows of the table itself. A table of more
     members x worlds than the guard (`DEFAULT_TABLE_GUARD`, or
     `CTXKIT_GUARD`) is refused before it is built.
     """
@@ -219,13 +227,8 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
         f"extension table of {len(universe)} members over {len(model.worlds)} worlds",
     )
     bit = {w: 1 << i for i, w in enumerate(model.worlds)}
-    everywhere = (1 << len(bit)) - 1
-    successors = _successor_pairs(model.worlds, model.relation)
     atoms = {a: sum([bit[w] for w in ws]) for a, ws in model.valuation.items()}
-    table: list[int] = []
-    for kind, arg in zip(universe.kinds, universe.args):
-        table.append(_rule(kind, arg, table, everywhere, successors, atoms))
-    return table
+    return _rule(universe, None, model.worlds, model.relation, atoms)
 
 
 class _Quotient(NamedTuple):
@@ -324,33 +327,26 @@ def is_modal_context(mc: ModalContext) -> ModalContextReport:
     For each s with []s in the universe: []s is in a world iff every relation
     successor has s; dually, <>s iff some successor has s. Only operator
     formulas inside the universe are checkable under the truncation, and
-    those are checked exactly: `_rule` is applied to each []/<> member over
-    the context's own relation and stored columns, and the result is
-    compared with the member's stored column. Violations are read off the
-    differing bits, world by world, boxes before diamonds, each in member
-    order.
+    those are checked exactly: each []/<> member's stored column is
+    compared with its entry in the context's check table (`_held`).
+    Violations are read off the differing bits, world by world, boxes before
+    diamonds, each in member order.
     """
-    kinds, args, columns = mc.universe.kinds, mc.universe.args, mc.columns
-    everywhere = (1 << len(mc.world_names)) - 1
-    successors = mc._successor_masks
-    differ = []  # (s, operator, forward bits, backward bits) where a column differs
+    kinds, args, columns, held = mc.universe.kinds, mc.universe.args, mc.columns, mc._held
+    differ = []  # (s, operator, stored column, bits where it differs from the rule)
     for operator, modal in (("box", Box), ("diamond", Diamond)):
         for i, kind in enumerate(kinds):
-            if kind is modal:
-                held = _rule(kind, args[i], columns, everywhere, successors, {})
-                stored = columns[i]
-                if held != stored:
-                    differ.append((args[i][0], operator, stored & ~held, held & ~stored))
+            if kind is modal and held[i] != columns[i]:
+                differ.append((args[i][0], operator, columns[i], held[i] ^ columns[i]))
     violations = []
     if differ:
         members = mc.universe.members
         for j, name in enumerate(mc.world_names):
             bit = 1 << j
-            for s, operator, forward, backward in differ:
-                if forward & bit:
-                    violations.append(ModalViolation(name, members[s], operator, "forward"))
-                elif backward & bit:
-                    violations.append(ModalViolation(name, members[s], operator, "backward"))
+            for s, operator, stored, wrong in differ:
+                if wrong & bit:  # stored where the rule fails is forward, else backward
+                    side = "forward" if stored & bit else "backward"
+                    violations.append(ModalViolation(name, members[s], operator, side))
     return ModalContextReport(tuple(violations))
 
 
@@ -391,19 +387,13 @@ def requotient_is_identity(mc: ModalContext) -> bool:
     identity, as no two rows are equal. And the table is the columns iff
     every member's column is `_rule` of its children's columns (an atom's
     of its own), by induction over the member order, where children come
-    first. So no model and no table is built.
+    first. So no model and no extension table is built: the check is one
+    comparison with the context's check table.
 
     The construction does not claim this fixed-point property; the answer is
     surfaced so corpora can be inspected for it.
     """
-    u, columns = mc.universe, mc.columns
-    everywhere = (1 << len(mc.world_names)) - 1
-    successors = mc._successor_masks
-    atoms = {arg: column for kind, arg, column in zip(u.kinds, u.args, columns) if kind is Atom}
-    for kind, arg, column in zip(u.kinds, u.args, columns):
-        if _rule(kind, arg, columns, everywhere, successors, atoms) != column:
-            return False
-    return True
+    return mc._held == list(mc.columns)
 
 
 def prover_agreement(model: KripkeModel, mc: ModalContext) -> bool:

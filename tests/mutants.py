@@ -45,9 +45,18 @@ MUTANTS = (
     Mutant(
         "_rule reads [] as <>",
         "modal_context.py",
-        "return sum([bit for bit, succ in successors if succ & inner == succ])",
-        "return sum([bit for bit, succ in successors if succ & inner])",
+        "mask = sum([bit for bit, succ in successors if succ & inner == succ])",
+        "mask = sum([bit for bit, succ in successors if succ & inner])",
         (MODAL + "test_table_masks_are_the_evaluator_extensions",),
+    ),
+    Mutant(
+        "the check table fills from its own masks",
+        "modal_context.py",
+        "masks = out if stored is None else stored",
+        "masks = out",
+        (MODAL + "test_mutated_contexts_report_the_frozenset_violations",
+         MODAL + "test_hand_built_contexts_check_like_the_frozenset_form",
+         "tests/test_cli.py::test_modal_check_context_prints_the_pinned_violation_report"),
     ),
     Mutant(
         "windowed partner test without its first half",
@@ -71,6 +80,13 @@ MUTANTS = (
         WITNESS_TESTS,
     ),
     Mutant(
+        "the trie records every node's first instance as the first row",
+        "determinability.py",
+        "first.append(pos)",
+        "first.append(0)",
+        WITNESS_TESTS,
+    ),
+    Mutant(
         "literal mode takes the last node",
         "determinability.py",
         "x = nodes[0]",
@@ -87,9 +103,10 @@ MUTANTS = (
     Mutant(
         "requotient_is_identity always answers yes",
         "modal_context.py",
-        "!= column:\n            return False",
-        "!= column:\n            return True",
-        (MODAL + "test_requotient_check_is_the_second_quotient_on_hand_built_contexts",
+        "return mc._held == list(mc.columns)",
+        "return True",
+        (MODAL + "test_requotient_check_is_the_second_quotient_on_the_acceptance_corpus",
+         MODAL + "test_requotient_check_is_the_second_quotient_on_hand_built_contexts",
          MODAL + "test_a_requotient_fixed_point_is_a_modal_context"),
     ),
     Mutant(
@@ -98,6 +115,14 @@ MUTANTS = (
         "            if filled & mask:\n                raise given_twice(",
         "            if False:\n                raise given_twice(",
         ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",),
+    ),
+    Mutant(
+        "a canonical has line is taken before any world line",
+        "formats.py",
+        "if i is not None and bit:",
+        "if i is not None:",
+        ("tests/test_formats.py::"
+         "test_modal_context_loader_agrees_with_the_line_by_line_reference",),
     ),
     Mutant(
         "load_kripke back on read_text()",

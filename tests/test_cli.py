@@ -278,6 +278,20 @@ def test_consistency_reads_a_duplicate_by_its_own_name(tmp_path, capsys):
     assert y[0] == 0 and "instances=1\n" in y[1]
 
 
+def test_the_entry_point_prints_a_warning_as_one_line(tmp_path, capsys):
+    path = tmp_path / "dup.ctx"
+    path.write_text(DUPLICATE_Y)
+    argv = ["ctx", "consistency", str(path), "--instance", "y", "--time", "0"]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "ctxkit.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    warning, elapsed = proc.stderr.splitlines()
+    assert warning == f"warning: {path}: duplicate instance 'y' collapsed (set semantics)"
+    assert elapsed.startswith("elapsed_ms=")
+    with pytest.warns(UserWarning, match="duplicate instance 'y' collapsed"):
+        assert run_cli(capsys, *argv) == (proc.returncode, proc.stdout)
+
+
 def test_a_name_reused_after_a_collapsed_duplicate_is_an_error(tmp_path, capsys):
     path = tmp_path / "dup.ctx"
     path.write_text(DUPLICATE_Y + "instance y:\n  e@0=b e@1=a\n")

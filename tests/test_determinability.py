@@ -583,6 +583,22 @@ def test_generate_rejects_gaps():
     assert len(generate_from_iterator(dead_end, {snap1("a")}, 2)) == 1
 
 
+def test_the_first_stuck_snapshot_by_rendered_text_is_named():
+    # at time 1 the seed z reaches b, outside the domain, and the seed a
+    # reaches y, whose image is empty; b renders first
+    iterator = IteratorMap(
+        ("e0",),
+        (
+            (snap1("a"), frozenset({snap1("y")})),
+            (snap1("y"), frozenset()),
+            (snap1("z"), frozenset({snap1("b")})),
+        ),
+    )
+    with pytest.raises(ValueError, match="^snapshot e0=b reached at time 1 is not in the "
+                                         "iterator domain$"):
+        generate_from_iterator(iterator, {snap1("a"), snap1("z")}, 3)
+
+
 def both_to_both():
     """Two snapshots that each step to both: 2^(h-1) paths from one seed."""
     both = frozenset({snap1("a"), snap1("b")})

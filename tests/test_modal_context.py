@@ -257,24 +257,32 @@ def test_empty_context_is_vacuously_modal():
 
 
 def test_successors_follow_world_names_order():
+    # world order is not name order, so both checks must place each world's
+    # successors by world_names
+    rng, depth_one = random.Random(4411), formula_universe(("p", "q"), depth=1)
+    answers = set()
+    for k in range(60):
+        mc = to_modal_context(corpus.random_kripke(rng, max_worlds=8), depth_one)
+        theories = theories_of(mc)
+        if k % 2:  # one flipped membership, so that some answers are "no"
+            theories[rng.choice(mc.world_names)] ^= {rng.choice(depth_one.members)}
+        names = list(mc.world_names)
+        rng.shuffle(names)
+        try:
+            shuffled = oracles.modal_context_of(tuple(names), theories, mc.relation, depth_one)
+        except ValueError as exc:
+            assert "equal as functions" in str(exc)
+            continue
+        report = checked_like_the_frozenset_form(shuffled)
+        fixed = requotient_is_identity(shuffled)
+        assert fixed == oracles.reference_requotient(shuffled)
+        answers.add((report.is_modal_context, fixed))
+    assert answers == {(True, True), (False, False), (True, False)}
     universe = formula_universe(("p", "q"), depth=0, cap=0)
-    names = ("n2", "n0", "n1")  # not sorted, so order comes from world_names
-    theories = {"n2": {P}, "n0": {Q}, "n1": {P, Q}}
-    relation = {("n0", "n1"), ("n0", "n2"), ("n0", "n0"), ("n1", "n2")}
-    mc = oracles.modal_context_of(names, theories, relation, universe)
-
-    def successors(mc):  # each world's successors, read off its mask
-        return [tuple(v for k, v in enumerate(mc.world_names) if mask >> k & 1)
-                for _, mask in mc._successor_masks]
-
-    assert successors(mc) == [(), ("n2", "n0", "n1"), ("n2",)]
+    mc = oracles.modal_context_of(("n2", "n0", "n1"), {"n2": {P}, "n0": {Q}, "n1": {P, Q}},
+                                  {("n0", "n1"), ("n1", "n2")}, universe)
     with pytest.raises(ValueError, match="unknown context world 'n9'"):
         mc.theory_at("n9")
-    rng, depth_one = random.Random(4411), formula_universe(("p", "q"), depth=1)
-    for _ in range(40):
-        mc = to_modal_context(corpus.random_kripke(rng, max_worlds=8), depth_one)
-        assert successors(mc) == [tuple(v for v in mc.world_names if (w, v) in mc.relation)
-                                  for w in mc.world_names]
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +433,23 @@ def test_verify_theorem_builds_one_extension_table_and_one_model(monkeypatch, tm
     assert calls == models
 
 
+def test_verify_theorem_applies_the_rule_once_per_table(monkeypatch, tmp_path, capsys):
+    # the model's extension table, then the context's one check table, which
+    # both the modal check and the requotient check read
+    calls = []
+
+    def counted(universe, stored, *rest, rule=modal_context._rule):
+        calls.append("check" if stored is not None else "extension")
+        return rule(universe, stored, *rest)
+
+    path = tmp_path / "m.kr"
+    path.write_text(render_kripke(gen_random_kripke(3, 8, ("p", "q"), 0.3)))
+    monkeypatch.setattr(modal_context, "_rule", counted)
+    code = cli_dispatch(["modal", "verify-theorem", str(path), "--atoms", "p,q", "--depth", "1"])
+    assert code == 0, capsys.readouterr()
+    assert calls == ["extension", "check"]
+
+
 # ---------------------------------------------------------------------------
 # column contexts against the frozenset form
 # ---------------------------------------------------------------------------
@@ -543,8 +568,24 @@ def acceptance_contexts():
 
 
 def test_requotient_check_is_the_second_quotient_on_the_acceptance_corpus():
+    # every quotient is a fixed point, so each context is also checked with
+    # one non-modal member's bit flipped at one world, where "no" is common
+    rng, noes = random.Random(2525), 0
     for _, mc in acceptance_contexts():
         assert requotient_is_identity(mc) == oracles.reference_requotient(mc)
+        columns = list(mc.columns)
+        i = rng.choice([i for i, kind in enumerate(mc.universe.kinds)
+                        if kind is not Box and kind is not Diamond])
+        columns[i] ^= 1 << rng.randrange(len(mc.world_names))
+        try:
+            flipped = ModalContext(mc.world_names, columns, mc.relation, mc.universe)
+        except ValueError as exc:
+            assert "equal as functions" in str(exc)
+            continue
+        answer = oracles.reference_requotient(flipped)
+        assert requotient_is_identity(flipped) == answer
+        noes += not answer
+    assert noes >= 500
 
 
 def test_quotient_contexts_are_requotient_fixed_points():
