@@ -7,7 +7,9 @@ theory quotient.
 The modal modules are registered here but run on first use: `modal_logic`
 and `modal_context` sit in `sys.modules` as lazy modules whose code runs at
 the first attribute read, and the modal names below resolve through the
-module `__getattr__`. A context or generator command compiles neither.
+module `__getattr__`. Only this module knows that: the CLI, `formats` and
+`generators` hold the two module objects and read their attributes only in
+modal functions, so a context or generator command compiles neither.
 """
 
 import importlib.util
@@ -26,6 +28,8 @@ def _lazy_module(name: str):
     return module
 
 
+# above every submodule import: `generators` and `formats` take these module
+# objects at their own import, which would otherwise run the modal modules
 modal_logic = _lazy_module("ctxkit.modal_logic")
 modal_context = _lazy_module("ctxkit.modal_context")
 

@@ -26,6 +26,7 @@ import warnings
 from functools import cache
 from pathlib import Path
 
+from ctxkit import modal_context, modal_logic
 from ctxkit.core import Instance, SizeGuardError, consistency_context
 from ctxkit.determinability import (
     DeterminabilityWitness,
@@ -197,15 +198,13 @@ def cmd_ctx_deterministic(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modal subcommands: the modal modules load with the first of them
+# modal subcommands: the modal modules run at the first of them
 # ---------------------------------------------------------------------------
 
 def cmd_modal_eval(args) -> int:
-    from ctxkit.modal_logic import parse_formula, satisfies
-
     model, fields = _load(args, parse_kripke)
-    formula = parse_formula(args.formula)
-    value = satisfies(model, args.world, formula)
+    formula = modal_logic.parse_formula(args.formula)
+    value = modal_logic.satisfies(model, args.world, formula)
     fields.append(("world", args.world))
     fields.append(("formula", args.formula))
     fields.append(("verdict", "true" if value else "false"))
@@ -214,17 +213,13 @@ def cmd_modal_eval(args) -> int:
 
 
 def _universe_from_args(args):
-    from ctxkit.modal_logic import formula_universe
-
-    return formula_universe(tuple(args.atoms.split(",")), args.depth, cap=args.cap)
+    return modal_logic.formula_universe(tuple(args.atoms.split(",")), args.depth, cap=args.cap)
 
 
 def cmd_modal_to_context(args) -> int:
-    from ctxkit.modal_context import to_modal_context
-
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
-    mc = to_modal_context(model, universe)
+    mc = modal_context.to_modal_context(model, universe)
     fields.append(("universe_size", str(len(universe))))
     fields.append(("worlds", str(len(mc.world_names))))
     fields.append(("edges", str(len(mc.relation))))
@@ -232,10 +227,8 @@ def cmd_modal_to_context(args) -> int:
 
 
 def cmd_modal_check_context(args) -> int:
-    from ctxkit.modal_context import is_modal_context
-
     mc, fields = _load(args, parse_modal_context)
-    report = is_modal_context(mc)
+    report = modal_context.is_modal_context(mc)
     fields.append(("worlds", str(len(mc.world_names))))
     fields.append(("verdict", "yes" if report.is_modal_context else "no"))
     human = []
@@ -251,20 +244,12 @@ def cmd_modal_check_context(args) -> int:
 
 
 def cmd_modal_verify_theorem(args) -> int:
-    from ctxkit.modal_context import (
-        is_modal_context,
-        prover_agreement,
-        requotient_is_identity,
-        to_modal_context,
-        verify_representation,
-    )
-
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
-    mc = to_modal_context(model, universe)
-    conditions = is_modal_context(mc).is_modal_context
-    representation = verify_representation(model, mc)
-    agreement = prover_agreement(model, mc)
+    mc = modal_context.to_modal_context(model, universe)
+    conditions = modal_context.is_modal_context(mc).is_modal_context
+    representation = modal_context.verify_representation(model, mc)
+    agreement = modal_context.prover_agreement(model, mc)
     verdict = conditions and representation and agreement
     fields.append(("universe_size", str(len(universe))))
     fields.append(("context_worlds", str(len(mc.world_names))))
@@ -272,7 +257,8 @@ def cmd_modal_verify_theorem(args) -> int:
     fields.append(("representation", "yes" if representation else "no"))
     fields.append(("prover_agreement", "yes" if agreement else "no"))
     # informational only: the fixed-point property is not part of the verdict
-    fields.append(("requotient_fixed_point", "yes" if requotient_is_identity(mc) else "no"))
+    fields.append(("requotient_fixed_point",
+                   "yes" if modal_context.requotient_is_identity(mc) else "no"))
     fields.append(("verdict", "yes" if verdict else "no"))
     _emit(fields)
     return 0 if verdict else 1

@@ -10,14 +10,12 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
+from ctxkit import modal_context, modal_logic
 from ctxkit.core import Context, Instance, Row, Signature
-
-if TYPE_CHECKING:  # the modal modules load with the first modal file
-    from ctxkit.modal_context import ModalContext
-    from ctxkit.modal_logic import FormulaUniverse, KripkeModel
 
 
 class ModelFileError(ValueError):
@@ -261,9 +259,7 @@ def load_context(path: str | Path) -> LoadedContext:
 # Kripke model files
 # ---------------------------------------------------------------------------
 
-def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
-    from ctxkit.modal_logic import KripkeModel, check_atom
-
+def parse_kripke(text: str, source: str | Path = "<string>") -> modal_logic.KripkeModel:
     worlds: dict[str, None] = {}  # in declaration order
     relation: set[tuple[str, str]] = set()
     valuation: dict[str, set[str]] = {}
@@ -291,7 +287,7 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
                 raise ModelFileError(source, line_no, f"unknown world {world!r}")
             if atom not in valuation:
                 try:
-                    check_atom(atom)
+                    modal_logic.check_atom(atom)
                 except ValueError as exc:
                     raise ModelFileError(source, line_no, str(exc)) from None
             valuation.setdefault(atom, set()).add(world)
@@ -300,7 +296,7 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
     if not worlds:
         raise ModelFileError(source, None, "empty Kripke model file")
     try:
-        return KripkeModel(
+        return modal_logic.KripkeModel(
             tuple(worlds),
             frozenset(relation),
             {a: frozenset(ws) for a, ws in valuation.items()},
@@ -309,7 +305,7 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> KripkeModel:
         raise ModelFileError(source, None, str(exc)) from None
 
 
-def render_kripke(model: KripkeModel) -> str:
+def render_kripke(model: modal_logic.KripkeModel) -> str:
     index = {w: i for i, w in enumerate(model.worlds)}
     lines = [f"world {w}" for w in model.worlds]
     lines += [
@@ -322,7 +318,7 @@ def render_kripke(model: KripkeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_kripke(path: str | Path) -> KripkeModel:
+def load_kripke(path: str | Path) -> modal_logic.KripkeModel:
     return parse_kripke(decode(Path(path).read_bytes(), path), path)
 
 
@@ -330,13 +326,11 @@ def load_kripke(path: str | Path) -> KripkeModel:
 # modal context files
 # ---------------------------------------------------------------------------
 
-def render_modal_context(mc: ModalContext) -> str:
+def render_modal_context(mc: modal_context.ModalContext) -> str:
     """Header with the universe identity, (atoms, depth, cap), from which
     the loader regenerates the universe; then worlds and edges. Each world
     lists the members its row stores, in member order, by their texts.
     """
-    from itertools import compress
-
     u = mc.universe
     lines = [f"universe atoms={','.join(u.atoms)} depth={u.depth} cap={u.cap}"]
     has = [f"  has {text}" for text in u.texts]
@@ -351,18 +345,15 @@ def render_modal_context(mc: ModalContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalContext:
+def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_context.ModalContext:
     """A modal context from its file. Once the header is read, each exact
     canonical line, `  has <text>` as the renderer writes it, maps to its
     member: inside a cworld such a line costs one probe and sets that
     member's bit for the cworld. Every other line is read on its own: a
-    `has` line's text is looked up among the member texts, and only text
-    that is not canonical is parsed. No formula node is built for a
-    canonical file."""
-    from ctxkit.modal_context import ModalContext
-    from ctxkit.modal_logic import formula_universe, parse_formula, print_formula
-
-    universe: FormulaUniverse | None = None
+    `has` line's stripped text is looked up in the same map, and only text
+    that is not canonical is parsed. No formula node is built for a file
+    whose `has` texts are canonical, however they are spaced or commented."""
+    universe: modal_logic.FormulaUniverse | None = None
     columns: list[int] = []  # member -> mask over the cworlds
     names: dict[str, None] = {}  # the cworlds, in declaration order
     relation: set[tuple[str, str]] = set()
@@ -384,18 +375,17 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
                                      if universe is not None
                                      else "universe header must come first")
             written = content[len("has") :]
-            i = universe.index_printed_as(written.strip())
+            i = canonical.get("  has " + written.strip())
             if i is None:  # not canonical text: parse it
                 try:
-                    formula = parse_formula(written)
+                    formula = modal_logic.parse_formula(written)
                 except ValueError as exc:
                     raise ModelFileError(source, line_no, str(exc)) from None
                 i = universe.index_of(formula)
                 if i is None:
+                    text = modal_logic.print_formula(formula)
                     raise ModelFileError(
-                        source,
-                        line_no,
-                        f"formula {print_formula(formula)} is outside the declared universe",
+                        source, line_no, f"formula {text} is outside the declared universe"
                     )
             columns[i] |= bit
             continue
@@ -419,7 +409,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
                         f"universe {key} must be a non-negative integer, got {fields[key]!r}",
                     )
             try:
-                universe = formula_universe(
+                universe = modal_logic.formula_universe(
                     tuple(fields["atoms"].split(",")),
                     int(fields["depth"]),
                     cap=int(fields["cap"]),
@@ -451,10 +441,10 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> ModalCont
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")
     try:
-        return ModalContext(tuple(names), columns, frozenset(relation), universe)
+        return modal_context.ModalContext(tuple(names), columns, frozenset(relation), universe)
     except ValueError as exc:
         raise ModelFileError(source, None, str(exc)) from None
 
 
-def load_modal_context(path: str | Path) -> ModalContext:
+def load_modal_context(path: str | Path) -> modal_context.ModalContext:
     return parse_modal_context(decode(Path(path).read_bytes(), path), path)

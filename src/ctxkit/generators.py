@@ -7,12 +7,10 @@ is taken): same inputs, byte-identical artifacts, on every platform.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from ctxkit import modal_logic
 from ctxkit.core import DEFAULT_SPACE_GUARD, Context, Signature, check_full_space_guard, check_guard
-
-if TYPE_CHECKING:  # the modal modules load with the first Kripke model
-    from ctxkit.modal_logic import KripkeModel
 
 
 def gen_alice_bob(horizon: int) -> Context:
@@ -164,20 +162,18 @@ def gen_random_context(
 
 def gen_random_kripke(
     seed: int, n_worlds: int, atoms: Sequence[str], edge_density: float
-) -> KripkeModel:
+) -> modal_logic.KripkeModel:
     """Each ordered world pair becomes an edge with probability edge_density;
     each (atom, world) pair is valuated true with probability one half.
 
     The atoms are checked as a universe checks them, so no atom is drawn
     twice, and the worlds x worlds edge draws are checked against the
     full-space guard first."""
-    from ctxkit.modal_logic import KripkeModel, check_atoms
-
     if n_worlds < 1:
         raise ValueError("at least one world is required")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must lie in [0, 1]")
-    atoms = check_atoms(atoms)
+    atoms = modal_logic.check_atoms(atoms)
     check_guard(n_worlds * n_worlds, DEFAULT_SPACE_GUARD,
                 f"random Kripke model of {n_worlds} worlds")
     rng = random.Random(seed)
@@ -189,4 +185,4 @@ def gen_random_kripke(
         atom: frozenset(w for w in worlds if rng.random() < 0.5)
         for atom in atoms
     }
-    return KripkeModel(worlds, relation, valuation)
+    return modal_logic.KripkeModel(worlds, relation, valuation)

@@ -240,35 +240,31 @@ class _Quotient(NamedTuple):
 
 
 def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
-    """The theory classes of the model's worlds over the universe.
-
-    Computed once per (model, universe) and kept on the model, so every
-    function below that quotients the same model reads the same classes.
-    """
-    memo = model._quotients
-    classes = memo.get(universe)
-    if classes is None:
-        classes = memo[universe] = _filtration(model, universe)
-    return classes
-
-
-def _filtration(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
-    """The classes `_classes` returns, from one extension table.
+    """The theory classes of the model's worlds over the universe, from one
+    extension table.
 
     Worlds are grouped by their rows of the table, which are their theories
     over the universe. By the filtration lemma (Blackburn, de Rijke & Venema,
     section 2.3) the classes, related through the model's edges, are the
     smallest filtration through the subformula-closed universe and keep the
     truth of every member. A class's row is the row of any of its worlds, and
-    transposing the class rows gives the class columns.
+    transposing the class rows gives the class columns. Computed once per
+    (model, universe) and kept on the model, so every function below that
+    quotients the same model reads the same classes.
     """
+    memo = model._quotients
+    if universe in memo:
+        return memo[universe]
     worlds = model.worlds
     groups: dict[bytes, list[str]] = {}
     for world, row in zip(worlds, _rows(extension_table(model, universe), len(worlds))):
         groups.setdefault(row, []).append(world)
     classes = sorted((min(ws), tuple(ws), row) for row, ws in groups.items())
     rows = tuple([row for _, _, row in classes])
-    return _Quotient(tuple([ws for _, ws, _ in classes]), rows, _columns(rows, len(universe)))
+    memo[universe] = _Quotient(
+        tuple([ws for _, ws, _ in classes]), rows, _columns(rows, len(universe))
+    )
+    return memo[universe]
 
 
 def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[WorldClass, ...]:

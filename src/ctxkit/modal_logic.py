@@ -413,14 +413,6 @@ class FormulaUniverse:
     def _by_text(self) -> dict[str, int]:
         return {text: i for i, text in enumerate(self.texts)}
 
-    def index_printed_as(self, text: str) -> int | None:
-        """The row of the member whose `print_formula` text is exactly text, else None.
-
-        The printer round-trips, so this is the row of the member
-        parse_formula(text) would equal, found without parsing.
-        """
-        return self._by_text.get(text)
-
     def index_of(self, formula: Formula) -> int | None:
         """The row of formula, else None: found by its printed text, which
         names exactly one formula, so no member node is built."""

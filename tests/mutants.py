@@ -125,6 +125,14 @@ MUTANTS = (
          "test_modal_context_loader_agrees_with_the_line_by_line_reference",),
     ),
     Mutant(
+        "a respaced has line is parsed, not looked up",
+        "formats.py",
+        'i = canonical.get("  has " + written.strip())',
+        "i = None",
+        ("tests/test_formats.py::"
+         "test_a_respaced_has_line_is_looked_up_without_building_a_node",),
+    ),
+    Mutant(
         "load_kripke back on read_text()",
         "formats.py",
         "return parse_kripke(decode(Path(path).read_bytes(), path), path)",
@@ -133,7 +141,7 @@ MUTANTS = (
          "[load_kripke]",),
     ),
     Mutant(
-        "_filtration groups worlds by their first member only",
+        "_classes groups worlds by their first member only",
         "modal_context.py",
         "groups.setdefault(row, []).append(world)",
         "groups.setdefault(row[:1], []).append(world)",
@@ -170,6 +178,13 @@ MUTANTS = (
         "            named[name] = row\n",
         ("tests/test_cli.py::test_consistency_reads_a_duplicate_by_its_own_name",
          "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
+    ),
+    Mutant(
+        "generators reads a modal attribute at import",
+        "generators.py",
+        "from ctxkit import modal_logic\n",
+        "from ctxkit import modal_logic\nmodal_logic.KripkeModel\n",
+        ("tests/test_cli.py::test_context_and_gen_commands_run_no_modal_module",),
     ),
 )
 

@@ -730,7 +730,7 @@ def reference_parse_modal_context(text, source="<string>"):
                                      if universe is not None
                                      else "universe header must come first")
             written = content[len("has") :]
-            i = universe.index_printed_as(written.strip())
+            i = row_of.get(written.strip())
             if i is None:  # not canonical text: parse it
                 try:
                     formula = parse_formula(written)
@@ -773,6 +773,7 @@ def reference_parse_modal_context(text, source="<string>"):
             except ValueError as exc:
                 raise ModelFileError(source, line_no, str(exc)) from None
             columns = [0] * len(universe)
+            row_of = {text: i for i, text in enumerate(universe.texts)}
             continue
         if universe is None:
             raise ModelFileError(source, line_no, "universe header must come first")

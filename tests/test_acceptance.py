@@ -259,7 +259,7 @@ def test_criterion_4_iterator_round_trip_and_differential(contexts, tmp_path):
             f"iterator and windowed determinability agree on all "
             f"{len(contexts) + len(generated)} corpus contexts ({elapsed:.1f}s)"
         )
-    ok = unroll_failures == 0 and elapsed < 120.0
+    ok = unroll_failures == 0 and not disagreements and elapsed < 120.0
     verdict(4, ok, detail)
 
 

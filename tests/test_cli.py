@@ -278,13 +278,12 @@ def test_consistency_reads_a_duplicate_by_its_own_name(tmp_path, capsys):
     assert y[0] == 0 and "instances=1\n" in y[1]
 
 
-def test_the_entry_point_prints_a_warning_as_one_line(tmp_path, capsys):
+def test_the_entry_point_prints_a_warning_as_one_line(tmp_path, capsys, ctxkit_src):
     path = tmp_path / "dup.ctx"
     path.write_text(DUPLICATE_Y)
     argv = ["ctx", "consistency", str(path), "--instance", "y", "--time", "0"]
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-m", "ctxkit.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
+                          text=True, env={**os.environ, "PYTHONPATH": ctxkit_src})
     warning, elapsed = proc.stderr.splitlines()
     assert warning == f"warning: {path}: duplicate instance 'y' collapsed (set semantics)"
     assert elapsed.startswith("elapsed_ms=")
@@ -576,11 +575,12 @@ def test_output_to_a_device_or_a_directory(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_output_to_dev_stdout_through_a_pipe(capsys):
+def test_output_to_dev_stdout_through_a_pipe(capsys, ctxkit_src):
     code, expected = run_cli(capsys, "gen", "minigame")
     proc = subprocess.run(
         [sys.executable, "-m", "ctxkit.cli", "gen", "minigame", "-o", "/dev/stdout"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": ctxkit_src},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(expected)
@@ -773,14 +773,13 @@ for name, defined in (("modal_logic", "parse_formula"), ("modal_context", "quoti
 """
 
 
-def test_context_and_gen_commands_run_no_modal_module(tmp_path, kripke_path):
+def test_context_and_gen_commands_run_no_modal_module(tmp_path, kripke_path, ctxkit_src):
     path = str(tmp_path / "a.ctx")
     commands = [["gen", "alice-bob", "-o", path], ["gen", "random-ctx", "--seed", "1"],
                 ["ctx", "deterministic", path], ["ctx", "iterator", path]]
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", RUN_WITHOUT_MODAL.format(commands=commands)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": ctxkit_src},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["modal_logic False", "modal_context False"]
@@ -788,7 +787,7 @@ def test_context_and_gen_commands_run_no_modal_module(tmp_path, kripke_path):
     commands.append(["modal", "eval", kripke_path, "--world", "w1", "--formula", "p"])
     proc = subprocess.run(
         [sys.executable, "-c", RUN_WITHOUT_MODAL.format(commands=commands)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": ctxkit_src},
     )
     assert proc.stdout.splitlines()[-2:] == ["modal_logic True", "modal_context False"]
 
@@ -803,12 +802,13 @@ def test_every_package_name_resolves():
         ctxkit.no_such_name
 
 
-def test_import_builds_no_parser():
+def test_import_builds_no_parser(ctxkit_src):
     proc = subprocess.run(
         [sys.executable, "-c",
          "from ctxkit.cli import _build_parser; print(_build_parser.cache_info().currsize)"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": ctxkit_src},
     )
     assert proc.stdout == "0\n"
 
@@ -836,11 +836,12 @@ def test_usage_errors_and_help_leave_the_parser_unchanged(alice_path, capsys, in
     assert run_cli(capsys, *argv) == first
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(ctxkit_src):
     proc = subprocess.run(
         [sys.executable, "-m", "ctxkit.cli", "gen", "alice-bob", "--horizon", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": ctxkit_src},
     )
     assert proc.returncode == 0
     assert "states: Home Out" in proc.stdout

@@ -6,7 +6,6 @@ import pickle
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -197,7 +196,7 @@ def test_copies_and_pickles_are_equal_values(cls, fields):
         assert hash(other) == hash(value)
 
 
-def test_pickles_rehash_under_another_hash_seed():
+def test_pickles_rehash_under_another_hash_seed(ctxkit_src):
     # string hashes are salted per process, so a hash stored in a pickle
     # would disagree with the values built where it is loaded
     dumped = pickle.dumps([cls(**fields) for cls, fields in VALUES.values()])
@@ -210,8 +209,7 @@ def test_pickles_rehash_under_another_hash_seed():
         "assert [hash(v) for v in got] == [hash(v) for v in want]\n"
         "assert {*got} == {*want}\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": ctxkit_src}
     result = subprocess.run(
         [sys.executable, "-c", check], input=dumped, env=env, capture_output=True
     )

@@ -28,8 +28,8 @@ DEMO_STDOUT = {
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
-def test_demo_exits_0(demo):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+def test_demo_exits_0(demo, ctxkit_src):
+    paths = [ctxkit_src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                             timeout=120)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import corpus
 import oracles
+from ctxkit import modal_logic
 from ctxkit.core import Context, Instance, Signature
 from ctxkit.determinability import extract_iterator, is_determinable, is_deterministic
 from ctxkit.generators import gen_alice_bob, gen_minigame, gen_random_kripke
@@ -800,9 +801,33 @@ def test_bad_universe_counts_name_their_field(header, message):
 def test_printed_form_lookup_has_one_entry_per_member(depth, cap):
     universe = formula_universe(("p", "q"), depth=depth, cap=cap)
     assert len(universe._by_text) == len(universe)
-    for f in universe.members:
-        assert universe.members[universe.index_printed_as(print_formula(f))] is f
-    assert universe.index_printed_as("(p)") is None
+    for i, (f, text) in enumerate(zip(universe.members, universe.texts)):
+        assert print_formula(f) == text and universe.index_of(f) == i
+    assert "(p)" not in universe._by_text  # printed forms only
+
+
+def test_a_respaced_has_line_is_looked_up_without_building_a_node(monkeypatch):
+    # atoms that no other test names, so no node over them is alive before
+    model = KripkeModel(
+        ("w0", "w1", "w2"),
+        frozenset({("w0", "w1"), ("w1", "w2"), ("w2", "w2")}),
+        {"respaced_a": frozenset({"w0", "w2"}), "respaced_b": frozenset({"w1"})},
+    )
+    text = render_modal_context(
+        to_modal_context(model, formula_universe(("respaced_a", "respaced_b"), depth=1)))
+    lines = text.splitlines()
+    respaced = "".join(
+        f"\thas   {line[len('  has '):]}\t# respaced\n" if line.startswith("  has ")
+        else line + "\n"
+        for line in lines
+    )
+    assert sum(line.startswith("  has ") for line in lines) > 100
+    built = []
+    intern = modal_logic._intern
+    monkeypatch.setattr(modal_logic, "_intern",
+                        lambda node, key, *rest: built.append(key) or intern(node, key, *rest))
+    assert parse_modal_context(respaced) == parse_modal_context(text)
+    assert built == []
 
 
 @pytest.mark.parametrize("load", (load_context, load_kripke, load_modal_context))

@@ -1,7 +1,6 @@
 """Quotient construction, modal-context checking, and membership proving."""
 
 import os
-import pathlib
 import random
 import re
 import subprocess
@@ -688,12 +687,11 @@ for build in (lambda: ModalContext(('a',), (1,), relation, formula_universe(('p'
 """
 
 
-def test_the_smallest_bad_relation_endpoint_is_named_under_every_hash_seed():
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+def test_the_smallest_bad_relation_endpoint_is_named_under_every_hash_seed(ctxkit_src):
     for seed in range(1, 7):
         proc = subprocess.run(
             [sys.executable, "-c", RELATION_ENDPOINTS], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            env={**os.environ, "PYTHONPATH": ctxkit_src, "PYTHONHASHSEED": str(seed)},
         )
         assert proc.stdout.splitlines() == [
             "relation endpoint outside the context: (a, x)",
