@@ -49,7 +49,7 @@ for w in model.worlds:
 classes = quotient(model, universe)
 print("Classes (worlds indistinguishable over the universe):")
 for cls in classes:
-    print(f"  [{cls.representative}] = {{{', '.join(sorted(cls.members))}}}")
+    print(f"  [{min(cls)}] = {{{', '.join(sorted(cls))}}}")
 
 banner("The modal context")
 mc = to_modal_context(model, universe)

@@ -88,7 +88,7 @@ _MODAL_NAMES = {
         "parse_formula", "print_formula", "satisfies", "world_theory",
     ),
     "modal_context": (
-        "ModalContext", "ModalContextReport", "ModalViolation", "WorldClass",
+        "ModalContext", "ModalContextReport", "ModalViolation",
         "class_world_map", "is_modal_context", "prove_in_context", "quotient",
         "to_modal_context", "verify_representation",
     ),

@@ -27,7 +27,7 @@ from functools import cache
 from pathlib import Path
 
 from ctxkit import modal_context, modal_logic
-from ctxkit.core import Instance, SizeGuardError, consistency_context
+from ctxkit.core import Instance, consistency_context
 from ctxkit.determinability import (
     DeterminabilityWitness,
     extract_iterator,
@@ -37,7 +37,6 @@ from ctxkit.determinability import (
 )
 from ctxkit.formats import (
     LoadedContext,
-    ModelFileError,
     decode,
     digest,
     parse_context,
@@ -164,16 +163,11 @@ def cmd_ctx_iterator(args) -> int:
     conflict = result.conflict
     fields.append(("verdict", "no"))
     fields.append(("conflict_snapshot", conflict.snapshot.render()))
-    human = [
-        "iterator conflict:",
-        f"  snapshot: {conflict.snapshot.render()}",
-        f"  instance {_instance_label(loaded, conflict.first_occurrence[0])}"
-        f" at t={conflict.first_occurrence[1]} demands"
-        f" {{{', '.join(s.render() for s in sorted(conflict.first_image, key=lambda s: s.render()))}}}",
-        f"  instance {_instance_label(loaded, conflict.second_occurrence[0])}"
-        f" at t={conflict.second_occurrence[1]} demands"
-        f" {{{', '.join(s.render() for s in sorted(conflict.second_image, key=lambda s: s.render()))}}}",
-    ]
+    human = ["iterator conflict:", f"  snapshot: {conflict.snapshot.render()}"]
+    for (inst, t), image in ((conflict.first_occurrence, conflict.first_image),
+                             (conflict.second_occurrence, conflict.second_image)):
+        demands = ", ".join(sorted(s.render() for s in image))
+        human.append(f"  instance {_instance_label(loaded, inst)} at t={t} demands {{{demands}}}")
     _emit(fields, human)
     return 1
 
@@ -428,7 +422,7 @@ def cli_dispatch(argv: list[str]) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except (ModelFileError, SizeGuardError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -57,7 +57,11 @@ def check_guard(needed: int, default: int, what: str) -> None:
 _set = object.__setattr__
 
 
-def _check_symbols(kind: str, symbols: tuple[str, ...]) -> None:
+def check_alphabet(kind: str, symbols: tuple[str, ...]) -> None:
+    """One alphabet's rule: at least one symbol, each non-empty, free of
+    whitespace and of the reserved characters, and none given twice."""
+    if not symbols:
+        raise ValueError(f"a signature needs at least one {kind}")
     seen = set()
     for sym in symbols:
         if not sym or any(c.isspace() or c in _RESERVED_CHARS for c in sym):
@@ -68,6 +72,14 @@ def _check_symbols(kind: str, symbols: tuple[str, ...]) -> None:
         if sym in seen:
             raise ValueError(f"duplicate {kind} symbol {sym!r}")
         seen.add(sym)
+
+
+def _index(symbols: tuple[str, ...], symbol: str, what: str) -> int:
+    """The symbol's position; a symbol that is absent is an unknown what."""
+    try:
+        return symbols.index(symbol)
+    except ValueError:
+        raise ValueError(f"unknown {what} {symbol!r}") from None
 
 
 @dataclass(frozen=True)
@@ -86,20 +98,12 @@ class Signature:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "times", tuple(self.times))
-        for kind, symbols in (
-            ("state", self.states),
-            ("entity", self.entities),
-            ("time", self.times),
-        ):
-            if not symbols:
-                raise ValueError(f"a signature needs at least one {kind}")
-            _check_symbols(kind, symbols)
+        check_alphabet("state", self.states)
+        check_alphabet("entity", self.entities)
+        check_alphabet("time", self.times)
 
     def time_index(self, t: str) -> int:
-        try:
-            return self.times.index(t)
-        except ValueError:
-            raise ValueError(f"unknown time label {t!r}") from None
+        return _index(self.times, t, "time label")
 
     def cell_count(self) -> int:
         return len(self.entities) * len(self.times)
@@ -156,15 +160,8 @@ class Instance:
         return self.cells[entity_index * len(self.times) + time_index]
 
     def value(self, entity: str, time: str) -> str:
-        try:
-            ei = self.entities.index(entity)
-        except ValueError:
-            raise ValueError(f"unknown entity {entity!r}") from None
-        try:
-            ti = self.times.index(time)
-        except ValueError:
-            raise ValueError(f"unknown time label {time!r}") from None
-        return self.value_at(ei, ti)
+        ei = _index(self.entities, entity, "entity")
+        return self.value_at(ei, _index(self.times, time, "time label"))
 
     def snapshot_at(self, time_index: int) -> Snapshot:
         n = len(self.times)
@@ -174,11 +171,7 @@ class Instance:
         )
 
     def snapshot(self, time: str) -> Snapshot:
-        try:
-            ti = self.times.index(time)
-        except ValueError:
-            raise ValueError(f"unknown time label {time!r}") from None
-        return self.snapshot_at(ti)
+        return self.snapshot_at(_index(self.times, time, "time label"))
 
     def table(self) -> dict[tuple[str, str], str]:
         return {
@@ -344,8 +337,6 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     member of the context itself.
     """
     sig = ctx.signature
-    if ref.entities != sig.entities or ref.times != sig.times:
-        raise ValueError("reference instance does not match the context signature")
     try:
         ref_row = ctx.row_of(ref)
     except ValueError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ctxkit import modal_context, modal_logic
-from ctxkit.core import Context, Instance, Row, Signature
+from ctxkit.core import Context, Instance, Row, Signature, check_alphabet
 
 
 class ModelFileError(ValueError):
@@ -79,6 +79,9 @@ class LoadedContext:
         return self.context.instance_of(row)
 
 
+_ALPHABETS = {"states:": "state", "entities:": "entity", "time:": "time"}  # header -> kind
+
+
 def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     """Read a context file; an error names its line unless it is about the whole file.
 
@@ -126,14 +129,11 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     memo: dict[str, tuple[int, tuple[int, ...], tuple[int, ...], slice | None]] = {}
     cell_of: dict[str, tuple[int, int]] = {}  # valid cell token -> (position, state index)
 
-    def signature(line_no):
+    def signature(line_no):  # each header line's symbols were checked when it was read
         missing = [k for k in ("states", "entities", "time") if k not in headers]
         if missing:
             raise ModelFileError(source, line_no, f"missing header line(s): {', '.join(missing)}")
-        try:
-            return Signature(headers["states"], headers["entities"], headers["time"])
-        except ValueError as exc:
-            raise ModelFileError(source, line_no, str(exc)) from None
+        return Signature(headers["states"], headers["entities"], headers["time"])
 
     def given_twice(k, line_no):
         entity, time = cell_keys[k]
@@ -159,11 +159,15 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
             continue
         tokens = content.split()
         first = tokens[0]
-        if first in ("states:", "entities:", "time:"):
+        if first in _ALPHABETS:
             key = first[:-1]
             if sig is not None or key in headers:
                 raise ModelFileError(source, line_no, f"{first} after instances or repeated")
             headers[key] = tuple(tokens[1:])
+            try:
+                check_alphabet(_ALPHABETS[first], headers[key])
+            except ValueError as exc:
+                raise ModelFileError(source, line_no, str(exc)) from None
             continue
         if sig is None:
             sig = signature(line_no)
@@ -374,8 +378,8 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
                 raise ModelFileError(source, line_no, "`has` before any cworld"
                                      if universe is not None
                                      else "universe header must come first")
-            written = content[len("has") :]
-            i = canonical.get("  has " + written.strip())
+            written = content[len("has") :].strip()
+            i = canonical.get("  has " + written)
             if i is None:  # not canonical text: parse it
                 try:
                     formula = modal_logic.parse_formula(written)

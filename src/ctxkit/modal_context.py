@@ -57,22 +57,6 @@ from ctxkit.modal_logic import (
 DEFAULT_TABLE_GUARD = 1 << 24  # universe members x model worlds of one extension table
 
 
-@dataclass(frozen=True)
-class WorldClass:
-    """One theory-equivalence class of Kripke worlds, represented by its smallest name."""
-
-    members: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self.members:
-            raise ValueError("a world class cannot be empty")
-
-    @property
-    def representative(self) -> str:
-        return min(self.members)
-
-
 # byte value -> its bit b, as a byte 0 or 1: one translation table per bit
 _BIT = [bytes([value >> b & 1 for value in range(256)]) for b in range(8)]
 
@@ -232,11 +216,12 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
 
 
 class _Quotient(NamedTuple):
-    """A model's theory classes over a universe, ordered by representative."""
+    """A model's theory classes over a universe, ordered by least world, and
+    the extension table they group the worlds by."""
 
     worlds: tuple[tuple[str, ...], ...]  # each class's worlds, in model order
     rows: tuple[bytes, ...]  # each class's theory row
-    columns: tuple[int, ...]  # each member's mask over the classes
+    table: tuple[int, ...]  # each member's extension over the model's worlds
 
 
 def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
@@ -247,44 +232,44 @@ def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
     over the universe. By the filtration lemma (Blackburn, de Rijke & Venema,
     section 2.3) the classes, related through the model's edges, are the
     smallest filtration through the subformula-closed universe and keep the
-    truth of every member. A class's row is the row of any of its worlds, and
-    transposing the class rows gives the class columns. Computed once per
-    (model, universe) and kept on the model, so every function below that
-    quotients the same model reads the same classes.
+    truth of every member. A class's row is the row of any of its worlds.
+    Computed once per (model, universe) and kept on the model, table and
+    all, so every function below that quotients the same model reads the
+    same classes and the same table.
     """
     memo = model._quotients
     if universe in memo:
         return memo[universe]
-    worlds = model.worlds
+    worlds, table = model.worlds, tuple(extension_table(model, universe))
     groups: dict[bytes, list[str]] = {}
-    for world, row in zip(worlds, _rows(extension_table(model, universe), len(worlds))):
+    for world, row in zip(worlds, _rows(table, len(worlds))):
         groups.setdefault(row, []).append(world)
     classes = sorted((min(ws), tuple(ws), row) for row, ws in groups.items())
-    rows = tuple([row for _, _, row in classes])
     memo[universe] = _Quotient(
-        tuple([ws for _, ws, _ in classes]), rows, _columns(rows, len(universe))
+        tuple([ws for _, ws, _ in classes]), tuple([row for _, _, row in classes]), table
     )
     return memo[universe]
 
 
-def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[WorldClass, ...]:
-    """Partition the worlds by equality of their theories over the universe."""
-    return tuple(WorldClass(frozenset(ws)) for ws in _classes(model, universe).worlds)
+def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[frozenset[str], ...]:
+    """Partition the worlds by equality of their theories over the universe,
+    the classes ordered by their least world."""
+    return tuple(frozenset(ws) for ws in _classes(model, universe).worlds)
 
 
 def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalContext:
     """Build the quotient modal context of a Kripke model.
 
     Context worlds are named c0, c1, ... in class order (classes ordered by
-    representative), each storing its class theory: the class columns are
-    the context's columns. Two context worlds are related iff some members
-    of their classes are.
+    least world), each storing its class theory: transposing the class rows
+    gives the context's columns. Two context worlds are related iff some
+    members of their classes are.
     """
     classes = _classes(model, universe)
     names = tuple(f"c{k}" for k in range(len(classes.worlds)))
     name_of = {w: name for name, worlds in zip(names, classes.worlds) for w in worlds}
     relation = frozenset((name_of[a], name_of[b]) for a, b in model.relation)
-    return ModalContext(names, classes.columns, relation, universe)
+    return ModalContext(names, _columns(classes.rows, len(universe)), relation, universe)
 
 
 @dataclass(frozen=True)
@@ -346,27 +331,28 @@ def is_modal_context(mc: ModalContext) -> ModalContextReport:
     return ModalContextReport(tuple(violations))
 
 
+def _carriers(model: KripkeModel, mc: ModalContext) -> list[str | None]:
+    """Each Kripke world's carrier, in model order: the name of the context
+    world that stores the world's row of the extension table, or None."""
+    by_row = dict(zip(mc.rows, mc.world_names))
+    classes = _classes(model, mc.universe)
+    name_of = {w: by_row.get(row) for ws, row in zip(classes.worlds, classes.rows) for w in ws}
+    return [name_of[w] for w in model.worlds]
+
+
 def verify_representation(model: KripkeModel, mc: ModalContext) -> bool:
     """Every Kripke world's theory appears verbatim as some context world's
     stored formula set."""
-    stored = set(mc.rows)
-    return all(row in stored for row in _classes(model, mc.universe).rows)
+    return None not in _carriers(model, mc)
 
 
 def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
-    """Kripke world -> name of the context world carrying its theory."""
-    by_row = dict(zip(mc.rows, mc.world_names))
-    classes = _classes(model, mc.universe)
-    found = {}
-    for worlds, row in zip(classes.worlds, classes.rows):
-        for world in worlds:
-            found[world] = by_row.get(row)
-    out = {}
-    for world in model.worlds:
-        name = found[world]
+    """Kripke world -> name of the context world carrying its theory; the
+    first world in model order with no carrier is refused."""
+    out = dict(zip(model.worlds, _carriers(model, mc)))
+    for world, name in out.items():
         if name is None:
             raise ValueError(f"world {world!r} has no matching context world")
-        out[world] = name
     return out
 
 
@@ -395,14 +381,17 @@ def requotient_is_identity(mc: ModalContext) -> bool:
 def prover_agreement(model: KripkeModel, mc: ModalContext) -> bool:
     """Does proving by membership agree with the independent frozenset
     `Evaluator`? Per member, the model worlds whose context world (through
-    `class_world_map`) stores it must be exactly the member's extension."""
-    rows = dict(zip(mc.world_names, mc.rows))
-    lifted = _columns([rows[name] for name in class_world_map(model, mc).values()],
-                      len(mc.universe))
+    `class_world_map`) stores it must be exactly the member's extension.
+
+    Once every world has a carrier, a world's carrier stores exactly the
+    world's own row of the model's extension table. So the member columns
+    lifted through the carriers are the kept table bit for bit, and each
+    member's extension is compared with its column of that table."""
+    class_world_map(model, mc)  # refuses a world with no carrier
     bit = {w: 1 << i for i, w in enumerate(model.worlds)}
     extension = Evaluator(model).extension
     return all(sum(map(bit.__getitem__, extension(f))) == mask
-               for f, mask in zip(mc.universe.members, lifted))
+               for f, mask in zip(mc.universe.members, _classes(model, mc.universe).table))
 
 
 def prove_in_context(mc: ModalContext, world: str, formula: Formula) -> bool:

@@ -127,7 +127,7 @@ MUTANTS = (
     Mutant(
         "a respaced has line is parsed, not looked up",
         "formats.py",
-        'i = canonical.get("  has " + written.strip())',
+        'i = canonical.get("  has " + written)',
         "i = None",
         ("tests/test_formats.py::"
          "test_a_respaced_has_line_is_looked_up_without_building_a_node",),
@@ -160,6 +160,20 @@ MUTANTS = (
         'plane += int.from_bytes(row, "little") << b',
         'plane += int.from_bytes(row, "big") << b',
         (MODAL + "test_representation_single_world", FROZENSET_FORM),
+    ),
+    Mutant(
+        "prover agreement skips the representation check",
+        "modal_context.py",
+        "    class_world_map(model, mc)  # refuses a world with no carrier\n",
+        "",
+        (MODAL + "test_prover_agreement_is_the_by_hand_loop",),
+    ),
+    Mutant(
+        "carriers come in class order, not model order",
+        "modal_context.py",
+        "return [name_of[w] for w in model.worlds]",
+        "return list(name_of.values())",
+        (MODAL + "test_carriers_store_the_naive_theories",),
     ),
     Mutant(
         "the universe renumbering swaps binary children",

@@ -193,11 +193,11 @@ def parse_context_tokenwise(text, source="<string>"):
 
     Returns (signature, kept cell tuples in file order, {name: cells} for
     every instance, a duplicate's name included, duplicate-instance warning
-    texts). Only the header check (`Signature`) and the error type
+    texts). Only the header checks (`check_alphabet`) and the error type
     (`ModelFileError`, so that messages and line numbers compare directly)
     come from the library.
     """
-    from ctxkit.core import Signature
+    from ctxkit.core import Signature, check_alphabet
     from ctxkit.formats import ModelFileError
 
     headers = {}
@@ -239,6 +239,11 @@ def parse_context_tokenwise(text, source="<string>"):
             if sig is not None or key in headers:
                 raise ModelFileError(source, line_no, f"{first} after instances or repeated")
             headers[key] = tuple(content.split()[1:])
+            try:  # each header's symbols are checked on its own line
+                check_alphabet({"states": "state", "entities": "entity", "time": "time"}[key],
+                               headers[key])
+            except ValueError as exc:
+                raise ModelFileError(source, line_no, str(exc)) from None
             continue
         if sig is None:
             missing = [k for k in ("states", "entities", "time") if k not in headers]
@@ -246,10 +251,7 @@ def parse_context_tokenwise(text, source="<string>"):
                 raise ModelFileError(
                     source, line_no, f"missing header line(s): {', '.join(missing)}"
                 )
-            try:
-                sig = Signature(headers["states"], headers["entities"], headers["time"])
-            except ValueError as exc:
-                raise ModelFileError(source, line_no, str(exc)) from None
+            sig = Signature(headers["states"], headers["entities"], headers["time"])
             position = {(e, t): k for k, (e, t) in
                         enumerate((e, t) for e in sig.entities for t in sig.times)}
         if first == "instance":
@@ -289,10 +291,7 @@ def parse_context_tokenwise(text, source="<string>"):
         missing = [k for k in ("states", "entities", "time") if k not in headers]
         if missing:
             raise ModelFileError(source, None, f"missing header line(s): {', '.join(missing)}")
-        try:
-            sig = Signature(headers["states"], headers["entities"], headers["time"])
-        except ValueError as exc:
-            raise ModelFileError(source, None, str(exc)) from None
+        sig = Signature(headers["states"], headers["entities"], headers["time"])
     close_instance()
     return sig, kept, names, warned
 
@@ -729,8 +728,8 @@ def reference_parse_modal_context(text, source="<string>"):
                 raise ModelFileError(source, line_no, "`has` before any cworld"
                                      if universe is not None
                                      else "universe header must come first")
-            written = content[len("has") :]
-            i = row_of.get(written.strip())
+            written = content[len("has") :].strip()
+            i = row_of.get(written)
             if i is None:  # not canonical text: parse it
                 try:
                     formula = parse_formula(written)

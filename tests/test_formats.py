@@ -178,11 +178,17 @@ FULL = "  e@0=a e@1=a f@0=a f@1=a\n"
         # errors about the whole file name no line; their body is the whole file
         ("# nothing\n", None, "empty context file"),
         ("states: a b\nentities: e f\n", None, "missing header line(s): time"),
+        # a header's symbols are checked on its own line, so in file order
+        ("states: a a\nentities: e\ntime: 0\n\ninstance x:\n", 1, "duplicate state symbol 'a'"),
+        ("states: a a\nentities: e\ntime: 0\n", 1, "duplicate state symbol 'a'"),
+        ("states: a\nentities: e\ntime:\ninstance x:\n", 3, "a signature needs at least one time"),
+        ("states: a a\nentities: e\n", 1, "duplicate state symbol 'a'"),
     ],
 )
 def test_context_parse_errors_are_pinned(body, line_no, message):
+    # a body that starts with a comment or a header is the whole file
     with pytest.raises(ModelFileError) as info:
-        parse_context(body if line_no is None else HEAD + body)
+        parse_context(body if body.startswith(("#", "states:")) else HEAD + body)
     assert info.value.line_no == line_no
     where = "<string>" if line_no is None else f"<string>:{line_no}"
     assert str(info.value) == f"{where}: {message}"
@@ -772,10 +778,10 @@ def test_non_canonical_has_lines_load_to_equal_members():
     ("universe atoms=p,q depth=1 cap=1\ncworld c0\n  has p\n  has (q) -> <>[]p\n", 4,
      "formula q -> <>[]p is outside the declared universe"),
     ("universe atoms=p depth=0 cap=1\ncworld c0\n  has p &\n", 3,
-     "syntax error at position 4: unexpected 'end of input'; "
+     "syntax error at position 3: unexpected 'end of input'; "
      "expected one of: '(', '<>', '[]', 'false', 'true', '~', atom"),
     ("universe atoms=p,q depth=1 cap=1\ncworld c0\n  has p\n\n  has   q  &  (p\n", 5,
-     "syntax error at position 11: unexpected 'end of input'; expected one of: ')'"),
+     "syntax error at position 8: unexpected 'end of input'; expected one of: ')'"),
 ])
 def test_bad_has_lines_report_line_and_message(text, line_no, message):
     with pytest.raises(ModelFileError) as info:

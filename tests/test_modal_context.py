@@ -30,7 +30,6 @@ from ctxkit.modal_logic import (
 )
 from ctxkit.modal_context import (
     ModalContext,
-    WorldClass,
     class_world_map,
     extension_table,
     is_modal_context,
@@ -61,26 +60,17 @@ def twin_model():
 def test_quotient_distinct_theories_gives_singletons():
     model = KripkeModel(("a", "b"), frozenset(), {"p": frozenset({"a"})})
     classes = quotient(model, formula_universe(("p",), depth=0))
-    assert classes == (
-        WorldClass(frozenset({"a"})),
-        WorldClass(frozenset({"b"})),
-    )
-
-
-def test_a_world_class_is_represented_by_its_smallest_world():
-    assert WorldClass(frozenset({"b", "a"})).representative == "a"
-    with pytest.raises(ValueError, match="^a world class cannot be empty$"):
-        WorldClass(frozenset())
+    assert classes == (frozenset({"a"}), frozenset({"b"}))
 
 
 def test_quotient_merges_indistinguishable_worlds():
     classes = quotient(twin_model(), formula_universe(("p",), depth=2))
-    assert classes == (WorldClass(frozenset({"a", "b"})),)
+    assert classes == (frozenset({"a", "b"}),)
 
 
 def test_quotient_single_world():
     classes = quotient(single_world_model(), formula_universe(("p",), depth=1))
-    assert len(classes) == 1 and classes[0].members == frozenset({"w"})
+    assert len(classes) == 1 and classes[0] == frozenset({"w"})
 
 
 def test_quotient_classes_partition_worlds():
@@ -89,11 +79,9 @@ def test_quotient_classes_partition_worlds():
     for _ in range(30):
         model = corpus.random_kripke(rng)
         classes = quotient(model, universe)
-        scattered = [w for c in classes for w in c.members]
+        scattered = [w for c in classes for w in c]
         assert sorted(scattered) == sorted(model.worlds)
-        assert [c.representative for c in classes] == sorted(
-            c.representative for c in classes
-        )
+        assert [min(c) for c in classes] == sorted(min(c) for c in classes)
 
 
 def test_quotient_soundness_via_naive_satisfaction():
@@ -102,7 +90,7 @@ def test_quotient_soundness_via_naive_satisfaction():
     for _ in range(12):
         model = corpus.random_kripke(rng)
         for cls in quotient(model, universe):
-            members = sorted(cls.members)
+            members = sorted(cls)
             for other in members[1:]:
                 for f in universe.members:
                     assert oracles.naive_satisfies(
@@ -170,7 +158,7 @@ def test_modal_atom_quotient_is_the_full_theory_quotient(model, universe):
         model.worlds, model.relation, model.valuation, universe.members
     )
     classes = quotient(model, universe)
-    assert [tuple(sorted(c.members)) for c in classes] == [ws for ws, _ in expected]
+    assert [tuple(sorted(c)) for c in classes] == [ws for ws, _ in expected]
     mc = to_modal_context(model, universe)
     assert [mc.theory_at(name) for name in mc.world_names] == [t for _, t in expected]
 
@@ -313,6 +301,45 @@ def test_representation_single_world():
     model = single_world_model()
     mc = to_modal_context(model, formula_universe(("p",), depth=1))
     assert verify_representation(model, mc)
+
+
+def test_carriers_store_the_naive_theories():
+    # a world's carrier is the context world that stores the world's theory
+    # by naive satisfaction; contexts are the model's own, another model's,
+    # or one of those with one stored bit flipped
+    rng = random.Random(15015)
+    universes = [formula_universe(("p", "q"), depth=d) for d in (0, 1)]
+    outcomes = set()
+    for k in range(120):
+        drawn = corpus.random_kripke(rng, max_worlds=6)
+        worlds = list(drawn.worlds)
+        rng.shuffle(worlds)  # model order is not name order
+        model = KripkeModel(tuple(worlds), drawn.relation, drawn.valuation)
+        universe = universes[k % 2]
+        mc = to_modal_context(model if k % 3 else corpus.random_kripke(rng), universe)
+        if k % 3 == 2:
+            theories = theories_of(mc)
+            theories[rng.choice(mc.world_names)] ^= {rng.choice(universe.members)}
+            try:
+                mc = oracles.modal_context_of(mc.world_names, theories, mc.relation, universe)
+            except ValueError as exc:
+                assert "equal as functions" in str(exc)
+                continue
+        carrier = {mc.theory_at(name): name for name in mc.world_names}
+        expected = {w: carrier.get(frozenset(
+            f for f in universe.members
+            if oracles.naive_satisfies(model.worlds, model.relation, model.valuation, w, f)))
+            for w in model.worlds}
+        missing = [w for w in model.worlds if expected[w] is None]
+        assert verify_representation(model, mc) == (not missing)
+        if missing:
+            with pytest.raises(ValueError,
+                               match=f"^world {missing[0]!r} has no matching context world$"):
+                class_world_map(model, mc)
+        else:
+            assert class_world_map(model, mc) == expected
+        outcomes.add(not missing)
+    assert outcomes == {True, False}
 
 
 def test_prove_in_context_membership_and_bounds():
