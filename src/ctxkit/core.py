@@ -74,7 +74,7 @@ def check_alphabet(kind: str, symbols: tuple[str, ...]) -> None:
         seen.add(sym)
 
 
-def _index(symbols: tuple[str, ...], symbol: str, what: str) -> int:
+def position(symbols: tuple[str, ...], symbol: str, what: str) -> int:
     """The symbol's position; a symbol that is absent is an unknown what."""
     try:
         return symbols.index(symbol)
@@ -103,7 +103,7 @@ class Signature:
         check_alphabet("time", self.times)
 
     def time_index(self, t: str) -> int:
-        return _index(self.times, t, "time label")
+        return position(self.times, t, "time label")
 
     def cell_count(self) -> int:
         return len(self.entities) * len(self.times)
@@ -160,8 +160,8 @@ class Instance:
         return self.cells[entity_index * len(self.times) + time_index]
 
     def value(self, entity: str, time: str) -> str:
-        ei = _index(self.entities, entity, "entity")
-        return self.value_at(ei, _index(self.times, time, "time label"))
+        ei = position(self.entities, entity, "entity")
+        return self.value_at(ei, position(self.times, time, "time label"))
 
     def snapshot_at(self, time_index: int) -> Snapshot:
         n = len(self.times)
@@ -171,7 +171,7 @@ class Instance:
         )
 
     def snapshot(self, time: str) -> Snapshot:
-        return self.snapshot_at(_index(self.times, time, "time label"))
+        return self.snapshot_at(position(self.times, time, "time label"))
 
     def table(self) -> dict[tuple[str, str], str]:
         return {

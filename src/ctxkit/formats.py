@@ -28,14 +28,6 @@ class ModelFileError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _meaningful_lines(text: str):
-    """(line_no, stripped content) for non-blank, non-comment lines."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            yield line_no, content
-
-
 def decode(data: bytes, path: str | Path) -> str:
     """A file's bytes as UTF-8 text; other bytes are a file error naming the path."""
     try:
@@ -264,61 +256,58 @@ def load_context(path: str | Path) -> LoadedContext:
 # ---------------------------------------------------------------------------
 
 def parse_kripke(text: str, source: str | Path = "<string>") -> modal_logic.KripkeModel:
-    worlds: dict[str, None] = {}  # in declaration order
-    relation: set[tuple[str, str]] = set()
-    valuation: dict[str, set[str]] = {}
-    for line_no, content in _meaningful_lines(text):
-        parts = content.split()
+    """A Kripke model from its file. The parser is the one check of the
+    file: it fills the model's masks as it reads (world j is the j-th
+    declared), and each error names its line."""
+    bit: dict[str, int] = {}  # world -> its bit, in declaration order
+    successors: dict[str, int] = {}  # world -> the mask of the worlds it reaches
+    atoms: dict[str, int] = {}  # atom -> the mask of the worlds where it holds
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:  # a blank or comment line
+            continue
         directive, args = parts[0], parts[1:]
-        if directive == "world":
-            if len(args) != 1:
-                raise ModelFileError(source, line_no, "expected `world <name>`")
-            if args[0] in worlds:
-                raise ModelFileError(source, line_no, f"world {args[0]!r} declared twice")
-            worlds[args[0]] = None
-        elif directive == "edge":
+        if directive == "edge":
             if len(args) != 2:
                 raise ModelFileError(source, line_no, "expected `edge <from> <to>`")
             for name in args:
-                if name not in worlds:
+                if name not in bit:
                     raise ModelFileError(source, line_no, f"unknown world {name!r}")
-            relation.add((args[0], args[1]))
+            successors[args[0]] |= bit[args[1]]
         elif directive == "val":
             if len(args) != 2:
                 raise ModelFileError(source, line_no, "expected `val <world> <atom>`")
             world, atom = args
-            if world not in worlds:
+            if world not in bit:
                 raise ModelFileError(source, line_no, f"unknown world {world!r}")
-            if atom not in valuation:
+            if atom not in atoms:
                 try:
                     modal_logic.check_atom(atom)
                 except ValueError as exc:
                     raise ModelFileError(source, line_no, str(exc)) from None
-            valuation.setdefault(atom, set()).add(world)
+            atoms[atom] = atoms.get(atom, 0) | bit[world]
+        elif directive == "world":
+            if len(args) != 1:
+                raise ModelFileError(source, line_no, "expected `world <name>`")
+            if args[0] in bit:
+                raise ModelFileError(source, line_no, f"world {args[0]!r} declared twice")
+            bit[args[0]] = 1 << len(bit)
+            successors[args[0]] = 0
         else:
             raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
-    if not worlds:
+    if not bit:
         raise ModelFileError(source, None, "empty Kripke model file")
-    try:
-        return modal_logic.KripkeModel(
-            tuple(worlds),
-            frozenset(relation),
-            {a: frozenset(ws) for a, ws in valuation.items()},
-        )
-    except ValueError as exc:
-        raise ModelFileError(source, None, str(exc)) from None
+    return modal_logic.KripkeModel.from_masks(tuple(bit), successors.values(), atoms)
 
 
 def render_kripke(model: modal_logic.KripkeModel) -> str:
-    index = {w: i for i, w in enumerate(model.worlds)}
-    lines = [f"world {w}" for w in model.worlds]
-    lines += [
-        f"edge {a} {b}"
-        for a, b in sorted(model.relation, key=lambda p: (index[p[0]], index[p[1]]))
-    ]
-    for atom in sorted(model.valuation):
-        for w in sorted(model.valuation[atom], key=index.get):
-            lines.append(f"val {w} {atom}")
+    """Worlds, then edges and `val` lines in world order, atoms by name."""
+    worlds, picked = model.worlds, modal_logic.picked
+    lines = [f"world {w}" for w in worlds]
+    for a, succ in zip(worlds, model.successors):
+        lines += [f"edge {a} {b}" for b in picked(worlds, succ)]
+    for atom in sorted(model.atoms):
+        lines += [f"val {w} {atom}" for w in picked(worlds, model.atoms[atom])]
     return "\n".join(lines) + "\n"
 
 
@@ -341,11 +330,8 @@ def render_modal_context(mc: modal_context.ModalContext) -> str:
     for name, row in zip(mc.world_names, mc.rows):
         lines.append(f"cworld {name}")
         lines += compress(has, row)
-    index = {n: i for i, n in enumerate(mc.world_names)}
-    lines += [
-        f"cedge {a} {b}"
-        for a, b in sorted(mc.relation, key=lambda p: (index[p[0]], index[p[1]]))
-    ]
+    for a, succ in zip(mc.world_names, mc.successors):
+        lines += [f"cedge {a} {b}" for b in modal_logic.picked(mc.world_names, succ)]
     return "\n".join(lines) + "\n"
 
 
@@ -359,7 +345,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
     whose `has` texts are canonical, however they are spaced or commented."""
     universe: modal_logic.FormulaUniverse | None = None
     columns: list[int] = []  # member -> mask over the cworlds
-    names: dict[str, None] = {}  # the cworlds, in declaration order
+    names: dict[str, int] = {}  # each cworld's line, in declaration order
     relation: set[tuple[str, str]] = set()
     bit = 0
     canonical: dict[str, int] = {}  # `  has <text>` -> its member, once the header is read
@@ -431,7 +417,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
             if parts[1] in names:
                 raise ModelFileError(source, line_no, f"cworld {parts[1]!r} declared twice")
             bit = 1 << len(names)
-            names[parts[1]] = None
+            names[parts[1]] = line_no
         elif directive == "cedge":
             if len(parts) != 3:
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
@@ -446,8 +432,8 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
         raise ModelFileError(source, None, "empty modal context file")
     try:
         return modal_context.ModalContext(tuple(names), columns, frozenset(relation), universe)
-    except ValueError as exc:
-        raise ModelFileError(source, None, str(exc)) from None
+    except ValueError as exc:  # two cworlds store one set: the later one is the error's line
+        raise ModelFileError(source, names[exc.pair[1]], str(exc)) from None
 
 
 def load_modal_context(path: str | Path) -> modal_context.ModalContext:

@@ -176,13 +176,8 @@ def gen_random_kripke(
     atoms = modal_logic.check_atoms(atoms)
     check_guard(n_worlds * n_worlds, DEFAULT_SPACE_GUARD,
                 f"random Kripke model of {n_worlds} worlds")
-    rng = random.Random(seed)
-    worlds = tuple(f"w{i}" for i in range(n_worlds))
-    relation = frozenset(
-        (a, b) for a in worlds for b in worlds if rng.random() < edge_density
-    )
-    valuation = {
-        atom: frozenset(w for w in worlds if rng.random() < 0.5)
-        for atom in atoms
-    }
-    return modal_logic.KripkeModel(worlds, relation, valuation)
+    rng, bits = random.Random(seed), [1 << j for j in range(n_worlds)]  # world j's bit
+    successors = [sum([b for b in bits if rng.random() < edge_density]) for _ in bits]
+    valuation = {atom: sum([b for b in bits if rng.random() < 0.5]) for atom in atoms}
+    worlds = [f"w{i}" for i in range(n_worlds)]
+    return modal_logic.KripkeModel.from_masks(worlds, successors, valuation)

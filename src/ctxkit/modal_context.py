@@ -32,12 +32,12 @@ member, so equal theories are equal rows.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from ctxkit.core import check_guard
+from ctxkit.core import check_guard, position
 from ctxkit.modal_logic import (
     And,
     Atom,
@@ -49,9 +49,10 @@ from ctxkit.modal_logic import (
     Implies,
     KripkeModel,
     Not,
-    check_relation,
-    check_world_name,
+    picked,
     print_formula,
+    successor_masks,
+    world_index,
 )
 
 DEFAULT_TABLE_GUARD = 1 << 24  # universe members x model worlds of one extension table
@@ -96,13 +97,15 @@ class ModalContext:
 
     Stored column-wise, in the shape of `extension_table`: one int mask per
     universe member, in member order, with bit j set when world_names[j]
-    stores the member. `rows` and `theory_at` are views of the columns.
+    stores the member. `rows` and `theory_at` are views of the columns, and
+    `successors` (one mask per world, as in `KripkeModel`) of the relation.
     """
 
     world_names: tuple[str, ...]
     columns: tuple[int, ...]
     relation: frozenset[tuple[str, str]]
     universe: FormulaUniverse
+    successors: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names, columns = tuple(self.world_names), tuple(self.columns)
@@ -110,10 +113,7 @@ class ModalContext:
         _set(self, "world_names", names)
         _set(self, "columns", columns)
         _set(self, "relation", frozenset(tuple(p) for p in self.relation))
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate context-world names")
-        for name in names:
-            check_world_name(name)
+        index = world_index(names, "context-world")
         if len(columns) != len(self.universe):
             raise ValueError(f"{len(columns)} columns for {len(self.universe)} members")
         if columns and (min(columns) < 0 or max(columns) >> len(names)):
@@ -126,8 +126,10 @@ class ModalContext:
                 equal.append((i, j))
         if equal:  # the pair a scan over all pairs in name order meets first
             i, j = min(equal)
-            raise ValueError(f"worlds {names[i]!r} and {names[j]!r} are equal as functions")
-        check_relation(set(names), self.relation, "context")
+            error = ValueError(f"worlds {names[i]!r} and {names[j]!r} are equal as functions")
+            error.pair = names[i], names[j]  # for a loader to name the later one's line
+            raise error
+        _set(self, "successors", tuple(successor_masks(index, self.relation, "context")))
 
     @cached_property
     def rows(self) -> list[bytes]:
@@ -136,45 +138,30 @@ class ModalContext:
         return _rows(self.columns, len(self.world_names))
 
     @cached_property
-    def _position(self) -> dict[str, int]:
-        """World name -> its bit position."""
-        return {w: j for j, w in enumerate(self.world_names)}
-
-    @cached_property
     def _held(self) -> list[int]:
         """The check table: `_rule` over the context's own relation, from
         the stored columns, each atom reading its own."""
         u = self.universe
         atoms = {arg: column for kind, arg, column in zip(u.kinds, u.args, self.columns)
                  if kind is Atom}
-        return _rule(u, self.columns, self.world_names, self.relation, atoms)
-
-    def _world_index(self, name: str) -> int:
-        """The world's bit position; a name outside the context is refused."""
-        j = self._position.get(name)
-        if j is None:
-            raise ValueError(f"unknown context world {name!r}")
-        return j
+        return _rule(u, self.columns, self.successors, atoms)
 
     def theory_at(self, name: str) -> frozenset[Formula]:
         """The formulas the world stores."""
-        return frozenset(compress(self.universe.members, self.rows[self._world_index(name)]))
+        j = position(self.world_names, name, "context world")
+        return frozenset(compress(self.universe.members, self.rows[j]))
 
 
-def _rule(universe: FormulaUniverse, stored: Sequence[int] | None, names: Sequence[str],
-          relation: frozenset, atoms: dict[str, int]) -> list[int]:
-    """Every member's mask over the named worlds, in member order, from one
-    loop over the member rows. Children's masks are read from stored when it
-    is given, else from the masks filled so far, as children come first; an
-    atom's mask is atoms[name], or none. []/<> test each world's successor
-    mask under relation. A universe holds six kinds, atoms and
+def _rule(universe: FormulaUniverse, stored: Sequence[int] | None, successors: Sequence[int],
+          atoms: dict[str, int]) -> list[int]:
+    """Every member's mask over the worlds of the successor masks, in member
+    order, from one loop over the member rows. Children's masks are read
+    from stored when it is given, else from the masks filled so far, as
+    children come first; an atom's mask is atoms[name], or none. []/<> test
+    each world's successor mask. A universe holds six kinds, atoms and
     `~ & -> [] <>`, so a member that is none of the first five is an atom."""
-    index = {w: j for j, w in enumerate(names)}
-    succ_of = [0] * len(index)
-    for a, b in relation:
-        succ_of[index[a]] |= 1 << index[b]
-    successors = [(1 << j, succ) for j, succ in enumerate(succ_of)]
-    everywhere = (1 << len(index)) - 1
+    worlds = [(1 << j, succ) for j, succ in enumerate(successors)]  # (its bit, its successors)
+    everywhere = (1 << len(worlds)) - 1
     out: list[int] = []
     masks = out if stored is None else stored
     for kind, arg in zip(universe.kinds, universe.args):
@@ -184,10 +171,10 @@ def _rule(universe: FormulaUniverse, stored: Sequence[int] | None, names: Sequen
             mask = (everywhere ^ masks[arg[0]]) | masks[arg[1]]
         elif kind is Box:  # the worlds all of whose successors are in the operand
             inner = masks[arg[0]]
-            mask = sum([bit for bit, succ in successors if succ & inner == succ])
+            mask = sum([bit for bit, succ in worlds if succ & inner == succ])
         elif kind is Diamond:  # the worlds some of whose successors are in the operand
             inner = masks[arg[0]]
-            mask = sum([bit for bit, succ in successors if succ & inner])
+            mask = sum([bit for bit, succ in worlds if succ & inner])
         elif kind is Not:
             mask = everywhere ^ masks[arg[0]]
         else:
@@ -210,18 +197,16 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
         len(universe) * len(model.worlds), DEFAULT_TABLE_GUARD,
         f"extension table of {len(universe)} members over {len(model.worlds)} worlds",
     )
-    bit = {w: 1 << i for i, w in enumerate(model.worlds)}
-    atoms = {a: sum([bit[w] for w in ws]) for a, ws in model.valuation.items()}
-    return _rule(universe, None, model.worlds, model.relation, atoms)
+    return _rule(universe, None, model.successors, model.atoms)
 
 
 class _Quotient(NamedTuple):
     """A model's theory classes over a universe, ordered by least world, and
     the extension table they group the worlds by."""
 
-    worlds: tuple[tuple[str, ...], ...]  # each class's worlds, in model order
     rows: tuple[bytes, ...]  # each class's theory row
     table: tuple[int, ...]  # each member's extension over the model's worlds
+    of: tuple[int, ...]  # each world's class, in model order
 
 
 def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
@@ -241,20 +226,22 @@ def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
     if universe in memo:
         return memo[universe]
     worlds, table = model.worlds, tuple(extension_table(model, universe))
-    groups: dict[bytes, list[str]] = {}
-    for world, row in zip(worlds, _rows(table, len(worlds))):
-        groups.setdefault(row, []).append(world)
-    classes = sorted((min(ws), tuple(ws), row) for row, ws in groups.items())
-    memo[universe] = _Quotient(
-        tuple([ws for _, ws, _ in classes]), tuple([row for _, _, row in classes]), table
-    )
+    rows = _rows(table, len(worlds))
+    number: dict[bytes, int] = {}  # row -> its class, numbered in order of least world
+    for _, row in sorted(zip(worlds, rows)):
+        number.setdefault(row, len(number))
+    memo[universe] = _Quotient(tuple(number), table, tuple(map(number.__getitem__, rows)))
     return memo[universe]
 
 
 def quotient(model: KripkeModel, universe: FormulaUniverse) -> tuple[frozenset[str], ...]:
     """Partition the worlds by equality of their theories over the universe,
     the classes ordered by their least world."""
-    return tuple(frozenset(ws) for ws in _classes(model, universe).worlds)
+    classes = _classes(model, universe)
+    members: list[list[str]] = [[] for _ in classes.rows]
+    for world, k in zip(model.worlds, classes.of):
+        members[k].append(world)
+    return tuple(map(frozenset, members))
 
 
 def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalContext:
@@ -266,9 +253,9 @@ def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalCont
     members of their classes are.
     """
     classes = _classes(model, universe)
-    names = tuple(f"c{k}" for k in range(len(classes.worlds)))
-    name_of = {w: name for name, worlds in zip(names, classes.worlds) for w in worlds}
-    relation = frozenset((name_of[a], name_of[b]) for a, b in model.relation)
+    names, of = tuple(f"c{k}" for k in range(len(classes.rows))), classes.of
+    relation = frozenset([(names[k], names[c]) for k, succ in zip(of, model.successors)
+                          for c in picked(of, succ)])
     return ModalContext(names, _columns(classes.rows, len(universe)), relation, universe)
 
 
@@ -336,8 +323,7 @@ def _carriers(model: KripkeModel, mc: ModalContext) -> list[str | None]:
     world that stores the world's row of the extension table, or None."""
     by_row = dict(zip(mc.rows, mc.world_names))
     classes = _classes(model, mc.universe)
-    name_of = {w: by_row.get(row) for ws, row in zip(classes.worlds, classes.rows) for w in ws}
-    return [name_of[w] for w in model.worlds]
+    return [by_row.get(classes.rows[k]) for k in classes.of]
 
 
 def verify_representation(model: KripkeModel, mc: ModalContext) -> bool:
@@ -406,4 +392,4 @@ def prove_in_context(mc: ModalContext, world: str, formula: Formula) -> bool:
             f"formula {print_formula(formula)} is outside the universe; "
             "membership is undecidable within this truncation"
         )
-    return mc.columns[i] >> mc._world_index(world) & 1 == 1
+    return mc.columns[i] >> position(mc.world_names, world, "context world") & 1 == 1

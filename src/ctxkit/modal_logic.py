@@ -23,7 +23,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ctxkit.core import SizeGuardError, check_guard, effective_guard
 
@@ -603,60 +603,97 @@ def check_modal_operator(universe: FormulaUniverse) -> bool:
 # Kripke models and satisfaction
 # ---------------------------------------------------------------------------
 
-def check_world_name(name: str) -> None:
-    """Refuse a world name that the file formats cannot write back: an
-    empty one, or one with whitespace (which splits a line) or `#` (which
-    starts a comment)."""
-    if not _WORLD_RE.fullmatch(name):
-        raise ValueError(f"invalid world name {name!r}")
+def world_index(names: tuple[str, ...], noun: str) -> dict[str, int]:
+    """Each world name's bit position. A name given twice is refused, as is
+    one the file formats cannot write back: an empty one, or one with
+    whitespace (which splits a line) or `#` (which starts a comment)."""
+    index = {w: j for j, w in enumerate(names)}
+    if len(index) != len(names):
+        raise ValueError(f"duplicate {noun} names")
+    for name in names:
+        if not _WORLD_RE.fullmatch(name):
+            raise ValueError(f"invalid world name {name!r}")
+    return index
 
 
-def check_relation(known: set[str], relation: Iterable[tuple[str, str]], owner: str) -> None:
-    """Refuse a non-pair, or a pair with an endpoint outside known; of the
-    latter, the smallest is named, whatever the set's order."""
-    outside = [(a, b) for a, b in relation if a not in known or b not in known]
+def successor_masks(index: Mapping[str, int], relation: Iterable[tuple[str, str]],
+                    owner: str) -> list[int]:
+    """Each world's mask of the worlds it reaches, world w's bit being
+    index[w]. A non-pair, or a pair with an endpoint outside index, is
+    refused; of the latter, the smallest is named, whatever the set's order."""
+    outside = [(a, b) for a, b in relation if a not in index or b not in index]
     if outside:
         a, b = min(outside)
         raise ValueError(f"relation endpoint outside the {owner}: ({a}, {b})")
+    masks = [0] * len(index)
+    for a, b in relation:
+        masks[index[a]] |= 1 << index[b]
+    return masks
 
 
-@dataclass(frozen=True)
+def picked(items: Sequence, mask: int) -> list:
+    """The items at the positions of a mask's set bits, in order."""
+    out = []
+    while mask:
+        out.append(items[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return out
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class KripkeModel:
-    """<W, R, V>: worlds in a fixed order, accessibility pairs, atom valuation.
-
-    Atoms missing from the valuation are false everywhere, so evaluation is
-    total over syntactically valid formulas. An atom true nowhere is dropped
-    from the stored valuation, as it is from the file `render_kripke` writes,
-    so a model equals its reloaded copy.
-    """
+    """<W, R, V>: worlds in a fixed order, and each world's successors and
+    each atom's worlds as an int mask over them, bit j for worlds[j]; the
+    views `relation` and `valuation` give them as pairs and name sets. An
+    atom true nowhere is dropped, as from the file `render_kripke` writes."""
 
     worlds: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
-    valuation: Mapping[str, frozenset[str]]
+    successors: tuple[int, ...]
+    atoms: Mapping[str, int]
 
-    def __post_init__(self):
-        worlds = tuple(self.worlds)
-        valuation = {atom: frozenset(ws) for atom, ws in dict(self.valuation).items()}
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "relation", frozenset(tuple(p) for p in self.relation))
-        object.__setattr__(self, "valuation", {a: ws for a, ws in valuation.items() if ws})
-        if len(set(worlds)) != len(worlds):
-            raise ValueError("duplicate world names")
-        known = set(worlds)
-        for name in worlds:
-            check_world_name(name)
-        check_relation(known, self.relation, "model")
+    def __new__(cls, worlds: Iterable[str], relation: Iterable[tuple[str, str]],
+                valuation: Mapping[str, Iterable[str]]):
+        worlds = tuple(worlds)
+        valuation = {atom: frozenset(ws) for atom, ws in dict(valuation).items()}
+        relation = frozenset(tuple(p) for p in relation)
+        index = world_index(worlds, "world")
+        successors = successor_masks(index, relation, "model")
         for atom, ws in valuation.items():
             check_atom(atom)
-            stray = ws - known
+            stray = ws.difference(index)
             if stray:
                 raise ValueError(f"valuation of {atom!r} names unknown worlds {sorted(stray)}")
+        atoms = {atom: sum([1 << index[w] for w in ws]) for atom, ws in valuation.items()}
+        return cls.from_masks(worlds, successors, atoms)
+
+    @classmethod
+    def from_masks(cls, worlds: Iterable[str], successors: Iterable[int],
+                   atoms: Mapping[str, int]) -> KripkeModel:
+        """A model from masks whose names the caller checked; it refuses only
+        a mask count other than one per world, or a bit past the last world."""
+        worlds, successors = tuple(worlds), tuple(successors)
+        atoms, n = {atom: mask for atom, mask in atoms.items() if mask}, len(worlds)
+        if len(successors) != n or any(m < 0 or m >> n for m in (*successors, *atoms.values())):
+            raise ValueError(f"masks outside the {n} worlds")
+        model = object.__new__(cls)  # frozen; `_quotients` is `modal_context`'s memo
+        vars(model).update(worlds=worlds, successors=successors, atoms=atoms, _quotients={})
+        return model
 
     @cached_property
-    def _quotients(self) -> dict:
-        """universe -> the model's theory classes over it, filled by
-        `modal_context` on first use; the memo dies with the model."""
-        return {}
+    def relation(self) -> frozenset[tuple[str, str]]:
+        return frozenset([(a, b) for a, succ in zip(self.worlds, self.successors)
+                          for b in picked(self.worlds, succ)])
+
+    @cached_property
+    def valuation(self) -> dict[str, frozenset[str]]:
+        return {atom: frozenset(picked(self.worlds, mask)) for atom, mask in self.atoms.items()}
+
+    def __reduce__(self):
+        return type(self).from_masks, (self.worlds, self.successors, self.atoms)
+
+    def __repr__(self) -> str:
+        return (f"KripkeModel(worlds={self.worlds!r}, relation={self.relation!r}, "
+                f"valuation={self.valuation!r})")
 
 
 _NOWHERE: frozenset[str] = frozenset()
@@ -690,10 +727,8 @@ class Evaluator:
         self.model = model
         self._extensions: dict[Formula, frozenset[str]] = {}
         self._all = frozenset(model.worlds)
-        successors: dict[str, set[str]] = {w: set() for w in model.worlds}
-        for a, b in model.relation:
-            successors[a].add(b)
-        self._successors = [(w, frozenset(s)) for w, s in successors.items()]  # in world order
+        self._successors = [(w, frozenset(picked(model.worlds, succ)))  # in world order
+                            for w, succ in zip(model.worlds, model.successors)]
 
     def extension(self, formula: Formula) -> frozenset[str]:
         """The worlds satisfying formula, by a post-order walk on an explicit
@@ -727,6 +762,4 @@ def satisfies(model: KripkeModel, world: str, formula: Formula) -> bool:
 def world_theory(model: KripkeModel, world: str, universe: FormulaUniverse) -> frozenset[Formula]:
     """The universe members true at the world."""
     ev = Evaluator(model)
-    if world not in ev._all:
-        raise ValueError(f"unknown world {world!r}")
-    return frozenset(f for f in universe.members if world in ev.extension(f))
+    return frozenset(f for f in universe.members if ev.satisfies(world, f))

@@ -35,6 +35,9 @@ class Mutant(NamedTuple):
 MODAL = "tests/test_modal_context.py::"
 # the quotient's columns against the frozenset evaluator, on the acceptance corpus
 FROZENSET_FORM = MODAL + "test_columns_match_the_frozenset_form_on_the_acceptance_corpus"
+# the .kr parser against its line-by-line reference
+KRIPKE_REFERENCE = ("tests/test_formats.py::"
+                    "test_kripke_loader_agrees_with_the_line_by_line_reference")
 # determinability verdicts and witnesses against the oracles
 WITNESS_TESTS = (
     "tests/test_determinability.py::test_determinability_agrees_with_oracle_on_corpus",
@@ -45,8 +48,8 @@ MUTANTS = (
     Mutant(
         "_rule reads [] as <>",
         "modal_context.py",
-        "mask = sum([bit for bit, succ in successors if succ & inner == succ])",
-        "mask = sum([bit for bit, succ in successors if succ & inner])",
+        "mask = sum([bit for bit, succ in worlds if succ & inner == succ])",
+        "mask = sum([bit for bit, succ in worlds if succ & inner])",
         (MODAL + "test_table_masks_are_the_evaluator_extensions",),
     ),
     Mutant(
@@ -143,8 +146,8 @@ MUTANTS = (
     Mutant(
         "_classes groups worlds by their first member only",
         "modal_context.py",
-        "groups.setdefault(row, []).append(world)",
-        "groups.setdefault(row[:1], []).append(world)",
+        "rows = _rows(table, len(worlds))",
+        "rows = [row[:1] for row in _rows(table, len(worlds))]",
         (MODAL + "test_quotient_soundness_via_naive_satisfaction", FROZENSET_FORM),
     ),
     Mutant(
@@ -171,8 +174,8 @@ MUTANTS = (
     Mutant(
         "carriers come in class order, not model order",
         "modal_context.py",
-        "return [name_of[w] for w in model.worlds]",
-        "return list(name_of.values())",
+        "return [by_row.get(classes.rows[k]) for k in classes.of]",
+        "return [by_row.get(row) for row in classes.rows]",
         (MODAL + "test_carriers_store_the_naive_theories",),
     ),
     Mutant(
@@ -182,6 +185,22 @@ MUTANTS = (
         "(place[arg[1]], place[arg[0]])",
         ("tests/test_modal_logic.py::test_member_table_matches_the_node_and_sort_reference",
          FROZENSET_FORM),
+    ),
+    Mutant(
+        "successor masks built transposed",
+        "formats.py",
+        "successors[args[0]] |= bit[args[1]]",
+        "successors[args[1]] |= bit[args[0]]",
+        (KRIPKE_REFERENCE, "tests/test_formats.py::test_kripke_save_load_round_trip"),
+    ),
+    Mutant(
+        "the .kr parser skips its endpoint check",
+        "formats.py",
+        "            for name in args:\n"
+        "                if name not in bit:\n"
+        "                    raise ModelFileError(source, line_no, f\"unknown world {name!r}\")\n",
+        "",
+        (KRIPKE_REFERENCE,),
     ),
     Mutant(
         "a collapsed duplicate keeps no name",

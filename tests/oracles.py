@@ -711,17 +711,20 @@ def reference_parse_modal_context(text, source="<string>"):
     """`parse_modal_context` line by line, with no whole-line lookup: each
     meaningful line is split into its directive, and each `has` line's text
     is looked up among the member texts or else parsed."""
-    from ctxkit.formats import ModelFileError, _meaningful_lines
+    from ctxkit.formats import ModelFileError
     from ctxkit.modal_context import ModalContext
     from ctxkit.modal_logic import formula_universe, parse_formula, print_formula
 
     universe = None
     columns = []  # member -> mask over the cworlds
-    names = {}  # the cworlds, in declaration order
+    names = {}  # each cworld's line, in declaration order
     relation = set()
     bit = 0
 
-    for line_no, content in _meaningful_lines(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if not content:
+            continue
         directive = content.split(None, 1)[0]
         if directive == "has":  # the most common line: a text lookup and a bit
             if not bit:  # no cworld yet, and perhaps no universe either
@@ -782,7 +785,7 @@ def reference_parse_modal_context(text, source="<string>"):
             if parts[1] in names:
                 raise ModelFileError(source, line_no, f"cworld {parts[1]!r} declared twice")
             bit = 1 << len(names)
-            names[parts[1]] = None
+            names[parts[1]] = line_no
         elif directive == "cedge":
             if len(parts) != 3:
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
@@ -797,5 +800,46 @@ def reference_parse_modal_context(text, source="<string>"):
         raise ModelFileError(source, None, "empty modal context file")
     try:
         return ModalContext(tuple(names), columns, frozenset(relation), universe)
-    except ValueError as exc:
-        raise ModelFileError(source, None, str(exc)) from None
+    except ValueError as exc:  # two cworlds store one set: the later one's line
+        raise ModelFileError(source, names[exc.pair[1]], str(exc)) from None
+
+
+def reference_parse_kripke(text, source="<string>"):
+    """`parse_kripke` line by line, as plain values: (worlds in declaration
+    order, the set of edge pairs, atom -> the set of its worlds), with the
+    same error messages and line numbers, and no model or mask built."""
+    from ctxkit.formats import ModelFileError
+
+    worlds, relation, valuation = [], set(), {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        directive, args = parts[0], parts[1:]
+        if directive == "world":
+            if len(args) != 1:
+                raise ModelFileError(source, line_no, "expected `world <name>`")
+            if args[0] in worlds:
+                raise ModelFileError(source, line_no, f"world {args[0]!r} declared twice")
+            worlds.append(args[0])
+        elif directive == "edge":
+            if len(args) != 2:
+                raise ModelFileError(source, line_no, "expected `edge <from> <to>`")
+            for name in args:
+                if name not in worlds:
+                    raise ModelFileError(source, line_no, f"unknown world {name!r}")
+            relation.add(tuple(args))
+        elif directive == "val":
+            if len(args) != 2:
+                raise ModelFileError(source, line_no, "expected `val <world> <atom>`")
+            world, atom = args
+            if world not in worlds:
+                raise ModelFileError(source, line_no, f"unknown world {world!r}")
+            if not ATOM_RE.fullmatch(atom) or atom in ("true", "false"):
+                raise ModelFileError(source, line_no, f"invalid atom name {atom!r}")
+            valuation.setdefault(atom, set()).add(world)
+        else:
+            raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
+    if not worlds:
+        raise ModelFileError(source, None, "empty Kripke model file")
+    return tuple(worlds), frozenset(relation), {a: frozenset(ws) for a, ws in valuation.items()}

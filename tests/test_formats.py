@@ -472,6 +472,49 @@ def test_kripke_errors_carry_line_numbers():
         parse_kripke("\n")
 
 
+@st.composite
+def annotated_kripke_texts(draw):
+    """A model's file, valid or edited by hand, with comments, blank lines
+    and respacing put in. The models have self-loops, isolated worlds and
+    atoms true nowhere; the edits leave edge and `val` endpoints undeclared
+    and lines repeated."""
+    model = draw(kripke_models())
+    lines = render_kripke(model).splitlines()
+    if draw(st.booleans()):
+        words = (*model.worlds, "w9", "world", "edge", "val", "p", "Paris", "true", "#")
+        lines = draw(mutated(lines, words, "w0p =#@x")).splitlines()
+    out = []
+    for line in lines:
+        kind = draw(st.sampled_from(("as is", "comment", "comment line", "blank", "respaced")))
+        if kind == "comment":
+            line += " # " + draw(st.sampled_from(("edge w9 w9", "", "#")))
+        elif kind == "comment line":
+            out.append("# " + line)
+        elif kind == "blank":
+            out.append(" \t")
+        elif kind == "respaced":
+            line = "  " + "\t ".join(line.split()) + " "
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def kripke_views(text):
+    """The views the reference parser builds, of the model parse_kripke loads."""
+    model = parse_kripke(text)
+    return model.worlds, model.relation, model.valuation
+
+
+@settings(max_examples=300)
+@given(annotated_kripke_texts())
+@example("world a\nworld b\nedge a a\nedge a a\n# edge b a\nval a p # val b p\n")
+@example("world a\nedge a b\nworld b\n")
+@example("world a\nval b p\n")
+@example("world a\nval a true\n")
+@example("# only a comment\n\n")
+def test_kripke_loader_agrees_with_the_line_by_line_reference(text):
+    assert loaded_by(kripke_views, text) == loaded_by(oracles.reference_parse_kripke, text)
+
+
 @pytest.mark.parametrize("parse, text, line_no, message", [
     (parse_kripke, "world w1\nworld w2\n# again\nworld w1\n", 4, "world 'w1' declared twice"),
     (parse_kripke, "world w1\nedge w1 w1\n\nedge w1 w9\n", 4, "unknown world 'w9'"),
@@ -483,12 +526,24 @@ def test_kripke_errors_carry_line_numbers():
      "unknown cworld 'c9'"),
     (parse_modal_context, "universe atoms=p depth=0 cap=1\ncworld c0\ncedge c1 c0\n"
      "cworld c1\n  has p\n", 3, "unknown cworld 'c1'"),
+    (parse_modal_context, "universe atoms=p depth=0 cap=1\ncworld c0\n  has p\ncworld c1\n"
+     "  has p\n", 4, "worlds 'c0' and 'c1' are equal as functions"),
 ])
 def test_world_name_errors_are_pinned(parse, text, line_no, message):
     with pytest.raises(ModelFileError) as info:
         parse(text)
     assert info.value.line_no == line_no
     assert str(info.value) == f"<string>:{line_no}: {message}"
+
+
+def test_equal_cworlds_name_the_later_declaration_in_both_loaders():
+    # the constructor reports the pair; each loader maps it to the later cworld's line
+    text = ("universe atoms=p depth=0 cap=1\ncworld c0\n  has p\ncworld c2\n"
+            "cworld c1\n  has p  # respaced\ncworld c3\n")
+    for parse in (parse_modal_context, oracles.reference_parse_modal_context):
+        with pytest.raises(ModelFileError) as info:
+            parse(text, "eq.mctx")
+        assert str(info.value) == "eq.mctx:5: worlds 'c0' and 'c1' are equal as functions"
 
 
 @pytest.mark.parametrize("name", ["a b", "a\tb", "", "x#y"])

@@ -1,5 +1,7 @@
 """Example generators: counts against the brute-force oracle, game verdicts."""
 
+import random
+
 import pytest
 
 import oracles
@@ -13,6 +15,7 @@ from ctxkit.generators import (
     gen_random_kripke,
 )
 from ctxkit.formats import render_context
+from ctxkit.modal_logic import KripkeModel
 
 
 def as_int_time_keys(ctx):
@@ -174,6 +177,19 @@ def test_random_kripke_reproducible_and_density_zero():
     assert empty.relation == frozenset()
     full = gen_random_kripke(9, 3, ("p",), 1.0)
     assert len(full.relation) == 9
+
+
+def test_random_kripke_is_the_model_of_its_draws_in_pair_form():
+    # the generator fills masks; the same draws, taken as pairs and name
+    # sets in the same order, build the same model through the constructor
+    for seed in range(6):
+        rng = random.Random(seed)
+        worlds = [f"w{i}" for i in range(5)]
+        relation = {(a, b) for a in worlds for b in worlds if rng.random() < 0.4}
+        valuation = {atom: {w for w in worlds if rng.random() < 0.5} for atom in ("p", "q")}
+        drawn = gen_random_kripke(seed, 5, ("p", "q"), 0.4)
+        assert drawn == KripkeModel(worlds, relation, valuation)
+        assert drawn.relation == relation
 
 
 def test_random_generator_input_validation():

@@ -398,6 +398,7 @@ def test_modal_context_validation():
         ModalContext(("n0",), (1,), {("n0", "n9")}, universe)
     mc = ModalContext(("n0", "n1"), [0b10], [("n1", "n0")], universe)
     assert mc.columns == (0b10,) and mc.relation == frozenset({("n1", "n0")})
+    assert mc.successors == (0b00, 0b01)  # n1's successor n0 is bit 0
     assert mc.theory_at("n1") == {P} and mc.theory_at("n0") == frozenset()
     with pytest.raises(ValueError, match="^unknown context world 'n9'$"):
         mc.theory_at("n9")
@@ -445,14 +446,15 @@ def test_verify_theorem_builds_one_extension_table_and_one_model(monkeypatch, tm
         calls.append(model)
         return extension_table(model, universe)
 
-    def built(self, post_init=KripkeModel.__post_init__):
-        models.append(self)
-        post_init(self)
+    def built(cls, *masks, build=KripkeModel.from_masks.__func__):
+        # every constructor, by pairs or by masks, ends in this one check
+        models.append(build(cls, *masks))
+        return models[-1]
 
     path = tmp_path / "m.kr"
     path.write_text(render_kripke(corpus.random_kripke(random.Random(5), max_worlds=6)))
     monkeypatch.setattr(modal_context, "extension_table", counted)
-    monkeypatch.setattr(KripkeModel, "__post_init__", built)
+    monkeypatch.setattr(KripkeModel, "from_masks", classmethod(built))
     code = cli_dispatch(["modal", "verify-theorem", str(path), "--atoms", "p,q", "--depth", "2"])
     assert code == 0, capsys.readouterr()
     assert len(models) == 1

@@ -5,6 +5,8 @@ import gc
 import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from unittest import mock
 
@@ -40,6 +42,7 @@ from ctxkit.modal_logic import (
     satisfies,
     world_theory,
 )
+from ctxkit.modal_context import quotient
 from ctxkit.modal_logic import _base_counts
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -363,6 +366,92 @@ def test_dual_law_and_k_axiom_on_corpus():
             for world in model.worlds:
                 assert ev.satisfies(world, dual)
                 assert ev.satisfies(world, k_axiom)
+
+
+# ---------------------------------------------------------------------------
+# Kripke models: masks stored, pairs and name sets as views
+# ---------------------------------------------------------------------------
+
+MODEL = {"worlds": ("a", "b", "c"), "relation": {("a", "b"), ("b", "b"), ("c", "a")},
+         "valuation": {"p": {"b", "c"}, "q": set(), "r": {"a"}}}
+
+
+def test_a_model_stores_one_mask_per_world_and_per_atom():
+    model = KripkeModel(**MODEL)
+    assert model.successors == (0b010, 0b010, 0b001)
+    assert model.atoms == {"p": 0b110, "r": 0b001}  # q is true nowhere
+    assert model.relation == frozenset(MODEL["relation"])
+    assert model.valuation == {"p": frozenset({"b", "c"}), "r": frozenset({"a"})}
+    assert repr(KripkeModel(("a",), {("a", "a")}, {"p": {"a"}})) == (
+        "KripkeModel(worlds=('a',), relation=frozenset({('a', 'a')}), "
+        "valuation={'p': frozenset({'a'})})")
+
+
+def masks_of(worlds, relation, valuation):
+    """The successor and atom masks of pairs and name sets, bit j for worlds[j]."""
+    bit = {w: 1 << j for j, w in enumerate(worlds)}
+    successors = [sum(bit[b] for a, b in relation if a == w) for w in worlds]
+    return successors, {atom: sum(bit[w] for w in ws) for atom, ws in valuation.items()}
+
+
+@st.composite
+def model_parts(draw):
+    """Worlds, pairs and name sets with self-loops, isolated worlds and
+    atoms true nowhere."""
+    worlds = draw(st.lists(st.sampled_from(("a", "b", "w0", "w1", "w10")), min_size=1,
+                           max_size=5, unique=True))
+    relation = draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds))))
+    atoms = draw(st.lists(st.sampled_from(("p", "q", "r")), max_size=3, unique=True))
+    return worlds, relation, {atom: draw(st.sets(st.sampled_from(worlds))) for atom in atoms}
+
+
+@given(model_parts())
+@example((["a", "b"], {("a", "a")}, {"p": set()}))
+def test_pair_built_and_mask_built_models_are_equal_with_equal_views(parts):
+    worlds, relation, valuation = parts
+    by_pairs = KripkeModel(worlds, relation, valuation)
+    by_masks = KripkeModel.from_masks(worlds, *masks_of(*parts))
+    assert by_masks == by_pairs
+    assert (by_masks.successors, by_masks.atoms) == (by_pairs.successors, by_pairs.atoms)
+    held = {atom: frozenset(ws) for atom, ws in valuation.items() if ws}
+    for model in (by_pairs, by_masks):
+        assert (model.worlds, model.relation, model.valuation) == (
+            tuple(worlds), frozenset(relation), held)
+
+
+def test_the_mask_constructor_checks_only_that_masks_stay_within_the_worlds():
+    for successors, atoms in (((0b100, 0), {}), ((0, 0), {"p": 0b100}),
+                              ((-1, 0), {}), ((0,), {})):
+        with pytest.raises(ValueError, match="^masks outside the 2 worlds$"):
+            KripkeModel.from_masks(("a", "b"), successors, atoms)
+    # names are the caller's to check
+    assert KripkeModel.from_masks(("a", "a"), (0, 0), {"P": 1}).atoms == {"P": 1}
+
+
+def test_models_copy_and_pickle_as_equal_values():
+    model = KripkeModel(**MODEL)
+    quotient(model, formula_universe(("p",), 1))  # fills the model's memo
+    for other in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert type(other) is KripkeModel and other == model
+        assert (other.relation, other.valuation) == (model.relation, model.valuation)
+        assert other._quotients == {}  # a copy starts its own memo
+
+
+def test_model_pickles_load_under_another_hash_seed(ctxkit_src):
+    # the atom dict and the views are rebuilt where the pickle is loaded
+    check = (
+        "import pickle, sys\n"
+        "from ctxkit.modal_logic import KripkeModel\n"
+        "got = pickle.loads(sys.stdin.buffer.read())\n"
+        f"want = KripkeModel(**{MODEL!r})\n"
+        "assert got == want, got\n"
+        "assert (got.relation, got.valuation) == (want.relation, want.valuation)\n"
+        "assert got.relation == {('a', 'b'), ('b', 'b'), ('c', 'a')}\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": ctxkit_src}
+    result = subprocess.run([sys.executable, "-c", check],
+                            input=pickle.dumps(KripkeModel(**MODEL)), env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 FORBIDDEN = {
     "parse_context_tokenwise": {"parse_context"},
     "reference_parse_modal_context": {"parse_modal_context"},
+    "reference_parse_kripke": {"parse_kripke", "KripkeModel", "from_masks"},
     "reference_universe": {"formula_universe"},
     "reference_requotient": {"_rule", "extension_table", "to_modal_context",
                              "requotient_is_identity"},
