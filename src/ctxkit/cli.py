@@ -277,7 +277,7 @@ def cmd_gen_random_kripke(args) -> int:
     fields = _base_fields(args) + [
         ("seed", str(args.seed)),
         ("worlds", str(len(model.worlds))),
-        ("edges", str(len(model.relation))),
+        ("edges", str(model.edge_count())),
     ]
     return _deliver(args, render_kripke(model), fields)
 

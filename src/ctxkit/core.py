@@ -210,9 +210,14 @@ class Context:
     @classmethod
     def from_rows(cls, signature: Signature, rows: Iterable[Row]) -> Context:
         """The context of the given rows, checked, deduplicated and sorted."""
+        return cls.from_sorted_rows(signature, _checked_rows(signature, rows))
+
+    @classmethod
+    def from_sorted_rows(cls, signature: Signature, rows: tuple[Row, ...]) -> Context:
+        """The context of rows already distinct, sorted, full width and of
+        valid state indices, as the .ctx parser holds them: nothing is checked."""
         ctx = cls.__new__(cls)
-        _set(ctx, "signature", signature)
-        _set(ctx, "rows", _checked_rows(signature, rows))
+        vars(ctx).update(signature=signature, rows=rows)
         return ctx
 
     def row_of(self, inst: Instance) -> Row:
@@ -267,7 +272,7 @@ class Context:
 
 
 def _checked_rows(sig: Signature, rows: Iterable[Row]) -> tuple[Row, ...]:
-    """The single check every context passes: each row has one state index
+    """The check of every row not read by the .ctx parser: one state index
     per cell, every index names a state, and the distinct rows come sorted."""
     unique = list(dict.fromkeys(rows))
     unique.sort()  # linear on rows that come sorted, as rendered files hold them

@@ -17,12 +17,12 @@ therefore offered:
 ``literal`` yes implies ``windowed`` yes; the converse fails exactly on the
 truncation artifacts.
 
-Every analysis walks one prefix trie, built in O(N*T) for N instances over
-T times: snapshots are interned to ints, and instances agreeing up to a time
-share one node there. Determinability compares hash-consed ids of bundles
-cut to a window, at most one id per (node, end), and compares each node with
-the next node of its snapshot in time order only; the iterator takes each
-node's child ids as its next set, and determinism is out-degree one. A "no"
+Determinability and the iterator walk one prefix trie, built in O(N*T) for
+N instances over T times: instances agreeing up to a time share one node
+there. Determinability compares hash-consed ids of bundles cut to a window,
+at most one id per (node, end), and compares each node with the next node of
+its snapshot in time order only; the iterator takes each node's child ids as
+its next set. Determinism reads the rows' initial snapshots alone. A "no"
 names the first failing pair in canonical scan order: snapshots by first
 occurrence, their occurrences by instance, then by time.
 """
@@ -30,7 +30,7 @@ occurrence, their occurrences by instance, then by time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 from ctxkit.core import DEFAULT_SPACE_GUARD, Context, Instance, Signature, Snapshot, check_guard
@@ -177,7 +177,7 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
     literal mode x is the first node, as agreement is an equivalence. In
     windowed mode a node at time u has a partner iff the nodes at times <= u
     show two cuts at u, or the nodes at some later time s show a cut at s
-    other than its own: O(nodes * times) bundle ids, once per time.
+    other than its own: O(nodes * times) bundle ids, a time's cuts made when first read.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -204,10 +204,10 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
             x = nodes[0]
         else:
             times = sorted({time_of[v] for v in nodes})
-            upto = {s: {cut_to(v, s) for v in nodes if time_of[v] <= s} for s in times}
-            at = {s: {cut_to(v, s) for v in nodes if time_of[v] == s} for s in times}
-            x = next(u for u in nodes if len(upto[time_of[u]]) > 1 or any(
-                at[s] != {cut_to(u, s)} for s in times if s > time_of[u]))
+            upto = cache(lambda s: {cut_to(v, s) for v in nodes if time_of[v] <= s})
+            at = cache(lambda s: {cut_to(v, s) for v in nodes if time_of[v] == s})
+            x = next(u for u in nodes if len(upto(time_of[u])) > 1 or any(
+                at(s) != {cut_to(u, s)} for s in times if s > time_of[u]))
         y = next(v for v in nodes if not agree(x, v))
         (p, i), (q, j) = trie.occurrence(x), trie.occurrence(y)
         witness = DeterminabilityWitness(p, q, i, j, trie.bundle(x), trie.bundle(y))
@@ -219,10 +219,12 @@ def is_deterministic(ctx: Context) -> bool:
     """Exactly one successor snapshot at every non-final time.
 
     Multiple initial snapshots are allowed; only the step structure counts.
+    That holds iff no two rows share their initial snapshot: the prefix trie
+    has one leaf per (distinct) row and at least one per root, and leaves
+    equal roots exactly when no non-final node has two children.
     """
-    trie = _Trie(ctx)
-    last = len(trie.times) - 1
-    return all(len(kids) == 1 for kids, t in zip(trie.kids, trie.time_of) if t < last)
+    n = len(ctx.signature.times)
+    return len({row[::n] for row in ctx.rows}) == len(ctx.rows)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     indices): a repeat costs one dict lookup, one mask test and, when its
     positions are contiguous, one slice assignment. Alice/Bob at horizon 6
     has 1,944 cell lines but only 128 distinct ones. Each distinct cell
-    token is validated once, too. No `Instance` is built.
+    token is validated once, too. No `Instance` is built, and the rows,
+    checked here and nowhere else, become the context with only a sort.
     """
     headers: dict[str, tuple[str, ...]] = {}
     sig: Signature | None = None
@@ -218,7 +219,8 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
         sig = signature(None)
     if name is not None:
         close_instance(name, name_line, cells, filled)
-    return LoadedContext(Context.from_rows(sig, first_name), named, first_name)
+    rows = tuple(sorted(first_name))
+    return LoadedContext(Context.from_sorted_rows(sig, rows), named, first_name)
 
 
 def render_context(ctx: Context) -> str:

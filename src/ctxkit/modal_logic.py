@@ -688,6 +688,12 @@ class KripkeModel:
     def valuation(self) -> dict[str, frozenset[str]]:
         return {atom: frozenset(picked(self.worlds, mask)) for atom, mask in self.atoms.items()}
 
+    def edge_count(self) -> int:
+        return sum(map(int.bit_count, self.successors))
+
+    def __hash__(self) -> int:  # by the compared fields, as equality goes
+        return hash((self.worlds, self.successors, frozenset(self.atoms.items())))
+
     def __reduce__(self):
         return type(self).from_masks, (self.worlds, self.successors, self.atoms)
 

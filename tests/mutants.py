@@ -43,6 +43,11 @@ WITNESS_TESTS = (
     "tests/test_determinability.py::test_determinability_agrees_with_oracle_on_corpus",
     "tests/test_determinability.py::test_verdicts_and_witnesses_match_oracles_on_small_contexts",
 )
+# determinism verdicts against the oracle
+DETERMINISM_TESTS = (
+    "tests/test_determinability.py::test_iterator_and_determinism_agree_with_oracles_on_corpus",
+    "tests/test_determinability.py::test_verdicts_and_witnesses_match_oracles_on_small_contexts",
+)
 
 MUTANTS = (
     Mutant(
@@ -64,14 +69,14 @@ MUTANTS = (
     Mutant(
         "windowed partner test without its first half",
         "determinability.py",
-        "if len(upto[time_of[u]]) > 1 or any(",
+        "if len(upto(time_of[u])) > 1 or any(",
         "if any(",
         WITNESS_TESTS,
     ),
     Mutant(
         "windowed partner test without its second half",
         "determinability.py",
-        "at[s] != {cut_to(u, s)} for s in times if s > time_of[u]))",
+        "at(s) != {cut_to(u, s)} for s in times if s > time_of[u]))",
         "False for s in times if s > time_of[u]))",
         WITNESS_TESTS,
     ),
@@ -80,6 +85,13 @@ MUTANTS = (
         "determinability.py",
         "for v in nodes if time_of[v] <= s}",
         "for v in nodes if time_of[v] < s}",
+        WITNESS_TESTS,
+    ),
+    Mutant(
+        "lazy upto set cached under the wrong time",
+        "determinability.py",
+        "upto = cache(lambda s: {cut_to(v, s)",
+        "upto = lambda s, memo={}: memo.setdefault(times[0], {cut_to(v, s)",
         WITNESS_TESTS,
     ),
     Mutant(
@@ -95,6 +107,21 @@ MUTANTS = (
         "x = nodes[0]",
         "x = nodes[-1]",
         WITNESS_TESTS,
+    ),
+    Mutant(
+        "determinism read off the final snapshots",
+        "determinability.py",
+        "{row[::n] for row in ctx.rows}",
+        "{row[n - 1::n] for row in ctx.rows}",
+        DETERMINISM_TESTS,
+    ),
+    Mutant(
+        "parser rows not sorted",
+        "formats.py",
+        "rows = tuple(sorted(first_name))",
+        "rows = tuple(first_name)",
+        ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",
+         "tests/test_formats.py::test_parsed_contexts_equal_the_checked_constructor"),
     ),
     Mutant(
         "the leaf route ignores leftover words",

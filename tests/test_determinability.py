@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracles
+from ctxkit.cli import cli_dispatch
 from ctxkit.core import Context, Instance, Signature, SizeGuardError, Snapshot
 from ctxkit.determinability import (
     IteratorMap,
@@ -355,6 +356,31 @@ def test_branching_iterator_output_is_not_deterministic():
 def test_differing_only_at_initial_time_is_deterministic():
     ctx = row_context("abcd", "acd", "bcd")
     assert is_deterministic(ctx)
+
+
+def test_empty_and_single_time_contexts_are_deterministic():
+    sig = Signature(("a", "b"), ("e0", "e1"), ("0",))
+    assert is_deterministic(Context.from_rows(sig, []))
+    assert is_deterministic(Context.from_rows(sig, itertools.product(range(2), repeat=2)))
+    assert not is_deterministic(row_context("ab", "aa", "ab"))
+
+
+def test_ctx_deterministic_builds_no_trie(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ab.ctx"
+    path.write_text(render_context(gen_alice_bob_odd(4)))
+    built = []
+    init = _Trie.__init__
+
+    def counted(self, ctx):
+        built.append(ctx)
+        init(self, ctx)
+
+    monkeypatch.setattr(_Trie, "__init__", counted)
+    assert cli_dispatch(["ctx", "deterministic", str(path)]) in (0, 1)
+    assert built == []
+    assert cli_dispatch(["ctx", "iterator", str(path)]) in (0, 1)
+    assert len(built) == 1  # the counter sees the trie an analysis does build
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Round trips and error reporting for the three file formats."""
 
 import functools
+import importlib
 import itertools
 import random
 import re
 import statistics
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import corpus
 import oracles
 from ctxkit import modal_logic
+from ctxkit.cli import cli_dispatch
 from ctxkit.core import Context, Instance, Signature
 from ctxkit.determinability import extract_iterator, is_determinable, is_deterministic
 from ctxkit.generators import gen_alice_bob, gen_minigame, gen_random_kripke
@@ -43,6 +46,8 @@ from ctxkit.formats import (
     render_kripke,
     render_modal_context,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ALICE_FILE = """\
 # two flatmates
@@ -324,6 +329,38 @@ def read_both(text):
 def test_parse_context_agrees_with_tokenwise_reference(text):
     got, want = read_both(text)
     assert got == want
+
+
+def assert_parsed_as_checked(text):
+    """The parser's context is the one `Context.from_rows` makes of the rows
+    the parser named: the parser skips no check or sort that path makes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loaded = parse_context(text, "f.ctx")
+    ctx = loaded.context
+    assert ctx == Context.from_rows(ctx.signature, loaded.rows.values())
+
+
+@settings(max_examples=300)
+@given(context_texts())
+@example(HEAD + "instance y:\n" + FULL.replace("=a", "=b") + "instance x:\n" + FULL)
+def test_parsed_contexts_equal_the_checked_constructor(text):
+    try:
+        assert_parsed_as_checked(text)
+    except ModelFileError:
+        pass  # refused inputs build no context
+
+
+def test_timelines_pool_files_parse_as_the_checked_constructor(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    built = importlib.import_module("workloads").build("timelines", str(tmp_path), None)
+    for cmd in built.setup:
+        assert cli_dispatch(list(cmd.argv)) == 0, cmd
+    capsys.readouterr()
+    files = sorted(tmp_path.glob("*.ctx"))
+    assert len(files) == len(built.setup) == 34
+    for path in files:
+        assert_parsed_as_checked(path.read_text())
 
 
 # symbols as the formats allow them: printable, no whitespace, none of the

@@ -42,6 +42,7 @@ from ctxkit.modal_logic import (
     satisfies,
     world_theory,
 )
+from ctxkit.generators import gen_random_kripke
 from ctxkit.modal_context import quotient
 from ctxkit.modal_logic import _base_counts
 
@@ -435,6 +436,26 @@ def test_models_copy_and_pickle_as_equal_values():
         assert type(other) is KripkeModel and other == model
         assert (other.relation, other.valuation) == (model.relation, model.valuation)
         assert other._quotients == {}  # a copy starts its own memo
+
+
+@pytest.mark.parametrize("density", (0.0, 0.05, 0.3, 1.0))
+def test_the_edge_count_is_the_relation_size(density):
+    for seed in range(10):
+        model = gen_random_kripke(seed, 1 + seed * 3, ("p", "q"), density)
+        assert model.edge_count() == len(model.relation)
+
+
+def test_equal_models_hash_equal_and_key_one_dict_entry():
+    by_pairs = KripkeModel(**MODEL)
+    quotient(by_pairs, formula_universe(("p",), 1))  # the memo takes no part in the hash
+    by_masks = KripkeModel.from_masks(MODEL["worlds"], (0b010, 0b010, 0b001),
+                                      {"r": 0b001, "p": 0b110})
+    assert by_pairs == by_masks and hash(by_pairs) == hash(by_masks)
+    keyed = {by_pairs: "pairs"}
+    keyed[by_masks] = "masks"
+    assert keyed == {by_pairs: "masks"}
+    other = KripkeModel.from_masks(MODEL["worlds"], (0b010, 0b010, 0b001), {"p": 0b110})
+    assert len({by_pairs, by_masks, other}) == 2
 
 
 def test_model_pickles_load_under_another_hash_seed(ctxkit_src):
