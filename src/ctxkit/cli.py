@@ -216,7 +216,7 @@ def cmd_modal_to_context(args) -> int:
     mc = modal_context.to_modal_context(model, universe)
     fields.append(("universe_size", str(len(universe))))
     fields.append(("worlds", str(len(mc.world_names))))
-    fields.append(("edges", str(len(mc.relation))))
+    fields.append(("edges", str(mc.edge_count())))
     return _deliver(args, render_modal_context(mc), fields)
 
 

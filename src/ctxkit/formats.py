@@ -306,8 +306,7 @@ def render_kripke(model: modal_logic.KripkeModel) -> str:
     """Worlds, then edges and `val` lines in world order, atoms by name."""
     worlds, picked = model.worlds, modal_logic.picked
     lines = [f"world {w}" for w in worlds]
-    for a, succ in zip(worlds, model.successors):
-        lines += [f"edge {a} {b}" for b in picked(worlds, succ)]
+    lines += [f"edge {a} {b}" for a, b in modal_logic.successor_pairs(worlds, model.successors)]
     for atom in sorted(model.atoms):
         lines += [f"val {w} {atom}" for w in picked(worlds, model.atoms[atom])]
     return "\n".join(lines) + "\n"
@@ -326,14 +325,13 @@ def render_modal_context(mc: modal_context.ModalContext) -> str:
     the loader regenerates the universe; then worlds and edges. Each world
     lists the members its row stores, in member order, by their texts.
     """
-    u = mc.universe
+    u, names = mc.universe, mc.world_names
     lines = [f"universe atoms={','.join(u.atoms)} depth={u.depth} cap={u.cap}"]
     has = [f"  has {text}" for text in u.texts]
-    for name, row in zip(mc.world_names, mc.rows):
+    for name, row in zip(names, mc.rows):
         lines.append(f"cworld {name}")
         lines += compress(has, row)
-    for a, succ in zip(mc.world_names, mc.successors):
-        lines += [f"cedge {a} {b}" for b in modal_logic.picked(mc.world_names, succ)]
+    lines += [f"cedge {a} {b}" for a, b in modal_logic.successor_pairs(names, mc.successors)]
     return "\n".join(lines) + "\n"
 
 
@@ -348,7 +346,8 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
     universe: modal_logic.FormulaUniverse | None = None
     columns: list[int] = []  # member -> mask over the cworlds
     names: dict[str, int] = {}  # each cworld's line, in declaration order
-    relation: set[tuple[str, str]] = set()
+    bits: dict[str, int] = {}  # cworld -> its bit
+    successors: dict[str, int] = {}  # cworld -> the mask of the cworlds it reaches
     bit = 0
     canonical: dict[str, int] = {}  # `  has <text>` -> its member, once the header is read
 
@@ -376,18 +375,15 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
                 i = universe.index_of(formula)
                 if i is None:
                     text = modal_logic.print_formula(formula)
-                    raise ModelFileError(
-                        source, line_no, f"formula {text} is outside the declared universe"
-                    )
+                    raise ModelFileError(source, line_no,
+                                         f"formula {text} is outside the declared universe")
             columns[i] |= bit
             continue
         parts = content.split()  # a formula is not split
         if directive == "universe":
             if universe is not None:
                 raise ModelFileError(source, line_no, "repeated universe header")
-            fields = dict(
-                part.split("=", 1) for part in parts[1:] if "=" in part
-            )
+            fields = dict(part.split("=", 1) for part in parts[1:] if "=" in part)
             missing = {"atoms", "depth", "cap"} - set(fields)
             if missing or len(fields) != len(parts) - 1:
                 raise ModelFileError(
@@ -395,17 +391,11 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
                 )
             for key in ("depth", "cap"):
                 if not (fields[key].isascii() and fields[key].isdigit()):
-                    raise ModelFileError(
-                        source,
-                        line_no,
-                        f"universe {key} must be a non-negative integer, got {fields[key]!r}",
-                    )
+                    raise ModelFileError(source, line_no, f"universe {key} must be a "
+                                         f"non-negative integer, got {fields[key]!r}")
             try:
-                universe = modal_logic.formula_universe(
-                    tuple(fields["atoms"].split(",")),
-                    int(fields["depth"]),
-                    cap=int(fields["cap"]),
-                )
+                universe = modal_logic.formula_universe(tuple(fields["atoms"].split(",")),
+                                                        int(fields["depth"]), int(fields["cap"]))
             except ValueError as exc:
                 raise ModelFileError(source, line_no, str(exc)) from None
             columns = [0] * len(universe)
@@ -418,22 +408,23 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
                 raise ModelFileError(source, line_no, "expected `cworld <name>`")
             if parts[1] in names:
                 raise ModelFileError(source, line_no, f"cworld {parts[1]!r} declared twice")
-            bit = 1 << len(names)
+            bit = bits[parts[1]] = 1 << len(names)
             names[parts[1]] = line_no
+            successors[parts[1]] = 0
         elif directive == "cedge":
             if len(parts) != 3:
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
             for name in parts[1:]:
                 if name not in names:
                     raise ModelFileError(source, line_no, f"unknown cworld {name!r}")
-            relation.add((parts[1], parts[2]))
+            successors[parts[1]] |= bits[parts[2]]
         else:
             raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
 
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")
     try:
-        return modal_context.ModalContext(tuple(names), columns, frozenset(relation), universe)
+        return modal_context.ModalContext.from_masks(names, columns, successors.values(), universe)
     except ValueError as exc:  # two cworlds store one set: the later one is the error's line
         raise ModelFileError(source, names[exc.pair[1]], str(exc)) from None
 

@@ -6,14 +6,14 @@ the universe's canonical member order, each an int mask over some worlds.
 the member rows, reading kinds and child rows, never formula nodes. Worlds
 with equal rows across the table have equal theories, and each such class
 becomes a context world; its bit in every column is the bit of any of its
-worlds, and each model edge, mapped through world -> class, relates two
-context worlds. That is the smallest filtration of the model through the
+worlds, and it reaches the classes of the worlds in the OR of its worlds'
+successor masks. That is the smallest filtration of the model through the
 subformula-closed universe (Blackburn, de Rijke & Venema, Modal Logic, CUP
-2001, section 2.3). A `ModalContext` is those class columns, the class
-names and the lifted relation. It must satisfy the box/diamond membership
-biconditionals against its relation, and must represent every original
-world by theory; both facts are re-checked here, on the columns, rather
-than assumed.
+2001, section 2.3). A `ModalContext` holds those class columns, the class
+names and a successor mask per class, with the relation's name pairs as a
+view. It must satisfy the box/diamond membership biconditionals against
+its relation, and must represent every original world by theory; both
+facts are re-checked here, on the columns, rather than assumed.
 
 Each kind's mask rule is written once, in `_rule`, which fills a table in
 one pass over the member rows: the extension table from its own growing
@@ -31,8 +31,8 @@ member, so equal theories are equal rows.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
@@ -52,6 +52,7 @@ from ctxkit.modal_logic import (
     picked,
     print_formula,
     successor_masks,
+    successor_pairs,
     world_index,
 )
 
@@ -90,46 +91,67 @@ def _columns(rows: Sequence[bytes], count: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModalContext:
     """A finite modal context: named worlds, the formulas each stores, and a
     relation between the worlds.
 
-    Stored column-wise, in the shape of `extension_table`: one int mask per
-    universe member, in member order, with bit j set when world_names[j]
-    stores the member. `rows` and `theory_at` are views of the columns, and
-    `successors` (one mask per world, as in `KripkeModel`) of the relation.
+    Stored as int masks: one column per universe member, in member order
+    (as in `extension_table`), bit j set when world_names[j] stores it, and
+    one successor mask per world (as in `KripkeModel`). `rows` and
+    `theory_at` are views of the columns, and `relation` of the successors.
     """
 
     world_names: tuple[str, ...]
     columns: tuple[int, ...]
-    relation: frozenset[tuple[str, str]]
+    successors: tuple[int, ...]
     universe: FormulaUniverse
-    successors: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        names, columns = tuple(self.world_names), tuple(self.columns)
-        _set = object.__setattr__
-        _set(self, "world_names", names)
-        _set(self, "columns", columns)
-        _set(self, "relation", frozenset(tuple(p) for p in self.relation))
+    def __new__(cls, world_names: Iterable[str], columns: Iterable[int],
+                relation: Iterable[tuple[str, str]], universe: FormulaUniverse):
+        names = tuple(world_names)
         index = world_index(names, "context-world")
-        if len(columns) != len(self.universe):
-            raise ValueError(f"{len(columns)} columns for {len(self.universe)} members")
+        try:
+            successors = successor_masks(index, list(relation), "context")  # read twice
+        except ValueError:  # reported after the column checks
+            cls.from_masks(names, columns, [0] * len(names), universe)
+            raise
+        return cls.from_masks(names, columns, successors, universe)
+
+    @classmethod
+    def from_masks(cls, world_names: Iterable[str], columns: Iterable[int],
+                   successors: Iterable[int], universe: FormulaUniverse) -> ModalContext:
+        """A context from masks whose names the caller checked. It refuses a
+        column count other than one per member, a bit past the last world,
+        and two worlds with equal rows."""
+        names, columns, successors = tuple(world_names), tuple(columns), tuple(successors)
+        if len(columns) != len(universe):
+            raise ValueError(f"{len(columns)} columns for {len(universe)} members")
         if columns and (min(columns) < 0 or max(columns) >> len(names)):
             raise ValueError("a column has bits outside the named worlds")
-        first_with: dict[bytes, int] = {}
-        equal = []  # (i, j): world j has the row world i was first to have
-        for j, row in enumerate(self.rows):
-            i = first_with.setdefault(row, j)
-            if i != j:
-                equal.append((i, j))
-        if equal:  # the pair a scan over all pairs in name order meets first
-            i, j = min(equal)
+        if len(successors) != len(names) or any(m < 0 or m >> len(names) for m in successors):
+            raise ValueError("successor masks outside the named worlds")
+        mc = object.__new__(cls)  # frozen
+        vars(mc).update(world_names=names, columns=columns, successors=successors,
+                        universe=universe)
+        first_with: dict[bytes, int] = {}  # row -> the first world to have it
+        pairs = [(first_with.setdefault(row, j), j) for j, row in enumerate(mc.rows)]
+        if len(first_with) < len(names):  # the pair a scan in name order meets first
+            i, j = min((i, j) for i, j in pairs if i != j)
             error = ValueError(f"worlds {names[i]!r} and {names[j]!r} are equal as functions")
             error.pair = names[i], names[j]  # for a loader to name the later one's line
             raise error
-        _set(self, "successors", tuple(successor_masks(index, self.relation, "context")))
+        return mc
+
+    def __reduce__(self):
+        return self.from_masks, (self.world_names, self.columns, self.successors, self.universe)
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        return frozenset(successor_pairs(self.world_names, self.successors))
+
+    def edge_count(self) -> int:
+        return sum(map(int.bit_count, self.successors))
 
     @cached_property
     def rows(self) -> list[bytes]:
@@ -250,13 +272,15 @@ def to_modal_context(model: KripkeModel, universe: FormulaUniverse) -> ModalCont
     Context worlds are named c0, c1, ... in class order (classes ordered by
     least world), each storing its class theory: transposing the class rows
     gives the context's columns. Two context worlds are related iff some
-    members of their classes are.
+    members of their classes are, read off one OR of successor masks per class.
     """
     classes = _classes(model, universe)
-    names, of = tuple(f"c{k}" for k in range(len(classes.rows))), classes.of
-    relation = frozenset([(names[k], names[c]) for k, succ in zip(of, model.successors)
-                          for c in picked(of, succ)])
-    return ModalContext(names, _columns(classes.rows, len(universe)), relation, universe)
+    reach, of = [0] * len(classes.rows), classes.of  # each class's worlds' successors
+    for k, succ in zip(of, model.successors):
+        reach[k] |= succ
+    successors = [sum({1 << c for c in picked(of, succ)}) for succ in reach]  # classes reached
+    return ModalContext.from_masks([f"c{k}" for k in range(len(reach))],
+                                   _columns(classes.rows, len(universe)), successors, universe)
 
 
 @dataclass(frozen=True)

@@ -640,6 +640,11 @@ def picked(items: Sequence, mask: int) -> list:
     return out
 
 
+def successor_pairs(names: Sequence[str], successors: Iterable[int]) -> list[tuple[str, str]]:
+    """Each (world, successor) name pair, in world order: `successor_masks` inverted."""
+    return [(a, b) for a, succ in zip(names, successors) for b in picked(names, succ)]
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class KripkeModel:
     """<W, R, V>: worlds in a fixed order, and each world's successors and
@@ -681,8 +686,7 @@ class KripkeModel:
 
     @cached_property
     def relation(self) -> frozenset[tuple[str, str]]:
-        return frozenset([(a, b) for a, succ in zip(self.worlds, self.successors)
-                          for b in picked(self.worlds, succ)])
+        return frozenset(successor_pairs(self.worlds, self.successors))
 
     @cached_property
     def valuation(self) -> dict[str, frozenset[str]]:

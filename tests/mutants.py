@@ -192,6 +192,20 @@ MUTANTS = (
         (MODAL + "test_representation_single_world", FROZENSET_FORM),
     ),
     Mutant(
+        "the class lift ORs into the wrong class",
+        "modal_context.py",
+        "reach[k] |= succ",
+        "reach[of[k]] |= succ",
+        (FROZENSET_FORM,),
+    ),
+    Mutant(
+        "from_masks skips its range check",
+        "modal_context.py",
+        "any(m < 0 or m >> len(names) for m in successors)",
+        "False",
+        (MODAL + "test_modal_context_validation",),
+    ),
+    Mutant(
         "prover agreement skips the representation check",
         "modal_context.py",
         "    class_world_map(model, mc)  # refuses a world with no carrier\n",
@@ -219,6 +233,14 @@ MUTANTS = (
         "successors[args[0]] |= bit[args[1]]",
         "successors[args[1]] |= bit[args[0]]",
         (KRIPKE_REFERENCE, "tests/test_formats.py::test_kripke_save_load_round_trip"),
+    ),
+    Mutant(
+        "the .mctx parser stores a cedge transposed",
+        "formats.py",
+        "successors[parts[1]] |= bits[parts[2]]",
+        "successors[parts[2]] |= bits[parts[1]]",
+        ("tests/test_formats.py::"
+         "test_modal_context_loader_agrees_with_the_line_by_line_reference",),
     ),
     Mutant(
         "the .kr parser skips its endpoint check",

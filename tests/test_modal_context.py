@@ -396,9 +396,17 @@ def test_modal_context_validation():
         ModalContext(("n0", "n1", "n2"), (0b010,), (), universe)
     with pytest.raises(ValueError, match="endpoint"):
         ModalContext(("n0",), (1,), {("n0", "n9")}, universe)
+    with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
+        ModalContext(("n0",), (2,), {("n0", "n9")}, universe)  # columns before the relation
+    for successors in ((0b10,), (-1,), ()):
+        with pytest.raises(ValueError, match="^successor masks outside the named worlds$"):
+            ModalContext.from_masks(("n0",), (1,), successors, universe)
+    with pytest.raises(ValueError, match="^worlds 'n0' and 'n1' are equal as functions$"):
+        ModalContext.from_masks(("n0", "n1"), (0,), (0, 0), universe)
     mc = ModalContext(("n0", "n1"), [0b10], [("n1", "n0")], universe)
     assert mc.columns == (0b10,) and mc.relation == frozenset({("n1", "n0")})
     assert mc.successors == (0b00, 0b01)  # n1's successor n0 is bit 0
+    assert ModalContext(("n0", "n1"), [0b10], iter([["n1", "n0"]]), universe) == mc
     assert mc.theory_at("n1") == {P} and mc.theory_at("n0") == frozenset()
     with pytest.raises(ValueError, match="^unknown context world 'n9'$"):
         mc.theory_at("n9")
@@ -516,9 +524,16 @@ def checked_like_the_frozenset_form(mc):
 
 def test_columns_match_the_frozenset_form_on_the_acceptance_corpus():
     universes = [formula_universe(("p", "q"), depth=d) for d in (0, 1, 2)]
-    for seed in range(200):
-        model = gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
-        universe = universes[seed % 3]
+    inputs = [(gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4]),
+               universes[seed % 3]) for seed in range(200)]
+    rng = random.Random(517)
+    for seed, worlds, density in ((1, 40, 0.05), (2, 52, 0.15), (3, 64, 0.3)):
+        # classes of many worlds, stored out of name order, so that a class's
+        # number is neither its least world's position nor any one world's
+        model = gen_random_kripke(seed, worlds, ("p", "q"), density)
+        shuffled = rng.sample(model.worlds, len(model.worlds))
+        inputs.append((KripkeModel(shuffled, model.relation, model.valuation), universes[1]))
+    for model, universe in inputs:
         mc = to_modal_context(model, universe)
         names, theories, relation = frozenset_form(model, universe)
         assert mc == oracles.modal_context_of(names, theories, relation, universe)

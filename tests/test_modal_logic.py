@@ -43,7 +43,7 @@ from ctxkit.modal_logic import (
     world_theory,
 )
 from ctxkit.generators import gen_random_kripke
-from ctxkit.modal_context import quotient
+from ctxkit.modal_context import ModalContext, quotient, to_modal_context
 from ctxkit.modal_logic import _base_counts
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -436,13 +436,21 @@ def test_models_copy_and_pickle_as_equal_values():
         assert type(other) is KripkeModel and other == model
         assert (other.relation, other.valuation) == (model.relation, model.valuation)
         assert other._quotients == {}  # a copy starts its own memo
+    mc = to_modal_context(model, formula_universe(("p", "r"), 1))
+    assert len(mc.world_names) == 3 and mc.relation  # the views are filled before copying
+    for other in (copy.copy(mc), copy.deepcopy(mc), pickle.loads(pickle.dumps(mc))):
+        assert type(other) is ModalContext and other == mc and hash(other) == hash(mc)
+        assert (other.relation, other.rows) == (mc.relation, mc.rows)
 
 
 @pytest.mark.parametrize("density", (0.0, 0.05, 0.3, 1.0))
 def test_the_edge_count_is_the_relation_size(density):
+    universe = formula_universe(("p", "q"), 1)
     for seed in range(10):
         model = gen_random_kripke(seed, 1 + seed * 3, ("p", "q"), density)
         assert model.edge_count() == len(model.relation)
+        mc = to_modal_context(model, universe)  # its quotient context
+        assert mc.edge_count() == len(mc.relation)
 
 
 def test_equal_models_hash_equal_and_key_one_dict_entry():
