@@ -384,8 +384,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
             if universe is not None:
                 raise ModelFileError(source, line_no, "repeated universe header")
             fields = dict(part.split("=", 1) for part in parts[1:] if "=" in part)
-            missing = {"atoms", "depth", "cap"} - set(fields)
-            if missing or len(fields) != len(parts) - 1:
+            if fields.keys() != {"atoms", "depth", "cap"} or len(fields) != len(parts) - 1:
                 raise ModelFileError(
                     source, line_no, "expected `universe atoms=<list> depth=<d> cap=<k>`"
                 )

@@ -3,11 +3,14 @@
 Formula nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): building a node whose kind and fields
 already exist returns the existing node, so equality and hashing are object
-identity. Syntax is still never normalized, so `[]p` and `~<>~p` are
-different set members even though they are semantically equivalent. That
-distinction is load-bearing: world theories must witness syntax, and the
-box/diamond constructors double as the loop-free injective state tagging the
-framework asks of a modal operator.
+identity. Every kind is built by one constructor, which looks the node up by
+(kind, *fields) in a table of weak entries and builds it only on a miss; a
+node holds its fields, its children and, once printed, its text. Syntax is
+still never normalized, so `[]p` and `~<>~p` are different set members even
+though they are semantically equivalent. That distinction is load-bearing:
+world theories must witness syntax, and the box/diamond constructors double
+as the loop-free injective state tagging the framework asks of a modal
+operator.
 
 The parser, the printer and the evaluator walk explicit stacks, so a
 formula's depth costs memory, never interpreter frames. Precedence and
@@ -55,22 +58,46 @@ def _drop(entry: _Entry) -> None:
 _NODES: dict[tuple, _Entry] = {}
 
 
+def _new(cls, *fields):
+    """The live node of kind cls with these fields, else a new one."""
+    key = (cls,) + fields
+    entry = _NODES.get(key)
+    node = None if entry is None else entry()
+    return _intern(cls, key, fields) if node is None else node
+
+
+def _intern(cls, key: tuple, fields: tuple) -> Formula:
+    """Build the node of kind cls and enter it under key: the one place a node is built."""
+    if len(fields) != len(cls.fields):
+        raise TypeError(f"{cls.__name__} takes {len(cls.fields)} fields, not {len(fields)}")
+    node = object.__new__(cls)
+    for name, value in zip(cls.fields, fields):
+        _set(node, name, value)
+    _set(node, "children", () if cls is Atom else fields)
+    entry = _Entry(node, _drop)
+    entry.key = key
+    _NODES[key] = entry
+    return node
+
+
 class Formula:
     """Base class for formula nodes: immutable, hash-consed, compared by identity.
 
     Each kind declares its `fields` (children, except an atom's name), its
     `symbol`, its printing precedence `prec`, whether it associates to the
-    right, and whether it is modal. The children tuple, size and modal depth
-    are stored at construction, printed text on first print. Each arity has
-    its own constructor, below.
+    right, and whether it is modal. A node holds its fields and its children
+    tuple, and its printed text once printed. Every kind is built by the one
+    constructor, `_new`, with its fields in order.
     """
 
-    __slots__ = ("children", "size", "depth", "_text", "__weakref__")
+    __slots__ = ("children", "_text", "__weakref__")
     fields: tuple[str, ...] = ()
     symbol = ""
     prec = _PREC_ATOM
     right_assoc = False
     modal = False
+
+    __new__ = _new
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"formula nodes are immutable: cannot change {name!r}")
@@ -100,119 +127,53 @@ class Formula:
         return "".join(out)
 
 
-def _live(key: tuple) -> Formula | None:
-    entry = _NODES.get(key)
-    return None if entry is None else entry()
-
-
-def _intern(node: Formula, key: tuple, children: tuple, size: int, depth: int) -> Formula:
-    _set(node, "children", children)
-    _set(node, "size", size)
-    _set(node, "depth", depth)
-    entry = _Entry(node, _drop)
-    entry.key = key
-    _NODES[key] = entry
-    return node
-
-
-def _new_constant(cls):
-    key = (cls,)
-    node = _live(key)
-    if node is None:
-        node = _intern(object.__new__(cls), key, (), 1, 0)
-    return node
-
-
-def _new_atom(cls, name):
-    key = (cls, name)
-    node = _live(key)
-    if node is None:
-        node = object.__new__(cls)
-        _set(node, "name", name)
-        _intern(node, key, (), 1, 0)
-    return node
-
-
-def _new_unary(cls, operand):
-    key = (cls, operand)
-    node = _live(key)
-    if node is None:
-        node = object.__new__(cls)
-        _set(node, "operand", operand)
-        _intern(node, key, (operand,), operand.size + 1, operand.depth + cls.modal)
-    return node
-
-
-def _new_binary(cls, left, right):
-    key = (cls, left, right)
-    node = _live(key)
-    if node is None:
-        node = object.__new__(cls)
-        _set(node, "left", left)
-        _set(node, "right", right)
-        depth, other = left.depth, right.depth
-        _intern(node, key, (left, right), left.size + right.size + 1,
-                depth if depth >= other else other)
-    return node
-
-
 class Atom(Formula):
     __slots__ = fields = ("name",)
-    __new__ = _new_atom
     symbol = property(lambda self: self.name)  # an atom prints as its name
 
 
 class Top(Formula):
     __slots__ = ()
-    __new__ = _new_constant
     symbol = "true"
 
 
 class Bottom(Formula):
     __slots__ = ()
-    __new__ = _new_constant
     symbol = "false"
 
 
 class Not(Formula):
     __slots__ = fields = ("operand",)
-    __new__ = _new_unary
     symbol, prec = "~", _PREC_UNARY
 
 
 class And(Formula):
     __slots__ = fields = ("left", "right")
-    __new__ = _new_binary
     symbol, prec = "&", _PREC_AND
 
 
 class Or(Formula):
     __slots__ = fields = ("left", "right")
-    __new__ = _new_binary
     symbol, prec = "|", _PREC_OR
 
 
 class Implies(Formula):
     __slots__ = fields = ("left", "right")
-    __new__ = _new_binary
     symbol, prec, right_assoc = "->", _PREC_IMP, True
 
 
 class Iff(Formula):
     __slots__ = fields = ("left", "right")
-    __new__ = _new_binary
     symbol, prec = "<->", _PREC_IFF
 
 
 class Box(Formula):
     __slots__ = fields = ("operand",)
-    __new__ = _new_unary
     symbol, prec, modal = "[]", _PREC_UNARY, True
 
 
 class Diamond(Formula):
     __slots__ = fields = ("operand",)
-    __new__ = _new_unary
     symbol, prec, modal = "<>", _PREC_UNARY, True
 
 
@@ -577,25 +538,21 @@ def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, 
 def check_modal_operator(universe: FormulaUniverse) -> bool:
     """Executable witness that box/diamond are injective and loop-free on the
     universe: distinct members get distinct images, no member equals its own
-    image, and no iterate within the depth budget falls back onto the first
-    application.
+    image, and no iterate of up to `universe.depth + 2` applications falls
+    back onto the first application.
     """
     members = universe.members
     for wrap in (Box, Diamond):
         if len({wrap(f) for f in members}) != len(members):
             return False
-        budget = universe.depth + 2
         for f in members:
-            once = wrap(f)
+            once = iterate = wrap(f)
             if once == f:
                 return False
-            iterate = wrap(once)
-            steps = 2
-            while f.depth + steps <= budget:
+            for _ in range(universe.depth + 1):
+                iterate = wrap(iterate)
                 if iterate == once:
                     return False
-                iterate = wrap(iterate)
-                steps += 1
     return True
 
 

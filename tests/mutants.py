@@ -49,6 +49,10 @@ DETERMINISM_TESTS = (
     "tests/test_determinability.py::test_verdicts_and_witnesses_match_oracles_on_small_contexts",
 )
 
+# every formula of at most four nodes: one node each, built once, parsed back
+SMALL_FORMULAS = ("tests/test_modal_logic.py::"
+                  "test_every_formula_of_at_most_four_nodes_is_one_node")
+
 MUTANTS = (
     Mutant(
         "_rule reads [] as <>",
@@ -226,6 +230,27 @@ MUTANTS = (
         "(place[arg[1]], place[arg[0]])",
         ("tests/test_modal_logic.py::test_member_table_matches_the_node_and_sort_reference",
          FROZENSET_FORM),
+    ),
+    Mutant(
+        "the interning key drops the kind",
+        "modal_logic.py",
+        "key = (cls,) + fields",
+        "key = fields",
+        (SMALL_FORMULAS,),
+    ),
+    Mutant(
+        "an atom's children are its fields",
+        "modal_logic.py",
+        '_set(node, "children", () if cls is Atom else fields)',
+        '_set(node, "children", fields)',
+        (SMALL_FORMULAS,),
+    ),
+    Mutant(
+        "a live node is built again",
+        "modal_logic.py",
+        "return _intern(cls, key, fields) if node is None else node",
+        "return _intern(cls, key, fields)",
+        (SMALL_FORMULAS,),
     ),
     Mutant(
         "successor masks built transposed",

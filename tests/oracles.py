@@ -384,8 +384,6 @@ def naive_print(formula, floor=0):
 
 
 def _formula_children(formula):
-    from ctxkit.modal_logic import And, Box, Diamond, Iff, Implies, Not, Or
-
     if isinstance(formula, (Not, Box, Diamond)):
         return (formula.operand,)
     if isinstance(formula, (And, Or, Implies, Iff)):
@@ -407,14 +405,6 @@ def subformulas(formula):
 def naive_size(formula):
     """Node count of the tree, shared subtrees counted at every occurrence."""
     return 1 + sum(naive_size(kid) for kid in _formula_children(formula))
-
-
-def naive_depth(formula):
-    """Maximum box/diamond nesting."""
-    from ctxkit.modal_logic import Box, Diamond
-
-    inner = max((naive_depth(kid) for kid in _formula_children(formula)), default=0)
-    return inner + isinstance(formula, (Box, Diamond))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +615,7 @@ def reference_universe(atoms, depth, cap):
         targets = bases | {Not(f) for f in bases} if cap >= 1 else set(bases)
         bases |= {Box(f) for f in targets} | {Diamond(f) for f in targets}
     members = _reference_boolean_layers(bases, cap, limit)
-    return sorted(members, key=lambda f: (f.size, print_formula(f)))
+    return sorted(members, key=lambda f: (naive_size(f), print_formula(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +744,7 @@ def reference_parse_modal_context(text, source="<string>"):
             fields = dict(
                 part.split("=", 1) for part in parts[1:] if "=" in part
             )
-            missing = {"atoms", "depth", "cap"} - set(fields)
-            if missing or len(fields) != len(parts) - 1:
+            if set(fields) != {"atoms", "depth", "cap"} or len(fields) != len(parts) - 1:
                 raise ModelFileError(
                     source, line_no, "expected `universe atoms=<list> depth=<d> cap=<k>`"
                 )

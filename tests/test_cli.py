@@ -445,6 +445,16 @@ def test_constant_words_are_refused_in_a_mctx_header(word, tmp_path, capsys):
     assert f"error: {path}:1: invalid atom name '{word}'\n" in capsys.readouterr().err
 
 
+def test_an_unknown_key_in_a_mctx_header_is_refused(tmp_path, capsys):
+    path = tmp_path / "c.mctx"
+    path.write_text("universe atoms=p,q depth=1 cap=1 colour=red\ncworld c0\n")
+    assert cli_dispatch(["modal", "check-context", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: {path}:1: expected `universe atoms=<list> depth=<d> cap=<k>`\n"
+            in captured.err)
+
+
 @pytest.mark.parametrize("word", ["true", "false", "Paris"])
 def test_constant_words_are_refused_in_a_kr_val_line(word, tmp_path, capsys):
     # a bad atom is reported at its first val line, like every other .kr error

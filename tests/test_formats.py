@@ -894,6 +894,18 @@ def test_bad_universe_counts_name_their_field(header, message):
     assert str(info.value) == f"<string>:1: {message}"
 
 
+@pytest.mark.parametrize("header", [
+    "universe atoms=p,q depth=1 cap=1 colour=red",
+    "universe atoms=p,q depth=1",
+    "universe atoms=p depth=1 cap=1 cap=1",
+    "universe atoms=p depth=1 cap 1",
+])
+def test_a_universe_header_holds_exactly_its_three_keys(header):
+    for parse in (parse_modal_context, oracles.reference_parse_modal_context):
+        assert loaded_by(parse, header + "\ncworld c0\n") == (
+            "<string>:1: expected `universe atoms=<list> depth=<d> cap=<k>`", 1)
+
+
 @pytest.mark.parametrize("depth", (0, 1, 2))
 @pytest.mark.parametrize("cap", (0, 1))
 def test_printed_form_lookup_has_one_entry_per_member(depth, cap):

@@ -26,7 +26,6 @@ from ctxkit.modal_logic import (
     Not,
     formula_universe,
     satisfies,
-    world_theory,
 )
 from ctxkit.modal_context import (
     ModalContext,
@@ -493,9 +492,10 @@ def test_verify_theorem_applies_the_rule_once_per_table(monkeypatch, tmp_path, c
 def frozenset_form(model, universe):
     """(names, {name: theory}, relation) of the quotient context, with
     classes grouped on the evaluator's world theories."""
-    groups = {}
+    evaluator, groups = Evaluator(model), {}  # one extension memo for every world
     for w in model.worlds:
-        groups.setdefault(world_theory(model, w, universe), []).append(w)
+        theory = frozenset(f for f in universe.members if evaluator.satisfies(w, f))
+        groups.setdefault(theory, []).append(w)
     classes = sorted((min(ws), ws, theory) for theory, ws in groups.items())
     names = tuple(f"c{k}" for k in range(len(classes)))
     name_of = {w: name for name, (_, ws, _) in zip(names, classes) for w in ws}

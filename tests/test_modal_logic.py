@@ -129,12 +129,12 @@ def test_print_parse_is_canonical_on_strings():
 def test_deep_formulas_parse_and_evaluate_without_recursion(monkeypatch, two_world_model):
     monkeypatch.setenv("CTXKIT_GUARD", "200000")
     chain = parse_formula("~" * 50_000 + "p")
-    assert chain.size == 50_001
+    assert len(oracles.subformulas(chain)) == 50_001
     evaluator = Evaluator(two_world_model)
     assert evaluator.extension(chain) == frozenset({"w2"})  # an even number of ~
     monkeypatch.delenv("CTXKIT_GUARD")
     right = parse_formula("p -> " * 4_000 + "q")
-    assert right.size == 8_001 and right.right.right.left is P
+    assert len(oracles.subformulas(right)) == 4_002 and right.right.right.left is P
     assert not satisfies(two_world_model, "w2", right)
     nested = parse_formula("(" * 9_000 + "[]p" + ")" * 9_000)
     assert nested is Box(P)
@@ -143,7 +143,8 @@ def test_deep_formulas_parse_and_evaluate_without_recursion(monkeypatch, two_wor
 
 def test_formula_guard_counts_nodes_before_building_any(monkeypatch):
     monkeypatch.delenv("CTXKIT_GUARD", raising=False)
-    assert parse_formula("(" * 10 + "~" * 9_999 + "q_guard" + ")" * 10).size == 10_000
+    guarded = parse_formula("(" * 10 + "~" * 9_999 + "q_guard" + ")" * 10)
+    assert len(oracles.subformulas(guarded)) == 10_000
     nodes = dict(modal_logic._NODES)
     with pytest.raises(SizeGuardError) as err:
         parse_formula("~" * 10_000 + "r_guard")
@@ -159,7 +160,7 @@ def test_formula_guard_counts_nodes_before_building_any(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# hash-consed nodes: identity, memoised text, stored size and depth
+# hash-consed nodes: one constructor, identity, memoised text
 # ---------------------------------------------------------------------------
 
 # a formula as a nested (kind, *parts) spec, so that it can be built twice
@@ -193,25 +194,42 @@ def test_formula_nodes_are_hash_consed(spec):
     text = print_formula(formula)
     assert parse_formula(text) is formula
     assert text == oracles.naive_print(formula)
-    assert formula.size == oracles.naive_size(formula)
-    assert formula.depth == oracles.naive_depth(formula)
+
+
+def small_specs(nodes):
+    """Every formula spec of exactly `nodes` nodes over p, q, true and false."""
+    if nodes == 1:
+        return [(Atom, "p"), (Atom, "q"), (Top,), (Bottom,)]
+    specs = [(kind, part) for kind in (Not, Box, Diamond) for part in small_specs(nodes - 1)]
+    for left in range(1, nodes - 1):
+        pairs = [(a, b) for a in small_specs(left) for b in small_specs(nodes - 1 - left)]
+        specs += [(kind, a, b) for kind in (And, Or, Implies, Iff) for a, b in pairs]
+    return specs
+
+
+def test_every_formula_of_at_most_four_nodes_is_one_node():
+    specs = [spec for nodes in range(1, 5) for spec in small_specs(nodes)]
+    assert len(specs) == len(set(specs)) == 800
+    formulas = [build(spec) for spec in specs]
+    assert len(set(formulas)) == len(specs)  # distinct formulas are distinct nodes
+    for spec, formula in zip(specs, formulas):
+        assert build(spec) is formula
+        text = print_formula(formula)
+        assert parse_formula(text) is formula
+        assert text == oracles.naive_print(formula)
+    for kind, fields in ((Atom, ()), (Top, ("p",)), (Not, (P, Q)), (And, (P,))):
+        with pytest.raises(TypeError):
+            kind(*fields)
 
 
 def test_parsed_formula_is_the_constructed_node():
     assert parse_formula("[]p -> q") is Implies(Box(Atom("p")), Atom("q"))
 
 
-def test_modal_depth():
-    assert P.depth == 0
-    assert Box(P).depth == 1
-    assert And(Box(Diamond(P)), Q).depth == 2
-
-
 def test_deep_box_chain_is_walked_without_recursion():
     formula = P
     for _ in range(10_000):
         formula = Box(formula)
-    assert formula.depth == 10_000
     assert len(oracles.subformulas(formula)) == 10_001
 
 
@@ -513,13 +531,15 @@ def test_theory_monotone_in_universe():
     rng = random.Random(5566)
     small = formula_universe(("p", "q"), depth=1)
     large = formula_universe(("p", "q"), depth=2)
-    assert set(small.members) <= set(large.members)
+    in_small = set(small.members)
+    assert in_small <= set(large.members)
     for _ in range(25):
         model = corpus.random_kripke(rng)
+        evaluator = Evaluator(model)  # one extension memo for every theory of the model
         for world in model.worlds:
-            t_small = world_theory(model, world, small)
-            t_large = world_theory(model, world, large)
-            assert t_small == {f for f in t_large if f in small}
+            t_small = {f for f in small.members if evaluator.satisfies(world, f)}
+            t_large = {f for f in large.members if evaluator.satisfies(world, f)}
+            assert t_small == t_large & in_small
 
 
 # ---------------------------------------------------------------------------
