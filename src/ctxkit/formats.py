@@ -82,12 +82,13 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
 
     Each instance fills one row of state indices, and an int bitmask of the
     cells filled so far gives the given-twice and missing-cell checks. Each
-    distinct cell line is tokenised once and kept as (mask, positions, state
-    indices): a repeat costs one dict lookup, one mask test and, when its
-    positions are contiguous, one slice assignment. Alice/Bob at horizon 6
-    has 1,944 cell lines but only 128 distinct ones. Each distinct cell
-    token is validated once, too. No `Instance` is built, and the rows,
-    checked here and nowhere else, become the context with only a sort.
+    distinct cell line is checked token by token once, and compiled into
+    (mask, positions, state indices); every cell line then fills the row in
+    one step: one mask test and, for contiguous positions, one slice
+    assignment. Alice/Bob at horizon 6 has 1,944 cell lines but only 128
+    distinct ones. Each distinct cell token is validated once, too. No
+    `Instance` is built, and the rows, checked here and nowhere else, become
+    the context with only a sort.
     """
     headers: dict[str, tuple[str, ...]] = {}
     sig: Signature | None = None
@@ -133,85 +134,80 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
         return ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        # a stored line is a cell line read inside an instance, and every
-        # later line is inside one too
-        stored = memo.get(raw)
-        if stored is not None:
-            mask, positions, indices, span = stored
-            if filled & mask:
-                raise given_twice(next(k for k in positions if filled >> k & 1), line_no)
-            filled |= mask
-            if span is None:
-                for k, i in zip(positions, indices):
-                    cells[k] = i
-            else:
-                cells[span] = indices
-            continue
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        tokens = content.split()
-        first = tokens[0]
-        if first in _ALPHABETS:
-            key = first[:-1]
-            if sig is not None or key in headers:
-                raise ModelFileError(source, line_no, f"{first} after instances or repeated")
-            headers[key] = tuple(tokens[1:])
-            try:
-                check_alphabet(_ALPHABETS[first], headers[key])
-            except ValueError as exc:
-                raise ModelFileError(source, line_no, str(exc)) from None
-            continue
-        if sig is None:
-            sig = signature(line_no)
-            cell_keys = [(e, t) for e in sig.entities for t in sig.times]  # entity-major
-            position = {key: k for k, key in enumerate(cell_keys)}
-            state_index = {s: i for i, s in enumerate(sig.states)}
-            full = (1 << len(cell_keys)) - 1
-        if first == "instance":
-            if name is not None:
-                close_instance(name, name_line, cells, filled)
-            rest = content[len("instance") :].strip()
-            if not rest.endswith(":") or not rest[:-1].strip():
-                raise ModelFileError(source, line_no, "expected `instance <name>:`")
-            name, name_line = rest[:-1].strip(), line_no
-            if name in named:
-                raise ModelFileError(source, line_no, f"instance name {name!r} reused")
-            cells, filled = [0] * len(cell_keys), 0
-            continue
-        if name is None:
-            raise ModelFileError(source, line_no, f"unexpected line {content!r}")
-        mask, positions, indices = 0, [], []
-        for token in tokens:
-            cell = cell_of.get(token)
-            if cell is None:
-                entity, at, rest = token.partition("@")
-                time, eq, state = rest.partition("=")
-                if not at or not eq or not entity or not time or not state:
-                    raise ModelFileError(
-                        source, line_no, f"malformed cell {token!r}, expected entity@time=state"
-                    )
-                k = position.get((entity, time))
-                if k is None:
-                    if entity not in sig.entities:
-                        raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
-                    raise ModelFileError(source, line_no, f"unknown time {time!r}")
-                i = state_index.get(state)
-                if i is None:
-                    raise ModelFileError(source, line_no, f"unknown state {state!r}")
-                cell = cell_of[token] = (k, i)
-            k, i = cell
-            bit = 1 << k
-            if filled & bit:
-                raise given_twice(k, line_no)
-            filled |= bit
-            mask |= bit
-            cells[k] = i
-            positions.append(k)
-            indices.append(i)
-        lo, hi = positions[0], positions[-1] + 1
-        span = slice(lo, hi) if positions == list(range(lo, hi)) else None
-        memo[raw] = (mask, tuple(positions), tuple(indices), span)
+        compiled = memo.get(raw)
+        if compiled is None:  # not a cell line read before: check it token by token
+            content = raw.split("#", 1)[0].strip()
+            if not content:
+                continue
+            tokens = content.split()
+            first = tokens[0]
+            if first in _ALPHABETS:
+                key = first[:-1]
+                if sig is not None or key in headers:
+                    raise ModelFileError(source, line_no, f"{first} after instances or repeated")
+                headers[key] = tuple(tokens[1:])
+                try:
+                    check_alphabet(_ALPHABETS[first], headers[key])
+                except ValueError as exc:
+                    raise ModelFileError(source, line_no, str(exc)) from None
+                continue
+            if sig is None:
+                sig = signature(line_no)
+                cell_keys = [(e, t) for e in sig.entities for t in sig.times]  # entity-major
+                position = {key: k for k, key in enumerate(cell_keys)}
+                state_index = {s: i for i, s in enumerate(sig.states)}
+                full = (1 << len(cell_keys)) - 1
+            if first == "instance":
+                if name is not None:
+                    close_instance(name, name_line, cells, filled)
+                rest = content[len("instance") :].strip()
+                if not rest.endswith(":") or not rest[:-1].strip():
+                    raise ModelFileError(source, line_no, "expected `instance <name>:`")
+                name, name_line = rest[:-1].strip(), line_no
+                if name in named:
+                    raise ModelFileError(source, line_no, f"instance name {name!r} reused")
+                cells, filled = [0] * len(cell_keys), 0
+                continue
+            if name is None:
+                raise ModelFileError(source, line_no, f"unexpected line {content!r}")
+            mask, positions, indices = 0, [], []
+            for token in tokens:
+                cell = cell_of.get(token)
+                if cell is None:
+                    entity, at, rest = token.partition("@")
+                    time, eq, state = rest.partition("=")
+                    if not at or not eq or not entity or not time or not state:
+                        raise ModelFileError(
+                            source, line_no, f"malformed cell {token!r}, expected entity@time=state"
+                        )
+                    k = position.get((entity, time))
+                    if k is None:
+                        if entity not in sig.entities:
+                            raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
+                        raise ModelFileError(source, line_no, f"unknown time {time!r}")
+                    i = state_index.get(state)
+                    if i is None:
+                        raise ModelFileError(source, line_no, f"unknown state {state!r}")
+                    cell = cell_of[token] = (k, i)
+                k, i = cell
+                if (filled | mask) >> k & 1:
+                    raise given_twice(k, line_no)
+                mask |= 1 << k
+                positions.append(k)
+                indices.append(i)
+            lo, hi = positions[0], positions[-1] + 1
+            span = slice(lo, hi) if positions == list(range(lo, hi)) else None
+            compiled = memo[raw] = (mask, tuple(positions), tuple(indices), span)
+        # a compiled line is a cell line of the open instance: it fills the row
+        mask, positions, indices, span = compiled
+        if filled & mask:
+            raise given_twice(next(k for k in positions if filled >> k & 1), line_no)
+        filled |= mask
+        if span is None:
+            for k, i in zip(positions, indices):
+                cells[k] = i
+        else:
+            cells[span] = indices
 
     if sig is None:
         if not headers:

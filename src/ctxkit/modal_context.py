@@ -109,13 +109,10 @@ class ModalContext:
 
     def __new__(cls, world_names: Iterable[str], columns: Iterable[int],
                 relation: Iterable[tuple[str, str]], universe: FormulaUniverse):
+        """A context over named worlds: the names are checked first, then the
+        relation, read once in `successor_masks`, then the masks in `from_masks`."""
         names = tuple(world_names)
-        index = world_index(names, "context-world")
-        try:
-            successors = successor_masks(index, list(relation), "context")  # read twice
-        except ValueError:  # reported after the column checks
-            cls.from_masks(names, columns, [0] * len(names), universe)
-            raise
+        successors = successor_masks(world_index(names, "context-world"), relation, "context")
         return cls.from_masks(names, columns, successors, universe)
 
     @classmethod

@@ -84,10 +84,10 @@ class Formula:
     """Base class for formula nodes: immutable, hash-consed, compared by identity.
 
     Each kind declares its `fields` (children, except an atom's name), its
-    `symbol`, its printing precedence `prec`, whether it associates to the
-    right, and whether it is modal. A node holds its fields and its children
-    tuple, and its printed text once printed. Every kind is built by the one
-    constructor, `_new`, with its fields in order.
+    `symbol`, its printing precedence `prec`, and whether it associates to
+    the right. A node holds its fields and its children tuple, and its
+    printed text once printed. Every kind is built by the one constructor,
+    `_new`, with its fields in order.
     """
 
     __slots__ = ("children", "_text", "__weakref__")
@@ -95,7 +95,6 @@ class Formula:
     symbol = ""
     prec = _PREC_ATOM
     right_assoc = False
-    modal = False
 
     __new__ = _new
 
@@ -169,12 +168,12 @@ class Iff(Formula):
 
 class Box(Formula):
     __slots__ = fields = ("operand",)
-    symbol, prec, modal = "[]", _PREC_UNARY, True
+    symbol, prec = "[]", _PREC_UNARY
 
 
 class Diamond(Formula):
     __slots__ = fields = ("operand",)
-    symbol, prec, modal = "<>", _PREC_UNARY, True
+    symbol, prec = "<>", _PREC_UNARY
 
 
 TOP = Top()
@@ -576,8 +575,10 @@ def world_index(names: tuple[str, ...], noun: str) -> dict[str, int]:
 def successor_masks(index: Mapping[str, int], relation: Iterable[tuple[str, str]],
                     owner: str) -> list[int]:
     """Each world's mask of the worlds it reaches, world w's bit being
-    index[w]. A non-pair, or a pair with an endpoint outside index, is
-    refused; of the latter, the smallest is named, whatever the set's order."""
+    index[w], from pairs in any iterable, read once. A non-pair, or a pair
+    with an endpoint outside index, is refused; of the latter, the smallest
+    is named, whatever the pairs' order. It is the one reader of such pairs."""
+    relation = list(relation)
     outside = [(a, b) for a, b in relation if a not in index or b not in index]
     if outside:
         a, b = min(outside)
@@ -617,7 +618,6 @@ class KripkeModel:
                 valuation: Mapping[str, Iterable[str]]):
         worlds = tuple(worlds)
         valuation = {atom: frozenset(ws) for atom, ws in dict(valuation).items()}
-        relation = frozenset(tuple(p) for p in relation)
         index = world_index(worlds, "world")
         successors = successor_masks(index, relation, "model")
         for atom, ws in valuation.items():

@@ -38,15 +38,20 @@ FROZENSET_FORM = MODAL + "test_columns_match_the_frozenset_form_on_the_acceptanc
 # the .kr parser against its line-by-line reference
 KRIPKE_REFERENCE = ("tests/test_formats.py::"
                     "test_kripke_loader_agrees_with_the_line_by_line_reference")
+# every nonempty context of two small signatures against the oracles
+SMALL_SCOPE = ("tests/test_small_scope.py::"
+               "test_every_context_in_the_small_scopes_agrees_with_the_oracles")
 # determinability verdicts and witnesses against the oracles
 WITNESS_TESTS = (
     "tests/test_determinability.py::test_determinability_agrees_with_oracle_on_corpus",
     "tests/test_determinability.py::test_verdicts_and_witnesses_match_oracles_on_small_contexts",
+    SMALL_SCOPE,
 )
 # determinism verdicts against the oracle
 DETERMINISM_TESTS = (
     "tests/test_determinability.py::test_iterator_and_determinism_agree_with_oracles_on_corpus",
     "tests/test_determinability.py::test_verdicts_and_witnesses_match_oracles_on_small_contexts",
+    SMALL_SCOPE,
 )
 
 # every formula of at most four nodes: one node each, built once, parsed back
@@ -146,9 +151,17 @@ MUTANTS = (
     Mutant(
         "the parse_context memo drops its given-twice test",
         "formats.py",
-        "            if filled & mask:\n                raise given_twice(",
-        "            if False:\n                raise given_twice(",
+        "        if filled & mask:\n            raise given_twice(",
+        "        if False:\n            raise given_twice(",
         ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",),
+    ),
+    Mutant(
+        "a compiled line misses a cell given twice on one line",
+        "formats.py",
+        "(filled | mask) >> k & 1",
+        "filled >> k & 1",
+        ("tests/test_formats.py::test_context_parse_errors_carry_line_numbers",
+         "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
     ),
     Mutant(
         "a canonical has line is taken before any world line",
@@ -251,6 +264,15 @@ MUTANTS = (
         "return _intern(cls, key, fields) if node is None else node",
         "return _intern(cls, key, fields)",
         (SMALL_FORMULAS,),
+    ),
+    Mutant(
+        "successor_masks reads a one-shot relation twice",
+        "modal_logic.py",
+        "    relation = list(relation)\n",
+        "",
+        ("tests/test_modal_logic.py::"
+         "test_a_generator_of_pairs_builds_the_model_of_the_set_it_yields",
+         MODAL + "test_modal_context_validation"),
     ),
     Mutant(
         "successor masks built transposed",

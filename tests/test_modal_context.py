@@ -395,8 +395,8 @@ def test_modal_context_validation():
         ModalContext(("n0", "n1", "n2"), (0b010,), (), universe)
     with pytest.raises(ValueError, match="endpoint"):
         ModalContext(("n0",), (1,), {("n0", "n9")}, universe)
-    with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
-        ModalContext(("n0",), (2,), {("n0", "n9")}, universe)  # columns before the relation
+    with pytest.raises(ValueError, match=r"^relation endpoint outside the context: \(n0, n9\)$"):
+        ModalContext(("n0",), (2,), {("n0", "n9")}, universe)  # the relation before columns
     for successors in ((0b10,), (-1,), ()):
         with pytest.raises(ValueError, match="^successor masks outside the named worlds$"):
             ModalContext.from_masks(("n0",), (1,), successors, universe)

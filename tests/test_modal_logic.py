@@ -438,6 +438,12 @@ def test_pair_built_and_mask_built_models_are_equal_with_equal_views(parts):
             tuple(worlds), frozenset(relation), held)
 
 
+def test_a_generator_of_pairs_builds_the_model_of_the_set_it_yields():
+    pairs = (list(pair) for pair in sorted(MODEL["relation"]))  # read once, lists as pairs
+    model = KripkeModel(MODEL["worlds"], pairs, MODEL["valuation"])
+    assert model == KripkeModel(**MODEL) and model.successors == (0b010, 0b010, 0b001)
+
+
 def test_the_mask_constructor_checks_only_that_masks_stay_within_the_worlds():
     for successors, atoms in (((0b100, 0), {}), ((0, 0), {"p": 0b100}),
                               ((-1, 0), {}), ((0,), {})):
