@@ -41,11 +41,7 @@ from ctxkit.core import (
     Snapshot,
     build_full_space,
     consistency_context,
-    curry_entity,
-    curry_time,
     restrict,
-    uncurry_entity,
-    uncurry_time,
 )
 from ctxkit.determinability import (
     DeterminabilityReport,

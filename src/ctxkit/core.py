@@ -14,7 +14,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 DEFAULT_SPACE_GUARD = 2 ** 20
 GUARD_ENV_VAR = "CTXKIT_GUARD"
@@ -173,13 +173,6 @@ class Instance:
     def snapshot(self, time: str) -> Snapshot:
         return self.snapshot_at(position(self.times, time, "time label"))
 
-    def table(self) -> dict[tuple[str, str], str]:
-        return {
-            (e, t): self.value_at(ei, ti)
-            for ei, e in enumerate(self.entities)
-            for ti, t in enumerate(self.times)
-        }
-
 
 Row = tuple[int, ...]
 
@@ -192,10 +185,10 @@ class Context:
     in `signature.states`) in the entity-major cell order of `Instance`.
     A row is the instance as a function E x T -> S as it stands, and its
     time slice `row[k::len(times)]` is the snapshot at time k, the
-    (S^E)^T currying view below. Set semantics: duplicate rows collapse on
-    construction, and the kept rows are sorted, which is the canonical
-    order (lexicographic over the cell table, states ordered as in the
-    signature) that makes derived output reproducible byte for byte.
+    (S^E)^T view of `Instance.snapshot_at`. Set semantics: duplicate rows
+    collapse on construction, and the kept rows are sorted, which is the
+    canonical order (lexicographic over the cell table, states ordered as
+    in the signature) that makes derived output reproducible byte for byte.
     `instances` views the rows as `Instance` values, built on first use.
     """
 
@@ -215,7 +208,8 @@ class Context:
     @classmethod
     def from_sorted_rows(cls, signature: Signature, rows: tuple[Row, ...]) -> Context:
         """The context of rows already distinct, sorted, full width and of
-        valid state indices, as the .ctx parser holds them: nothing is checked."""
+        valid state indices, as the .ctx parser holds them and as a subset of
+        a checked context's rows, in order, keeps them: nothing is checked."""
         ctx = cls.__new__(cls)
         vars(ctx).update(signature=signature, rows=rows)
         return ctx
@@ -272,8 +266,9 @@ class Context:
 
 
 def _checked_rows(sig: Signature, rows: Iterable[Row]) -> tuple[Row, ...]:
-    """The check of every row not read by the .ctx parser: one state index
-    per cell, every index names a state, and the distinct rows come sorted."""
+    """The check of every row not read by the .ctx parser nor kept from a
+    checked context: one state index per cell, every index names a state,
+    and the distinct rows come sorted."""
     unique = list(dict.fromkeys(rows))
     unique.sort()  # linear on rows that come sorted, as rendered files hold them
     width, n_states = sig.cell_count(), len(sig.states)
@@ -285,53 +280,6 @@ def _checked_rows(sig: Signature, rows: Iterable[Row]) -> tuple[Row, ...]:
 
 
 # ---------------------------------------------------------------------------
-# currying isomorphisms between S^(ExT), (S^E)^T and (S^T)^E
-# ---------------------------------------------------------------------------
-
-def curry_time(inst: Instance) -> dict[str, Snapshot]:
-    """View an instance as time -> snapshot. Key order follows the time chain."""
-    return {t: inst.snapshot_at(ti) for ti, t in enumerate(inst.times)}
-
-
-def uncurry_time(by_time: Mapping[str, Snapshot]) -> Instance:
-    """Inverse of curry_time; the mapping's key order gives the time chain."""
-    if not by_time:
-        raise ValueError("cannot uncurry an empty mapping")
-    times = tuple(by_time)
-    snaps = list(by_time.values())
-    entities = snaps[0].entities
-    for s in snaps:
-        if s.entities != entities:
-            raise ValueError("snapshots disagree on the entity set")
-    cells = tuple(
-        by_time[t].states[ei] for ei in range(len(entities)) for t in times
-    )
-    return Instance(entities, times, cells)
-
-
-def curry_entity(inst: Instance) -> dict[str, dict[str, str]]:
-    """View an instance as entity -> (time -> state)."""
-    return {
-        e: {t: inst.value_at(ei, ti) for ti, t in enumerate(inst.times)}
-        for ei, e in enumerate(inst.entities)
-    }
-
-
-def uncurry_entity(by_entity: Mapping[str, Mapping[str, str]]) -> Instance:
-    """Inverse of curry_entity; key orders give the entity and time chains."""
-    if not by_entity:
-        raise ValueError("cannot uncurry an empty mapping")
-    entities = tuple(by_entity)
-    trajectories = list(by_entity.values())
-    times = tuple(trajectories[0])
-    for traj in trajectories:
-        if tuple(traj) != times:
-            raise ValueError("trajectories disagree on the time chain")
-    cells = tuple(by_entity[e][t] for e in entities for t in times)
-    return Instance(entities, times, cells)
-
-
-# ---------------------------------------------------------------------------
 # consistency contexts and context construction
 # ---------------------------------------------------------------------------
 
@@ -339,7 +287,8 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     """All members of ctx that agree with ref on every cell up to time t.
 
     ref must be an instance over the context's signature but need not be a
-    member of the context itself.
+    member of the context itself. The kept rows are a subset of ctx.rows in
+    their order, so they are not checked again.
     """
     sig = ctx.signature
     try:
@@ -349,9 +298,8 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     n, upto = len(sig.times), sig.time_index(t) + 1
     spans = [(start, start + upto) for start in range(0, sig.cell_count(), n)]
     prefix = [ref_row[a:b] for a, b in spans]
-    return Context.from_rows(
-        sig, [row for row in ctx.rows if [row[a:b] for a, b in spans] == prefix]
-    )
+    kept = [row for row in ctx.rows if [row[a:b] for a, b in spans] == prefix]
+    return Context.from_sorted_rows(sig, tuple(kept))
 
 
 def check_full_space_guard(sig: Signature) -> None:
@@ -379,7 +327,7 @@ def build_full_space(sig: Signature) -> Context:
 
 
 def restrict(ctx: Context, pred: Callable[[Instance], bool]) -> Context:
-    """The subcontext of instances satisfying pred."""
-    return Context.from_rows(
-        ctx.signature, [row for row, inst in zip(ctx.rows, ctx.instances) if pred(inst)]
-    )
+    """The subcontext of instances satisfying pred. The kept rows are a
+    subset of ctx.rows in their order, so they are not checked again."""
+    kept = [row for row, inst in zip(ctx.rows, ctx.instances) if pred(inst)]
+    return Context.from_sorted_rows(ctx.signature, tuple(kept))

@@ -29,11 +29,13 @@ class ModelFileError(ValueError):
 
 
 def decode(data: bytes, path: str | Path) -> str:
-    """A file's bytes as UTF-8 text; other bytes are a file error naming the path."""
+    """A file's bytes as UTF-8 text, less one leading byte-order mark; other
+    bytes are a file error naming the path, at their offset in the file."""
     try:
-        return data.decode()
+        text = data.decode()
     except UnicodeDecodeError as exc:
         raise ModelFileError(path, None, str(exc)) from None
+    return text.removeprefix("\ufeff")
 
 
 def digest(data: bytes) -> str:

@@ -30,9 +30,20 @@ def random_context(rng: random.Random, max_instances=20, **kwargs) -> Context:
     return Context(sig, tuple(random_instance(rng, sig) for _ in range(count)))
 
 
+def table(inst: Instance) -> dict[tuple[str, str], str]:
+    """An instance as the plain {(entity, time): state} dict the oracles
+    read, built from its fields alone, with no library call."""
+    n = len(inst.times)
+    return {
+        (e, t): inst.cells[ei * n + ti]
+        for ei, e in enumerate(inst.entities)
+        for ti, t in enumerate(inst.times)
+    }
+
+
 def as_tables(ctx: Context):
     """Plain-dict view for feeding the brute-force oracles."""
-    return [inst.table() for inst in ctx.instances]
+    return [table(inst) for inst in ctx.instances]
 
 
 def oracle_bundle(ctx: Context, inst: Instance, t: str) -> frozenset:

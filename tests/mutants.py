@@ -41,6 +41,10 @@ KRIPKE_REFERENCE = ("tests/test_formats.py::"
 # every nonempty context of two small signatures against the oracles
 SMALL_SCOPE = ("tests/test_small_scope.py::"
                "test_every_context_in_the_small_scopes_agrees_with_the_oracles")
+# every Kripke model of two small scopes against the oracles, and the
+# flipped copies of one scope's quotient contexts
+KRIPKE_SMALL_SCOPE = ("tests/test_small_scope.py::"
+                      "test_every_kripke_model_in_the_small_scopes_agrees_with_the_oracles")
 # determinability verdicts and witnesses against the oracles
 WITNESS_TESTS = (
     "tests/test_determinability.py::test_determinability_agrees_with_oracle_on_corpus",
@@ -64,7 +68,7 @@ MUTANTS = (
         "modal_context.py",
         "mask = sum([bit for bit, succ in worlds if succ & inner == succ])",
         "mask = sum([bit for bit, succ in worlds if succ & inner])",
-        (MODAL + "test_table_masks_are_the_evaluator_extensions",),
+        (MODAL + "test_table_masks_are_the_evaluator_extensions", KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "the check table fills from its own masks",
@@ -73,7 +77,8 @@ MUTANTS = (
         "masks = out",
         (MODAL + "test_mutated_contexts_report_the_frozenset_violations",
          MODAL + "test_hand_built_contexts_check_like_the_frozenset_form",
-         "tests/test_cli.py::test_modal_check_context_prints_the_pinned_violation_report"),
+         "tests/test_cli.py::test_modal_check_context_prints_the_pinned_violation_report",
+         KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "windowed partner test without its first half",
@@ -133,6 +138,15 @@ MUTANTS = (
          "tests/test_formats.py::test_parsed_contexts_equal_the_checked_constructor"),
     ),
     Mutant(
+        "consistency_context passes its kept rows reversed",
+        "core.py",
+        "return Context.from_sorted_rows(sig, tuple(kept))",
+        "return Context.from_sorted_rows(sig, tuple(kept[::-1]))",
+        ("tests/test_core.py::test_consistency_laws_on_random_corpus",
+         "tests/test_recorded_bytes.py::"
+         "test_context_commands_print_the_recorded_bytes[timelines-200-26]"),
+    ),
+    Mutant(
         "the leaf route ignores leftover words",
         "cli.py",
         "        if not rest:\n            return args\n",
@@ -146,7 +160,8 @@ MUTANTS = (
         "return True",
         (MODAL + "test_requotient_check_is_the_second_quotient_on_the_acceptance_corpus",
          MODAL + "test_requotient_check_is_the_second_quotient_on_hand_built_contexts",
-         MODAL + "test_a_requotient_fixed_point_is_a_modal_context"),
+         MODAL + "test_a_requotient_fixed_point_is_a_modal_context",
+         KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "the parse_context memo drops its given-twice test",
@@ -180,6 +195,14 @@ MUTANTS = (
          "test_a_respaced_has_line_is_looked_up_without_building_a_node",),
     ),
     Mutant(
+        "decode keeps a leading byte-order mark",
+        "formats.py",
+        'return text.removeprefix("\\ufeff")',
+        "return text",
+        ("tests/test_formats.py::test_a_leading_byte_order_mark_is_dropped",
+         "tests/test_cli.py::test_a_byte_order_mark_changes_only_the_input_digest"),
+    ),
+    Mutant(
         "load_kripke back on read_text()",
         "formats.py",
         "return parse_kripke(decode(Path(path).read_bytes(), path), path)",
@@ -192,21 +215,24 @@ MUTANTS = (
         "modal_context.py",
         "rows = _rows(table, len(worlds))",
         "rows = [row[:1] for row in _rows(table, len(worlds))]",
-        (MODAL + "test_quotient_soundness_via_naive_satisfaction", FROZENSET_FORM),
+        (MODAL + "test_quotient_soundness_via_naive_satisfaction", FROZENSET_FORM,
+         KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "_rows reads a byte's bits in reverse",
         "modal_context.py",
         "rows += [plane.translate(_BIT[b]) for b in",
         "rows += [plane.translate(_BIT[7 - b]) for b in",
-        (MODAL + "test_quotient_distinct_theories_gives_singletons", FROZENSET_FORM),
+        (MODAL + "test_quotient_distinct_theories_gives_singletons", FROZENSET_FORM,
+         KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "_columns reads rows big-endian",
         "modal_context.py",
         'plane += int.from_bytes(row, "little") << b',
         'plane += int.from_bytes(row, "big") << b',
-        (MODAL + "test_representation_single_world", FROZENSET_FORM),
+        (MODAL + "test_representation_single_world", FROZENSET_FORM,
+         KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "the class lift ORs into the wrong class",
@@ -227,14 +253,14 @@ MUTANTS = (
         "modal_context.py",
         "    class_world_map(model, mc)  # refuses a world with no carrier\n",
         "",
-        (MODAL + "test_prover_agreement_is_the_by_hand_loop",),
+        (MODAL + "test_prover_agreement_is_the_by_hand_loop", KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "carriers come in class order, not model order",
         "modal_context.py",
         "return [by_row.get(classes.rows[k]) for k in classes.of]",
         "return [by_row.get(row) for row in classes.rows]",
-        (MODAL + "test_carriers_store_the_naive_theories",),
+        (MODAL + "test_carriers_store_the_naive_theories", KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "the universe renumbering swaps binary children",
@@ -242,21 +268,21 @@ MUTANTS = (
         "(place[arg[0]], place[arg[1]])",
         "(place[arg[1]], place[arg[0]])",
         ("tests/test_modal_logic.py::test_member_table_matches_the_node_and_sort_reference",
-         FROZENSET_FORM),
+         FROZENSET_FORM, KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "the interning key drops the kind",
         "modal_logic.py",
         "key = (cls,) + fields",
         "key = fields",
-        (SMALL_FORMULAS,),
+        (SMALL_FORMULAS, KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "an atom's children are its fields",
         "modal_logic.py",
         '_set(node, "children", () if cls is Atom else fields)',
         '_set(node, "children", fields)',
-        (SMALL_FORMULAS,),
+        (SMALL_FORMULAS, KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "a live node is built again",
@@ -279,7 +305,8 @@ MUTANTS = (
         "formats.py",
         "successors[args[0]] |= bit[args[1]]",
         "successors[args[1]] |= bit[args[0]]",
-        (KRIPKE_REFERENCE, "tests/test_formats.py::test_kripke_save_load_round_trip"),
+        (KRIPKE_REFERENCE, "tests/test_formats.py::test_kripke_save_load_round_trip",
+         KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "the .mctx parser stores a cedge transposed",
@@ -287,7 +314,7 @@ MUTANTS = (
         "successors[parts[1]] |= bits[parts[2]]",
         "successors[parts[2]] |= bits[parts[1]]",
         ("tests/test_formats.py::"
-         "test_modal_context_loader_agrees_with_the_line_by_line_reference",),
+         "test_modal_context_loader_agrees_with_the_line_by_line_reference", KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
         "the .kr parser skips its endpoint check",

@@ -107,7 +107,7 @@ def test_criterion_1_example_counts():
 
     def keys(ctx):
         return {
-            frozenset(((e, int(t)), s) for (e, t), s in inst.table().items())
+            frozenset(((e, int(t)), s) for (e, t), s in corpus.table(inst).items())
             for inst in ctx
         }
 
@@ -169,7 +169,7 @@ def test_criterion_3_literal_determinable_yields_iterator(contexts):
         times = ctx.signature.times
         for inst in ctx:
             for ti in range(len(times) - 1):
-                members = oracles.consistency(tables, inst.table(), entities, times, ti)
+                members = oracles.consistency(tables, corpus.table(inst), entities, times, ti)
                 expected = frozenset(
                     Snapshot(entities, oracles.snap(m, entities, times[ti + 1]))
                     for m in members

@@ -424,6 +424,26 @@ def test_modal_check_context_prints_the_pinned_violation_report(tmp_path, capsys
     assert out == VIOLATING_REPORT.format(path=path)
 
 
+@pytest.mark.parametrize("text, argv", [
+    ("states: a b\nentities: x\ntime: 0 1\ninstance u:\n  x@0=a x@1=b\n",
+     ["ctx", "iterator", "{path}"]),
+    (TWO_WORLD, ["modal", "verify-theorem", "{path}", "--atoms", "p", "--depth", "1"]),
+    (VIOLATING_MCTX, ["modal", "check-context", "{path}"]),
+], ids=("ctx", "kr", "mctx"))
+def test_a_byte_order_mark_changes_only_the_input_digest(text, argv, tmp_path, capsys):
+    path = tmp_path / "input"
+    argv = [arg.format(path=path) for arg in argv]
+    results = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + text.encode())
+        code, out = run_cli(capsys, *argv)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+        assert f"input_sha256={digest}\n" in out
+        results.append((code, out.replace(digest, "")))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)
+
+
 @pytest.mark.parametrize("argv, word", [
     (["modal", "to-context", "{kr}", "--atoms", "true,p", "--depth", "1"], "true"),
     (["modal", "verify-theorem", "{kr}", "--atoms", "p,false", "--depth", "0"], "false"),

@@ -1,4 +1,4 @@
-"""Core context machinery: signatures, currying, consistency, enumeration."""
+"""Core context machinery: signatures, consistency, enumeration."""
 
 import copy
 import os
@@ -19,11 +19,7 @@ from ctxkit.core import (
     Snapshot,
     build_full_space,
     consistency_context,
-    curry_entity,
-    curry_time,
     restrict,
-    uncurry_entity,
-    uncurry_time,
 )
 
 
@@ -230,55 +226,6 @@ def test_repr_and_errors_read_as_before():
 
 
 # ---------------------------------------------------------------------------
-# currying isomorphisms
-# ---------------------------------------------------------------------------
-
-def test_curry_time_constant_instance():
-    inst = Instance(("e0", "e1"), ("0", "1", "2"), ("s",) * 6)
-    by_time = curry_time(inst)
-    assert set(by_time) == {"0", "1", "2"}
-    for snap in by_time.values():
-        assert snap == Snapshot(("e0", "e1"), ("s", "s"))
-
-
-def test_curry_time_alice_bob(alice_bob_sig):
-    # entity-major cells: Alice at times 0-2, then Bob at times 0-2
-    inst = Instance(
-        alice_bob_sig.entities, alice_bob_sig.times, ("Home", "Out", "Out", "Out", "Out", "Home")
-    )
-    assert curry_time(inst)["0"] == Snapshot(("Alice", "Bob"), ("Home", "Out"))
-
-
-def test_curry_entity_views():
-    inst = Instance(("e0", "e1"), ("0", "1"), ("a", "b", "c", "d"))
-    by_entity = curry_entity(inst)
-    assert by_entity["e0"] == {"0": "a", "1": "b"}
-    assert by_entity["e1"] == {"0": "c", "1": "d"}
-    const = Instance(("e0", "e1"), ("0", "1"), ("s", "s", "s", "s"))
-    assert all(traj == {"0": "s", "1": "s"} for traj in curry_entity(const).values())
-
-
-def test_curry_round_trips_on_random_corpus():
-    rng = random.Random(20240)
-    for _ in range(200):
-        sig = random_signature(rng)
-        inst = random_instance(rng, sig)
-        assert uncurry_time(curry_time(inst)) == inst
-        assert uncurry_entity(curry_entity(inst)) == inst
-
-
-def test_uncurry_rejects_ragged_input():
-    with pytest.raises(ValueError):
-        uncurry_time({})
-    with pytest.raises(ValueError):
-        uncurry_time(
-            {"0": Snapshot(("e0",), ("a",)), "1": Snapshot(("e1",), ("a",))}
-        )
-    with pytest.raises(ValueError):
-        uncurry_entity({"e0": {"0": "a"}, "e1": {"1": "a"}})
-
-
-# ---------------------------------------------------------------------------
 # consistency contexts
 # ---------------------------------------------------------------------------
 
@@ -299,9 +246,9 @@ def test_consistency_prefix_example_matches_oracle():
     got = consistency_context(ctx, w1, "1")
     assert got.instances == (w1,)
 
-    tables = [w1.table(), w2.table()]
-    expected = oracles.consistency(tables, w1.table(), ("e0",), ("0", "1", "2"), 1)
-    assert [inst.table() for inst in got] == expected
+    tables = [corpus.table(w1), corpus.table(w2)]
+    expected = oracles.consistency(tables, corpus.table(w1), ("e0",), ("0", "1", "2"), 1)
+    assert [corpus.table(inst) for inst in got] == expected
 
 
 def test_consistency_with_disagreeing_outside_reference():
@@ -331,6 +278,7 @@ def test_consistency_laws_on_random_corpus():
             for t in sig.times:
                 cc = consistency_context(ctx, inst, t)
                 assert inst in cc  # membership
+                assert list(cc.rows) == sorted(set(cc.rows))  # canonical order
                 assert set(cc.instances) <= set(ctx.instances)
                 if previous is not None:  # antitone in t
                     assert set(cc.instances) <= set(previous.instances)
@@ -384,7 +332,7 @@ def test_restrict_alice_bob_rule_matches_oracle(alice_bob_sig):
     got = restrict(full, rule)
     assert len(got) == 36
     got_keys = {
-        frozenset(((e, int(t)), s) for (e, t), s in inst.table().items())
+        frozenset(((e, int(t)), s) for (e, t), s in corpus.table(inst).items())
         for inst in got
     }
     assert got_keys == expected

@@ -121,7 +121,7 @@ def test_future_bundle_prefix_filter_matches_oracle():
     assert got == frozenset({(snap1("b"), snap1("c"))})
 
     oracle = oracles.future_bundle(
-        corpus.as_tables(ctx), w1.table(), ("e0",), ("0", "1", "2"), 1
+        corpus.as_tables(ctx), corpus.table(w1), ("e0",), ("0", "1", "2"), 1
     )
     assert {tuple(tr) for tr in oracle} == {
         tuple(s.states for s in trace) for trace in got

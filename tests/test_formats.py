@@ -951,6 +951,37 @@ def test_a_file_that_is_not_utf8_is_a_file_error_naming_the_path(load, tmp_path)
                               "invalid start byte")
 
 
+def byte_order_mark_samples():
+    """(loader, canonical text) for each format."""
+    model = gen_random_kripke(3, 4, ("p", "q"), 0.4)
+    return (
+        (load_context, render_context(gen_alice_bob(2))),
+        (load_kripke, render_kripke(model)),
+        (load_modal_context,
+         render_modal_context(to_modal_context(model, formula_universe(("p", "q"), 1)))),
+    )
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    for load, text in byte_order_mark_samples():
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load(marked) == load(plain), load.__name__
+        # only one mark is dropped: a second one is the first line's text
+        marked.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
+        with pytest.raises(ModelFileError) as err:
+            load(marked)
+        assert err.value.line_no == 1, load.__name__
+    # an undecodable byte after the mark is still counted from the file's start
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xef\xbb\xbfworld w0\n\xff")
+    with pytest.raises(ModelFileError) as err:
+        load_kripke(path)
+    assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 12: "
+                              "invalid start byte")
+
+
 # ---------------------------------------------------------------------------
 # digests
 # ---------------------------------------------------------------------------

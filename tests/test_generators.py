@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import corpus
 import oracles
 from ctxkit.core import Signature, SizeGuardError, build_full_space, restrict
 from ctxkit.determinability import is_determinable
@@ -20,7 +21,7 @@ from ctxkit.modal_logic import KripkeModel
 
 def as_int_time_keys(ctx):
     return {
-        frozenset(((e, int(t)), s) for (e, t), s in inst.table().items())
+        frozenset(((e, int(t)), s) for (e, t), s in corpus.table(inst).items())
         for inst in ctx
     }
 
@@ -144,7 +145,7 @@ def test_minigame_turn_bit_restores_determinability():
 def test_minigame_verdicts_match_oracle():
     base, tracked = gen_minigame()
     for ctx, expected in ((base, False), (tracked, True)):
-        tables = [inst.table() for inst in ctx]
+        tables = corpus.as_tables(ctx)
         assert (
             oracles.determinable(
                 tables, ctx.signature.entities, ctx.signature.times, "windowed"
