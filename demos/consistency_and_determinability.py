@@ -51,13 +51,13 @@ print(
 )
 
 banner("Iterators: the step function of a determinable context")
-extraction = extract_iterator(alice)
+iterator = extract_iterator(alice)  # determinable, so the map and not a conflict
 print("Alice/Bob iterator (snapshot -> next snapshots):")
-print(render_iterator_map(extraction.iterator))
+print(render_iterator_map(iterator))
 
 print("Unrolling the iterator from its initial snapshots reproduces")
 regenerated = generate_from_iterator(
-    extraction.iterator,
+    iterator,
     {inst.snapshot("0") for inst in alice},
     horizon=3,
 )

@@ -47,7 +47,6 @@ from ctxkit.determinability import (
     DeterminabilityReport,
     DeterminabilityWitness,
     IteratorConflict,
-    IteratorExtraction,
     IteratorMap,
     extract_iterator,
     generate_from_iterator,

@@ -29,7 +29,9 @@ from pathlib import Path
 from ctxkit import modal_context, modal_logic
 from ctxkit.core import Instance, consistency_context
 from ctxkit.determinability import (
+    MODES,
     DeterminabilityWitness,
+    IteratorMap,
     extract_iterator,
     is_determinable,
     is_deterministic,
@@ -155,12 +157,12 @@ def cmd_ctx_check_determinable(args) -> int:
 def cmd_ctx_iterator(args) -> int:
     loaded, fields = _load(args, parse_context)
     result = extract_iterator(loaded.context)
-    if result.iterator is not None:
+    if isinstance(result, IteratorMap):
         fields.append(("verdict", "yes"))
-        fields.append(("domain_size", str(len(result.iterator.entries))))
-        _emit(fields, render_iterator_map(result.iterator).splitlines())
+        fields.append(("domain_size", str(len(result.entries))))
+        _emit(fields, render_iterator_map(result).splitlines())
         return 0
-    conflict = result.conflict
+    conflict = result
     fields.append(("verdict", "no"))
     fields.append(("conflict_snapshot", conflict.snapshot.render()))
     human = ["iterator conflict:", f"  snapshot: {conflict.snapshot.render()}"]
@@ -309,7 +311,7 @@ def _build_parser() -> tuple[
     p.add_argument("file")
     p.add_argument(
         "--mode",
-        choices=("literal", "windowed"),
+        choices=MODES,
         default="literal",
         help="literal: the definition verbatim; windowed: compare over the "
         "common suffix window (default: literal)",

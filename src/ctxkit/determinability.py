@@ -57,9 +57,8 @@ class DeterminabilityWitness:
 
 @dataclass(frozen=True)
 class DeterminabilityReport:
-    """A determinability verdict in one mode; a witness means the verdict is no."""
+    """A determinability verdict; a witness means the verdict is no."""
 
-    mode: str
     witness: DeterminabilityWitness | None
 
     @property
@@ -211,8 +210,8 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
         y = next(v for v in nodes if not agree(x, v))
         (p, i), (q, j) = trie.occurrence(x), trie.occurrence(y)
         witness = DeterminabilityWitness(p, q, i, j, trie.bundle(x), trie.bundle(y))
-        return DeterminabilityReport(mode, witness)
-    return DeterminabilityReport(mode, None)
+        return DeterminabilityReport(witness)
+    return DeterminabilityReport(None)
 
 
 def is_deterministic(ctx: Context) -> bool:
@@ -280,18 +279,8 @@ class IteratorConflict:
     second_occurrence: tuple[Instance, str]
 
 
-@dataclass(frozen=True)
-class IteratorExtraction:
-    iterator: IteratorMap | None
-    conflict: IteratorConflict | None
-
-    def __post_init__(self):
-        if (self.iterator is None) == (self.conflict is None):
-            raise ValueError("extraction carries either an iterator or a conflict")
-
-
-def extract_iterator(ctx: Context) -> IteratorExtraction:
-    """Build the step function demanded by every occurrence, if one fits.
+def extract_iterator(ctx: Context) -> IteratorMap | IteratorConflict:
+    """The step function demanded by every occurrence, or the first conflict.
 
     Every occurrence of a snapshot at a time with a successor pins the
     snapshot's image to its next-snapshot set; two occurrences pinning
@@ -309,20 +298,19 @@ def extract_iterator(ctx: Context) -> IteratorExtraction:
             continue
         nxt = frozenset(trie.snap_of[c] for c in trie.kids[node])
         if images.setdefault(sid, nxt) != nxt:
-            conflict = IteratorConflict(
+            return IteratorConflict(
                 trie.snaps[sid], trie.as_snapshots(images[sid]), trie.as_snapshots(nxt),
                 trie.occurrence(first[sid]), trie.occurrence(node),
             )
-            return IteratorExtraction(None, conflict)
         first.setdefault(sid, node)
     entries = tuple(
         (snap, trie.as_snapshots(images.get(sid, ()))) for sid, snap in enumerate(trie.snaps)
     )
-    return IteratorExtraction(IteratorMap(ctx.signature.entities, entries), None)
+    return IteratorMap(ctx.signature.entities, entries)
 
 
 def has_iterator(ctx: Context) -> bool:
-    return extract_iterator(ctx).iterator is not None
+    return isinstance(extract_iterator(ctx), IteratorMap)
 
 
 def generate_from_iterator(

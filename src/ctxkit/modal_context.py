@@ -239,9 +239,11 @@ def _classes(model: KripkeModel, universe: FormulaUniverse) -> _Quotient:
     truth of every member. A class's row is the row of any of its worlds.
     Computed once per (model, universe) and kept on the model, table and
     all, so every function below that quotients the same model reads the
-    same classes and the same table.
+    same classes and the same table. The memo is made here, in the model's
+    `__dict__` beside its fields, on first use; a copy or an unpickled model
+    starts without one.
     """
-    memo = model._quotients
+    memo = vars(model).setdefault("_quotients", {})
     if universe in memo:
         return memo[universe]
     worlds, table = model.worlds, tuple(extension_table(model, universe))

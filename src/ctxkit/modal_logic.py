@@ -637,8 +637,8 @@ class KripkeModel:
         atoms, n = {atom: mask for atom, mask in atoms.items() if mask}, len(worlds)
         if len(successors) != n or any(m < 0 or m >> n for m in (*successors, *atoms.values())):
             raise ValueError(f"masks outside the {n} worlds")
-        model = object.__new__(cls)  # frozen; `_quotients` is `modal_context`'s memo
-        vars(model).update(worlds=worlds, successors=successors, atoms=atoms, _quotients={})
+        model = object.__new__(cls)  # frozen: the fields go straight into vars
+        vars(model).update(worlds=worlds, successors=successors, atoms=atoms)
         return model
 
     @cached_property

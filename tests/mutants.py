@@ -4,11 +4,13 @@ Run from anywhere with `python tests/mutants.py`. For each mutant in
 `MUTANTS` it copies `src/` into a temporary directory, replaces the mutant's
 old text (which must occur exactly once in its file) with the new text, and
 runs the mutant's pytest node ids against the copy with `-x -q`. A mutant
-survives when those tests pass. All the selected tests must first pass on an
-unmutated copy. The run exits 1 naming every survivor, and
-stops at once when an old text is missing or ambiguous, since the table has
-then fallen behind the code. A fast path with an oracle adds its mutants
-here. Not part of tier-1: one mutant costs one pytest process.
+survives when those tests pass. Before any mutant, one `pytest --collect-only`
+run must list every selected node id, and all the selected tests must pass on
+an unmutated copy. The run exits 2 naming each node id that collects no test,
+exits 1 naming every survivor, and stops at once when an old text is missing
+or ambiguous, since the table has then fallen behind the code. A fast path
+with an oracle adds its mutants here. Not part of tier-1: one mutant costs one
+pytest process.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ MUTANTS = (
         (MODAL + "test_table_masks_are_the_evaluator_extensions", KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
+        "the library Evaluator reads [] as <>",
+        "modal_logic.py",
+        "Box: lambda ev, f, a: frozenset([w for w, succ in ev._successors if succ <= a]),",
+        "Box: lambda ev, f, a: frozenset([w for w, succ in ev._successors"
+        " if not succ.isdisjoint(a)]),",
+        ("tests/test_modal_logic.py::test_dual_law_and_k_axiom_on_corpus",
+         "tests/test_modal_logic.py::"
+         "test_the_oracle_evaluator_agrees_with_the_naive_clauses_and_the_evaluator"),
+    ),
+    Mutant(
         "the check table fills from its own masks",
         "modal_context.py",
         "masks = out if stored is None else stored",
@@ -128,6 +140,13 @@ MUTANTS = (
         "{row[::n] for row in ctx.rows}",
         "{row[n - 1::n] for row in ctx.rows}",
         DETERMINISM_TESTS,
+    ),
+    Mutant(
+        "has_iterator tests for the conflict",
+        "determinability.py",
+        "return isinstance(extract_iterator(ctx), IteratorMap)",
+        "return isinstance(extract_iterator(ctx), IteratorConflict)",
+        ("tests/test_determinability.py::test_has_iterator_mirrors_extraction_and_oracle",),
     ),
     Mutant(
         "parser rows not sorted",
@@ -217,6 +236,13 @@ MUTANTS = (
         "rows = [row[:1] for row in _rows(table, len(worlds))]",
         (MODAL + "test_quotient_soundness_via_naive_satisfaction", FROZENSET_FORM,
          KRIPKE_SMALL_SCOPE),
+    ),
+    Mutant(
+        "_classes starts a fresh memo on every call",
+        "modal_context.py",
+        'memo = vars(model).setdefault("_quotients", {})',
+        "memo = {}",
+        (MODAL + "test_verify_theorem_builds_one_extension_table_and_one_model",),
     ),
     Mutant(
         "_rows reads a byte's bits in reverse",
@@ -359,14 +385,43 @@ def apply(src: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def passes(src: Path, tests: Sequence[str]) -> bool:
-    """Do the tests pass against the sources at src?"""
+def selected() -> list[str]:
+    """Every node id the table selects, each once, in table order."""
+    return list(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
+
+
+def run_pytest(src: Path, *args: str) -> subprocess.CompletedProcess:
+    """One quiet pytest run from the repository root against the sources at src."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "-o", f"pythonpath={src}", *tests],
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *args],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
+
+
+def unlisted(listing: str, tests: Sequence[str]) -> list[str]:
+    """The node ids among tests that name no test of a `--collect-only -q`
+    listing: neither a listed id nor a parametrised test's function."""
+    lines = listing.splitlines()
+    return [t for t in tests if t not in lines and not any(
+        line.startswith(t + "[") for line in lines)]
+
+
+def uncollected(src: Path, tests: Sequence[str]) -> list[str]:
+    """The node ids among tests that collect no test, from one collection
+    run over them. pytest lists nothing when an id matches no test, so the
+    ids are then looked up in a collection run over their files."""
+    result = run_pytest(src, "--collect-only", *tests)
+    if result.returncode != 0:
+        files = dict.fromkeys(t.partition("::")[0] for t in tests)
+        result = run_pytest(src, "--collect-only", *files)
+    return unlisted(result.stdout, tests)
+
+
+def passes(src: Path, tests: Sequence[str]) -> bool:
+    """Do the tests pass against the sources at src?"""
+    result = run_pytest(src, "-x", *tests)
     if result.returncode not in (0, 1):  # 1: tests failed; anything else: no run
         raise SystemExit(f"pytest exited {result.returncode} on {' '.join(tests)}\n"
                          + result.stdout + result.stderr)
@@ -383,9 +438,13 @@ def copy_src(workdir: Path) -> Path:
 def main() -> int:
     survivors = []
     with tempfile.TemporaryDirectory(prefix="ctxkit-mutants-") as tmp:
+        every_test, src = selected(), copy_src(Path(tmp))
+        missing = uncollected(src, every_test)
+        if missing:
+            print("these node ids collect no test; update the table:", *missing, sep="\n  ")
+            return 2
         # a killed mutant means something only if its tests pass without it
-        every_test = list(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
-        if not passes(copy_src(Path(tmp)), every_test):
+        if not passes(src, every_test):
             raise SystemExit("the selected tests fail on the unmutated sources")
         for mutant in MUTANTS:
             src = copy_src(Path(tmp))

@@ -297,7 +297,8 @@ def parse_context_tokenwise(text, source="<string>"):
 
 
 # ---------------------------------------------------------------------------
-# Kripke satisfaction, plain recursion, no sharing or caching
+# Kripke satisfaction by the textbook clauses: per world by plain
+# recursion, no sharing or caching, and per formula on frozensets
 # ---------------------------------------------------------------------------
 
 def naive_satisfies(worlds, relation, valuation, world, formula):
@@ -334,6 +335,54 @@ def naive_satisfies(worlds, relation, valuation, world, formula):
         raise TypeError(f"unknown formula node {f!r}")
 
     return sat(world, formula)
+
+
+def frozenset_extensions(worlds, relation, valuation, members):
+    """{formula: the worlds satisfying it} for each member and each of its
+    subformulas: the textbook clauses on frozensets of world names, written
+    out apart from the library's evaluators, each formula's set made once
+    from its children's."""
+    from ctxkit.modal_logic import (
+        And, Atom, Bottom, Box, Diamond, Iff, Implies, Not, Or, Top,
+    )
+
+    everywhere = frozenset(worlds)
+    successors = {w: frozenset(v for u, v in relation if u == w) for w in worlds}
+    extensions = {}
+
+    def extension(f):
+        if f in extensions:
+            return extensions[f]
+        if isinstance(f, Atom):
+            out = frozenset(valuation.get(f.name, ()))
+        elif isinstance(f, Top):
+            out = everywhere
+        elif isinstance(f, Bottom):
+            out = frozenset()
+        elif isinstance(f, Not):
+            out = everywhere - extension(f.operand)
+        elif isinstance(f, And):
+            out = extension(f.left) & extension(f.right)
+        elif isinstance(f, Or):
+            out = extension(f.left) | extension(f.right)
+        elif isinstance(f, Implies):
+            out = (everywhere - extension(f.left)) | extension(f.right)
+        elif isinstance(f, Iff):
+            out = everywhere - (extension(f.left) ^ extension(f.right))
+        elif isinstance(f, Box):
+            inner = extension(f.operand)
+            out = frozenset(w for w in worlds if successors[w] <= inner)
+        elif isinstance(f, Diamond):
+            inner = extension(f.operand)
+            out = frozenset(w for w in worlds if successors[w] & inner)
+        else:
+            raise TypeError(f"unknown formula node {f!r}")
+        extensions[f] = out
+        return out
+
+    for f in members:
+        extension(f)
+    return extensions
 
 
 # ---------------------------------------------------------------------------
@@ -658,24 +707,23 @@ def modal_context_of(names, theories, relation, universe):
 
 # ---------------------------------------------------------------------------
 # the requotient check as a second quotient: the induced model quotiented
-# by the frozenset evaluator's theories, which share no code with the mask
-# rule, and its classes matched to the context's worlds by their stored
-# theories, with the relation compared through that renaming
+# by `frozenset_extensions`' theories, which share no code with the mask
+# rule or the library evaluator, and its classes matched to the context's
+# worlds by their stored theories, with the relation compared through that
+# renaming
 # ---------------------------------------------------------------------------
 
 def reference_requotient(mc):
     """Does quotienting the induced Kripke model of mc (its worlds, its
     relation, and atoms valuated by stored membership) reproduce mc up to
     renaming?"""
-    from ctxkit.modal_logic import Atom, Evaluator, KripkeModel
-
     u, names = mc.universe, mc.world_names
     valuation = {arg: frozenset([w for w, row in zip(names, mc.rows) if row[i]])
                  for i, (kind, arg) in enumerate(zip(u.kinds, u.args)) if kind is Atom}
-    extension = Evaluator(KripkeModel(names, mc.relation, valuation)).extension
+    extension = frozenset_extensions(names, mc.relation, valuation, u.members)
     theories = {w: [] for w in names}  # world -> the members it satisfies, in order
     for i, f in enumerate(u.members):
-        for w in extension(f):
+        for w in extension[f]:
             theories[w].append(i)
     classes: dict[tuple[int, ...], list[str]] = {}
     for w in names:

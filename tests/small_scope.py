@@ -15,7 +15,7 @@ checks of `tests/test_small_scope.py` to:
 
 The scopes are cut into tasks that run on two worker processes. The run
 exits 1 naming the first disagreement in task order: the scope, the input
-and the failing check. Not part of tier-1: it takes about three minutes on
+and the failing check. Not part of tier-1: it takes about two minutes on
 two cores.
 """
 

@@ -12,6 +12,7 @@ import oracles
 from ctxkit.cli import cli_dispatch
 from ctxkit.core import Context, Instance, Signature, SizeGuardError, Snapshot
 from ctxkit.determinability import (
+    IteratorConflict,
     IteratorMap,
     _Trie,
     extract_iterator,
@@ -231,10 +232,9 @@ def plain_bundle(bundle):
 
 def assert_matches_oracles(ctx, mode):
     sig = ctx.signature
-    tables = corpus.as_tables(ctx)
     report = is_determinable(ctx, mode)
-    assert report.determinable == oracles.determinable(tables, sig.entities, sig.times, mode)
-    expected = oracles.first_failing_pair(tables, sig.entities, sig.times, mode)
+    expected = oracles.first_failing_pair(corpus.as_tables(ctx), sig.entities, sig.times, mode)
+    assert report.determinable == (expected is None)
     if expected is None:
         assert report.witness is None
         return
@@ -259,6 +259,19 @@ def test_determinability_agrees_with_oracle_on_corpus():
     for h in (4, 5, 6):
         for mode in ("literal", "windowed"):
             assert_matches_oracles(wide_context(h), mode)
+
+
+def test_the_verdict_oracle_is_the_failing_pair_oracle_finding_none():
+    # `assert_matches_oracles` reads only `first_failing_pair`; the verdict
+    # oracle, which the recorded answers read, gives the same answer
+    for seed, max_instances in ((515, 6), (616, 8), (717, 8)):
+        rng = random.Random(seed)
+        for _ in range(150):
+            ctx = corpus.random_context(rng, max_instances=max_instances)
+            args = corpus.as_tables(ctx), ctx.signature.entities, ctx.signature.times
+            for mode in ("literal", "windowed"):
+                assert oracles.determinable(*args, mode) == (
+                    oracles.first_failing_pair(*args, mode) is None)
 
 
 def test_windowed_witness_reads_a_bounded_number_of_bundle_ids(monkeypatch):
@@ -389,22 +402,21 @@ def test_ctx_deterministic_builds_no_trie(tmp_path, monkeypatch, capsys):
 
 def test_extract_iterator_constant_singleton():
     ctx = row_context("s", "sss")
-    result = extract_iterator(ctx)
-    assert result.conflict is None
-    assert result.iterator.image(snap1("s")) == frozenset({snap1("s")})
+    iterator = extract_iterator(ctx)
+    assert isinstance(iterator, IteratorMap)
+    assert iterator.image(snap1("s")) == frozenset({snap1("s")})
 
 
 def test_an_empty_iterator_map_renders_no_line():
     empty = Context(Signature(("s",), ("e0",), ("0",)), ())
-    assert render_iterator_map(extract_iterator(empty).iterator) == ""
+    assert render_iterator_map(extract_iterator(empty)) == ""
     one = Context(empty.signature, (Instance(("e0",), ("0",), ("s",)),))
-    assert render_iterator_map(extract_iterator(one).iterator) == "iter e0=s -> -\n"
+    assert render_iterator_map(extract_iterator(one)) == "iter e0=s -> -\n"
 
 
 def test_extract_iterator_branching_and_final_images():
     ctx = row_context("abc", "ab", "ac")
-    result = extract_iterator(ctx)
-    i = result.iterator
+    i = extract_iterator(ctx)
     assert i.image(snap1("a")) == frozenset({snap1("b"), snap1("c")})
     assert i.image(snap1("b")) == frozenset()
     assert i.image(snap1("c")) == frozenset()
@@ -413,9 +425,8 @@ def test_extract_iterator_branching_and_final_images():
 
 def test_extract_iterator_reports_conflict():
     ctx = row_context("abcxy", "abx", "cby")
-    result = extract_iterator(ctx)
-    assert result.iterator is None
-    conflict = result.conflict
+    conflict = extract_iterator(ctx)
+    assert isinstance(conflict, IteratorConflict)
     assert conflict.snapshot == snap1("b")
     assert {conflict.first_image, conflict.second_image} == {
         frozenset({snap1("x")}),
@@ -433,22 +444,22 @@ def test_has_iterator_mirrors_extraction_and_oracle():
             corpus.as_tables(ctx), ctx.signature.entities, ctx.signature.times
         )
         assert has_iterator(ctx) == expected
-        assert (extract_iterator(ctx).iterator is not None) == expected
+        assert isinstance(extract_iterator(ctx), IteratorMap) == expected
 
 
 def test_extracted_domain_is_exactly_the_occurring_snapshots():
     rng = random.Random(828)
     for _ in range(60):
         ctx = corpus.random_context(rng, max_instances=6)
-        extraction = extract_iterator(ctx)
-        if extraction.iterator is None:
+        iterator = extract_iterator(ctx)
+        if isinstance(iterator, IteratorConflict):
             continue
         occurring = {
             inst.snapshot_at(ti)
             for inst in ctx
             for ti in range(len(ctx.signature.times))
         }
-        assert {snap for snap, _ in extraction.iterator.entries} == occurring
+        assert {snap for snap, _ in iterator.entries} == occurring
 
 
 def test_literal_determinable_implies_iterator_satisfying_definition():
@@ -459,9 +470,8 @@ def test_literal_determinable_implies_iterator_satisfying_definition():
         if not is_determinable(ctx, "literal").determinable:
             continue
         hits += 1
-        result = extract_iterator(ctx)
-        assert result.iterator is not None
-        i = result.iterator
+        i = extract_iterator(ctx)
+        assert isinstance(i, IteratorMap)
         for inst in ctx.instances:
             for t in ctx.signature.times[:-1]:
                 assert corpus.oracle_next_set(ctx, inst, t) == i.image(inst.snapshot(t))
@@ -475,10 +485,8 @@ def test_extraction_is_deterministic_and_serializes_stably():
         first = extract_iterator(ctx)
         second = extract_iterator(ctx)
         assert first == second
-        if first.iterator is not None:
-            assert render_iterator_map(first.iterator) == render_iterator_map(
-                second.iterator
-            )
+        if isinstance(first, IteratorMap):
+            assert render_iterator_map(first) == render_iterator_map(second)
 
 
 def plain_snaps(snaps):
@@ -492,12 +500,12 @@ def assert_iterator_and_determinism_match_oracles(ctx):
     images, expected = oracles.extract_iterator(tables, sig.entities, sig.times)
     result = extract_iterator(ctx)
     if expected is None:
-        assert result.conflict is None
-        assert {s.states: plain_snaps(img) for s, img in result.iterator.entries} == images
+        assert isinstance(result, IteratorMap)
+        assert {s.states: plain_snaps(img) for s, img in result.entries} == images
         return
     snapshot, first_image, second_image, (a, i), (b, j) = expected
-    c = result.conflict
-    assert result.iterator is None
+    c = result
+    assert isinstance(c, IteratorConflict)
     assert c.snapshot.states == snapshot
     assert plain_snaps(c.first_image) == first_image
     assert plain_snaps(c.second_image) == second_image
@@ -662,7 +670,7 @@ def test_generated_contexts_round_trip_through_iterators():
         horizon = rng.randint(1, 4)
         ctx = generate_from_iterator(iterator, seeds, horizon)
         assert has_iterator(ctx)
-        extracted = extract_iterator(ctx).iterator
+        extracted = extract_iterator(ctx)
         # re-satisfies the iterator property at every applicable occurrence
         for inst in ctx.instances:
             for t in ctx.signature.times[:-1]:

@@ -18,7 +18,9 @@ import oracles
 from ctxkit import modal_logic
 from ctxkit.cli import cli_dispatch
 from ctxkit.core import Context, Instance, Signature
-from ctxkit.determinability import extract_iterator, is_determinable, is_deterministic
+from ctxkit.determinability import (
+    IteratorMap, extract_iterator, is_determinable, is_deterministic,
+)
 from ctxkit.generators import gen_alice_bob, gen_minigame, gen_random_kripke
 from ctxkit.modal_logic import (
     And,
@@ -87,7 +89,7 @@ def test_loading_rendering_and_analysing_build_no_instance(monkeypatch):
     ctx = parse_context(text).context
     assert render_context(ctx) == text
     assert is_deterministic(ctx) is False
-    assert extract_iterator(ctx).iterator is not None
+    assert isinstance(extract_iterator(ctx), IteratorMap)
     assert is_determinable(ctx, "windowed").determinable
 
 

@@ -387,6 +387,31 @@ def test_dual_law_and_k_axiom_on_corpus():
                 assert ev.satisfies(world, k_axiom)
 
 
+@st.composite
+def models_with_dead_ends_loops_and_unreached_worlds(draw):
+    """Worlds, pairs and name sets over 3 to 7 worlds: w0 on a self-loop, w1
+    reached from no world, the last world a dead end, other pairs at random."""
+    worlds = tuple(f"w{i}" for i in range(draw(st.integers(3, 7))))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds))))
+    relation = {(a, b) for a, b in pairs | {("w0", "w0")} if b != "w1" and a != worlds[-1]}
+    return worlds, relation, {atom: draw(st.sets(st.sampled_from(worlds)))
+                              for atom in ("p", "q", "r_1")}
+
+
+@settings(max_examples=200)
+@given(models_with_dead_ends_loops_and_unreached_worlds(),
+       st.lists(formula_specs, min_size=1, max_size=4))
+def test_the_oracle_evaluator_agrees_with_the_naive_clauses_and_the_evaluator(parts, specs):
+    worlds, relation, valuation = parts
+    formulas = [build(spec) for spec in specs]
+    extension = oracles.frozenset_extensions(worlds, relation, valuation, formulas)
+    evaluator = Evaluator(KripkeModel(worlds, relation, valuation))
+    for f in formulas:
+        assert extension[f] == {w for w in worlds
+                                if oracles.naive_satisfies(worlds, relation, valuation, w, f)}
+        assert extension[f] == evaluator.extension(f)
+
+
 # ---------------------------------------------------------------------------
 # Kripke models: masks stored, pairs and name sets as views
 # ---------------------------------------------------------------------------
@@ -459,7 +484,7 @@ def test_models_copy_and_pickle_as_equal_values():
     for other in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
         assert type(other) is KripkeModel and other == model
         assert (other.relation, other.valuation) == (model.relation, model.valuation)
-        assert other._quotients == {}  # a copy starts its own memo
+        assert "_quotients" not in vars(other)  # a copy starts with no quotient memo
     mc = to_modal_context(model, formula_universe(("p", "r"), 1))
     assert len(mc.world_names) == 3 and mc.relation  # the views are filled before copying
     for other in (copy.copy(mc), copy.deepcopy(mc), pickle.loads(pickle.dumps(mc))):
@@ -541,10 +566,12 @@ def test_theory_monotone_in_universe():
     assert in_small <= set(large.members)
     for _ in range(25):
         model = corpus.random_kripke(rng)
-        evaluator = Evaluator(model)  # one extension memo for every theory of the model
+        parts = model.worlds, model.relation, model.valuation
+        on_small = oracles.frozenset_extensions(*parts, small.members)
+        on_large = oracles.frozenset_extensions(*parts, large.members)
         for world in model.worlds:
-            t_small = {f for f in small.members if evaluator.satisfies(world, f)}
-            t_large = {f for f in large.members if evaluator.satisfies(world, f)}
+            t_small = {f for f in small.members if world in on_small[f]}
+            t_large = {f for f in large.members if world in on_large[f]}
             assert t_small == t_large & in_small
 
 

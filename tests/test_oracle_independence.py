@@ -19,8 +19,9 @@ FORBIDDEN = {
     "reference_parse_modal_context": {"parse_modal_context"},
     "reference_parse_kripke": {"parse_kripke", "KripkeModel", "from_masks"},
     "reference_universe": {"formula_universe"},
+    "frozenset_extensions": {"Evaluator", "satisfies", "extension_table", "_rule"},
     "reference_requotient": {"_rule", "extension_table", "to_modal_context",
-                             "requotient_is_identity"},
+                             "requotient_is_identity", "Evaluator", "satisfies"},
 }
 
 
