@@ -44,9 +44,10 @@ for mode in ("literal", "windowed"):
     print(f"{mode:9s}: {'yes' if report.determinable else 'no'}")
 lit = is_determinable(alice, "literal")
 w = lit.witness
+(_, t), (_, u) = w.occurrences
 print(
-    f"The literal witness repeats snapshot {w.snapshot().render()} "
-    f"at t={w.time} and t={w.other_time}: unequal suffix lengths, "
+    f"The literal witness repeats snapshot {w.snapshot.render()} "
+    f"at t={t} and t={u}: unequal suffix lengths, "
     "no monotone bijection."
 )
 
@@ -68,9 +69,10 @@ base, tracked = gen_minigame()
 base_report = is_determinable(base, "windowed")
 print(f"Positions only : determinable = {base_report.determinable}")
 bw = base_report.witness
+(_, t), (_, u) = bw.occurrences
 print(
-    f"  same position {bw.snapshot().render()} at t={bw.time} and "
-    f"t={bw.other_time}: different players move next, futures differ"
+    f"  same position {bw.snapshot.render()} at t={t} and "
+    f"t={u}: different players move next, futures differ"
 )
 tracked_report = is_determinable(tracked, "windowed")
 print(f"With a turn bit: determinable = {tracked_report.determinable}")

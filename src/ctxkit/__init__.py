@@ -45,9 +45,8 @@ from ctxkit.core import (
 )
 from ctxkit.determinability import (
     DeterminabilityReport,
-    DeterminabilityWitness,
-    IteratorConflict,
     IteratorMap,
+    SnapshotConflict,
     extract_iterator,
     generate_from_iterator,
     has_iterator,

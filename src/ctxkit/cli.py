@@ -30,8 +30,8 @@ from ctxkit import modal_context, modal_logic
 from ctxkit.core import Instance, consistency_context
 from ctxkit.determinability import (
     MODES,
-    DeterminabilityWitness,
     IteratorMap,
+    SnapshotConflict,
     extract_iterator,
     is_determinable,
     is_deterministic,
@@ -106,19 +106,13 @@ def _trace_text(trace) -> str:
     return " -> ".join(snap.render() for snap in trace)
 
 
-def _witness_lines(loaded: LoadedContext, witness: DeterminabilityWitness,
-                   mode: str) -> list[str]:
-    ctx = loaded.context
-    n = len(ctx.signature.times)
-    i = ctx.signature.time_index(witness.time)
-    j = ctx.signature.time_index(witness.other_time)
-    lines = [
-        "witness:",
-        f"  snapshot: {witness.snapshot().render()}",
-        f"  occurrence 1: instance {_instance_label(loaded, witness.instance)}"
-        f" at t={witness.time}",
-        f"  occurrence 2: instance {_instance_label(loaded, witness.other_instance)}"
-        f" at t={witness.other_time}",
+def _witness_lines(loaded: LoadedContext, witness: SnapshotConflict, mode: str) -> list[str]:
+    sig = loaded.context.signature
+    n = len(sig.times)
+    i, j = (sig.time_index(t) for _, t in witness.occurrences)
+    lines = ["witness:", f"  snapshot: {witness.snapshot.render()}"] + [
+        f"  occurrence {k}: instance {_instance_label(loaded, inst)} at t={t}"
+        for k, (inst, t) in enumerate(witness.occurrences, 1)
     ]
     if mode == "literal" and i != j:
         lines.append(
@@ -126,8 +120,7 @@ def _witness_lines(loaded: LoadedContext, witness: DeterminabilityWitness,
         )
         return lines
     window = min(n - i, n - j)
-    b1 = {tr[:window] for tr in witness.bundle}
-    b2 = {tr[:window] for tr in witness.other_bundle}
+    b1, b2 = ({tr[:window] for tr in bundle} for bundle in witness.futures)
     lines.append(f"  future bundles differ on the first {window} time point(s):")
     for tag, only in (("1", b1 - b2), ("2", b2 - b1)):
         for trace in sorted(only, key=_trace_text)[:3]:
@@ -146,9 +139,10 @@ def cmd_ctx_check_determinable(args) -> int:
     fields.append(("verdict", "yes" if report.determinable else "no"))
     human: list[str] = []
     if not report.determinable:
-        fields.append(("witness_time", report.witness.time))
-        fields.append(("witness_other_time", report.witness.other_time))
-        fields.append(("witness_snapshot", report.witness.snapshot().render()))
+        (_, t), (_, u) = report.witness.occurrences
+        fields.append(("witness_time", t))
+        fields.append(("witness_other_time", u))
+        fields.append(("witness_snapshot", report.witness.snapshot.render()))
         human = _witness_lines(loaded, report.witness, args.mode)
     _emit(fields, human)
     return 0 if report.determinable else 1
@@ -166,8 +160,7 @@ def cmd_ctx_iterator(args) -> int:
     fields.append(("verdict", "no"))
     fields.append(("conflict_snapshot", conflict.snapshot.render()))
     human = ["iterator conflict:", f"  snapshot: {conflict.snapshot.render()}"]
-    for (inst, t), image in ((conflict.first_occurrence, conflict.first_image),
-                             (conflict.second_occurrence, conflict.second_image)):
+    for (inst, t), image in zip(conflict.occurrences, conflict.futures):
         demands = ", ".join(sorted(s.render() for s in image))
         human.append(f"  instance {_instance_label(loaded, inst)} at t={t} demands {{{demands}}}")
     _emit(fields, human)
@@ -245,7 +238,8 @@ def cmd_modal_verify_theorem(args) -> int:
     mc = modal_context.to_modal_context(model, universe)
     conditions = modal_context.is_modal_context(mc).is_modal_context
     representation = modal_context.verify_representation(model, mc)
-    agreement = modal_context.prover_agreement(model, mc)
+    # prover_agreement refuses a world without a carrier; that is a no here
+    agreement = representation and modal_context.prover_agreement(model, mc)
     verdict = conditions and representation and agreement
     fields.append(("universe_size", str(len(universe))))
     fields.append(("context_worlds", str(len(mc.world_names))))

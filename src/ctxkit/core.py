@@ -302,16 +302,23 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     return Context.from_sorted_rows(sig, tuple(kept))
 
 
-def check_full_space_guard(sig: Signature) -> None:
-    """Raise SizeGuardError if the full space over sig exceeds the guard.
+def check_full_space_guard(n_states: int, n_cells: int) -> None:
+    """Raise SizeGuardError if the full space, n_states ** n_cells instances,
+    exceeds the guard.
 
-    Generators that build a subspace directly call this first, so their
-    guard is the same as if they filtered the full space.
+    Generators that build a subspace directly call this before they build
+    anything, so their guard is the same as if they filtered the full space.
+    With L the guard's bit length, a space known from the bit lengths alone
+    to hold at least 2 ** L instances is reported as needing 2 ** L, which
+    exceeds the guard: the power is computed only below 2 ** (2 * L), and the
+    message stays short whatever the arguments.
     """
-    check_guard(
-        len(sig.states) ** sig.cell_count(), DEFAULT_SPACE_GUARD,
-        f"full space over {len(sig.states)} states and {sig.cell_count()} cells",
-    )
+    limit = effective_guard(DEFAULT_SPACE_GUARD)
+    least = n_cells * (n_states.bit_length() - 1)  # the space holds >= 2 ** least
+    needed = 2 ** limit.bit_length() if least >= limit.bit_length() else n_states ** n_cells
+    if needed > limit:
+        raise SizeGuardError(
+            needed, limit, f"full space over {n_states} states and {n_cells} cells")
 
 
 def build_full_space(sig: Signature) -> Context:
@@ -320,7 +327,7 @@ def build_full_space(sig: Signature) -> Context:
     Refuses to enumerate more than the guard allows (default 2**20 instances,
     overridable via CTXKIT_GUARD).
     """
-    check_full_space_guard(sig)
+    check_full_space_guard(len(sig.states), sig.cell_count())
     return Context.from_rows(
         sig, itertools.product(range(len(sig.states)), repeat=sig.cell_count())
     )

@@ -41,25 +41,25 @@ Trace = tuple[Snapshot, ...]
 
 
 @dataclass(frozen=True)
-class DeterminabilityWitness:
-    """A pair of equal-snapshot occurrences whose futures disagree."""
+class SnapshotConflict:
+    """Two occurrences of one snapshot whose futures differ.
 
-    instance: Instance
-    other_instance: Instance
-    time: str
-    other_time: str
-    bundle: frozenset[Trace]
-    other_bundle: frozenset[Trace]
+    `occurrences` are two (instance, time label) pairs that show `snapshot`,
+    and `futures` says what follows each: the two full future bundles in a
+    determinability witness, the two next-snapshot sets in an iterator
+    conflict.
+    """
 
-    def snapshot(self) -> Snapshot:
-        return self.instance.snapshot(self.time)
+    snapshot: Snapshot
+    occurrences: tuple[tuple[Instance, str], tuple[Instance, str]]
+    futures: tuple[frozenset, frozenset]
 
 
 @dataclass(frozen=True)
 class DeterminabilityReport:
     """A determinability verdict; a witness means the verdict is no."""
 
-    witness: DeterminabilityWitness | None
+    witness: SnapshotConflict | None
 
     @property
     def determinable(self) -> bool:
@@ -117,11 +117,14 @@ class _Trie:
         self._ids: dict[tuple[int, int], int] = {}
         self._interned: dict[tuple[int, frozenset[int]], int] = {}
 
-    def instance(self, pos: int) -> Instance:
-        return self.ctx.instance_of(self.ctx.rows[pos])
-
     def occurrence(self, node: int) -> tuple[Instance, str]:
-        return self.instance(self.first[node]), self.times[self.time_of[node]]
+        return self.ctx.instance_of(self.ctx.rows[self.first[node]]), self.times[self.time_of[node]]
+
+    def conflict(self, a: int, b: int, futures: tuple[frozenset, frozenset]) -> SnapshotConflict:
+        """The conflict of nodes a and b, which show one snapshot, with their futures."""
+        return SnapshotConflict(
+            self.snaps[self.snap_of[a]], (self.occurrence(a), self.occurrence(b)), futures
+        )
 
     def as_snapshots(self, sids: Iterable[int]) -> frozenset[Snapshot]:
         return frozenset(self.snaps[s] for s in sids)
@@ -208,9 +211,7 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
             x = next(u for u in nodes if len(upto(time_of[u])) > 1 or any(
                 at(s) != {cut_to(u, s)} for s in times if s > time_of[u]))
         y = next(v for v in nodes if not agree(x, v))
-        (p, i), (q, j) = trie.occurrence(x), trie.occurrence(y)
-        witness = DeterminabilityWitness(p, q, i, j, trie.bundle(x), trie.bundle(y))
-        return DeterminabilityReport(witness)
+        return DeterminabilityReport(trie.conflict(x, y, (trie.bundle(x), trie.bundle(y))))
     return DeterminabilityReport(None)
 
 
@@ -268,18 +269,7 @@ class IteratorMap:
         return snap in self._table
 
 
-@dataclass(frozen=True)
-class IteratorConflict:
-    """One snapshot demanding two different images, with both occurrences."""
-
-    snapshot: Snapshot
-    first_image: frozenset[Snapshot]
-    second_image: frozenset[Snapshot]
-    first_occurrence: tuple[Instance, str]
-    second_occurrence: tuple[Instance, str]
-
-
-def extract_iterator(ctx: Context) -> IteratorMap | IteratorConflict:
+def extract_iterator(ctx: Context) -> IteratorMap | SnapshotConflict:
     """The step function demanded by every occurrence, or the first conflict.
 
     Every occurrence of a snapshot at a time with a successor pins the
@@ -298,10 +288,8 @@ def extract_iterator(ctx: Context) -> IteratorMap | IteratorConflict:
             continue
         nxt = frozenset(trie.snap_of[c] for c in trie.kids[node])
         if images.setdefault(sid, nxt) != nxt:
-            return IteratorConflict(
-                trie.snaps[sid], trie.as_snapshots(images[sid]), trie.as_snapshots(nxt),
-                trie.occurrence(first[sid]), trie.occurrence(node),
-            )
+            futures = trie.as_snapshots(images[sid]), trie.as_snapshots(nxt)
+            return trie.conflict(first[sid], node, futures)
         first.setdefault(sid, node)
     entries = tuple(
         (snap, trie.as_snapshots(images.get(sid, ()))) for sid, snap in enumerate(trie.snaps)

@@ -33,12 +33,12 @@ def gen_alice_bob_odd(horizon: int) -> Context:
 def _alice_bob(horizon: int, odd: bool) -> Context:
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
+    check_full_space_guard(2, 2 * horizon)
     sig = Signature(
         ("Home", "Out"),
         ("Alice", "Bob"),
         tuple(str(t) for t in range(horizon)),
     )
-    check_full_space_guard(sig)
     home, out = 0, 1  # state indices
     both = (home, out)
     rows = [((), ())]  # (Alice's states so far, Bob's states so far)
@@ -141,13 +141,16 @@ def gen_random_context(
 ) -> Context:
     """Uniform cellwise sampling of `count` instances; duplicates collapse.
 
-    The count x cells draws are checked against the full-space guard first."""
+    The count x cells draws, then the signature's labels, are checked against
+    the full-space guard first."""
     if min(n_states, n_entities, n_times) < 1:
         raise ValueError("state, entity, and time counts must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
     check_guard(count * n_entities * n_times, DEFAULT_SPACE_GUARD,
                 f"random context of {count} instances over {n_entities * n_times} cells")
+    check_guard(n_states + n_entities + n_times, DEFAULT_SPACE_GUARD, f"random context "
+                f"signature of {n_states} states, {n_entities} entities and {n_times} times")
     rng = random.Random(seed)
     sig = Signature(
         tuple(f"s{i}" for i in range(n_states)),

@@ -60,6 +60,10 @@ DETERMINISM_TESTS = (
     SMALL_SCOPE,
 )
 
+# every extreme generator argv, each in a child process under an address-space limit
+EXTREME_GEN = ("tests/test_cli.py::"
+               "test_extreme_generator_arguments_are_refused_before_anything_is_built")
+
 # every formula of at most four nodes: one node each, built once, parsed back
 SMALL_FORMULAS = ("tests/test_modal_logic.py::"
                   "test_every_formula_of_at_most_four_nodes_is_one_node")
@@ -128,6 +132,13 @@ MUTANTS = (
         WITNESS_TESTS,
     ),
     Mutant(
+        "the conflict stores the trie's first snapshot",
+        "determinability.py",
+        "self.snaps[self.snap_of[a]], (self.occurrence(a)",
+        "self.snaps[0], (self.occurrence(a)",
+        WITNESS_TESTS + DETERMINISM_TESTS[:1],
+    ),
+    Mutant(
         "literal mode takes the last node",
         "determinability.py",
         "x = nodes[0]",
@@ -145,7 +156,7 @@ MUTANTS = (
         "has_iterator tests for the conflict",
         "determinability.py",
         "return isinstance(extract_iterator(ctx), IteratorMap)",
-        "return isinstance(extract_iterator(ctx), IteratorConflict)",
+        "return isinstance(extract_iterator(ctx), SnapshotConflict)",
         ("tests/test_determinability.py::test_has_iterator_mirrors_extraction_and_oracle",),
     ),
     Mutant(
@@ -261,6 +272,13 @@ MUTANTS = (
          KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
+        "_columns starts each byte plane at 1",
+        "modal_context.py",
+        "        plane = 0\n",
+        "        plane = 1\n",
+        (MODAL + "test_rows_and_columns_are_the_bitwise_transposition",),
+    ),
+    Mutant(
         "the class lift ORs into the wrong class",
         "modal_context.py",
         "reach[k] |= succ",
@@ -360,6 +378,37 @@ MUTANTS = (
         "            named[name] = row\n",
         ("tests/test_cli.py::test_consistency_reads_a_duplicate_by_its_own_name",
          "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
+    ),
+    Mutant(
+        "the alice-bob guard runs after the signature is built",
+        "generators.py",
+        "    check_full_space_guard(2, 2 * horizon)\n"
+        "    sig = Signature(\n"
+        "        (\"Home\", \"Out\"),\n"
+        "        (\"Alice\", \"Bob\"),\n"
+        "        tuple(str(t) for t in range(horizon)),\n"
+        "    )\n",
+        "    sig = Signature(\n"
+        "        (\"Home\", \"Out\"),\n"
+        "        (\"Alice\", \"Bob\"),\n"
+        "        tuple(str(t) for t in range(horizon)),\n"
+        "    )\n"
+        "    check_full_space_guard(2, 2 * horizon)\n",
+        (EXTREME_GEN,),
+    ),
+    Mutant(
+        "random-ctx guards the draws only",
+        "generators.py",
+        "check_guard(n_states + n_entities + n_times, DEFAULT_SPACE_GUARD,",
+        "check_guard(0, DEFAULT_SPACE_GUARD,",
+        (EXTREME_GEN,),
+    ),
+    Mutant(
+        "gen random-ctx defaults to four states",
+        "cli.py",
+        'p.add_argument("--states", type=int, default=3)',
+        'p.add_argument("--states", type=int, default=4)',
+        ("tests/test_cli.py::test_every_default_is_the_one_written_out",),
     ),
     Mutant(
         "generators reads a modal attribute at import",

@@ -356,11 +356,11 @@ def test_criterion_9_minigame():
     witness_ok = False
     if not base_report.determinable:
         w = base_report.witness
-        t1, t2 = int(w.time), int(w.other_time)
+        t1, t2 = (int(t) for _, t in w.occurrences)
         # same position, different players to move
-        witness_ok = (t1 % 2) != (t2 % 2) and w.instance.snapshot(
-            w.time
-        ) == w.other_instance.snapshot(w.other_time)
+        witness_ok = (t1 % 2) != (t2 % 2) and [
+            inst.snapshot(t) for inst, t in w.occurrences
+        ] == [w.snapshot] * 2
     ok = (not base_report.determinable) and witness_ok and tracked_report.determinable
     verdict(
         9,
@@ -381,11 +381,11 @@ def test_windowed_determinability_at_larger_horizons(odd, horizon):
     assert report.determinable is not odd
     if odd:
         w = report.witness
-        assert w.instance.snapshot(w.time) == w.other_instance.snapshot(w.other_time)
-        assert corpus.oracle_bundle(ctx, w.instance, w.time) == w.bundle
-        assert corpus.oracle_bundle(ctx, w.other_instance, w.other_time) == w.other_bundle
-        k = horizon - max(map(ctx.signature.time_index, (w.time, w.other_time)))
-        assert {tr[:k] for tr in w.bundle} != {tr[:k] for tr in w.other_bundle}
+        assert [inst.snapshot(t) for inst, t in w.occurrences] == [w.snapshot] * 2
+        assert tuple(corpus.oracle_bundle(ctx, inst, t) for inst, t in w.occurrences) == w.futures
+        k = horizon - max(ctx.signature.time_index(t) for _, t in w.occurrences)
+        b1, b2 = w.futures
+        assert {tr[:k] for tr in b1} != {tr[:k] for tr in b2}
 
 
 def test_windowed_determinability_is_linear_on_a_long_constant_chain():
@@ -401,7 +401,7 @@ def test_windowed_determinability_is_linear_on_a_long_constant_chain():
     assert report.determinable
     literal = is_determinable(ctx, "literal")
     assert not literal.determinable
-    assert (literal.witness.time, literal.witness.other_time) == ("0", "1")
+    assert [t for _, t in literal.witness.occurrences] == ["0", "1"]
 
 
 def test_criterion_10_cli_reproducibility(tmp_path, capsys):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ctxkit import modal_logic
+from ctxkit import modal_context, modal_logic
 from ctxkit.cli import _build_parser, _parse_argv, cli_dispatch
 from ctxkit.formats import ModelFileError, parse_context, parse_kripke, parse_modal_context
 
@@ -525,6 +526,27 @@ def test_modal_verify_theorem(kripke_path, capsys):
     assert fields["prover_agreement"] == "yes"
 
 
+def test_verify_theorem_without_a_carrier_says_no(kripke_path, monkeypatch, capsys):
+    # a context that lost its last class leaves a Kripke world with no carrier
+    compile_context = modal_context.to_modal_context
+
+    def drop_last_class(model, universe):
+        mc = compile_context(model, universe)
+        keep = (1 << len(mc.world_names) - 1) - 1
+        return modal_context.ModalContext.from_masks(
+            mc.world_names[:-1], [c & keep for c in mc.columns],
+            [succ & keep for succ in mc.successors[:-1]], mc.universe)
+
+    monkeypatch.setattr(modal_context, "to_modal_context", drop_last_class)
+    code = cli_dispatch(["modal", "verify-theorem", kripke_path, "--atoms", "p", "--depth", "1"])
+    captured = capsys.readouterr()
+    fields = machine_fields(captured.out)
+    assert code == 1
+    assert (fields["context_worlds"], fields["representation"], fields["prover_agreement"],
+            fields["verdict"]) == ("1", "no", "no", "no")
+    assert "error:" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # errors and reproducibility
 # ---------------------------------------------------------------------------
@@ -705,6 +727,38 @@ def test_guard_env_var_must_be_an_integer(monkeypatch, capsys):
     assert captured.err.splitlines()[0] == "error: CTXKIT_GUARD must be an integer, got 'abc'"
 
 
+def _limit_address_space():  # runs in the child alone, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+EXTREME_GEN_ARGVS = [
+    (command, "--horizon", str(horizon)) for command in ("alice-bob", "alice-bob-odd")
+    for horizon in (2_000, 7_200, 10**7, 10**20)
+] + [
+    ("random-ctx", "--seed", "1", "--count", count, size, str(n))
+    for size in ("--states", "--entities", "--times") for n in (10**7, 10**20)
+    for count in ("0", "1")
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_GEN_ARGVS, ids="_".join)
+def test_extreme_generator_arguments_are_refused_before_anything_is_built(argv, ctxkit_src):
+    # each in its own process under a 1 GB address space: a guard that came
+    # after the signature or the rows would run out of it or of time
+    env = {key: value for key, value in os.environ.items() if key != "CTXKIT_GUARD"}
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctxkit.cli", "gen", *argv], capture_output=True, text=True,
+        env={**env, "PYTHONPATH": ctxkit_src}, timeout=10, preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - started
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(errors) == 1 and "CTXKIT_GUARD" in errors[0] and len(errors[0]) < 250
+    assert "internal error" not in proc.stderr
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("command, size, over, message", [
     (("random-kripke", "--seed", "1"), "--worlds", ("4", "5"),
      "random Kripke model of 5 worlds needs a guard of at least 25"),
@@ -763,6 +817,35 @@ def test_oversized_boolean_layer_is_refused_before_any_node(tmp_path, monkeypatc
     )
     assert elapsed < 0.1
     assert modal_logic._NODES == nodes
+
+
+# each command with optional arguments: the words it needs, then every
+# optional argument but -o at its default
+DEFAULTS_WRITTEN_OUT = [
+    (("gen", "alice-bob"), ("--horizon", "3")),
+    (("gen", "alice-bob-odd"), ("--horizon", "3")),
+    (("gen", "minigame"), ("--variant", "base")),
+    (("gen", "random-ctx", "--seed", "5"),
+     ("--states", "3", "--entities", "2", "--times", "3", "--count", "10")),
+    (("gen", "random-kripke", "--seed", "5"),
+     ("--worlds", "4", "--atoms", "p,q", "--density", "0.3")),
+    (("ctx", "check-determinable", "CTX"), ("--mode", "literal")),
+    (("modal", "to-context", "KR", "--atoms", "p", "--depth", "1"), ("--cap", "1")),
+    (("modal", "verify-theorem", "KR", "--atoms", "p", "--depth", "1"), ("--cap", "1")),
+]
+
+
+@pytest.mark.parametrize("needed, defaults", DEFAULTS_WRITTEN_OUT,
+                         ids=["-".join(needed[:2]) for needed, _ in DEFAULTS_WRITTEN_OUT])
+def test_every_default_is_the_one_written_out(needed, defaults, alice_path, kripke_path,
+                                              capsys):
+    argv = [{"CTX": alice_path, "KR": kripke_path}.get(word, word) for word in needed]
+    runs = []
+    for extra in ((), defaults):
+        code, out = run_cli(capsys, *argv, *extra)
+        runs.append((code, [line for line in out.splitlines()
+                            if not line.startswith("command=")]))
+    assert runs[0] == runs[1]
 
 
 def test_help_exits_zero(capsys):

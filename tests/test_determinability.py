@@ -12,8 +12,8 @@ import oracles
 from ctxkit.cli import cli_dispatch
 from ctxkit.core import Context, Instance, Signature, SizeGuardError, Snapshot
 from ctxkit.determinability import (
-    IteratorConflict,
     IteratorMap,
+    SnapshotConflict,
     _Trie,
     extract_iterator,
     generate_from_iterator,
@@ -197,7 +197,8 @@ def test_constant_singleton_literal_no_windowed_yes():
     literal = is_determinable(ctx, "literal")
     assert not literal.determinable
     assert literal.witness is not None
-    assert literal.witness.time != literal.witness.other_time
+    (_, t), (_, u) = literal.witness.occurrences
+    assert t != u
     assert is_determinable(ctx, "windowed").determinable
 
     tables = corpus.as_tables(ctx)
@@ -213,10 +214,11 @@ def test_two_instance_counterexample_with_witness():
         report = is_determinable(ctx, mode)
         assert not report.determinable
         w = report.witness
-        assert w.time == "1" and w.other_time == "1"
-        assert w.snapshot() == snap1("b")
-        assert {tuple(s.states[0] for s in tr) for tr in w.bundle} == {("b", "c")}
-        assert {tuple(s.states[0] for s in tr) for tr in w.other_bundle} == {("b", "d")}
+        assert [t for _, t in w.occurrences] == ["1", "1"]
+        assert w.snapshot == snap1("b")
+        assert [{tuple(s.states[0] for s in tr) for tr in bundle} for bundle in w.futures] == [
+            {("b", "c")}, {("b", "d")}
+        ]
 
 
 def test_is_determinable_rejects_unknown_mode():
@@ -240,10 +242,9 @@ def assert_matches_oracles(ctx, mode):
         return
     a, i, b, j, bundle_a, bundle_b = expected
     w = report.witness
-    assert ctx.instances.index(w.instance) == a and sig.time_index(w.time) == i
-    assert ctx.instances.index(w.other_instance) == b and sig.time_index(w.other_time) == j
-    assert plain_bundle(w.bundle) == bundle_a
-    assert plain_bundle(w.other_bundle) == bundle_b
+    assert w.occurrences == ((ctx.instances[a], sig.times[i]), (ctx.instances[b], sig.times[j]))
+    assert w.snapshot == ctx.instances[a].snapshot_at(i) == ctx.instances[b].snapshot_at(j)
+    assert [plain_bundle(bundle) for bundle in w.futures] == [bundle_a, bundle_b]
 
 
 def test_determinability_agrees_with_oracle_on_corpus():
@@ -293,9 +294,7 @@ def test_windowed_witness_reads_a_bounded_number_of_bundle_ids(monkeypatch):
     monkeypatch.setattr(_Trie, "bundle_id", counted)
     w = is_determinable(ctx, "windowed").witness
     assert calls <= 2 * nodes * times
-    assert (w.instance.cells[0], w.time, w.other_instance.cells[0], w.other_time) == (
-        "b", "1", "c", "1"
-    )
+    assert [(inst.cells[0], t) for inst, t in w.occurrences] == [("b", "1"), ("c", "1")]
 
 
 @pytest.mark.parametrize("odd", (False, True), ids=("alice_bob", "alice_bob_odd"))
@@ -330,13 +329,11 @@ def test_witnesses_are_genuine():
                 continue
             w = report.witness
             checked += 1
-            assert w.instance.snapshot(w.time) == w.other_instance.snapshot(w.other_time)
-            b1 = corpus.oracle_bundle(ctx, w.instance, w.time)
-            b2 = corpus.oracle_bundle(ctx, w.other_instance, w.other_time)
-            assert b1 == w.bundle and b2 == w.other_bundle
+            assert [inst.snapshot(t) for inst, t in w.occurrences] == [w.snapshot] * 2
+            b1, b2 = (corpus.oracle_bundle(ctx, inst, t) for inst, t in w.occurrences)
+            assert (b1, b2) == w.futures
             n = len(ctx.signature.times)
-            i = ctx.signature.time_index(w.time)
-            j = ctx.signature.time_index(w.other_time)
+            i, j = (ctx.signature.time_index(t) for _, t in w.occurrences)
             if mode == "literal":
                 assert i != j or b1 != b2
             else:
@@ -426,14 +423,11 @@ def test_extract_iterator_branching_and_final_images():
 def test_extract_iterator_reports_conflict():
     ctx = row_context("abcxy", "abx", "cby")
     conflict = extract_iterator(ctx)
-    assert isinstance(conflict, IteratorConflict)
+    assert isinstance(conflict, SnapshotConflict)
     assert conflict.snapshot == snap1("b")
-    assert {conflict.first_image, conflict.second_image} == {
-        frozenset({snap1("x")}),
-        frozenset({snap1("y")}),
-    }
-    assert conflict.first_occurrence[1] == "1"
-    assert conflict.second_occurrence[1] == "1"
+    assert set(conflict.futures) == {frozenset({snap1("x")}), frozenset({snap1("y")})}
+    assert [inst.snapshot(t) for inst, t in conflict.occurrences] == [snap1("b")] * 2
+    assert [t for _, t in conflict.occurrences] == ["1", "1"]
 
 
 def test_has_iterator_mirrors_extraction_and_oracle():
@@ -452,7 +446,7 @@ def test_extracted_domain_is_exactly_the_occurring_snapshots():
     for _ in range(60):
         ctx = corpus.random_context(rng, max_instances=6)
         iterator = extract_iterator(ctx)
-        if isinstance(iterator, IteratorConflict):
+        if isinstance(iterator, SnapshotConflict):
             continue
         occurring = {
             inst.snapshot_at(ti)
@@ -505,12 +499,10 @@ def assert_iterator_and_determinism_match_oracles(ctx):
         return
     snapshot, first_image, second_image, (a, i), (b, j) = expected
     c = result
-    assert isinstance(c, IteratorConflict)
+    assert isinstance(c, SnapshotConflict)
     assert c.snapshot.states == snapshot
-    assert plain_snaps(c.first_image) == first_image
-    assert plain_snaps(c.second_image) == second_image
-    assert c.first_occurrence == (ctx.instances[a], sig.times[i])
-    assert c.second_occurrence == (ctx.instances[b], sig.times[j])
+    assert [plain_snaps(image) for image in c.futures] == [first_image, second_image]
+    assert c.occurrences == ((ctx.instances[a], sig.times[i]), (ctx.instances[b], sig.times[j]))
 
 
 def test_iterator_and_determinism_agree_with_oracles_on_corpus():

@@ -129,12 +129,9 @@ def test_minigame_base_breaks_on_turn_ambiguity():
     witness = report.witness
     # the witnessing occurrences put the same board position on different
     # players' turns: the times have different parities
-    t1 = int(witness.time)
-    t2 = int(witness.other_time)
+    t1, t2 = (int(t) for _, t in witness.occurrences)
     assert t1 % 2 != t2 % 2
-    assert witness.instance.snapshot(witness.time) == witness.other_instance.snapshot(
-        witness.other_time
-    )
+    assert [inst.snapshot(t) for inst, t in witness.occurrences] == [witness.snapshot] * 2
 
 
 def test_minigame_turn_bit_restores_determinability():

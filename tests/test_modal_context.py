@@ -27,6 +27,8 @@ from ctxkit.modal_logic import (
 )
 from ctxkit.modal_context import (
     ModalContext,
+    _columns,
+    _rows,
     class_world_map,
     extension_table,
     is_modal_context,
@@ -754,3 +756,15 @@ def test_a_relation_element_that_is_no_pair_is_refused():
         ModalContext(("a",), (1,), {("a", "a", "a")}, universe)
     with pytest.raises(ValueError, match="too many values to unpack"):
         KripkeModel(("a",), {("a", "a", "a")}, {})
+
+
+@pytest.mark.parametrize("count", (1, 7, 8, 9, 16, 17, 1_000))
+def test_rows_and_columns_are_the_bitwise_transposition(count):
+    # against a bit-by-bit reference: world j's row holds member i's bit j
+    rng = random.Random(count)
+    columns = [rng.getrandbits(count) for _ in range(13)] + [0, (1 << count) - 1]
+    rows = [bytes(column >> j & 1 for column in columns) for j in range(count)]
+    assert _rows(columns, count) == rows
+    assert _columns(rows, len(columns)) == tuple(columns)
+    assert _columns(_rows(columns, count), len(columns)) == tuple(columns)
+    assert _rows(_columns(rows, len(columns)), count) == rows
