@@ -26,12 +26,11 @@ _RESERVED_CHARS = set("@=;,#")
 class SizeGuardError(ValueError):
     """An enumeration would exceed the configured guard."""
 
-    def __init__(self, needed: int, guard: int, what: str, exact: bool = True):
+    def __init__(self, needed: int, guard: int, what: str):
         self.needed = needed
         self.guard = guard
-        bound = f"of at least {needed}" if exact else f"of an estimated {needed} or more"
         super().__init__(
-            f"{what} needs a guard {bound}; current guard is {guard}; "
+            f"{what} needs a guard of at least {needed}; current guard is {guard}; "
             f"set {GUARD_ENV_VAR} to raise it"
         )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ctxkit.core import SizeGuardError, check_guard, effective_guard
+from ctxkit.core import check_guard
 
 DEFAULT_UNIVERSE_GUARD = 50_000
 DEFAULT_FORMULA_GUARD = 10_000  # nodes of one parsed formula
@@ -406,17 +406,9 @@ def check_atoms(atoms: Iterable[str]) -> tuple[str, ...]:
 _BINARY = (And, Implies)  # the universe language is `~ & -> [] <>`
 
 
-def _refuse_layer(grown: int, n: int, guard: int) -> None:
-    """Refuse a Boolean layer over n formulas whose next layer, with `grown`
-    formulas before the binary operators apply, could outgrow the guard."""
-    projected = grown + len(_BINARY) * n * n
-    if projected > guard and n * n > guard:
-        raise SizeGuardError(projected, guard, "formula universe", exact=False)
-
-
 def _base_counts(atom_count: int, depth: int, cap: int) -> Iterator[int]:
     """How many modal atoms (atoms and []/<> members) formula_universe holds
-    after each modal level 1..depth, computed without building any.
+    after each modal level 0..depth, computed without building any.
 
     Every []/<> image of a target is a new member, so the count is exact:
     |M_d| = |M_0| + 2 * (2 with cap >= 1, else 1) * |M_(d-1)|.
@@ -424,6 +416,7 @@ def _base_counts(atom_count: int, depth: int, cap: int) -> Iterator[int]:
     """
     grows = 4 if cap >= 1 else 2
     count = atom_count
+    yield count
     for _ in range(depth):
         count = atom_count + grows * count
         yield count
@@ -455,13 +448,11 @@ def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, 
         raise ValueError("depth must be non-negative")
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    limit = effective_guard(DEFAULT_UNIVERSE_GUARD)
-    count = len(atoms)  # at depth 0
     for count in _base_counts(len(atoms), depth, cap):
-        if count > limit:
-            raise SizeGuardError(count, limit, "formula universe", exact=False)
-    if cap >= 1:  # the first Boolean layer's size is exact: no ~f is a modal atom
-        _refuse_layer(2 * count, count, limit)
+        check_guard(count, DEFAULT_UNIVERSE_GUARD, "formula universe")
+    if cap >= 1:  # the first Boolean round, before any row: no ~f is a modal atom
+        check_guard(2 * count + len(_BINARY) * count * count, DEFAULT_UNIVERSE_GUARD,
+                    "formula universe")
 
     kinds: list[type[Formula]] = []
     args: list = []
@@ -494,13 +485,16 @@ def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, 
 
     # Semi-naive layers: a layer is the previous one, then the rows new to
     # it, and the previous round already combined every pair of the previous
-    # layer, so a round combines only the pairs with a new side.
+    # layer, so a round combines only the pairs with a new side. Each such
+    # pair is a new row for each operator, so a round's size is known, and
+    # checked, before its binary rows are built.
     layer, known = bases, 0  # known: the layer's leading rows seen last round
     for _ in range(cap):
         in_layer = set(layer)
         grown = layer + [g for g in (wrap(Not, f) for f in layer) if g not in in_layer]
         n = len(layer)
-        _refuse_layer(len(grown), n, limit)
+        check_guard(len(grown) + len(_BINARY) * (n * n - known * known),
+                    DEFAULT_UNIVERSE_GUARD, "formula universe")
         for op in _BINARY:
             start, infix = len(kinds), f" {op.symbol} "
             rights = [_part(texts[b], kinds[b], op, right=True) for b in layer]
@@ -515,10 +509,6 @@ def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, 
                 sizes += [size + z for z in bsizes]
                 texts += [left + t for t in btexts]
             grown += range(start, len(kinds))
-            if len(grown) > limit:
-                raise SizeGuardError(len(grown), limit, "formula universe", exact=False)
-        if len(grown) == n:
-            break
         layer, known = grown, n
 
     order = sorted(layer, key=texts.__getitem__)

@@ -315,6 +315,23 @@ MUTANTS = (
          FROZENSET_FORM, KRIPKE_SMALL_SCOPE),
     ),
     Mutant(
+        "a round counts every pair",
+        "modal_logic.py",
+        "n * n - known * known",
+        "n * n",
+        ("tests/test_modal_logic.py::test_a_later_boolean_round_is_refused_on_its_exact_size",
+         "tests/test_modal_logic.py::test_member_table_matches_the_node_and_sort_reference"),
+    ),
+    Mutant(
+        "only the first round is checked",
+        "modal_logic.py",
+        "        check_guard(len(grown) + len(_BINARY) * (n * n - known * known),\n"
+        '                    DEFAULT_UNIVERSE_GUARD, "formula universe")\n',
+        "",
+        ("tests/test_modal_logic.py::test_a_later_boolean_round_is_refused_on_its_exact_size",
+         "tests/test_modal_logic.py::test_member_table_matches_the_node_and_sort_reference"),
+    ),
+    Mutant(
         "the interning key drops the kind",
         "modal_logic.py",
         "key = (cls,) + fields",

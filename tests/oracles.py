@@ -596,46 +596,43 @@ def full_theory_quotient(worlds, relation, valuation, members):
 
 # ---------------------------------------------------------------------------
 # bounded formula universes by building every member node in sets and
-# sorting the nodes on (size, printed text): the construction the member
-# table replaced, guards and messages included
+# sorting the nodes on (size, naive text): the construction the member table
+# replaced, each guard's figure counted from these sets
 # ---------------------------------------------------------------------------
 
-def _reference_refuse_layer(grown, n, guard):
+def _reference_check(size, guard):
     from ctxkit.core import SizeGuardError
 
-    projected = grown + 2 * n * n  # two binary operators, & and ->
-    if projected > guard and n * n > guard:
-        raise SizeGuardError(projected, guard, "formula universe", exact=False)
+    if size > guard:
+        raise SizeGuardError(size, guard, "formula universe")
 
 
 def _reference_boolean_layers(base, cap, guard):
-    from ctxkit.core import SizeGuardError
-
-    layer = set(base)
+    """base after cap Boolean rounds. A round adds its layer's negations and
+    every & and -> of two layer members. Only a pair with a side new to the
+    layer gives new formulas, since last round combined the others, so the
+    round is refused on that count before any pair is combined, and the
+    round built must have that size."""
+    layer, previous = set(base), set()
     for _ in range(cap):
         grown = layer | {Not(f) for f in layer}
-        n = len(layer)
-        _reference_refuse_layer(len(grown), n, guard)
-        ordered = list(layer)
+        new = layer - previous
+        # a new left side, or an old left side and a new right one
+        pairs = len(new) * len(layer) + len(previous) * len(new)
+        size = len(grown) + 2 * pairs
+        _reference_check(size, guard)
         for op in (And, Implies):
-            for a in ordered:
-                for b in ordered:
-                    grown.add(op(a, b))
-            if len(grown) > guard:
-                raise SizeGuardError(len(grown), guard, "formula universe", exact=False)
-        if grown == layer:
-            break
-        layer = grown
-        if len(layer) > guard:
-            raise SizeGuardError(len(layer), guard, "formula universe", exact=False)
+            grown |= {op(a, b) for a in layer for b in layer}
+        assert len(grown) == size, (len(grown), size)
+        layer, previous = grown, layer
     return layer
 
 
 def reference_universe(atoms, depth, cap):
     """The member nodes of formula_universe(atoms, depth, cap) in canonical
     order, or the ValueError it raises, under the CTXKIT_GUARD in force."""
-    from ctxkit.core import SizeGuardError, effective_guard
-    from ctxkit.modal_logic import _ATOM_RE, DEFAULT_UNIVERSE_GUARD, _base_counts, print_formula
+    from ctxkit.core import effective_guard
+    from ctxkit.modal_logic import _ATOM_RE, DEFAULT_UNIVERSE_GUARD
 
     atoms = tuple(atoms)
     if not atoms:
@@ -652,19 +649,16 @@ def reference_universe(atoms, depth, cap):
     if cap < 0:
         raise ValueError("cap must be non-negative")
     limit = effective_guard(DEFAULT_UNIVERSE_GUARD)
-    count = len(atoms)
-    for count in _base_counts(len(atoms), depth, cap):
-        if count > limit:
-            raise SizeGuardError(count, limit, "formula universe", exact=False)
-    if cap >= 1:
-        _reference_refuse_layer(2 * count, count, limit)
 
+    # the modal atoms of each level, each level checked once it is built
     bases = {Atom(a) for a in atoms}
+    _reference_check(len(bases), limit)
     for _ in range(depth):
         targets = bases | {Not(f) for f in bases} if cap >= 1 else set(bases)
         bases |= {Box(f) for f in targets} | {Diamond(f) for f in targets}
+        _reference_check(len(bases), limit)
     members = _reference_boolean_layers(bases, cap, limit)
-    return sorted(members, key=lambda f: (naive_size(f), print_formula(f)))
+    return sorted(members, key=lambda f: (naive_size(f), naive_print(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import pathlib
 import resource
@@ -793,7 +794,7 @@ def test_oversized_universe_is_refused_at_once(kripke_path, monkeypatch, capsys)
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[0] == (
-        "error: formula universe needs a guard of an estimated 174762 or more; "
+        "error: formula universe needs a guard of at least 174762; "
         "current guard is 50000; set CTXKIT_GUARD to raise it"
     )
     assert elapsed < 0.1
@@ -812,8 +813,8 @@ def test_oversized_boolean_layer_is_refused_before_any_node(tmp_path, monkeypatc
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[0] == (
-        f"error: {path}:1: formula universe needs a guard of an estimated 3817719580 "
-        "or more; current guard is 50000; set CTXKIT_GUARD to raise it"
+        f"error: {path}:1: formula universe needs a guard of at least 3817719580; "
+        "current guard is 50000; set CTXKIT_GUARD to raise it"
     )
     assert elapsed < 0.1
     assert modal_logic._NODES == nodes
@@ -846,6 +847,107 @@ def test_every_default_is_the_one_written_out(needed, defaults, alice_path, krip
         runs.append((code, [line for line in out.splitlines()
                             if not line.startswith("command=")]))
     assert runs[0] == runs[1]
+
+
+# each leaf command's words, then its arguments as (flag, or None for the
+# positional file, value class, a valid value); a value in <> is a
+# placeholder for a path, and a "ctx", "kr" or "mctx" class is a file
+ARGV_LEAVES = [
+    (("ctx", "check-determinable"), [(None, "ctx", "<ctx>"), ("--mode", "mode", "windowed")]),
+    (("ctx", "iterator"), [(None, "ctx", "<ctx>")]),
+    (("ctx", "consistency"), [(None, "ctx", "<ctx>"), ("--instance", "name", "i0"),
+                              ("--time", "name", "1")]),
+    (("ctx", "deterministic"), [(None, "ctx", "<ctx>")]),
+    (("modal", "eval"), [(None, "kr", "<kr>"), ("--world", "name", "w1"),
+                         ("--formula", "formula", "[]p")]),
+    (("modal", "to-context"), [(None, "kr", "<kr>"), ("--atoms", "atoms", "p"),
+                               ("--depth", "int", "1"), ("--cap", "int", "1"),
+                               ("-o", "out", "<out>")]),
+    (("modal", "check-context"), [(None, "mctx", "<mctx>")]),
+    (("modal", "verify-theorem"), [(None, "kr", "<kr>"), ("--atoms", "atoms", "p"),
+                                   ("--depth", "int", "1"), ("--cap", "int", "1")]),
+    (("gen", "alice-bob"), [("--horizon", "int", "3"), ("-o", "out", "<out>")]),
+    (("gen", "alice-bob-odd"), [("--horizon", "int", "3"), ("-o", "out", "<out>")]),
+    (("gen", "minigame"), [("--variant", "mode", "turn"), ("-o", "out", "<out>")]),
+    (("gen", "random-ctx"), [("--seed", "int", "5"), ("--states", "int", "3"),
+                             ("--entities", "int", "2"), ("--times", "int", "3"),
+                             ("--count", "int", "10"), ("-o", "out", "<out>")]),
+    (("gen", "random-kripke"), [("--seed", "int", "5"), ("--worlds", "int", "4"),
+                                ("--atoms", "atoms", "p,q"), ("--density", "density", "0.3"),
+                                ("-o", "out", "<out>")]),
+]
+ARGV_VALUES = {
+    **{kind: tuple(f"<{kind}:{case}>" for case in
+                   ("missing", "directory", "binary", "empty", "foreign"))
+       for kind in ("ctx", "kr", "mctx")},
+    "int": ("-1", "0", str(2**63), str(10**20)),
+    "density": ("nan", "inf", "-0.0"),
+    "atoms": ("", ",", "true", "p,p"),
+    # unbalanced; 10,001 nodes, one past the formula guard; 9,000 nested ~
+    "formula": ("(p & q", " & ".join(["p"] * 5001), "~" * 9000 + "p"),
+    "name": ("", "nowhere"),
+    "mode": ("bogus",),
+    "out": ("<directory>", "<missing>/out"),
+}
+
+
+def leaf_argv(words, spec, changes):
+    """The leaf's argv with its valid values, but for changes (position ->
+    value, None leaving the argument out)."""
+    argv = list(words)
+    for i, (flag, _, valid) in enumerate(spec):
+        value = changes.get(i, valid)
+        if value is not None:
+            argv += [value] if flag is None else [flag, value]
+    return argv
+
+
+def argv_table():
+    """Each leaf's valid argv; it with one argument left out, and with one
+    argument, or two integer ones, set to each awkward value of their class."""
+    table = []
+    for words, spec in ARGV_LEAVES:
+        table.append(leaf_argv(words, spec, {}))
+        for i, (_, kind, _) in enumerate(spec):
+            table += [leaf_argv(words, spec, {i: value}) for value in (None, *ARGV_VALUES[kind])]
+        ints = [i for i, (_, kind, _) in enumerate(spec) if kind == "int"]
+        for a, b in itertools.combinations(ints, 2):
+            table += [leaf_argv(words, spec, {a: x, b: y})
+                      for x, y in itertools.product(ARGV_VALUES["int"], repeat=2)]
+    return table
+
+
+def test_a_bounded_argv_enumeration_finds_no_internal_error(tmp_path, monkeypatch, capsys):
+    # sizes the guards admit but that run slowly, such as 1,024 worlds at
+    # density 1, stay out of the table
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    (tmp_path / "d.ctx").write_text("states: a b\nentities: e\ntime: 0 1\n"
+                                    "instance i0:\n  e@0=a e@1=b\ninstance i1:\n  e@0=b e@1=b\n")
+    (tmp_path / "d.kr").write_text(TWO_WORLD)
+    assert cli_dispatch(["modal", "to-context", str(tmp_path / "d.kr"), "--atoms", "p",
+                         "--depth", "1", "-o", str(tmp_path / "d.mctx")]) == 0
+    (tmp_path / "binary").write_bytes(bytes(range(256)))
+    (tmp_path / "empty").write_text("")
+    foreign = {"ctx": "kr", "kr": "mctx", "mctx": "ctx"}
+    words = {"<out>": str(tmp_path / "out"), "<directory>": str(tmp_path),
+             "<missing>/out": str(tmp_path / "missing" / "out")}
+    for kind in foreign:
+        words.update({f"<{kind}>": str(tmp_path / f"d.{kind}"),
+                      f"<{kind}:missing>": str(tmp_path / f"missing.{kind}"),
+                      f"<{kind}:directory>": str(tmp_path),
+                      f"<{kind}:binary>": str(tmp_path / "binary"),
+                      f"<{kind}:empty>": str(tmp_path / "empty"),
+                      f"<{kind}:foreign>": str(tmp_path / f"d.{foreign[kind]}")})
+    table = argv_table()
+    assert 300 <= len(table) <= 500
+    capsys.readouterr()
+    start = time.perf_counter()
+    for argv in table:
+        code = cli_dispatch([words.get(word, word) for word in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "internal error" not in err, (argv, err)
+    assert time.perf_counter() - start <= 10
 
 
 def test_help_exits_zero(capsys):

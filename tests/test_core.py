@@ -355,3 +355,11 @@ def test_membership_agrees_with_the_instance_tuple():
         for probe in probes:
             assert (probe in ctx) == (probe in ctx.instances)
         assert all(inst in ctx for inst in ctx.instances)
+        assert not any(probe in ctx for probe in foreign)
+
+
+def test_only_an_instance_is_a_member():
+    sig = Signature(("a",), ("e",), ("0",))
+    ctx = Context(sig, [Instance(("e",), ("0",), ("a",))])
+    for probe in (ctx.rows[0], ("a",), "a", None, Snapshot(("e",), ("a",))):
+        assert probe not in ctx

@@ -609,6 +609,40 @@ def test_generate_rejects_gaps():
     assert len(generate_from_iterator(dead_end, {snap1("a")}, 2)) == 1
 
 
+def test_iterator_map_input_checks_are_pinned():
+    other = Snapshot(("e1",), ("a",))
+    for entries, message in (
+        (((other, frozenset()),), "domain snapshot entities do not match the map"),
+        (((snap1("a"), frozenset()), (snap1("b"), frozenset()), (snap1("a"), frozenset())),
+         "duplicate domain snapshot e0=a"),
+        (((snap1("a"), frozenset({snap1("a"), other})),),
+         "image snapshot entities do not match the map"),
+    ):
+        with pytest.raises(ValueError) as info:
+            IteratorMap(("e0",), entries)
+        assert str(info.value) == message
+    iterator = IteratorMap(("e0",), ((snap1("a"), frozenset({snap1("a")})),))
+    assert snap1("b") not in iterator
+    with pytest.raises(KeyError) as info:
+        iterator.image(snap1("b"))
+    assert info.value.args == ("snapshot e0=b is not in the iterator domain",)
+
+
+def test_unrolling_input_checks_are_pinned():
+    iterator = IteratorMap(("e0",), ((snap1("a"), frozenset({snap1("a")})),))
+    for seeds, horizon, message in (
+        ({snap1("a")}, 0, "horizon must be at least 1"),
+        ({snap1("a")}, -1, "horizon must be at least 1"),
+        ((), 2, "at least one seed snapshot is required"),
+        ({snap1("a"), Snapshot(("e1",), ("a",))}, 2,
+         "seed snapshot entities do not match the iterator"),
+    ):
+        with pytest.raises(ValueError) as info:
+            generate_from_iterator(iterator, seeds, horizon)
+        assert str(info.value) == message
+    assert len(generate_from_iterator(iterator, iter([snap1("a")]), 1)) == 1
+
+
 def test_the_first_stuck_snapshot_by_rendered_text_is_named():
     # at time 1 the seed z reaches b, outside the domain, and the seed a
     # reaches y, whose image is empty; b renders first

@@ -333,6 +333,24 @@ def test_parse_context_agrees_with_tokenwise_reference(text):
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        (HEAD + "instance x:\n" + FULL + "states: a b\n", 6, "states: after instances or repeated"),
+        (HEAD + "time: 0\n", 4, "time: after instances or repeated"),
+        ("states: a\nstates: a\n", 2, "states: after instances or repeated"),
+        (HEAD + "instance x\n", 4, "expected `instance <name>:`"),
+        (HEAD + "instance  :\n", 4, "expected `instance <name>:`"),
+        (HEAD + "instance x y\n", 4, "expected `instance <name>:`"),
+        # `instance:` is one token, and not the keyword
+        (HEAD + "instance:\n", 4, "unexpected line 'instance:'"),
+    ],
+)
+def test_misplaced_headers_and_nameless_instances_are_pinned(text, line_no, message):
+    got, want = read_both(text)
+    assert got == want == ("error", f"f.ctx:{line_no}: {message}", line_no)
+
+
 def assert_parsed_as_checked(text):
     """The parser's context is the one `Context.from_rows` makes of the rows
     the parser named: the parser skips no check or sort that path makes."""

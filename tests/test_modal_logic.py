@@ -478,6 +478,11 @@ def test_the_mask_constructor_checks_only_that_masks_stay_within_the_worlds():
     assert KripkeModel.from_masks(("a", "a"), (0, 0), {"P": 1}).atoms == {"P": 1}
 
 
+def test_a_valuation_naming_an_unknown_world_is_refused():
+    with pytest.raises(ValueError, match=r"^valuation of 'p' names unknown worlds \['c', 'd'\]$"):
+        KripkeModel(("a", "b"), (), {"q": {"a"}, "p": {"d", "b", "c"}})
+
+
 def test_models_copy_and_pickle_as_equal_values():
     model = KripkeModel(**MODEL)
     quotient(model, formula_universe(("p",), 1))  # fills the model's memo
@@ -608,10 +613,10 @@ def test_universe_guard(monkeypatch):
     with pytest.raises(SizeGuardError) as err:
         formula_universe(("p", "q"), depth=2)
     assert str(err.value) == (
-        "formula universe needs a guard of an estimated 3612 or more; "
+        "formula universe needs a guard of at least 3612; "
         "current guard is 100; set CTXKIT_GUARD to raise it"
     )
-    # the estimate is the universe's size here, and that guard suffices
+    # the figure is the universe's size here, and that guard suffices
     monkeypatch.setenv("CTXKIT_GUARD", "3612")
     assert len(formula_universe(("p", "q"), depth=2)) == 3612
 
@@ -620,10 +625,10 @@ def test_base_count_recurrence_matches_built_universes():
     for atoms in (("p",), ("p", "q"), ("p", "q", "r")):
         for cap in (0, 1):
             counts = list(_base_counts(len(atoms), 2, cap))
-            for depth in (1, 2):
+            for depth in (0, 1, 2):
                 universe = formula_universe(atoms, depth, cap=cap)
                 built = sum(isinstance(f, (Atom, Box, Diamond)) for f in universe.members)
-                assert counts[depth - 1] == built, (atoms, cap, depth)
+                assert counts[depth] == built, (atoms, cap, depth)
 
 
 def test_universe_guard_fires_before_any_node_is_built(monkeypatch):
@@ -632,12 +637,42 @@ def test_universe_guard_fires_before_any_node_is_built(monkeypatch):
     with pytest.raises(SizeGuardError) as err:
         formula_universe(("p", "q"), depth=40)
     assert str(err.value) == (
-        "formula universe needs a guard of an estimated 174762 or more; "
+        "formula universe needs a guard of at least 174762; "
         "current guard is 50000; set CTXKIT_GUARD to raise it"
     )
     with pytest.raises(SizeGuardError):  # the counts stop at the first one too large
         formula_universe(("p", "q"), depth=10**6)
     assert len(modal_logic._NODES) == nodes
+
+
+def test_a_later_boolean_round_is_refused_on_its_exact_size(monkeypatch):
+    # the second round over the 60 members of (p, depth 1, cap 1) adds
+    # 60 - 5 negations and 2 * (60 ** 2 - 5 ** 2) pairs: 7,265 members
+    for guard in (3000, 7264):
+        monkeypatch.setenv("CTXKIT_GUARD", str(guard))
+        with pytest.raises(SizeGuardError) as err:
+            formula_universe(("p",), 1, cap=2)
+        assert str(err.value) == (
+            f"formula universe needs a guard of at least 7265; "
+            f"current guard is {guard}; set CTXKIT_GUARD to raise it"
+        )
+    monkeypatch.setenv("CTXKIT_GUARD", "7265")
+    assert len(formula_universe(("p",), 1, cap=2)) == 7265
+
+
+def test_every_universe_reads_the_guard(monkeypatch):
+    monkeypatch.setenv("CTXKIT_GUARD", "abc")
+    with pytest.raises(ValueError, match="^CTXKIT_GUARD must be an integer, got 'abc'$"):
+        formula_universe(("p",), 0, cap=0)
+    monkeypatch.setenv("CTXKIT_GUARD", "1")
+    with pytest.raises(SizeGuardError, match="^formula universe needs a guard of at least 2;"):
+        formula_universe(("p", "q"), 0, cap=0)
+    assert len(formula_universe(("p",), 0, cap=0)) == 1
+
+
+def test_a_negative_cap_is_refused():
+    with pytest.raises(ValueError, match="^cap must be non-negative$"):
+        formula_universe(("p",), 1, cap=-1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -18,7 +18,8 @@ FORBIDDEN = {
     "parse_context_tokenwise": {"parse_context"},
     "reference_parse_modal_context": {"parse_modal_context"},
     "reference_parse_kripke": {"parse_kripke", "KripkeModel", "from_masks"},
-    "reference_universe": {"formula_universe"},
+    "reference_universe": {"formula_universe", "_member_table", "_base_counts",
+                           "print_formula", "_part"},
     "frozenset_extensions": {"Evaluator", "satisfies", "extension_table", "_rule"},
     "reference_requotient": {"_rule", "extension_table", "to_modal_context",
                              "requotient_is_identity", "Evaluator", "satisfies"},
