@@ -45,7 +45,6 @@ from ctxkit.core import (
 )
 from ctxkit.determinability import (
     DeterminabilityReport,
-    IteratorMap,
     SnapshotConflict,
     extract_iterator,
     generate_from_iterator,

@@ -30,7 +30,6 @@ from ctxkit import modal_context, modal_logic
 from ctxkit.core import Instance, consistency_context
 from ctxkit.determinability import (
     MODES,
-    IteratorMap,
     SnapshotConflict,
     extract_iterator,
     is_determinable,
@@ -151,9 +150,9 @@ def cmd_ctx_check_determinable(args) -> int:
 def cmd_ctx_iterator(args) -> int:
     loaded, fields = _load(args, parse_context)
     result = extract_iterator(loaded.context)
-    if isinstance(result, IteratorMap):
+    if not isinstance(result, SnapshotConflict):
         fields.append(("verdict", "yes"))
-        fields.append(("domain_size", str(len(result.entries))))
+        fields.append(("domain_size", str(len(result))))
         _emit(fields, render_iterator_map(result).splitlines())
         return 0
     conflict = result

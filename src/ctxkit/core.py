@@ -24,13 +24,15 @@ _RESERVED_CHARS = set("@=;,#")
 
 
 class SizeGuardError(ValueError):
-    """An enumeration would exceed the configured guard."""
+    """An enumeration would exceed the configured guard. The message prints a
+    `needed` of 2 ** 64 or more as 2^k, the power of two at or below it."""
 
     def __init__(self, needed: int, guard: int, what: str):
         self.needed = needed
         self.guard = guard
+        shown = needed if needed < 2 ** 64 else f"2^{needed.bit_length() - 1}"
         super().__init__(
-            f"{what} needs a guard of at least {needed}; current guard is {guard}; "
+            f"{what} needs a guard of at least {shown}; current guard is {guard}; "
             f"set {GUARD_ENV_VAR} to raise it"
         )
 
@@ -301,9 +303,9 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     return Context.from_sorted_rows(sig, tuple(kept))
 
 
-def check_full_space_guard(n_states: int, n_cells: int) -> None:
-    """Raise SizeGuardError if the full space, n_states ** n_cells instances,
-    exceeds the guard.
+def check_full_space_guard(n_states: int, n_entities: int, n_times: int) -> None:
+    """Raise SizeGuardError if the full space, n_states ** (n_entities * n_times)
+    instances, exceeds the guard.
 
     Generators that build a subspace directly call this before they build
     anything, so their guard is the same as if they filtered the full space.
@@ -313,11 +315,12 @@ def check_full_space_guard(n_states: int, n_cells: int) -> None:
     message stays short whatever the arguments.
     """
     limit = effective_guard(DEFAULT_SPACE_GUARD)
+    n_cells = n_entities * n_times
     least = n_cells * (n_states.bit_length() - 1)  # the space holds >= 2 ** least
     needed = 2 ** limit.bit_length() if least >= limit.bit_length() else n_states ** n_cells
     if needed > limit:
-        raise SizeGuardError(
-            needed, limit, f"full space over {n_states} states and {n_cells} cells")
+        raise SizeGuardError(needed, limit, f"full space over {n_states} states, "
+                             f"{n_entities} entities and {n_times} times")
 
 
 def build_full_space(sig: Signature) -> Context:
@@ -326,7 +329,7 @@ def build_full_space(sig: Signature) -> Context:
     Refuses to enumerate more than the guard allows (default 2**20 instances,
     overridable via CTXKIT_GUARD).
     """
-    check_full_space_guard(len(sig.states), sig.cell_count())
+    check_full_space_guard(len(sig.states), len(sig.entities), len(sig.times))
     return Context.from_rows(
         sig, itertools.product(range(len(sig.states)), repeat=sig.cell_count())
     )

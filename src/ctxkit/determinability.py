@@ -30,7 +30,8 @@ occurrence, their occurrences by instance, then by time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
+from itertools import chain
 from typing import Iterable
 
 from ctxkit.core import DEFAULT_SPACE_GUARD, Context, Instance, Signature, Snapshot, check_guard
@@ -38,6 +39,7 @@ from ctxkit.core import DEFAULT_SPACE_GUARD, Context, Instance, Signature, Snaps
 MODES = ("literal", "windowed")
 
 Trace = tuple[Snapshot, ...]
+_IteratorDict = dict[Snapshot, frozenset[Snapshot]]  # snapshot -> its image
 
 
 @dataclass(frozen=True)
@@ -227,50 +229,9 @@ def is_deterministic(ctx: Context) -> bool:
     return len({row[::n] for row in ctx.rows}) == len(ctx.rows)
 
 
-@dataclass(frozen=True)
-class IteratorMap:
-    """A snapshot -> set-of-snapshots step function over a context's snapshots.
-
-    Entries are kept sorted by rendered snapshot, so two equal maps always
-    serialize identically.
-    """
-
-    entities: tuple[str, ...]
-    entries: tuple[tuple[Snapshot, frozenset[Snapshot]], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entities", tuple(self.entities))
-        cleaned = []
-        seen = set()
-        for snap, image in self.entries:
-            if snap.entities != self.entities:
-                raise ValueError("domain snapshot entities do not match the map")
-            if snap in seen:
-                raise ValueError(f"duplicate domain snapshot {snap.render()}")
-            seen.add(snap)
-            for out in image:
-                if out.entities != self.entities:
-                    raise ValueError("image snapshot entities do not match the map")
-            cleaned.append((snap, frozenset(image)))
-        cleaned.sort(key=lambda pair: pair[0].render())
-        object.__setattr__(self, "entries", tuple(cleaned))
-
-    @cached_property
-    def _table(self) -> dict[Snapshot, frozenset[Snapshot]]:
-        return dict(self.entries)
-
-    def image(self, snap: Snapshot) -> frozenset[Snapshot]:
-        try:
-            return self._table[snap]
-        except KeyError:
-            raise KeyError(f"snapshot {snap.render()} is not in the iterator domain") from None
-
-    def __contains__(self, snap: object) -> bool:
-        return snap in self._table
-
-
-def extract_iterator(ctx: Context) -> IteratorMap | SnapshotConflict:
-    """The step function demanded by every occurrence, or the first conflict.
+def extract_iterator(ctx: Context) -> _IteratorDict | SnapshotConflict:
+    """The step function demanded by every occurrence, as a dict from each
+    occurring snapshot to its image, or the first conflict.
 
     Every occurrence of a snapshot at a time with a successor pins the
     snapshot's image to its next-snapshot set; two occurrences pinning
@@ -291,25 +252,24 @@ def extract_iterator(ctx: Context) -> IteratorMap | SnapshotConflict:
             futures = trie.as_snapshots(images[sid]), trie.as_snapshots(nxt)
             return trie.conflict(first[sid], node, futures)
         first.setdefault(sid, node)
-    entries = tuple(
-        (snap, trie.as_snapshots(images.get(sid, ()))) for sid, snap in enumerate(trie.snaps)
-    )
-    return IteratorMap(ctx.signature.entities, entries)
+    return {snap: trie.as_snapshots(images.get(sid, ())) for sid, snap in enumerate(trie.snaps)}
 
 
 def has_iterator(ctx: Context) -> bool:
-    return isinstance(extract_iterator(ctx), IteratorMap)
+    return not isinstance(extract_iterator(ctx), SnapshotConflict)
 
 
 def generate_from_iterator(
-    iterator: IteratorMap, seeds: Iterable[Snapshot], horizon: int
+    iterator: _IteratorDict, seeds: Iterable[Snapshot], horizon: int
 ) -> Context:
     """Unroll every trajectory of the given length from the seeds.
 
-    All branching is kept; the result is the context of all iterator paths.
-    Paths are counted per last snapshot first, one pass per step, which
-    names the first snapshot in rendered order that is not in the domain or
-    has an empty image. More paths than the guard (`DEFAULT_SPACE_GUARD`, or
+    All branching is kept; the result is the context of all iterator paths,
+    over the seeds' entities, which every snapshot of the map must share, and
+    every state of the seeds and the map, reached or not. Paths are counted
+    per last snapshot first, one pass per step, which names the first
+    snapshot in rendered order that is not in the domain or has an empty
+    image. More paths than the guard (`DEFAULT_SPACE_GUARD`, or
     `CTXKIT_GUARD`) are refused before any is unrolled.
     """
     if horizon < 1:
@@ -317,20 +277,23 @@ def generate_from_iterator(
     seed_set = set(seeds)
     if not seed_set:
         raise ValueError("at least one seed snapshot is required")
-    for seed in seed_set:
-        if seed.entities != iterator.entities:
-            raise ValueError("seed snapshot entities do not match the iterator")
+    entities = next(iter(seed_set)).entities
+    states = set()
+    for snap in chain(seed_set, iterator, *iterator.values()):
+        if snap.entities != entities:
+            raise ValueError("the seeds and the iterator's snapshots are over different entities")
+        states.update(snap.states)
 
     counts = dict.fromkeys(seed_set, 1)  # last snapshot -> paths ending there
     for step in range(1, horizon):
         grown: dict[Snapshot, int] = {}
         for snap in sorted(counts, key=Snapshot.render):
-            if snap not in iterator:
+            image = iterator.get(snap)
+            if image is None:
                 raise ValueError(
                     f"snapshot {snap.render()} reached at time {step - 1} "
                     "is not in the iterator domain"
                 )
-            image = iterator.image(snap)
             if not image:
                 raise ValueError(
                     f"iterator image of {snap.render()} is empty before the final time"
@@ -343,17 +306,10 @@ def generate_from_iterator(
 
     paths = [(seed,) for seed in seed_set]  # Context.from_rows sorts the rows
     for _ in range(1, horizon):
-        paths = [path + (nxt,) for path in paths for nxt in iterator.image(path[-1])]
+        paths = [path + (nxt,) for path in paths for nxt in iterator[path[-1]]]
 
-    states = set()
-    for snap, image in iterator.entries:
-        states.update(snap.states)
-        for out in image:
-            states.update(out.states)
-    for seed in seed_set:
-        states.update(seed.states)
     times = tuple(str(k) for k in range(horizon))
-    sig = Signature(tuple(sorted(states)), iterator.entities, times)
+    sig = Signature(tuple(sorted(states)), entities, times)
     index = {s: i for i, s in enumerate(sig.states)}
     rows = [
         tuple(index[snap.states[ei]] for ei in range(len(sig.entities)) for snap in path)
@@ -362,14 +318,15 @@ def generate_from_iterator(
     return Context.from_rows(sig, rows)
 
 
-def render_iterator_map(iterator: IteratorMap) -> str:
+def render_iterator_map(iterator: _IteratorDict) -> str:
     """One `iter <snapshot> -> <snapshot>[,...]` line per domain snapshot.
 
     Snapshots render as `e1=s;e2=s` in canonical entity order; an empty
-    image renders as `-`.
+    image renders as `-`. Lines come in rendered order of the domain, so two
+    equal maps always serialize identically.
     """
     lines = []
-    for snap, image in iterator.entries:
+    for snap, image in sorted(iterator.items(), key=lambda pair: pair[0].render()):
         if image:
             rhs = ",".join(s.render() for s in sorted(image, key=lambda s: s.render()))
         else:

@@ -33,7 +33,7 @@ def gen_alice_bob_odd(horizon: int) -> Context:
 def _alice_bob(horizon: int, odd: bool) -> Context:
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    check_full_space_guard(2, 2 * horizon)
+    check_full_space_guard(2, 2, horizon)
     sig = Signature(
         ("Home", "Out"),
         ("Alice", "Bob"),
@@ -148,7 +148,8 @@ def gen_random_context(
     if count < 0:
         raise ValueError("count must be non-negative")
     check_guard(count * n_entities * n_times, DEFAULT_SPACE_GUARD,
-                f"random context of {count} instances over {n_entities * n_times} cells")
+                f"random context of {count} instances over {n_entities} entities and "
+                f"{n_times} times")
     check_guard(n_states + n_entities + n_times, DEFAULT_SPACE_GUARD, f"random context "
                 f"signature of {n_states} states, {n_entities} entities and {n_times} times")
     rng = random.Random(seed)

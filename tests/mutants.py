@@ -155,7 +155,7 @@ MUTANTS = (
     Mutant(
         "has_iterator tests for the conflict",
         "determinability.py",
-        "return isinstance(extract_iterator(ctx), IteratorMap)",
+        "return not isinstance(extract_iterator(ctx), SnapshotConflict)",
         "return isinstance(extract_iterator(ctx), SnapshotConflict)",
         ("tests/test_determinability.py::test_has_iterator_mirrors_extraction_and_oracle",),
     ),
@@ -399,7 +399,7 @@ MUTANTS = (
     Mutant(
         "the alice-bob guard runs after the signature is built",
         "generators.py",
-        "    check_full_space_guard(2, 2 * horizon)\n"
+        "    check_full_space_guard(2, 2, horizon)\n"
         "    sig = Signature(\n"
         "        (\"Home\", \"Out\"),\n"
         "        (\"Alice\", \"Bob\"),\n"
@@ -410,7 +410,7 @@ MUTANTS = (
         "        (\"Alice\", \"Bob\"),\n"
         "        tuple(str(t) for t in range(horizon)),\n"
         "    )\n"
-        "    check_full_space_guard(2, 2 * horizon)\n",
+        "    check_full_space_guard(2, 2, horizon)\n",
         (EXTREME_GEN,),
     ),
     Mutant(

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import os
@@ -764,7 +765,7 @@ def test_extreme_generator_arguments_are_refused_before_anything_is_built(argv, 
     (("random-kripke", "--seed", "1"), "--worlds", ("4", "5"),
      "random Kripke model of 5 worlds needs a guard of at least 25"),
     (("random-ctx", "--seed", "1", "--entities", "2", "--times", "2"), "--count", ("4", "5"),
-     "random context of 5 instances over 4 cells needs a guard of at least 20"),
+     "random context of 5 instances over 2 entities and 2 times needs a guard of at least 20"),
 ], ids=["random-kripke", "random-ctx"])
 def test_random_generators_check_their_draws_before_drawing(
     command, size, over, message, tmp_path, monkeypatch, capsys
@@ -783,6 +784,33 @@ def test_random_generators_check_their_draws_before_drawing(
         f"error: {message}; current guard is 16; set CTXKIT_GUARD to raise it"
     )
     assert not path.exists()
+
+
+HUGE = "5" + "0" * 4299  # the most digits int() reads by default
+WIDE = "7" * 3000  # a product of two of these has more
+
+
+@pytest.mark.parametrize("argv", [
+    ("alice-bob", "--horizon", HUGE),
+    ("alice-bob-odd", "--horizon", HUGE),
+    ("random-ctx", "--seed", "1", "--times", HUGE),
+    ("random-ctx", "--seed", "1", "--states", HUGE),
+    ("random-ctx", "--seed", "1", "--entities", WIDE, "--times", WIDE),
+    ("random-kripke", "--seed", "1", "--worlds", HUGE),
+], ids=["alice-bob", "alice-bob-odd", "random-ctx-times", "random-ctx-states",
+        "random-ctx-cells", "random-kripke"])
+def test_guard_messages_format_for_every_integer_argparse_reads(argv, monkeypatch, capsys):
+    # a figure of 2^64 or more prints as a power, and no guard text prints a
+    # product of arguments, so no figure is too long for str()
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    assert cli_dispatch(["gen", *argv]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert captured.out == ""
+    assert len(errors) == 1 and errors[0].endswith("set CTXKIT_GUARD to raise it")
+    assert "Exceeds the limit" not in captured.err
+    needed = errors[0].split(" needs a guard of at least ")[1].split(";")[0]
+    assert len(needed) <= 20  # the full space reports 2^L in decimal, the rest 2^k
 
 
 def test_oversized_universe_is_refused_at_once(kripke_path, monkeypatch, capsys):
@@ -1015,6 +1043,26 @@ def test_every_package_name_resolves():
         assert getattr(ctxkit, name) is getattr(home, name)
     with pytest.raises(AttributeError):
         ctxkit.no_such_name
+
+
+def test_reimporting_the_package_keeps_its_modal_modules():
+    import ctxkit
+    from ctxkit import formats
+
+    kripke_model = ctxkit.KripkeModel
+    saved_modules, saved_names = dict(sys.modules), dict(vars(ctxkit))
+    assert {"ctxkit.modal_logic", "ctxkit.modal_context"} <= set(sys.modules)
+    try:
+        importlib.reload(ctxkit)
+        kept = (ctxkit.modal_logic is formats.modal_logic,
+                ctxkit.modal_context is formats.modal_context,
+                ctxkit.KripkeModel is kripke_model)
+    finally:
+        sys.modules.clear()
+        sys.modules.update(saved_modules)
+        vars(ctxkit).clear()
+        vars(ctxkit).update(saved_names)
+    assert kept == (True, True, True)
 
 
 def test_import_builds_no_parser(ctxkit_src):

@@ -302,11 +302,18 @@ def test_full_space_guard(monkeypatch):
     with pytest.raises(SizeGuardError) as err:
         build_full_space(sig)
     assert str(err.value) == (
-        "full space over 2 states and 6 cells needs a guard of at least 64; "
+        "full space over 2 states, 2 entities and 3 times needs a guard of at least 64; "
         "current guard is 63; set CTXKIT_GUARD to raise it"
     )
     monkeypatch.setenv("CTXKIT_GUARD", "64")
     assert len(build_full_space(sig)) == 64
+
+
+def test_a_figure_from_2_to_the_64_prints_as_a_power():
+    assert "at least 18446744073709551615;" in str(SizeGuardError(2 ** 64 - 1, 1, "x"))
+    assert "at least 2^64;" in str(SizeGuardError(2 ** 64, 1, "x"))
+    big = SizeGuardError(2 ** 8000 + 1, 1, "x")
+    assert "at least 2^8000;" in str(big) and big.needed == 2 ** 8000 + 1
 
 
 def test_restrict_trivial_predicates():

@@ -12,7 +12,6 @@ import oracles
 from ctxkit.cli import cli_dispatch
 from ctxkit.core import Context, Instance, Signature, SizeGuardError, Snapshot
 from ctxkit.determinability import (
-    IteratorMap,
     SnapshotConflict,
     _Trie,
     extract_iterator,
@@ -351,14 +350,11 @@ def test_singleton_is_deterministic():
 
 
 def test_branching_iterator_output_is_not_deterministic():
-    iterator = IteratorMap(
-        ("e0",),
-        (
-            (snap1("a"), frozenset({snap1("b"), snap1("c")})),
-            (snap1("b"), frozenset({snap1("b")})),
-            (snap1("c"), frozenset({snap1("c")})),
-        ),
-    )
+    iterator = {
+        snap1("a"): frozenset({snap1("b"), snap1("c")}),
+        snap1("b"): frozenset({snap1("b")}),
+        snap1("c"): frozenset({snap1("c")}),
+    }
     ctx = generate_from_iterator(iterator, {snap1("a")}, 3)
     assert not is_deterministic(ctx)
 
@@ -400,8 +396,7 @@ def test_ctx_deterministic_builds_no_trie(tmp_path, monkeypatch, capsys):
 def test_extract_iterator_constant_singleton():
     ctx = row_context("s", "sss")
     iterator = extract_iterator(ctx)
-    assert isinstance(iterator, IteratorMap)
-    assert iterator.image(snap1("s")) == frozenset({snap1("s")})
+    assert iterator == {snap1("s"): frozenset({snap1("s")})}
 
 
 def test_an_empty_iterator_map_renders_no_line():
@@ -414,10 +409,11 @@ def test_an_empty_iterator_map_renders_no_line():
 def test_extract_iterator_branching_and_final_images():
     ctx = row_context("abc", "ab", "ac")
     i = extract_iterator(ctx)
-    assert i.image(snap1("a")) == frozenset({snap1("b"), snap1("c")})
-    assert i.image(snap1("b")) == frozenset()
-    assert i.image(snap1("c")) == frozenset()
-    assert {snap for snap, _ in i.entries} == {snap1("a"), snap1("b"), snap1("c")}
+    assert i == {
+        snap1("a"): frozenset({snap1("b"), snap1("c")}),
+        snap1("b"): frozenset(),
+        snap1("c"): frozenset(),
+    }
 
 
 def test_extract_iterator_reports_conflict():
@@ -438,7 +434,7 @@ def test_has_iterator_mirrors_extraction_and_oracle():
             corpus.as_tables(ctx), ctx.signature.entities, ctx.signature.times
         )
         assert has_iterator(ctx) == expected
-        assert isinstance(extract_iterator(ctx), IteratorMap) == expected
+        assert isinstance(extract_iterator(ctx), dict) == expected
 
 
 def test_extracted_domain_is_exactly_the_occurring_snapshots():
@@ -453,7 +449,7 @@ def test_extracted_domain_is_exactly_the_occurring_snapshots():
             for inst in ctx
             for ti in range(len(ctx.signature.times))
         }
-        assert {snap for snap, _ in iterator.entries} == occurring
+        assert set(iterator) == occurring
 
 
 def test_literal_determinable_implies_iterator_satisfying_definition():
@@ -465,10 +461,10 @@ def test_literal_determinable_implies_iterator_satisfying_definition():
             continue
         hits += 1
         i = extract_iterator(ctx)
-        assert isinstance(i, IteratorMap)
+        assert isinstance(i, dict)
         for inst in ctx.instances:
             for t in ctx.signature.times[:-1]:
-                assert corpus.oracle_next_set(ctx, inst, t) == i.image(inst.snapshot(t))
+                assert corpus.oracle_next_set(ctx, inst, t) == i[inst.snapshot(t)]
     assert hits > 20
 
 
@@ -479,7 +475,7 @@ def test_extraction_is_deterministic_and_serializes_stably():
         first = extract_iterator(ctx)
         second = extract_iterator(ctx)
         assert first == second
-        if isinstance(first, IteratorMap):
+        if isinstance(first, dict):
             assert render_iterator_map(first) == render_iterator_map(second)
 
 
@@ -494,8 +490,8 @@ def assert_iterator_and_determinism_match_oracles(ctx):
     images, expected = oracles.extract_iterator(tables, sig.entities, sig.times)
     result = extract_iterator(ctx)
     if expected is None:
-        assert isinstance(result, IteratorMap)
-        assert {s.states: plain_snaps(img) for s, img in result.entries} == images
+        assert isinstance(result, dict)
+        assert {s.states: plain_snaps(img) for s, img in result.items()} == images
         return
     snapshot, first_image, second_image, (a, i), (b, j) = expected
     c = result
@@ -573,87 +569,87 @@ def test_a_300_state_signature_reads_writes_and_decides_like_the_oracles():
 # ---------------------------------------------------------------------------
 
 def test_generate_constant_loop():
-    iterator = IteratorMap(("e0",), ((snap1("s"), frozenset({snap1("s")})),))
+    iterator = {snap1("s"): frozenset({snap1("s")})}
     ctx = generate_from_iterator(iterator, {snap1("s")}, 3)
     assert len(ctx) == 1
     assert ctx.instances[0].cells == ("s", "s", "s")
 
 
 def test_generate_unrolls_branching():
-    iterator = IteratorMap(
-        ("e0",),
-        (
-            (snap1("a"), frozenset({snap1("b"), snap1("c")})),
-            (snap1("b"), frozenset({snap1("b")})),
-            (snap1("c"), frozenset({snap1("c")})),
-        ),
-    )
+    iterator = {
+        snap1("a"): frozenset({snap1("b"), snap1("c")}),
+        snap1("b"): frozenset({snap1("b")}),
+        snap1("c"): frozenset({snap1("c")}),
+    }
     ctx = generate_from_iterator(iterator, {snap1("a")}, 3)
     assert {inst.cells for inst in ctx} == {("a", "b", "b"), ("a", "c", "c")}
 
 
 def test_generate_rejects_gaps():
-    dead_end = IteratorMap(
-        ("e0",),
-        (
-            (snap1("a"), frozenset({snap1("b")})),
-            (snap1("b"), frozenset()),
-        ),
-    )
+    dead_end = {snap1("a"): frozenset({snap1("b")}), snap1("b"): frozenset()}
     with pytest.raises(ValueError, match="empty"):
         generate_from_iterator(dead_end, {snap1("a")}, 3)
-    missing = IteratorMap(("e0",), ((snap1("a"), frozenset({snap1("b")})),))
+    missing = {snap1("a"): frozenset({snap1("b")})}
     with pytest.raises(ValueError, match="domain"):
         generate_from_iterator(missing, {snap1("a")}, 3)
     # the final step needs no successor
     assert len(generate_from_iterator(dead_end, {snap1("a")}, 2)) == 1
 
 
-def test_iterator_map_input_checks_are_pinned():
-    other = Snapshot(("e1",), ("a",))
-    for entries, message in (
-        (((other, frozenset()),), "domain snapshot entities do not match the map"),
-        (((snap1("a"), frozenset()), (snap1("b"), frozenset()), (snap1("a"), frozenset())),
-         "duplicate domain snapshot e0=a"),
-        (((snap1("a"), frozenset({snap1("a"), other})),),
-         "image snapshot entities do not match the map"),
-    ):
-        with pytest.raises(ValueError) as info:
-            IteratorMap(("e0",), entries)
-        assert str(info.value) == message
-    iterator = IteratorMap(("e0",), ((snap1("a"), frozenset({snap1("a")})),))
-    assert snap1("b") not in iterator
-    with pytest.raises(KeyError) as info:
-        iterator.image(snap1("b"))
-    assert info.value.args == ("snapshot e0=b is not in the iterator domain",)
-
-
 def test_unrolling_input_checks_are_pinned():
-    iterator = IteratorMap(("e0",), ((snap1("a"), frozenset({snap1("a")})),))
-    for seeds, horizon, message in (
-        ({snap1("a")}, 0, "horizon must be at least 1"),
-        ({snap1("a")}, -1, "horizon must be at least 1"),
-        ((), 2, "at least one seed snapshot is required"),
-        ({snap1("a"), Snapshot(("e1",), ("a",))}, 2,
-         "seed snapshot entities do not match the iterator"),
+    iterator = {snap1("a"): frozenset({snap1("a")})}
+    other = Snapshot(("e1",), ("a",))
+    entities = "the seeds and the iterator's snapshots are over different entities"
+    for it, seeds, horizon, message in (
+        (iterator, {snap1("a")}, 0, "horizon must be at least 1"),
+        (iterator, {snap1("a")}, -1, "horizon must be at least 1"),
+        (iterator, (), 2, "at least one seed snapshot is required"),
+        (iterator, {snap1("a"), other}, 2, entities),
+        (iterator, {other}, 2, entities),
+        # a key or an image snapshot is checked whether or not a path reaches it
+        ({**iterator, other: frozenset()}, {snap1("a")}, 2, entities),
+        ({**iterator, snap1("b"): frozenset({other})}, {snap1("a")}, 2, entities),
+        ({snap1("a"): frozenset({snap1("a"), other})}, {snap1("a")}, 1, entities),
     ):
         with pytest.raises(ValueError) as info:
-            generate_from_iterator(iterator, seeds, horizon)
+            generate_from_iterator(it, seeds, horizon)
         assert str(info.value) == message
     assert len(generate_from_iterator(iterator, iter([snap1("a")]), 1)) == 1
+
+
+def test_a_rendered_map_lists_its_domain_in_rendered_order():
+    iterator = {
+        snap1("c"): frozenset(),
+        snap1("a"): frozenset({snap1("c"), snap1("b")}),
+        snap1("b"): frozenset({snap1("a")}),
+    }
+    assert render_iterator_map(iterator) == (
+        "iter e0=a -> e0=b,e0=c\n"
+        "iter e0=b -> e0=a\n"
+        "iter e0=c -> -\n"
+    )
+    assert render_iterator_map(dict(reversed(iterator.items()))) == render_iterator_map(iterator)
+
+
+def test_the_unrolled_signature_lists_states_no_path_reaches():
+    iterator = {
+        snap1("a"): frozenset({snap1("a")}),
+        snap1("b"): frozenset({snap1("c")}),  # no path from the seed reaches b or c
+        snap1("c"): frozenset(),
+    }
+    ctx = generate_from_iterator(iterator, {snap1("a")}, 2)
+    assert ctx.signature.states == ("a", "b", "c")
+    assert {inst.cells for inst in ctx} == {("a", "a")}
 
 
 def test_the_first_stuck_snapshot_by_rendered_text_is_named():
     # at time 1 the seed z reaches b, outside the domain, and the seed a
     # reaches y, whose image is empty; b renders first
-    iterator = IteratorMap(
-        ("e0",),
-        (
-            (snap1("a"), frozenset({snap1("y")})),
-            (snap1("y"), frozenset()),
-            (snap1("z"), frozenset({snap1("b")})),
-        ),
-    )
+    iterator = {
+        snap1("a"): frozenset({snap1("y")}),
+        snap1("y"): frozenset(),
+        snap1("z"): frozenset({snap1("b")}),
+    }
     with pytest.raises(ValueError, match="^snapshot e0=b reached at time 1 is not in the "
                                          "iterator domain$"):
         generate_from_iterator(iterator, {snap1("a"), snap1("z")}, 3)
@@ -662,7 +658,7 @@ def test_the_first_stuck_snapshot_by_rendered_text_is_named():
 def both_to_both():
     """Two snapshots that each step to both: 2^(h-1) paths from one seed."""
     both = frozenset({snap1("a"), snap1("b")})
-    return IteratorMap(("e0",), ((snap1("a"), both), (snap1("b"), both)))
+    return {snap1("a"): both, snap1("b"): both}
 
 
 def test_unrolling_is_guarded_before_any_path_is_built(monkeypatch):
@@ -687,11 +683,7 @@ def test_generated_contexts_round_trip_through_iterators():
     for _ in range(60):
         n_states = rng.randint(1, 3)
         snaps = [snap1(f"s{i}") for i in range(n_states)]
-        entries = tuple(
-            (s, frozenset(rng.sample(snaps, rng.randint(1, n_states))))
-            for s in snaps
-        )
-        iterator = IteratorMap(("e0",), entries)
+        iterator = {s: frozenset(rng.sample(snaps, rng.randint(1, n_states))) for s in snaps}
         seeds = set(rng.sample(snaps, rng.randint(1, n_states)))
         horizon = rng.randint(1, 4)
         ctx = generate_from_iterator(iterator, seeds, horizon)
@@ -700,6 +692,4 @@ def test_generated_contexts_round_trip_through_iterators():
         # re-satisfies the iterator property at every applicable occurrence
         for inst in ctx.instances:
             for t in ctx.signature.times[:-1]:
-                assert corpus.oracle_next_set(ctx, inst, t) == extracted.image(
-                    inst.snapshot(t)
-                )
+                assert corpus.oracle_next_set(ctx, inst, t) == extracted[inst.snapshot(t)]
