@@ -6,6 +6,12 @@ shared signature; all analysis in this package quantifies over such sets,
 which keeps every check decidable by enumeration.
 
 Values are immutable once constructed; operations never mutate their inputs.
+
+Each enumeration past its guard, CTXKIT_GUARD when set, is refused before
+it starts: "full space", "random context draws", "random context signature",
+"random Kripke model" and "iterator unrolling" against DEFAULT_SPACE_GUARD;
+"formula", "formula universe" and "extension table" against their modules'
+defaults. The three file parsers are bounded by their input bytes.
 """
 
 from __future__ import annotations
@@ -24,28 +30,31 @@ _RESERVED_CHARS = set("@=;,#")
 
 
 class SizeGuardError(ValueError):
-    """An enumeration would exceed the configured guard. The message prints a
-    `needed` of 2 ** 64 or more as 2^k, the power of two at or below it."""
+    """An enumeration would exceed the guard. The message is one line under
+    250 bytes: `what` is a fixed noun, and `needed` and the guard print in
+    decimal below 2 ** 64 in size, else as 2^k or -2^k, 2^k <= their size."""
 
     def __init__(self, needed: int, guard: int, what: str):
-        self.needed = needed
-        self.guard = guard
-        shown = needed if needed < 2 ** 64 else f"2^{needed.bit_length() - 1}"
-        super().__init__(
-            f"{what} needs a guard of at least {shown}; current guard is {guard}; "
-            f"set {GUARD_ENV_VAR} to raise it"
-        )
+        self.needed, self.guard = needed, guard
+        shown = [n if abs(n) < 2 ** 64 else f"{'-' * (n < 0)}2^{abs(n).bit_length() - 1}"
+                 for n in (needed, guard)]
+        super().__init__(f"{what} needs a guard of at least {shown[0]}; current guard is "
+                         f"{shown[1]}; set {GUARD_ENV_VAR} to raise it")
+
+
+def brief(text: str) -> str:
+    """text quoted, cut to its first 16 characters and an ellipsis when longer."""
+    return repr(text if len(text) <= 16 else text[:16] + "\u2026")
 
 
 def effective_guard(default: int) -> int:
     """The guard: CTXKIT_GUARD when it is set, else default."""
     env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from None
-    return default
+    try:
+        return default if env is None else int(env)
+    except ValueError:  # int() reads at most 4300 digits
+        raise ValueError(f"{GUARD_ENV_VAR} must be a decimal integer of at most 4300 "
+                         f"digits, got {brief(env)}") from None
 
 
 def check_guard(needed: int, default: int, what: str) -> None:
@@ -311,16 +320,14 @@ def check_full_space_guard(n_states: int, n_entities: int, n_times: int) -> None
     anything, so their guard is the same as if they filtered the full space.
     With L the guard's bit length, a space known from the bit lengths alone
     to hold at least 2 ** L instances is reported as needing 2 ** L, which
-    exceeds the guard: the power is computed only below 2 ** (2 * L), and the
-    message stays short whatever the arguments.
+    exceeds the guard, so the power is computed only below 2 ** (2 * L). The
+    refusal names the "full space" and no argument, and prints as any guard's.
     """
     limit = effective_guard(DEFAULT_SPACE_GUARD)
     n_cells = n_entities * n_times
     least = n_cells * (n_states.bit_length() - 1)  # the space holds >= 2 ** least
     needed = 2 ** limit.bit_length() if least >= limit.bit_length() else n_states ** n_cells
-    if needed > limit:
-        raise SizeGuardError(needed, limit, f"full space over {n_states} states, "
-                             f"{n_entities} entities and {n_times} times")
+    check_guard(needed, DEFAULT_SPACE_GUARD, "full space")
 
 
 def build_full_space(sig: Signature) -> Context:

@@ -301,8 +301,7 @@ def generate_from_iterator(
             for nxt in image:
                 grown[nxt] = grown.get(nxt, 0) + counts[snap]
         counts = grown
-    check_guard(sum(counts.values()), DEFAULT_SPACE_GUARD,
-                f"iterator unrolling to horizon {horizon}")
+    check_guard(sum(counts.values()), DEFAULT_SPACE_GUARD, "iterator unrolling")
 
     paths = [(seed,) for seed in seed_set]  # Context.from_rows sorts the rows
     for _ in range(1, horizon):

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ctxkit import modal_context, modal_logic
-from ctxkit.core import Context, Instance, Row, Signature, check_alphabet
+from ctxkit.core import Context, Instance, Row, Signature, brief, check_alphabet
 
 
 class ModelFileError(ValueError):
@@ -386,10 +386,10 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
                 raise ModelFileError(
                     source, line_no, "expected `universe atoms=<list> depth=<d> cap=<k>`"
                 )
-            for key in ("depth", "cap"):
-                if not (fields[key].isascii() and fields[key].isdigit()):
-                    raise ModelFileError(source, line_no, f"universe {key} must be a "
-                                         f"non-negative integer, got {fields[key]!r}")
+            for key in ("depth", "cap"):  # int() reads at most 4300 digits
+                if not (fields[key].isascii() and fields[key].isdigit()) or len(fields[key]) > 4300:
+                    raise ModelFileError(source, line_no, f"universe {key} must be 1 to 4300 "
+                                         f"digits 0-9, got {brief(fields[key])}")
             try:
                 universe = modal_logic.formula_universe(tuple(fields["atoms"].split(",")),
                                                         int(fields["depth"]), int(fields["cap"]))

@@ -147,11 +147,9 @@ def gen_random_context(
         raise ValueError("state, entity, and time counts must be positive")
     if count < 0:
         raise ValueError("count must be non-negative")
-    check_guard(count * n_entities * n_times, DEFAULT_SPACE_GUARD,
-                f"random context of {count} instances over {n_entities} entities and "
-                f"{n_times} times")
-    check_guard(n_states + n_entities + n_times, DEFAULT_SPACE_GUARD, f"random context "
-                f"signature of {n_states} states, {n_entities} entities and {n_times} times")
+    check_guard(count * n_entities * n_times, DEFAULT_SPACE_GUARD, "random context draws")
+    check_guard(n_states + n_entities + n_times, DEFAULT_SPACE_GUARD,
+                "random context signature")
     rng = random.Random(seed)
     sig = Signature(
         tuple(f"s{i}" for i in range(n_states)),
@@ -178,8 +176,7 @@ def gen_random_kripke(
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must lie in [0, 1]")
     atoms = modal_logic.check_atoms(atoms)
-    check_guard(n_worlds * n_worlds, DEFAULT_SPACE_GUARD,
-                f"random Kripke model of {n_worlds} worlds")
+    check_guard(n_worlds * n_worlds, DEFAULT_SPACE_GUARD, "random Kripke model")
     rng, bits = random.Random(seed), [1 << j for j in range(n_worlds)]  # world j's bit
     successors = [sum([b for b in bits if rng.random() < edge_density]) for _ in bits]
     valuation = {atom: sum([b for b in bits if rng.random() < 0.5]) for atom in atoms}

@@ -212,10 +212,7 @@ def extension_table(model: KripkeModel, universe: FormulaUniverse) -> list[int]:
     members x worlds than the guard (`DEFAULT_TABLE_GUARD`, or
     `CTXKIT_GUARD`) is refused before it is built.
     """
-    check_guard(
-        len(universe) * len(model.worlds), DEFAULT_TABLE_GUARD,
-        f"extension table of {len(universe)} members over {len(model.worlds)} worlds",
-    )
+    check_guard(len(universe) * len(model.worlds), DEFAULT_TABLE_GUARD, "extension table")
     return _rule(universe, None, model.successors, model.atoms)
 
 

@@ -64,6 +64,10 @@ DETERMINISM_TESTS = (
 EXTREME_GEN = ("tests/test_cli.py::"
                "test_extreme_generator_arguments_are_refused_before_anything_is_built")
 
+# each refusal of an extreme integer argument or guard is one short line
+GUARD_MESSAGES = ("tests/test_cli.py::"
+                  "test_guard_messages_format_for_every_integer_argparse_reads")
+
 # every formula of at most four nodes: one node each, built once, parsed back
 SMALL_FORMULAS = ("tests/test_modal_logic.py::"
                   "test_every_formula_of_at_most_four_nodes_is_one_node")
@@ -419,6 +423,21 @@ MUTANTS = (
         "check_guard(n_states + n_entities + n_times, DEFAULT_SPACE_GUARD,",
         "check_guard(0, DEFAULT_SPACE_GUARD,",
         (EXTREME_GEN,),
+    ),
+    Mutant(
+        "SizeGuardError prints the guard in decimal",
+        "core.py",
+        'f"{shown[1]}; set {GUARD_ENV_VAR} to raise it")',
+        'f"{guard}; set {GUARD_ENV_VAR} to raise it")',
+        (GUARD_MESSAGES,),
+    ),
+    Mutant(
+        "the random-ctx draw guard text echoes its arguments",
+        "generators.py",
+        'DEFAULT_SPACE_GUARD, "random context draws")',
+        'DEFAULT_SPACE_GUARD,\n'
+        '                f"random context of {count} instances over {n_entities} entities")',
+        (GUARD_MESSAGES,),
     ),
     Mutant(
         "gen random-ctx defaults to four states",

@@ -791,11 +791,13 @@ def reference_parse_modal_context(text, source="<string>"):
                     source, line_no, "expected `universe atoms=<list> depth=<d> cap=<k>`"
                 )
             for key in ("depth", "cap"):
-                if not (fields[key].isascii() and fields[key].isdigit()):
+                value = fields[key]
+                if not (value.isascii() and value.isdigit()) or len(value) > 4300:
+                    shown = value if len(value) <= 16 else value[:16] + "\u2026"
                     raise ModelFileError(
                         source,
                         line_no,
-                        f"universe {key} must be a non-negative integer, got {fields[key]!r}",
+                        f"universe {key} must be 1 to 4300 digits 0-9, got {shown!r}",
                     )
             try:
                 universe = formula_universe(

@@ -7,6 +7,7 @@ import io
 import itertools
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -726,7 +727,8 @@ def test_guard_env_var_must_be_an_integer(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines()[0] == "error: CTXKIT_GUARD must be an integer, got 'abc'"
+    assert captured.err.splitlines()[0] == (
+        "error: CTXKIT_GUARD must be a decimal integer of at most 4300 digits, got 'abc'")
 
 
 def _limit_address_space():  # runs in the child alone, between fork and exec
@@ -763,9 +765,9 @@ def test_extreme_generator_arguments_are_refused_before_anything_is_built(argv, 
 
 @pytest.mark.parametrize("command, size, over, message", [
     (("random-kripke", "--seed", "1"), "--worlds", ("4", "5"),
-     "random Kripke model of 5 worlds needs a guard of at least 25"),
+     "random Kripke model needs a guard of at least 25"),
     (("random-ctx", "--seed", "1", "--entities", "2", "--times", "2"), "--count", ("4", "5"),
-     "random context of 5 instances over 2 entities and 2 times needs a guard of at least 20"),
+     "random context draws needs a guard of at least 20"),
 ], ids=["random-kripke", "random-ctx"])
 def test_random_generators_check_their_draws_before_drawing(
     command, size, over, message, tmp_path, monkeypatch, capsys
@@ -788,29 +790,49 @@ def test_random_generators_check_their_draws_before_drawing(
 
 HUGE = "5" + "0" * 4299  # the most digits int() reads by default
 WIDE = "7" * 3000  # a product of two of these has more
+PAST_INT = "1" + "0" * 4300  # one digit more than int() reads
+# a fixed noun, and each figure in decimal below 2^64, else as 2^k
+GUARD_REFUSAL = (r"error: [A-Za-z ]+ needs a guard of at least (\d{1,20}|2\^\d+); "
+                 r"current guard is (\d{1,20}|2\^\d+); set CTXKIT_GUARD to raise it")
+PAST_INT_QUOTED = re.escape(repr(PAST_INT[:16] + "\u2026"))
 
 
-@pytest.mark.parametrize("argv", [
-    ("alice-bob", "--horizon", HUGE),
-    ("alice-bob-odd", "--horizon", HUGE),
-    ("random-ctx", "--seed", "1", "--times", HUGE),
-    ("random-ctx", "--seed", "1", "--states", HUGE),
-    ("random-ctx", "--seed", "1", "--entities", WIDE, "--times", WIDE),
-    ("random-kripke", "--seed", "1", "--worlds", HUGE),
+@pytest.mark.parametrize("guard, argv, refusal", [
+    (None, ("gen", "alice-bob", "--horizon", HUGE), GUARD_REFUSAL),
+    (None, ("gen", "alice-bob-odd", "--horizon", HUGE), GUARD_REFUSAL),
+    (None, ("gen", "random-ctx", "--seed", "1", "--times", HUGE), GUARD_REFUSAL),
+    (None, ("gen", "random-ctx", "--seed", "1", "--states", HUGE), GUARD_REFUSAL),
+    (None, ("gen", "random-ctx", "--seed", "1", "--entities", WIDE, "--times", WIDE),
+     GUARD_REFUSAL),
+    (None, ("gen", "random-kripke", "--seed", "1", "--worlds", HUGE), GUARD_REFUSAL),
+    (PAST_INT, ("gen", "alice-bob", "--horizon", "3"),
+     "error: CTXKIT_GUARD must be a decimal integer of at most 4300 digits, got "
+     + PAST_INT_QUOTED),
+    (str(10 ** 4299), ("gen", "alice-bob", "--horizon", HUGE), GUARD_REFUSAL),
+    (None, ("modal", "check-context", "<mctx>"),
+     "error: <mctx>:1: universe depth must be 1 to 4300 digits 0-9, got " + PAST_INT_QUOTED),
 ], ids=["alice-bob", "alice-bob-odd", "random-ctx-times", "random-ctx-states",
-        "random-ctx-cells", "random-kripke"])
-def test_guard_messages_format_for_every_integer_argparse_reads(argv, monkeypatch, capsys):
-    # a figure of 2^64 or more prints as a power, and no guard text prints a
-    # product of arguments, so no figure is too long for str()
+        "random-ctx-cells", "random-kripke", "guard-past-int", "guard-of-4300-digits",
+        "mctx-depth-past-int"])
+def test_guard_messages_format_for_every_integer_argparse_reads(
+    guard, argv, refusal, tmp_path, monkeypatch, capsys
+):
+    # no refusal text prints an argument, a figure of 2^64 or more prints as
+    # a power, and a digit string int() does not read gets a message of its
+    # own: each refusal is one line of at most 250 bytes
+    mctx = tmp_path / "deep.mctx"
+    mctx.write_text(f"universe atoms=p depth={PAST_INT} cap=1\ncworld c0\n")
     monkeypatch.delenv("CTXKIT_GUARD", raising=False)
-    assert cli_dispatch(["gen", *argv]) == 2
+    if guard is not None:
+        monkeypatch.setenv("CTXKIT_GUARD", guard)
+    assert cli_dispatch([str(mctx) if word == "<mctx>" else word for word in argv]) == 2
     captured = capsys.readouterr()
-    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert captured.out == ""
-    assert len(errors) == 1 and errors[0].endswith("set CTXKIT_GUARD to raise it")
+    errors = [line.replace(str(mctx), "<mctx>") for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert captured.out == "" and len(errors) == 1
+    assert re.fullmatch(refusal, errors[0]) and len(errors[0].encode()) <= 250
     assert "Exceeds the limit" not in captured.err
-    needed = errors[0].split(" needs a guard of at least ")[1].split(";")[0]
-    assert len(needed) <= 20  # the full space reports 2^L in decimal, the rest 2^k
+    assert "set_int_max_str_digits" not in captured.err
 
 
 def test_oversized_universe_is_refused_at_once(kripke_path, monkeypatch, capsys):
@@ -945,27 +967,35 @@ def argv_table():
     return table
 
 
+def argv_words(directory):
+    """Write the files the placeholders of the argv table name into
+    directory; return each placeholder's word. The .mctx file is written by
+    `modal to-context`, which reports on stdout."""
+    (directory / "d.ctx").write_text("states: a b\nentities: e\ntime: 0 1\n"
+                                     "instance i0:\n  e@0=a e@1=b\ninstance i1:\n  e@0=b e@1=b\n")
+    (directory / "d.kr").write_text(TWO_WORLD)
+    assert cli_dispatch(["modal", "to-context", str(directory / "d.kr"), "--atoms", "p",
+                         "--depth", "1", "-o", str(directory / "d.mctx")]) == 0
+    (directory / "binary").write_bytes(bytes(range(256)))
+    (directory / "empty").write_text("")
+    foreign = {"ctx": "kr", "kr": "mctx", "mctx": "ctx"}
+    words = {"<out>": str(directory / "out"), "<directory>": str(directory),
+             "<missing>/out": str(directory / "missing" / "out")}
+    for kind in foreign:
+        words.update({f"<{kind}>": str(directory / f"d.{kind}"),
+                      f"<{kind}:missing>": str(directory / f"missing.{kind}"),
+                      f"<{kind}:directory>": str(directory),
+                      f"<{kind}:binary>": str(directory / "binary"),
+                      f"<{kind}:empty>": str(directory / "empty"),
+                      f"<{kind}:foreign>": str(directory / f"d.{foreign[kind]}")})
+    return words
+
+
 def test_a_bounded_argv_enumeration_finds_no_internal_error(tmp_path, monkeypatch, capsys):
     # sizes the guards admit but that run slowly, such as 1,024 worlds at
-    # density 1, stay out of the table
+    # density 1, stay out of the table; tests/argv_scope.py runs every pair
     monkeypatch.delenv("CTXKIT_GUARD", raising=False)
-    (tmp_path / "d.ctx").write_text("states: a b\nentities: e\ntime: 0 1\n"
-                                    "instance i0:\n  e@0=a e@1=b\ninstance i1:\n  e@0=b e@1=b\n")
-    (tmp_path / "d.kr").write_text(TWO_WORLD)
-    assert cli_dispatch(["modal", "to-context", str(tmp_path / "d.kr"), "--atoms", "p",
-                         "--depth", "1", "-o", str(tmp_path / "d.mctx")]) == 0
-    (tmp_path / "binary").write_bytes(bytes(range(256)))
-    (tmp_path / "empty").write_text("")
-    foreign = {"ctx": "kr", "kr": "mctx", "mctx": "ctx"}
-    words = {"<out>": str(tmp_path / "out"), "<directory>": str(tmp_path),
-             "<missing>/out": str(tmp_path / "missing" / "out")}
-    for kind in foreign:
-        words.update({f"<{kind}>": str(tmp_path / f"d.{kind}"),
-                      f"<{kind}:missing>": str(tmp_path / f"missing.{kind}"),
-                      f"<{kind}:directory>": str(tmp_path),
-                      f"<{kind}:binary>": str(tmp_path / "binary"),
-                      f"<{kind}:empty>": str(tmp_path / "empty"),
-                      f"<{kind}:foreign>": str(tmp_path / f"d.{foreign[kind]}")})
+    words = argv_words(tmp_path)
     table = argv_table()
     assert 300 <= len(table) <= 500
     capsys.readouterr()
@@ -1527,7 +1557,7 @@ def test_extension_table_over_the_guard_exits_2(command, kripke_path, tmp_path, 
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[0] == (
-        "error: extension table of 220 members over 2 worlds needs a guard of at least 440; "
+        "error: extension table needs a guard of at least 440; "
         "current guard is 400; set CTXKIT_GUARD to raise it"
     )
     assert not out.exists()

@@ -302,7 +302,7 @@ def test_full_space_guard(monkeypatch):
     with pytest.raises(SizeGuardError) as err:
         build_full_space(sig)
     assert str(err.value) == (
-        "full space over 2 states, 2 entities and 3 times needs a guard of at least 64; "
+        "full space needs a guard of at least 64; "
         "current guard is 63; set CTXKIT_GUARD to raise it"
     )
     monkeypatch.setenv("CTXKIT_GUARD", "64")
@@ -314,6 +314,16 @@ def test_a_figure_from_2_to_the_64_prints_as_a_power():
     assert "at least 2^64;" in str(SizeGuardError(2 ** 64, 1, "x"))
     big = SizeGuardError(2 ** 8000 + 1, 1, "x")
     assert "at least 2^8000;" in str(big) and big.needed == 2 ** 8000 + 1
+
+
+def test_the_guard_prints_by_the_same_rule_as_the_figure():
+    # CTXKIT_GUARD may hold up to 4300 digits of either sign
+    assert "guard is 18446744073709551615;" in str(SizeGuardError(2 ** 64, 2 ** 64 - 1, "x"))
+    assert "guard is -18446744073709551615;" in str(SizeGuardError(0, 1 - 2 ** 64, "x"))
+    huge = SizeGuardError(2 ** 14282, 10 ** 4299, "x")
+    assert str(huge) == ("x needs a guard of at least 2^14282; current guard is 2^14280; "
+                         "set CTXKIT_GUARD to raise it") and huge.guard == 10 ** 4299
+    assert "guard is -2^14284;" in str(SizeGuardError(0, -(10 ** 4300 - 1), "x"))
 
 
 def test_restrict_trivial_predicates():

@@ -903,15 +903,21 @@ def test_bad_has_lines_report_line_and_message(text, line_no, message):
 
 
 @pytest.mark.parametrize("header, message", [
-    ("universe atoms=p depth=x cap=1", "universe depth must be a non-negative integer, got 'x'"),
-    ("universe atoms=p depth=1 cap=x", "universe cap must be a non-negative integer, got 'x'"),
-    ("universe atoms=p depth= cap=1", "universe depth must be a non-negative integer, got ''"),
-    ("universe atoms=p depth=0 cap=-1", "universe cap must be a non-negative integer, got '-1'"),
+    ("universe atoms=p depth=x cap=1", "universe depth must be 1 to 4300 digits 0-9, got 'x'"),
+    ("universe atoms=p depth=1 cap=x", "universe cap must be 1 to 4300 digits 0-9, got 'x'"),
+    ("universe atoms=p depth= cap=1", "universe depth must be 1 to 4300 digits 0-9, got ''"),
+    ("universe atoms=p depth=0 cap=-1", "universe cap must be 1 to 4300 digits 0-9, got '-1'"),
+    # int() reads at most 4300 digits; the value is quoted to its first 16 characters
+    ("universe atoms=p depth=0 cap=" + "0" * 4301,
+     "universe cap must be 1 to 4300 digits 0-9, got '0000000000000000\u2026'"),
+    ("universe atoms=p depth=" + "x" * 17 + " cap=1",
+     "universe depth must be 1 to 4300 digits 0-9, got 'xxxxxxxxxxxxxxxx\u2026'"),
 ])
 def test_bad_universe_counts_name_their_field(header, message):
-    with pytest.raises(ModelFileError) as info:
-        parse_modal_context(header + "\ncworld c0\n")
-    assert str(info.value) == f"<string>:1: {message}"
+    for parse in (parse_modal_context, oracles.reference_parse_modal_context):
+        with pytest.raises(ModelFileError) as info:
+            parse(header + "\ncworld c0\n")
+        assert str(info.value) == f"<string>:1: {message}"
 
 
 @pytest.mark.parametrize("header", [

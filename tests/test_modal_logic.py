@@ -662,7 +662,8 @@ def test_a_later_boolean_round_is_refused_on_its_exact_size(monkeypatch):
 
 def test_every_universe_reads_the_guard(monkeypatch):
     monkeypatch.setenv("CTXKIT_GUARD", "abc")
-    with pytest.raises(ValueError, match="^CTXKIT_GUARD must be an integer, got 'abc'$"):
+    with pytest.raises(ValueError, match="^CTXKIT_GUARD must be a decimal integer of at most "
+                                         "4300 digits, got 'abc'$"):
         formula_universe(("p",), 0, cap=0)
     monkeypatch.setenv("CTXKIT_GUARD", "1")
     with pytest.raises(SizeGuardError, match="^formula universe needs a guard of at least 2;"):
