@@ -40,10 +40,9 @@ for t in ("0", "1", "2"):
 
 banner("Determinability: literal vs windowed")
 for mode in ("literal", "windowed"):
-    report = is_determinable(alice, mode)
-    print(f"{mode:9s}: {'yes' if report.determinable else 'no'}")
-lit = is_determinable(alice, "literal")
-w = lit.witness
+    witness = is_determinable(alice, mode)
+    print(f"{mode:9s}: {'yes' if witness is None else 'no'}")
+w = is_determinable(alice, "literal")
 (_, t), (_, u) = w.occurrences
 print(
     f"The literal witness repeats snapshot {w.snapshot.render()} "
@@ -66,13 +65,11 @@ print(f"a context of {len(regenerated)} timelines (original had {len(alice)}).")
 
 banner("The mini-game: why states must carry turn information")
 base, tracked = gen_minigame()
-base_report = is_determinable(base, "windowed")
-print(f"Positions only : determinable = {base_report.determinable}")
-bw = base_report.witness
+bw = is_determinable(base, "windowed")
+print(f"Positions only : determinable = {bw is None}")
 (_, t), (_, u) = bw.occurrences
 print(
     f"  same position {bw.snapshot.render()} at t={t} and "
     f"t={u}: different players move next, futures differ"
 )
-tracked_report = is_determinable(tracked, "windowed")
-print(f"With a turn bit: determinable = {tracked_report.determinable}")
+print(f"With a turn bit: determinable = {is_determinable(tracked, 'windowed') is None}")

@@ -44,11 +44,9 @@ from ctxkit.core import (
     restrict,
 )
 from ctxkit.determinability import (
-    DeterminabilityReport,
     SnapshotConflict,
     extract_iterator,
     generate_from_iterator,
-    has_iterator,
     is_determinable,
     is_deterministic,
     render_iterator_map,
@@ -77,11 +75,11 @@ _MODAL_NAMES = {
     "modal_logic": (
         "BOTTOM", "TOP", "And", "Atom", "Bottom", "Box", "Diamond", "Evaluator", "Formula",
         "FormulaSyntaxError", "FormulaUniverse", "Iff", "Implies", "KripkeModel", "Not", "Or",
-        "Top", "check_modal_operator", "formula_universe",
+        "Top", "formula_universe",
         "parse_formula", "print_formula", "satisfies", "world_theory",
     ),
     "modal_context": (
-        "ModalContext", "ModalContextReport", "ModalViolation",
+        "ModalContext", "ModalViolation",
         "class_world_map", "is_modal_context", "prove_in_context", "quotient",
         "to_modal_context", "verify_representation",
     ),

@@ -27,7 +27,7 @@ from functools import cache
 from pathlib import Path
 
 from ctxkit import modal_context, modal_logic
-from ctxkit.core import Instance, consistency_context
+from ctxkit.core import Instance, brief, consistency_context
 from ctxkit.determinability import (
     MODES,
     SnapshotConflict,
@@ -133,18 +133,18 @@ def _witness_lines(loaded: LoadedContext, witness: SnapshotConflict, mode: str) 
 
 def cmd_ctx_check_determinable(args) -> int:
     loaded, fields = _load(args, parse_context)
-    report = is_determinable(loaded.context, args.mode)
+    witness = is_determinable(loaded.context, args.mode)
     fields.append(("mode", args.mode))
-    fields.append(("verdict", "yes" if report.determinable else "no"))
+    fields.append(("verdict", "yes" if witness is None else "no"))
     human: list[str] = []
-    if not report.determinable:
-        (_, t), (_, u) = report.witness.occurrences
+    if witness is not None:
+        (_, t), (_, u) = witness.occurrences
         fields.append(("witness_time", t))
         fields.append(("witness_other_time", u))
-        fields.append(("witness_snapshot", report.witness.snapshot.render()))
-        human = _witness_lines(loaded, report.witness, args.mode)
+        fields.append(("witness_snapshot", witness.snapshot.render()))
+        human = _witness_lines(loaded, witness, args.mode)
     _emit(fields, human)
-    return 0 if report.determinable else 1
+    return 0 if witness is None else 1
 
 
 def cmd_ctx_iterator(args) -> int:
@@ -216,26 +216,25 @@ def cmd_modal_to_context(args) -> int:
 
 def cmd_modal_check_context(args) -> int:
     mc, fields = _load(args, parse_modal_context)
-    report = modal_context.is_modal_context(mc)
+    violations = modal_context.is_modal_context(mc)
     fields.append(("worlds", str(len(mc.world_names))))
-    fields.append(("verdict", "yes" if report.is_modal_context else "no"))
+    fields.append(("verdict", "no" if violations else "yes"))
     human = []
-    if not report.is_modal_context:
-        fields.append(("violations", str(len(report.violations))))
-        human = ["violations:"] + [
-            f"  {v.describe()}" for v in report.violations[:10]
-        ]
-        if len(report.violations) > 10:
-            human.append(f"  ... and {len(report.violations) - 10} more")
+    if violations:
+        fields.append(("violations", str(len(violations))))
+        human = ["violations:"] + [f"  {v.describe()}" for v in violations[:10]]
+        if len(violations) > 10:
+            human.append(f"  ... and {len(violations) - 10} more")
     _emit(fields, human)
-    return 0 if report.is_modal_context else 1
+    return 1 if violations else 0
 
 
 def cmd_modal_verify_theorem(args) -> int:
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = modal_context.to_modal_context(model, universe)
-    conditions = modal_context.is_modal_context(mc).is_modal_context
+    violations = modal_context.is_modal_context(mc)
+    conditions = not violations
     representation = modal_context.verify_representation(model, mc)
     # prover_agreement refuses a world without a carrier; that is a no here
     agreement = representation and modal_context.prover_agreement(model, mc)
@@ -281,6 +280,32 @@ def cmd_gen_random_kripke(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, quoting a word it refuses as a choice through
+    `brief`; its subparsers are of its class, the leaf parsers among them."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {brief(value)} (choose from {choices})")
+
+
+def _reader(convert):
+    """The `type=` of an option that convert reads, quoting a word convert
+    refuses through `brief`: int() refuses one of more than 4300 digits."""
+    def read(word: str):
+        try:
+            return convert(word)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {brief(word)}") from None
+    return read
+
+
+_INT, _FLOAT = _reader(int), _reader(float)
+
+
 @cache
 def _build_parser() -> tuple[
     argparse.ArgumentParser, dict[tuple[str, str], argparse.ArgumentParser]
@@ -291,7 +316,7 @@ def _build_parser() -> tuple[
     argparse fills a fresh namespace on each parse and never changes the
     parser, so one instance serves the whole process.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctxkit",
         description="Finite contexts, determinability, and modal-context checking.",
     )
@@ -333,8 +358,8 @@ def _build_parser() -> tuple[
     p = modal.add_parser("to-context", help="compile a model into a modal context")
     p.add_argument("file")
     p.add_argument("--atoms", required=True, help="comma-separated atom list")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1)
+    p.add_argument("--depth", type=_INT, required=True)
+    p.add_argument("--cap", type=_INT, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_modal_to_context)
     p = modal.add_parser("check-context", help="check the box/diamond conditions")
@@ -346,19 +371,19 @@ def _build_parser() -> tuple[
     )
     p.add_argument("file")
     p.add_argument("--atoms", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1)
+    p.add_argument("--depth", type=_INT, required=True)
+    p.add_argument("--cap", type=_INT, default=1)
     p.set_defaults(func=cmd_modal_verify_theorem)
 
     gen = groups.add_parser("gen", help="generate example artifacts").add_subparsers(
         dest="command", required=True
     )
     p = gen.add_parser("alice-bob")
-    p.add_argument("--horizon", type=int, default=3)
+    p.add_argument("--horizon", type=_INT, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_context, make=lambda a: gen_alice_bob(a.horizon), shown=())
     p = gen.add_parser("alice-bob-odd")
-    p.add_argument("--horizon", type=int, default=3)
+    p.add_argument("--horizon", type=_INT, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_context, make=lambda a: gen_alice_bob_odd(a.horizon), shown=())
     p = gen.add_parser("minigame")
@@ -367,11 +392,11 @@ def _build_parser() -> tuple[
     p.set_defaults(func=cmd_gen_context, make=lambda a: gen_minigame()[a.variant != "base"],
                    shown=("variant",))
     p = gen.add_parser("random-ctx")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--states", type=int, default=3)
-    p.add_argument("--entities", type=int, default=2)
-    p.add_argument("--times", type=int, default=3)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--seed", type=_INT, required=True)
+    p.add_argument("--states", type=_INT, default=3)
+    p.add_argument("--entities", type=_INT, default=2)
+    p.add_argument("--times", type=_INT, default=3)
+    p.add_argument("--count", type=_INT, default=10)
     p.add_argument("-o", "--output")
     p.set_defaults(
         func=cmd_gen_context,
@@ -379,10 +404,10 @@ def _build_parser() -> tuple[
         shown=("seed",),
     )
     p = gen.add_parser("random-kripke")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--worlds", type=int, default=4)
+    p.add_argument("--seed", type=_INT, required=True)
+    p.add_argument("--worlds", type=_INT, default=4)
     p.add_argument("--atoms", default="p,q")
-    p.add_argument("--density", type=float, default=0.3)
+    p.add_argument("--density", type=_FLOAT, default=0.3)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_random_kripke)
 

@@ -76,11 +76,11 @@ def check_alphabet(kind: str, symbols: tuple[str, ...]) -> None:
     for sym in symbols:
         if not sym or any(c.isspace() or c in _RESERVED_CHARS for c in sym):
             raise ValueError(
-                f"invalid {kind} symbol {sym!r}: symbols must be non-empty and "
+                f"invalid {kind} symbol {brief(sym)}: symbols must be non-empty and "
                 "free of whitespace and of the reserved characters @ = ; , #"
             )
         if sym in seen:
-            raise ValueError(f"duplicate {kind} symbol {sym!r}")
+            raise ValueError(f"duplicate {kind} symbol {brief(sym)}")
         seen.add(sym)
 
 
@@ -89,7 +89,7 @@ def position(symbols: tuple[str, ...], symbol: str, what: str) -> int:
     try:
         return symbols.index(symbol)
     except ValueError:
-        raise ValueError(f"unknown {what} {symbol!r}") from None
+        raise ValueError(f"unknown {what} {brief(symbol)}") from None
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ class Context:
             return tuple(map(index.__getitem__, inst.cells))
         except KeyError as exc:
             raise ValueError(
-                f"instance uses state {exc.args[0]!r} outside the signature"
+                f"instance uses state {brief(exc.args[0])} outside the signature"
             ) from None
 
     def instance_of(self, row: Row) -> Instance:

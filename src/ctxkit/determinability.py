@@ -57,17 +57,6 @@ class SnapshotConflict:
     futures: tuple[frozenset, frozenset]
 
 
-@dataclass(frozen=True)
-class DeterminabilityReport:
-    """A determinability verdict; a witness means the verdict is no."""
-
-    witness: SnapshotConflict | None
-
-    @property
-    def determinable(self) -> bool:
-        return self.witness is None
-
-
 class _Trie:
     """Every context row as a path in one prefix trie.
 
@@ -167,8 +156,10 @@ class _Trie:
         return ids[node, end]
 
 
-def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityReport:
-    """Check determinability in the requested mode.
+def is_determinable(ctx: Context, mode: str = "literal") -> SnapshotConflict | None:
+    """Check determinability in the requested mode: None when the context is
+    determinable, else the witness, a `SnapshotConflict` of two full future
+    bundles.
 
     Each snapshot's trie nodes are sorted by time and each is compared with
     the next one only. That covers every pair: if the bundle at a_k, cut to
@@ -213,8 +204,8 @@ def is_determinable(ctx: Context, mode: str = "literal") -> DeterminabilityRepor
             x = next(u for u in nodes if len(upto(time_of[u])) > 1 or any(
                 at(s) != {cut_to(u, s)} for s in times if s > time_of[u]))
         y = next(v for v in nodes if not agree(x, v))
-        return DeterminabilityReport(trie.conflict(x, y, (trie.bundle(x), trie.bundle(y))))
-    return DeterminabilityReport(None)
+        return trie.conflict(x, y, (trie.bundle(x), trie.bundle(y)))
+    return None
 
 
 def is_deterministic(ctx: Context) -> bool:
@@ -253,10 +244,6 @@ def extract_iterator(ctx: Context) -> _IteratorDict | SnapshotConflict:
             return trie.conflict(first[sid], node, futures)
         first.setdefault(sid, node)
     return {snap: trie.as_snapshots(images.get(sid, ())) for sid, snap in enumerate(trie.snaps)}
-
-
-def has_iterator(ctx: Context) -> bool:
-    return not isinstance(extract_iterator(ctx), SnapshotConflict)
 
 
 def generate_from_iterator(

@@ -69,7 +69,7 @@ class LoadedContext:
         try:
             row = self.rows[name]
         except KeyError:
-            raise ValueError(f"no instance named {name!r} in the file") from None
+            raise ValueError(f"no instance named {brief(name)} in the file") from None
         return self.context.instance_of(row)
 
 
@@ -110,12 +110,12 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
             raise ModelFileError(
                 source,
                 name_line,
-                f"instance {name!r} is missing cell {sig.entities[e]}@{sig.times[t]}",
+                f"instance {brief(name)} is missing cell {sig.entities[e]}@{sig.times[t]}",
             )
         row = named[name] = tuple(cells)
         if first_name.setdefault(row, name) != name:
             warnings.warn(
-                f"{source}: duplicate instance {name!r} collapsed (set semantics)",
+                f"{source}: duplicate instance {brief(name)} collapsed (set semantics)",
                 stacklevel=3,
             )
 
@@ -167,11 +167,11 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                     raise ModelFileError(source, line_no, "expected `instance <name>:`")
                 name, name_line = rest[:-1].strip(), line_no
                 if name in named:
-                    raise ModelFileError(source, line_no, f"instance name {name!r} reused")
+                    raise ModelFileError(source, line_no, f"instance name {brief(name)} reused")
                 cells, filled = [0] * len(cell_keys), 0
                 continue
             if name is None:
-                raise ModelFileError(source, line_no, f"unexpected line {content!r}")
+                raise ModelFileError(source, line_no, f"unexpected line {brief(content)}")
             mask, positions, indices = 0, [], []
             for token in tokens:
                 cell = cell_of.get(token)
@@ -179,17 +179,16 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                     entity, at, rest = token.partition("@")
                     time, eq, state = rest.partition("=")
                     if not at or not eq or not entity or not time or not state:
-                        raise ModelFileError(
-                            source, line_no, f"malformed cell {token!r}, expected entity@time=state"
-                        )
+                        raise ModelFileError(source, line_no, f"malformed cell {brief(token)}, "
+                                             "expected entity@time=state")
                     k = position.get((entity, time))
                     if k is None:
                         if entity not in sig.entities:
-                            raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
-                        raise ModelFileError(source, line_no, f"unknown time {time!r}")
+                            raise ModelFileError(source, line_no, f"unknown entity {brief(entity)}")
+                        raise ModelFileError(source, line_no, f"unknown time {brief(time)}")
                     i = state_index.get(state)
                     if i is None:
-                        raise ModelFileError(source, line_no, f"unknown state {state!r}")
+                        raise ModelFileError(source, line_no, f"unknown state {brief(state)}")
                     cell = cell_of[token] = (k, i)
                 k, i = cell
                 if (filled | mask) >> k & 1:
@@ -272,14 +271,14 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> modal_logic.Krip
                 raise ModelFileError(source, line_no, "expected `edge <from> <to>`")
             for name in args:
                 if name not in bit:
-                    raise ModelFileError(source, line_no, f"unknown world {name!r}")
+                    raise ModelFileError(source, line_no, f"unknown world {brief(name)}")
             successors[args[0]] |= bit[args[1]]
         elif directive == "val":
             if len(args) != 2:
                 raise ModelFileError(source, line_no, "expected `val <world> <atom>`")
             world, atom = args
             if world not in bit:
-                raise ModelFileError(source, line_no, f"unknown world {world!r}")
+                raise ModelFileError(source, line_no, f"unknown world {brief(world)}")
             if atom not in atoms:
                 try:
                     modal_logic.check_atom(atom)
@@ -290,11 +289,11 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> modal_logic.Krip
             if len(args) != 1:
                 raise ModelFileError(source, line_no, "expected `world <name>`")
             if args[0] in bit:
-                raise ModelFileError(source, line_no, f"world {args[0]!r} declared twice")
+                raise ModelFileError(source, line_no, f"world {brief(args[0])} declared twice")
             bit[args[0]] = 1 << len(bit)
             successors[args[0]] = 0
         else:
-            raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
+            raise ModelFileError(source, line_no, f"unknown directive {brief(directive)}")
     if not bit:
         raise ModelFileError(source, None, "empty Kripke model file")
     return modal_logic.KripkeModel.from_masks(tuple(bit), successors.values(), atoms)
@@ -372,7 +371,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
                     raise ModelFileError(source, line_no, str(exc)) from None
                 i = universe.index_of(formula)
                 if i is None:
-                    text = modal_logic.print_formula(formula)
+                    text = brief(modal_logic.print_formula(formula))
                     raise ModelFileError(source, line_no,
                                          f"formula {text} is outside the declared universe")
             columns[i] |= bit
@@ -404,7 +403,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
             if len(parts) != 2:
                 raise ModelFileError(source, line_no, "expected `cworld <name>`")
             if parts[1] in names:
-                raise ModelFileError(source, line_no, f"cworld {parts[1]!r} declared twice")
+                raise ModelFileError(source, line_no, f"cworld {brief(parts[1])} declared twice")
             bit = bits[parts[1]] = 1 << len(names)
             names[parts[1]] = line_no
             successors[parts[1]] = 0
@@ -413,10 +412,10 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
             for name in parts[1:]:
                 if name not in names:
-                    raise ModelFileError(source, line_no, f"unknown cworld {name!r}")
+                    raise ModelFileError(source, line_no, f"unknown cworld {brief(name)}")
             successors[parts[1]] |= bits[parts[2]]
         else:
-            raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
+            raise ModelFileError(source, line_no, f"unknown directive {brief(directive)}")
 
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
-from ctxkit.core import check_guard, position
+from ctxkit.core import brief, check_guard, position
 from ctxkit.modal_logic import (
     And,
     Atom,
@@ -135,7 +135,8 @@ class ModalContext:
         pairs = [(first_with.setdefault(row, j), j) for j, row in enumerate(mc.rows)]
         if len(first_with) < len(names):  # the pair a scan in name order meets first
             i, j = min((i, j) for i, j in pairs if i != j)
-            error = ValueError(f"worlds {names[i]!r} and {names[j]!r} are equal as functions")
+            error = ValueError(f"worlds {brief(names[i])} and {brief(names[j])} "
+                               "are equal as functions")
             error.pair = names[i], names[j]  # for a loader to name the later one's line
             raise error
         return mc
@@ -298,19 +299,9 @@ class ModalViolation:
         return f"{self.world} at (0,0): {op}{print_formula(self.formula)} {reason}"
 
 
-@dataclass(frozen=True)
-class ModalContextReport:
-    """The violations of a modal-context check; none means the verdict is yes."""
-
-    violations: tuple[ModalViolation, ...]
-
-    @property
-    def is_modal_context(self) -> bool:
-        return not self.violations
-
-
-def is_modal_context(mc: ModalContext) -> ModalContextReport:
-    """Check the box/diamond biconditionals at every world.
+def is_modal_context(mc: ModalContext) -> tuple[ModalViolation, ...]:
+    """Check the box/diamond biconditionals at every world: the violations,
+    none when the verdict is yes.
 
     For each s with []s in the universe: []s is in a world iff every relation
     successor has s; dually, <>s iff some successor has s. Only operator
@@ -335,7 +326,7 @@ def is_modal_context(mc: ModalContext) -> ModalContextReport:
                 if wrong & bit:  # stored where the rule fails is forward, else backward
                     side = "forward" if stored & bit else "backward"
                     violations.append(ModalViolation(name, members[s], operator, side))
-    return ModalContextReport(tuple(violations))
+    return tuple(violations)
 
 
 def _carriers(model: KripkeModel, mc: ModalContext) -> list[str | None]:
@@ -358,7 +349,7 @@ def class_world_map(model: KripkeModel, mc: ModalContext) -> dict[str, str]:
     out = dict(zip(model.worlds, _carriers(model, mc)))
     for world, name in out.items():
         if name is None:
-            raise ValueError(f"world {world!r} has no matching context world")
+            raise ValueError(f"world {brief(world)} has no matching context world")
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ctxkit.core import check_guard
+from ctxkit.core import brief, check_guard
 
 DEFAULT_UNIVERSE_GUARD = 50_000
 DEFAULT_FORMULA_GUARD = 10_000  # nodes of one parsed formula
@@ -267,7 +267,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif group == "word":
             tokens.append((found if found in _CONSTANTS else "atom", found, position))
         else:
-            raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)
+            raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)  # one character
     tokens.append(("end", "end of input", len(text)))
     return tokens
 
@@ -310,7 +310,7 @@ def parse_formula(text: str) -> Formula:
                 operands.append(Atom(found) if kind == "atom" else _CONSTANTS[kind])
                 want_operand = False
             else:
-                raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)
+                raise FormulaSyntaxError(position, brief(found), _UNARY_EXPECTED)
         elif kind in _INFIX:
             op = _INFIX[kind]
             _reduce(operands, pending, op.prec + op.right_assoc)
@@ -325,7 +325,7 @@ def parse_formula(text: str) -> Formula:
             return operands[0]
         else:
             raise FormulaSyntaxError(
-                position, repr(found), ("')'",) if open_parens else _END_EXPECTED
+                position, brief(found), ("')'",) if open_parens else _END_EXPECTED
             )
 
 
@@ -388,7 +388,7 @@ class FormulaUniverse:
 def check_atom(name: str) -> None:
     """Refuse a non-atom name; a constant word would print as the constant."""
     if not _ATOM_RE.fullmatch(name) or name in _CONSTANTS:
-        raise ValueError(f"invalid atom name {name!r}")
+        raise ValueError(f"invalid atom name {brief(name)}")
 
 
 def check_atoms(atoms: Iterable[str]) -> tuple[str, ...]:
@@ -398,7 +398,7 @@ def check_atoms(atoms: Iterable[str]) -> tuple[str, ...]:
     for a in atoms:
         check_atom(a)
         if a in seen:
-            raise ValueError(f"duplicate atom {a!r}")
+            raise ValueError(f"duplicate atom {brief(a)}")
         seen.add(a)
     return atoms
 
@@ -524,27 +524,6 @@ def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, 
     )
 
 
-def check_modal_operator(universe: FormulaUniverse) -> bool:
-    """Executable witness that box/diamond are injective and loop-free on the
-    universe: distinct members get distinct images, no member equals its own
-    image, and no iterate of up to `universe.depth + 2` applications falls
-    back onto the first application.
-    """
-    members = universe.members
-    for wrap in (Box, Diamond):
-        if len({wrap(f) for f in members}) != len(members):
-            return False
-        for f in members:
-            once = iterate = wrap(f)
-            if once == f:
-                return False
-            for _ in range(universe.depth + 1):
-                iterate = wrap(iterate)
-                if iterate == once:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Kripke models and satisfaction
 # ---------------------------------------------------------------------------
@@ -558,7 +537,7 @@ def world_index(names: tuple[str, ...], noun: str) -> dict[str, int]:
         raise ValueError(f"duplicate {noun} names")
     for name in names:
         if not _WORLD_RE.fullmatch(name):
-            raise ValueError(f"invalid world name {name!r}")
+            raise ValueError(f"invalid world name {brief(name)}")
     return index
 
 
@@ -614,7 +593,7 @@ class KripkeModel:
             check_atom(atom)
             stray = ws.difference(index)
             if stray:
-                raise ValueError(f"valuation of {atom!r} names unknown worlds {sorted(stray)}")
+                raise ValueError(f"valuation of {brief(atom)} names unknown worlds {sorted(stray)}")
         atoms = {atom: sum([1 << index[w] for w in ws]) for atom, ws in valuation.items()}
         return cls.from_masks(worlds, successors, atoms)
 
@@ -707,7 +686,7 @@ class Evaluator:
 
     def satisfies(self, world: str, formula: Formula) -> bool:
         if world not in self._all:
-            raise ValueError(f"unknown world {world!r}")
+            raise ValueError(f"unknown world {brief(world)}")
         return world in self.extension(formula)
 
 

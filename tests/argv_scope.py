@@ -21,8 +21,9 @@ and the runtime, then each vector with an internal error, an exit outside
 {0, 1, 2}, a run over 5 s, a refusal that is not exactly one `error:` line,
 an `error:` line over 250 bytes (not counting the temporary directory's
 path), or a mention of the interpreter's digit limit, and exits 1 if it
-lists any. Not part of tier-1, which runs the bounded table of
-`tests/test_cli.py`.
+lists any. Tier-1 runs it in one child process
+(`tests/test_cli.py::test_the_wide_argv_table_lists_nothing`), which runs
+the `ctxkit` on its PYTHONPATH, else the one under `src/`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "tests")]
+sys.path.append(str(ROOT / "src"))  # after PYTHONPATH: a ctxkit named there runs
 
 from ctxkit.cli import cli_dispatch
 from test_cli import ARGV_LEAVES, ARGV_VALUES, HUGE, PAST_INT, argv_words, leaf_argv

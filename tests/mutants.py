@@ -157,13 +157,6 @@ MUTANTS = (
         DETERMINISM_TESTS,
     ),
     Mutant(
-        "has_iterator tests for the conflict",
-        "determinability.py",
-        "return not isinstance(extract_iterator(ctx), SnapshotConflict)",
-        "return isinstance(extract_iterator(ctx), SnapshotConflict)",
-        ("tests/test_determinability.py::test_has_iterator_mirrors_extraction_and_oracle",),
-    ),
-    Mutant(
         "parser rows not sorted",
         "formats.py",
         "rows = tuple(sorted(first_name))",
@@ -386,7 +379,7 @@ MUTANTS = (
         "formats.py",
         "            for name in args:\n"
         "                if name not in bit:\n"
-        "                    raise ModelFileError(source, line_no, f\"unknown world {name!r}\")\n",
+        "                    raise ModelFileError(source, line_no, f\"unknown world {brief(name)}\")\n",
         "",
         (KRIPKE_REFERENCE,),
     ),
@@ -442,9 +435,30 @@ MUTANTS = (
     Mutant(
         "gen random-ctx defaults to four states",
         "cli.py",
-        'p.add_argument("--states", type=int, default=3)',
-        'p.add_argument("--states", type=int, default=4)',
+        'p.add_argument("--states", type=_INT, default=3)',
+        'p.add_argument("--states", type=_INT, default=4)',
         ("tests/test_cli.py::test_every_default_is_the_one_written_out",),
+    ),
+    Mutant(
+        "check-determinable reads a witness as yes",
+        "cli.py",
+        '("verdict", "yes" if witness is None else "no")',
+        '("verdict", "yes" if witness else "no")',
+        ("tests/test_cli.py::test_check_determinable_literal_no_with_witness",),
+    ),
+    Mutant(
+        "verify-theorem reads violations as yes",
+        "cli.py",
+        "conditions = not violations",
+        "conditions = violations is not None",
+        ("tests/test_cli.py::test_verify_theorem_says_no_to_a_context_that_breaks_the_conditions",),
+    ),
+    Mutant(
+        "the int and float options quote a refused word in full",
+        "cli.py",
+        'value: {brief(word)}")',
+        'value: {word!r}")',
+        ("tests/test_cli.py::test_a_bounded_argv_enumeration_finds_no_internal_error",),
     ),
     Mutant(
         "generators reads a modal attribute at import",

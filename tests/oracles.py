@@ -20,6 +20,12 @@ from ctxkit.modal_logic import (
 Table = dict  # {(entity, time): state}
 
 
+def quoted(text):
+    """A token as the library's messages quote it: its first 16 characters
+    and an ellipsis when longer, in quotes."""
+    return repr(text[:16] + "\u2026" if len(text) > 16 else text)
+
+
 # ---------------------------------------------------------------------------
 # contexts as lists of {(entity, time): state} dicts
 # ---------------------------------------------------------------------------
@@ -219,11 +225,13 @@ def parse_context_tokenwise(text, source="<string>"):
             raise ModelFileError(
                 source,
                 current_line,
-                f"instance {current_name!r} is missing cell {sig.entities[e]}@{sig.times[t]}",
+                f"instance {quoted(current_name)} is missing cell "
+                f"{sig.entities[e]}@{sig.times[t]}",
             )
         row = tuple(cells)
         if row in kept:
-            warned.append(f"{source}: duplicate instance {current_name!r} collapsed (set semantics)")
+            warned.append(
+                f"{source}: duplicate instance {quoted(current_name)} collapsed (set semantics)")
         else:
             kept.append(row)
         names[current_name] = row
@@ -262,25 +270,26 @@ def parse_context_tokenwise(text, source="<string>"):
             current_name = rest[:-1].strip()
             current_line = line_no
             if current_name in names:
-                raise ModelFileError(source, line_no, f"instance name {current_name!r} reused")
+                raise ModelFileError(
+                    source, line_no, f"instance name {quoted(current_name)} reused")
             cells = [None] * len(position)
             continue
         if current_name is None:
-            raise ModelFileError(source, line_no, f"unexpected line {content!r}")
+            raise ModelFileError(source, line_no, f"unexpected line {quoted(content)}")
         for token in content.split():
             entity, at, rest = token.partition("@")
             time, eq, state = rest.partition("=")
             if not at or not eq or not entity or not time or not state:
                 raise ModelFileError(
-                    source, line_no, f"malformed cell {token!r}, expected entity@time=state"
+                    source, line_no, f"malformed cell {quoted(token)}, expected entity@time=state"
                 )
             k = position.get((entity, time))
             if k is None:
                 if entity not in sig.entities:
-                    raise ModelFileError(source, line_no, f"unknown entity {entity!r}")
-                raise ModelFileError(source, line_no, f"unknown time {time!r}")
+                    raise ModelFileError(source, line_no, f"unknown entity {quoted(entity)}")
+                raise ModelFileError(source, line_no, f"unknown time {quoted(time)}")
             if state not in sig.states:
-                raise ModelFileError(source, line_no, f"unknown state {state!r}")
+                raise ModelFileError(source, line_no, f"unknown state {quoted(state)}")
             if cells[k] is not None:
                 raise ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
             cells[k] = state
@@ -510,7 +519,7 @@ class _Parser:
         kind, found, position = self.peek()
         if kind != "end":
             raise FormulaSyntaxError(
-                position, repr(found), ("'&'", "'|'", "'->'", "'<->'", "end of input")
+                position, quoted(found), ("'&'", "'|'", "'->'", "'<->'", "end of input")
             )
         return formula
 
@@ -558,7 +567,7 @@ class _Parser:
             inner = self.iff()
             close_kind, close_found, close_pos = self.peek()
             if close_kind != ")":
-                raise FormulaSyntaxError(close_pos, repr(close_found), ("')'",))
+                raise FormulaSyntaxError(close_pos, quoted(close_found), ("')'",))
             self.advance()
             return inner
         if kind == "true":
@@ -570,7 +579,7 @@ class _Parser:
         if kind == "atom":
             self.advance()
             return Atom(found)
-        raise FormulaSyntaxError(position, repr(found), _UNARY_EXPECTED)
+        raise FormulaSyntaxError(position, quoted(found), _UNARY_EXPECTED)
 
 
 def recursive_parse(text):
@@ -640,9 +649,9 @@ def reference_universe(atoms, depth, cap):
     seen = set()
     for a in atoms:
         if not _ATOM_RE.fullmatch(a) or a in ("true", "false"):
-            raise ValueError(f"invalid atom name {a!r}")
+            raise ValueError(f"invalid atom name {quoted(a)}")
         if a in seen:
-            raise ValueError(f"duplicate atom {a!r}")
+            raise ValueError(f"duplicate atom {quoted(a)}")
         seen.add(a)
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -775,7 +784,8 @@ def reference_parse_modal_context(text, source="<string>"):
                     raise ModelFileError(
                         source,
                         line_no,
-                        f"formula {print_formula(formula)} is outside the declared universe",
+                        f"formula {quoted(print_formula(formula))} is outside the declared "
+                        "universe",
                     )
             columns[i] |= bit
             continue
@@ -793,11 +803,10 @@ def reference_parse_modal_context(text, source="<string>"):
             for key in ("depth", "cap"):
                 value = fields[key]
                 if not (value.isascii() and value.isdigit()) or len(value) > 4300:
-                    shown = value if len(value) <= 16 else value[:16] + "\u2026"
                     raise ModelFileError(
                         source,
                         line_no,
-                        f"universe {key} must be 1 to 4300 digits 0-9, got {shown!r}",
+                        f"universe {key} must be 1 to 4300 digits 0-9, got {quoted(value)}",
                     )
             try:
                 universe = formula_universe(
@@ -816,7 +825,7 @@ def reference_parse_modal_context(text, source="<string>"):
             if len(parts) != 2:
                 raise ModelFileError(source, line_no, "expected `cworld <name>`")
             if parts[1] in names:
-                raise ModelFileError(source, line_no, f"cworld {parts[1]!r} declared twice")
+                raise ModelFileError(source, line_no, f"cworld {quoted(parts[1])} declared twice")
             bit = 1 << len(names)
             names[parts[1]] = line_no
         elif directive == "cedge":
@@ -824,10 +833,10 @@ def reference_parse_modal_context(text, source="<string>"):
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")
             for name in parts[1:]:
                 if name not in names:
-                    raise ModelFileError(source, line_no, f"unknown cworld {name!r}")
+                    raise ModelFileError(source, line_no, f"unknown cworld {quoted(name)}")
             relation.add((parts[1], parts[2]))
         else:
-            raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
+            raise ModelFileError(source, line_no, f"unknown directive {quoted(directive)}")
 
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")
@@ -853,26 +862,26 @@ def reference_parse_kripke(text, source="<string>"):
             if len(args) != 1:
                 raise ModelFileError(source, line_no, "expected `world <name>`")
             if args[0] in worlds:
-                raise ModelFileError(source, line_no, f"world {args[0]!r} declared twice")
+                raise ModelFileError(source, line_no, f"world {quoted(args[0])} declared twice")
             worlds.append(args[0])
         elif directive == "edge":
             if len(args) != 2:
                 raise ModelFileError(source, line_no, "expected `edge <from> <to>`")
             for name in args:
                 if name not in worlds:
-                    raise ModelFileError(source, line_no, f"unknown world {name!r}")
+                    raise ModelFileError(source, line_no, f"unknown world {quoted(name)}")
             relation.add(tuple(args))
         elif directive == "val":
             if len(args) != 2:
                 raise ModelFileError(source, line_no, "expected `val <world> <atom>`")
             world, atom = args
             if world not in worlds:
-                raise ModelFileError(source, line_no, f"unknown world {world!r}")
+                raise ModelFileError(source, line_no, f"unknown world {quoted(world)}")
             if not ATOM_RE.fullmatch(atom) or atom in ("true", "false"):
-                raise ModelFileError(source, line_no, f"invalid atom name {atom!r}")
+                raise ModelFileError(source, line_no, f"invalid atom name {quoted(atom)}")
             valuation.setdefault(atom, set()).add(world)
         else:
-            raise ModelFileError(source, line_no, f"unknown directive {directive!r}")
+            raise ModelFileError(source, line_no, f"unknown directive {quoted(directive)}")
     if not worlds:
         raise ModelFileError(source, None, "empty Kripke model file")
     return tuple(worlds), frozenset(relation), {a: frozenset(ws) for a, ws in valuation.items()}

@@ -17,7 +17,6 @@ from ctxkit.core import Context, Instance, Signature, Snapshot
 from ctxkit.determinability import (
     extract_iterator,
     generate_from_iterator,
-    has_iterator,
     is_determinable,
 )
 from ctxkit.formats import render_context
@@ -35,7 +34,6 @@ from ctxkit.modal_logic import (
     Iff,
     Implies,
     Not,
-    check_modal_operator,
     formula_universe,
     parse_formula,
     print_formula,
@@ -155,7 +153,7 @@ def test_criterion_3_literal_determinable_yields_iterator(contexts):
     literal_yes = 0
     violations = 0
     for ctx in contexts:
-        if not is_determinable(ctx, "literal").determinable:
+        if is_determinable(ctx, "literal") is not None:
             continue
         literal_yes += 1
         iterator = extract_iterator(ctx)
@@ -207,7 +205,7 @@ def _shrink_disagreement(ctx):
     """Greedily drop instances while the two verdicts still disagree."""
 
     def disagrees(c):
-        return has_iterator(c) != is_determinable(c, "windowed").determinable
+        return isinstance(extract_iterator(c), dict) != (is_determinable(c, "windowed") is None)
 
     current = ctx
     shrunk = True
@@ -233,12 +231,13 @@ def test_criterion_4_iterator_round_trip_and_differential(contexts, tmp_path):
         iterator, seeds, horizon = _random_iterator(seed)
         ctx = generate_from_iterator(iterator, seeds, horizon)
         generated.append(ctx)
-        if not has_iterator(ctx):
+        if not isinstance(extract_iterator(ctx), dict):
             unroll_failures += 1
 
     disagreements = []
     for ctx in list(contexts) + generated:
-        if has_iterator(ctx) != is_determinable(ctx, "windowed").determinable:
+        has_iterator = isinstance(extract_iterator(ctx), dict)
+        if has_iterator != (is_determinable(ctx, "windowed") is None):
             disagreements.append(ctx)
 
     elapsed = time.perf_counter() - started
@@ -254,7 +253,7 @@ def test_criterion_4_iterator_round_trip_and_differential(contexts, tmp_path):
         )
     else:
         detail = (
-            f"200 unrolled iterator contexts all pass has_iterator; "
+            f"200 unrolled iterator contexts all have an iterator; "
             f"iterator and windowed determinability agree on all "
             f"{len(contexts) + len(generated)} corpus contexts ({elapsed:.1f}s)"
         )
@@ -266,8 +265,8 @@ def test_criterion_5_literal_implies_windowed(contexts):
     bad = 0
     for ctx in contexts:
         if (
-            is_determinable(ctx, "literal").determinable
-            and not is_determinable(ctx, "windowed").determinable
+            is_determinable(ctx, "literal") is None
+            and is_determinable(ctx, "windowed") is not None
         ):
             bad += 1
     verdict(5, bad == 0, f"no literal-yes/windowed-no context in the corpus ({bad})")
@@ -279,7 +278,8 @@ def test_criterion_6_theorem_end_to_end(models, universes):
     for k, model in enumerate(models):
         universe = universes[k % 3]
         mc = to_modal_context(model, universe)
-        if not is_modal_context(mc).is_modal_context:
+        violations = is_modal_context(mc)
+        if violations:
             failures += 1
             continue
         if not verify_representation(model, mc):
@@ -303,6 +303,44 @@ def test_criterion_6_theorem_end_to_end(models, universes):
         f"quotient pipeline verified on {len(models)} models: conditions, "
         f"representation, prover agreement ({elapsed:.1f}s)",
     )
+
+
+def check_modal_operator(universe, operators=(Box, Diamond)):
+    """Executable witness that each operator is injective and loop-free on
+    the universe: distinct members get distinct images, no member equals its
+    own image, and no iterate of up to `universe.depth + 2` applications
+    falls back onto the first application."""
+    members = universe.members
+    for wrap in operators:
+        if len({wrap(f) for f in members}) != len(members):
+            return False
+        for f in members:
+            once = iterate = wrap(f)
+            if once == f:
+                return False
+            for _ in range(universe.depth + 1):
+                iterate = wrap(iterate)
+                if iterate == once:
+                    return False
+    return True
+
+
+def test_check_modal_operator_on_generated_universes():
+    assert check_modal_operator(formula_universe(("p",), depth=0))
+    assert check_modal_operator(formula_universe(("p", "q"), depth=2))
+    assert check_modal_operator(formula_universe(("p", "q"), depth=2, cap=0))  # [][]p, <>q
+
+
+def test_check_modal_operator_refuses_each_broken_law():
+    # p, ~p, p & p, ...: no member is a box, so each doctored operator
+    # passes the checks before the one it breaks
+    universe = formula_universe(("p",), depth=0)
+    p = universe.members[0]
+    assert not check_modal_operator(universe, (lambda f: Box(p),))  # not injective
+    assert not check_modal_operator(universe, (lambda f: f,))  # every member a fixed point
+    # []f for f, but []f for []f: injective on the members, no fixed point
+    # among them, and its second application falls back onto its first
+    assert not check_modal_operator(universe, (lambda f: f if type(f) is Box else Box(f),))
 
 
 def test_criterion_7_modal_operator_laws(universes):
@@ -350,17 +388,15 @@ def test_criterion_8_semantics_sanity(models):
 
 def test_criterion_9_minigame():
     base, tracked = gen_minigame()
-    base_report = is_determinable(base, "windowed")
-    tracked_report = is_determinable(tracked, "windowed")
+    w = is_determinable(base, "windowed")
     witness_ok = False
-    if not base_report.determinable:
-        w = base_report.witness
+    if w is not None:
         t1, t2 = (int(t) for _, t in w.occurrences)
         # same position, different players to move
         witness_ok = (t1 % 2) != (t2 % 2) and [
             inst.snapshot(t) for inst, t in w.occurrences
         ] == [w.snapshot] * 2
-    ok = (not base_report.determinable) and witness_ok and tracked_report.determinable
+    ok = w is not None and witness_ok and is_determinable(tracked, "windowed") is None
     verdict(
         9,
         ok,
@@ -374,12 +410,11 @@ def test_criterion_9_minigame():
 def test_windowed_determinability_at_larger_horizons(odd, horizon):
     ctx = (gen_alice_bob_odd if odd else gen_alice_bob)(horizon)
     started = time.perf_counter()
-    report = is_determinable(ctx, "windowed")
+    w = is_determinable(ctx, "windowed")
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"windowed check took {elapsed:.2f}s"
-    assert report.determinable is not odd
+    assert (w is None) is not odd
     if odd:
-        w = report.witness
         assert [inst.snapshot(t) for inst, t in w.occurrences] == [w.snapshot] * 2
         assert tuple(corpus.oracle_bundle(ctx, inst, t) for inst, t in w.occurrences) == w.futures
         k = horizon - max(ctx.signature.time_index(t) for _, t in w.occurrences)
@@ -394,13 +429,13 @@ def test_windowed_determinability_is_linear_on_a_long_constant_chain():
     sig = Signature(("a",), ("e",), times)
     ctx = Context(sig, (Instance(("e",), times, ("a",) * len(times)),))
     started = time.perf_counter()
-    report = is_determinable(ctx, "windowed")
+    witness = is_determinable(ctx, "windowed")
     elapsed = time.perf_counter() - started
     assert elapsed < 2.0, f"windowed check took {elapsed:.2f}s"
-    assert report.determinable
+    assert witness is None
     literal = is_determinable(ctx, "literal")
-    assert not literal.determinable
-    assert [t for _, t in literal.witness.occurrences] == ["0", "1"]
+    assert literal is not None
+    assert [t for _, t in literal.occurrences] == ["0", "1"]
 
 
 def test_criterion_10_cli_reproducibility(tmp_path, capsys):

@@ -550,6 +550,25 @@ def test_verify_theorem_without_a_carrier_says_no(kripke_path, monkeypatch, caps
     assert "error:" not in captured.err
 
 
+def test_verify_theorem_says_no_to_a_context_that_breaks_the_conditions(
+        kripke_path, monkeypatch, capsys):
+    # the compiled context loses its edge: each world still carries its
+    # theory, but c0 stores <>p and has no successor
+    compile_context = modal_context.to_modal_context
+
+    def drop_edges(model, universe):
+        mc = compile_context(model, universe)
+        return modal_context.ModalContext.from_masks(
+            mc.world_names, mc.columns, [0] * len(mc.world_names), mc.universe)
+
+    monkeypatch.setattr(modal_context, "to_modal_context", drop_edges)
+    code = cli_dispatch(["modal", "verify-theorem", kripke_path, "--atoms", "p", "--depth", "1"])
+    fields = machine_fields(capsys.readouterr().out)
+    assert code == 1
+    assert (fields["modal_context"], fields["representation"], fields["prover_agreement"],
+            fields["verdict"]) == ("no", "yes", "yes", "no")
+
+
 # ---------------------------------------------------------------------------
 # errors and reproducibility
 # ---------------------------------------------------------------------------
@@ -692,7 +711,7 @@ def test_formula_over_the_guard_exits_2_and_builds_nothing(kripke_path, monkeypa
 def test_deep_has_line_is_a_model_file_error_naming_its_line(monkeypatch):
     monkeypatch.delenv("CTXKIT_GUARD", raising=False)
     head = "universe atoms=p depth=1 cap=1\ncworld c0\n  has p\n"
-    with pytest.raises(ModelFileError, match=r"^<string>:4: formula ~~~.*~p is outside"):
+    with pytest.raises(ModelFileError, match="^<string>:4: formula '~{16}\u2026' is outside"):
         parse_modal_context(head + "  has " + "~" * 3_000 + "p\n")
     with pytest.raises(ModelFileError, match=r"^<string>:4: formula needs a guard .*CTXKIT_GUARD"):
         parse_modal_context(head + "  has " + "~" * 10_000 + "p\n")
@@ -791,6 +810,7 @@ def test_random_generators_check_their_draws_before_drawing(
 HUGE = "5" + "0" * 4299  # the most digits int() reads by default
 WIDE = "7" * 3000  # a product of two of these has more
 PAST_INT = "1" + "0" * 4300  # one digit more than int() reads
+LONG = "x" * 5000  # a token every refusal quotes to its first 16 characters
 # a fixed noun, and each figure in decimal below 2^64, else as 2^k
 GUARD_REFUSAL = (r"error: [A-Za-z ]+ needs a guard of at least (\d{1,20}|2\^\d+); "
                  r"current guard is (\d{1,20}|2\^\d+); set CTXKIT_GUARD to raise it")
@@ -930,13 +950,13 @@ ARGV_VALUES = {
     **{kind: tuple(f"<{kind}:{case}>" for case in
                    ("missing", "directory", "binary", "empty", "foreign"))
        for kind in ("ctx", "kr", "mctx")},
-    "int": ("-1", "0", str(2**63), str(10**20)),
-    "density": ("nan", "inf", "-0.0"),
+    "int": ("-1", "0", str(2**63), str(10**20), PAST_INT),
+    "density": ("nan", "inf", "-0.0", LONG),
     "atoms": ("", ",", "true", "p,p"),
     # unbalanced; 10,001 nodes, one past the formula guard; 9,000 nested ~
     "formula": ("(p & q", " & ".join(["p"] * 5001), "~" * 9000 + "p"),
-    "name": ("", "nowhere"),
-    "mode": ("bogus",),
+    "name": ("", "nowhere", LONG),
+    "mode": ("bogus", LONG),
     "out": ("<directory>", "<missing>/out"),
 }
 
@@ -991,13 +1011,19 @@ def argv_words(directory):
     return words
 
 
+def one_short_refusal(err, path):
+    """Is err one `error:` line of at most 250 bytes, not counting path?"""
+    errors = [line.replace(str(path), "") for line in err.splitlines() if "error:" in line]
+    return len(errors) == 1 and len(errors[0].encode()) <= 250
+
+
 def test_a_bounded_argv_enumeration_finds_no_internal_error(tmp_path, monkeypatch, capsys):
     # sizes the guards admit but that run slowly, such as 1,024 worlds at
     # density 1, stay out of the table; tests/argv_scope.py runs every pair
     monkeypatch.delenv("CTXKIT_GUARD", raising=False)
     words = argv_words(tmp_path)
     table = argv_table()
-    assert 300 <= len(table) <= 500
+    assert 300 <= len(table) <= 600
     capsys.readouterr()
     start = time.perf_counter()
     for argv in table:
@@ -1005,7 +1031,71 @@ def test_a_bounded_argv_enumeration_finds_no_internal_error(tmp_path, monkeypatc
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
         assert "internal error" not in err, (argv, err)
+        assert code != 2 or one_short_refusal(err, tmp_path), (argv, err[:500])
     assert time.perf_counter() - start <= 10
+
+
+@pytest.mark.parametrize("argv", [(LONG,), ("ctx", LONG), ("modal", LONG), ("gen", LONG)],
+                         ids=["group", "ctx-command", "modal-command", "gen-command"])
+def test_a_long_group_or_command_is_one_short_refusal(argv, capsys):
+    assert cli_dispatch(list(argv)) == 2
+    assert one_short_refusal(capsys.readouterr().err, "")
+
+
+CTX_HEAD = "states: a b\nentities: e\ntime: 0 1\n"
+MCTX_HEAD = "universe atoms=p depth=0 cap=1\n"
+# each name position of the three file formats holding the long token; each
+# file is refused, and the token quoted to its first 16 characters
+LONG_TOKEN_FILES = {
+    "ctx-state-symbol": ("ctx", f"states: {LONG} {LONG}\nentities: e\ntime: 0 1\n"),
+    "ctx-time-symbol": ("ctx", f"states: a b\nentities: e\ntime: 0 {LONG}@\n"),
+    "ctx-line": ("ctx", f"{CTX_HEAD}{LONG}\n"),
+    "ctx-instance": ("ctx", f"{CTX_HEAD}instance {LONG}:\n"),
+    "ctx-instance-reused": ("ctx", f"{CTX_HEAD}instance {LONG}:\n  e@0=a e@1=b\n"
+                                   f"instance {LONG}:\n"),
+    "ctx-cell": ("ctx", f"{CTX_HEAD}instance i:\n  {LONG}\n"),
+    "ctx-entity": ("ctx", f"{CTX_HEAD}instance i:\n  {LONG}@0=a\n"),
+    "ctx-time": ("ctx", f"{CTX_HEAD}instance i:\n  e@{LONG}=a\n"),
+    "ctx-state": ("ctx", f"{CTX_HEAD}instance i:\n  e@0={LONG}\n"),
+    "kr-directive": ("kr", f"{LONG} w1\n"),
+    "kr-world-twice": ("kr", f"world {LONG}\nworld {LONG}\n"),
+    "kr-edge-world": ("kr", f"world w1\nedge w1 {LONG}\n"),
+    "kr-val-world": ("kr", f"world w1\nval {LONG} p\n"),
+    "kr-val-atom": ("kr", f"world w1\nval w1 {LONG.upper()}\n"),
+    "mctx-atom": ("mctx", f"universe atoms={LONG.upper()} depth=0 cap=1\n"),
+    "mctx-atom-twice": ("mctx", f"universe atoms={LONG},{LONG} depth=0 cap=1\n"),
+    "mctx-directive": ("mctx", f"{MCTX_HEAD}{LONG}\n"),
+    "mctx-cworld-twice": ("mctx", f"{MCTX_HEAD}cworld {LONG}\ncworld {LONG}\n"),
+    "mctx-cedge-cworld": ("mctx", f"{MCTX_HEAD}cworld c0\ncedge c0 {LONG}\n"),
+    "mctx-has-atom": ("mctx", f"{MCTX_HEAD}cworld c0\n  has {LONG}\n"),
+    "mctx-has-syntax": ("mctx", f"{MCTX_HEAD}cworld c0\n  has p {LONG}\n"),
+    "mctx-equal-cworlds": ("mctx", f"{MCTX_HEAD}cworld {LONG}\ncworld {LONG.upper()}\n"),
+}
+LOADING = {"ctx": ("ctx", "iterator"), "kr": ("modal", "eval"), "mctx": ("modal", "check-context")}
+
+
+@pytest.mark.parametrize("kind, text", LONG_TOKEN_FILES.values(), ids=LONG_TOKEN_FILES)
+def test_a_long_token_in_a_file_is_one_short_refusal(kind, text, tmp_path, capsys):
+    path = tmp_path / f"long.{kind}"
+    path.write_text(text)
+    extra = ("--world", "w1", "--formula", "p") if kind == "kr" else ()
+    assert cli_dispatch([*LOADING[kind], str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_short_refusal(captured.err, path)
+    assert "\u2026" in captured.err
+
+
+def test_the_wide_argv_table_lists_nothing(ctxkit_src):
+    # every pair of arguments, in one child process, so that the address-space
+    # limit tests/argv_scope.py sets on itself stays off this process
+    env = {key: value for key, value in os.environ.items() if key != "CTXKIT_GUARD"}
+    proc = subprocess.run(
+        [sys.executable, str(pathlib.Path(__file__).with_name("argv_scope.py")), "--wide"],
+        capture_output=True, text=True, env={**env, "PYTHONPATH": ctxkit_src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert proc.stdout.splitlines()[-1] == "0 vectors listed"
 
 
 def test_help_exits_zero(capsys):
@@ -1073,6 +1163,18 @@ def test_every_package_name_resolves():
         assert getattr(ctxkit, name) is getattr(home, name)
     with pytest.raises(AttributeError):
         ctxkit.no_such_name
+
+
+def test_the_library_map_names_a_reader_for_every_public_name():
+    import ctxkit
+
+    readme = pathlib.Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    table = readme.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    claims = [line.split("|")[3] for line in table.splitlines() if line.startswith("| `ctxkit")]
+    claimed = set(re.findall(r"`(\w+)`", "".join(claims)))
+    public = {name for name, value in vars(ctxkit).items()
+              if not name.startswith("_") and not isinstance(value, type(sys))}
+    assert public | set(ctxkit._MODAL_HOME) <= claimed
 
 
 def test_reimporting_the_package_keeps_its_modal_modules():

@@ -16,7 +16,6 @@ from ctxkit.determinability import (
     _Trie,
     extract_iterator,
     generate_from_iterator,
-    has_iterator,
     is_determinable,
     is_deterministic,
     render_iterator_map,
@@ -183,8 +182,8 @@ def test_next_snapshot_set_errors_at_final_time():
 
 def test_singleton_with_distinct_snapshots_is_determinable_both_modes():
     ctx = row_context("abc", "abc")
-    assert is_determinable(ctx, "literal").determinable
-    assert is_determinable(ctx, "windowed").determinable
+    assert is_determinable(ctx, "literal") is None
+    assert is_determinable(ctx, "windowed") is None
 
 
 def test_constant_singleton_literal_no_windowed_yes():
@@ -194,11 +193,10 @@ def test_constant_singleton_literal_no_windowed_yes():
     # bundle is the constant trace, so the windowed reading holds.
     ctx = row_context("a", "aaa")
     literal = is_determinable(ctx, "literal")
-    assert not literal.determinable
-    assert literal.witness is not None
-    (_, t), (_, u) = literal.witness.occurrences
+    assert literal is not None
+    (_, t), (_, u) = literal.occurrences
     assert t != u
-    assert is_determinable(ctx, "windowed").determinable
+    assert is_determinable(ctx, "windowed") is None
 
     tables = corpus.as_tables(ctx)
     assert oracles.determinable(tables, ("e0",), ("0", "1", "2"), "literal") is False
@@ -210,9 +208,8 @@ def test_two_instance_counterexample_with_witness():
     # futures {(b,c)} vs {(b,d)}
     ctx = row_context("abcd", "abc", "dbd")
     for mode in ("literal", "windowed"):
-        report = is_determinable(ctx, mode)
-        assert not report.determinable
-        w = report.witness
+        w = is_determinable(ctx, mode)
+        assert w is not None
         assert [t for _, t in w.occurrences] == ["1", "1"]
         assert w.snapshot == snap1("b")
         assert [{tuple(s.states[0] for s in tr) for tr in bundle} for bundle in w.futures] == [
@@ -233,14 +230,12 @@ def plain_bundle(bundle):
 
 def assert_matches_oracles(ctx, mode):
     sig = ctx.signature
-    report = is_determinable(ctx, mode)
+    w = is_determinable(ctx, mode)
     expected = oracles.first_failing_pair(corpus.as_tables(ctx), sig.entities, sig.times, mode)
-    assert report.determinable == (expected is None)
+    assert (w is None) == (expected is None)
     if expected is None:
-        assert report.witness is None
         return
     a, i, b, j, bundle_a, bundle_b = expected
-    w = report.witness
     assert w.occurrences == ((ctx.instances[a], sig.times[i]), (ctx.instances[b], sig.times[j]))
     assert w.snapshot == ctx.instances[a].snapshot_at(i) == ctx.instances[b].snapshot_at(j)
     assert [plain_bundle(bundle) for bundle in w.futures] == [bundle_a, bundle_b]
@@ -291,7 +286,7 @@ def test_windowed_witness_reads_a_bounded_number_of_bundle_ids(monkeypatch):
         return bundle_id(self, node, end)
 
     monkeypatch.setattr(_Trie, "bundle_id", counted)
-    w = is_determinable(ctx, "windowed").witness
+    w = is_determinable(ctx, "windowed")
     assert calls <= 2 * nodes * times
     assert [(inst.cells[0], t) for inst, t in w.occurrences] == [("b", "1"), ("c", "1")]
 
@@ -313,8 +308,8 @@ def test_literal_yes_implies_windowed_yes_on_corpus():
     rng = random.Random(616)
     for _ in range(150):
         ctx = corpus.random_context(rng, max_instances=8)
-        if is_determinable(ctx, "literal").determinable:
-            assert is_determinable(ctx, "windowed").determinable
+        if is_determinable(ctx, "literal") is None:
+            assert is_determinable(ctx, "windowed") is None
 
 
 def test_witnesses_are_genuine():
@@ -323,10 +318,9 @@ def test_witnesses_are_genuine():
     for _ in range(150):
         ctx = corpus.random_context(rng, max_instances=8)
         for mode in ("literal", "windowed"):
-            report = is_determinable(ctx, mode)
-            if report.determinable:
+            w = is_determinable(ctx, mode)
+            if w is None:
                 continue
-            w = report.witness
             checked += 1
             assert [inst.snapshot(t) for inst, t in w.occurrences] == [w.snapshot] * 2
             b1, b2 = (corpus.oracle_bundle(ctx, inst, t) for inst, t in w.occurrences)
@@ -426,14 +420,13 @@ def test_extract_iterator_reports_conflict():
     assert [t for _, t in conflict.occurrences] == ["1", "1"]
 
 
-def test_has_iterator_mirrors_extraction_and_oracle():
+def test_extraction_mirrors_the_iterator_oracle():
     rng = random.Random(818)
     for _ in range(120):
         ctx = corpus.random_context(rng, max_instances=6)
         expected = oracles.has_iterator(
             corpus.as_tables(ctx), ctx.signature.entities, ctx.signature.times
         )
-        assert has_iterator(ctx) == expected
         assert isinstance(extract_iterator(ctx), dict) == expected
 
 
@@ -457,7 +450,7 @@ def test_literal_determinable_implies_iterator_satisfying_definition():
     hits = 0
     for _ in range(200):
         ctx = corpus.random_context(rng, max_instances=8)
-        if not is_determinable(ctx, "literal").determinable:
+        if is_determinable(ctx, "literal") is not None:
             continue
         hits += 1
         i = extract_iterator(ctx)
@@ -687,8 +680,8 @@ def test_generated_contexts_round_trip_through_iterators():
         seeds = set(rng.sample(snaps, rng.randint(1, n_states)))
         horizon = rng.randint(1, 4)
         ctx = generate_from_iterator(iterator, seeds, horizon)
-        assert has_iterator(ctx)
         extracted = extract_iterator(ctx)
+        assert isinstance(extracted, dict)
         # re-satisfies the iterator property at every applicable occurrence
         for inst in ctx.instances:
             for t in ctx.signature.times[:-1]:

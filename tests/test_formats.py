@@ -90,7 +90,7 @@ def test_loading_rendering_and_analysing_build_no_instance(monkeypatch):
     assert render_context(ctx) == text
     assert is_deterministic(ctx) is False
     assert isinstance(extract_iterator(ctx), dict)
-    assert is_determinable(ctx, "windowed").determinable
+    assert is_determinable(ctx, "windowed") is None
 
 
 def test_context_round_trip_via_files(tmp_path):
@@ -886,9 +886,9 @@ def test_non_canonical_has_lines_load_to_equal_members():
 
 @pytest.mark.parametrize("text, line_no, message", [
     ("universe atoms=p depth=0 cap=1\ncworld c0\n  has [][]p\n", 3,
-     "formula [][]p is outside the declared universe"),
+     "formula '[][]p' is outside the declared universe"),
     ("universe atoms=p,q depth=1 cap=1\ncworld c0\n  has p\n  has (q) -> <>[]p\n", 4,
-     "formula q -> <>[]p is outside the declared universe"),
+     "formula 'q -> <>[]p' is outside the declared universe"),
     ("universe atoms=p depth=0 cap=1\ncworld c0\n  has p &\n", 3,
      "syntax error at position 3: unexpected 'end of input'; "
      "expected one of: '(', '<>', '[]', 'false', 'true', '~', atom"),

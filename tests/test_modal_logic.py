@@ -35,7 +35,6 @@ from ctxkit.modal_logic import (
     Not,
     Or,
     Top,
-    check_modal_operator,
     formula_universe,
     parse_formula,
     print_formula,
@@ -760,12 +759,6 @@ def test_box_never_collapses():
     for f in universe.members:
         assert Box(f) != f
         assert Box(Box(f)) != Box(f)
-
-
-def test_check_modal_operator_on_generated_universes():
-    assert check_modal_operator(formula_universe(("p",), depth=0))
-    assert check_modal_operator(formula_universe(("p", "q"), depth=2))
-    assert check_modal_operator(formula_universe(("p", "q"), depth=2, cap=0))  # [][]p, <>q
 
 
 def test_box_images_pairwise_distinct():
