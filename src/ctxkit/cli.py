@@ -27,7 +27,7 @@ from functools import cache
 from pathlib import Path
 
 from ctxkit import modal_context, modal_logic
-from ctxkit.core import Instance, brief, consistency_context
+from ctxkit.core import Instance, consistency_context
 from ctxkit.determinability import (
     MODES,
     SnapshotConflict,
@@ -281,29 +281,16 @@ def cmd_gen_random_kripke(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, quoting a word it refuses as a choice through
-    `brief`; its subparsers are of its class, the leaf parsers among them."""
+    """argparse's parser; its subparsers, the leaf parsers among them, are of
+    its class. Every argparse refusal passes through `error`, which prints its
+    message on one line, cut to 200 bytes and an ellipsis when longer."""
 
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {brief(value)} (choose from {choices})")
-
-
-def _reader(convert):
-    """The `type=` of an option that convert reads, quoting a word convert
-    refuses through `brief`: int() refuses one of more than 4300 digits."""
-    def read(word: str):
-        try:
-            return convert(word)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} value: {brief(word)}") from None
-    return read
-
-
-_INT, _FLOAT = _reader(int), _reader(float)
+    def error(self, message):
+        # a word argv could not decode holds surrogates: they count, and are
+        # cut, as the escapes stderr writes for them
+        data = " ".join(message.splitlines()).encode(errors="backslashreplace")
+        cut = data[:200].decode(errors="ignore")
+        super().error(cut if len(data) <= 200 else cut + "\u2026")
 
 
 @cache
@@ -358,8 +345,8 @@ def _build_parser() -> tuple[
     p = modal.add_parser("to-context", help="compile a model into a modal context")
     p.add_argument("file")
     p.add_argument("--atoms", required=True, help="comma-separated atom list")
-    p.add_argument("--depth", type=_INT, required=True)
-    p.add_argument("--cap", type=_INT, default=1)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--cap", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_modal_to_context)
     p = modal.add_parser("check-context", help="check the box/diamond conditions")
@@ -371,19 +358,19 @@ def _build_parser() -> tuple[
     )
     p.add_argument("file")
     p.add_argument("--atoms", required=True)
-    p.add_argument("--depth", type=_INT, required=True)
-    p.add_argument("--cap", type=_INT, default=1)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--cap", type=int, default=1)
     p.set_defaults(func=cmd_modal_verify_theorem)
 
     gen = groups.add_parser("gen", help="generate example artifacts").add_subparsers(
         dest="command", required=True
     )
     p = gen.add_parser("alice-bob")
-    p.add_argument("--horizon", type=_INT, default=3)
+    p.add_argument("--horizon", type=int, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_context, make=lambda a: gen_alice_bob(a.horizon), shown=())
     p = gen.add_parser("alice-bob-odd")
-    p.add_argument("--horizon", type=_INT, default=3)
+    p.add_argument("--horizon", type=int, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_context, make=lambda a: gen_alice_bob_odd(a.horizon), shown=())
     p = gen.add_parser("minigame")
@@ -392,11 +379,11 @@ def _build_parser() -> tuple[
     p.set_defaults(func=cmd_gen_context, make=lambda a: gen_minigame()[a.variant != "base"],
                    shown=("variant",))
     p = gen.add_parser("random-ctx")
-    p.add_argument("--seed", type=_INT, required=True)
-    p.add_argument("--states", type=_INT, default=3)
-    p.add_argument("--entities", type=_INT, default=2)
-    p.add_argument("--times", type=_INT, default=3)
-    p.add_argument("--count", type=_INT, default=10)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--states", type=int, default=3)
+    p.add_argument("--entities", type=int, default=2)
+    p.add_argument("--times", type=int, default=3)
+    p.add_argument("--count", type=int, default=10)
     p.add_argument("-o", "--output")
     p.set_defaults(
         func=cmd_gen_context,
@@ -404,10 +391,10 @@ def _build_parser() -> tuple[
         shown=("seed",),
     )
     p = gen.add_parser("random-kripke")
-    p.add_argument("--seed", type=_INT, required=True)
-    p.add_argument("--worlds", type=_INT, default=4)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--worlds", type=int, default=4)
     p.add_argument("--atoms", default="p,q")
-    p.add_argument("--density", type=_FLOAT, default=0.3)
+    p.add_argument("--density", type=float, default=0.3)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_random_kripke)
 

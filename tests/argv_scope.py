@@ -4,7 +4,9 @@ Run from anywhere with `python tests/argv_scope.py --wide`. It widens the
 table of `tests/test_cli.py` (`ARGV_LEAVES` x `ARGV_VALUES`, with the
 integer class extended by a 4,300-digit integer, the most `int()` reads) to
 each leaf's argv with every pair of its arguments set to each value of their
-classes or left out, and runs it through `cli_dispatch` in this process:
+classes or left out, and adds each leaf's valid argv followed by each group
+of extra words of `EXTRA_WORDS`. It runs the table through `cli_dispatch`
+in this process:
 
 - with `CTXKIT_GUARD` unset; set to 4,301 digits, which no guard reads; and
   set to -(10**4300 - 1), the least guard `int()` reads, which every guard
@@ -19,9 +21,10 @@ input that allocates without bound ends in MemoryError, not in the machine's
 memory; it starts no other process. It prints the count of each exit code
 and the runtime, then each vector with an internal error, an exit outside
 {0, 1, 2}, a run over 5 s, a refusal that is not exactly one `error:` line,
-an `error:` line over 250 bytes (not counting the temporary directory's
-path), or a mention of the interpreter's digit limit, and exits 1 if it
-lists any. Tier-1 runs it in one child process
+an `error:` line over 250 bytes as stderr writes it (not counting the
+temporary directory's path), a line after the `error:` line other than
+`elapsed_ms=`, or a mention of the interpreter's digit limit, and exits 1 if
+it lists any. Tier-1 runs it in one child process
 (`tests/test_cli.py::test_the_wide_argv_table_lists_nothing`), which runs
 the `ctxkit` on its PYTHONPATH, else the one under `src/`.
 """
@@ -46,7 +49,8 @@ sys.path[:0] = [str(ROOT / "tests")]
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH: a ctxkit named there runs
 
 from ctxkit.cli import cli_dispatch
-from test_cli import ARGV_LEAVES, ARGV_VALUES, HUGE, PAST_INT, argv_words, leaf_argv
+from test_cli import (ARGV_LEAVES, ARGV_VALUES, EXTRA_WORDS, HUGE, PAST_INT, argv_words,
+                      leaf_argv)
 
 ADDRESS_SPACE = 1 << 30  # bytes
 SLOW = 5.0  # seconds; a vector still running at twice this is stopped
@@ -55,13 +59,16 @@ SLOW = 5.0  # seconds; a vector still running at twice this is stopped
 def wide_table(values):
     """Each leaf's argv with every pair of its arguments (its one argument,
     for a leaf of one) set to their valid values, left out, or set to each
-    value of their classes; each argv once."""
+    value of their classes; its valid argv followed by each group of extra
+    words; each argv once."""
     table = {}
     for words, spec in ARGV_LEAVES:
         options = [(valid, None, *values[kind]) for _, kind, valid in spec]
         for pair in combinations(range(len(spec)), min(2, len(spec))):
             for chosen in product(*(options[i] for i in pair)):
                 table[tuple(leaf_argv(words, spec, dict(zip(pair, chosen))))] = None
+        for extra in EXTRA_WORDS.values():
+            table[(*leaf_argv(words, spec, {}), *extra)] = None
     return list(table)
 
 
@@ -91,7 +98,9 @@ def run(argv, guard, words, tmp):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     elapsed = time.perf_counter() - started
-    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if "error:" in line]
+    after = lines[lines.index(errors[-1]) + 1:] if errors else []
     problems = []
     if code not in (0, 1, 2):
         problems.append(f"exit {code}")
@@ -101,16 +110,21 @@ def run(argv, guard, words, tmp):
         problems.append("internal error")
     if code == 2 and len(errors) != 1:
         problems.append(f"{len(errors)} error lines")
-    if any(len(line.replace(tmp, "").encode()) > 250 for line in errors):
-        problems.append(f"error line of {max(len(line.encode()) for line in errors)} bytes")
+    if any(not line.startswith("elapsed_ms=") for line in after):
+        problems.append("a line after the error line")
+    sizes = [len(line.replace(tmp, "").encode(errors="backslashreplace")) for line in errors]
+    if any(size > 250 for size in sizes):
+        problems.append(f"error line of {max(sizes)} bytes")
     if "Exceeds the limit" in err.getvalue() or "set_int_max_str_digits" in err.getvalue():
         problems.append("the interpreter's digit limit")
     return code, elapsed, problems
 
 
 def shown(argv):
-    return " ".join(word if len(word) <= 24 else f"<{len(word)} chars: {word[:8]}...>"
-                    for word in argv)
+    """argv in ASCII, each word over 24 characters cut, and the whole over 200."""
+    words = " ".join(word if len(word) <= 24 else f"<{len(word)} chars: {word[:8]}...>"
+                     for word in argv)
+    return ascii(words[:200])[1:-1] + ("..." if len(words) > 200 else "")
 
 
 def main(argv=None) -> int:

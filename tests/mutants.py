@@ -68,6 +68,9 @@ EXTREME_GEN = ("tests/test_cli.py::"
 GUARD_MESSAGES = ("tests/test_cli.py::"
                   "test_guard_messages_format_for_every_integer_argparse_reads")
 
+# each argparse refusal of a long or line-breaking word is one short last line
+ARGPARSE_REFUSALS = "tests/test_cli.py::test_a_long_group_or_command_is_one_short_refusal"
+
 # every formula of at most four nodes: one node each, built once, parsed back
 SMALL_FORMULAS = ("tests/test_modal_logic.py::"
                   "test_every_formula_of_at_most_four_nodes_is_one_node")
@@ -435,8 +438,8 @@ MUTANTS = (
     Mutant(
         "gen random-ctx defaults to four states",
         "cli.py",
-        'p.add_argument("--states", type=_INT, default=3)',
-        'p.add_argument("--states", type=_INT, default=4)',
+        'p.add_argument("--states", type=int, default=3)',
+        'p.add_argument("--states", type=int, default=4)',
         ("tests/test_cli.py::test_every_default_is_the_one_written_out",),
     ),
     Mutant(
@@ -454,11 +457,18 @@ MUTANTS = (
         ("tests/test_cli.py::test_verify_theorem_says_no_to_a_context_that_breaks_the_conditions",),
     ),
     Mutant(
-        "the int and float options quote a refused word in full",
+        "error passes argparse's message through uncut",
         "cli.py",
-        'value: {brief(word)}")',
-        'value: {word!r}")',
-        ("tests/test_cli.py::test_a_bounded_argv_enumeration_finds_no_internal_error",),
+        "data[:200]",
+        "data",
+        (ARGPARSE_REFUSALS,),
+    ),
+    Mutant(
+        "the cut keeps a word's line break",
+        "cli.py",
+        '" ".join(message.splitlines())',
+        "message",
+        (ARGPARSE_REFUSALS,),
     ),
     Mutant(
         "generators reads a modal attribute at import",

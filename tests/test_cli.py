@@ -810,7 +810,7 @@ def test_random_generators_check_their_draws_before_drawing(
 HUGE = "5" + "0" * 4299  # the most digits int() reads by default
 WIDE = "7" * 3000  # a product of two of these has more
 PAST_INT = "1" + "0" * 4300  # one digit more than int() reads
-LONG = "x" * 5000  # a token every refusal quotes to its first 16 characters
+LONG = "x" * 5000  # a token every refusal quotes or cuts short
 # a fixed noun, and each figure in decimal below 2^64, else as 2^k
 GUARD_REFUSAL = (r"error: [A-Za-z ]+ needs a guard of at least (\d{1,20}|2\^\d+); "
                  r"current guard is (\d{1,20}|2\^\d+); set CTXKIT_GUARD to raise it")
@@ -1035,11 +1035,36 @@ def test_a_bounded_argv_enumeration_finds_no_internal_error(tmp_path, monkeypatc
     assert time.perf_counter() - start <= 10
 
 
-@pytest.mark.parametrize("argv", [(LONG,), ("ctx", LONG), ("modal", LONG), ("gen", LONG)],
-                         ids=["group", "ctx-command", "modal-command", "gen-command"])
+# words after a leaf's valid argv that argparse refuses, echoing them: a long
+# word, a long option, 3,000 words, a long explicit argument to --help, a word
+# holding a line break, and an argv byte that is not UTF-8, as Python decodes it
+EXTRA_WORDS = {
+    "long-word": (LONG,),
+    "long-option": ("--" + LONG,),
+    "3000-words": ("a",) * 3000,
+    "long-help-argument": ("--help=" + LONG,),
+    "line-break": ("a\nb",),
+    "not-utf8": ("\udcff",),
+}
+ARGPARSE_REFUSALS = {
+    "group": (LONG,),
+    "ctx-command": ("ctx", LONG),
+    "modal-command": ("modal", LONG),
+    "gen-command": ("gen", LONG),
+    **{f"leaf-{name}": ("ctx", "iterator", "F", *words) for name, words in EXTRA_WORDS.items()},
+    "ambiguous-option": ("gen", "random-ctx", "--seed", "1", "--s=" + LONG),
+    "top-long-help-argument": ("--help=" + LONG,),
+}
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_REFUSALS.values(), ids=ARGPARSE_REFUSALS)
 def test_a_long_group_or_command_is_one_short_refusal(argv, capsys):
+    # argparse's refusal: its usage, then the error line last
     assert cli_dispatch(list(argv)) == 2
-    assert one_short_refusal(capsys.readouterr().err, "")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert one_short_refusal(captured.err, "")
+    assert "error:" in captured.err.splitlines()[-1]
 
 
 CTX_HEAD = "states: a b\nentities: e\ntime: 0 1\n"
