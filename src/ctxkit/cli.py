@@ -5,9 +5,9 @@ Exit codes: 0 when analysis succeeds with verdict yes (or a generator ran),
 errors (a formula of more nodes than the guard among them) and for any
 unexpected exception, so that 1 only ever means a verdict; no formula is too
 deep, as the formula layer walks explicit stacks.
-Reports go to stdout as `key=value` lines followed by a blank line and a
-human-readable section; stdout is byte-stable for fixed inputs and seeds,
-timing goes to stderr. A file is read or written once, and its digest is of
+A handler returns its report, `key=value` lines followed by a blank line and
+a human-readable section, and `cli_dispatch` writes it to stdout at once;
+stdout is byte-stable for fixed inputs and seeds, timing goes to stderr. A file is read or written once, and its digest is of
 those bytes. `-o` overwrites its file in place: the file keeps its inode,
 mode and links and ends up holding exactly the new bytes, without first being
 truncated to zero (the write is not atomic). A well-formed `<group> <command>`
@@ -56,13 +56,10 @@ from ctxkit.generators import (
 )
 
 
-def _emit(fields: list[tuple[str, str]], human: list[str] | None = None) -> None:
-    for key, value in fields:
-        print(f"{key}={value}")
-    if human:
-        print()
-        for line in human:
-            print(line)
+def _report(fields: list[tuple[str, str]], human: str = "") -> str:
+    """The `key=value` lines, then, when human is not empty, a blank line and human."""
+    text = "".join(f"{key}={value}\n" for key, value in fields)
+    return text + "\n" + human if human else text
 
 
 def _base_fields(args: argparse.Namespace) -> list[tuple[str, str]]:
@@ -77,11 +74,10 @@ def _load(args: argparse.Namespace, parse):
     return parse(decode(data, args.file), args.file), fields
 
 
-def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:
-    """Write text to stdout, or to args.output with a report of its digest."""
+def _deliver(args, text: str, fields: list[tuple[str, str]]) -> tuple[int, str]:
+    """text itself, or, once text is written to args.output, a report of its digest."""
     if args.output is None:
-        sys.stdout.write(text)
-        return 0
+        return 0, text
     data = text.encode()
     # no O_TRUNC: cutting a file to zero costs several times the write on
     # some filesystems; the old tail is cut after the write instead, and only
@@ -92,8 +88,7 @@ def _deliver(args, text: str, fields: list[tuple[str, str]]) -> int:
             out.truncate()
     fields.append(("output", args.output))
     fields.append(("output_sha256", digest(data)))
-    _emit(fields)
-    return 0
+    return 0, _report(fields)
 
 
 def _instance_label(loaded: LoadedContext, inst: Instance) -> str:
@@ -105,7 +100,7 @@ def _trace_text(trace) -> str:
     return " -> ".join(snap.render() for snap in trace)
 
 
-def _witness_lines(loaded: LoadedContext, witness: SnapshotConflict, mode: str) -> list[str]:
+def _witness_text(loaded: LoadedContext, witness: SnapshotConflict, mode: str) -> str:
     sig = loaded.context.signature
     n = len(sig.times)
     i, j = (sig.time_index(t) for _, t in witness.occurrences)
@@ -117,44 +112,41 @@ def _witness_lines(loaded: LoadedContext, witness: SnapshotConflict, mode: str) 
         lines.append(
             f"  suffixes have lengths {n - i} and {n - j}: no monotone bijection exists"
         )
-        return lines
-    window = min(n - i, n - j)
-    b1, b2 = ({tr[:window] for tr in bundle} for bundle in witness.futures)
-    lines.append(f"  future bundles differ on the first {window} time point(s):")
-    for tag, only in (("1", b1 - b2), ("2", b2 - b1)):
-        for trace in sorted(only, key=_trace_text)[:3]:
-            lines.append(f"  only from occurrence {tag}: {_trace_text(trace)}")
-    return lines
+    else:
+        window = min(n - i, n - j)
+        b1, b2 = ({tr[:window] for tr in bundle} for bundle in witness.futures)
+        lines.append(f"  future bundles differ on the first {window} time point(s):")
+        for tag, only in (("1", b1 - b2), ("2", b2 - b1)):
+            for trace in sorted(only, key=_trace_text)[:3]:
+                lines.append(f"  only from occurrence {tag}: {_trace_text(trace)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # ctx subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ctx_check_determinable(args) -> int:
+def cmd_ctx_check_determinable(args) -> tuple[int, str]:
     loaded, fields = _load(args, parse_context)
     witness = is_determinable(loaded.context, args.mode)
     fields.append(("mode", args.mode))
     fields.append(("verdict", "yes" if witness is None else "no"))
-    human: list[str] = []
-    if witness is not None:
-        (_, t), (_, u) = witness.occurrences
-        fields.append(("witness_time", t))
-        fields.append(("witness_other_time", u))
-        fields.append(("witness_snapshot", witness.snapshot.render()))
-        human = _witness_lines(loaded, witness, args.mode)
-    _emit(fields, human)
-    return 0 if witness is None else 1
+    if witness is None:
+        return 0, _report(fields)
+    (_, t), (_, u) = witness.occurrences
+    fields.append(("witness_time", t))
+    fields.append(("witness_other_time", u))
+    fields.append(("witness_snapshot", witness.snapshot.render()))
+    return 1, _report(fields, _witness_text(loaded, witness, args.mode))
 
 
-def cmd_ctx_iterator(args) -> int:
+def cmd_ctx_iterator(args) -> tuple[int, str]:
     loaded, fields = _load(args, parse_context)
     result = extract_iterator(loaded.context)
     if not isinstance(result, SnapshotConflict):
         fields.append(("verdict", "yes"))
         fields.append(("domain_size", str(len(result))))
-        _emit(fields, render_iterator_map(result).splitlines())
-        return 0
+        return 0, _report(fields, render_iterator_map(result))
     conflict = result
     fields.append(("verdict", "no"))
     fields.append(("conflict_snapshot", conflict.snapshot.render()))
@@ -162,49 +154,45 @@ def cmd_ctx_iterator(args) -> int:
     for (inst, t), image in zip(conflict.occurrences, conflict.futures):
         demands = ", ".join(sorted(s.render() for s in image))
         human.append(f"  instance {_instance_label(loaded, inst)} at t={t} demands {{{demands}}}")
-    _emit(fields, human)
-    return 1
+    return 1, _report(fields, "\n".join(human) + "\n")
 
 
-def cmd_ctx_consistency(args) -> int:
+def cmd_ctx_consistency(args) -> tuple[int, str]:
     loaded, fields = _load(args, parse_context)
     ref = loaded.instance_named(args.instance)
     result = consistency_context(loaded.context, ref, args.time)
     fields.append(("instance", args.instance))
     fields.append(("time", args.time))
     fields.append(("instances", str(len(result))))
-    _emit(fields, render_context(result).splitlines())
-    return 0
+    return 0, _report(fields, render_context(result))
 
 
-def cmd_ctx_deterministic(args) -> int:
+def cmd_ctx_deterministic(args) -> tuple[int, str]:
     loaded, fields = _load(args, parse_context)
     verdict = is_deterministic(loaded.context)
     fields.append(("verdict", "yes" if verdict else "no"))
-    _emit(fields)
-    return 0 if verdict else 1
+    return 0 if verdict else 1, _report(fields)
 
 
 # ---------------------------------------------------------------------------
 # modal subcommands: the modal modules run at the first of them
 # ---------------------------------------------------------------------------
 
-def cmd_modal_eval(args) -> int:
+def cmd_modal_eval(args) -> tuple[int, str]:
     model, fields = _load(args, parse_kripke)
     formula = modal_logic.parse_formula(args.formula)
     value = modal_logic.satisfies(model, args.world, formula)
     fields.append(("world", args.world))
     fields.append(("formula", args.formula))
     fields.append(("verdict", "true" if value else "false"))
-    _emit(fields, ["true" if value else "false"])
-    return 0 if value else 1
+    return 0 if value else 1, _report(fields, "true\n" if value else "false\n")
 
 
 def _universe_from_args(args):
     return modal_logic.formula_universe(tuple(args.atoms.split(",")), args.depth, cap=args.cap)
 
 
-def cmd_modal_to_context(args) -> int:
+def cmd_modal_to_context(args) -> tuple[int, str]:
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = modal_context.to_modal_context(model, universe)
@@ -214,22 +202,21 @@ def cmd_modal_to_context(args) -> int:
     return _deliver(args, render_modal_context(mc), fields)
 
 
-def cmd_modal_check_context(args) -> int:
+def cmd_modal_check_context(args) -> tuple[int, str]:
     mc, fields = _load(args, parse_modal_context)
     violations = modal_context.is_modal_context(mc)
     fields.append(("worlds", str(len(mc.world_names))))
     fields.append(("verdict", "no" if violations else "yes"))
-    human = []
-    if violations:
-        fields.append(("violations", str(len(violations))))
-        human = ["violations:"] + [f"  {v.describe()}" for v in violations[:10]]
-        if len(violations) > 10:
-            human.append(f"  ... and {len(violations) - 10} more")
-    _emit(fields, human)
-    return 1 if violations else 0
+    if not violations:
+        return 0, _report(fields)
+    fields.append(("violations", str(len(violations))))
+    human = ["violations:"] + [f"  {v.describe()}" for v in violations[:10]]
+    if len(violations) > 10:
+        human.append(f"  ... and {len(violations) - 10} more")
+    return 1, _report(fields, "\n".join(human) + "\n")
 
 
-def cmd_modal_verify_theorem(args) -> int:
+def cmd_modal_verify_theorem(args) -> tuple[int, str]:
     model, fields = _load(args, parse_kripke)
     universe = _universe_from_args(args)
     mc = modal_context.to_modal_context(model, universe)
@@ -248,15 +235,14 @@ def cmd_modal_verify_theorem(args) -> int:
     fields.append(("requotient_fixed_point",
                    "yes" if modal_context.requotient_is_identity(mc) else "no"))
     fields.append(("verdict", "yes" if verdict else "no"))
-    _emit(fields)
-    return 0 if verdict else 1
+    return 0 if verdict else 1, _report(fields)
 
 
 # ---------------------------------------------------------------------------
 # gen subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_context(args) -> int:
+def cmd_gen_context(args) -> tuple[int, str]:
     """Generate args.make's context; report the arguments args.shown names."""
     ctx = args.make(args)
     fields = _base_fields(args) + [(name, str(getattr(args, name))) for name in args.shown]
@@ -264,7 +250,7 @@ def cmd_gen_context(args) -> int:
     return _deliver(args, render_context(ctx), fields)
 
 
-def cmd_gen_random_kripke(args) -> int:
+def cmd_gen_random_kripke(args) -> tuple[int, str]:
     model = gen_random_kripke(
         args.seed, args.worlds, tuple(args.atoms.split(",")), args.density
     )
@@ -428,7 +414,8 @@ def cli_dispatch(argv: list[str]) -> int:
     args.raw_argv = list(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        code, report = args.func(args)
+        sys.stdout.write(report)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

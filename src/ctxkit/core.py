@@ -17,7 +17,9 @@ defaults. The three file parsers are bounded by their input bytes.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -25,8 +27,8 @@ from typing import Callable, Iterable, Iterator
 DEFAULT_SPACE_GUARD = 2 ** 20
 GUARD_ENV_VAR = "CTXKIT_GUARD"
 
-# Characters with separator duty somewhere in the file formats.
-_RESERVED_CHARS = set("@=;,#")
+# Whitespace, and the characters with separator duty somewhere in the file formats.
+_BARRED_CHAR = re.compile(r"[\s@=;,#]")
 
 
 class SizeGuardError(ValueError):
@@ -74,7 +76,7 @@ def check_alphabet(kind: str, symbols: tuple[str, ...]) -> None:
         raise ValueError(f"a signature needs at least one {kind}")
     seen = set()
     for sym in symbols:
-        if not sym or any(c.isspace() or c in _RESERVED_CHARS for c in sym):
+        if not sym or _BARRED_CHAR.search(sym):
             raise ValueError(
                 f"invalid {kind} symbol {brief(sym)}: symbols must be non-empty and "
                 "free of whitespace and of the reserved characters @ = ; , #"
@@ -306,9 +308,11 @@ def consistency_context(ctx: Context, ref: Instance, t: str) -> Context:
     except ValueError as exc:
         raise ValueError(f"reference {exc}") from None
     n, upto = len(sig.times), sig.time_index(t) + 1
-    spans = [(start, start + upto) for start in range(0, sig.cell_count(), n)]
-    prefix = [ref_row[a:b] for a, b in spans]
-    kept = [row for row in ctx.rows if [row[a:b] for a, b in spans] == prefix]
+    # the prefix cells, entity-major; one cell makes the key a bare state index
+    key = operator.itemgetter(*(start + k for start in range(0, sig.cell_count(), n)
+                                for k in range(upto)))
+    prefix = key(ref_row)
+    kept = [row for row in ctx.rows if key(row) == prefix]
     return Context.from_sorted_rows(sig, tuple(kept))
 
 

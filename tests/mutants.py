@@ -471,6 +471,29 @@ MUTANTS = (
         (ARGPARSE_REFUSALS,),
     ),
     Mutant(
+        "_report drops the blank line before the human section",
+        "cli.py",
+        'return text + "\\n" + human if human else text',
+        "return text + human",
+        ("tests/test_cli.py::test_modal_check_context_prints_the_pinned_violation_report",
+         "tests/test_recorded_bytes.py::"
+         "test_context_commands_print_the_recorded_bytes[timelines-200-26]"),
+    ),
+    Mutant(
+        "cli_dispatch writes the report twice",
+        "cli.py",
+        "        sys.stdout.write(report)\n",
+        "        sys.stdout.write(report)\n        sys.stdout.write(report)\n",
+        ("tests/test_cli.py::test_each_command_writes_its_whole_report_in_one_call",),
+    ),
+    Mutant(
+        "the symbol rule bars ASCII whitespace only",
+        "core.py",
+        'r"[\\s@=;,#]"',
+        'r"[ \\t\\n\\r\\f\\v@=;,#]"',
+        ("tests/test_core.py::test_a_symbol_is_refused_for_whitespace_or_a_reserved_character",),
+    ),
+    Mutant(
         "generators reads a modal attribute at import",
         "generators.py",
         "from ctxkit import modal_logic\n",

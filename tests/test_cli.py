@@ -1149,6 +1149,58 @@ def test_outputs_are_byte_identical_across_runs(alice_path, kripke_path, capsys)
         assert first_out == second_out, argv
 
 
+class Recorder(io.StringIO):
+    """A stream that logs each write, as (stream name, text), to a shared list."""
+
+    def __init__(self, log, name):
+        super().__init__()
+        self.log, self.name = log, name
+
+    def write(self, text):
+        self.log.append((self.name, text))
+        return super().write(text)
+
+
+def test_each_command_writes_its_whole_report_in_one_call(alice_path, kripke_path, tmp_path,
+                                                          capsys):
+    conflict, violating = tmp_path / "conflict.ctx", tmp_path / "bad.mctx"
+    conflict.write_text("states: a b c x y\nentities: e\ntime: 0 1 2\n"
+                        "instance w1:\n  e@0=a e@1=b e@2=x\n"
+                        "instance w2:\n  e@0=c e@1=b e@2=y\n")
+    violating.write_text(VIOLATING_MCTX)
+    mctx, out = str(tmp_path / "two.mctx"), str(tmp_path / "out")
+    runs = [  # (argv, exit code, has a human section)
+        (["gen", "alice-bob", "--horizon", "3"], 0, False),
+        (["gen", "random-ctx", "--seed", "3", "--count", "5", "-o", out], 0, False),
+        (["gen", "random-kripke", "--seed", "3", "-o", out], 0, False),
+        (["modal", "to-context", kripke_path, "--atoms", "p", "--depth", "1"], 0, False),
+        (["modal", "to-context", kripke_path, "--atoms", "p", "--depth", "1", "-o", mctx],
+         0, False),
+        (["ctx", "check-determinable", alice_path], 1, True),  # a witness
+        (["ctx", "check-determinable", alice_path, "--mode", "windowed"], 0, False),
+        (["ctx", "iterator", alice_path], 0, True),
+        (["ctx", "iterator", str(conflict)], 1, True),
+        (["ctx", "deterministic", alice_path], 1, False),
+        (["ctx", "consistency", alice_path, "--instance", "i0", "--time", "1"], 0, True),
+        (["modal", "eval", kripke_path, "--world", "w1", "--formula", "<>p"], 0, True),
+        (["modal", "check-context", mctx], 0, False),
+        (["modal", "check-context", str(violating)], 1, True),  # a violation listing
+        (["modal", "verify-theorem", kripke_path, "--atoms", "p", "--depth", "1"], 0, False),
+    ]
+    for argv, code, human in runs:
+        log = []
+        with contextlib.redirect_stdout(Recorder(log, "out")), \
+                contextlib.redirect_stderr(Recorder(log, "err")):
+            assert cli_dispatch(argv) == code, argv
+        (stream, report), *rest = log
+        # the report is the run's one write to stdout; the elapsed_ms line follows it
+        assert stream == "out" and report.endswith("\n"), argv
+        assert all(stream == "err" for stream, _ in rest), argv
+        assert re.fullmatch(r"elapsed_ms=\d+\.\d\n", "".join(text for _, text in rest))
+        assert ("\n\n" in report) == human, argv
+        assert run_cli(capsys, *argv) == (code, report)
+
+
 RUN_WITHOUT_MODAL = """\
 import sys
 from ctxkit.cli import main

@@ -18,6 +18,7 @@ from ctxkit.core import (
     SizeGuardError,
     Snapshot,
     build_full_space,
+    check_alphabet,
     consistency_context,
     restrict,
 )
@@ -74,6 +75,19 @@ def test_signature_rejects_duplicates_and_bad_symbols():
         Signature(("a b",), ("e",), ("0",))
     with pytest.raises(ValueError):
         Signature(("a",), ("e@x",), ("0",))
+
+
+def test_a_symbol_is_refused_for_whitespace_or_a_reserved_character():
+    # every code point, as a one-character symbol; a differential against the
+    # rule as written, since the tokenwise oracle shares check_alphabet
+    refused = []
+    for point in range(sys.maxunicode + 1):
+        try:
+            check_alphabet("state", (chr(point),))
+        except ValueError:
+            refused.append(point)
+    assert refused == [point for point in range(sys.maxunicode + 1)
+                       if chr(point).isspace() or chr(point) in "@=;,#"]
 
 
 def test_instance_requires_total_table():
@@ -256,6 +270,20 @@ def test_consistency_with_disagreeing_outside_reference():
     ctx = Context(sig, (row_instance(("0", "1"), ("a", "a")),))
     ref = row_instance(("0", "1"), ("b", "b"))
     assert len(consistency_context(ctx, ref, "0")) == 0
+
+
+def test_consistency_of_one_entity_at_the_first_time_keeps_the_rows_sharing_its_state():
+    # one prefix cell: the key is a single state
+    times = ("0", "1")
+    rows = [("b", "a"), ("a", "c"), ("a", "a"), ("c", "a"), ("a", "b")]
+    ctx = Context(Signature(("a", "b", "c"), ("e0",), times),
+                  tuple(row_instance(times, row) for row in rows))
+    ref = row_instance(times, ("a", "b"))
+    got = consistency_context(ctx, ref, "0")
+    assert [inst.cells for inst in got] == [("a", "a"), ("a", "b"), ("a", "c")]
+    expected = oracles.consistency([corpus.table(inst) for inst in ctx], corpus.table(ref),
+                                   ("e0",), times, 0)
+    assert [corpus.table(inst) for inst in got] == expected
 
 
 def test_consistency_errors():
