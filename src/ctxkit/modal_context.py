@@ -51,9 +51,7 @@ from ctxkit.modal_logic import (
     Not,
     picked,
     print_formula,
-    successor_masks,
     successor_pairs,
-    world_index,
 )
 
 DEFAULT_TABLE_GUARD = 1 << 24  # universe members x model worlds of one extension table
@@ -100,20 +98,14 @@ class ModalContext:
     (as in `extension_table`), bit j set when world_names[j] stores it, and
     one successor mask per world (as in `KripkeModel`). `rows` and
     `theory_at` are views of the columns, and `relation` of the successors.
+    One is built by `from_masks`, `to_modal_context` or the `.mctx` parser;
+    calling the class itself is a TypeError.
     """
 
     world_names: tuple[str, ...]
     columns: tuple[int, ...]
     successors: tuple[int, ...]
     universe: FormulaUniverse
-
-    def __new__(cls, world_names: Iterable[str], columns: Iterable[int],
-                relation: Iterable[tuple[str, str]], universe: FormulaUniverse):
-        """A context over named worlds: the names are checked first, then the
-        relation, read once in `successor_masks`, then the masks in `from_masks`."""
-        names = tuple(world_names)
-        successors = successor_masks(world_index(names, "context-world"), relation, "context")
-        return cls.from_masks(names, columns, successors, universe)
 
     @classmethod
     def from_masks(cls, world_names: Iterable[str], columns: Iterable[int],

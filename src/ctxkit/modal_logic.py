@@ -528,21 +528,20 @@ def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, 
 # Kripke models and satisfaction
 # ---------------------------------------------------------------------------
 
-def world_index(names: tuple[str, ...], noun: str) -> dict[str, int]:
+def world_index(names: tuple[str, ...]) -> dict[str, int]:
     """Each world name's bit position. A name given twice is refused, as is
     one the file formats cannot write back: an empty one, or one with
     whitespace (which splits a line) or `#` (which starts a comment)."""
     index = {w: j for j, w in enumerate(names)}
     if len(index) != len(names):
-        raise ValueError(f"duplicate {noun} names")
+        raise ValueError("duplicate world names")
     for name in names:
         if not _WORLD_RE.fullmatch(name):
             raise ValueError(f"invalid world name {brief(name)}")
     return index
 
 
-def successor_masks(index: Mapping[str, int], relation: Iterable[tuple[str, str]],
-                    owner: str) -> list[int]:
+def successor_masks(index: Mapping[str, int], relation: Iterable[tuple[str, str]]) -> list[int]:
     """Each world's mask of the worlds it reaches, world w's bit being
     index[w], from pairs in any iterable, read once. A non-pair, or a pair
     with an endpoint outside index, is refused; of the latter, the smallest
@@ -551,7 +550,7 @@ def successor_masks(index: Mapping[str, int], relation: Iterable[tuple[str, str]
     outside = [(a, b) for a, b in relation if a not in index or b not in index]
     if outside:
         a, b = min(outside)
-        raise ValueError(f"relation endpoint outside the {owner}: ({a}, {b})")
+        raise ValueError(f"relation endpoint outside the model: ({a}, {b})")
     masks = [0] * len(index)
     for a, b in relation:
         masks[index[a]] |= 1 << index[b]
@@ -587,8 +586,8 @@ class KripkeModel:
                 valuation: Mapping[str, Iterable[str]]):
         worlds = tuple(worlds)
         valuation = {atom: frozenset(ws) for atom, ws in dict(valuation).items()}
-        index = world_index(worlds, "world")
-        successors = successor_masks(index, relation, "model")
+        index = world_index(worlds)
+        successors = successor_masks(index, relation)
         for atom, ws in valuation.items():
             check_atom(atom)
             stray = ws.difference(index)

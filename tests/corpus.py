@@ -99,3 +99,16 @@ def random_kripke(rng: random.Random, max_worlds=5, atoms=("p", "q"), density=No
         atom: frozenset(w for w in worlds if rng.random() < 0.5) for atom in atoms
     }
     return KripkeModel(worlds, relation, valuation)
+
+
+def modal_context(names, columns, relation, universe):
+    """The ModalContext of named worlds, member columns and a relation given
+    as name pairs: each world's successor mask is built here, from the pairs,
+    and the masks go to `ModalContext.from_masks`."""
+    from ctxkit.modal_context import ModalContext
+
+    index = {w: j for j, w in enumerate(names)}
+    successors = [0] * len(names)
+    for a, b in relation:
+        successors[index[a]] |= 1 << index[b]
+    return ModalContext.from_masks(names, columns, successors, universe)

@@ -358,8 +358,7 @@ MUTANTS = (
         "    relation = list(relation)\n",
         "",
         ("tests/test_modal_logic.py::"
-         "test_a_generator_of_pairs_builds_the_model_of_the_set_it_yields",
-         MODAL + "test_modal_context_validation"),
+         "test_a_generator_of_pairs_builds_the_model_of_the_set_it_yields",),
     ),
     Mutant(
         "successor masks built transposed",

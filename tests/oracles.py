@@ -698,14 +698,19 @@ def frozenset_violations(names, theories, relation, members):
 
 def modal_context_of(names, theories, relation, universe):
     """The ModalContext in which world names[j] stores the formulas
-    theories[names[j]]: its column table, built one formula at a time."""
+    theories[names[j]] and reaches the worlds the relation's pairs name: its
+    column table, built one formula at a time, and each world's successor
+    mask, built one pair at a time."""
     from ctxkit.modal_context import ModalContext
 
     columns = [0] * len(universe)
     for j, name in enumerate(names):
         for f in theories[name]:
             columns[universe.index_of(f)] |= 1 << j
-    return ModalContext(names, columns, relation, universe)
+    index, successors = {w: j for j, w in enumerate(names)}, [0] * len(names)
+    for a, b in relation:
+        successors[index[a]] |= 1 << index[b]
+    return ModalContext.from_masks(names, columns, successors, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +845,11 @@ def reference_parse_modal_context(text, source="<string>"):
 
     if universe is None:
         raise ModelFileError(source, None, "empty modal context file")
+    index, successors = {w: j for j, w in enumerate(names)}, [0] * len(names)
+    for a, b in relation:
+        successors[index[a]] |= 1 << index[b]
     try:
-        return ModalContext(tuple(names), columns, frozenset(relation), universe)
+        return ModalContext.from_masks(tuple(names), columns, successors, universe)
     except ValueError as exc:  # two cworlds store one set: the later one's line
         raise ModelFileError(source, names[exc.pair[1]], str(exc)) from None
 

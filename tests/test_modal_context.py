@@ -244,7 +244,7 @@ def test_hand_built_violation_is_caught():
 
 def test_empty_context_is_vacuously_modal():
     universe = formula_universe(("p",), depth=1)
-    mc = ModalContext((), (0,) * len(universe), frozenset(), universe)
+    mc = ModalContext.from_masks((), (0,) * len(universe), (), universe)
     assert is_modal_context(mc) == ()
 
 
@@ -389,33 +389,33 @@ def test_construction_is_deterministic():
 
 def test_modal_context_validation():
     universe = formula_universe(("p",), depth=0, cap=0)  # the one member p
-    with pytest.raises(ValueError, match="^duplicate context-world names$"):
-        ModalContext(("n0", "n0"), (0b01,), (), universe)
     with pytest.raises(ValueError, match="^2 columns for 1 members$"):
-        ModalContext(("n0",), (1, 0), (), universe)
+        corpus.modal_context(("n0",), (1, 0), (), universe)
     with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
-        ModalContext(("n0",), (2,), (), universe)
+        corpus.modal_context(("n0",), (2,), (), universe)
     with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
-        ModalContext(("n0",), (-1,), (), universe)
+        corpus.modal_context(("n0",), (-1,), (), universe)
     with pytest.raises(ValueError, match="^worlds 'n0' and 'n2' are equal as functions$"):
-        ModalContext(("n0", "n1", "n2"), (0b010,), (), universe)
-    with pytest.raises(ValueError, match="endpoint"):
-        ModalContext(("n0",), (1,), {("n0", "n9")}, universe)
-    with pytest.raises(ValueError, match=r"^relation endpoint outside the context: \(n0, n9\)$"):
-        ModalContext(("n0",), (2,), {("n0", "n9")}, universe)  # the relation before columns
+        corpus.modal_context(("n0", "n1", "n2"), (0b010,), (), universe)
     for successors in ((0b10,), (-1,), ()):
         with pytest.raises(ValueError, match="^successor masks outside the named worlds$"):
             ModalContext.from_masks(("n0",), (1,), successors, universe)
     with pytest.raises(ValueError, match="^worlds 'n0' and 'n1' are equal as functions$"):
         ModalContext.from_masks(("n0", "n1"), (0,), (0, 0), universe)
-    mc = ModalContext(("n0", "n1"), [0b10], [("n1", "n0")], universe)
+    mc = corpus.modal_context(("n0", "n1"), [0b10], [("n1", "n0")], universe)
     assert mc.columns == (0b10,) and mc.relation == frozenset({("n1", "n0")})
     assert mc.successors == (0b00, 0b01)  # n1's successor n0 is bit 0
-    assert ModalContext(("n0", "n1"), [0b10], iter([["n1", "n0"]]), universe) == mc
+    assert ModalContext.from_masks(iter(("n0", "n1")), iter([0b10]), iter([0, 1]), universe) == mc
     assert mc.theory_at("n1") == {P} and mc.theory_at("n0") == frozenset()
     with pytest.raises(ValueError, match="^unknown context world 'n9'$"):
         mc.theory_at("n9")
     assert print_formula(universe.members[0]) == "p"
+
+
+def test_a_modal_context_is_built_from_masks_not_from_pairs():
+    universe = formula_universe(("p",), depth=0, cap=0)
+    with pytest.raises(TypeError):
+        ModalContext(("a",), (1,), (), universe)
 
 
 def test_equal_worlds_error_names_the_first_pair_in_name_order():
@@ -431,7 +431,7 @@ def test_every_world_is_checked_before_equal_worlds_are_reported():
     universe = formula_universe(("p",), depth=0, cap=0)
     # w0 and w1 store the same, and a column has a bit past w1
     with pytest.raises(ValueError, match="^a column has bits outside the named worlds$"):
-        ModalContext(("w0", "w1"), (0b111,), frozenset(), universe)
+        ModalContext.from_masks(("w0", "w1"), (0b111,), (0, 0), universe)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +564,7 @@ def test_mutated_contexts_report_the_frozenset_violations():
                                 if kind in (Box, Diamond)])
             column[i] ^= 1 << rng.randrange(len(mc.world_names))
         try:
-            broken = ModalContext(mc.world_names, column, mc.relation, universe)
+            broken = ModalContext.from_masks(mc.world_names, column, mc.successors, universe)
         except ValueError as exc:
             assert "equal as functions" in str(exc)
             continue
@@ -629,7 +629,7 @@ def test_requotient_check_is_the_second_quotient_on_the_acceptance_corpus():
                         if kind is not Box and kind is not Diamond])
         columns[i] ^= 1 << rng.randrange(len(mc.world_names))
         try:
-            flipped = ModalContext(mc.world_names, columns, mc.relation, mc.universe)
+            flipped = ModalContext.from_masks(mc.world_names, columns, mc.successors, mc.universe)
         except ValueError as exc:
             assert "equal as functions" in str(exc)
             continue
@@ -729,16 +729,12 @@ def test_prover_agreement_sees_a_wrong_evaluator(monkeypatch):
 
 
 RELATION_ENDPOINTS = """
-from ctxkit.modal_context import ModalContext
-from ctxkit.modal_logic import KripkeModel, formula_universe
+from ctxkit.modal_logic import KripkeModel
 
-relation = {('a', 'x'), ('y', 'a'), ('a', 'z')}
-for build in (lambda: ModalContext(('a',), (1,), relation, formula_universe(('p',), 0, cap=0)),
-              lambda: KripkeModel(('a',), relation, {})):
-    try:
-        build()
-    except ValueError as exc:
-        print(exc)
+try:
+    KripkeModel(('a',), {('a', 'x'), ('y', 'a'), ('a', 'z')}, {})
+except ValueError as exc:
+    print(exc)
 """
 
 
@@ -749,15 +745,11 @@ def test_the_smallest_bad_relation_endpoint_is_named_under_every_hash_seed(ctxki
             env={**os.environ, "PYTHONPATH": ctxkit_src, "PYTHONHASHSEED": str(seed)},
         )
         assert proc.stdout.splitlines() == [
-            "relation endpoint outside the context: (a, x)",
             "relation endpoint outside the model: (a, x)",
         ], (seed, proc.stderr)
 
 
 def test_a_relation_element_that_is_no_pair_is_refused():
-    universe = formula_universe(("p",), depth=0, cap=0)
-    with pytest.raises(ValueError, match="too many values to unpack"):
-        ModalContext(("a",), (1,), {("a", "a", "a")}, universe)
     with pytest.raises(ValueError, match="too many values to unpack"):
         KripkeModel(("a",), {("a", "a", "a")}, {})
 

@@ -477,6 +477,13 @@ def test_the_mask_constructor_checks_only_that_masks_stay_within_the_worlds():
     assert KripkeModel.from_masks(("a", "a"), (0, 0), {"P": 1}).atoms == {"P": 1}
 
 
+def test_a_model_with_a_world_named_twice_or_an_edge_to_no_world_is_refused():
+    with pytest.raises(ValueError, match="^duplicate world names$"):
+        KripkeModel(("a", "b", "a"), (), {})
+    with pytest.raises(ValueError, match=r"^relation endpoint outside the model: \(a, x\)$"):
+        KripkeModel(("a",), [("a", "a"), ("a", "x")], {})
+
+
 def test_a_valuation_naming_an_unknown_world_is_refused():
     with pytest.raises(ValueError, match=r"^valuation of 'p' names unknown worlds \['c', 'd'\]$"):
         KripkeModel(("a", "b"), (), {"q": {"a"}, "p": {"d", "b", "c"}})

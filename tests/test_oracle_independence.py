@@ -1,17 +1,19 @@
-"""The references in `tests/oracles.py` stay independent of the code they check.
+"""The references in `tests/oracles.py`, and the checkers in
+`tests/certificates.py`, stay independent of the code they check.
 
 A reference that imports the function it stands in for checks that function
-against itself, so a mutant of the function passes both. This test reads the
-oracle module with `ast` and fails when a reference can reach a name it is the
+against itself, so a mutant of the function passes both. This test reads each
+module with `ast` and fails when a reference can reach a name it is the
 reference for: through a module-level import, through an import of its own,
 through an attribute of an imported module, or through another function or
-class of the oracle module that it names.
+class of the same module that it names.
 """
 
 import ast
 from pathlib import Path
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+CERTIFICATES = ORACLES.with_name("certificates.py")
 
 # reference -> the ctxkit names it is the reference for
 FORBIDDEN = {
@@ -24,6 +26,11 @@ FORBIDDEN = {
     "reference_requotient": {"_rule", "extension_table", "to_modal_context",
                              "requotient_is_identity", "Evaluator", "satisfies"},
 }
+
+# certificate checker -> the determinability names whose answers it checks
+CERTIFIED = {"_Trie", "is_determinable", "extract_iterator"}
+CHECKERS = {name: CERTIFIED for name in ("windowed_yes", "literal_yes", "determinability_no",
+                                          "iterator_conflict")}
 
 
 def _imported(statement: ast.Import | ast.ImportFrom) -> set[str]:
@@ -51,13 +58,21 @@ def _reached(name: str, definitions: dict[str, ast.AST]) -> set[str]:
     return reached
 
 
-def test_no_reference_imports_the_code_it_checks():
-    tree = ast.parse(ORACLES.read_text())
+def assert_independent(path, forbidden_by_name):
+    tree = ast.parse(path.read_text())
     module_level = set().union(*[_imported(node) for node in tree.body
                                  if isinstance(node, (ast.Import, ast.ImportFrom))])
     definitions = {node.name: node for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name, forbidden in FORBIDDEN.items():
-        assert name in definitions, f"oracles.py has no {name}"
+    for name, forbidden in forbidden_by_name.items():
+        assert name in definitions, f"{path.name} has no {name}"
         leaks = (module_level | _reached(name, definitions)) & forbidden
         assert not leaks, f"{name} reaches {sorted(leaks)}, the code it is the reference for"
+
+
+def test_no_reference_imports_the_code_it_checks():
+    assert_independent(ORACLES, FORBIDDEN)
+
+
+def test_no_certificate_checker_reads_the_analysis_it_checks():
+    assert_independent(CERTIFICATES, CHECKERS)
