@@ -8,6 +8,7 @@ it must reject.
 """
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,8 +118,7 @@ def witnesses():
         for mode in MODES:
             witness = is_determinable(ctx, mode)
             if witness is not None:
-                yield ctx, lambda c, w, mode=mode: certificates.determinability_no(c, w, mode), \
-                    witness
+                yield ctx, functools.partial(certificates.determinability_no, mode=mode), witness
         conflict = extract_iterator(ctx)
         if not isinstance(conflict, dict):
             yield ctx, certificates.iterator_conflict, conflict
