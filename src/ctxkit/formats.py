@@ -1,8 +1,10 @@
 """Line-oriented file formats: contexts, Kripke models, modal contexts.
 
 All formats are plain text, `#` starts a comment, blank lines are ignored.
-Rendering always produces the canonical text, so render(load(f)) == f for
-canonical files and parse(render(x)) == x for every value.
+A line ends at `\n`, `\r\n` or `\r` only: `\v`, `\f`, U+0085, U+2028 and the
+other breaks `str.splitlines` knows are whitespace inside a line. Rendering
+always produces the canonical text, so render(load(f)) == f for canonical
+files and parse(render(x)) == x for every value.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ def decode(data: bytes, path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         raise ModelFileError(path, None, str(exc)) from None
     return text.removeprefix("\ufeff")
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a text; only `\n`, `\r\n` and `\r` end a line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def digest(data: bytes) -> str:
@@ -74,6 +83,7 @@ class LoadedContext:
 
 
 _ALPHABETS = {"states:": "state", "entities:": "entity", "time:": "time"}  # header -> kind
+_END = "\n"  # follows a context's last line; no line of `_lines` equals it
 
 
 def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
@@ -88,9 +98,11 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     (mask, positions, state indices); every cell line then fills the row in
     one step: one mask test and, for contiguous positions, one slice
     assignment. Alice/Bob at horizon 6 has 1,944 cell lines but only 128
-    distinct ones. Each distinct cell token is validated once, too. No
-    `Instance` is built, and the rows, checked here and nowhere else, become
-    the context with only a sort.
+    distinct ones. Each distinct cell token is validated once, too. An
+    instance line as `render_context` writes it (`instance `, then no `#`, then
+    `:` last) is read with two slice tests and a strip, and an instance line or
+    the end closes the open instance inline. No `Instance` is built, and the
+    rows, checked here and nowhere else, become the context with only a sort.
     """
     headers: dict[str, tuple[str, ...]] = {}
     sig: Signature | None = None
@@ -103,27 +115,11 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     cells: list[int] = []
     filled = full = 0
 
-    def close_instance(name, name_line, cells, filled):
-        if filled != full:
-            missing = full & ~filled
-            e, t = divmod((missing & -missing).bit_length() - 1, len(sig.times))
-            raise ModelFileError(
-                source,
-                name_line,
-                f"instance {brief(name)} is missing cell {sig.entities[e]}@{sig.times[t]}",
-            )
-        row = named[name] = tuple(cells)
-        if first_name.setdefault(row, name) != name:
-            warnings.warn(
-                f"{source}: duplicate instance {brief(name)} collapsed (set semantics)",
-                stacklevel=3,
-            )
-
     # raw cell line -> (mask, positions, state indices, slice of the positions
     # or None when they are not contiguous); only lines that passed the token
     # loop are stored
     memo: dict[str, tuple[int, tuple[int, ...], tuple[int, ...], slice | None]] = {}
-    cell_of: dict[str, tuple[int, int]] = {}  # valid cell token -> (position, state index)
+    cell_of: dict[str, tuple[int, int, int]] = {}  # valid cell token -> (position, state, bit)
 
     def signature(line_no):  # each header line's symbols were checked when it was read
         missing = [k for k in ("states", "entities", "time") if k not in headers]
@@ -135,40 +131,60 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
         entity, time = cell_keys[k]
         return ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = _lines(text)
+    lines.append(_END)
+    for line_no, raw in enumerate(lines, start=1):
         compiled = memo.get(raw)
-        if compiled is None:  # not a cell line read before: check it token by token
-            content = raw.split("#", 1)[0].strip()
-            if not content:
-                continue
-            tokens = content.split()
-            first = tokens[0]
-            if first in _ALPHABETS:
-                key = first[:-1]
-                if sig is not None or key in headers:
-                    raise ModelFileError(source, line_no, f"{first} after instances or repeated")
-                headers[key] = tuple(tokens[1:])
-                try:
-                    check_alphabet(_ALPHABETS[first], headers[key])
-                except ValueError as exc:
-                    raise ModelFileError(source, line_no, str(exc)) from None
-                continue
-            if sig is None:
-                sig = signature(line_no)
-                cell_keys = [(e, t) for e in sig.entities for t in sig.times]  # entity-major
-                position = {key: k for k, key in enumerate(cell_keys)}
-                state_index = {s: i for i, s in enumerate(sig.states)}
-                full = (1 << len(cell_keys)) - 1
-            if first == "instance":
+        if compiled is None:  # not a cell line read before
+            if raw[-1:] == ":" and raw[:9] == "instance " and "#" not in raw and sig is not None:
+                first, new = "instance", raw[9:-1].strip()  # as the general branch reads it
+            elif raw is _END:  # the end closes the open instance as an instance line does
+                first, new = "instance", None
+            else:  # check the line token by token
+                content = raw.split("#", 1)[0].strip()
+                if not content:
+                    continue
+                tokens = content.split()
+                first = tokens[0]
+                if first in _ALPHABETS:
+                    key = first[:-1]
+                    if sig is not None or key in headers:
+                        raise ModelFileError(source, line_no,
+                                             f"{first} after instances or repeated")
+                    headers[key] = tuple(tokens[1:])
+                    try:
+                        check_alphabet(_ALPHABETS[first], headers[key])
+                    except ValueError as exc:
+                        raise ModelFileError(source, line_no, str(exc)) from None
+                    continue
+                if sig is None:
+                    sig = signature(line_no)
+                    cell_keys = [(e, t) for e in sig.entities for t in sig.times]  # entity-major
+                    position = {key: k for k, key in enumerate(cell_keys)}
+                    state_index = {s: i for i, s in enumerate(sig.states)}
+                    zero = [0] * len(cell_keys)
+                    full = (1 << len(cell_keys)) - 1
+                if first == "instance":
+                    rest = content[len("instance") :].strip()
+                    new = rest[:-1].strip() if rest.endswith(":") else ""
+            if first == "instance":  # close the open instance, then open the named one
                 if name is not None:
-                    close_instance(name, name_line, cells, filled)
-                rest = content[len("instance") :].strip()
-                if not rest.endswith(":") or not rest[:-1].strip():
+                    if filled != full:
+                        missing = full & ~filled
+                        e, t = divmod((missing & -missing).bit_length() - 1, len(sig.times))
+                        raise ModelFileError(source, name_line, f"instance {brief(name)} is "
+                                             f"missing cell {sig.entities[e]}@{sig.times[t]}")
+                    row = named[name] = tuple(cells)
+                    if first_name.setdefault(row, name) != name:
+                        warnings.warn(f"{source}: duplicate instance {brief(name)} collapsed "
+                                      "(set semantics)", stacklevel=2)
+                if new is None:
+                    break
+                if not new:
                     raise ModelFileError(source, line_no, "expected `instance <name>:`")
-                name, name_line = rest[:-1].strip(), line_no
-                if name in named:
-                    raise ModelFileError(source, line_no, f"instance name {brief(name)} reused")
-                cells, filled = [0] * len(cell_keys), 0
+                if new in named:
+                    raise ModelFileError(source, line_no, f"instance name {brief(new)} reused")
+                name, name_line, cells, filled = new, line_no, zero.copy(), 0
                 continue
             if name is None:
                 raise ModelFileError(source, line_no, f"unexpected line {brief(content)}")
@@ -189,11 +205,11 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                     i = state_index.get(state)
                     if i is None:
                         raise ModelFileError(source, line_no, f"unknown state {brief(state)}")
-                    cell = cell_of[token] = (k, i)
-                k, i = cell
-                if (filled | mask) >> k & 1:
+                    cell = cell_of[token] = (k, i, 1 << k)
+                k, i, bit = cell
+                if (filled | mask) & bit:
                     raise given_twice(k, line_no)
-                mask |= 1 << k
+                mask |= bit
                 positions.append(k)
                 indices.append(i)
             lo, hi = positions[0], positions[-1] + 1
@@ -214,8 +230,6 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
         if not headers:
             raise ModelFileError(source, None, "empty context file")
         sig = signature(None)
-    if name is not None:
-        close_instance(name, name_line, cells, filled)
     rows = tuple(sorted(first_name))
     return LoadedContext(Context.from_sorted_rows(sig, rows), named, first_name)
 
@@ -261,7 +275,7 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> modal_logic.Krip
     bit: dict[str, int] = {}  # world -> its bit, in declaration order
     successors: dict[str, int] = {}  # world -> the mask of the worlds it reaches
     atoms: dict[str, int] = {}  # atom -> the mask of the worlds where it holds
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:  # a blank or comment line
             continue
@@ -348,7 +362,7 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
     bit = 0
     canonical: dict[str, int] = {}  # `  has <text>` -> its member, once the header is read
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         i = canonical.get(raw)
         if i is not None and bit:
             columns[i] |= bit

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import oracles
@@ -28,6 +29,22 @@ def random_context(rng: random.Random, max_instances=20, **kwargs) -> Context:
     sig = random_signature(rng, **kwargs)
     count = rng.randint(1, max_instances)
     return Context(sig, tuple(random_instance(rng, sig) for _ in range(count)))
+
+
+def wide_context(h: int) -> Context:
+    """One entity e0 over times 0..h-1: an `a` row through each choice of x,
+    y or z at every middle time, ending in `s`, plus `b, s, p2, ...` and
+    `c, s, q2, ...`. The `a` rows end `s` at 3^(h-2) distinct nodes, each of
+    which agrees with every other `s` node under a window of length 1; in
+    windowed mode only the time-1 nodes under `b` and `c` disagree, so the
+    first failing node is far from the snapshot's first node. It has
+    3^(h-2) + 2 rows: 6,563 at h=10."""
+    rows = [("a", *(f"{c}{t}" for t, c in enumerate(mid, 1)), "s")
+            for mid in itertools.product("xyz", repeat=h - 2)]
+    rows += [(x, "s", *(f"{y}{t}" for t in range(2, h))) for x, y in (("b", "p"), ("c", "q"))]
+    times = tuple(str(t) for t in range(h))
+    sig = Signature(tuple(sorted({c for row in rows for c in row})), ("e0",), times)
+    return Context(sig, tuple(Instance(("e0",), times, row) for row in rows))
 
 
 def table(inst: Instance) -> dict[tuple[str, str], str]:

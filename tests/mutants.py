@@ -71,6 +71,11 @@ GUARD_MESSAGES = ("tests/test_cli.py::"
 # each argparse refusal of a long or line-breaking word is one short last line
 ARGPARSE_REFUSALS = "tests/test_cli.py::test_a_long_group_or_command_is_one_short_refusal"
 
+# the pinned .ctx errors, and the pinned misplaced or nameless instance lines
+CONTEXT_PINS = "tests/test_formats.py::test_context_parse_errors_are_pinned"
+NAMELESS_PINS = ("tests/test_formats.py::"
+                 "test_misplaced_headers_and_nameless_instances_are_pinned")
+
 # every formula of at most four nodes: one node each, built once, parsed back
 SMALL_FORMULAS = ("tests/test_modal_logic.py::"
                   "test_every_formula_of_at_most_four_nodes_is_one_node")
@@ -203,8 +208,8 @@ MUTANTS = (
     Mutant(
         "a compiled line misses a cell given twice on one line",
         "formats.py",
-        "(filled | mask) >> k & 1",
-        "filled >> k & 1",
+        "(filled | mask) & bit",
+        "filled & bit",
         ("tests/test_formats.py::test_context_parse_errors_carry_line_numbers",
          "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
     ),
@@ -388,12 +393,43 @@ MUTANTS = (
     Mutant(
         "a collapsed duplicate keeps no name",
         "formats.py",
-        "        row = named[name] = tuple(cells)\n",
-        "        row = tuple(cells)\n"
-        "        if row not in first_name:\n"
-        "            named[name] = row\n",
+        "                    row = named[name] = tuple(cells)\n",
+        "                    row = tuple(cells)\n"
+        "                    if row not in first_name:\n"
+        "                        named[name] = row\n",
         ("tests/test_cli.py::test_consistency_reads_a_duplicate_by_its_own_name",
          "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
+    ),
+    Mutant(
+        "the fast instance case skips the reused-name check",
+        "formats.py",
+        "if new in named:",
+        "if new in named and raw[:9] != \"instance \":",
+        (CONTEXT_PINS,
+         "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
+    ),
+    Mutant(
+        "the fast instance case drops its # test",
+        "formats.py",
+        ' and "#" not in raw and sig is not None:',
+        " and sig is not None:",
+        (NAMELESS_PINS,),
+    ),
+    Mutant(
+        "the inline close skips the missing-cell check",
+        "formats.py",
+        "if filled != full:",
+        "if False:",
+        (CONTEXT_PINS,
+         "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
+    ),
+    Mutant(
+        "a cell token's bit comes from its state index",
+        "formats.py",
+        "cell = cell_of[token] = (k, i, 1 << k)",
+        "cell = cell_of[token] = (k, i, 1 << i)",
+        ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",
+         "tests/test_formats.py::test_context_save_load_round_trip"),
     ),
     Mutant(
         "the alice-bob guard runs after the signature is built",

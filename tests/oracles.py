@@ -237,7 +237,7 @@ def parse_context_tokenwise(text, source="<string>"):
         names[current_name] = row
         current_name, current_line = None, None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         content = raw.split("#", 1)[0].strip()
         if not content:
             continue
@@ -767,7 +767,7 @@ def reference_parse_modal_context(text, source="<string>"):
     relation = set()
     bit = 0
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         content = raw.split("#", 1)[0].strip()
         if not content:
             continue
@@ -861,7 +861,7 @@ def reference_parse_kripke(text, source="<string>"):
     from ctxkit.formats import ModelFileError
 
     worlds, relation, valuation = [], set(), {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue

@@ -2,8 +2,8 @@
 
 The brute-force oracles stop at a few hundred instances; the checkers read
 the rows alone, so they certify Alice/Bob at h=3-9 (up to 26,244 rows), both
-mini-game encodings, the 24 random contexts the `timelines` workload draws
-from, and a Hypothesis search. Each checker is also shown doctored evidence, which
+mini-game encodings, the wide context at h=6-10 (up to 6,563 rows), the 24
+random contexts the `timelines` workload draws from, and a Hypothesis search. Each checker is also shown doctored evidence, which
 it must reject.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import certificates
+import corpus
 from ctxkit.core import Context, Instance, Signature, Snapshot
 from ctxkit.determinability import MODES, extract_iterator, is_determinable
 from ctxkit.generators import gen_alice_bob, gen_alice_bob_odd, gen_minigame, gen_random_context
@@ -49,6 +50,12 @@ def test_alice_bob_verdicts_are_certified(horizon, odd):
 @pytest.mark.parametrize("variant", (0, 1), ids=("base", "turn"))
 def test_minigame_verdicts_are_certified(variant):
     certify(gen_minigame()[variant])
+
+
+@pytest.mark.parametrize("horizon", range(6, 11))
+def test_wide_context_verdicts_are_certified(horizon):
+    # both "no" witnesses lie far from their snapshot's first node
+    assert certify(corpus.wide_context(horizon)) == {"literal": False, "windowed": False}
 
 
 def timelines_random_context(seed):

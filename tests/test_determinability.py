@@ -35,19 +35,6 @@ def snap1(state):
     return Snapshot(("e0",), (state,))
 
 
-def wide_context(h):
-    """One entity over times 0..h-1: an `a` row through each choice of x, y or
-    z at every middle time, ending in `s`, plus `b, s, p2, ...` and
-    `c, s, q2, ...`. The `a` rows end `s` at 3^(h-2) distinct nodes, each of
-    which agrees with every other `s` node under a window of length 1; in
-    windowed mode only the time-1 nodes under `b` and `c` disagree, so the
-    first failing node is far from the snapshot's first node."""
-    rows = [("a", *(f"{c}{t}" for t, c in enumerate(mid, 1)), "s")
-            for mid in itertools.product("xyz", repeat=h - 2)]
-    rows += [(x, "s", *(f"{y}{t}" for t in range(2, h))) for x, y in (("b", "p"), ("c", "q"))]
-    return row_context(sorted({c for row in rows for c in row}), *rows)
-
-
 def trie_path(trie, inst):
     """The node of member `inst` at each time, found by walking `trie.kids`
     from the time-0 node of its first snapshot."""
@@ -253,7 +240,7 @@ def test_determinability_agrees_with_oracle_on_corpus():
     # contexts whose first failing node is not their snapshot's first node
     for h in (4, 5, 6):
         for mode in ("literal", "windowed"):
-            assert_matches_oracles(wide_context(h), mode)
+            assert_matches_oracles(corpus.wide_context(h), mode)
 
 
 def test_the_verdict_oracle_is_the_failing_pair_oracle_finding_none():
@@ -273,7 +260,7 @@ def test_windowed_witness_reads_a_bounded_number_of_bundle_ids(monkeypatch):
     # the witness is read off the failing snapshot's nodes with O(nodes *
     # times) bundle ids; a scan over pairs of its 731 occurrences needs
     # hundreds of thousands
-    ctx = wide_context(8)
+    ctx = corpus.wide_context(8)
     trie = _Trie(ctx)
     nodes, times = len(trie.snap_of), len(trie.times)
     assert (len(ctx.rows), nodes, times) == (731, 1838, 8)

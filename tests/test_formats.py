@@ -217,6 +217,7 @@ def test_duplicate_instance_warning_is_pinned():
     assert [str(w.message) for w in record] == [
         "dup.ctx: duplicate instance 'y' collapsed (set semantics)"
     ]
+    assert [w.filename for w in record] == [__file__]  # it points at the caller
     assert list(loaded.rows) == ["x", "y"]
     assert loaded.rows["y"] == loaded.rows["x"]
     assert loaded.name_of == {loaded.rows["x"]: "x"}
@@ -224,7 +225,15 @@ def test_duplicate_instance_warning_is_pinned():
 
 MUTATIONS = (
     "repeat", "move", "drop", "split", "swap", "drop token", "garble", "retarget",
-    "duplicate instance",
+    "duplicate instance", "respell",
+)
+
+# an instance line named `name`, respelled: once the signature is known the
+# first two and the last keep the fast case, the rest take the general branch,
+# and `#x` and the empty name are refused
+RESPELLINGS = (
+    "instance   {}  :", "instance {} :", "instance\t{}:", "  instance {}:",
+    "instance {}: # comment", "instance {}#x:", "instance :", "instance {}::",
 )
 
 
@@ -233,7 +242,7 @@ def context_texts(draw):
     """A rendered random context, then a few line mutations of the kinds a
     hand-edited file has: repeated, moved, dropped, split or swapped lines, tokens
     dropped, garbled or pointed at another (possibly unknown) entity, time or
-    state, duplicated instances."""
+    state, duplicated instances, instance lines respelled."""
     sig = Signature(
         tuple(f"s{i}" for i in range(draw(st.integers(1, 3)))),
         tuple(f"e{i}" for i in range(draw(st.integers(1, 3)))),
@@ -262,6 +271,10 @@ def context_texts(draw):
             block = [f"instance {name}:"] + lines[i + 1 : end]
             at = draw(st.sampled_from(starts + [len(lines)]))
             lines[at:at] = block
+        elif kind == "respell" and starts:
+            i = draw(st.sampled_from(starts))
+            name = lines[i][len("instance ") : -1]
+            lines[i] = draw(st.sampled_from(RESPELLINGS)).format(name)
         elif cell_lines:
             i = draw(st.sampled_from(cell_lines))
             if kind == "repeat":
@@ -344,11 +357,40 @@ def test_parse_context_agrees_with_tokenwise_reference(text):
         (HEAD + "instance x y\n", 4, "expected `instance <name>:`"),
         # `instance:` is one token, and not the keyword
         (HEAD + "instance:\n", 4, "unexpected line 'instance:'"),
+        # a `#` starts a comment even inside the name, before and after the
+        # signature is known
+        (HEAD + "instance a#b:\n", 4, "expected `instance <name>:`"),
+        (HEAD + "instance x:\n" + FULL + "instance a#b:\n" + FULL, 6,
+         "expected `instance <name>:`"),
+        # a name already used, by a line of either branch
+        (HEAD + "instance x:\n" + FULL + "instance x:\n" + FULL, 6, "instance name 'x' reused"),
+        (HEAD + "instance x:\n" + FULL + "  instance x:\n" + FULL, 6, "instance name 'x' reused"),
     ],
 )
 def test_misplaced_headers_and_nameless_instances_are_pinned(text, line_no, message):
     got, want = read_both(text)
     assert got == want == ("error", f"f.ctx:{line_no}: {message}", line_no)
+
+
+@pytest.mark.parametrize(
+    "line, name",
+    [
+        # off the fast case: a comment, a tab, leading spaces
+        ("instance x: # c", "x"),
+        ("instance\tx:", "x"),
+        ("  instance x:", "x"),
+        # on it, in any spacing
+        ("instance x ::", "x :"),
+        ("instance   x  :", "x"),
+    ],
+)
+def test_every_spelling_of_an_instance_line_reads_one_name(line, name):
+    # as the first instance line, read before the signature, and as a later one
+    for text in (HEAD + line + "\n" + FULL,
+                 HEAD + "instance w:\n" + FULL.replace("=a", "=b") + line + "\n" + FULL):
+        got, want = read_both(text)
+        assert got == want
+        assert list(got[3])[-1] == name
 
 
 def assert_parsed_as_checked(text):
@@ -998,6 +1040,74 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path):
         load_kripke(path)
     assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 12: "
                               "invalid start byte")
+
+
+# ---------------------------------------------------------------------------
+# line ends
+# ---------------------------------------------------------------------------
+
+# the line breaks of `str.splitlines` that end no line of these formats
+INLINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def code_point(char):
+    return f"U+{ord(char):04X}"
+
+
+def line_end_samples():
+    """(parser, its line-by-line reference, canonical text) for each format."""
+    model = gen_random_kripke(3, 4, ("p", "q"), 0.4)
+    mc = to_modal_context(model, formula_universe(("p", "q"), 1))
+    return (
+        (parse_context, oracles.parse_context_tokenwise, ALICE_FILE),
+        (parse_kripke, oracles.reference_parse_kripke, render_kripke(model)),
+        (parse_modal_context, oracles.reference_parse_modal_context, render_modal_context(mc)),
+    )
+
+
+@pytest.mark.parametrize("char", INLINE_BREAKS, ids=code_point)
+def test_a_comment_holding_a_line_break_of_splitlines_ends_at_its_line(char):
+    for parse, reference, text in line_end_samples():
+        first, rest = text.split("\n", 1)
+        commented = f"# note {char} here\n{first} # {char} x\n{rest}"
+        assert parse(commented) == parse(text), parse.__name__
+        assert reference(commented) == reference(text), parse.__name__
+
+
+@pytest.mark.parametrize("char", INLINE_BREAKS, ids=code_point)
+def test_a_line_break_of_splitlines_is_whitespace_inside_a_line(char):
+    for parse, reference, text in line_end_samples():
+        spaced = text.replace(" ", char)
+        assert parse(spaced) == parse(text), parse.__name__
+        assert reference(spaced) == reference(text), parse.__name__
+
+
+@pytest.mark.parametrize("end", ("\r\n", "\r"), ids=("crlf", "cr"))
+def test_crlf_and_lone_cr_files_parse_as_their_lf_twin(end):
+    for parse, reference, text in line_end_samples():
+        assert parse(text.replace("\n", end)) == parse(text), parse.__name__
+        assert reference(text.replace("\n", end)) == reference(text), parse.__name__
+
+
+@pytest.mark.parametrize("char", INLINE_BREAKS, ids=code_point)
+@pytest.mark.parametrize("parse, reference, text, line_no, message", [
+    (parse_context, oracles.parse_context_tokenwise,
+     "states: a\nentities: e\ntime: 0\n# note {} here\ninstance x:\n  e@0=zz\n", 6,
+     "unknown state 'zz'"),
+    (parse_kripke, oracles.reference_parse_kripke, "world a # {} x\nworld a\n", 2,
+     "world 'a' declared twice"),
+    (parse_modal_context, oracles.reference_parse_modal_context,
+     "universe atoms=p depth=0 cap=1\n# {} x\ncworld c0\ncedge c0 c9\n", 4,
+     "unknown cworld 'c9'"),
+], ids=("ctx", "kr", "mctx"))
+def test_an_error_after_such_a_comment_names_its_own_line(char, parse, reference, text, line_no,
+                                                           message):
+    # a line end read inside the comment would move the error down a line;
+    # `\r\n` and a lone `\r` end a line as `\n` does
+    for read, end in itertools.product((parse, reference), ("\n", "\r\n", "\r")):
+        with pytest.raises(ModelFileError) as info:
+            read(text.format(char).replace("\n", end), "f")
+        assert (str(info.value), info.value.line_no) == (f"f:{line_no}: {message}", line_no)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ CERTIFICATES = ORACLES.with_name("certificates.py")
 
 # reference -> the ctxkit names it is the reference for
 FORBIDDEN = {
-    "parse_context_tokenwise": {"parse_context"},
-    "reference_parse_modal_context": {"parse_modal_context"},
-    "reference_parse_kripke": {"parse_kripke", "KripkeModel", "from_masks"},
+    "parse_context_tokenwise": {"parse_context", "_lines"},
+    "reference_parse_modal_context": {"parse_modal_context", "_lines"},
+    "reference_parse_kripke": {"parse_kripke", "KripkeModel", "from_masks", "_lines"},
     "reference_universe": {"formula_universe", "_member_table", "_base_counts",
                            "print_formula", "_part"},
     "frozenset_extensions": {"Evaluator", "satisfies", "extension_table", "_rule"},
