@@ -11,7 +11,9 @@ Each enumeration past its guard, CTXKIT_GUARD when set, is refused before
 it starts: "full space", "random context draws", "random context signature",
 "random Kripke model" and "iterator unrolling" against DEFAULT_SPACE_GUARD;
 "formula", "formula universe" and "extension table" against their modules'
-defaults. The three file parsers are bounded by their input bytes.
+defaults. A model file's worlds x worlds, "Kripke model file" or "modal
+context file", is refused against `formats`' default at the world line that
+passes it; otherwise the file parsers are bounded by their input bytes.
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ def is_determinable(ctx: Context, mode: str = "literal") -> SnapshotConflict | N
             at = cache(lambda s: {cut_to(v, s) for v in nodes if time_of[v] == s})
             x = next(u for u in nodes if len(upto(time_of[u])) > 1 or any(
                 at(s) != {cut_to(u, s)} for s in times if s > time_of[u]))
-        y = next(v for v in nodes if not agree(x, v))
+        y = next(v for v in nodes if v != x and not agree(x, v))  # x agrees with x
         return trie.conflict(x, y, (trie.bundle(x), trie.bundle(y)))
     return None
 

@@ -13,11 +13,13 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from itertools import compress
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Mapping
 
 from ctxkit import modal_context, modal_logic
-from ctxkit.core import Context, Instance, Row, Signature, brief, check_alphabet
+from ctxkit.core import (Context, Instance, Row, Signature, SizeGuardError, brief, check_alphabet,
+                         effective_guard)
 
 
 class ModelFileError(ValueError):
@@ -98,7 +100,9 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     (mask, positions, state indices); every cell line then fills the row in
     one step: one mask test and, for contiguous positions, one slice
     assignment. Alice/Bob at horizon 6 has 1,944 cell lines but only 128
-    distinct ones. Each distinct cell token is validated once, too. An
+    distinct ones. Each distinct cell token is validated once, too, and kept
+    as (position, state index): its bit is shifted where it is used, since n
+    memoized bits of up to n bits each would take memory quadratic in a row. An
     instance line as `render_context` writes it (`instance `, then no `#`, then
     `:` last) is read with two slice tests and a strip, and an instance line or
     the end closes the open instance inline. No `Instance` is built, and the
@@ -119,7 +123,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
     # or None when they are not contiguous); only lines that passed the token
     # loop are stored
     memo: dict[str, tuple[int, tuple[int, ...], tuple[int, ...], slice | None]] = {}
-    cell_of: dict[str, tuple[int, int, int]] = {}  # valid cell token -> (position, state, bit)
+    cell_of: dict[str, tuple[int, int]] = {}  # valid cell token -> (position, state index)
 
     def signature(line_no):  # each header line's symbols were checked when it was read
         missing = [k for k in ("states", "entities", "time") if k not in headers]
@@ -188,7 +192,7 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                 continue
             if name is None:
                 raise ModelFileError(source, line_no, f"unexpected line {brief(content)}")
-            mask, positions, indices = 0, [], []
+            seen, positions, indices = filled, [], []  # the instance's cells, then the line's
             for token in tokens:
                 cell = cell_of.get(token)
                 if cell is None:
@@ -205,16 +209,17 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                     i = state_index.get(state)
                     if i is None:
                         raise ModelFileError(source, line_no, f"unknown state {brief(state)}")
-                    cell = cell_of[token] = (k, i, 1 << k)
-                k, i, bit = cell
-                if (filled | mask) & bit:
+                    cell = cell_of[token] = (k, i)
+                k, i = cell
+                bit = 1 << k
+                if seen & bit:
                     raise given_twice(k, line_no)
-                mask |= bit
+                seen |= bit
                 positions.append(k)
                 indices.append(i)
             lo, hi = positions[0], positions[-1] + 1
             span = slice(lo, hi) if positions == list(range(lo, hi)) else None
-            compiled = memo[raw] = (mask, tuple(positions), tuple(indices), span)
+            compiled = memo[raw] = (seen ^ filled, tuple(positions), tuple(indices), span)
         # a compiled line is a cell line of the open instance: it fills the row
         mask, positions, indices, span = compiled
         if filled & mask:
@@ -236,28 +241,23 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
 
 def render_context(ctx: Context) -> str:
     """Canonical text: headers, then instances named i0, i1, ... in canonical
-    order, one cell line per entity; each distinct (entity, row slice) line
-    is rendered once."""
-    sig = ctx.signature
-    lines = [
-        "states: " + " ".join(sig.states),
-        "entities: " + " ".join(sig.entities),
-        "time: " + " ".join(sig.times),
-    ]
-    n, states = len(sig.times), sig.states
-    heads = [[f"{e}@{t}=" for t in sig.times] for e in sig.entities]
-    rendered: dict[tuple[int, Row], str] = {}
-    for k, row in enumerate(ctx.rows):
-        lines.append(f"instance i{k}:")
-        for ei, start in enumerate(range(0, len(row), n)):
-            key = (ei, row[start : start + n])
-            line = rendered.get(key)
-            if line is None:
-                line = rendered[key] = "  " + " ".join(
-                    head + states[i] for head, i in zip(heads[ei], key[1])
-                )
-            lines.append(line)
-    return "\n".join(lines) + "\n"
+    order, one cell line per entity. The text is filled column by column:
+    the instance lines, then each entity's lines from its slices of the
+    rows, each distinct slice rendered once."""
+    sig, rows = ctx.signature, ctx.rows
+    n, states, stride = len(sig.times), sig.states, len(sig.entities) + 1
+    body = [""] * (len(rows) * stride)
+    body[::stride] = [f"instance i{k}:" for k in range(len(rows))]
+    for ei, entity in enumerate(sig.entities):
+        heads = [f"{entity}@{t}=" for t in sig.times]
+        line: dict[Row, str] = {}  # this entity's line of each distinct slice
+        body[ei + 1 :: stride] = [
+            line[s] if s in line
+            else line.setdefault(s, "  " + " ".join(map(add, heads, map(states.__getitem__, s))))
+            for s in map(itemgetter(slice(ei * n, ei * n + n)), rows)]
+    header = [f"states: {' '.join(sig.states)}", f"entities: {' '.join(sig.entities)}",
+              f"time: {' '.join(sig.times)}"]
+    return "\n".join(header + body) + "\n"
 
 
 def load_context(path: str | Path) -> LoadedContext:
@@ -268,10 +268,17 @@ def load_context(path: str | Path) -> LoadedContext:
 # Kripke model files
 # ---------------------------------------------------------------------------
 
+# worlds x worlds a model file may declare, CTXKIT_GUARD when set: a world's
+# mask spans up to its highest successor, so the masks take up to that many bits
+DEFAULT_WORLDS_GUARD = 2 ** 24  # 4,096 worlds
+
+
 def parse_kripke(text: str, source: str | Path = "<string>") -> modal_logic.KripkeModel:
     """A Kripke model from its file. The parser is the one check of the
     file: it fills the model's masks as it reads (world j is the j-th
-    declared), and each error names its line."""
+    declared), and each error names its line. The `world` line that takes
+    worlds x worlds past the guard is refused."""
+    guard = effective_guard(DEFAULT_WORLDS_GUARD)
     bit: dict[str, int] = {}  # world -> its bit, in declaration order
     successors: dict[str, int] = {}  # world -> the mask of the worlds it reaches
     atoms: dict[str, int] = {}  # atom -> the mask of the worlds where it holds
@@ -306,6 +313,9 @@ def parse_kripke(text: str, source: str | Path = "<string>") -> modal_logic.Krip
                 raise ModelFileError(source, line_no, f"world {brief(args[0])} declared twice")
             bit[args[0]] = 1 << len(bit)
             successors[args[0]] = 0
+            if len(bit) ** 2 > guard:
+                raise ModelFileError(source, line_no, str(SizeGuardError(
+                    len(bit) ** 2, guard, "Kripke model file")))
         else:
             raise ModelFileError(source, line_no, f"unknown directive {brief(directive)}")
     if not bit:
@@ -353,7 +363,10 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
     member's bit for the cworld. Every other line is read on its own: a
     `has` line's stripped text is looked up in the same map, and only text
     that is not canonical is parsed. No formula node is built for a file
-    whose `has` texts are canonical, however they are spaced or commented."""
+    whose `has` texts are canonical, however they are spaced or commented.
+    The `cworld` line that takes cworlds x cworlds past the guard on model
+    files' worlds is refused."""
+    guard = effective_guard(DEFAULT_WORLDS_GUARD)
     universe: modal_logic.FormulaUniverse | None = None
     columns: list[int] = []  # member -> mask over the cworlds
     names: dict[str, int] = {}  # each cworld's line, in declaration order
@@ -421,6 +434,9 @@ def parse_modal_context(text: str, source: str | Path = "<string>") -> modal_con
             bit = bits[parts[1]] = 1 << len(names)
             names[parts[1]] = line_no
             successors[parts[1]] = 0
+            if len(names) ** 2 > guard:
+                raise ModelFileError(source, line_no, str(SizeGuardError(
+                    len(names) ** 2, guard, "modal context file")))
         elif directive == "cedge":
             if len(parts) != 3:
                 raise ModelFileError(source, line_no, "expected `cedge <from> <to>`")

@@ -142,7 +142,11 @@ def gen_random_context(
     """Uniform cellwise sampling of `count` instances; duplicates collapse.
 
     The count x cells draws, then the signature's labels, are checked against
-    the full-space guard first."""
+    the full-space guard first. Every cell, row by row, is drawn as
+    `random.Random(seed).randrange(n_states)` draws it on CPython 3.10-3.13:
+    getrandbits of the bit length of n_states, again while the value is out of
+    range. One C call per draw gives the same stream, so the files keep their
+    bytes."""
     if min(n_states, n_entities, n_times) < 1:
         raise ValueError("state, entity, and time counts must be positive")
     if count < 0:
@@ -150,16 +154,18 @@ def gen_random_context(
     check_guard(count * n_entities * n_times, DEFAULT_SPACE_GUARD, "random context draws")
     check_guard(n_states + n_entities + n_times, DEFAULT_SPACE_GUARD,
                 "random context signature")
-    rng = random.Random(seed)
     sig = Signature(
         tuple(f"s{i}" for i in range(n_states)),
         tuple(f"e{i}" for i in range(n_entities)),
         tuple(str(i) for i in range(n_times)),
     )
-    width = sig.cell_count()
-    return Context.from_rows(
-        sig, [tuple(rng.randrange(n_states) for _ in range(width)) for _ in range(count)]
-    )
+    draw, k, cells = random.Random(seed).getrandbits, n_states.bit_length(), []
+    for _ in range(count * sig.cell_count()):
+        i = draw(k)
+        while i >= n_states:
+            i = draw(k)
+        cells.append(i)
+    return Context.from_rows(sig, zip(*[iter(cells)] * sig.cell_count()))  # rows of the cells
 
 
 def gen_random_kripke(

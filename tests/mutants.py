@@ -76,6 +76,19 @@ CONTEXT_PINS = "tests/test_formats.py::test_context_parse_errors_are_pinned"
 NAMELESS_PINS = ("tests/test_formats.py::"
                  "test_misplaced_headers_and_nameless_instances_are_pinned")
 
+# gen random-ctx against random.Random(seed).randrange, cell by cell
+RANDRANGE_ORACLE = ("tests/test_generators.py::"
+                    "test_random_context_draws_every_cell_as_randrange_does")
+
+# the pinned bytes of render_context, down to one entity and one time
+RENDER_PINS = "tests/test_formats.py::test_render_context_bytes_are_pinned"
+
+# the traced peak of a 5,000- and a 20,000-cell line
+WIDE_LINE = "tests/test_formats.py::test_a_wide_cell_line_parses_in_memory_linear_in_its_cells"
+
+# a .kr and a .mctx of 4,096 worlds load, and of 4,097 are refused on the last world line
+WORLDS_GUARD = "tests/test_formats.py::test_a_model_file_past_the_worlds_guard_is_one_refusal"
+
 # every formula of at most four nodes: one node each, built once, parsed back
 SMALL_FORMULAS = ("tests/test_modal_logic.py::"
                   "test_every_formula_of_at_most_four_nodes_is_one_node")
@@ -208,8 +221,8 @@ MUTANTS = (
     Mutant(
         "a compiled line misses a cell given twice on one line",
         "formats.py",
-        "(filled | mask) & bit",
-        "filled & bit",
+        "if seen & bit:",
+        "if filled & bit:",
         ("tests/test_formats.py::test_context_parse_errors_carry_line_numbers",
          "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
     ),
@@ -426,10 +439,49 @@ MUTANTS = (
     Mutant(
         "a cell token's bit comes from its state index",
         "formats.py",
-        "cell = cell_of[token] = (k, i, 1 << k)",
-        "cell = cell_of[token] = (k, i, 1 << i)",
+        "                bit = 1 << k\n",
+        "                bit = 1 << i\n",
         ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",
          "tests/test_formats.py::test_context_save_load_round_trip"),
+    ),
+    Mutant(
+        "a compiled line's mask keeps the cells filled before it",
+        "formats.py",
+        "memo[raw] = (seen ^ filled, ",
+        "memo[raw] = (seen, ",
+        ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",
+         "tests/test_formats.py::test_context_save_load_round_trip"),
+    ),
+    Mutant(
+        "the token memo keeps the bit",
+        "formats.py",
+        "                    cell = cell_of[token] = (k, i)\n"
+        "                k, i = cell\n"
+        "                bit = 1 << k\n",
+        "                    cell = cell_of[token] = (k, i, 1 << k)\n"
+        "                k, i, bit = cell\n",
+        (WIDE_LINE,),
+    ),
+    Mutant(
+        "the render memo is shared across entities",
+        "formats.py",
+        "        line: dict[Row, str] = {}  # this entity's line of each distinct slice\n",
+        "        line = line if ei else {}\n",
+        (RENDER_PINS,),
+    ),
+    Mutant(
+        "the Kripke file guard counts worlds, not worlds squared",
+        "formats.py",
+        "            if len(bit) ** 2 > guard:",
+        "            if len(bit) > guard:",
+        (WORLDS_GUARD + "[.kr]",),
+    ),
+    Mutant(
+        "the modal context file guard lets one cworld more through",
+        "formats.py",
+        "            if len(names) ** 2 > guard:",
+        "            if (len(names) - 1) ** 2 > guard:",
+        (WORLDS_GUARD + "[.mctx]",),
     ),
     Mutant(
         "the alice-bob guard runs after the signature is built",
@@ -447,6 +499,20 @@ MUTANTS = (
         "    )\n"
         "    check_full_space_guard(2, 2, horizon)\n",
         (EXTREME_GEN,),
+    ),
+    Mutant(
+        "a rejected draw is not drawn again",
+        "generators.py",
+        "        while i >= n_states:\n",
+        "        if i >= n_states:\n",
+        (RANDRANGE_ORACLE,),
+    ),
+    Mutant(
+        "the draw width is the bit length of the largest state index",
+        "generators.py",
+        "n_states.bit_length(), []",
+        "(n_states - 1).bit_length(), []",
+        (RANDRANGE_ORACLE,),
     ),
     Mutant(
         "random-ctx guards the draws only",

@@ -7,6 +7,7 @@ import random
 import re
 import statistics
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from ctxkit.modal_logic import (
 )
 from ctxkit.modal_context import to_modal_context
 from ctxkit.formats import (
+    DEFAULT_WORLDS_GUARD,
     LoadedContext,
     ModelFileError,
     file_digest,
@@ -452,6 +454,51 @@ def test_context_save_load_round_trip(ctx):
     assert parse_context(render_context(ctx)).context == ctx
 
 
+@pytest.mark.parametrize("sig, rows, text", [
+    (Signature(("a", "b"), ("e",), ("0", "1")), [],
+     "states: a b\nentities: e\ntime: 0 1\n"),
+    (Signature(("a", "b"), ("e",), ("0", "1")), [(1, 0), (0, 1)],
+     "states: a b\nentities: e\ntime: 0 1\n"
+     "instance i0:\n  e@0=a e@1=b\ninstance i1:\n  e@0=b e@1=a\n"),
+    (Signature(("a", "b"), ("x", "y"), ("0",)), [(1, 1), (0, 1)],
+     "states: a b\nentities: x y\ntime: 0\n"
+     "instance i0:\n  x@0=a\n  y@0=b\ninstance i1:\n  x@0=b\n  y@0=b\n"),
+    (Signature(("a", "b"), ("x", "y"), ("0", "1")), [(0, 1, 0, 1), (0, 1, 1, 1), (1, 1, 0, 1)],
+     "states: a b\nentities: x y\ntime: 0 1\n"
+     "instance i0:\n  x@0=a x@1=b\n  y@0=a y@1=b\n"
+     "instance i1:\n  x@0=a x@1=b\n  y@0=b y@1=b\n"
+     "instance i2:\n  x@0=b x@1=b\n  y@0=a y@1=b\n"),
+], ids=["empty", "one entity", "one time", "entities sharing slices"])
+def test_render_context_bytes_are_pinned(sig, rows, text):
+    # the text is filled column by column; each entity's lines name that entity
+    ctx = Context.from_rows(sig, rows)
+    assert render_context(ctx) == text
+    assert parse_context(text).context == ctx
+
+
+def one_line_instance(cells: int) -> str:
+    """A context file of one instance whose cells all sit on one line."""
+    times = range(cells)
+    return ("states: a b\nentities: e\ntime: " + " ".join(map(str, times)) + "\ninstance i0:\n  "
+            + " ".join(f"e@{t}={'ab'[t % 2]}" for t in times) + "\n")
+
+
+def test_a_wide_cell_line_parses_in_memory_linear_in_its_cells():
+    """Each distinct cell token is memoized as its position and state index.
+    Memoizing its bit as well held n ints of up to n bits, and the traced
+    peak grew 9.1x from 5,000 to 20,000 cells; it grows about 4x when linear."""
+    peaks = []
+    for cells in (5_000, 20_000):
+        text = one_line_instance(cells)
+        tracemalloc.start()
+        try:
+            assert len(parse_context(text).context) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 5 * peaks[0], peaks
+
+
 # ---------------------------------------------------------------------------
 # Kripke files
 # ---------------------------------------------------------------------------
@@ -709,6 +756,49 @@ def test_loaders_cost_the_same_per_line_at_any_world_count(parse, lines):
             seconds[k] = time.perf_counter() - start
         ratios.append(seconds[1] / seconds[0])
     assert statistics.median(ratios) < 1.5, sorted(ratios)
+
+
+def wide_model(suffix: str, worlds: int) -> tuple[str, int]:
+    """A .kr or .mctx file of `worlds` worlds (each cworld storing a set of
+    its own, as a modal context must), and the line number of its last world
+    line."""
+    if suffix == ".kr":
+        return "".join(f"world w{k}\n" for k in range(worlds)), worlds
+    atoms = [f"a{k}" for k in range(92)]  # 4,186 pairs: a distinct theory per world
+    lines = [f"universe atoms={','.join(atoms)} depth=0 cap=0"]
+    for k, (a, b) in zip(range(worlds), itertools.combinations(atoms, 2)):
+        lines += [f"cworld w{k}", f"  has {a}", f"  has {b}"]
+    return "\n".join(lines) + "\n", len(lines) - 2
+
+
+# suffix -> (parser, the attribute naming the worlds, refusal noun, a command reading the file)
+MODEL_FILES = {".kr": (parse_kripke, "worlds", "Kripke model file",
+                       ("modal", "eval", "<path>", "--world", "w0", "--formula", "p")),
+               ".mctx": (parse_modal_context, "world_names", "modal context file",
+                         ("modal", "check-context", "<path>"))}
+
+
+@pytest.mark.parametrize("suffix", MODEL_FILES)
+def test_a_model_file_past_the_worlds_guard_is_one_refusal(suffix, tmp_path, monkeypatch,
+                                                             capsys):
+    """A parser holds a mask over the worlds for each world, worlds x worlds
+    bits at most; the world line that takes worlds x worlds past the guard is
+    refused. The default admits 4,096 worlds."""
+    parse, worlds, what, argv = MODEL_FILES[suffix]
+    monkeypatch.delenv("CTXKIT_GUARD", raising=False)
+    assert DEFAULT_WORLDS_GUARD == 4096 ** 2
+    assert len(getattr(parse(wide_model(suffix, 4096)[0]), worlds)) == 4096
+    text, line_no = wide_model(suffix, 4097)
+    path = tmp_path / f"wide{suffix}"
+    path.write_text(text)
+    code = cli_dispatch([str(path) if word == "<path>" else word for word in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        f"error: {path}:{line_no}: {what} needs a guard of at least {4097 ** 2}; "
+        f"current guard is {4096 ** 2}; set CTXKIT_GUARD to raise it"]
+    monkeypatch.setenv("CTXKIT_GUARD", str(4097 ** 2))
+    assert len(getattr(parse(text), worlds)) == 4097
 
 
 # ---------------------------------------------------------------------------

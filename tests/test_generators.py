@@ -1,5 +1,6 @@
 """Example generators: counts against the brute-force oracle, game verdicts."""
 
+import itertools
 import random
 
 import pytest
@@ -159,6 +160,21 @@ def test_random_context_is_reproducible():
     b = gen_random_context(42, 3, 2, 3, 15)
     assert a == b
     assert gen_random_context(43, 3, 2, 3, 15) != a
+
+
+def test_random_context_draws_every_cell_as_randrange_does():
+    """The standard library is the oracle: row by row, every cell is the
+    next `random.Random(seed).randrange(n_states)`. The state counts take in
+    1 and the powers of two, where the draw width and the retry matter."""
+    shapes = [(1, c) if c % 2 else (2, c // 2) for c in range(1, 13)]  # 1-12 cells
+    counts = itertools.cycle(range(51))
+    for seed, n_states, (entities, times) in itertools.product(range(20), range(1, 10), shapes):
+        count = next(counts)
+        rng = random.Random(seed)
+        rows = {tuple(rng.randrange(n_states) for _ in range(entities * times))
+                for _ in range(count)}
+        got = gen_random_context(seed, n_states, entities, times, count)
+        assert got.rows == tuple(sorted(rows)), (seed, n_states, entities, times, count)
 
 
 def test_random_context_collapses_duplicates():
