@@ -131,9 +131,14 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
             raise ModelFileError(source, line_no, f"missing header line(s): {', '.join(missing)}")
         return Signature(headers["states"], headers["entities"], headers["time"])
 
-    def given_twice(k, line_no):
-        entity, time = cell_keys[k]
-        return ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
+    def clash(filled, positions, line_no):
+        """Refuse the first position that the instance or the line filled before it."""
+        held, line = f"{filled:b}"[::-1], set()  # held[k] is bit k: linear in the row
+        for k in positions:
+            if k in line or held[k : k + 1] == "1":
+                entity, time = cell_keys[k]
+                raise ModelFileError(source, line_no, f"cell {entity}@{time} given twice")
+            line.add(k)
 
     lines = _lines(text)
     lines.append(_END)
@@ -192,38 +197,46 @@ def parse_context(text: str, source: str | Path = "<string>") -> LoadedContext:
                 continue
             if name is None:
                 raise ModelFileError(source, line_no, f"unexpected line {brief(content)}")
-            seen, positions, indices = filled, [], []  # the instance's cells, then the line's
-            for token in tokens:
-                cell = cell_of.get(token)
-                if cell is None:
-                    entity, at, rest = token.partition("@")
-                    time, eq, state = rest.partition("=")
-                    if not at or not eq or not entity or not time or not state:
-                        raise ModelFileError(source, line_no, f"malformed cell {brief(token)}, "
-                                             "expected entity@time=state")
-                    k = position.get((entity, time))
-                    if k is None:
-                        if entity not in sig.entities:
-                            raise ModelFileError(source, line_no, f"unknown entity {brief(entity)}")
-                        raise ModelFileError(source, line_no, f"unknown time {brief(time)}")
-                    i = state_index.get(state)
-                    if i is None:
-                        raise ModelFileError(source, line_no, f"unknown state {brief(state)}")
-                    cell = cell_of[token] = (k, i)
-                k, i = cell
-                bit = 1 << k
-                if seen & bit:
-                    raise given_twice(k, line_no)
-                seen |= bit
-                positions.append(k)
-                indices.append(i)
+            positions, indices = [], []
+            try:
+                for token in tokens:
+                    cell = cell_of.get(token)
+                    if cell is None:
+                        entity, at, rest = token.partition("@")
+                        time, eq, state = rest.partition("=")
+                        if not at or not eq or not entity or not time or not state:
+                            raise ModelFileError(source, line_no, f"malformed cell {brief(token)}, "
+                                                 "expected entity@time=state")
+                        k = position.get((entity, time))
+                        if k is None:
+                            if entity not in sig.entities:
+                                raise ModelFileError(source, line_no,
+                                                     f"unknown entity {brief(entity)}")
+                            raise ModelFileError(source, line_no, f"unknown time {brief(time)}")
+                        i = state_index.get(state)
+                        if i is None:
+                            raise ModelFileError(source, line_no, f"unknown state {brief(state)}")
+                        cell = cell_of[token] = (k, i)
+                    positions.append(cell[0])
+                    indices.append(cell[1])
+            except ModelFileError:  # a cell given twice before the bad token comes first
+                clash(filled, positions, line_no)
+                raise
             lo, hi = positions[0], positions[-1] + 1
-            span = slice(lo, hi) if positions == list(range(lo, hi)) else None
-            compiled = memo[raw] = (seen ^ filled, tuple(positions), tuple(indices), span)
+            if positions == list(range(lo, hi)):
+                span, mask = slice(lo, hi), (1 << hi) - (1 << lo)
+            else:  # the mask is built once, from binary digits, in time linear in the row
+                digits = bytearray(b"0") * len(cell_keys)
+                for k in positions:
+                    digits[k] = 49  # "1", the digit of bit k
+                if digits.count(49) < len(positions):  # a cell given twice within the line
+                    clash(filled, positions, line_no)
+                span, mask = None, int(digits[::-1], 2)
+            compiled = memo[raw] = (mask, tuple(positions), tuple(indices), span)
         # a compiled line is a cell line of the open instance: it fills the row
         mask, positions, indices, span = compiled
         if filled & mask:
-            raise given_twice(next(k for k in positions if filled >> k & 1), line_no)
+            clash(filled, positions, line_no)
         filled |= mask
         if span is None:
             for k, i in zip(positions, indices):

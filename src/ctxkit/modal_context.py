@@ -1,32 +1,24 @@
 """Compiling Kripke models into modal contexts and checking them.
 
 One table shape runs the whole pipeline: a column per universe member, in
-the universe's canonical member order, each an int mask over some worlds.
-`extension_table` fills it over the model's worlds in one forward pass over
-the member rows, reading kinds and child rows, never formula nodes. Worlds
-with equal rows across the table have equal theories, and each such class
-becomes a context world; its bit in every column is the bit of any of its
-worlds, and it reaches the classes of the worlds in the OR of its worlds'
-successor masks. That is the smallest filtration of the model through the
-subformula-closed universe (Blackburn, de Rijke & Venema, Modal Logic, CUP
-2001, section 2.3). A `ModalContext` holds those class columns, the class
-names and a successor mask per class, with the relation's name pairs as a
-view. It must satisfy the box/diamond membership biconditionals against
-its relation, and must represent every original world by theory; both
-facts are re-checked here, on the columns, rather than assumed.
-
-Each kind's mask rule is written once, in `_rule`, which fills a table in
-one pass over the member rows: the extension table from its own growing
-columns, and a context's cached check table from its stored columns. The
-modal check and the requotient check both compare the stored columns with it.
+member order, each an int mask over some worlds. `_rule` fills one in a
+forward pass over the member rows, reading kinds and child rows, never
+formula nodes: the extension table over a model's worlds, and a context's
+check table from its stored columns, which the modal check and the requotient
+check compare with the columns. Worlds with equal rows of the extension table
+have equal theories. Each such class becomes a context world that stores the
+row and reaches the classes its worlds reach: the smallest filtration of the
+model through the subformula-closed universe (Blackburn, de Rijke & Venema,
+Modal Logic, CUP 2001, section 2.3). The box/diamond membership
+biconditionals and the representation of every world by theory are re-checked
+here on the columns, not assumed. Prover agreement compares the extension
+table with `modal_logic.Evaluator`, whose mask rules are its own.
 
 The paper's power context indexes formula sets by (entity, time) cells; the
 construction uses a single cell, so a context stores one formula set per
-world, and reports name that cell as (0,0).
-
-Rows and columns convert into each other by byte-wise transposition
-(`_rows`, `_columns`): a world's row is a bytes object with one 0/1 byte per
-member, so equal theories are equal rows.
+world, and reports name that cell as (0,0). Rows and columns convert into
+each other by byte-wise transposition (`_rows`, `_columns`): a world's row is
+a bytes object with one 0/1 byte per member, so equal theories are equal rows.
 """
 
 from __future__ import annotations
@@ -368,19 +360,17 @@ def requotient_is_identity(mc: ModalContext) -> bool:
 
 
 def prover_agreement(model: KripkeModel, mc: ModalContext) -> bool:
-    """Does proving by membership agree with the independent frozenset
+    """Does proving by membership agree with the independent mask
     `Evaluator`? Per member, the model worlds whose context world (through
     `class_world_map`) stores it must be exactly the member's extension.
 
     Once every world has a carrier, a world's carrier stores exactly the
     world's own row of the model's extension table. So the member columns
-    lifted through the carriers are the kept table bit for bit, and each
-    member's extension is compared with its column of that table."""
+    lifted through the carriers are the kept table bit for bit, and the
+    evaluator's member masks, from its own rule table and the model's
+    predecessor masks, are compared with that table."""
     class_world_map(model, mc)  # refuses a world with no carrier
-    bit = {w: 1 << i for i, w in enumerate(model.worlds)}
-    extension = Evaluator(model).extension
-    return all(sum(map(bit.__getitem__, extension(f))) == mask
-               for f, mask in zip(mc.universe.members, _classes(model, mc.universe).table))
+    return tuple(Evaluator(model).member_masks(mc.universe)) == _classes(model, mc.universe).table
 
 
 def prove_in_context(mc: ModalContext, world: str, formula: Formula) -> bool:

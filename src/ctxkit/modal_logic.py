@@ -25,10 +25,10 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ctxkit.core import brief, check_guard
+from ctxkit.core import brief, check_guard, position
 
 DEFAULT_UNIVERSE_GUARD = 50_000
 DEFAULT_FORMULA_GUARD = 10_000  # nodes of one parsed formula
@@ -631,62 +631,69 @@ class KripkeModel:
                 f"valuation={self.valuation!r})")
 
 
-_NOWHERE: frozenset[str] = frozenset()
-
-# node kind -> its extension, from the evaluator and its children's extensions
-_RULES = {
-    Atom: lambda ev, f: ev.model.valuation.get(f.name, _NOWHERE),
-    Top: lambda ev, f: ev._all,
-    Bottom: lambda ev, f: _NOWHERE,
-    Not: lambda ev, f, a: ev._all - a,
-    And: lambda ev, f, a, b: a & b,
-    Or: lambda ev, f, a, b: a | b,
-    Implies: lambda ev, f, a, b: (ev._all - a) | b,
-    Iff: lambda ev, f, a, b: ev._all - (a ^ b),
-    Box: lambda ev, f, a: frozenset([w for w, succ in ev._successors if succ <= a]),
-    Diamond: lambda ev, f, a: frozenset(
-        [w for w, succ in ev._successors if not succ.isdisjoint(a)]
-    ),
+# node kind -> its mask, from the evaluator and its children's masks or an
+# atom's name. <>A is the OR of the predecessor masks of A's worlds, the
+# backward image of symbolic model checking (Clarke, Grumberg & Peled, Model
+# Checking, 1999, chapter 4), and []A is the complement of <> of A's complement.
+_MASK_RULES = {
+    Atom: lambda ev, name: ev.model.atoms.get(name, 0),
+    Top: lambda ev: ev.everywhere,
+    Bottom: lambda ev: 0,
+    Not: lambda ev, a: ev.everywhere ^ a,
+    And: lambda ev, a, b: a & b,
+    Or: lambda ev, a, b: a | b,
+    Implies: lambda ev, a, b: (ev.everywhere ^ a) | b,
+    Iff: lambda ev, a, b: ev.everywhere ^ a ^ b,
+    Box: lambda ev, a: ev.everywhere ^ ev.diamond(ev.everywhere ^ a),
+    Diamond: lambda ev, a: ev.diamond(a),
 }
 
 
 class Evaluator:
-    """One satisfaction session over a fixed model.
-
-    Extensions (the set of worlds satisfying a formula) are memoized per
-    formula, which makes theory computation over a whole universe cheap.
-    The cache belongs to this evaluator alone.
-    """
+    """One satisfaction session over a fixed model, on int masks over its
+    worlds. `_MASK_RULES` serves two walks: `mask` over a formula's nodes,
+    memoized for this evaluator alone, and `member_masks` over a universe's
+    member rows, which builds no node."""
 
     def __init__(self, model: KripkeModel):
-        self.model = model
-        self._extensions: dict[Formula, frozenset[str]] = {}
-        self._all = frozenset(model.worlds)
-        self._successors = [(w, frozenset(picked(model.worlds, succ)))  # in world order
-                            for w, succ in zip(model.worlds, model.successors)]
+        self.model, self.everywhere, self._masks = model, (1 << len(model.worlds)) - 1, {}
+        self._predecessors = before = [0] * len(model.worlds)  # one transposition
+        for j, succ in enumerate(model.successors):
+            for k in picked(range(len(before)), succ):
+                before[k] |= 1 << j
 
-    def extension(self, formula: Formula) -> frozenset[str]:
+    def diamond(self, a: int) -> int:
+        return reduce(int.__or__, picked(self._predecessors, a), 0)
+
+    def mask(self, formula: Formula) -> int:
         """The worlds satisfying formula, by a post-order walk on an explicit
         stack, so nesting depth costs memory, not interpreter frames."""
-        known = self._extensions
-        ext = known.get(formula)
-        if ext is None:
-            todo = [formula]
-            while todo:
-                node = todo[-1]
-                kids = node.children
-                waiting = [kid for kid in kids if kid not in known]
-                if waiting:
-                    todo += waiting
-                else:
-                    ext = known[node] = _RULES[type(node)](self, node, *[known[k] for k in kids])
-                    todo.pop()
-        return ext  # the last node evaluated is the formula at the stack's bottom
+        known, todo = self._masks, [formula]
+        while formula not in known:  # it is computed last, at the stack's bottom
+            node = todo[-1]
+            waiting = [kid for kid in node.children if kid not in known]
+            if waiting:
+                todo += waiting
+                continue
+            args = [node.name] if type(node) is Atom else map(known.get, node.children)
+            known[node] = _MASK_RULES[type(node)](self, *args)
+            todo.pop()
+        return known[formula]
+
+    def member_masks(self, universe: FormulaUniverse) -> list[int]:
+        """Every member's mask, in member order, in one pass over the rows."""
+        masks: list[int] = []
+        for kind, arg in zip(universe.kinds, universe.args):
+            args = [arg] if kind is Atom else [masks[i] for i in arg]  # children come first
+            masks.append(_MASK_RULES[kind](self, *args))
+        return masks
+
+    def extension(self, formula: Formula) -> frozenset[str]:
+        return frozenset(picked(self.model.worlds, self.mask(formula)))
 
     def satisfies(self, world: str, formula: Formula) -> bool:
-        if world not in self._all:
-            raise ValueError(f"unknown world {brief(world)}")
-        return world in self.extension(formula)
+        j = position(self.model.worlds, world, "world")
+        return self.mask(formula) >> j & 1 == 1
 
 
 def satisfies(model: KripkeModel, world: str, formula: Formula) -> bool:

@@ -86,12 +86,24 @@ RENDER_PINS = "tests/test_formats.py::test_render_context_bytes_are_pinned"
 # the traced peak of a 5,000- and a 20,000-cell line
 WIDE_LINE = "tests/test_formats.py::test_a_wide_cell_line_parses_in_memory_linear_in_its_cells"
 
+# a one-line instance of 40,000 and of 160,000 cells, timed
+WIDE_TIME = ("tests/test_formats.py::"
+             "test_a_wide_cell_line_compiles_in_time_linear_in_its_cells")
+
 # a .kr and a .mctx of 4,096 worlds load, and of 4,097 are refused on the last world line
 WORLDS_GUARD = "tests/test_formats.py::test_a_model_file_past_the_worlds_guard_is_one_refusal"
 
 # every formula of at most four nodes: one node each, built once, parsed back
 SMALL_FORMULAS = ("tests/test_modal_logic.py::"
                   "test_every_formula_of_at_most_four_nodes_is_one_node")
+
+# the library Evaluator's node walk against the oracle and the naive clauses
+ORACLE_EVALUATOR = ("tests/test_modal_logic.py::"
+                    "test_the_oracle_evaluator_agrees_with_the_naive_clauses_and_the_evaluator")
+
+# both 1,024-world models at p,q depth 2: member masks, prover agreement and a flipped [] bit
+AT_1024_WORLDS = (MODAL + "test_the_mask_evaluator_and_the_checks_agree_with_the_oracles_on_"
+                  "1024_worlds")
 
 MUTANTS = (
     Mutant(
@@ -104,12 +116,24 @@ MUTANTS = (
     Mutant(
         "the library Evaluator reads [] as <>",
         "modal_logic.py",
-        "Box: lambda ev, f, a: frozenset([w for w, succ in ev._successors if succ <= a]),",
-        "Box: lambda ev, f, a: frozenset([w for w, succ in ev._successors"
-        " if not succ.isdisjoint(a)]),",
+        "Box: lambda ev, a: ev.everywhere ^ ev.diamond(ev.everywhere ^ a),",
+        "Box: lambda ev, a: ev.diamond(a),",
         ("tests/test_modal_logic.py::test_dual_law_and_k_axiom_on_corpus",
-         "tests/test_modal_logic.py::"
-         "test_the_oracle_evaluator_agrees_with_the_naive_clauses_and_the_evaluator"),
+         ORACLE_EVALUATOR, AT_1024_WORLDS),
+    ),
+    Mutant(
+        "the Evaluator's predecessor masks are built as successor masks",
+        "modal_logic.py",
+        "before[k] |= 1 << j",
+        "before[j] |= 1 << k",
+        (ORACLE_EVALUATOR, AT_1024_WORLDS, MODAL + "test_prover_agreement_is_the_by_hand_loop"),
+    ),
+    Mutant(
+        "the member-row walk reads arg[0] for both sides of &",
+        "modal_logic.py",
+        "[masks[i] for i in arg]",
+        "[masks[arg[0]] for i in arg]",
+        (AT_1024_WORLDS, MODAL + "test_prover_agreement_is_the_by_hand_loop"),
     ),
     Mutant(
         "the check table fills from its own masks",
@@ -214,15 +238,15 @@ MUTANTS = (
     Mutant(
         "the parse_context memo drops its given-twice test",
         "formats.py",
-        "        if filled & mask:\n            raise given_twice(",
-        "        if False:\n            raise given_twice(",
+        "        if filled & mask:\n            clash(",
+        "        if False:\n            clash(",
         ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",),
     ),
     Mutant(
         "a compiled line misses a cell given twice on one line",
         "formats.py",
-        "if seen & bit:",
-        "if filled & bit:",
+        "if digits.count(49) < len(positions):",
+        "if False:",
         ("tests/test_formats.py::test_context_parse_errors_carry_line_numbers",
          "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
     ),
@@ -437,30 +461,59 @@ MUTANTS = (
          "tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference"),
     ),
     Mutant(
-        "a cell token's bit comes from its state index",
+        "a cell token's position comes from its state index",
         "formats.py",
-        "                bit = 1 << k\n",
-        "                bit = 1 << i\n",
+        "positions.append(cell[0])",
+        "positions.append(cell[1])",
         ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",
          "tests/test_formats.py::test_context_save_load_round_trip"),
     ),
     Mutant(
-        "a compiled line's mask keeps the cells filled before it",
+        "a contiguous line's mask misses its last cell",
         "formats.py",
-        "memo[raw] = (seen ^ filled, ",
-        "memo[raw] = (seen, ",
+        "(1 << hi) - (1 << lo)",
+        "(1 << hi - 1) - (1 << lo)",
         ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",
          "tests/test_formats.py::test_context_save_load_round_trip"),
+    ),
+    Mutant(
+        "a scattered line's mask reads its digits unreversed",
+        "formats.py",
+        "int(digits[::-1], 2)",
+        "int(digits, 2)",
+        ("tests/test_formats.py::test_parse_context_agrees_with_tokenwise_reference",),
     ),
     Mutant(
         "the token memo keeps the bit",
         "formats.py",
-        "                    cell = cell_of[token] = (k, i)\n"
-        "                k, i = cell\n"
-        "                bit = 1 << k\n",
-        "                    cell = cell_of[token] = (k, i, 1 << k)\n"
-        "                k, i, bit = cell\n",
+        "cell = cell_of[token] = (k, i)",
+        "cell = cell_of[token] = (k, i, 1 << k)",
         (WIDE_LINE,),
+    ),
+    Mutant(
+        "each token's bit is tested and set in a running mask again",
+        "formats.py",
+        "                    positions.append(cell[0])\n",
+        "                    bit = 1 << cell[0]\n"
+        "                    if (seen if positions else filled) & bit:\n"
+        "                        raise ModelFileError(source, line_no, 'given twice')\n"
+        "                    seen = (seen if positions else filled) | bit\n"
+        "                    positions.append(cell[0])\n",
+        (WIDE_TIME,),
+    ),
+    Mutant(
+        "the error path does not look for an earlier cell given twice",
+        "formats.py",
+        "                clash(filled, positions, line_no)\n                raise\n",
+        "                raise\n",
+        (CONTEXT_PINS,),
+    ),
+    Mutant(
+        "the rescan misses a cell given twice within its line",
+        "formats.py",
+        "if k in line or held[k : k + 1] == \"1\":",
+        "if held[k : k + 1] == \"1\":",
+        (CONTEXT_PINS,),
     ),
     Mutant(
         "the render memo is shared across entities",

@@ -356,7 +356,9 @@ def frozenset_extensions(worlds, relation, valuation, members):
     )
 
     everywhere = frozenset(worlds)
-    successors = {w: frozenset(v for u, v in relation if u == w) for w in worlds}
+    successors = {w: set() for w in worlds}  # one pass over the pairs
+    for u, v in relation:
+        successors[u].add(v)
     extensions = {}
 
     def extension(f):

@@ -1747,8 +1747,7 @@ def test_extension_table_over_the_guard_exits_2(command, kripke_path, tmp_path, 
     capsys.readouterr()
 
 
-def test_modal_commands_build_member_nodes_only_for_the_evaluator(tmp_path, monkeypatch,
-                                                                 capsys):
+def test_modal_commands_build_no_member_node(tmp_path, monkeypatch, capsys):
     # atoms that no other test names, so no node over them is alive before
     model = tmp_path / "m.kr"
     model.write_text(
@@ -1771,5 +1770,5 @@ def test_modal_commands_build_member_nodes_only_for_the_evaluator(tmp_path, monk
     assert built == []
     assert cli_dispatch(["modal", "verify-theorem", str(model), *universe]) == 0
     fields = machine_fields(capsys.readouterr().out)
-    assert fields["verdict"] == "yes"
-    assert len(built) == len(set(built)) == int(fields["universe_size"]) == 220
+    assert fields["verdict"] == "yes" and fields["universe_size"] == "220"
+    assert built == []

@@ -18,6 +18,7 @@ from ctxkit.formats import render_kripke
 from ctxkit.generators import gen_random_kripke
 from ctxkit.modal_logic import (
     Atom,
+    Evaluator,
     print_formula,
     Box,
     Diamond,
@@ -714,9 +715,9 @@ def test_prover_agreement_is_the_by_hand_loop():
 
 
 def test_prover_agreement_sees_a_wrong_evaluator(monkeypatch):
-    # the library evaluator's [] read as <>: prover agreement sees it, and the
-    # by-hand loop, on the oracle evaluator, still finds every model agreeing
-    monkeypatch.setitem(modal_logic._RULES, Box, modal_logic._RULES[Diamond])
+    # the library evaluator's [] rule read as <>: prover agreement sees it, and
+    # the by-hand loop, on the oracle evaluator, still finds every model agreeing
+    monkeypatch.setitem(modal_logic._MASK_RULES, Box, modal_logic._MASK_RULES[Diamond])
     rng = random.Random(14014)
     universe = formula_universe(("p", "q"), depth=1)
     answers = []
@@ -726,6 +727,27 @@ def test_prover_agreement_sees_a_wrong_evaluator(monkeypatch):
         answers.append(prover_agreement(model, mc))
         assert by_hand_agreement(model, mc)
     assert answers.count(False) >= 10
+
+
+@pytest.mark.parametrize("density", (0.004, 0.05))
+def test_the_mask_evaluator_and_the_checks_agree_with_the_oracles_on_1024_worlds(density):
+    # `gen random-kripke --seed 3 --worlds 1024` at a density of 263 classes, and of 4
+    model = gen_random_kripke(3, 1024, ("p", "q"), density)
+    universe = formula_universe(("p", "q"), depth=2)
+    extension = extensions_of(model, universe)
+    bit = {w: 1 << j for j, w in enumerate(model.worlds)}
+    assert Evaluator(model).member_masks(universe) == [
+        sum(map(bit.__getitem__, extension[f])) for f in universe.members]
+    mc = to_modal_context(model, universe)
+    assert prover_agreement(model, mc)
+    # one stored bit of a [] column flipped, in a world whose row stays its own
+    boxes = [i for i, kind in enumerate(universe.kinds) if kind is Box]
+    columns = list(mc.columns)
+    columns[boxes[len(boxes) // 2]] ^= 1
+    flipped = ModalContext.from_masks(mc.world_names, columns, mc.successors, universe)
+    expected = oracles.frozenset_violations(flipped.world_names, theories_of(flipped),
+                                            flipped.relation, universe.members)
+    assert expected and described(is_modal_context(flipped)) == expected
 
 
 RELATION_ENDPOINTS = """

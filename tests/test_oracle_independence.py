@@ -22,9 +22,10 @@ FORBIDDEN = {
     "reference_parse_kripke": {"parse_kripke", "KripkeModel", "from_masks", "_lines"},
     "reference_universe": {"formula_universe", "_member_table", "_base_counts",
                            "print_formula", "_part"},
-    "frozenset_extensions": {"Evaluator", "satisfies", "extension_table", "_rule"},
+    "frozenset_extensions": {"Evaluator", "satisfies", "_MASK_RULES", "diamond",
+                             "member_masks", "extension_table", "_rule"},
     "reference_requotient": {"_rule", "extension_table", "to_modal_context",
-                             "requotient_is_identity", "Evaluator", "satisfies"},
+                             "requotient_is_identity", "Evaluator", "satisfies", "_MASK_RULES"},
 }
 
 # certificate checker -> the determinability names whose answers it checks
