@@ -4,9 +4,10 @@ Formula nodes are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): building a node whose kind and fields
 already exist returns the existing node, so equality and hashing are object
 identity. Every kind is built by one constructor, which looks the node up by
-(kind, *fields) in a table of weak entries and builds it only on a miss; a
-node holds its fields, its children and, once printed, its text. Syntax is
-still never normalized, so `[]p` and `~<>~p` are different set members even
+(kind, *fields) in a `weakref.WeakValueDictionary`, so a node leaves the
+table when nothing else holds it, and builds it only on a miss; a node
+holds its fields, its children and, once printed, its text. Syntax is still
+never normalized, so `[]p` and `~<>~p` are different set members even
 though they are semantically equivalent. That distinction is load-bearing:
 world theories must witness syntax, and the box/diamond constructors double
 as the loop-free injective state tagging the framework asks of a modal
@@ -42,27 +43,14 @@ _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4,
 _set = object.__setattr__  # nodes refuse setattr once built
 
 
-class _Entry(weakref.ref):
-    """A weak reference to one live node that remembers its table key."""
-
-    __slots__ = ("key",)
-
-
-def _drop(entry: _Entry) -> None:
-    # a dead node's entry may already have been replaced by a newer node's
-    if _NODES.get(entry.key) is entry:
-        del _NODES[entry.key]
-
-
-# (kind, *fields) -> weak entry for the one live node with them
-_NODES: dict[tuple, _Entry] = {}
+# (kind, *fields) -> the one live node with them
+_NODES: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
 
 
 def _new(cls, *fields):
     """The live node of kind cls with these fields, else a new one."""
     key = (cls,) + fields
-    entry = _NODES.get(key)
-    node = None if entry is None else entry()
+    node = _NODES.get(key)
     return _intern(cls, key, fields) if node is None else node
 
 
@@ -74,9 +62,7 @@ def _intern(cls, key: tuple, fields: tuple) -> Formula:
     for name, value in zip(cls.fields, fields):
         _set(node, name, value)
     _set(node, "children", () if cls is Atom else fields)
-    entry = _Entry(node, _drop)
-    entry.key = key
-    _NODES[key] = entry
+    _NODES[key] = node
     return node
 
 
@@ -702,6 +688,8 @@ def satisfies(model: KripkeModel, world: str, formula: Formula) -> bool:
 
 
 def world_theory(model: KripkeModel, world: str, universe: FormulaUniverse) -> frozenset[Formula]:
-    """The universe members true at the world."""
-    ev = Evaluator(model)
-    return frozenset(f for f in universe.members if ev.satisfies(world, f))
+    """The universe members true at the world: those whose mask, from one
+    walk over the member rows, holds the world's bit."""
+    j = position(model.worlds, world, "world")
+    masks = Evaluator(model).member_masks(universe)
+    return frozenset(f for f, mask in zip(universe.members, masks) if mask >> j & 1)

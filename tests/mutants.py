@@ -86,7 +86,7 @@ RENDER_PINS = "tests/test_formats.py::test_render_context_bytes_are_pinned"
 # the traced peak of a 5,000- and a 20,000-cell line
 WIDE_LINE = "tests/test_formats.py::test_a_wide_cell_line_parses_in_memory_linear_in_its_cells"
 
-# a one-line instance of 40,000 and of 160,000 cells, timed
+# a one-line instance of 10,000 and of 160,000 cells, timed
 WIDE_TIME = ("tests/test_formats.py::"
              "test_a_wide_cell_line_compiles_in_time_linear_in_its_cells")
 
@@ -393,6 +393,21 @@ MUTANTS = (
         "return _intern(cls, key, fields) if node is None else node",
         "return _intern(cls, key, fields)",
         (SMALL_FORMULAS,),
+    ),
+    Mutant(
+        "the interning table holds its nodes strongly",
+        "modal_logic.py",
+        "_NODES: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()",
+        "_NODES: dict[tuple, Formula] = {}",
+        ("tests/test_modal_logic.py::test_unreferenced_nodes_leave_the_table",),
+    ),
+    Mutant(
+        "world_theory reads world 0's bit for every world",
+        "modal_logic.py",
+        "if mask >> j & 1)",
+        "if mask & 1)",
+        ("tests/test_modal_logic.py::"
+         "test_theories_match_the_frozenset_extensions_on_the_acceptance_models",),
     ),
     Mutant(
         "successor_masks reads a one-shot relation twice",

@@ -510,11 +510,12 @@ def test_a_wide_cell_line_compiles_in_time_linear_in_its_cells():
     """A cell line's tokens are read once, and its mask is built once from
     their positions. Testing and setting each token's bit in a running mask
     costs O(position) per token on big ints, and the parse then took
-    7.7-9.3x as long for 4x the cells, against 5.1-5.6x when linear (process
-    time, CPython 3.11.7, 2 vCPUs); the bound is 7x."""
-    texts = [one_line_instance(cells) for cells in (40_000, 160_000)]
+    51-56x as long for 16x the cells, against 22-27x when linear (process
+    time, best of 4, CPython 3.11.7, 2 vCPUs); the bound is 36x. At 4x the
+    cells the two read 8.3-9.1x and 5.1-6.3x, too close for a steady bound."""
+    texts = [one_line_instance(cells) for cells in (10_000, 160_000)]
     best = [float("inf")] * 2
-    for _ in range(3):  # interleaved, so both sizes meet the same host; the best of each
+    for _ in range(4):  # interleaved, so both sizes meet the same host; the best of each
         for k, text in enumerate(texts):
             gc.collect()
             gc.disable()
@@ -524,7 +525,7 @@ def test_a_wide_cell_line_compiles_in_time_linear_in_its_cells():
                 best[k] = min(best[k], time.process_time() - start)
             finally:
                 gc.enable()
-    assert best[1] <= 7 * best[0], best
+    assert best[1] <= 36 * best[0], best
 
 
 # ---------------------------------------------------------------------------

@@ -243,12 +243,23 @@ def test_repr_is_constructor_syntax_at_any_depth(monkeypatch):
 
 
 def test_unreferenced_nodes_leave_the_table():
+    gc.collect()  # nodes an earlier test left in reference cycles are not counted
+    baseline = len(modal_logic._NODES)
     node = And(Atom("only_here"), Box(Atom("only_here")))
     print_formula(node)
+    assert len(modal_logic._NODES) == baseline + 3
     ref = weakref.ref(node)
     del node
     gc.collect()
     assert ref() is None
+    assert len(modal_logic._NODES) == baseline
+    assert (Atom, "only_here") not in modal_logic._NODES
+    again = And(Atom("only_here"), Box(Atom("only_here")))
+    assert len(modal_logic._NODES) == baseline + 3
+    assert modal_logic._NODES[(Atom, "only_here")] is again.left
+    assert modal_logic._NODES[(Box, again.left)] is again.right
+    assert modal_logic._NODES[(And, again.left, again.right)] is again
+    assert getattr(again, "_text", None) is None  # a fresh node, not yet printed
 
 
 def test_formula_nodes_are_immutable():
@@ -567,6 +578,20 @@ def test_empty_relation_makes_all_boxes_true():
     assert boxes
     for world in model.worlds:
         assert boxes <= world_theory(model, world, universe)
+
+
+def test_theories_match_the_frozenset_extensions_on_the_acceptance_models():
+    universes = [formula_universe(("p", "q"), depth=d) for d in (0, 1, 2)]
+    for seed in range(200):
+        model = gen_random_kripke(seed, seed % 5 + 1, ("p", "q"), (0.0, 0.3, 0.7, 1.0)[seed % 4])
+        universe = universes[seed % 3]
+        extension = oracles.frozenset_extensions(model.worlds, model.relation, model.valuation,
+                                                 universe.members)
+        for world in model.worlds:
+            expected = frozenset(f for f in universe.members if world in extension[f])
+            assert world_theory(model, world, universe) == expected, (seed, world)
+    with pytest.raises(ValueError, match="unknown world 'nowhere'"):
+        world_theory(model, "nowhere", universes[0])
 
 
 def test_theory_monotone_in_universe():
