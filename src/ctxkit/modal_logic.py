@@ -6,19 +6,20 @@ already exist returns the existing node, so equality and hashing are object
 identity. Every kind is built by one constructor, which looks the node up by
 (kind, *fields) in a `weakref.WeakValueDictionary`, so a node leaves the
 table when nothing else holds it, and builds it only on a miss; a node
-holds its fields, its children and, once printed, its text. Syntax is still
+holds its fields and its children, never its text. Syntax is still
 never normalized, so `[]p` and `~<>~p` are different set members even
 though they are semantically equivalent. That distinction is load-bearing:
 world theories must witness syntax, and the box/diamond constructors double
 as the loop-free injective state tagging the framework asks of a modal
 operator.
 
-The parser, the printer and the evaluator walk explicit stacks, so a
-formula's depth costs memory, never interpreter frames. Precedence and
-associativity are declared once, on the node classes, and both the parser
-and the printer read them there. A formula of more nodes than the guard
-(`DEFAULT_FORMULA_GUARD`, or `CTXKIT_GUARD`) is refused before any of its
-nodes is built, because memoised text grows with the square of its depth.
+The parser, the one text writer (behind both `print_formula` and `repr`)
+and the evaluator walk explicit stacks, so a formula's depth costs memory
+linear in its size, never interpreter frames. Precedence and associativity
+are declared once, on the node classes, and the parser and the printer read
+them there. A formula of more nodes than the guard (`DEFAULT_FORMULA_GUARD`,
+or `CTXKIT_GUARD`) is refused before any of its nodes is built, so one line
+of input cannot hold an unbounded number of nodes.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def _intern(cls, key: tuple, fields: tuple) -> Formula:
     """Build the node of kind cls and enter it under key: the one place a node is built."""
     if len(fields) != len(cls.fields):
         raise TypeError(f"{cls.__name__} takes {len(cls.fields)} fields, not {len(fields)}")
+    if cls is Atom:
+        check_atom(fields[0])  # a name that prints as itself, so text reads back
     node = object.__new__(cls)
     for name, value in zip(cls.fields, fields):
         _set(node, name, value)
@@ -71,12 +74,12 @@ class Formula:
 
     Each kind declares its `fields` (children, except an atom's name), its
     `symbol`, its printing precedence `prec`, and whether it associates to
-    the right. A node holds its fields and its children tuple, and its
-    printed text once printed. Every kind is built by the one constructor,
-    `_new`, with its fields in order.
+    the right. A node holds its fields and its children tuple, never its
+    text. Every kind is built by the one constructor, `_new`, with its
+    fields in order; an atom's name must print as itself.
     """
 
-    __slots__ = ("children", "_text", "__weakref__")
+    __slots__ = ("children", "__weakref__")
     fields: tuple[str, ...] = ()
     symbol = ""
     prec = _PREC_ATOM
@@ -93,23 +96,8 @@ class Formula:
         return type(self), tuple(getattr(self, name) for name in self.fields)
 
     def __repr__(self) -> str:
-        """Constructor syntax, such as `Not(Atom('p'))`, written from an
-        explicit stack, so that nesting depth costs no interpreter frames."""
-        out: list[str] = []
-        todo: list = [self]  # nodes still to write, and text to copy out
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            out.append(f"{type(item).__name__}(")
-            todo.append(")")
-            for k, name in enumerate(reversed(item.fields)):
-                value = getattr(item, name)
-                if k:
-                    todo.append(", ")
-                todo.append(value if isinstance(value, Formula) else repr(value))
-        return "".join(out)
+        """Constructor syntax, such as `Not(Atom('p'))`."""
+        return _write(self, _constructed)
 
 
 class Atom(Formula):
@@ -167,47 +155,58 @@ BOTTOM = Bottom()
 
 
 # ---------------------------------------------------------------------------
-# printing: minimal parentheses, canonical whitespace
+# writing: minimal parentheses, canonical whitespace
 # ---------------------------------------------------------------------------
 
-def _part(text: str, kid: type[Formula], op: type[Formula], right: bool = False) -> str:
-    """A child's text as it prints under op: in parentheses when the child's
-    kind binds looser than op admits on that side. The side a binary node
+def _write(formula: Formula, spell) -> str:
+    """A formula's text, written top down: spell(node) gives a node's text
+    as strings and child nodes, and each child is spelled in its place from
+    an explicit stack, so nesting depth costs no interpreter frames."""
+    out: list[str] = []
+    todo: list = [formula]  # nodes still to spell, and strings to copy out
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo += reversed(spell(item))
+    return "".join(out)
+
+
+def _constructed(node: Formula) -> tuple:
+    """A node in constructor syntax: its kind, then its name or its children."""
+    kids = [repr(node.name)] if type(node) is Atom else node.children
+    commas = [piece for kid in kids[1:] for piece in (", ", kid)]  # one before each later kid
+    return (f"{type(node).__name__}(", *kids[:1], *commas, ")")
+
+
+def _bare(kid: type[Formula], op: type[Formula], right: bool = False) -> bool:
+    """Does a child of kind kid print without parentheses under op? Not when
+    it binds looser than op admits on that side. The side a binary node
     associates to may hold a child of its own precedence; a unary node's
     operand is its left side.
     """
-    floor = op.prec - op.right_assoc + 1 if right else op.prec + op.right_assoc
-    return f"({text})" if kid.prec < floor else text
+    return kid.prec >= (op.prec - op.right_assoc + 1 if right else op.prec + op.right_assoc)
+
+
+def _part(text: str, kid: type[Formula], op: type[Formula], right: bool = False) -> str:
+    """A child's text as it prints under op."""
+    return text if _bare(kid, op, right) else f"({text})"
+
+
+def _printed(node: Formula) -> tuple:
+    """A node as print_formula spells it: its symbol before its operand, or
+    between its sides, and a child in parentheses where `_bare` says so."""
+    sides = [(kid,) if _bare(type(kid), type(node), right) else ("(", kid, ")")
+             for right, kid in enumerate(node.children)]  # right: 0, then 1
+    if len(sides) == 2:
+        return (*sides[0], f" {node.symbol} ", *sides[1])
+    return (node.symbol, *sides[0]) if sides else (node.symbol,)
 
 
 def print_formula(formula: Formula) -> str:
-    """Render a formula so that parse_formula reads it back unchanged.
-
-    The text is memoised on every node printed, so printing a whole universe
-    builds each member's text once, from its children's. A node whose
-    children have no text yet waits on an explicit stack under them.
-    """
-    text = getattr(formula, "_text", None)  # the slot is empty until first printed
-    if text is None:
-        todo = [formula]
-        while todo:
-            node = todo[-1]
-            kids, op = node.children, type(node)
-            parts = [getattr(kid, "_text", None) for kid in kids]
-            if None in parts:
-                todo += [kid for kid, part in zip(kids, parts) if part is None]
-                continue
-            if not kids:
-                text = node.symbol
-            elif len(kids) == 1:
-                text = op.symbol + _part(parts[0], type(kids[0]), op)
-            else:
-                left, right = kids
-                text = (f"{_part(parts[0], type(left), op)} {op.symbol} "
-                        f"{_part(parts[1], type(right), op, right=True)}")
-            _set(node, "_text", text)
-            todo.pop()
-    return text  # the last node printed is the formula, at the stack's bottom
+    """Render a formula so that parse_formula reads it back unchanged."""
+    return _write(formula, _printed)
 
 
 # ---------------------------------------------------------------------------
@@ -514,35 +513,6 @@ def _member_table(atoms: tuple[str, ...], depth: int, cap: int) -> tuple[tuple, 
 # Kripke models and satisfaction
 # ---------------------------------------------------------------------------
 
-def world_index(names: tuple[str, ...]) -> dict[str, int]:
-    """Each world name's bit position. A name given twice is refused, as is
-    one the file formats cannot write back: an empty one, or one with
-    whitespace (which splits a line) or `#` (which starts a comment)."""
-    index = {w: j for j, w in enumerate(names)}
-    if len(index) != len(names):
-        raise ValueError("duplicate world names")
-    for name in names:
-        if not _WORLD_RE.fullmatch(name):
-            raise ValueError(f"invalid world name {brief(name)}")
-    return index
-
-
-def successor_masks(index: Mapping[str, int], relation: Iterable[tuple[str, str]]) -> list[int]:
-    """Each world's mask of the worlds it reaches, world w's bit being
-    index[w], from pairs in any iterable, read once. A non-pair, or a pair
-    with an endpoint outside index, is refused; of the latter, the smallest
-    is named, whatever the pairs' order. It is the one reader of such pairs."""
-    relation = list(relation)
-    outside = [(a, b) for a, b in relation if a not in index or b not in index]
-    if outside:
-        a, b = min(outside)
-        raise ValueError(f"relation endpoint outside the model: ({a}, {b})")
-    masks = [0] * len(index)
-    for a, b in relation:
-        masks[index[a]] |= 1 << index[b]
-    return masks
-
-
 def picked(items: Sequence, mask: int) -> list:
     """The items at the positions of a mask's set bits, in order."""
     out = []
@@ -553,7 +523,7 @@ def picked(items: Sequence, mask: int) -> list:
 
 
 def successor_pairs(names: Sequence[str], successors: Iterable[int]) -> list[tuple[str, str]]:
-    """Each (world, successor) name pair, in world order: `successor_masks` inverted."""
+    """Each (world, successor) name pair, in world order: the successor masks inverted."""
     return [(a, b) for a, succ in zip(names, successors) for b in picked(names, succ)]
 
 
@@ -562,7 +532,12 @@ class KripkeModel:
     """<W, R, V>: worlds in a fixed order, and each world's successors and
     each atom's worlds as an int mask over them, bit j for worlds[j]; the
     views `relation` and `valuation` give them as pairs and name sets. An
-    atom true nowhere is dropped, as from the file `render_kripke` writes."""
+    atom true nowhere is dropped, as from the file `render_kripke` writes.
+
+    The constructor is the one reader of name pairs, read once from any
+    iterable. It refuses a world named twice or one no file can write back
+    (empty, or holding whitespace or `#`), then a non-pair or a pair with an
+    endpoint outside the worlds, naming the smallest whatever their order."""
 
     worlds: tuple[str, ...]
     successors: tuple[int, ...]
@@ -572,8 +547,20 @@ class KripkeModel:
                 valuation: Mapping[str, Iterable[str]]):
         worlds = tuple(worlds)
         valuation = {atom: frozenset(ws) for atom, ws in dict(valuation).items()}
-        index = world_index(worlds)
-        successors = successor_masks(index, relation)
+        index = {w: j for j, w in enumerate(worlds)}  # each world's bit position
+        if len(index) != len(worlds):
+            raise ValueError("duplicate world names")
+        for name in worlds:
+            if not _WORLD_RE.fullmatch(name):
+                raise ValueError(f"invalid world name {brief(name)}")
+        relation = list(relation)
+        outside = [(a, b) for a, b in relation if a not in index or b not in index]
+        if outside:
+            a, b = min(outside)
+            raise ValueError(f"relation endpoint outside the model: ({a}, {b})")
+        successors = [0] * len(worlds)
+        for a, b in relation:
+            successors[index[a]] |= 1 << index[b]
         for atom, ws in valuation.items():
             check_atom(atom)
             stray = ws.difference(index)

@@ -395,6 +395,30 @@ MUTANTS = (
         (SMALL_FORMULAS,),
     ),
     Mutant(
+        "an atom is built under a name that does not print as itself",
+        "modal_logic.py",
+        "    if cls is Atom:\n"
+        "        check_atom(fields[0])  # a name that prints as itself, so text reads back\n",
+        "",
+        ("tests/test_modal_logic.py::"
+         "test_an_atom_name_that_does_not_print_as_itself_is_refused",),
+    ),
+    Mutant(
+        "the right side of a binary node is printed by the left side's parenthesis test",
+        "modal_logic.py",
+        "_bare(type(kid), type(node), right)",
+        "_bare(type(kid), type(node))",
+        ("tests/test_modal_logic.py::test_print_examples", SMALL_FORMULAS),
+    ),
+    Mutant(
+        "the writer pushes a node's pieces without reversing them",
+        "modal_logic.py",
+        "todo += reversed(spell(item))",
+        "todo += spell(item)",
+        ("tests/test_modal_logic.py::test_print_examples",
+         "tests/test_modal_logic.py::test_repr_is_constructor_syntax_at_any_depth"),
+    ),
+    Mutant(
         "the interning table holds its nodes strongly",
         "modal_logic.py",
         "_NODES: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()",
@@ -410,9 +434,9 @@ MUTANTS = (
          "test_theories_match_the_frozenset_extensions_on_the_acceptance_models",),
     ),
     Mutant(
-        "successor_masks reads a one-shot relation twice",
+        "the KripkeModel constructor reads a one-shot relation twice",
         "modal_logic.py",
-        "    relation = list(relation)\n",
+        "        relation = list(relation)\n",
         "",
         ("tests/test_modal_logic.py::"
          "test_a_generator_of_pairs_builds_the_model_of_the_set_it_yields",),

@@ -711,8 +711,9 @@ def test_formula_over_the_guard_exits_2_and_builds_nothing(kripke_path, monkeypa
 def test_deep_has_line_is_a_model_file_error_naming_its_line(monkeypatch):
     monkeypatch.delenv("CTXKIT_GUARD", raising=False)
     head = "universe atoms=p depth=1 cap=1\ncworld c0\n  has p\n"
-    with pytest.raises(ModelFileError, match="^<string>:4: formula '~{16}\u2026' is outside"):
-        parse_modal_context(head + "  has " + "~" * 3_000 + "p\n")
+    for tildes in (3_000, 9_999):  # 9,999 ~ and p: a line of 10,000 nodes, the guard
+        with pytest.raises(ModelFileError, match="^<string>:4: formula '~{16}\u2026' is outside"):
+            parse_modal_context(head + "  has " + "~" * tildes + "p\n")
     with pytest.raises(ModelFileError, match=r"^<string>:4: formula needs a guard .*CTXKIT_GUARD"):
         parse_modal_context(head + "  has " + "~" * 10_000 + "p\n")
 

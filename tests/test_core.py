@@ -34,25 +34,6 @@ def alice_bob_sig():
     return Signature(("Home", "Out"), ("Alice", "Bob"), ("0", "1", "2"))
 
 
-def random_signature(rng):
-    n_s = rng.randint(1, 3)
-    n_e = rng.randint(1, 2)
-    n_t = rng.randint(1, 3)
-    return Signature(
-        tuple(f"s{i}" for i in range(n_s)),
-        tuple(f"e{i}" for i in range(n_e)),
-        tuple(str(i) for i in range(n_t)),
-    )
-
-
-def random_instance(rng, sig):
-    return Instance(
-        sig.entities,
-        sig.times,
-        tuple(rng.choice(sig.states) for _ in range(sig.cell_count())),
-    )
-
-
 # ---------------------------------------------------------------------------
 # signatures and basic types
 # ---------------------------------------------------------------------------
@@ -298,9 +279,9 @@ def test_consistency_errors():
 def test_consistency_laws_on_random_corpus():
     rng = random.Random(77)
     for _ in range(60):
-        sig = random_signature(rng)
+        sig = corpus.random_signature(rng)
         count = rng.randint(1, 8)
-        ctx = Context(sig, tuple(random_instance(rng, sig) for _ in range(count)))
+        ctx = Context(sig, tuple(corpus.random_instance(rng, sig) for _ in range(count)))
         for inst in ctx:
             previous = None
             for t in sig.times:

@@ -159,7 +159,7 @@ def test_formula_guard_counts_nodes_before_building_any(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# hash-consed nodes: one constructor, identity, memoised text
+# hash-consed nodes: one constructor, identity, no stored text
 # ---------------------------------------------------------------------------
 
 # a formula as a nested (kind, *parts) spec, so that it can be built twice
@@ -259,7 +259,19 @@ def test_unreferenced_nodes_leave_the_table():
     assert modal_logic._NODES[(Atom, "only_here")] is again.left
     assert modal_logic._NODES[(Box, again.left)] is again.right
     assert modal_logic._NODES[(And, again.left, again.right)] is again
-    assert getattr(again, "_text", None) is None  # a fresh node, not yet printed
+
+
+def test_an_atom_name_that_does_not_print_as_itself_is_refused():
+    gc.collect()
+    nodes = dict(modal_logic._NODES)
+    for name in ("true", "false", "P", "p q", "", "p#", "2p", "p-q"):
+        with pytest.raises(ValueError, match="^invalid atom name "):
+            Atom(name)
+    with pytest.raises(TypeError):  # the field count is checked first
+        Atom()
+    assert dict(modal_logic._NODES) == nodes
+    for name in ("p", "pQ_2", "r_guard"):
+        assert parse_formula(print_formula(Not(Atom(name)))) is Not(Atom(name))
 
 
 def test_formula_nodes_are_immutable():

@@ -21,7 +21,7 @@ FORBIDDEN = {
     "reference_parse_modal_context": {"parse_modal_context", "_lines"},
     "reference_parse_kripke": {"parse_kripke", "KripkeModel", "from_masks", "_lines"},
     "reference_universe": {"formula_universe", "_member_table", "_base_counts",
-                           "print_formula", "_part"},
+                           "print_formula", "_part", "_bare", "_printed", "_write"},
     "frozenset_extensions": {"Evaluator", "satisfies", "_MASK_RULES", "diamond",
                              "member_masks", "extension_table", "_rule"},
     "reference_requotient": {"_rule", "extension_table", "to_modal_context",
